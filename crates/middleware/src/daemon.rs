@@ -13,6 +13,7 @@ use crate::journal::{
 };
 use crate::session::{PriorityClass, Session, SessionError, SessionManager};
 use crate::taskqueue::{QuantumTask, QueueConfig, QueueError, TaskQueue};
+use crate::tasks::{Applied, TaskState, TaskTable};
 use hpcqc_analysis::Analyzer;
 use hpcqc_emulator::SampleResult;
 use hpcqc_program::{DeviceSpec, ProgramIr};
@@ -24,7 +25,7 @@ use hpcqc_telemetry::{
     labels, DurabilityMetrics, FaultMetrics, LintMetrics, Registry, ReplicationMetrics,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,9 +61,8 @@ pub struct DaemonConfig {
     /// Requeues allowed after an execution failure before a task is declared
     /// poisoned and failed permanently.
     pub max_task_retries: u32,
-    /// Tasks claimed from the queue per lock acquisition by [`pump`] and the
-    /// background dispatcher (≥ 1). Batched draining keeps submitters off
-    /// the queue lock while the dispatcher works through a burst.
+    /// Tasks run per `dispatch_lock` hold by [`pump`] and the background
+    /// dispatcher (≥ 1).
     ///
     /// [`pump`]: MiddlewareService::pump
     pub pump_batch: usize,
@@ -238,15 +238,6 @@ impl From<QueueError> for DaemonError {
     }
 }
 
-#[derive(Debug, Clone)]
-enum TaskRecord {
-    Queued,
-    Running,
-    Completed(SampleResult),
-    Failed(String),
-    Cancelled,
-}
-
 /// One frame of a [`MiddlewareService::submit_batch`] call.
 #[derive(Debug, Clone)]
 pub struct SubmitItem {
@@ -257,40 +248,25 @@ pub struct SubmitItem {
 }
 
 /// What [`MiddlewareService::prepare_submit`] decided about one frame:
-/// already satisfied (idempotent replay, dev-cache hit) or ready for the
-/// queue.
+/// already satisfied (idempotent replay) or ready for the task table.
 enum Prepared {
     Done(u64),
-    Enqueue {
+    Admit {
         task: QuantumTask,
         warnings: Vec<String>,
         idempotency_key: Option<String>,
+        /// A development-cache hit: the task is admitted already completed.
+        cached: Option<SampleResult>,
     },
-}
-
-/// Partial progress of a preempted task: completed chunk results are kept
-/// and merged with the remainder when it resumes.
-#[derive(Debug, Clone, Default)]
-struct Progress {
-    shots_done: u32,
-    partial: Option<SampleResult>,
-}
-
-/// Failure history of a task across requeues.
-#[derive(Debug, Clone, Default)]
-struct FailureState {
-    /// Execution failures so far.
-    attempts: u32,
-    /// Resources this task has failed on. Advisory: dispatch avoids them
-    /// while an untried resource exists, but falls back to the primary
-    /// rather than starving the task when every resource has failed once.
-    excluded: HashSet<String>,
 }
 
 /// The middleware daemon.
 pub struct MiddlewareService {
     sessions: SessionManager,
-    queue: Mutex<TaskQueue>,
+    /// Every task's lifecycle state, the dispatch queue and the idempotency
+    /// map: one table behind one lock, changed only by `TaskTable::apply`.
+    /// Never held across a journal write, an fsync, analysis or a QRMI call.
+    tasks: Mutex<TaskTable>,
     resource: Arc<dyn QuantumResource>,
     /// Direct handle to the device for the admin surface (None when the
     /// daemon fronts a cloud resource it cannot administer).
@@ -298,12 +274,7 @@ pub struct MiddlewareService {
     /// Alternate resources a requeued task may be dispatched to after
     /// failing on the primary (e.g. a local emulator for degraded service).
     alternates: Vec<Arc<dyn QuantumResource>>,
-    records: Mutex<HashMap<u64, TaskRecord>>,
-    progress: Mutex<HashMap<u64, Progress>>,
-    failures: Mutex<HashMap<u64, FailureState>>,
-    task_meta: Mutex<HashMap<u64, (PriorityClass, f64)>>, // class, submitted_at
     next_task: AtomicU64,
-    seed: AtomicU64,
     clock: Mutex<f64>,
     registry: Registry,
     cfg: DaemonConfig,
@@ -316,15 +287,6 @@ pub struct MiddlewareService {
     dev_cache: Mutex<HashMap<u64, SampleResult>>,
     /// The static-analysis pipeline run at submission.
     analyzer: Analyzer,
-    /// Warning-level findings recorded per accepted task (job record).
-    warnings: Mutex<HashMap<u64, Vec<String>>>,
-    /// Task bodies currently on the device: popped from the queue but not
-    /// yet terminal/requeued. Kept so snapshots never lose a running task
-    /// and crash recovery can requeue mid-dispatch work.
-    inflight: Mutex<HashMap<u64, QuantumTask>>,
-    /// Idempotency key → the task id originally assigned for it. Journaled,
-    /// so client retries after a daemon restart still deduplicate.
-    idempotency: Mutex<HashMap<String, u64>>,
     /// Write-ahead journal; `None` for a purely in-memory daemon.
     journal: Option<SharedJournal>,
     /// Compaction gate: appends hold it shared around their WAL write,
@@ -335,10 +297,9 @@ pub struct MiddlewareService {
     compact_gate: TrackedRwLock<()>,
     /// Serving → Draining → Stopped.
     lifecycle: Mutex<DaemonHealth>,
-    /// Device status recovered from the journal, applied when the admin
-    /// handle is attached (the journal outlives the `VirtualQpu` instance).
-    recovered_qpu_status: Mutex<Option<String>>,
-    /// Last admin-set device status (string form), persisted in snapshots.
+    /// Last admin-set device status (string form): persisted in snapshots,
+    /// recovered from the journal (which outlives the `VirtualQpu` instance)
+    /// and re-applied when the admin handle is attached.
     last_qpu_status: Mutex<Option<String>>,
     /// Replication role and shipping lag (readiness reporting).
     replication: Mutex<ReplicationState>,
@@ -359,20 +320,15 @@ impl MiddlewareService {
         };
         MiddlewareService {
             sessions: SessionManager::new(cfg.max_sessions),
-            queue: Mutex::new("middleware.daemon.queue", rank::QUEUE, queue),
+            tasks: Mutex::new(
+                "middleware.daemon.tasks",
+                rank::TASKS,
+                TaskTable::new(queue),
+            ),
             resource,
             qpu_admin: None,
             alternates: Vec::new(),
-            records: Mutex::new("middleware.daemon.records", rank::RECORDS, HashMap::new()),
-            progress: Mutex::new("middleware.daemon.progress", rank::PROGRESS, HashMap::new()),
-            failures: Mutex::new("middleware.daemon.failures", rank::FAILURES, HashMap::new()),
-            task_meta: Mutex::new(
-                "middleware.daemon.task_meta",
-                rank::TASK_META,
-                HashMap::new(),
-            ),
             next_task: AtomicU64::new(1),
-            seed: AtomicU64::new(0x5eed),
             clock: Mutex::new("middleware.daemon.clock", rank::CLOCK, 0.0),
             registry: Registry::new(),
             cfg,
@@ -384,13 +340,6 @@ impl MiddlewareService {
                 HashMap::new(),
             ),
             analyzer: Analyzer::standard(),
-            warnings: Mutex::new("middleware.daemon.warnings", rank::WARNINGS, HashMap::new()),
-            inflight: Mutex::new("middleware.daemon.inflight", rank::INFLIGHT, HashMap::new()),
-            idempotency: Mutex::new(
-                "middleware.daemon.idempotency",
-                rank::IDEMPOTENCY,
-                HashMap::new(),
-            ),
             journal: None,
             compact_gate: TrackedRwLock::new(
                 "middleware.daemon.compact_gate",
@@ -401,11 +350,6 @@ impl MiddlewareService {
                 "middleware.daemon.lifecycle",
                 rank::LIFECYCLE,
                 DaemonHealth::Ok,
-            ),
-            recovered_qpu_status: Mutex::new(
-                "middleware.daemon.recovered_qpu_status",
-                rank::QPU_STATUS,
-                None,
             ),
             last_qpu_status: Mutex::new(
                 "middleware.daemon.last_qpu_status",
@@ -428,8 +372,8 @@ impl MiddlewareService {
     /// journal recorded an admin-set status before the restart, it is
     /// re-applied here.
     pub fn with_qpu_admin(mut self, qpu: VirtualQpu) -> Self {
-        if let Some(status) = self.recovered_qpu_status.lock().take() {
-            if let Some(s) = parse_qpu_status(&status) {
+        if let Some(status) = self.last_qpu_status.get_mut().as_deref() {
+            if let Some(s) = parse_qpu_status(status) {
                 qpu.set_status(s);
             }
         }
@@ -560,87 +504,20 @@ impl MiddlewareService {
         );
     }
 
-    /// Capture the full daemon state for compaction. Running tasks are
-    /// folded back into the queued set: a snapshot never claims work that
-    /// has not produced a durable result.
-    fn snapshot_state(&self) -> DaemonSnapshot {
-        // queue and inflight are read under both locks (queue → inflight,
-        // the order every mover uses) so a task migrating between them is
-        // seen exactly once, never zero or twice
-        let mut queued: Vec<QuantumTask> = {
-            let q = self.queue.lock();
-            let inflight = self.inflight.lock();
-            q.iter()
-                .cloned()
-                .chain(inflight.values().cloned())
-                .collect()
-        };
-        queued.sort_by(|a, b| {
-            a.submitted_at
-                .total_cmp(&b.submitted_at)
-                .then(a.id.cmp(&b.id))
-        });
-        let mut completed = Vec::new();
-        let mut failed = Vec::new();
-        let mut cancelled = Vec::new();
-        for (&id, rec) in self.records.lock().iter() {
-            match rec {
-                TaskRecord::Completed(r) => completed.push((id, r.clone())),
-                TaskRecord::Failed(m) => failed.push((id, m.clone())),
-                TaskRecord::Cancelled => cancelled.push(id),
-                TaskRecord::Queued | TaskRecord::Running => {}
-            }
-        }
-        completed.sort_by_key(|(id, _)| *id);
-        failed.sort_by_key(|(id, _)| *id);
-        cancelled.sort_unstable();
-        let mut task_meta: Vec<(u64, PriorityClass, f64)> = self
-            .task_meta
-            .lock()
-            .iter()
-            .map(|(&id, &(class, at))| (id, class, at))
-            .collect();
-        task_meta.sort_by_key(|(id, _, _)| *id);
-        let mut failures: Vec<(u64, u32, Vec<String>)> = self
-            .failures
-            .lock()
-            .iter()
-            .map(|(&id, f)| {
-                let mut ex: Vec<String> = f.excluded.iter().cloned().collect();
-                ex.sort();
-                (id, f.attempts, ex)
-            })
-            .collect();
-        failures.sort_by_key(|(id, _, _)| *id);
-        let mut warnings: Vec<(u64, Vec<String>)> = self
-            .warnings
-            .lock()
-            .iter()
-            .map(|(&id, w)| (id, w.clone()))
-            .collect();
-        warnings.sort_by_key(|(id, _)| *id);
-        let mut idempotency: Vec<(String, u64)> = self
-            .idempotency
-            .lock()
-            .iter()
-            .map(|(k, &id)| (k.clone(), id))
-            .collect();
-        idempotency.sort();
-        DaemonSnapshot {
+    /// Capture the full daemon state (what compaction persists). Running
+    /// tasks are folded back into the queued set: a snapshot never claims
+    /// work that has not produced a durable result.
+    pub fn snapshot_state(&self) -> DaemonSnapshot {
+        let mut snap = DaemonSnapshot {
             clock: self.now(),
             next_task: self.next_task.load(Ordering::Relaxed),
             session_counter: self.sessions.counter_watermark(),
             sessions: self.sessions.list(),
-            queued,
-            completed,
-            failed,
-            cancelled,
-            task_meta,
-            failures,
-            warnings,
-            idempotency,
             qpu_status: self.last_qpu_status.lock().clone(),
-        }
+            ..DaemonSnapshot::default()
+        };
+        self.tasks.lock().snapshot_into(&mut snap);
+        snap
     }
 
     /// Open a durable daemon from `path`: replay the snapshot + WAL tail
@@ -661,57 +538,41 @@ impl MiddlewareService {
         let n_records = replay.records.len();
         let truncated = replay.truncated_bytes;
         let had_snapshot = replay.snapshot.is_some();
-        let state = ReplayState::build(replay);
         let journal_cfg = cfg.journal;
         let mut svc = Self::new(resource, cfg);
 
-        svc.sessions.restore(state.sessions, state.session_counter);
+        // snapshot + `apply` over the WAL tail + "every Running goes back
+        // to Queued": recovery runs the live state machine
+        let mut snap = replay.snapshot.unwrap_or_default();
+        let mut table = std::mem::take(svc.tasks.get_mut())
+            .with_snapshot(&mut snap)
+            .map_err(|e| DaemonError::Internal(format!("restore task: {e}")))?;
+        svc.sessions.restore(snap.sessions, snap.session_counter);
         svc.next_task
-            .store(state.next_task.max(1), Ordering::Relaxed);
-        *svc.clock.lock() = state.clock;
-        *svc.recovered_qpu_status.lock() = state.qpu_status.clone();
-        *svc.last_qpu_status.lock() = state.qpu_status;
-        {
-            let mut queue = svc.queue.lock();
-            for task in &state.queued {
-                queue
-                    .restore(task.clone())
-                    .map_err(|e| DaemonError::Internal(format!("restore task: {e}")))?;
-            }
+            .store(snap.next_task.max(1), Ordering::Relaxed);
+        *svc.clock.get_mut() = snap.clock;
+        *svc.last_qpu_status.get_mut() = snap.qpu_status;
+        let mut illegal = 0usize;
+        for rec in &replay.records {
+            // the session a cancel refunds is only known while it is queued
+            let owner = match rec {
+                JournalRecord::TaskCancelled { id } => {
+                    table.queue().get(*id).map(|t| t.session.clone())
+                }
+                _ => None,
+            };
+            let applied = table.apply(rec);
+            illegal += applied.is_err() as usize;
+            svc.replay_rest(rec, applied == Ok(Applied::Changed), owner);
         }
-        {
-            let mut records = svc.records.lock();
-            for task in &state.queued {
-                records.insert(task.id, TaskRecord::Queued);
-            }
-            records.extend(
-                state
-                    .completed
-                    .into_iter()
-                    .map(|(id, r)| (id, TaskRecord::Completed(r))),
-            );
-            records.extend(
-                state
-                    .failed
-                    .into_iter()
-                    .map(|(id, m)| (id, TaskRecord::Failed(m))),
-            );
-            records.extend(
-                state
-                    .cancelled
-                    .into_iter()
-                    .map(|id| (id, TaskRecord::Cancelled)),
-            );
-        }
-        *svc.task_meta.lock() = state.task_meta;
-        *svc.failures.lock() = state.failures;
-        *svc.warnings.lock() = state.warnings;
-        *svc.idempotency.lock() = state.idempotency;
+        let (table, requeued_inflight) = table.into_recovered();
+        let recovered_tasks = table.queue().len();
+        *svc.tasks.get_mut() = table;
 
         let metrics = svc.durability_metrics();
-        metrics.replay(t0.elapsed().as_secs_f64(), n_records, truncated);
-        metrics.recovered_tasks(state.queued.len());
-        metrics.requeued_on_recovery(state.requeued_inflight);
+        metrics.replay(t0.elapsed().as_secs_f64(), n_records, truncated, illegal);
+        metrics.recovered_tasks(recovered_tasks);
+        metrics.requeued_on_recovery(requeued_inflight);
         metrics.recovered_sessions(svc.sessions.count());
 
         let journal = SharedJournal::open(path, journal_cfg)
@@ -727,6 +588,54 @@ impl MiddlewareService {
         }
         svc.journal = Some(journal);
         Ok(svc)
+    }
+
+    /// The non-task remainder of replaying one WAL record: sessions, clock,
+    /// device status and the id watermarks (the task half went through
+    /// `TaskTable::apply`). `changed` says whether the table took the record
+    /// as a transition — a submit or cancel the snapshot already reflects
+    /// must not move its session's task count a second time — and
+    /// `cancelled_owner` is the session a `TaskCancelled` refunds.
+    fn replay_rest(&mut self, rec: &JournalRecord, changed: bool, cancelled_owner: Option<String>) {
+        let mut clock = *self.clock.get_mut();
+        match rec {
+            JournalRecord::SessionOpened { session } => {
+                // the token embeds the counter value ("sess-{n}-…"): keep
+                // the mint watermark ahead of every replayed token
+                let minted = session.token.split('-').nth(1);
+                let next = minted
+                    .and_then(|n| n.parse::<u64>().ok())
+                    .map_or(0, |n| n + 1);
+                self.sessions.restore(vec![session.clone()], next);
+            }
+            JournalRecord::SessionClosed { token } => drop(self.sessions.close(token)),
+            JournalRecord::SessionsExpired { tokens } => {
+                tokens.iter().for_each(|t| drop(self.sessions.close(t)))
+            }
+            JournalRecord::TaskSubmitted { task, .. } => {
+                clock = clock.max(task.submitted_at);
+                self.next_task.fetch_max(task.id + 1, Ordering::Relaxed);
+                if changed {
+                    let _ = self.sessions.record_task(&task.session);
+                }
+            }
+            JournalRecord::TaskDispatched { at, .. } | JournalRecord::TaskCompleted { at, .. } => {
+                clock = clock.max(*at);
+            }
+            JournalRecord::TaskCancelled { .. } => {
+                if let (true, Some(owner)) = (changed, cancelled_owner) {
+                    let _ = self.sessions.release_task(&owner);
+                }
+            }
+            JournalRecord::QpuStatusChanged { status } => {
+                *self.last_qpu_status.get_mut() = Some(status.clone());
+            }
+            JournalRecord::ClockAdvanced { to } => clock = clock.max(*to),
+            JournalRecord::TaskRequeued { .. }
+            | JournalRecord::TaskAttemptFailed { .. }
+            | JournalRecord::TaskFailed { .. } => {}
+        }
+        *self.clock.get_mut() = clock;
     }
 
     /// Current liveness (the `GET /v1/healthz` answer).
@@ -1107,7 +1016,8 @@ impl MiddlewareService {
     /// [`Self::submit`] with an optional client idempotency key. A key that
     /// was already accepted — including before a daemon restart, the map is
     /// journaled — returns the original task id without enqueueing anything,
-    /// making client retry loops safe end-to-end.
+    /// making client retry loops safe end-to-end. This is
+    /// [`submit_batch`](Self::submit_batch) of one frame.
     pub fn submit_with_key(
         &self,
         token: &str,
@@ -1115,140 +1025,132 @@ impl MiddlewareService {
         hint: PatternHint,
         idempotency_key: Option<&str>,
     ) -> Result<u64, DaemonError> {
-        self.check_admitting()?;
-        match self.prepare_submit(token, ir, hint, idempotency_key)? {
-            Prepared::Done(id) => Ok(id),
-            Prepared::Enqueue {
-                task,
-                warnings,
-                idempotency_key,
-            } => {
-                let id = task.id;
-                self.queue.lock().push(task.clone())?;
-                self.sessions.record_task(token)?;
-                self.records.lock().insert(id, TaskRecord::Queued);
-                self.task_meta
-                    .lock()
-                    .insert(id, (task.class, task.submitted_at));
-                if let Some(key) = &idempotency_key {
-                    self.idempotency.lock().insert(key.clone(), id);
-                }
-                self.registry.counter_add(
-                    "daemon_tasks_submitted_total",
-                    "Tasks accepted into the queue",
-                    labels(&[("class", task.class.as_str())]),
-                    1.0,
-                );
-                self.journal_append_deferred(&JournalRecord::TaskSubmitted {
-                    task,
-                    idempotency_key,
-                    warnings,
-                });
-                Ok(id)
-            }
-        }
+        self.submit_batch(vec![SubmitItem {
+            token: token.to_string(),
+            ir,
+            hint,
+            idempotency_key: idempotency_key.map(str::to_string),
+        }])
+        .pop()
+        .expect("submit_batch answers every frame")
     }
 
     /// Submit N programs as one unit: per-frame validation runs outside any
-    /// shared lock, then every accepted task enters the queue under a
-    /// *single* queue-lock hold, bookkeeping maps are each touched once,
-    /// and the journal records go out as deferred appends that the
-    /// group-commit machinery flushes with one fsync for the whole batch.
-    /// Outcomes are per-frame and order-preserving: one frame failing
+    /// shared lock, then every accepted task enters the task table under a
+    /// *single* hold, and the journal records go out as deferred appends
+    /// that the group-commit machinery flushes with one fsync for the whole
+    /// batch. Outcomes are per-frame and order-preserving: one frame failing
     /// validation (or hitting a session quota) does not poison its
     /// neighbours. Idempotency keys keep their per-frame semantics.
     pub fn submit_batch(&self, items: Vec<SubmitItem>) -> Vec<Result<u64, DaemonError>> {
         if let Err(e) = self.check_admitting() {
             return items.iter().map(|_| Err(e.clone())).collect();
         }
-        // Phase 1: validation/analysis per frame — CPU work, no queue lock.
+        // Phase 1: validation/analysis per frame — CPU work, no table lock.
         let prepared: Vec<Result<Prepared, DaemonError>> = items
             .into_iter()
-            .map(|it| self.prepare_submit(&it.token, it.ir, it.hint, it.idempotency_key.as_deref()))
+            .map(|it| self.prepare_submit(it))
             .collect();
-        // Phase 2: one queue-lock hold admits every surviving frame.
-        let mut outcomes: Vec<Result<u64, DaemonError>> = Vec::with_capacity(prepared.len());
-        let mut accepted: Vec<(QuantumTask, Vec<String>, Option<String>)> = Vec::new();
-        {
-            let mut queue = self.queue.lock();
-            for p in prepared {
-                match p {
-                    Err(e) => outcomes.push(Err(e)),
-                    Ok(Prepared::Done(id)) => outcomes.push(Ok(id)),
-                    Ok(Prepared::Enqueue {
-                        task,
-                        warnings,
-                        idempotency_key,
-                    }) => match queue.push(task.clone()) {
-                        Ok(()) => {
-                            outcomes.push(Ok(task.id));
-                            accepted.push((task, warnings, idempotency_key));
-                        }
-                        Err(e) => outcomes.push(Err(e.into())),
-                    },
-                }
-            }
-        }
-        // Phase 3: bookkeeping — one hold per map, never nested.
-        {
-            let mut records = self.records.lock();
-            for (task, _, _) in &accepted {
-                records.insert(task.id, TaskRecord::Queued);
-            }
-        }
-        {
-            let mut meta = self.task_meta.lock();
-            for (task, _, _) in &accepted {
-                meta.insert(task.id, (task.class, task.submitted_at));
-            }
-        }
-        {
-            let mut idem = self.idempotency.lock();
-            for (task, _, key) in &accepted {
-                if let Some(k) = key {
-                    idem.insert(k.clone(), task.id);
-                }
-            }
-        }
-        for (task, _, _) in &accepted {
-            // Session accounting failure after queue admission is not
-            // actionable per-frame; the task is already accepted.
+        // Phase 2: one table hold admits every surviving frame by applying
+        // the records phase 3 journals. A task is visible to the dispatcher
+        // only once it is fully in the table, so nothing can finish it first.
+        let mut journal: Vec<JournalRecord> = Vec::new();
+        let outcomes: Vec<Result<u64, DaemonError>> = {
+            let mut tasks = self.tasks.lock();
+            prepared
+                .into_iter()
+                .map(|p| Self::admit(&mut tasks, p?, &mut journal))
+                .collect()
+        };
+        // Phase 3: accounting, then deferred journal appends; the dispatcher
+        // flushes the parked batch with a single write + fsync (group commit).
+        let mut records = journal.iter().peekable();
+        while let Some(rec) = records.next() {
+            let JournalRecord::TaskSubmitted { task, .. } = rec else {
+                continue;
+            };
+            // The session may have closed or expired since prepare validated
+            // it; the task is admitted all the same, so that is not an error.
             let _ = self.sessions.record_task(&task.session);
+            // the only completions journaled here are dev-cache hits
+            let (name, help) = match records.peek() {
+                Some(JournalRecord::TaskCompleted { .. }) => (
+                    "daemon_dev_cache_hits_total",
+                    "Development tasks served from the result cache",
+                ),
+                _ => (
+                    "daemon_tasks_submitted_total",
+                    "Tasks accepted into the queue",
+                ),
+            };
+            self.registry
+                .counter_add(name, help, labels(&[("class", task.class.as_str())]), 1.0);
         }
-        for (task, _, _) in &accepted {
-            self.registry.counter_add(
-                "daemon_tasks_submitted_total",
-                "Tasks accepted into the queue",
-                labels(&[("class", task.class.as_str())]),
-                1.0,
-            );
-        }
-        // Phase 4: deferred journal appends; the dispatcher flushes the
-        // parked batch with a single write + fsync (group commit).
-        for (task, warnings, idempotency_key) in accepted {
-            self.journal_append_deferred(&JournalRecord::TaskSubmitted {
-                task,
-                idempotency_key,
-                warnings,
-            });
+        for rec in &journal {
+            self.journal_append_deferred(rec);
         }
         outcomes
     }
 
-    /// Everything submit does *before* the queue: session + idempotency
+    /// Admit one prepared frame under the caller's table hold, pushing the
+    /// records it applied onto `journal`.
+    fn admit(
+        tasks: &mut TaskTable,
+        prepared: Prepared,
+        journal: &mut Vec<JournalRecord>,
+    ) -> Result<u64, DaemonError> {
+        let (task, warnings, idempotency_key, cached) = match prepared {
+            Prepared::Done(id) => return Ok(id),
+            Prepared::Admit {
+                task,
+                warnings,
+                idempotency_key,
+                cached,
+            } => (task, warnings, idempotency_key, cached),
+        };
+        // a retry racing the original may have been admitted since prepare
+        // looked the key up
+        if let Some(original) = idempotency_key.as_deref().and_then(|k| tasks.idempotent(k)) {
+            return Ok(original);
+        }
+        if cached.is_none() {
+            tasks.queue().check_quota(&task.session)?;
+        }
+        let (id, at) = (task.id, task.submitted_at);
+        let mut apply = |rec: JournalRecord| {
+            tasks
+                .apply(&rec)
+                .map_err(|e| DaemonError::Internal(e.to_string()))?;
+            journal.push(rec);
+            Ok::<(), DaemonError>(())
+        };
+        apply(JournalRecord::TaskSubmitted {
+            task,
+            idempotency_key,
+            warnings,
+        })?;
+        if let Some(result) = cached {
+            // journaled as submit + complete so replay lands on the same
+            // terminal state (the cache itself is volatile)
+            apply(JournalRecord::TaskCompleted { id, result, at })?;
+        }
+        Ok(id)
+    }
+
+    /// Everything submit does *before* the task table: session + idempotency
     /// checks, dev shot capping, validation/analysis, task construction,
-    /// and the dev result cache. Shared verbatim by the single-submit and
-    /// batch paths so they cannot drift.
-    fn prepare_submit(
-        &self,
-        token: &str,
-        mut ir: ProgramIr,
-        mut hint: PatternHint,
-        idempotency_key: Option<&str>,
-    ) -> Result<Prepared, DaemonError> {
-        let session = self.validate_session(token)?;
-        if let Some(key) = idempotency_key {
-            if let Some(&original) = self.idempotency.lock().get(key) {
+    /// and the dev result cache lookup.
+    fn prepare_submit(&self, item: SubmitItem) -> Result<Prepared, DaemonError> {
+        let SubmitItem {
+            token,
+            mut ir,
+            mut hint,
+            idempotency_key,
+        } = item;
+        let session = self.validate_session(&token)?;
+        if let Some(key) = &idempotency_key {
+            let original = self.tasks.lock().idempotent(key);
+            if let Some(original) = original {
                 self.durability_metrics().deduped(session.class.as_str());
                 return Ok(Prepared::Done(original));
             }
@@ -1257,6 +1159,15 @@ impl MiddlewareService {
             ir.shots = self.cfg.dev_shot_cap;
         }
         let mut pending_warnings: Vec<String> = Vec::new();
+        let rejected = |violations: Vec<String>| {
+            self.registry.counter_add(
+                "daemon_tasks_rejected_total",
+                "Tasks rejected at validation",
+                labels(&[("class", session.class.as_str())]),
+                1.0,
+            );
+            DaemonError::Validation(violations)
+        };
         if self.cfg.validate_on_submit || self.cfg.analyze_on_submit {
             let spec = self.device_spec()?;
             // Stale-validation detection: the client validated against an
@@ -1277,15 +1188,7 @@ impl MiddlewareService {
             if self.cfg.validate_on_submit {
                 let violations = hpcqc_program::validate(&ir.sequence, &spec);
                 if !violations.is_empty() {
-                    self.registry.counter_add(
-                        "daemon_tasks_rejected_total",
-                        "Tasks rejected at validation",
-                        labels(&[("class", session.class.as_str())]),
-                        1.0,
-                    );
-                    return Err(DaemonError::Validation(
-                        violations.iter().map(|v| v.to_string()).collect(),
-                    ));
+                    return Err(rejected(violations.iter().map(|v| v.to_string()).collect()));
                 }
             }
             if self.cfg.analyze_on_submit {
@@ -1295,14 +1198,8 @@ impl MiddlewareService {
                     lm.diagnostic(d.code.as_str(), d.severity.as_str());
                 }
                 if report.has_errors() {
-                    self.registry.counter_add(
-                        "daemon_tasks_rejected_total",
-                        "Tasks rejected at validation",
-                        labels(&[("class", session.class.as_str())]),
-                        1.0,
-                    );
                     lm.rejection(session.class.as_str());
-                    return Err(DaemonError::Validation(
+                    return Err(rejected(
                         report.errors().iter().map(|d| d.render()).collect(),
                     ));
                 }
@@ -1327,95 +1224,53 @@ impl MiddlewareService {
             // Accepted: server-side checks just ran against this revision.
             ir = ir.with_validation_revision(spec.revision);
         }
-        let id = self.next_task.fetch_add(1, Ordering::Relaxed);
-        if !pending_warnings.is_empty() {
-            self.warnings.lock().insert(id, pending_warnings.clone());
-        }
-        let now = self.now();
         let task = QuantumTask {
-            id,
-            session: token.to_string(),
-            user: session.user.clone(),
+            id: self.next_task.fetch_add(1, Ordering::Relaxed),
+            session: token,
+            user: session.user,
             class: session.class,
             ir: Arc::new(ir),
             hint,
-            submitted_at: now,
+            submitted_at: self.now(),
         };
-        if self.cfg.cache_dev_results && session.class == PriorityClass::Development {
-            // Bind the lookup before the `if let`: a guard in the scrutinee
-            // would live for the whole block, holding DEV_CACHE (rank 750)
-            // across the lower-ranked records/task_meta locks and the
-            // journal appends below (rank inversion caught by the strict
-            // lock-order CI job).
-            let cached = self.dev_cache.lock().get(&task.ir.fingerprint()).cloned();
-            if let Some(cached) = cached {
-                self.records
-                    .lock()
-                    .insert(id, TaskRecord::Completed(cached.clone()));
-                self.task_meta.lock().insert(id, (session.class, now));
-                self.sessions.record_task(token)?;
-                if let Some(key) = idempotency_key {
-                    self.idempotency.lock().insert(key.to_string(), id);
-                }
-                self.registry.counter_add(
-                    "daemon_dev_cache_hits_total",
-                    "Development tasks served from the result cache",
-                    labels(&[("class", session.class.as_str())]),
-                    1.0,
-                );
-                // journaled as submit + complete so replay lands on the same
-                // terminal state (the cache itself is volatile)
-                self.journal_append_deferred(&JournalRecord::TaskSubmitted {
-                    task,
-                    idempotency_key: idempotency_key.map(str::to_string),
-                    warnings: pending_warnings,
-                });
-                self.journal_append_deferred(&JournalRecord::TaskCompleted {
-                    id,
-                    result: cached,
-                    at: now,
-                });
-                return Ok(Prepared::Done(id));
-            }
-        }
-        Ok(Prepared::Enqueue {
+        let cached = if self.cfg.cache_dev_results && task.class == PriorityClass::Development {
+            self.dev_cache.lock().get(&task.ir.fingerprint()).cloned()
+        } else {
+            None
+        };
+        Ok(Prepared::Admit {
             task,
             warnings: pending_warnings,
-            idempotency_key: idempotency_key.map(str::to_string),
+            idempotency_key,
+            cached,
         })
     }
 
     /// Task status.
     pub fn task_status(&self, id: u64) -> Result<DaemonTaskStatus, DaemonError> {
-        // clone the record and release the records lock before touching the
-        // queue: status polls must never hold two daemon locks at once
-        let rec = self.records.lock().get(&id).cloned();
-        match rec {
-            None => Err(DaemonError::UnknownTask(id)),
-            Some(TaskRecord::Queued) => {
-                let now = self.now();
-                let pos = self.queue.lock().position(id, now).unwrap_or(0);
-                Ok(DaemonTaskStatus::Queued { position: pos })
-            }
-            Some(TaskRecord::Running) => Ok(DaemonTaskStatus::Running),
-            Some(TaskRecord::Completed(_)) => Ok(DaemonTaskStatus::Completed),
-            Some(TaskRecord::Failed(m)) => Ok(DaemonTaskStatus::Failed(m)),
-            Some(TaskRecord::Cancelled) => Ok(DaemonTaskStatus::Cancelled),
-        }
+        let now = self.now();
+        self.tasks
+            .lock()
+            .status(id, now)
+            .ok_or(DaemonError::UnknownTask(id))
     }
 
     /// Warning-level analyzer findings recorded for a task at submission
     /// (empty when the analyzer found nothing or is disabled).
     pub fn task_warnings(&self, id: u64) -> Vec<String> {
-        self.warnings.lock().get(&id).cloned().unwrap_or_default()
+        self.tasks
+            .lock()
+            .entry(id)
+            .map(|e| e.warnings.clone())
+            .unwrap_or_default()
     }
 
     /// Fetch the result of a completed task.
     pub fn task_result(&self, id: u64) -> Result<SampleResult, DaemonError> {
-        match self.records.lock().get(&id) {
+        match self.tasks.lock().entry(id).map(|e| &e.state) {
             None => Err(DaemonError::UnknownTask(id)),
-            Some(TaskRecord::Completed(r)) => Ok(r.clone()),
-            Some(TaskRecord::Failed(m)) => Err(DaemonError::Internal(m.clone())),
+            Some(TaskState::Completed(r)) => Ok(r.clone()),
+            Some(TaskState::Failed(m)) => Err(DaemonError::Internal(m.clone())),
             Some(_) => Err(DaemonError::Queue("task not completed".into())),
         }
     }
@@ -1425,33 +1280,28 @@ impl MiddlewareService {
     /// consume quota forever.
     pub fn cancel(&self, token: &str, id: u64) -> Result<(), DaemonError> {
         self.validate_session(token)?;
-        // queue decision first, then release the queue lock before touching
-        // records/sessions/journal: cancellation never holds two locks
+        let rec = JournalRecord::TaskCancelled { id };
         {
-            let mut q = self.queue.lock();
-            match q.remove(id) {
-                Some(t) if t.session == token => {}
-                Some(t) => {
-                    // not the owner: put it back untouched
-                    q.push(t)
-                        .expect("reinsert cannot exceed quota it just satisfied");
+            let mut tasks = self.tasks.lock();
+            match tasks.queue().get(id) {
+                Some(task) if task.session == token => {}
+                Some(_) => {
                     return Err(DaemonError::Forbidden(
                         "task belongs to another session".into(),
                     ));
                 }
-                None => {
-                    drop(q);
-                    return match self.records.lock().get(&id) {
-                        None => Err(DaemonError::UnknownTask(id)),
-                        Some(_) => Err(DaemonError::Queue("task is not queued".into())),
-                    };
+                None if tasks.entry(id).is_some() => {
+                    return Err(DaemonError::Queue("task is not queued".into()));
                 }
+                None => return Err(DaemonError::UnknownTask(id)),
             }
+            tasks
+                .apply(&rec)
+                .map_err(|e| DaemonError::Internal(e.to_string()))?;
         }
-        self.records.lock().insert(id, TaskRecord::Cancelled);
         // refund the quota slot the task was holding
         let _ = self.sessions.release_task(token);
-        self.journal_append_deferred(&JournalRecord::TaskCancelled { id });
+        self.journal_append_deferred(&rec);
         Ok(())
     }
 
@@ -1465,227 +1315,159 @@ impl MiddlewareService {
     /// afterwards, the remainder is requeued (preemption at shot-batch
     /// boundaries, §3.3).
     pub fn pump_once(&self) -> Option<u64> {
-        if self.health() == DaemonHealth::Stopped {
-            return None;
-        }
-        let _dispatch = self.dispatch_lock.lock();
-        self.gc_sessions();
-        let task = self.take_batch(1).pop()?;
-        let id = task.id;
-        self.execute(task);
-        Some(id)
+        let mut last = None;
+        self.pump_while(|id| {
+            last = Some(id);
+            false
+        });
+        last
     }
 
-    /// Claim up to `max` dispatchable tasks and run them back-to-back under
-    /// one `dispatch_lock` hold. The claim is a single queue+inflight lock
-    /// acquisition, so a burst of submitters is never serialized against a
-    /// per-task relock loop. Returns the number of tasks that made progress
-    /// (0 = queue empty or daemon stopped).
-    ///
-    /// Dispatch order is fixed at claim time: a task submitted while the
-    /// batch executes waits for the next batch, the same window a single
-    /// in-flight task already imposes. Preemption still works — sliced
-    /// tasks re-check [`TaskQueue::should_preempt`] after every chunk.
+    /// Run up to `max` tasks back-to-back under one `dispatch_lock` hold.
+    /// Returns the number of tasks that made progress (0 = queue empty or
+    /// daemon stopped). Each task is claimed as it starts, so the order is
+    /// the queue's order at that moment: a production task submitted while
+    /// the batch runs goes ahead of the lower classes still waiting.
     pub fn pump_batch(&self, max: usize) -> usize {
-        if self.health() == DaemonHealth::Stopped {
-            return 0;
-        }
-        let _dispatch = self.dispatch_lock.lock();
-        self.gc_sessions();
-        let batch = self.take_batch(max.max(1));
-        let n = batch.len();
-        for task in batch {
-            self.execute(task);
-        }
+        let mut n = 0;
+        self.pump_while(|_| {
+            n += 1;
+            n < max
+        });
         n
     }
 
-    /// Pop up to `max` tasks in dispatch order, moving each into `inflight`
-    /// under one queue+inflight lock hold (queue → inflight, the global
-    /// order) so no snapshot can observe a task in neither or both places.
-    fn take_batch(&self, max: usize) -> Vec<QuantumTask> {
-        let now = self.now();
-        let mut q = self.queue.lock();
-        let mut inflight = self.inflight.lock();
-        let batch = q.pop_batch(now, max);
-        for t in &batch {
-            inflight.insert(t.id, t.clone());
+    /// Dispatch tasks under one `dispatch_lock` hold until the queue is
+    /// empty or `more` — told each dispatched id — says stop.
+    fn pump_while(&self, mut more: impl FnMut(u64) -> bool) {
+        if self.health() == DaemonHealth::Stopped {
+            return;
         }
-        batch
+        let _dispatch = self.dispatch_lock.lock();
+        self.gc_sessions();
+        while self.dispatch_next().is_some_and(&mut more) {}
     }
 
-    /// Run one claimed task (already moved to `inflight`) to the end of its
-    /// batch or slice and record the outcome. No queue/records lock is held
-    /// across the QPU execution itself.
-    fn execute(&self, task: QuantumTask) {
-        let id = task.id;
+    /// Claim the head of the queue — one table hold takes it from `Queued`
+    /// to `Running`, so cancel and snapshots see it exactly once — run it to
+    /// the end of its batch or slice, and apply the outcome. Every step is
+    /// the same three moves: build the record, apply it under one hold,
+    /// journal it. The table lock is never held across the journal append
+    /// or the QPU execution.
+    fn dispatch_next(&self) -> Option<u64> {
         let now = self.now();
-        self.records.lock().insert(id, TaskRecord::Running);
-
-        // first time this task runs: record wait
-        let first_run = self
-            .progress
-            .lock()
-            .get(&id)
-            .is_none_or(|p| p.shots_done == 0);
-        if first_run {
-            if let Some((class, submitted)) = self.task_meta.lock().get(&id).copied() {
-                self.registry.histogram_observe(
-                    "daemon_task_wait_seconds",
-                    "Queue wait before first execution",
-                    labels(&[("class", class.as_str())]),
-                    &[1.0, 10.0, 60.0, 600.0, 3600.0],
-                    now - submitted,
-                );
-            }
-        }
-
-        let res = self.pick_resource(id);
-        self.journal_append(&JournalRecord::TaskDispatched {
+        // While the task is Running only this thread touches its entry, so
+        // what the claim reads (slice progress, retry history) holds until
+        // the outcome is applied.
+        let mut tasks = self.tasks.lock();
+        let task = tasks.queue().peek(now)?.clone();
+        let entry = tasks.entry(task.id).expect("queued tasks have entries");
+        let (id, done, attempts) = (task.id, entry.shots_done, entry.attempts);
+        let res = self.pick_resource(&entry.excluded);
+        let resource = res.resource_id().to_string();
+        let dispatched = JournalRecord::TaskDispatched {
             id,
-            resource: res.resource_id().to_string(),
+            resource: resource.clone(),
             at: now,
-        });
-        let outcome = if task.batched() {
-            self.run_shots(&task, task.ir.shots, &res)
+        };
+        let applied = tasks.apply(&dispatched);
+        drop(tasks);
+        applied.expect("the head of the queue is Queued");
+        let class = task.class.as_str();
+        if done == 0 {
+            // first time this task runs: record wait
+            self.registry.histogram_observe(
+                "daemon_task_wait_seconds",
+                "Queue wait before first execution",
+                labels(&[("class", class)]),
+                &[1.0, 10.0, 60.0, 600.0, 3600.0],
+                now - task.submitted_at,
+            );
+        }
+        self.journal_append(&dispatched);
+        let shots = if task.batched() {
+            task.ir.shots
         } else {
-            let done = self.progress.lock().get(&id).map_or(0, |p| p.shots_done);
-            let remaining = task.ir.shots - done;
-            let slice = remaining.min(self.cfg.preempt_chunk_shots);
-            self.run_shots(&task, slice, &res)
+            (task.ir.shots - done).min(self.cfg.preempt_chunk_shots)
         };
 
-        match outcome {
-            Err(m) => {
-                let attempts = {
-                    let mut failures = self.failures.lock();
-                    let f = failures.entry(id).or_default();
-                    f.attempts += 1;
-                    f.excluded.insert(res.resource_id().to_string());
-                    f.attempts
+        let (rec, slice) = match self.run_shots(&task, shots, &res) {
+            // poison cap: stop burning device time on this task
+            Err(error) if attempts >= self.cfg.max_task_retries => {
+                (JournalRecord::TaskFailed { id, error }, None)
+            }
+            // requeue for another attempt; partial progress is kept, and
+            // dispatch will avoid the resource that just failed
+            Err(error) => {
+                let rec = JournalRecord::TaskAttemptFailed {
+                    id,
+                    resource,
+                    error,
                 };
-                if attempts > self.cfg.max_task_retries {
-                    // poison cap: stop burning device time on this task
-                    self.failures.lock().remove(&id);
-                    self.records
-                        .lock()
-                        .insert(id, TaskRecord::Failed(m.clone()));
-                    self.progress.lock().remove(&id);
-                    self.fault_metrics().poisoned(task.class.as_str());
-                    self.inflight.lock().remove(&id);
-                    self.journal_append(&JournalRecord::TaskFailed { id, error: m });
-                } else {
-                    // requeue for another attempt; partial progress is kept,
-                    // and dispatch will avoid the resource that just failed
-                    self.records.lock().insert(id, TaskRecord::Queued);
-                    self.fault_metrics().requeue(task.class.as_str());
-                    {
-                        // queue + inflight together: the task must never be
-                        // visible in both (snapshot would duplicate it) or
-                        // neither (snapshot would lose it). Requeue via
-                        // `restore`, not `push`: push re-checks the session
-                        // quota, which other submissions may have exhausted
-                        // since this task was admitted — the old
-                        // `push().expect()` here could panic the dispatcher
-                        // thread and wedge the daemon.
-                        let mut q = self.queue.lock();
-                        let mut inflight = self.inflight.lock();
-                        q.restore(task).expect("requeued timestamp stays finite");
-                        inflight.remove(&id);
-                    }
-                    self.journal_append(&JournalRecord::TaskAttemptFailed {
-                        id,
-                        resource: res.resource_id().to_string(),
-                        error: m,
-                    });
-                }
+                (rec, None)
             }
-            Ok(partial) => {
-                self.failures.lock().remove(&id);
-                let mut progress = self.progress.lock();
-                let p = progress.entry(id).or_default();
-                p.shots_done += partial.shots;
-                p.partial = Some(match p.partial.take() {
-                    None => partial,
-                    Some(prev) => merge_results(prev, partial),
-                });
-                let finished = p.shots_done >= task.ir.shots;
-                if finished {
-                    let result = p.partial.take().expect("merged at least one slice");
-                    progress.remove(&id);
-                    drop(progress);
-                    if self.cfg.cache_dev_results && task.class == PriorityClass::Development {
-                        self.dev_cache
-                            .lock()
-                            .insert(task.ir.fingerprint(), result.clone());
-                    }
-                    self.records
-                        .lock()
-                        .insert(id, TaskRecord::Completed(result.clone()));
-                    self.registry.counter_add(
-                        "daemon_tasks_completed_total",
-                        "Tasks completed",
-                        labels(&[("class", task.class.as_str())]),
-                        1.0,
-                    );
-                    self.inflight.lock().remove(&id);
-                    self.journal_append(&JournalRecord::TaskCompleted {
-                        id,
-                        result,
-                        at: self.now(),
-                    });
-                } else {
-                    drop(progress);
-                    let class = task.class;
-                    self.records.lock().insert(id, TaskRecord::Queued);
-                    // preemption check + requeue of the remainder, with
-                    // queue + inflight held together so the migrating task
-                    // is always visible exactly once
-                    let preempted = {
-                        let mut q = self.queue.lock();
-                        let mut inflight = self.inflight.lock();
-                        let preempted = q.should_preempt(class, self.now());
-                        // whether preempted or just sliced, the remainder
-                        // queues again; priority order decides who goes next.
-                        // `restore`, not `push`: the quota re-check in push
-                        // can fail against a quota filled since admission,
-                        // and a sliced task must never be dropped for it.
-                        q.restore(task).expect("requeued timestamp stays finite");
-                        inflight.remove(&id);
-                        preempted
-                    };
-                    if preempted {
-                        self.registry.counter_add(
-                            "daemon_preemptions_total",
-                            "Shot-boundary preemptions",
-                            labels(&[("class", class.as_str())]),
-                            1.0,
-                        );
-                    }
-                    // shot-level progress is deliberately not journaled: a
-                    // crash between slices replays the whole task
-                    // (at-least-once per shot, exactly-once per task)
-                    self.journal_append(&JournalRecord::TaskRequeued { id });
-                }
+            Ok(last) if done + last.shots >= task.ir.shots => {
+                let result = self.tasks.lock().merged_result(id, last);
+                let at = self.now();
+                (JournalRecord::TaskCompleted { id, result, at }, None)
             }
+            // Sliced, maybe preempted: the remainder queues again and
+            // priority order decides who goes next. Shot-level progress is
+            // deliberately not journaled: a crash between slices replays the
+            // whole task (at-least-once per shot, exactly-once per task).
+            Ok(slice) => (JournalRecord::TaskRequeued { id }, Some(slice)),
+        };
+        let (applied, preempted) = {
+            let mut tasks = self.tasks.lock();
+            let preempted = slice.is_some() && tasks.queue().should_preempt(task.class, now);
+            let applied = match slice {
+                Some(slice) => tasks.apply_slice(id, slice),
+                None => tasks.apply(&rec),
+            };
+            (applied, preempted)
+        };
+        applied.expect("a running task accepts its outcome");
+        match &rec {
+            JournalRecord::TaskFailed { .. } => self.fault_metrics().poisoned(class),
+            JournalRecord::TaskAttemptFailed { .. } => self.fault_metrics().requeue(class),
+            JournalRecord::TaskCompleted { result, .. } => {
+                if self.cfg.cache_dev_results && task.class == PriorityClass::Development {
+                    self.dev_cache
+                        .lock()
+                        .insert(task.ir.fingerprint(), result.clone());
+                }
+                self.registry.counter_add(
+                    "daemon_tasks_completed_total",
+                    "Tasks completed",
+                    labels(&[("class", class)]),
+                    1.0,
+                );
+            }
+            _ if preempted => self.registry.counter_add(
+                "daemon_preemptions_total",
+                "Shot-boundary preemptions",
+                labels(&[("class", class)]),
+                1.0,
+            ),
+            _ => {}
         }
+        self.journal_append(&rec);
+        Some(id)
     }
 
-    /// The resource a dispatch of task `id` should use: the primary unless
-    /// the task has already failed on it and an untried alternate exists.
-    /// Exclusion is advisory — when every resource has failed once, the
-    /// primary is used anyway rather than starving the task.
-    fn pick_resource(&self, id: u64) -> Arc<dyn QuantumResource> {
-        let failures = self.failures.lock();
-        if let Some(f) = failures.get(&id) {
-            if f.excluded.contains(self.resource.resource_id()) {
-                if let Some(alt) = self
-                    .alternates
-                    .iter()
-                    .find(|a| !f.excluded.contains(a.resource_id()))
-                {
-                    return Arc::clone(alt);
-                }
+    /// The resource a dispatch should use for a task that has failed on
+    /// `excluded`: the primary unless the task has already failed on it and
+    /// an untried alternate exists. Exclusion is advisory — when every
+    /// resource has failed once, the primary is used anyway rather than
+    /// starving the task.
+    fn pick_resource(&self, excluded: &BTreeSet<String>) -> Arc<dyn QuantumResource> {
+        if excluded.contains(self.resource.resource_id()) {
+            if let Some(alt) = self
+                .alternates
+                .iter()
+                .find(|a| !excluded.contains(a.resource_id()))
+            {
+                return Arc::clone(alt);
             }
         }
         Arc::clone(&self.resource)
@@ -1704,8 +1486,6 @@ impl MiddlewareService {
             ..(*task.ir).clone()
         };
         let lease = res.acquire().map_err(|e| e.to_string())?;
-        let seed = self.seed.fetch_add(1, Ordering::Relaxed);
-        let _ = seed; // resources seed internally; kept for interface stability
         let out = hpcqc_qrmi::run_to_completion(res.as_ref(), &lease, &ir, 10_000)
             .map_err(|e| e.to_string());
         res.release(&lease).map_err(|e| e.to_string())?;
@@ -1839,20 +1619,17 @@ impl MiddlewareService {
 
     /// Queue depth (monitoring).
     pub fn queue_depth(&self) -> usize {
-        self.queue.lock().len()
+        self.tasks.lock().queue().len()
     }
 
     /// Resources task `id` has failed on so far (advisory dispatch
     /// exclusion; empty for tasks with no failure history). Sorted.
     pub fn excluded_resources(&self, id: u64) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .failures
-            .lock()
-            .get(&id)
-            .map(|f| f.excluded.iter().cloned().collect())
-            .unwrap_or_default();
-        v.sort();
-        v
+        let tasks = self.tasks.lock();
+        let excluded = tasks
+            .entry(id)
+            .map(|e| e.excluded.iter().cloned().collect());
+        excluded.unwrap_or_default()
     }
 }
 
@@ -1889,242 +1666,6 @@ fn parse_qpu_status(s: &str) -> Option<QpuStatus> {
         "down" => Some(QpuStatus::Down),
         _ => None,
     }
-}
-
-/// Per-task status while folding the journal.
-enum ReplayTaskStatus {
-    Queued,
-    Running,
-    Completed(SampleResult),
-    Failed(String),
-    Cancelled,
-}
-
-/// Daemon state reconstructed by folding the WAL tail over the snapshot.
-struct ReplayState {
-    clock: f64,
-    next_task: u64,
-    session_counter: u64,
-    sessions: Vec<Session>,
-    /// Tasks to requeue, arrival order.
-    queued: Vec<QuantumTask>,
-    completed: Vec<(u64, SampleResult)>,
-    failed: Vec<(u64, String)>,
-    cancelled: Vec<u64>,
-    task_meta: HashMap<u64, (PriorityClass, f64)>,
-    failures: HashMap<u64, FailureState>,
-    warnings: HashMap<u64, Vec<String>>,
-    idempotency: HashMap<String, u64>,
-    qpu_status: Option<String>,
-    /// Tasks that were mid-dispatch at crash time, now requeued.
-    requeued_inflight: usize,
-}
-
-impl ReplayState {
-    fn build(replay: crate::journal::Replay) -> ReplayState {
-        let snap = replay.snapshot.unwrap_or_default();
-        let mut clock = snap.clock;
-        let mut next_task = snap.next_task;
-        let mut session_counter = snap.session_counter;
-        let mut sessions: HashMap<String, Session> = snap
-            .sessions
-            .into_iter()
-            .map(|s| (s.token.clone(), s))
-            .collect();
-        let mut tasks: HashMap<u64, QuantumTask> = HashMap::new();
-        let mut status: HashMap<u64, ReplayTaskStatus> = HashMap::new();
-        for task in snap.queued {
-            status.insert(task.id, ReplayTaskStatus::Queued);
-            tasks.insert(task.id, task);
-        }
-        for (id, r) in snap.completed {
-            status.insert(id, ReplayTaskStatus::Completed(r));
-        }
-        for (id, m) in snap.failed {
-            status.insert(id, ReplayTaskStatus::Failed(m));
-        }
-        for id in snap.cancelled {
-            status.insert(id, ReplayTaskStatus::Cancelled);
-        }
-        let mut task_meta: HashMap<u64, (PriorityClass, f64)> = snap
-            .task_meta
-            .into_iter()
-            .map(|(id, class, at)| (id, (class, at)))
-            .collect();
-        let mut failures: HashMap<u64, FailureState> = snap
-            .failures
-            .into_iter()
-            .map(|(id, attempts, excluded)| {
-                (
-                    id,
-                    FailureState {
-                        attempts,
-                        excluded: excluded.into_iter().collect(),
-                    },
-                )
-            })
-            .collect();
-        let mut warnings: HashMap<u64, Vec<String>> = snap.warnings.into_iter().collect();
-        let mut idempotency: HashMap<String, u64> = snap.idempotency.into_iter().collect();
-        let mut qpu_status = snap.qpu_status;
-
-        for rec in replay.records {
-            match rec {
-                JournalRecord::SessionOpened { session } => {
-                    // the token embeds the counter value ("sess-{n}-…"):
-                    // keep the mint watermark ahead of every replayed token
-                    if let Some(n) = session
-                        .token
-                        .split('-')
-                        .nth(1)
-                        .and_then(|n| n.parse::<u64>().ok())
-                    {
-                        session_counter = session_counter.max(n + 1);
-                    }
-                    sessions.insert(session.token.clone(), session);
-                }
-                JournalRecord::SessionClosed { token } => {
-                    sessions.remove(&token);
-                }
-                JournalRecord::SessionsExpired { tokens } => {
-                    for t in &tokens {
-                        sessions.remove(t);
-                    }
-                }
-                JournalRecord::TaskSubmitted {
-                    task,
-                    idempotency_key,
-                    warnings: w,
-                } => {
-                    clock = clock.max(task.submitted_at);
-                    next_task = next_task.max(task.id + 1);
-                    task_meta.insert(task.id, (task.class, task.submitted_at));
-                    if !w.is_empty() {
-                        warnings.insert(task.id, w);
-                    }
-                    if let Some(key) = idempotency_key {
-                        idempotency.insert(key, task.id);
-                    }
-                    if let Some(s) = sessions.get_mut(&task.session) {
-                        s.task_count += 1;
-                    }
-                    status.insert(task.id, ReplayTaskStatus::Queued);
-                    tasks.insert(task.id, task);
-                }
-                JournalRecord::TaskDispatched { id, at, .. } => {
-                    clock = clock.max(at);
-                    status.insert(id, ReplayTaskStatus::Running);
-                }
-                JournalRecord::TaskRequeued { id } => {
-                    status.insert(id, ReplayTaskStatus::Queued);
-                }
-                JournalRecord::TaskAttemptFailed { id, resource, .. } => {
-                    let f = failures.entry(id).or_default();
-                    f.attempts += 1;
-                    f.excluded.insert(resource);
-                    status.insert(id, ReplayTaskStatus::Queued);
-                }
-                JournalRecord::TaskCompleted { id, result, at } => {
-                    clock = clock.max(at);
-                    failures.remove(&id);
-                    status.insert(id, ReplayTaskStatus::Completed(result));
-                }
-                JournalRecord::TaskFailed { id, error } => {
-                    failures.remove(&id);
-                    status.insert(id, ReplayTaskStatus::Failed(error));
-                }
-                JournalRecord::TaskCancelled { id } => {
-                    if let Some(task) = tasks.get(&id) {
-                        if let Some(s) = sessions.get_mut(&task.session) {
-                            s.task_count = s.task_count.saturating_sub(1);
-                        }
-                    }
-                    status.insert(id, ReplayTaskStatus::Cancelled);
-                }
-                JournalRecord::QpuStatusChanged { status } => {
-                    qpu_status = Some(status);
-                }
-                JournalRecord::ClockAdvanced { to } => {
-                    clock = clock.max(to);
-                }
-            }
-        }
-
-        let mut queued = Vec::new();
-        let mut completed = Vec::new();
-        let mut failed = Vec::new();
-        let mut cancelled = Vec::new();
-        let mut requeued_inflight = 0usize;
-        for (id, st) in status {
-            match st {
-                ReplayTaskStatus::Queued | ReplayTaskStatus::Running => {
-                    if matches!(st, ReplayTaskStatus::Running) {
-                        // mid-dispatch at crash time: no durable result was
-                        // journaled, so the work effectively never happened —
-                        // requeue it (excluded resources survive in
-                        // `failures`)
-                        requeued_inflight += 1;
-                    }
-                    if let Some(task) = tasks.remove(&id) {
-                        queued.push(task);
-                    }
-                }
-                ReplayTaskStatus::Completed(r) => completed.push((id, r)),
-                ReplayTaskStatus::Failed(m) => failed.push((id, m)),
-                ReplayTaskStatus::Cancelled => cancelled.push(id),
-            }
-        }
-        queued.sort_by(|a, b| {
-            a.submitted_at
-                .total_cmp(&b.submitted_at)
-                .then(a.id.cmp(&b.id))
-        });
-        let mut sessions: Vec<Session> = sessions.into_values().collect();
-        sessions.sort_by(|a, b| a.token.cmp(&b.token));
-        // retain failure/meta/warning state only for live tasks
-        failures.retain(|id, _| queued.iter().any(|t| t.id == *id));
-        let live: HashSet<u64> = queued
-            .iter()
-            .map(|t| t.id)
-            .chain(completed.iter().map(|(id, _)| *id))
-            .chain(failed.iter().map(|(id, _)| *id))
-            .chain(cancelled.iter().copied())
-            .collect();
-        task_meta.retain(|id, _| live.contains(id));
-        warnings.retain(|id, _| live.contains(id));
-
-        ReplayState {
-            clock,
-            next_task,
-            session_counter,
-            sessions,
-            queued,
-            completed,
-            failed,
-            cancelled,
-            task_meta,
-            failures,
-            warnings,
-            idempotency,
-            qpu_status,
-            requeued_inflight,
-        }
-    }
-}
-
-/// Merge two sample results of the same program (chunked execution).
-fn merge_results(mut a: SampleResult, b: SampleResult) -> SampleResult {
-    assert_eq!(
-        a.n_qubits, b.n_qubits,
-        "merging results of different registers"
-    );
-    for (bits, count) in b.counts {
-        *a.counts.entry(bits).or_insert(0) += count;
-    }
-    a.shots += b.shots;
-    a.execution_secs += b.execution_secs;
-    a.truncation_error = a.truncation_error.max(b.truncation_error);
-    a
 }
 
 #[cfg(test)]
@@ -2764,6 +2305,78 @@ mod tests {
             );
         }
 
+        /// What a client sees in every state of a task: status, result and
+        /// cancel. `Running` is observed from inside the device call.
+        #[test]
+        fn client_visible_answers_in_every_state() {
+            let res = Arc::new(MidFlightHookResource {
+                inner: LocalEmulatorResource::new("emu", Arc::new(SvBackend::default()), 1),
+                hook: std::sync::Mutex::new(None),
+            });
+            let d = Arc::new(MiddlewareService::new(
+                res.clone() as Arc<dyn QuantumResource>,
+                DaemonConfig {
+                    max_task_retries: 0,
+                    ..DaemonConfig::default()
+                },
+            ));
+            let tok = d.open_session("gina", PriorityClass::Production).unwrap();
+            let other = d.open_session("hank", PriorityClass::Production).unwrap();
+            let not_done = Err(DaemonError::Queue("task not completed".into()));
+            let not_queued = Err(DaemonError::Queue("task is not queued".into()));
+
+            // unknown
+            assert_eq!(d.task_status(99), Err(DaemonError::UnknownTask(99)));
+            assert_eq!(d.task_result(99), Err(DaemonError::UnknownTask(99)));
+            assert_eq!(d.cancel(&tok, 99), Err(DaemonError::UnknownTask(99)));
+
+            // Queued: position reported, only the owner may cancel
+            let cancelled = d.submit(&tok, ir(5), PatternHint::None).unwrap();
+            let id = d.submit(&tok, ir(5), PatternHint::None).unwrap();
+            assert_eq!(
+                d.task_status(id),
+                Ok(DaemonTaskStatus::Queued { position: 1 })
+            );
+            assert_eq!(d.task_result(id), not_done);
+            assert!(matches!(
+                d.cancel(&other, id),
+                Err(DaemonError::Forbidden(_))
+            ));
+
+            // Cancelled
+            assert_eq!(d.cancel(&tok, cancelled), Ok(()));
+            assert_eq!(d.task_status(cancelled), Ok(DaemonTaskStatus::Cancelled));
+            assert_eq!(d.task_result(cancelled), not_done);
+            assert_eq!(d.cancel(&tok, cancelled), not_queued);
+
+            // Running (then Failed: the hook fails the run, zero retries)
+            let seen = Arc::new(std::sync::Mutex::new(None));
+            {
+                let (d, tok, seen) = (Arc::clone(&d), tok.clone(), Arc::clone(&seen));
+                *res.hook.lock().unwrap() = Some(Box::new(move || {
+                    *seen.lock().unwrap() =
+                        Some((d.task_status(id), d.task_result(id), d.cancel(&tok, id)));
+                }));
+            }
+            assert_eq!(d.pump_once(), Some(id));
+            let running = (
+                Ok(DaemonTaskStatus::Running),
+                not_done.clone(),
+                not_queued.clone(),
+            );
+            assert_eq!(seen.lock().unwrap().take(), Some(running));
+            assert!(matches!(d.task_status(id), Ok(DaemonTaskStatus::Failed(_))));
+            assert!(matches!(d.task_result(id), Err(DaemonError::Internal(_))));
+            assert_eq!(d.cancel(&tok, id), not_queued);
+
+            // Completed
+            let id = d.submit(&tok, ir(5), PatternHint::None).unwrap();
+            assert_eq!(d.pump_once(), Some(id));
+            assert_eq!(d.task_status(id), Ok(DaemonTaskStatus::Completed));
+            assert_eq!(d.task_result(id).unwrap().shots, 5);
+            assert_eq!(d.cancel(&tok, id), not_queued);
+        }
+
         /// A handler that panics mid-task (with the emulator lease held and
         /// the dispatch lock poisoned) must not kill the dispatcher thread
         /// or wedge the daemon: the panic is counted, and later tasks still
@@ -2823,11 +2436,13 @@ mod tests {
         }
         let snap = d.snapshot_state();
         assert_eq!(snap.queued.len(), 1000);
-        let q = d.queue.lock();
-        for t in &snap.queued {
-            let queued = q.get(t.id).expect("task still queued");
+        // two snapshots of the same queue hold the same allocations, so
+        // neither copied a body out of the table
+        let again = d.snapshot_state();
+        for (t, u) in snap.queued.iter().zip(&again.queued) {
+            assert_eq!(t.id, u.id);
             assert!(
-                Arc::ptr_eq(&queued.ir, &t.ir),
+                Arc::ptr_eq(&t.ir, &u.ir),
                 "snapshot deep-copied the program body of task {}",
                 t.id
             );
@@ -2851,7 +2466,7 @@ mod tests {
     fn merge_results_accumulates_counts() {
         let a = SampleResult::from_shots(2, &[0b00, 0b01], "x");
         let b = SampleResult::from_shots(2, &[0b01, 0b11], "x");
-        let m = merge_results(a, b);
+        let m = crate::tasks::merge_results(a, b);
         assert_eq!(m.shots, 4);
         assert_eq!(m.counts[&0b01], 2);
         assert_eq!(m.counts[&0b00], 1);
@@ -3006,6 +2621,31 @@ mod tests {
         d2.pump();
         assert_eq!(d2.task_status(a).unwrap(), DaemonTaskStatus::Completed);
         assert_eq!(d2.task_status(b).unwrap(), DaemonTaskStatus::Completed);
+
+        // N = 1: a single submit is a batch of one frame, down to the
+        // records it journals
+        let journaled = |name: &str, batch: bool| {
+            let dir = journal_dir(name);
+            let d =
+                MiddlewareService::recover(&dir, emu_resource(), DaemonConfig::default()).unwrap();
+            let tok = d.open_session("alice", PriorityClass::Production).unwrap();
+            let id = if batch {
+                d.submit_batch(vec![SubmitItem {
+                    token: tok,
+                    ir: ir(10),
+                    hint: PatternHint::None,
+                    idempotency_key: Some("one".into()),
+                }])
+                .remove(0)
+            } else {
+                d.submit_with_key(&tok, ir(10), PatternHint::None, Some("one"))
+            };
+            drop(d);
+            (id, Journal::load(&dir).unwrap().records)
+        };
+        let single = journaled("batch-submit-single", false);
+        assert_eq!(single.1.len(), 2, "session + submit");
+        assert_eq!(single, journaled("batch-submit-of-one", true));
     }
 
     #[test]
@@ -3137,6 +2777,100 @@ mod tests {
         );
     }
 
+    /// Submitters against a hot dispatcher, one of them on a session that is
+    /// closed under it: every acked task finishes, nothing unacked exists,
+    /// and the recovered daemon agrees — no task stuck, none run twice.
+    #[test]
+    fn submitters_racing_the_dispatcher_leave_every_acked_task_finished_once() {
+        let dir = journal_dir("submit-vs-dispatch");
+        let cfg = DaemonConfig {
+            journal: JournalConfig {
+                fsync_every: 0,
+                compact_every: 48,
+                group_max_records: 8,
+                ..JournalConfig::default()
+            },
+            ..DaemonConfig::default()
+        };
+        let d = Arc::new(MiddlewareService::recover(&dir, emu_resource(), cfg.clone()).unwrap());
+        let doomed = d.open_session("doomed", PriorityClass::Test).unwrap();
+        let start = Arc::new(std::sync::Barrier::new(6));
+        let submitters: Vec<_> = (0..4)
+            .map(|i| {
+                let (d, start, doomed) = (Arc::clone(&d), Arc::clone(&start), doomed.clone());
+                std::thread::spawn(move || {
+                    let own = d
+                        .open_session(&format!("user{i}"), PriorityClass::Production)
+                        .unwrap();
+                    start.wait();
+                    let mut acked = Vec::new();
+                    for k in 0..40 {
+                        // thread 0 alternates onto the session being closed
+                        let tok = if i == 0 && k % 2 == 1 { &doomed } else { &own };
+                        let key = format!("k-{i}-{k}");
+                        match d.submit_with_key(tok, ir(5), PatternHint::None, Some(&key)) {
+                            Ok(id) => acked.push(id),
+                            Err(e) => {
+                                assert_eq!(e, DaemonError::Session(SessionError::UnknownToken))
+                            }
+                        }
+                    }
+                    acked
+                })
+            })
+            .collect();
+        let closer = {
+            let (d, start) = (Arc::clone(&d), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                d.close_session(&doomed).unwrap();
+            })
+        };
+        start.wait();
+        while submitters.iter().any(|t| !t.is_finished()) {
+            d.pump_batch(16);
+        }
+        closer.join().unwrap();
+        let mut acked: Vec<u64> = submitters
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect();
+        acked.sort_unstable();
+        d.pump();
+
+        for &id in &acked {
+            assert_eq!(
+                d.task_status(id),
+                Ok(DaemonTaskStatus::Completed),
+                "task {id}"
+            );
+        }
+        let live = d.snapshot_state();
+        let completed =
+            |s: &DaemonSnapshot| s.completed.iter().map(|(id, _)| *id).collect::<Vec<_>>();
+        assert_eq!(
+            completed(&live),
+            acked,
+            "a task exists that no submit acked"
+        );
+        assert!(live.queued.is_empty() && live.failed.is_empty());
+        d.sync_journal();
+        drop(d);
+
+        let d2 = MiddlewareService::recover(&dir, emu_resource(), cfg).unwrap();
+        let recovered = d2.snapshot_state();
+        assert_eq!(completed(&recovered), acked);
+        assert_eq!(
+            recovered.completed, live.completed,
+            "same results: nothing re-ran"
+        );
+        assert!(recovered.queued.is_empty());
+        assert_eq!(d2.pump(), 0);
+        assert!(!d2
+            .metrics_text()
+            .contains("daemon_recovery_requeued_total 1"));
+    }
+
     #[test]
     fn cancel_refunds_session_task_quota() {
         let d = emu_daemon(DaemonConfig {
@@ -3162,11 +2896,112 @@ mod tests {
         assert_eq!(s.task_count, 2, "cancel must refund the session's count");
     }
 
+    /// A session and one of its tasks, for hand-written journals.
+    fn session_and_task(d: &MiddlewareService) -> (Session, QuantumTask) {
+        let tok = d.open_session("alice", PriorityClass::Production).unwrap();
+        let session = d.list_sessions().into_iter().next().unwrap();
+        let task = QuantumTask {
+            id: 1,
+            session: tok,
+            user: "alice".into(),
+            class: PriorityClass::Production,
+            ir: Arc::new(ir(10)),
+            hint: PatternHint::None,
+            submitted_at: 1.0,
+        };
+        (session, task)
+    }
+
+    /// The exactly-once regression: the submitter was descheduled between
+    /// admitting the task and journaling it, so the WAL reads `Dispatched,
+    /// Completed, Submitted`. The late submit must not re-queue — and so
+    /// re-run — the finished task.
+    #[test]
+    fn late_task_submitted_in_the_wal_does_not_rerun_a_completed_task() {
+        let dir = journal_dir("late-submit");
+        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
+        let (session, task) = session_and_task(&emu_daemon(DaemonConfig::default()));
+        let result = SampleResult::from_shots(2, &[0b00, 0b11], "emu");
+        for rec in [
+            JournalRecord::SessionOpened { session },
+            JournalRecord::TaskDispatched {
+                id: 1,
+                resource: "emu".into(),
+                at: 1.0,
+            },
+            JournalRecord::TaskCompleted {
+                id: 1,
+                result: result.clone(),
+                at: 1.5,
+            },
+            JournalRecord::TaskSubmitted {
+                task,
+                idempotency_key: Some("once".into()),
+                warnings: Vec::new(),
+            },
+            // and one record no history can explain: counted and skipped
+            JournalRecord::TaskCancelled { id: 1 },
+        ] {
+            j.append(&rec).unwrap();
+        }
+        drop(j);
+
+        let d = MiddlewareService::recover(&dir, emu_resource(), DaemonConfig::default()).unwrap();
+        assert_eq!(d.task_status(1).unwrap(), DaemonTaskStatus::Completed);
+        assert_eq!(d.task_result(1).unwrap(), result);
+        assert_eq!(d.queue_depth(), 0);
+        assert_eq!(d.pump(), 0, "nothing left to run a second time");
+        let tok = d.list_sessions()[0].token.clone();
+        assert_eq!(
+            d.submit_with_key(&tok, ir(10), PatternHint::None, Some("once")),
+            Ok(1),
+            "the key of the overtaken submit still deduplicates"
+        );
+        // the overtaken submit is an expected order; only the cancel of a
+        // completed task is a record the state machine refused
+        let text = d.metrics_text();
+        assert!(text.contains("journal_replay_illegal_total 1"), "{text}");
+    }
+
+    /// A compaction can snapshot the effect of a record that then lands in
+    /// the fresh WAL behind it. Replaying such a record must change nothing:
+    /// the task stays queued once and its session is charged once.
+    #[test]
+    fn record_the_snapshot_already_reflects_replays_as_a_no_op() {
+        let dir = journal_dir("snapshot-overlap");
+        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
+        let (mut session, task) = session_and_task(&emu_daemon(DaemonConfig::default()));
+        session.task_count = 1;
+        j.compact(&DaemonSnapshot {
+            clock: 1.0,
+            next_task: 2,
+            session_counter: 2,
+            sessions: vec![session],
+            queued: vec![task.clone()],
+            task_meta: vec![(1, task.class, task.submitted_at)],
+            ..DaemonSnapshot::default()
+        })
+        .unwrap();
+        j.append(&JournalRecord::TaskSubmitted {
+            task,
+            idempotency_key: None,
+            warnings: Vec::new(),
+        })
+        .unwrap();
+        drop(j);
+
+        let d = MiddlewareService::recover(&dir, emu_resource(), DaemonConfig::default()).unwrap();
+        assert_eq!(d.queue_depth(), 1);
+        assert_eq!(d.list_sessions()[0].task_count, 1, "charged once");
+        assert_eq!(d.pump(), 1);
+        assert_eq!(d.task_status(1).unwrap(), DaemonTaskStatus::Completed);
+    }
+
     #[test]
     fn recovery_requeues_mid_dispatch_task_with_exclusions() {
         let dir = journal_dir("mid-dispatch");
         // hand-craft a journal whose last records leave task 1 mid-dispatch
-        let mut j = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
         let d = emu_daemon(DaemonConfig::default());
         let tok = d.open_session("alice", PriorityClass::Production).unwrap();
         let session = d.list_sessions().into_iter().next().unwrap();

@@ -191,170 +191,10 @@ fn fnv1a32(bytes: &[u8]) -> u32 {
     h
 }
 
-/// Append-only writer over a journal directory.
-///
-/// Appends go through a group-commit buffer: frames accumulate in memory
-/// and are flushed to the WAL as one `write` (and at most one `fsync`) per
-/// batch, per the [`JournalConfig`] policy. Dropping the journal does
-/// **not** flush — an unflushed batch dies with the process, exactly like a
-/// crash; callers that need durability call [`Journal::sync`] (drain and
-/// compaction do).
-pub struct Journal {
-    dir: PathBuf,
-    wal: File,
-    cfg: JournalConfig,
-    /// Framed records awaiting the next batch flush.
-    buf: Vec<u8>,
-    buf_records: usize,
-    /// When the oldest buffered record was appended (age trigger).
-    buf_oldest: Option<std::time::Instant>,
-    appends_since_fsync: usize,
-    records_since_compact: usize,
-}
+/// Reader of a journal directory. The writer is [`SharedJournal`].
+pub struct Journal;
 
 impl Journal {
-    /// Open (creating if needed) the journal in `dir`. Appends go to the end
-    /// of any existing WAL — call [`Journal::load`] first when recovering.
-    pub fn open(dir: impl AsRef<Path>, cfg: JournalConfig) -> std::io::Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let wal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(WAL_FILE))?;
-        Ok(Journal {
-            dir,
-            wal,
-            cfg,
-            buf: Vec::new(),
-            buf_records: 0,
-            buf_oldest: None,
-            appends_since_fsync: 0,
-            records_since_compact: 0,
-        })
-    }
-
-    /// The journal directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Records buffered but not yet flushed to the OS.
-    pub fn pending_records(&self) -> usize {
-        self.buf_records
-    }
-
-    /// Appends since the last fsync (buffered or flushed-but-unsynced).
-    pub fn unsynced_appends(&self) -> usize {
-        self.appends_since_fsync
-    }
-
-    /// Effective batch size: `group_max_records`, capped by `fsync_every`
-    /// (which bounds how many appends may be un-durable), never below 1.
-    fn batch_limit(&self) -> usize {
-        let g = self.cfg.group_max_records.max(1);
-        if self.cfg.fsync_every > 0 {
-            g.min(self.cfg.fsync_every)
-        } else {
-            g
-        }
-    }
-
-    /// Append one record into the group-commit buffer; flush (one `write`,
-    /// at most one `fsync`) when the batch policy says so.
-    pub fn append(&mut self, rec: &JournalRecord) -> std::io::Result<AppendOutcome> {
-        let payload = serde_json::to_string(rec)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?
-            .into_bytes();
-        let frame_len = payload.len() + 8;
-        self.buf.reserve(frame_len);
-        self.buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&fnv1a32(&payload).to_le_bytes());
-        self.buf.extend_from_slice(&payload);
-        self.buf_records += 1;
-        self.buf_oldest.get_or_insert_with(std::time::Instant::now);
-        self.appends_since_fsync += 1;
-        self.records_since_compact += 1;
-
-        let age_tripped = self.cfg.group_max_age_secs > 0.0
-            && self
-                .buf_oldest
-                .is_some_and(|t| t.elapsed().as_secs_f64() >= self.cfg.group_max_age_secs);
-        let must_flush = self.buf_records >= self.batch_limit()
-            || (self.cfg.group_max_bytes > 0 && self.buf.len() >= self.cfg.group_max_bytes)
-            || age_tripped;
-        let mut fsynced = false;
-        if must_flush {
-            self.flush()?;
-            fsynced = self.cfg.fsync_every > 0 && self.appends_since_fsync >= self.cfg.fsync_every;
-            if fsynced {
-                self.wal.sync_data()?;
-                self.appends_since_fsync = 0;
-            }
-        }
-        Ok(AppendOutcome {
-            bytes: frame_len,
-            flushed: must_flush,
-            fsynced,
-            wants_compaction: self.wants_compaction(),
-        })
-    }
-
-    /// Write the buffered batch to the WAL (no fsync).
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        if !self.buf.is_empty() {
-            self.wal.write_all(&self.buf)?;
-            self.buf.clear();
-        }
-        self.buf_records = 0;
-        self.buf_oldest = None;
-        Ok(())
-    }
-
-    /// Flush any buffered batch and force the WAL to stable storage.
-    pub fn sync(&mut self) -> std::io::Result<()> {
-        self.flush()?;
-        self.wal.sync_data()?;
-        self.appends_since_fsync = 0;
-        Ok(())
-    }
-
-    /// Whether the compaction policy says it is time to snapshot.
-    pub fn wants_compaction(&self) -> bool {
-        self.cfg.compact_every > 0 && self.records_since_compact >= self.cfg.compact_every
-    }
-
-    /// Compact: atomically persist `snap` as the new replay base and
-    /// truncate the WAL. Crash-safe — the snapshot is written to a temp file,
-    /// fsynced, then renamed over the old one before the WAL is cut.
-    pub fn compact(&mut self, snap: &DaemonSnapshot) -> std::io::Result<()> {
-        let tmp = self.dir.join("snapshot.json.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            let body = serde_json::to_string(snap)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?
-                .into_bytes();
-            f.write_all(&body)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
-        // the snapshot covers everything the WAL (and the unflushed batch)
-        // said: drop the buffer and start a fresh log
-        self.buf.clear();
-        self.buf_records = 0;
-        self.buf_oldest = None;
-        self.wal = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(self.dir.join(WAL_FILE))?;
-        self.wal.sync_data()?;
-        self.appends_since_fsync = 0;
-        self.records_since_compact = 0;
-        Ok(())
-    }
-
     /// Read a journal directory back: snapshot (if any) plus every intact
     /// WAL record. A torn or corrupt tail is measured and discarded, never
     /// an error — crash recovery must always make it back up.
@@ -420,8 +260,16 @@ struct FileState {
     wal: File,
 }
 
-/// A [`Journal`] that can be appended to from many threads without the
-/// convoy: the buffer and the file live under *separate* tracked locks
+/// Append-only writer over a journal directory, safe to append to from many
+/// threads without a convoy.
+///
+/// Appends go through a group-commit buffer: frames accumulate in memory
+/// and are flushed to the WAL as one `write` (and at most one `fsync`) per
+/// batch, per the [`JournalConfig`] policy. Dropping the journal does
+/// **not** flush — an unflushed batch dies with the process, exactly like a
+/// crash; callers that need durability call [`SharedJournal::sync`] (drain
+/// and compaction do). The buffer and the file live under *separate* tracked
+/// locks
 /// ([`hpcqc_sync::rank::JOURNAL_BUF`] / [`JOURNAL_FILE`]), so a submitter
 /// whose append merely lands in the batch pays a few hundred nanoseconds of
 /// buffer-lock work, while the one-in-`group_max_records` append that trips
@@ -433,10 +281,8 @@ struct FileState {
 /// turn on a condvar before touching the file. The ticket is advanced even
 /// when the write errors — a failed flush must never wedge later batches.
 ///
-/// Durability semantics are identical to [`Journal`]: `append` returns only
-/// after any batch it tripped is on disk (and fsynced when the policy says
-/// so), `sync` makes everything buffered durable, and dropping the journal
-/// loses exactly the unflushed batch.
+/// `append` returns only after any batch it tripped is on disk (and fsynced
+/// when the policy says so), and `sync` makes everything buffered durable.
 ///
 /// [`append_deferred`](Self::append_deferred) additionally lets latency-
 /// sensitive callers (the daemon's submit path) trip a batch without paying
@@ -475,7 +321,8 @@ struct Batch {
 }
 
 impl SharedJournal {
-    /// Open (creating if needed) the journal in `dir`. See [`Journal::open`].
+    /// Open (creating if needed) the journal in `dir`. Appends go to the end
+    /// of any existing WAL — call [`Journal::load`] first when recovering.
     pub fn open(dir: impl AsRef<Path>, cfg: JournalConfig) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -518,11 +365,6 @@ impl SharedJournal {
         })
     }
 
-    /// The journal directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Records buffered but not yet flushed to the OS.
     pub fn pending_records(&self) -> usize {
         self.buf.lock().buf_records
@@ -539,6 +381,8 @@ impl SharedJournal {
         b.cfg.compact_every > 0 && b.records_since_compact >= b.cfg.compact_every
     }
 
+    /// Effective batch size: `group_max_records`, capped by `fsync_every`
+    /// (which bounds how many appends may be un-durable), never below 1.
     fn batch_limit(cfg: &JournalConfig) -> usize {
         let g = cfg.group_max_records.max(1);
         if cfg.fsync_every > 0 {
@@ -690,29 +534,12 @@ impl SharedJournal {
         Ok((frame_len, Some(batch), wants_compaction))
     }
 
-    /// Append one record; flush the batch it completes, if any. Semantics
-    /// match [`Journal::append`], but only the tripping thread pays for the
-    /// `write`+`fsync` — concurrent appends keep buffering meanwhile.
+    /// Append one record into the group-commit buffer; flush the batch it
+    /// completes, if any (one `write`, at most one `fsync`). Only the
+    /// tripping thread pays for that — concurrent appends keep buffering
+    /// meanwhile.
     pub fn append(&self, rec: &JournalRecord) -> std::io::Result<AppendOutcome> {
-        let (bytes, batch, wants_compaction) = self.buffer_record(rec, false)?;
-        match batch {
-            None => Ok(AppendOutcome {
-                bytes,
-                flushed: false,
-                fsynced: false,
-                wants_compaction,
-            }),
-            Some(batch) => {
-                let fsynced = batch.fsync;
-                self.write_batch(batch)?;
-                Ok(AppendOutcome {
-                    bytes,
-                    flushed: true,
-                    fsynced,
-                    wants_compaction,
-                })
-            }
-        }
+        self.append_inner(rec, false)
     }
 
     /// Append one record without ever paying for a WAL write: a batch this
@@ -723,31 +550,28 @@ impl SharedJournal {
     /// submitters eating a multi-millisecond `write`+`fsync`.
     ///
     /// `flushed`/`fsynced` report `false` because nothing reached the OS on
-    /// this call; the eventual writer carries the batch's fsync bit.
+    /// this call; the eventual writer carries the batch's fsync bit. Under a
+    /// write-through config deferral is disabled (see `buffer_record`) and
+    /// this is `append`.
     pub fn append_deferred(&self, rec: &JournalRecord) -> std::io::Result<AppendOutcome> {
-        let (bytes, batch, wants_compaction) = self.buffer_record(rec, true)?;
-        match batch {
-            None => Ok(AppendOutcome {
-                bytes,
-                flushed: false,
-                fsynced: false,
-                wants_compaction,
-            }),
-            // Write-through config: deferral is disabled (see
-            // `buffer_record`), so pay the write here exactly like
-            // `append` — the issued ticket must be written, never dropped,
-            // or every later writer wedges behind it.
-            Some(batch) => {
-                let fsynced = batch.fsync;
-                self.write_batch(batch)?;
-                Ok(AppendOutcome {
-                    bytes,
-                    flushed: true,
-                    fsynced,
-                    wants_compaction,
-                })
-            }
+        self.append_inner(rec, true)
+    }
+
+    fn append_inner(&self, rec: &JournalRecord, defer: bool) -> std::io::Result<AppendOutcome> {
+        let (bytes, batch, wants_compaction) = self.buffer_record(rec, defer)?;
+        let mut out = AppendOutcome {
+            bytes,
+            flushed: false,
+            fsynced: false,
+            wants_compaction,
+        };
+        // An issued ticket must be written, never dropped, or every later
+        // writer wedges behind it.
+        if let Some(batch) = batch {
+            (out.flushed, out.fsynced) = (true, batch.fsync);
+            self.write_batch(batch)?;
         }
+        Ok(out)
     }
 
     /// Deferred batches parked and not yet written (idle-sync must not
@@ -797,8 +621,10 @@ impl SharedJournal {
         self.write_batch(batch)
     }
 
-    /// Compact: persist `snap` as the new replay base and truncate the WAL.
-    /// Safe against concurrent appends: the buffer is cleared first (holding
+    /// Compact: atomically persist `snap` as the new replay base and truncate
+    /// the WAL. Crash-safe — the snapshot is written to a temp file, fsynced,
+    /// then renamed over the old one before the WAL is cut. Safe against
+    /// concurrent appends: the buffer is cleared first (holding
     /// the buffer lock blocks new tickets), then compaction waits for every
     /// already-issued ticket to finish its write before cutting the log —
     /// a stale in-flight batch can never resurface in the fresh WAL.
@@ -906,11 +732,6 @@ impl SharedJournal {
         Ok(())
     }
 
-    /// Whether shipping is enabled.
-    pub fn shipping_enabled(&self) -> bool {
-        self.shipping.lock().is_some()
-    }
-
     /// Events with sequence ≥ `from_seq`, for (re)transmission to a
     /// follower. If `from_seq` predates the retained window (trimmed at the
     /// last snapshot event), the full retained tail is returned — it begins
@@ -956,11 +777,6 @@ impl SharedJournal {
                 .max_by_key(|a| a.applied_seq)
                 .copied()
         })
-    }
-
-    /// Sequence the next shipped event will carry.
-    pub fn ship_next_seq(&self) -> u64 {
-        self.shipping.lock().as_ref().map_or(0, |log| log.next_seq)
     }
 
     /// Shipped-but-unacked gap `(records, bytes)` relative to the most
@@ -1197,7 +1013,7 @@ const REPLICA_META_FILE: &str = "replica.json";
 /// Applies [`ShipEvent`]s verbatim onto its own `wal.log` / `snapshot.json`
 /// after validating checksum, sequence contiguity and WAL offset, then
 /// fsyncs — an ack from a follower means the bytes are on *its* stable
-/// storage. The directory is a valid [`Journal`] at every point, so
+/// storage. The directory is a valid journal at every point, so
 /// promotion is exactly `MiddlewareService::recover` over it.
 pub struct FollowerReplica {
     dir: PathBuf,
@@ -1376,10 +1192,11 @@ mod tests {
     #[test]
     fn append_and_load_roundtrip() {
         let dir = tmpdir("roundtrip");
-        let mut j = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
         for i in 0..5 {
             let out = j.append(&rec(i)).unwrap();
             assert!(out.bytes > 8);
+            assert!(out.flushed, "fsync_every=1 is write-through");
             assert!(out.fsynced, "fsync_every=1 syncs each append");
         }
         j.append(&JournalRecord::ClockAdvanced { to: 12.5 })
@@ -1395,7 +1212,7 @@ mod tests {
     #[test]
     fn torn_tail_is_discarded_not_fatal() {
         let dir = tmpdir("torn");
-        let mut j = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
         for i in 0..4 {
             j.append(&rec(i)).unwrap();
         }
@@ -1412,7 +1229,7 @@ mod tests {
     #[test]
     fn corrupt_record_stops_replay_at_last_intact_prefix() {
         let dir = tmpdir("corrupt");
-        let mut j = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
         for i in 0..3 {
             j.append(&rec(i)).unwrap();
         }
@@ -1431,7 +1248,7 @@ mod tests {
     #[test]
     fn compaction_truncates_wal_and_persists_snapshot() {
         let dir = tmpdir("compact");
-        let mut j = Journal::open(
+        let j = SharedJournal::open(
             &dir,
             JournalConfig {
                 fsync_every: 1,
@@ -1469,7 +1286,7 @@ mod tests {
             group_max_records: 4,
             ..JournalConfig::default()
         };
-        let mut j = Journal::open(&dir, cfg).unwrap();
+        let j = SharedJournal::open(&dir, cfg).unwrap();
         for i in 0..3 {
             let out = j.append(&rec(i)).unwrap();
             assert!(!out.flushed, "batch not full yet");
@@ -1497,7 +1314,7 @@ mod tests {
             group_max_records: 100,
             ..JournalConfig::default()
         };
-        let mut j = Journal::open(&dir, cfg).unwrap();
+        let j = SharedJournal::open(&dir, cfg).unwrap();
         assert!(!j.append(&rec(0)).unwrap().flushed);
         let out = j.append(&rec(1)).unwrap();
         assert!(out.flushed, "fsync_every bounds the batch at 2");
@@ -1515,7 +1332,7 @@ mod tests {
             group_max_bytes: 1, // any record exceeds this
             ..JournalConfig::default()
         };
-        let mut j = Journal::open(&dir, cfg).unwrap();
+        let j = SharedJournal::open(&dir, cfg).unwrap();
         let out = j.append(&rec(0)).unwrap();
         assert!(out.flushed);
         assert!(!out.fsynced, "fsync_every=0 never fsyncs on append");
@@ -1532,7 +1349,7 @@ mod tests {
             group_max_records: 8,
             ..JournalConfig::default()
         };
-        let mut j = Journal::open(&dir, cfg).unwrap();
+        let j = SharedJournal::open(&dir, cfg).unwrap();
         j.append(&rec(0)).unwrap();
         j.append(&rec(1)).unwrap();
         assert_eq!(j.pending_records(), 2);
@@ -1551,7 +1368,7 @@ mod tests {
             group_max_records: 3,
             ..JournalConfig::default()
         };
-        let mut j = Journal::open(&dir, cfg).unwrap();
+        let j = SharedJournal::open(&dir, cfg).unwrap();
         for i in 0..3 {
             j.append(&rec(i)).unwrap(); // full batch → flushed
         }
@@ -1577,7 +1394,7 @@ mod tests {
             group_max_records: 10,
             ..JournalConfig::default()
         };
-        let mut j = Journal::open(&dir, cfg).unwrap();
+        let j = SharedJournal::open(&dir, cfg).unwrap();
         j.append(&rec(0)).unwrap();
         j.append(&rec(1)).unwrap();
         let snap = DaemonSnapshot {
@@ -1603,23 +1420,6 @@ mod tests {
         let replay = Journal::load(&dir).unwrap();
         assert!(replay.snapshot.is_none());
         assert!(replay.records.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // -- SharedJournal ------------------------------------------------------
-
-    #[test]
-    fn shared_journal_matches_journal_semantics() {
-        let dir = tmpdir("shared-roundtrip");
-        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
-        for i in 0..5 {
-            let out = j.append(&rec(i)).unwrap();
-            assert!(out.flushed, "fsync_every=1 is write-through");
-            assert!(out.fsynced);
-        }
-        let replay = Journal::load(&dir).unwrap();
-        assert_eq!(replay.records.len(), 5);
-        assert_eq!(replay.truncated_bytes, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1689,34 +1489,6 @@ mod tests {
                 .collect();
             assert_eq!(mine, (0..50).collect::<Vec<_>>(), "thread {t} order");
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shared_journal_compact_excludes_stale_batches() {
-        let dir = tmpdir("shared-compact");
-        let cfg = JournalConfig {
-            fsync_every: 0,
-            compact_every: 0,
-            group_max_records: 10,
-            ..JournalConfig::default()
-        };
-        let j = SharedJournal::open(&dir, cfg).unwrap();
-        j.append(&rec(0)).unwrap();
-        j.append(&rec(1)).unwrap();
-        let snap = DaemonSnapshot {
-            next_task: 7,
-            ..DaemonSnapshot::default()
-        };
-        j.compact(&snap).unwrap();
-        assert_eq!(j.pending_records(), 0);
-        let replay = Journal::load(&dir).unwrap();
-        assert_eq!(replay.snapshot.as_ref().unwrap().next_task, 7);
-        assert!(replay.records.is_empty());
-        // appends after compaction land in the fresh WAL
-        j.append(&rec(99)).unwrap();
-        j.sync().unwrap();
-        assert_eq!(Journal::load(&dir).unwrap().records, vec![rec(99)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1990,7 +1762,7 @@ mod tests {
         let dir = tmpdir("ship-bootstrap");
         let fdir = tmpdir("ship-bootstrap-follower");
         {
-            let mut j = Journal::open(&dir, JournalConfig::default()).unwrap();
+            let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
             let snap = DaemonSnapshot {
                 next_task: 7,
                 ..DaemonSnapshot::default()

@@ -30,6 +30,7 @@ pub mod rest;
 pub mod server;
 pub mod session;
 pub mod taskqueue;
+mod tasks;
 
 pub use cosim::{
     hint_duty, AdmissionPolicy, Cosim, CosimConfig, CosimReport, HybridJob, Phase, QpuPolicy,

@@ -1096,11 +1096,11 @@ mod tests {
         let (st, body) = http_request(server.addr(), "GET", "/metrics", None).unwrap();
         assert_eq!(st, 200);
         assert!(
-            body.contains("lock_acquisitions{lock=\"middleware.daemon.queue\"}"),
-            "queue lock stats missing from /metrics:\n{body}"
+            body.contains("lock_acquisitions{lock=\"middleware.daemon.tasks\"}"),
+            "task-table lock stats missing from /metrics:\n{body}"
         );
         assert!(
-            body.contains("lock_hold_seconds{lock=\"middleware.daemon.queue\",quantile=\"0.99\"}"),
+            body.contains("lock_hold_seconds{lock=\"middleware.daemon.tasks\",quantile=\"0.99\"}"),
             "hold-time quantiles missing from /metrics"
         );
         assert!(

@@ -195,10 +195,11 @@ pub struct TaskQueue {
     production_count: usize,
     /// Bumped on every mutation; invalidates `order_cache`.
     epoch: u64,
-    order_cache: OrderCache,
-    /// Interior mutability because the read-only dispatch path
-    /// (`peek`/`best_id`) fills it; the queue lives under the daemon's
-    /// queue mutex, so there is no concurrent borrow to conflict with.
+    /// Interior mutability (here and in `fair_cache`) because read-only
+    /// paths — `position`, `peek`/`best_id` — fill the memo; the queue lives
+    /// under the daemon's task-table mutex, so there is no concurrent borrow
+    /// to conflict with.
+    order_cache: std::cell::RefCell<OrderCache>,
     fair_cache: std::cell::RefCell<Option<FairCache>>,
     cfg: QueueConfig,
     fairshare: Option<FairshareTracker>,
@@ -256,15 +257,23 @@ impl TaskQueue {
         if !task.submitted_at.is_finite() {
             return Err(QueueError::NonFiniteTimestamp { id: task.id });
         }
+        self.check_quota(&task.session)?;
+        self.insert_indexed(task);
+        Ok(())
+    }
+
+    /// The admission check [`push`](Self::push) applies and
+    /// [`restore`](Self::restore) skips: would one more queued task put
+    /// `session` over its quota?
+    pub fn check_quota(&self, session: &str) -> Result<(), QueueError> {
         if self.cfg.max_tasks_per_session > 0
-            && self.session_depth(&task.session) >= self.cfg.max_tasks_per_session
+            && self.session_depth(session) >= self.cfg.max_tasks_per_session
         {
             return Err(QueueError::SessionQuotaExceeded {
-                session: task.session.clone(),
+                session: session.to_string(),
                 limit: self.cfg.max_tasks_per_session,
             });
         }
-        self.insert_indexed(task);
         Ok(())
     }
 
@@ -389,20 +398,6 @@ impl TaskQueue {
         self.take(id)
     }
 
-    /// Pop up to `max` tasks in dispatch order at `now` — the batched drain
-    /// used by the dispatcher so one lock acquisition can claim a whole
-    /// batch instead of relocking per task.
-    pub fn pop_batch(&mut self, now: f64, max: usize) -> Vec<QuantumTask> {
-        let mut out = Vec::with_capacity(max.min(self.len()));
-        while out.len() < max {
-            match self.pop(now) {
-                Some(t) => out.push(t),
-                None => break,
-            }
-        }
-        out
-    }
-
     /// Remove a specific queued task (cancellation). O(log n).
     pub fn remove(&mut self, id: u64) -> Option<QuantumTask> {
         self.take(id)
@@ -416,20 +411,21 @@ impl TaskQueue {
     /// Dispatch-order position of task `id` at `now`, or `None` when it is
     /// not queued. The order is memoized per (mutation, `now`) pair, so a
     /// burst of status polls costs one O(n log n) sort, not one each.
-    pub fn position(&mut self, id: u64, now: f64) -> Option<usize> {
+    pub fn position(&self, id: u64, now: f64) -> Option<usize> {
         if !self.tasks.contains_key(&id) {
             return None;
         }
-        if self.order_cache.epoch != self.epoch || self.order_cache.now_bits != now.to_bits() {
+        let mut cache = self.order_cache.borrow_mut();
+        if cache.epoch != self.epoch || cache.now_bits != now.to_bits() {
             let mut order: Vec<u64> = self.tasks.keys().copied().collect();
             order.sort_by(|&a, &b| self.dispatch_cmp(&self.tasks[&a], &self.tasks[&b], now));
-            self.order_cache = OrderCache {
+            *cache = OrderCache {
                 epoch: self.epoch,
                 now_bits: now.to_bits(),
                 position: order.into_iter().zip(0usize..).collect(),
             };
         }
-        self.order_cache.position.get(&id).copied()
+        cache.position.get(&id).copied()
     }
 
     /// Queued tasks in **arbitrary** order — used by snapshot compaction,
@@ -802,30 +798,6 @@ mod tests {
         assert_eq!(q.position(3, 1.0), Some(0));
         assert_eq!(q.position(1, 1.0), Some(1));
         assert_eq!(q.position(2, 1.0), None);
-    }
-
-    #[test]
-    fn pop_batch_matches_sequential_pops() {
-        let mut a = TaskQueue::new(QueueConfig::default());
-        let mut b = TaskQueue::new(QueueConfig::default());
-        for (i, class) in [
-            PriorityClass::Development,
-            PriorityClass::Production,
-            PriorityClass::Test,
-            PriorityClass::Production,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            a.push(task(i as u64, class, i as f64)).unwrap();
-            b.push(task(i as u64, class, i as f64)).unwrap();
-        }
-        let batch: Vec<u64> = a.pop_batch(10.0, 3).into_iter().map(|t| t.id).collect();
-        let seq: Vec<u64> = (0..3).map(|_| b.pop(10.0).unwrap().id).collect();
-        assert_eq!(batch, seq);
-        assert_eq!(a.len(), 1);
-        assert_eq!(a.pop_batch(10.0, 5).len(), 1, "drains the remainder");
-        assert!(a.pop_batch(10.0, 5).is_empty());
     }
 
     #[test]

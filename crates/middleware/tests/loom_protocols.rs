@@ -1,4 +1,4 @@
-//! Loom models of the middleware's three core concurrency protocols.
+//! Loom models of the middleware's core concurrency protocols.
 //!
 //! Each protocol is modeled twice: the shipped design (explored exhaustively
 //! under the preemption bound — must hold on every schedule) and a
@@ -7,7 +7,7 @@
 //! variants are the regression teeth: if the shim's exploration ever stops
 //! finding these injected bugs, these tests fail.
 //!
-//! The models mirror `daemon.rs` / `journal.rs` / `server.rs` shapes but use
+//! The models mirror `daemon/` / `tasks.rs` / `journal.rs` / `server.rs` shapes but use
 //! loom's types directly — the production `TrackedMutex` wraps parking_lot,
 //! which the model checker cannot schedule. Keeping the protocol skeletons
 //! in sync with the real code is the point of DESIGN.md §14's table.
@@ -130,81 +130,91 @@ fn group_commit_without_ticket_wait_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 2: take_batch claim vs cancel + snapshot (daemon.rs).
+// Protocol 2: the dispatcher's claim vs cancel + snapshot (daemon/dispatch.rs,
+// tasks.rs).
 //
-// `take_batch` moves a task from the queue to the in-flight set while
-// holding BOTH locks (queue → inflight, the declared rank order), so no
+// A claim is `TaskTable::apply(TaskDispatched)`: one hold of the task-table
+// lock takes the task out of the queue *and* records it as running, and the
+// requeue after a slice or a failed attempt is one hold the other way. No
 // observer — cancel or the journal snapshot — can see the task in neither
-// place. The lost-record recovery bug is exactly the buggy variant below.
+// place or in both. The buggy variant moves the task in two holds, which is
+// what any claim written outside `apply` would do.
 // ---------------------------------------------------------------------------
 
-struct MiniQueue {
-    queue: Mutex<Vec<u64>>,
-    inflight: Mutex<Vec<u64>>,
+struct Table {
+    queue: Vec<u64>,
+    running: Vec<u64>,
 }
 
-impl MiniQueue {
+struct MiniTable {
+    tasks: Mutex<Table>,
+}
+
+impl MiniTable {
     fn new(task: u64) -> Self {
-        MiniQueue {
-            queue: Mutex::new(vec![task]),
-            inflight: Mutex::new(Vec::new()),
+        MiniTable {
+            tasks: Mutex::new(Table {
+                queue: vec![task],
+                running: Vec::new(),
+            }),
         }
     }
 
     /// Claim then immediately requeue (a slice/transient-failure round trip),
-    /// holding queue + inflight together for each move, as the daemon does.
+    /// each move under one hold, as the daemon does.
     fn claim_and_requeue_atomic(&self) {
         {
-            let mut q = self.queue.lock().unwrap();
-            let mut inf = self.inflight.lock().unwrap();
-            if let Some(t) = q.pop() {
-                inf.push(t);
-            } else {
-                return; // cancelled before we claimed it
+            let mut t = self.tasks.lock().unwrap();
+            match t.queue.pop() {
+                Some(task) => t.running.push(task),
+                None => return, // cancelled before we claimed it
             }
         }
-        let mut q = self.queue.lock().unwrap();
-        let mut inf = self.inflight.lock().unwrap();
-        if let Some(t) = inf.pop() {
-            q.push(t);
+        let mut t = self.tasks.lock().unwrap();
+        if let Some(task) = t.running.pop() {
+            t.queue.push(task);
         }
     }
 
-    /// Injected bug: release the queue lock before inserting into inflight —
-    /// a window where the task is in *neither* structure.
+    /// Injected bug: take the task out of the queue in one hold and record
+    /// it as running in the next — a window where it is in *neither* place.
     fn claim_and_requeue_windowed(&self) {
-        let taken = self.queue.lock().unwrap().pop();
-        let Some(t) = taken else { return };
-        self.inflight.lock().unwrap().push(t);
-        let taken = self.inflight.lock().unwrap().pop();
-        if let Some(t) = taken {
-            self.queue.lock().unwrap().push(t);
+        let taken = self.tasks.lock().unwrap().queue.pop();
+        let Some(task) = taken else { return };
+        self.tasks.lock().unwrap().running.push(task);
+        let taken = self.tasks.lock().unwrap().running.pop();
+        if let Some(task) = taken {
+            self.tasks.lock().unwrap().queue.push(task);
         }
     }
 
-    /// Cancel: remove from the queue if still queued (in-flight tasks
-    /// report "not queued" to the caller — they cannot be yanked mid-run).
+    /// Cancel: remove from the queue if still queued (running tasks report
+    /// "not queued" to the caller — they cannot be yanked mid-run).
     fn cancel(&self, task: u64) -> bool {
-        let mut q = self.queue.lock().unwrap();
-        if let Some(i) = q.iter().position(|&t| t == task) {
-            q.remove(i);
-            true
-        } else {
-            false
+        let mut t = self.tasks.lock().unwrap();
+        match t.queue.iter().position(|&q| q == task) {
+            Some(i) => {
+                t.queue.remove(i);
+                true
+            }
+            None => false,
         }
     }
 
-    /// Snapshot both structures in rank order, like `snapshot_state`.
+    /// Snapshot: queued plus running, one hold, like `snapshot_state`.
     fn snapshot_count(&self, task: u64) -> usize {
-        let q = self.queue.lock().unwrap();
-        let inf = self.inflight.lock().unwrap();
-        q.iter().filter(|&&t| t == task).count() + inf.iter().filter(|&&t| t == task).count()
+        let t = self.tasks.lock().unwrap();
+        t.queue
+            .iter()
+            .chain(&t.running)
+            .filter(|&&q| q == task)
+            .count()
     }
 }
 
 fn claim_model(atomic: bool) -> impl Fn() + Send + Sync + 'static {
     move || {
-        let q = Arc::new(MiniQueue::new(1));
+        let q = Arc::new(MiniTable::new(1));
         let q2 = Arc::clone(&q);
         let h = thread::spawn(move || {
             if atomic {

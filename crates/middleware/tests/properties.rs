@@ -1,11 +1,14 @@
 //! Property-based tests on the middleware: HTTP-parser totality, queue
-//! ordering invariants, and exact conservation laws in the co-simulation.
+//! ordering invariants, exact conservation laws in the co-simulation, and
+//! recovery landing on the live daemon's state.
+
+mod common;
 
 use hpcqc_middleware::http::parse_request;
 use hpcqc_middleware::taskqueue::reference::ReferenceTaskQueue;
 use hpcqc_middleware::{
-    AdmissionPolicy, Cosim, CosimConfig, FairshareTracker, HybridJob, Phase, PriorityClass,
-    QpuPolicy, QuantumTask, QueueConfig, TaskQueue,
+    AdmissionPolicy, Cosim, CosimConfig, DaemonConfig, FairshareTracker, HybridJob, JournalConfig,
+    MiddlewareService, Phase, PriorityClass, QpuPolicy, QuantumTask, QueueConfig, TaskQueue,
 };
 use hpcqc_program::{ProgramIr, Pulse, Register, SequenceBuilder};
 use hpcqc_scheduler::PatternHint;
@@ -385,5 +388,123 @@ proptest! {
             "makespan {} < mean turnaround {longest}",
             report.makespan_secs
         );
+    }
+}
+
+/// One client or operator action against a journaled daemon.
+#[derive(Debug, Clone)]
+enum DaemonOp {
+    /// Submit from session `session` (0 production, 1 test — sliced —,
+    /// 2 development — cached); `key` resubmits collide on purpose.
+    Submit {
+        session: usize,
+        shots: u32,
+        program: u8,
+        key: Option<u8>,
+    },
+    /// Cancel the `pick`-th task submitted so far (whatever state it is in).
+    Cancel {
+        pick: u8,
+    },
+    /// One dispatch.
+    Pump,
+    /// The next `n` device runs fail.
+    FailNext {
+        n: u32,
+    },
+    Idle {
+        secs: f64,
+    },
+}
+
+fn arb_daemon_op() -> impl Strategy<Value = DaemonOp> {
+    let submit = || {
+        (0usize..3, 1u32..14, 0u8..2, any::<bool>(), 0u8..4).prop_map(
+            |(session, shots, program, keyed, key)| DaemonOp::Submit {
+                session,
+                shots,
+                program,
+                key: keyed.then_some(key),
+            },
+        )
+    };
+    prop_oneof![
+        submit(),
+        submit(),
+        submit(),
+        Just(DaemonOp::Pump),
+        Just(DaemonOp::Pump),
+        Just(DaemonOp::Pump),
+        any::<u8>().prop_map(|pick| DaemonOp::Cancel { pick }),
+        (1u32..3).prop_map(|n| DaemonOp::FailNext { n }),
+        (0.5f64..20.0).prop_map(|secs| DaemonOp::Idle { secs }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Live and replayed state are the same state machine: after any
+    /// sequence of submits, keyed resubmits, cancels, dispatches, injected
+    /// failures and sliced runs, a daemon recovered from the journal
+    /// directory snapshots to exactly what the live one did.
+    #[test]
+    fn recovered_state_equals_live_state(
+        ops in proptest::collection::vec(arb_daemon_op(), 1..40),
+        compact_every in prop_oneof![Just(0usize), Just(5), Just(13)],
+    ) {
+        let dir = common::scratch_dir("recovered-equals-live");
+        let cfg = DaemonConfig {
+            preempt_chunk_shots: 5,
+            max_task_retries: 1,
+            journal: JournalConfig {
+                fsync_every: 0,
+                compact_every,
+                ..JournalConfig::default()
+            },
+            ..DaemonConfig::default()
+        };
+        let res = common::ScriptedResource::new();
+        let d = MiddlewareService::recover(&dir, res.clone(), cfg.clone()).unwrap();
+        let sessions = [
+            d.open_session("prod", PriorityClass::Production).unwrap(),
+            d.open_session("test", PriorityClass::Test).unwrap(),
+            d.open_session("dev", PriorityClass::Development).unwrap(),
+        ];
+        let mut submitted: Vec<(usize, u64)> = Vec::new();
+        for op in ops {
+            match op {
+                DaemonOp::Submit { session, shots, program, key } => {
+                    let ir = common::program(shots, 3.0 + f64::from(program));
+                    let key = key.map(|k| format!("key-{k}"));
+                    let id = d
+                        .submit_with_key(&sessions[session], ir, PatternHint::None, key.as_deref())
+                        .unwrap();
+                    submitted.push((session, id));
+                }
+                DaemonOp::Cancel { pick } if !submitted.is_empty() => {
+                    let (session, id) = submitted[pick as usize % submitted.len()];
+                    // refused unless the task is still queued: both fine
+                    let _ = d.cancel(&sessions[session], id);
+                }
+                DaemonOp::Cancel { .. } => {}
+                DaemonOp::Pump => {
+                    d.pump_once();
+                }
+                DaemonOp::FailNext { n } => res.fail_next(n),
+                DaemonOp::Idle { secs } => d.advance_time(secs),
+            }
+        }
+        // what no journal record carries: the sessions' idle clocks
+        let comparable = |d: &MiddlewareService| {
+            let mut snap = d.snapshot_state();
+            snap.sessions.iter_mut().for_each(|s| s.last_active = 0.0);
+            snap
+        };
+        let live = comparable(&d);
+        drop(d); // crash
+        let d2 = MiddlewareService::recover(&dir, common::ScriptedResource::new(), cfg).unwrap();
+        prop_assert_eq!(comparable(&d2), live);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

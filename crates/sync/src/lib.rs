@@ -48,28 +48,16 @@ pub mod rank {
     /// dispatcher journals mid-pump, and below every state lock the snapshot
     /// reads.
     pub const COMPACT_GATE: u32 = 150;
-    /// Session table (validated before queue admission).
+    /// Session table (validated before admission to the task table).
     pub const SESSIONS: u32 = 200;
-    /// The indexed task queue.
-    pub const QUEUE: u32 = 300;
-    /// In-flight (claimed) task set — always nested inside QUEUE or alone.
-    pub const INFLIGHT: u32 = 400;
-    /// Fairshare usage tracker (read under the queue lock for ranking).
+    /// The daemon's task table: every task's lifecycle state, the dispatch
+    /// queue and the idempotency map. Held for one short section per
+    /// transition — never across a journal write, analysis or a QRMI call.
+    pub const TASKS: u32 = 300;
+    /// Fairshare usage tracker (read under the task-table lock for ranking).
     pub const FAIRSHARE: u32 = 480;
-    /// Terminal task records.
-    pub const RECORDS: u32 = 500;
-    /// Per-task progress events.
-    pub const PROGRESS: u32 = 550;
-    /// Per-task failure diagnostics.
-    pub const FAILURES: u32 = 600;
-    /// Submit-time task metadata.
-    pub const TASK_META: u32 = 650;
-    /// Static-analysis warnings per task.
-    pub const WARNINGS: u32 = 700;
-    /// Device calibration cache.
+    /// Development-result cache.
     pub const DEV_CACHE: u32 = 750;
-    /// Idempotency-key table.
-    pub const IDEMPOTENCY: u32 = 800;
     /// Simulated clock (innermost of the daemon state locks).
     pub const CLOCK: u32 = 850;
     /// Replication role + lag (leader/follower flag, shipped-vs-acked gap).

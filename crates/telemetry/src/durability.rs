@@ -65,9 +65,16 @@ impl DurabilityMetrics {
         );
     }
 
-    /// Recovery replay finished: wall-clock duration, records replayed, and
-    /// torn-tail bytes discarded.
-    pub fn replay(&self, duration_secs: f64, records: usize, truncated_bytes: usize) {
+    /// Recovery replay finished: wall-clock duration, records replayed,
+    /// torn-tail bytes discarded, and records the task state machine refused
+    /// (skipped, never fatal).
+    pub fn replay(
+        &self,
+        duration_secs: f64,
+        records: usize,
+        truncated_bytes: usize,
+        illegal: usize,
+    ) {
         self.registry.gauge_set(
             "journal_replay_seconds",
             "Wall-clock duration of the last journal replay",
@@ -86,6 +93,14 @@ impl DurabilityMetrics {
                 "Torn/corrupt WAL tail bytes discarded at recovery",
                 Labels::new(),
                 truncated_bytes as f64,
+            );
+        }
+        if illegal > 0 {
+            self.registry.counter_add(
+                "journal_replay_illegal_total",
+                "Journal records skipped at recovery as illegal task transitions",
+                Labels::new(),
+                illegal as f64,
             );
         }
     }
@@ -158,7 +173,7 @@ mod tests {
         m.append(64, true);
         m.append(32, false);
         m.snapshot();
-        m.replay(0.25, 7, 3);
+        m.replay(0.25, 7, 3, 0);
         m.recovered_tasks(4);
         m.requeued_on_recovery(1);
         m.recovered_sessions(2);
@@ -182,7 +197,7 @@ mod tests {
     #[test]
     fn zero_truncation_emits_no_truncated_counter() {
         let m = DurabilityMetrics::default();
-        m.replay(0.1, 2, 0);
+        m.replay(0.1, 2, 0, 0);
         assert!(!m
             .registry()
             .expose()

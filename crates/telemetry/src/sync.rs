@@ -8,7 +8,7 @@
 //! to the daemon's own series.
 //!
 //! Stats are aggregated **by lock name**: test suites and multi-daemon
-//! processes create many instances of e.g. `middleware.daemon.queue`, and
+//! processes create many instances of e.g. `middleware.daemon.tasks`, and
 //! operators care about the lock, not the instance. Gauges (not counters)
 //! because each scrape re-publishes an absolute snapshot.
 
