@@ -1,0 +1,343 @@
+//! The task API clients see: submission (one path, `submit_batch`), status,
+//! result and cancel.
+
+use super::{DaemonError, DaemonTaskStatus, MiddlewareService};
+use crate::journal::JournalRecord;
+use crate::session::PriorityClass;
+use crate::taskqueue::QuantumTask;
+use crate::tasks::{TaskState, TaskTable};
+use hpcqc_emulator::SampleResult;
+use hpcqc_program::ProgramIr;
+use hpcqc_scheduler::PatternHint;
+use hpcqc_telemetry::labels;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+/// One frame of a [`MiddlewareService::submit_batch`] call.
+#[derive(Debug, Clone)]
+pub struct SubmitItem {
+    pub token: String,
+    pub ir: ProgramIr,
+    pub hint: PatternHint,
+    pub idempotency_key: Option<String>,
+}
+
+/// What [`MiddlewareService::prepare_submit`] decided about one frame:
+/// already satisfied (idempotent replay) or ready for the task table.
+enum Prepared {
+    Done(u64),
+    Admit {
+        task: QuantumTask,
+        warnings: Vec<String>,
+        idempotency_key: Option<String>,
+        /// A development-cache hit: the task is admitted already completed.
+        cached: Option<SampleResult>,
+    },
+}
+
+impl MiddlewareService {
+    /// Submit a program under a session. Applies class policies (dev shot
+    /// cap), validates against the live spec, runs the static-analysis
+    /// pipeline, and queues. Error-level diagnostics reject; Warning-level
+    /// ones are kept in the job record (see [`Self::task_warnings`]).
+    pub fn submit(
+        &self,
+        token: &str,
+        ir: ProgramIr,
+        hint: PatternHint,
+    ) -> Result<u64, DaemonError> {
+        self.submit_with_key(token, ir, hint, None)
+    }
+
+    /// [`Self::submit`] with an optional client idempotency key. A key that
+    /// was already accepted — including before a daemon restart, the map is
+    /// journaled — returns the original task id without enqueueing anything,
+    /// making client retry loops safe end-to-end. This is
+    /// [`submit_batch`](Self::submit_batch) of one frame.
+    pub fn submit_with_key(
+        &self,
+        token: &str,
+        ir: ProgramIr,
+        hint: PatternHint,
+        idempotency_key: Option<&str>,
+    ) -> Result<u64, DaemonError> {
+        self.submit_batch(vec![SubmitItem {
+            token: token.to_string(),
+            ir,
+            hint,
+            idempotency_key: idempotency_key.map(str::to_string),
+        }])
+        .pop()
+        .expect("submit_batch answers every frame")
+    }
+
+    /// Submit N programs as one unit: per-frame validation runs outside any
+    /// shared lock, then every accepted task enters the task table under a
+    /// *single* hold, and the journal records go out as deferred appends
+    /// that the group-commit machinery flushes with one fsync for the whole
+    /// batch. Outcomes are per-frame and order-preserving: one frame failing
+    /// validation (or hitting a session quota) does not poison its
+    /// neighbours. Idempotency keys keep their per-frame semantics.
+    pub fn submit_batch(&self, items: Vec<SubmitItem>) -> Vec<Result<u64, DaemonError>> {
+        if let Err(e) = self.check_admitting() {
+            return items.iter().map(|_| Err(e.clone())).collect();
+        }
+        // Phase 1: validation/analysis per frame — CPU work, no table lock.
+        let prepared: Vec<Result<Prepared, DaemonError>> = items
+            .into_iter()
+            .map(|it| self.prepare_submit(it))
+            .collect();
+        // Phase 2: one table hold admits every surviving frame by applying
+        // the records phase 3 journals. A task is visible to the dispatcher
+        // only once it is fully in the table, so nothing can finish it first.
+        let mut journal: Vec<JournalRecord> = Vec::new();
+        let outcomes: Vec<Result<u64, DaemonError>> = {
+            let mut tasks = self.tasks.lock();
+            prepared
+                .into_iter()
+                .map(|p| Self::admit(&mut tasks, p?, &mut journal))
+                .collect()
+        };
+        // Phase 3: accounting, then deferred journal appends; the dispatcher
+        // flushes the parked batch with a single write + fsync (group commit).
+        let mut records = journal.iter().peekable();
+        while let Some(rec) = records.next() {
+            let JournalRecord::TaskSubmitted { task, .. } = rec else {
+                continue;
+            };
+            // The session may have closed or expired since prepare validated
+            // it; the task is admitted all the same, so that is not an error.
+            let _ = self.sessions.record_task(&task.session);
+            // the only completions journaled here are dev-cache hits
+            let (name, help) = match records.peek() {
+                Some(JournalRecord::TaskCompleted { .. }) => (
+                    "daemon_dev_cache_hits_total",
+                    "Development tasks served from the result cache",
+                ),
+                _ => (
+                    "daemon_tasks_submitted_total",
+                    "Tasks accepted into the queue",
+                ),
+            };
+            self.registry
+                .counter_add(name, help, labels(&[("class", task.class.as_str())]), 1.0);
+        }
+        for rec in &journal {
+            self.journal_append_deferred(rec);
+        }
+        outcomes
+    }
+
+    /// Admit one prepared frame under the caller's table hold, pushing the
+    /// records it applied onto `journal`.
+    fn admit(
+        tasks: &mut TaskTable,
+        prepared: Prepared,
+        journal: &mut Vec<JournalRecord>,
+    ) -> Result<u64, DaemonError> {
+        let (task, warnings, idempotency_key, cached) = match prepared {
+            Prepared::Done(id) => return Ok(id),
+            Prepared::Admit {
+                task,
+                warnings,
+                idempotency_key,
+                cached,
+            } => (task, warnings, idempotency_key, cached),
+        };
+        // a retry racing the original may have been admitted since prepare
+        // looked the key up
+        if let Some(original) = idempotency_key.as_deref().and_then(|k| tasks.idempotent(k)) {
+            return Ok(original);
+        }
+        if cached.is_none() {
+            tasks.queue().check_quota(&task.session)?;
+        }
+        let (id, at) = (task.id, task.submitted_at);
+        let mut apply = |rec: JournalRecord| {
+            tasks
+                .apply(&rec)
+                .map_err(|e| DaemonError::Internal(e.to_string()))?;
+            journal.push(rec);
+            Ok::<(), DaemonError>(())
+        };
+        apply(JournalRecord::TaskSubmitted {
+            task,
+            idempotency_key,
+            warnings,
+        })?;
+        if let Some(result) = cached {
+            // journaled as submit + complete so replay lands on the same
+            // terminal state (the cache itself is volatile)
+            apply(JournalRecord::TaskCompleted { id, result, at })?;
+        }
+        Ok(id)
+    }
+
+    /// Everything submit does *before* the task table: session + idempotency
+    /// checks, dev shot capping, validation/analysis, task construction,
+    /// and the dev result cache lookup.
+    fn prepare_submit(&self, item: SubmitItem) -> Result<Prepared, DaemonError> {
+        let SubmitItem {
+            token,
+            mut ir,
+            mut hint,
+            idempotency_key,
+        } = item;
+        let session = self.validate_session(&token)?;
+        if let Some(key) = &idempotency_key {
+            let original = self.tasks.lock().idempotent(key);
+            if let Some(original) = original {
+                self.durability_metrics().deduped(session.class.as_str());
+                return Ok(Prepared::Done(original));
+            }
+        }
+        if session.class == PriorityClass::Development && ir.shots > self.cfg.dev_shot_cap {
+            ir.shots = self.cfg.dev_shot_cap;
+        }
+        let mut pending_warnings: Vec<String> = Vec::new();
+        let rejected = |violations: Vec<String>| {
+            self.registry.counter_add(
+                "daemon_tasks_rejected_total",
+                "Tasks rejected at validation",
+                labels(&[("class", session.class.as_str())]),
+                1.0,
+            );
+            DaemonError::Validation(violations)
+        };
+        if self.cfg.validate_on_submit || self.cfg.analyze_on_submit {
+            let spec = self.device_spec()?;
+            // Stale-validation detection: the client validated against an
+            // older spec revision (or never validated). Either way the spec
+            // checks below re-establish safety server-side.
+            match ir.validated_against_revision {
+                Some(rev) if rev != spec.revision => {
+                    self.lint_metrics().stale_validation();
+                    if !self.cfg.analyze_on_submit {
+                        pending_warnings.push(format!(
+                            "client validated against stale spec revision {rev} (current {})",
+                            spec.revision
+                        ));
+                    }
+                }
+                _ => {}
+            }
+            if self.cfg.validate_on_submit {
+                let violations = hpcqc_program::validate(&ir.sequence, &spec);
+                if !violations.is_empty() {
+                    return Err(rejected(violations.iter().map(|v| v.to_string()).collect()));
+                }
+            }
+            if self.cfg.analyze_on_submit {
+                let report = self.analyzer.analyze(&ir, Some(&spec));
+                let lm = self.lint_metrics();
+                for d in &report.diagnostics {
+                    lm.diagnostic(d.code.as_str(), d.severity.as_str());
+                }
+                if report.has_errors() {
+                    lm.rejection(session.class.as_str());
+                    return Err(rejected(
+                        report.errors().iter().map(|d| d.render()).collect(),
+                    ));
+                }
+                // Cross-check the user's pattern hint against the inferred
+                // one; adopt the inference when the user declared nothing.
+                if let Some(inferred) = report.facts.inferred_hint {
+                    if hint == PatternHint::None {
+                        lm.hint_adopted(inferred.as_str());
+                        hint = inferred;
+                    } else if hint != inferred {
+                        lm.hint_mismatch(hint.as_str(), inferred.as_str());
+                        pending_warnings.push(format!(
+                            "declared pattern hint '{}' contradicts inferred '{}' \
+                             (keeping the declared hint)",
+                            hint.as_str(),
+                            inferred.as_str()
+                        ));
+                    }
+                }
+                pending_warnings.extend(report.warnings().iter().map(|d| d.render()));
+            }
+            // Accepted: server-side checks just ran against this revision.
+            ir = ir.with_validation_revision(spec.revision);
+        }
+        let task = QuantumTask {
+            id: self.next_task.fetch_add(1, Ordering::Relaxed),
+            session: token,
+            user: session.user,
+            class: session.class,
+            ir: Arc::new(ir),
+            hint,
+            submitted_at: self.now(),
+        };
+        let cached = if self.cfg.cache_dev_results && task.class == PriorityClass::Development {
+            self.dev_cache.lock().get(&task.ir.fingerprint()).cloned()
+        } else {
+            None
+        };
+        Ok(Prepared::Admit {
+            task,
+            warnings: pending_warnings,
+            idempotency_key,
+            cached,
+        })
+    }
+
+    /// Task status.
+    pub fn task_status(&self, id: u64) -> Result<DaemonTaskStatus, DaemonError> {
+        let now = self.now();
+        self.tasks
+            .lock()
+            .status(id, now)
+            .ok_or(DaemonError::UnknownTask(id))
+    }
+
+    /// Warning-level analyzer findings recorded for a task at submission
+    /// (empty when the analyzer found nothing or is disabled).
+    pub fn task_warnings(&self, id: u64) -> Vec<String> {
+        self.tasks
+            .lock()
+            .entry(id)
+            .map(|e| e.warnings.clone())
+            .unwrap_or_default()
+    }
+
+    /// Fetch the result of a completed task.
+    pub fn task_result(&self, id: u64) -> Result<SampleResult, DaemonError> {
+        match self.tasks.lock().entry(id).map(|e| &e.state) {
+            None => Err(DaemonError::UnknownTask(id)),
+            Some(TaskState::Completed(r)) => Ok(r.clone()),
+            Some(TaskState::Failed(m)) => Err(DaemonError::Internal(m.clone())),
+            Some(_) => Err(DaemonError::Queue("task not completed".into())),
+        }
+    }
+
+    /// Cancel a queued task (the owner's session token must match). The
+    /// session's live-task count is refunded so a cancelled task does not
+    /// consume quota forever.
+    pub fn cancel(&self, token: &str, id: u64) -> Result<(), DaemonError> {
+        self.validate_session(token)?;
+        let rec = JournalRecord::TaskCancelled { id };
+        {
+            let mut tasks = self.tasks.lock();
+            match tasks.queue().get(id) {
+                Some(task) if task.session == token => {}
+                Some(_) => {
+                    return Err(DaemonError::Forbidden(
+                        "task belongs to another session".into(),
+                    ));
+                }
+                None if tasks.entry(id).is_some() => {
+                    return Err(DaemonError::Queue("task is not queued".into()));
+                }
+                None => return Err(DaemonError::UnknownTask(id)),
+            }
+            tasks
+                .apply(&rec)
+                .map_err(|e| DaemonError::Internal(e.to_string()))?;
+        }
+        // refund the quota slot the task was holding
+        let _ = self.sessions.release_task(token);
+        self.journal_append_deferred(&rec);
+        Ok(())
+    }
+}

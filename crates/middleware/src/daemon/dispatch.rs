@@ -1,0 +1,285 @@
+//! The execution loop: claim the head of the queue, run it through QRMI,
+//! apply the outcome — and the background dispatcher thread around it.
+
+use super::{DaemonHealth, MiddlewareService};
+use crate::journal::JournalRecord;
+use crate::session::PriorityClass;
+use crate::taskqueue::QuantumTask;
+use hpcqc_emulator::SampleResult;
+use hpcqc_program::ProgramIr;
+use hpcqc_qrmi::QuantumResource;
+use hpcqc_telemetry::labels;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+impl MiddlewareService {
+    /// Dispatch and run the next task, honoring preemption. Returns the id
+    /// of the task that made progress, or `None` when the queue is empty.
+    ///
+    /// Production tasks run as one batch. Lower classes run one
+    /// `preempt_chunk_shots` slice; if a production task is waiting
+    /// afterwards, the remainder is requeued (preemption at shot-batch
+    /// boundaries, §3.3).
+    pub fn pump_once(&self) -> Option<u64> {
+        let mut last = None;
+        self.pump_while(|id| {
+            last = Some(id);
+            false
+        });
+        last
+    }
+
+    /// Run up to `max` tasks back-to-back under one `dispatch_lock` hold.
+    /// Returns the number of tasks that made progress (0 = queue empty or
+    /// daemon stopped). Each task is claimed as it starts, so the order is
+    /// the queue's order at that moment: a production task submitted while
+    /// the batch runs goes ahead of the lower classes still waiting.
+    pub fn pump_batch(&self, max: usize) -> usize {
+        let mut n = 0;
+        self.pump_while(|_| {
+            n += 1;
+            n < max
+        });
+        n
+    }
+
+    /// Dispatch tasks under one `dispatch_lock` hold until the queue is
+    /// empty or `more` — told each dispatched id — says stop.
+    fn pump_while(&self, mut more: impl FnMut(u64) -> bool) {
+        if self.health() == DaemonHealth::Stopped {
+            return;
+        }
+        let _dispatch = self.dispatch_lock.lock();
+        self.gc_sessions();
+        while self.dispatch_next().is_some_and(&mut more) {}
+    }
+
+    /// Claim the head of the queue — one table hold takes it from `Queued`
+    /// to `Running`, so cancel and snapshots see it exactly once — run it to
+    /// the end of its batch or slice, and apply the outcome. Every step is
+    /// the same three moves: build the record, apply it under one hold,
+    /// journal it. The table lock is never held across the journal append
+    /// or the QPU execution.
+    fn dispatch_next(&self) -> Option<u64> {
+        let now = self.now();
+        // While the task is Running only this thread touches its entry, so
+        // what the claim reads (slice progress, retry history) holds until
+        // the outcome is applied.
+        let mut tasks = self.tasks.lock();
+        let task = tasks.queue().peek(now)?.clone();
+        let entry = tasks.entry(task.id).expect("queued tasks have entries");
+        let (id, done, attempts) = (task.id, entry.shots_done, entry.attempts);
+        let res = self.pick_resource(&entry.excluded);
+        let resource = res.resource_id().to_string();
+        let dispatched = JournalRecord::TaskDispatched {
+            id,
+            resource: resource.clone(),
+            at: now,
+        };
+        let applied = tasks.apply(&dispatched);
+        drop(tasks);
+        applied.expect("the head of the queue is Queued");
+        let class = task.class.as_str();
+        if done == 0 {
+            // first time this task runs: record wait
+            self.registry.histogram_observe(
+                "daemon_task_wait_seconds",
+                "Queue wait before first execution",
+                labels(&[("class", class)]),
+                &[1.0, 10.0, 60.0, 600.0, 3600.0],
+                now - task.submitted_at,
+            );
+        }
+        self.journal_append(&dispatched);
+        let shots = if task.batched() {
+            task.ir.shots
+        } else {
+            (task.ir.shots - done).min(self.cfg.preempt_chunk_shots)
+        };
+
+        let (rec, slice) = match self.run_shots(&task, shots, &res) {
+            // poison cap: stop burning device time on this task
+            Err(error) if attempts >= self.cfg.max_task_retries => {
+                (JournalRecord::TaskFailed { id, error }, None)
+            }
+            // requeue for another attempt; partial progress is kept, and
+            // dispatch will avoid the resource that just failed
+            Err(error) => {
+                let rec = JournalRecord::TaskAttemptFailed {
+                    id,
+                    resource,
+                    error,
+                };
+                (rec, None)
+            }
+            Ok(last) if done + last.shots >= task.ir.shots => {
+                let result = self.tasks.lock().merged_result(id, last);
+                let at = self.now();
+                (JournalRecord::TaskCompleted { id, result, at }, None)
+            }
+            // Sliced, maybe preempted: the remainder queues again and
+            // priority order decides who goes next. Shot-level progress is
+            // deliberately not journaled: a crash between slices replays the
+            // whole task (at-least-once per shot, exactly-once per task).
+            Ok(slice) => (JournalRecord::TaskRequeued { id }, Some(slice)),
+        };
+        let (applied, preempted) = {
+            let mut tasks = self.tasks.lock();
+            let preempted = slice.is_some() && tasks.queue().should_preempt(task.class, now);
+            let applied = match slice {
+                Some(slice) => tasks.apply_slice(id, slice),
+                None => tasks.apply(&rec),
+            };
+            (applied, preempted)
+        };
+        applied.expect("a running task accepts its outcome");
+        match &rec {
+            JournalRecord::TaskFailed { .. } => self.fault_metrics().poisoned(class),
+            JournalRecord::TaskAttemptFailed { .. } => self.fault_metrics().requeue(class),
+            JournalRecord::TaskCompleted { result, .. } => {
+                if self.cfg.cache_dev_results && task.class == PriorityClass::Development {
+                    self.dev_cache
+                        .lock()
+                        .insert(task.ir.fingerprint(), result.clone());
+                }
+                self.registry.counter_add(
+                    "daemon_tasks_completed_total",
+                    "Tasks completed",
+                    labels(&[("class", class)]),
+                    1.0,
+                );
+            }
+            _ if preempted => self.registry.counter_add(
+                "daemon_preemptions_total",
+                "Shot-boundary preemptions",
+                labels(&[("class", class)]),
+                1.0,
+            ),
+            _ => {}
+        }
+        self.journal_append(&rec);
+        Some(id)
+    }
+
+    /// The resource a dispatch should use for a task that has failed on
+    /// `excluded`: the primary unless the task has already failed on it and
+    /// an untried alternate exists. Exclusion is advisory — when every
+    /// resource has failed once, the primary is used anyway rather than
+    /// starving the task.
+    fn pick_resource(&self, excluded: &BTreeSet<String>) -> Arc<dyn QuantumResource> {
+        if excluded.contains(self.resource.resource_id()) {
+            if let Some(alt) = self
+                .alternates
+                .iter()
+                .find(|a| !excluded.contains(a.resource_id()))
+            {
+                return Arc::clone(alt);
+            }
+        }
+        Arc::clone(&self.resource)
+    }
+
+    /// Run `shots` shots of `task` through the QRMI resource `res`,
+    /// advancing the daemon clock by the execution time.
+    fn run_shots(
+        &self,
+        task: &QuantumTask,
+        shots: u32,
+        res: &Arc<dyn QuantumResource>,
+    ) -> Result<SampleResult, String> {
+        let ir = ProgramIr {
+            shots,
+            ..(*task.ir).clone()
+        };
+        let lease = res.acquire().map_err(|e| e.to_string())?;
+        let out = hpcqc_qrmi::run_to_completion(res.as_ref(), &lease, &ir, 10_000)
+            .map_err(|e| e.to_string());
+        res.release(&lease).map_err(|e| e.to_string())?;
+        if let Ok(r) = &out {
+            *self.clock.lock() += r.execution_secs;
+            if let Some(f) = &self.fairshare {
+                f.charge(&task.user, r.execution_secs, self.now());
+            }
+            self.registry.counter_add(
+                "daemon_qpu_busy_seconds_total",
+                "Device seconds consumed through the daemon",
+                labels(&[("class", task.class.as_str())]),
+                r.execution_secs,
+            );
+        }
+        out
+    }
+
+    /// Drain the queue completely in batches of `pump_batch`. Returns the
+    /// number of dispatches.
+    pub fn pump(&self) -> usize {
+        let mut n = 0;
+        loop {
+            let k = self.pump_batch(self.cfg.pump_batch);
+            if k == 0 {
+                break;
+            }
+            n += k;
+            assert!(n < 1_000_000, "runaway pump loop");
+        }
+        n
+    }
+
+    /// Start a background dispatcher thread: the production deployment mode,
+    /// where the daemon drains its queue continuously and clients only poll
+    /// task status. Returns a handle that stops the thread when dropped.
+    pub fn spawn_dispatcher(self: &Arc<Self>, idle_poll: std::time::Duration) -> DispatcherHandle {
+        let svc = Arc::clone(self);
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let thread = std::thread::spawn(move || {
+            while !stop2.load(std::sync::atomic::Ordering::SeqCst) {
+                // A panicking handler (bad task, injected fault, poisoned
+                // shim state) must not kill the dispatcher: the queue would
+                // silently stop draining while submissions kept succeeding.
+                let pumped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    svc.pump_batch(svc.cfg.pump_batch)
+                }));
+                match pumped {
+                    Ok(0) => {
+                        // quiescent: make any buffered group-commit batch
+                        // durable before going to sleep
+                        svc.sync_journal();
+                        std::thread::sleep(idle_poll);
+                    }
+                    Ok(_) => {}
+                    Err(_) => {
+                        svc.registry.counter_add(
+                            "daemon_dispatcher_panics_total",
+                            "Dispatcher pump panics survived (task skipped)",
+                            hpcqc_telemetry::Labels::new(),
+                            1.0,
+                        );
+                        // back off briefly: a deterministic panic loop must
+                        // not spin a core
+                        std::thread::sleep(idle_poll);
+                    }
+                }
+            }
+        });
+        DispatcherHandle {
+            stop,
+            thread: Some(thread),
+        }
+    }
+}
+
+/// Stops the background dispatcher thread when dropped.
+pub struct DispatcherHandle {
+    stop: Arc<std::sync::atomic::AtomicBool>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Drop for DispatcherHandle {
+    fn drop(&mut self) {
+        self.stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}

@@ -1,0 +1,656 @@
+//! The middleware daemon service (in-process core).
+//!
+//! This is the component Figure 2 places on the quantum access node: it owns
+//! the QPU-side QRMI resource, manages sessions, validates programs against
+//! the *current* device spec, queues tasks by priority class, runs them with
+//! shot-batch preemption, and exposes admin + observability surfaces. The
+//! REST layer in [`crate::http`] is a thin transport over this object, so
+//! unit tests drive it directly while integration tests go over real sockets.
+
+mod admission;
+mod dispatch;
+mod recovery;
+mod replication;
+
+pub use admission::SubmitItem;
+pub use dispatch::DispatcherHandle;
+pub use replication::{ReadinessReport, ReplicaRole, ShipperHandle};
+
+use crate::journal::{JournalConfig, JournalRecord, SharedJournal};
+use crate::session::{PriorityClass, Session, SessionError, SessionManager};
+use crate::taskqueue::{QueueConfig, QueueError, TaskQueue};
+use crate::tasks::TaskTable;
+use hpcqc_analysis::Analyzer;
+use hpcqc_emulator::SampleResult;
+use hpcqc_program::DeviceSpec;
+use hpcqc_qpu::{QpuStatus, VirtualQpu};
+use hpcqc_qrmi::QuantumResource;
+use hpcqc_sync::{rank, TrackedMutex as Mutex, TrackedRwLock};
+use hpcqc_telemetry::{
+    labels, DurabilityMetrics, FaultMetrics, LintMetrics, Registry, ReplicationMetrics,
+};
+use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
+
+/// Daemon configuration (the site-tunable `slurm.conf` analogue of §3.4).
+#[derive(Debug, Clone)]
+pub struct DaemonConfig {
+    /// Queue behaviour.
+    pub queue: QueueConfig,
+    /// Concurrent session cap (0 = unlimited).
+    pub max_sessions: usize,
+    /// Shot cap applied to development tasks ("non-production jobs
+    /// configured with a low number of shots", §3.3).
+    pub dev_shot_cap: u32,
+    /// Chunk size for unbatched (preemptible) execution: test/development
+    /// tasks run in slices of this many shots, with preemption checks in
+    /// between.
+    pub preempt_chunk_shots: u32,
+    /// Validate programs against the live device spec at submission.
+    pub validate_on_submit: bool,
+    /// Run the full static-analysis pipeline at submission: reject on
+    /// Error-level diagnostics, record Warning-level ones in the job record,
+    /// and cross-check the user's pattern hint against the inferred one.
+    pub analyze_on_submit: bool,
+    /// Fair-share usage half-life in seconds (0 disables fair-share).
+    pub fairshare_half_life_secs: f64,
+    /// Serve repeated *development* programs from a fingerprint-keyed result
+    /// cache instead of re-running them on the device (dev results are for
+    /// debugging, not statistics — a cache hit saves scarce QPU seconds).
+    pub cache_dev_results: bool,
+    /// Sessions idle longer than this are expired by the clock (0 = never).
+    pub session_ttl_secs: f64,
+    /// Requeues allowed after an execution failure before a task is declared
+    /// poisoned and failed permanently.
+    pub max_task_retries: u32,
+    /// Tasks run per `dispatch_lock` hold by [`pump`] and the background
+    /// dispatcher (≥ 1).
+    ///
+    /// [`pump`]: MiddlewareService::pump
+    pub pump_batch: usize,
+    /// Write-ahead journal tuning (only consulted when the daemon was opened
+    /// with [`MiddlewareService::recover`]).
+    pub journal: JournalConfig,
+}
+
+impl Default for DaemonConfig {
+    fn default() -> Self {
+        DaemonConfig {
+            queue: QueueConfig::default(),
+            max_sessions: 0,
+            dev_shot_cap: 100,
+            preempt_chunk_shots: 10,
+            validate_on_submit: true,
+            analyze_on_submit: true,
+            fairshare_half_life_secs: 3600.0,
+            cache_dev_results: true,
+            session_ttl_secs: 0.0,
+            max_task_retries: 2,
+            pump_batch: 16,
+            journal: JournalConfig::default(),
+        }
+    }
+}
+
+/// Readiness of the daemon, exposed via `GET /v1/healthz`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum DaemonHealth {
+    /// Serving: sessions open, submissions admitted.
+    Ok,
+    /// Graceful drain in progress: no new admissions, queue still pumping.
+    Draining,
+    /// Drained and fsynced; the process is about to exit.
+    Stopped,
+}
+
+impl DaemonHealth {
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            DaemonHealth::Ok => "ok",
+            DaemonHealth::Draining => "draining",
+            DaemonHealth::Stopped => "stopped",
+        }
+    }
+}
+
+/// Outcome of a graceful [`MiddlewareService::shutdown`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DrainReport {
+    /// Tasks dispatched during the drain window.
+    pub dispatched: usize,
+    /// Tasks left queued — safely journaled for the next start.
+    pub pending: usize,
+}
+
+/// Role + shipping lag, guarded together under [`rank::REPLICATION`].
+#[derive(Debug, Clone, Copy)]
+struct ReplicationState {
+    role: ReplicaRole,
+    lag_records: u64,
+    lag_bytes: u64,
+}
+
+/// Daemon-side task state.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum DaemonTaskStatus {
+    /// Waiting; `position` is the current dispatch-order index.
+    Queued { position: usize },
+    /// On the device now.
+    Running,
+    /// Done; result available.
+    Completed,
+    /// Rejected or errored.
+    Failed(String),
+    /// Cancelled by the user.
+    Cancelled,
+}
+
+/// Errors surfaced by the daemon API.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DaemonError {
+    Session(SessionError),
+    Queue(String),
+    /// Program failed validation; messages list the violations.
+    Validation(Vec<String>),
+    UnknownTask(u64),
+    /// Operation not allowed for this session/class.
+    Forbidden(String),
+    /// The daemon is draining or recovering and admits no new work (REST
+    /// maps this to 503 so load balancers take the node out of rotation).
+    Unavailable(String),
+    Internal(String),
+}
+
+impl std::fmt::Display for DaemonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DaemonError::Session(e) => write!(f, "session error: {e}"),
+            DaemonError::Queue(m) => write!(f, "queue error: {m}"),
+            DaemonError::Validation(v) => write!(f, "validation failed: {}", v.join("; ")),
+            DaemonError::UnknownTask(id) => write!(f, "unknown task {id}"),
+            DaemonError::Forbidden(m) => write!(f, "forbidden: {m}"),
+            DaemonError::Unavailable(m) => write!(f, "unavailable: {m}"),
+            DaemonError::Internal(m) => write!(f, "internal error: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for DaemonError {}
+
+impl From<SessionError> for DaemonError {
+    fn from(e: SessionError) -> Self {
+        DaemonError::Session(e)
+    }
+}
+
+impl From<QueueError> for DaemonError {
+    fn from(e: QueueError) -> Self {
+        DaemonError::Queue(e.to_string())
+    }
+}
+
+/// The middleware daemon.
+pub struct MiddlewareService {
+    sessions: SessionManager,
+    /// Every task's lifecycle state, the dispatch queue and the idempotency
+    /// map: one table behind one lock, changed only by `TaskTable::apply`.
+    /// Never held across a journal write, an fsync, analysis or a QRMI call.
+    tasks: Mutex<TaskTable>,
+    resource: Arc<dyn QuantumResource>,
+    /// Direct handle to the device for the admin surface (None when the
+    /// daemon fronts a cloud resource it cannot administer).
+    qpu_admin: Option<VirtualQpu>,
+    /// Alternate resources a requeued task may be dispatched to after
+    /// failing on the primary (e.g. a local emulator for degraded service).
+    alternates: Vec<Arc<dyn QuantumResource>>,
+    next_task: AtomicU64,
+    clock: Mutex<f64>,
+    registry: Registry,
+    cfg: DaemonConfig,
+    /// Serializes dispatch: the QPU is a serial device, and concurrent REST
+    /// clients all pump the queue — only one dispatch may hold the resource
+    /// lease at a time.
+    dispatch_lock: Mutex<()>,
+    fairshare: Option<crate::fairshare::FairshareTracker>,
+    /// Development-result cache keyed by program fingerprint.
+    dev_cache: Mutex<HashMap<u64, SampleResult>>,
+    /// The static-analysis pipeline run at submission.
+    analyzer: Analyzer,
+    /// Write-ahead journal; `None` for a purely in-memory daemon.
+    journal: Option<SharedJournal>,
+    /// Compaction gate: appends hold it shared around their WAL write,
+    /// compaction holds it exclusive across snapshot + compact. Closes the
+    /// lost-record window where an append lands between `snapshot_state`
+    /// and the WAL cut — journaled but absent from the snapshot, so gone
+    /// after recovery.
+    compact_gate: TrackedRwLock<()>,
+    /// Serving → Draining → Stopped.
+    lifecycle: Mutex<DaemonHealth>,
+    /// Last admin-set device status (string form): persisted in snapshots,
+    /// recovered from the journal (which outlives the `VirtualQpu` instance)
+    /// and re-applied when the admin handle is attached.
+    last_qpu_status: Mutex<Option<String>>,
+    /// Replication role and shipping lag (readiness reporting).
+    replication: Mutex<ReplicationState>,
+}
+
+impl MiddlewareService {
+    pub fn new(resource: Arc<dyn QuantumResource>, cfg: DaemonConfig) -> Self {
+        let fairshare = if cfg.fairshare_half_life_secs > 0.0 {
+            Some(crate::fairshare::FairshareTracker::new(
+                cfg.fairshare_half_life_secs,
+            ))
+        } else {
+            None
+        };
+        let queue = match &fairshare {
+            Some(f) => TaskQueue::new(cfg.queue).with_fairshare(f.clone()),
+            None => TaskQueue::new(cfg.queue),
+        };
+        MiddlewareService {
+            sessions: SessionManager::new(cfg.max_sessions),
+            tasks: Mutex::new(
+                "middleware.daemon.tasks",
+                rank::TASKS,
+                TaskTable::new(queue),
+            ),
+            resource,
+            qpu_admin: None,
+            alternates: Vec::new(),
+            next_task: AtomicU64::new(1),
+            clock: Mutex::new("middleware.daemon.clock", rank::CLOCK, 0.0),
+            registry: Registry::new(),
+            cfg,
+            dispatch_lock: Mutex::new("middleware.daemon.dispatch", rank::DISPATCH, ()),
+            fairshare,
+            dev_cache: Mutex::new(
+                "middleware.daemon.dev_cache",
+                rank::DEV_CACHE,
+                HashMap::new(),
+            ),
+            analyzer: Analyzer::standard(),
+            journal: None,
+            compact_gate: TrackedRwLock::new(
+                "middleware.daemon.compact_gate",
+                rank::COMPACT_GATE,
+                (),
+            ),
+            lifecycle: Mutex::new(
+                "middleware.daemon.lifecycle",
+                rank::LIFECYCLE,
+                DaemonHealth::Ok,
+            ),
+            last_qpu_status: Mutex::new(
+                "middleware.daemon.last_qpu_status",
+                rank::QPU_STATUS,
+                None,
+            ),
+            replication: Mutex::new(
+                "middleware.daemon.replication",
+                rank::REPLICATION,
+                ReplicationState {
+                    role: ReplicaRole::Leader,
+                    lag_records: 0,
+                    lag_bytes: 0,
+                },
+            ),
+        }
+    }
+
+    /// Attach the device for admin operations (on-prem deployment). If the
+    /// journal recorded an admin-set status before the restart, it is
+    /// re-applied here.
+    pub fn with_qpu_admin(mut self, qpu: VirtualQpu) -> Self {
+        if let Some(status) = self.last_qpu_status.get_mut().as_deref() {
+            if let Some(s) = parse_qpu_status(status) {
+                qpu.set_status(s);
+            }
+        }
+        self.qpu_admin = Some(qpu);
+        self
+    }
+
+    /// Register an alternate resource that requeued tasks may run on after
+    /// failing on the primary.
+    pub fn with_alternate_resource(mut self, res: Arc<dyn QuantumResource>) -> Self {
+        self.alternates.push(res);
+        self
+    }
+
+    /// Typed facade over this daemon's registry for recovery counters.
+    fn fault_metrics(&self) -> FaultMetrics {
+        FaultMetrics::new(self.registry.clone())
+    }
+
+    /// Typed facade over this daemon's registry for analyzer counters.
+    fn lint_metrics(&self) -> LintMetrics {
+        LintMetrics::new(self.registry.clone())
+    }
+
+    /// Typed facade over this daemon's registry for durability counters.
+    fn durability_metrics(&self) -> DurabilityMetrics {
+        DurabilityMetrics::new(self.registry.clone())
+    }
+
+    /// Typed facade over this daemon's registry for replication counters.
+    fn replication_metrics(&self) -> ReplicationMetrics {
+        ReplicationMetrics::new(self.registry.clone())
+    }
+
+    // ---- durability -----------------------------------------------------
+
+    /// Append one record to the WAL (no-op for in-memory daemons) and run
+    /// compaction when the policy asks for it.
+    ///
+    /// Call sites hold no daemon state lock ranked at or below
+    /// [`rank::COMPACT_GATE`] other than `dispatch_lock`: compaction
+    /// snapshots the whole service state and tracked mutexes are not
+    /// reentrant.
+    fn journal_append(&self, rec: &JournalRecord) {
+        self.journal_append_inner(rec, false)
+    }
+
+    /// [`journal_append`](Self::journal_append) for client-visible request
+    /// paths (submit/cancel/session): a batch this append trips is parked
+    /// for the dispatcher to write, so no client ever waits on an fsync —
+    /// the lock audit traced the submit p99 tail to exactly that
+    /// one-in-`group_max_records` write under `middleware.journal.file`
+    /// (hold p99 ≈ 4 ms).
+    fn journal_append_deferred(&self, rec: &JournalRecord) {
+        self.journal_append_inner(rec, true)
+    }
+
+    fn journal_append_inner(&self, rec: &JournalRecord, defer: bool) {
+        let Some(journal) = &self.journal else {
+            return;
+        };
+        let m = self.durability_metrics();
+        let wants_compaction = {
+            // Shared gate around the append: compaction cannot cut the WAL
+            // between a sibling thread's snapshot and this record landing.
+            let _gate = self.compact_gate.read();
+            let res = if defer {
+                journal.append_deferred(rec)
+            } else {
+                journal.append(rec)
+            };
+            match res {
+                Ok(out) => {
+                    m.append(out.bytes, out.fsynced);
+                    out.wants_compaction
+                }
+                Err(e) => {
+                    self.journal_error("append", &e);
+                    false
+                }
+            }
+        };
+        if wants_compaction {
+            // Exclusive gate across snapshot + compact: no append can land
+            // after the snapshot is taken and before the WAL is cut, so a
+            // record is never dropped from the log while missing from the
+            // snapshot (the lost-record window the lock audit surfaced).
+            let _gate = self.compact_gate.write();
+            if journal.wants_compaction() {
+                let snap = self.snapshot_state();
+                match journal.compact(&snap) {
+                    Ok(()) => m.snapshot(),
+                    Err(e) => self.journal_error("compact", &e),
+                }
+            }
+        }
+    }
+
+    /// Flush and fsync any buffered group-commit batch. Called by the
+    /// background dispatcher when the queue runs dry, so a lull in traffic
+    /// never strands an unflushed batch; no-op when nothing is pending.
+    pub fn sync_journal(&self) {
+        let Some(journal) = &self.journal else {
+            return;
+        };
+        if journal.pending_records() == 0
+            && journal.unsynced_appends() == 0
+            && journal.deferred_batches() == 0
+        {
+            return;
+        }
+        let _gate = self.compact_gate.read();
+        match journal.sync() {
+            Ok(()) => self.durability_metrics().fsync(),
+            Err(e) => self.journal_error("fsync", &e),
+        }
+    }
+
+    /// A journal IO failure: counted, never fatal — the daemon keeps serving
+    /// from memory (durability degrades, availability does not).
+    fn journal_error(&self, op: &str, e: &std::io::Error) {
+        let _ = e;
+        self.registry.counter_add(
+            "journal_errors_total",
+            "Write-ahead journal IO failures (durability degraded)",
+            labels(&[("op", op)]),
+            1.0,
+        );
+    }
+
+    /// Current liveness (the `GET /v1/healthz` answer).
+    pub fn health(&self) -> DaemonHealth {
+        *self.lifecycle.lock()
+    }
+
+    /// The daemon's metrics registry.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Daemon clock (seconds).
+    pub fn now(&self) -> f64 {
+        *self.clock.lock()
+    }
+
+    /// Advance the daemon clock (simulated idle time). Expires idle
+    /// sessions past their TTL.
+    pub fn advance_time(&self, dt: f64) {
+        *self.clock.lock() += dt;
+        if let Some(q) = &self.qpu_admin {
+            q.advance_time(dt);
+        }
+        self.journal_append(&JournalRecord::ClockAdvanced { to: self.now() });
+        self.gc_sessions();
+    }
+
+    /// Expire sessions idle past the TTL (no-op when the TTL is disabled).
+    fn gc_sessions(&self) {
+        if self.cfg.session_ttl_secs <= 0.0 {
+            return;
+        }
+        let cutoff = self.now() - self.cfg.session_ttl_secs;
+        let expired = self.sessions.gc(cutoff);
+        if !expired.is_empty() {
+            self.registry.counter_add(
+                "daemon_sessions_expired_total",
+                "Sessions expired by TTL",
+                hpcqc_telemetry::Labels::new(),
+                expired.len() as f64,
+            );
+            self.journal_append(&JournalRecord::SessionsExpired {
+                tokens: expired.into_iter().map(|s| s.token).collect(),
+            });
+        }
+    }
+
+    /// TTL-aware session validation used by every client-facing call: an
+    /// idle-expired session is removed, journaled, and reported as
+    /// [`SessionError::Expired`]; an active one has its idle clock touched.
+    fn validate_session(&self, token: &str) -> Result<Session, DaemonError> {
+        match self
+            .sessions
+            .validate_active(token, self.now(), self.cfg.session_ttl_secs)
+        {
+            Ok(s) => Ok(s),
+            Err(SessionError::Expired) => {
+                self.registry.counter_add(
+                    "daemon_sessions_expired_total",
+                    "Sessions expired by TTL",
+                    hpcqc_telemetry::Labels::new(),
+                    1.0,
+                );
+                self.journal_append(&JournalRecord::SessionsExpired {
+                    tokens: vec![token.to_string()],
+                });
+                Err(SessionError::Expired.into())
+            }
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Reject client calls once draining/stopped — or while this daemon is
+    /// an unpromoted follower (warm standbys never admit client work; the
+    /// gateway routes around them via `readyz`).
+    fn check_admitting(&self) -> Result<(), DaemonError> {
+        if self.role() == ReplicaRole::Follower {
+            return Err(DaemonError::Unavailable("daemon is a follower".into()));
+        }
+        match self.health() {
+            DaemonHealth::Ok => Ok(()),
+            h => Err(DaemonError::Unavailable(format!(
+                "daemon is {}",
+                h.as_str()
+            ))),
+        }
+    }
+
+    // ---- session API -------------------------------------------------
+
+    /// Open a session for `user` in `class`; returns the token.
+    pub fn open_session(&self, user: &str, class: PriorityClass) -> Result<String, DaemonError> {
+        self.check_admitting()?;
+        let s = self.sessions.open(user, class, self.now())?;
+        self.registry.counter_add(
+            "daemon_sessions_opened_total",
+            "Sessions opened",
+            labels(&[("class", class.as_str())]),
+            1.0,
+        );
+        let token = s.token.clone();
+        self.journal_append_deferred(&JournalRecord::SessionOpened { session: s });
+        Ok(token)
+    }
+
+    /// Close a session.
+    pub fn close_session(&self, token: &str) -> Result<(), DaemonError> {
+        self.sessions.close(token)?;
+        self.journal_append_deferred(&JournalRecord::SessionClosed {
+            token: token.to_string(),
+        });
+        Ok(())
+    }
+
+    /// List sessions (admin).
+    pub fn list_sessions(&self) -> Vec<crate::session::Session> {
+        self.sessions.list()
+    }
+
+    /// The current device spec, fetched through QRMI — what clients validate
+    /// against before submitting (§2.1 drift safety).
+    pub fn device_spec(&self) -> Result<DeviceSpec, DaemonError> {
+        self.resource
+            .target()
+            .map_err(|e| DaemonError::Internal(e.to_string()))
+    }
+
+    // ---- admin / observability surface ---------------------------------
+
+    /// Combined Prometheus exposition: daemon metrics + device metrics.
+    pub fn metrics_text(&self) -> String {
+        // refresh per-lock contention/hold-time gauges on every scrape
+        hpcqc_telemetry::export_lock_metrics(&self.registry);
+        let mut out = self.registry.expose();
+        if let Some(q) = &self.qpu_admin {
+            out.push_str(&q.registry().expose());
+        }
+        out
+    }
+
+    /// Device status (admin).
+    pub fn qpu_status(&self) -> Option<QpuStatus> {
+        self.qpu_admin.as_ref().map(|q| q.status())
+    }
+
+    /// Set device status (admin; e.g. maintenance window).
+    pub fn set_qpu_status(&self, s: QpuStatus) -> Result<(), DaemonError> {
+        match &self.qpu_admin {
+            Some(q) => {
+                q.set_status(s);
+                let status = qpu_status_str(s).to_string();
+                *self.last_qpu_status.lock() = Some(status.clone());
+                self.journal_append(&JournalRecord::QpuStatusChanged { status });
+                Ok(())
+            }
+            None => Err(DaemonError::Forbidden(
+                "no admin access to this resource".into(),
+            )),
+        }
+    }
+
+    /// Trigger a recalibration (admin).
+    pub fn recalibrate(&self, duration_secs: f64) -> Result<(), DaemonError> {
+        match &self.qpu_admin {
+            Some(q) => {
+                q.recalibrate(duration_secs);
+                Ok(())
+            }
+            None => Err(DaemonError::Forbidden(
+                "no admin access to this resource".into(),
+            )),
+        }
+    }
+
+    /// Query device telemetry history (admin/user observability).
+    pub fn telemetry_range(&self, series: &str, from: f64, to: f64) -> Vec<hpcqc_telemetry::Point> {
+        match &self.qpu_admin {
+            Some(q) => q.tsdb().range(series, from, to),
+            None => Vec::new(),
+        }
+    }
+
+    /// Queue depth (monitoring).
+    pub fn queue_depth(&self) -> usize {
+        self.tasks.lock().queue().len()
+    }
+
+    /// Resources task `id` has failed on so far (advisory dispatch
+    /// exclusion; empty for tasks with no failure history). Sorted.
+    pub fn excluded_resources(&self, id: u64) -> Vec<String> {
+        let tasks = self.tasks.lock();
+        let excluded = tasks
+            .entry(id)
+            .map(|e| e.excluded.iter().cloned().collect());
+        excluded.unwrap_or_default()
+    }
+}
+
+/// String forms of [`QpuStatus`] used in journal records.
+fn qpu_status_str(s: QpuStatus) -> &'static str {
+    match s {
+        QpuStatus::Operational => "operational",
+        QpuStatus::Calibrating => "calibrating",
+        QpuStatus::Maintenance => "maintenance",
+        QpuStatus::Down => "down",
+    }
+}
+
+fn parse_qpu_status(s: &str) -> Option<QpuStatus> {
+    match s {
+        "operational" => Some(QpuStatus::Operational),
+        "calibrating" => Some(QpuStatus::Calibrating),
+        "maintenance" => Some(QpuStatus::Maintenance),
+        "down" => Some(QpuStatus::Down),
+        _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests;
