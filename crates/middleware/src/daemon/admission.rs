@@ -153,22 +153,19 @@ impl MiddlewareService {
             tasks.queue().check_quota(&task.session)?;
         }
         let (id, at) = (task.id, task.submitted_at);
-        let mut apply = |rec: JournalRecord| {
+        let submitted = JournalRecord::TaskSubmitted {
+            task,
+            idempotency_key,
+            warnings,
+        };
+        // a cache hit is journaled as submit + complete so replay lands on
+        // the same terminal state (the cache itself is volatile)
+        let completed = cached.map(|result| JournalRecord::TaskCompleted { id, result, at });
+        for rec in [Some(submitted), completed].into_iter().flatten() {
             tasks
                 .apply(&rec)
                 .map_err(|e| DaemonError::Internal(e.to_string()))?;
             journal.push(rec);
-            Ok::<(), DaemonError>(())
-        };
-        apply(JournalRecord::TaskSubmitted {
-            task,
-            idempotency_key,
-            warnings,
-        })?;
-        if let Some(result) = cached {
-            // journaled as submit + complete so replay lands on the same
-            // terminal state (the cache itself is volatile)
-            apply(JournalRecord::TaskCompleted { id, result, at })?;
         }
         Ok(id)
     }
@@ -285,10 +282,17 @@ impl MiddlewareService {
     /// Task status.
     pub fn task_status(&self, id: u64) -> Result<DaemonTaskStatus, DaemonError> {
         let now = self.now();
-        self.tasks
-            .lock()
-            .status(id, now)
-            .ok_or(DaemonError::UnknownTask(id))
+        let tasks = self.tasks.lock();
+        let entry = tasks.entry(id).ok_or(DaemonError::UnknownTask(id))?;
+        Ok(match &entry.state {
+            TaskState::Queued => DaemonTaskStatus::Queued {
+                position: tasks.queue().position(id, now).unwrap_or(0),
+            },
+            TaskState::Running(_) => DaemonTaskStatus::Running,
+            TaskState::Completed(_) => DaemonTaskStatus::Completed,
+            TaskState::Failed(m) => DaemonTaskStatus::Failed(m.clone()),
+            TaskState::Cancelled => DaemonTaskStatus::Cancelled,
+        })
     }
 
     /// Warning-level analyzer findings recorded for a task at submission

@@ -113,7 +113,11 @@ impl MiddlewareService {
                 (rec, None)
             }
             Ok(last) if done + last.shots >= task.ir.shots => {
-                let result = self.tasks.lock().merged_result(id, last);
+                // only a sliced task has earlier slices to merge with
+                let result = match done {
+                    0 => last,
+                    _ => self.tasks.lock().merged_result(id, last),
+                };
                 let at = self.now();
                 (JournalRecord::TaskCompleted { id, result, at }, None)
             }

@@ -26,7 +26,6 @@
 //! Everything else is an [`IllegalTransition`], which replay counts and
 //! skips and which the live paths cannot produce.
 
-use crate::daemon::DaemonTaskStatus;
 use crate::journal::{DaemonSnapshot, JournalRecord};
 use crate::session::PriorityClass;
 use crate::taskqueue::{QuantumTask, QueueError, TaskQueue};
@@ -122,12 +121,11 @@ impl TaskTable {
     /// is dropped.
     pub(crate) fn with_snapshot(mut self, snap: &mut DaemonSnapshot) -> Result<Self, QueueError> {
         use std::mem::take;
-        let t = &mut self;
         for task in take(&mut snap.queued) {
-            t.entries
+            self.entries
                 .entry(task.id)
                 .or_insert_with(|| TaskEntry::new(TaskState::Queued));
-            t.queue.restore(task)?;
+            self.queue.restore(task)?;
         }
         let completed = take(&mut snap.completed).into_iter();
         let failed = take(&mut snap.failed).into_iter();
@@ -138,16 +136,16 @@ impl TaskTable {
             .chain(cancelled.map(|id| (id, TaskState::Cancelled)));
         for (id, state) in terminal {
             // a snapshot listing an id twice: the finished state wins
-            t.queue.remove(id);
-            t.entries.insert(id, TaskEntry::new(state));
+            self.queue.remove(id);
+            self.entries.insert(id, TaskEntry::new(state));
         }
         for (id, class, at) in take(&mut snap.task_meta) {
-            if let Some(e) = t.entries.get_mut(&id) {
+            if let Some(e) = self.entries.get_mut(&id) {
                 e.meta = Some((class, at));
             }
         }
         for (id, attempts, excluded) in take(&mut snap.failures) {
-            if let Some(e) = t.entries.get_mut(&id) {
+            if let Some(e) = self.entries.get_mut(&id) {
                 if e.state == TaskState::Queued {
                     e.attempts = attempts;
                     e.excluded = excluded.into_iter().collect();
@@ -155,11 +153,11 @@ impl TaskTable {
             }
         }
         for (id, warnings) in take(&mut snap.warnings) {
-            if let Some(e) = t.entries.get_mut(&id) {
+            if let Some(e) = self.entries.get_mut(&id) {
                 e.warnings = warnings;
             }
         }
-        t.idempotency = take(&mut snap.idempotency).into_iter().collect();
+        self.idempotency = take(&mut snap.idempotency).into_iter().collect();
         Ok(self)
     }
 
@@ -321,19 +319,6 @@ impl TaskTable {
         self.idempotency.get(key).copied()
     }
 
-    /// Client-visible status of task `id` at `now` (`None`: unknown id).
-    pub(crate) fn status(&self, id: u64, now: f64) -> Option<DaemonTaskStatus> {
-        Some(match &self.entries.get(&id)?.state {
-            TaskState::Queued => DaemonTaskStatus::Queued {
-                position: self.queue.position(id, now).unwrap_or(0),
-            },
-            TaskState::Running(_) => DaemonTaskStatus::Running,
-            TaskState::Completed(_) => DaemonTaskStatus::Completed,
-            TaskState::Failed(m) => DaemonTaskStatus::Failed(m.clone()),
-            TaskState::Cancelled => DaemonTaskStatus::Cancelled,
-        })
-    }
-
     /// `last` merged with the earlier slices of task `id`: the task's full
     /// result once `last` brings it to its shot count.
     pub(crate) fn merged_result(&self, id: u64, last: SampleResult) -> SampleResult {
@@ -348,10 +333,10 @@ impl TaskTable {
     /// snapshot never claims work that has not produced a durable result.
     pub(crate) fn snapshot_into(&self, snap: &mut DaemonSnapshot) {
         snap.queued = self.queue.iter().cloned().collect();
-        let mut ids: Vec<u64> = self.entries.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let e = &self.entries[&id];
+        let mut entries: Vec<(u64, &TaskEntry)> =
+            self.entries.iter().map(|(&id, e)| (id, e)).collect();
+        entries.sort_unstable_by_key(|&(id, _)| id);
+        for (id, e) in entries {
             match &e.state {
                 TaskState::Queued => {}
                 TaskState::Running(task) => snap.queued.push(task.clone()),
