@@ -57,6 +57,12 @@ impl FairshareTracker {
 
     /// Charge `secs` of device usage to `user` at time `now`.
     pub fn charge(&self, user: &str, secs: f64, now: f64) {
+        if secs == 0.0 {
+            // nobody's usage moves (the emulators report zero device time),
+            // so readers' memos of it stay valid: the dispatcher claims a
+            // task at a time and would otherwise re-snapshot per task
+            return;
+        }
         let mut map = self.inner.lock();
         let entry = map.entry(user.to_string()).or_insert((0.0, now));
         let current = self.decayed(entry.0, entry.1, now);
