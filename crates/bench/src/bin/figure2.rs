@@ -16,13 +16,11 @@
 use hpcqc_bench::{fmt_pm, render_table, HarnessArgs};
 use hpcqc_core::{DaemonClient, DaemonSession};
 use hpcqc_middleware::rest::serve;
-use hpcqc_middleware::{
-    AdmissionPolicy, Cosim, CosimConfig, DaemonConfig, MiddlewareService, PriorityClass, QpuPolicy,
-};
+use hpcqc_middleware::{DaemonConfig, MiddlewareService, PriorityClass};
 use hpcqc_program::{ProgramIr, Pulse, Register, SequenceBuilder};
 use hpcqc_qpu::VirtualQpu;
 use hpcqc_qrmi::QpuDirectResource;
-use hpcqc_scheduler::PatternHint;
+use hpcqc_scheduler::{AdmissionPolicy, Cosim, CosimConfig, PatternHint, Phase, QpuPolicy};
 use hpcqc_workloads::{generate_population, PatternGenConfig};
 use std::sync::Arc;
 
@@ -159,7 +157,7 @@ fn middleware_value_experiment(args: &HarnessArgs) {
                 );
                 for j in &mut jobs {
                     for p in &mut j.phases {
-                        if let hpcqc_middleware::Phase::Quantum(s) = p {
+                        if let Phase::Quantum(s) = p {
                             *s *= q_scale;
                         }
                     }

@@ -14,8 +14,8 @@
 //! Run: `cargo run -p hpcqc-bench --bin table1 [--quick] [--gres]`
 
 use hpcqc_bench::{fmt_pm, render_table, HarnessArgs};
-use hpcqc_middleware::{AdmissionPolicy, Cosim, CosimConfig, QpuPolicy};
 use hpcqc_scheduler::{standard_partitions, Cluster, SchedPolicy, SlurmSim};
+use hpcqc_scheduler::{AdmissionPolicy, Cosim, CosimConfig, QpuPolicy};
 use hpcqc_workloads::{generate_population, to_batch_spec, PatternGenConfig};
 
 struct PolicyDef {

@@ -15,12 +15,9 @@
 //! * [`http`] / [`server`] / [`rest`] — a real HTTP/1.1 REST API served by
 //!   a readiness-driven (epoll) event loop with keep-alive, pipelining and
 //!   connection backpressure,
-//! * [`cosim`] — discrete-event co-simulation of the two-level architecture
-//!   powering the Table-1 / Figure-2 experiments,
 //! * [`gateway`] — consistent-hash front door over N replicated shards:
 //!   readiness-probed routing, follower failover, aggregated views.
 
-pub mod cosim;
 pub mod daemon;
 pub mod fairshare;
 pub mod gateway;
@@ -32,9 +29,6 @@ pub mod session;
 pub mod taskqueue;
 mod tasks;
 
-pub use cosim::{
-    hint_duty, AdmissionPolicy, Cosim, CosimConfig, CosimReport, HybridJob, Phase, QpuPolicy,
-};
 pub use daemon::{
     DaemonConfig, DaemonError, DaemonHealth, DaemonTaskStatus, DispatcherHandle, DrainReport,
     MiddlewareService, ReadinessReport, ReplicaRole, ShipperHandle,

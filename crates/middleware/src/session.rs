@@ -13,51 +13,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The three job classes of §3.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum PriorityClass {
-    /// Top priority; may preempt lower classes.
-    Production,
-    /// Test runs / scalability tests.
-    Test,
-    /// Development runs; lowest priority, shot-limited.
-    Development,
-}
-
-impl PriorityClass {
-    /// Numeric rank: lower = more important.
-    pub fn rank(&self) -> u8 {
-        match self {
-            PriorityClass::Production => 0,
-            PriorityClass::Test => 1,
-            PriorityClass::Development => 2,
-        }
-    }
-
-    /// Parse the REST string form.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "production" => Some(PriorityClass::Production),
-            "test" => Some(PriorityClass::Test),
-            "development" => Some(PriorityClass::Development),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            PriorityClass::Production => "production",
-            PriorityClass::Test => "test",
-            PriorityClass::Development => "development",
-        }
-    }
-
-    /// The matching Slurm partition name (§3.3: classes correspond to
-    /// partitions).
-    pub fn partition(&self) -> &'static str {
-        self.as_str()
-    }
-}
+pub use hpcqc_scheduler::PriorityClass;
 
 /// A live session.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -3,16 +3,20 @@
 //! recovery landing on the live daemon's state.
 
 mod common;
+#[path = "common/reference_queue.rs"]
+mod reference_queue;
 
 use hpcqc_middleware::http::parse_request;
-use hpcqc_middleware::taskqueue::reference::ReferenceTaskQueue;
 use hpcqc_middleware::{
-    AdmissionPolicy, Cosim, CosimConfig, DaemonConfig, FairshareTracker, HybridJob, JournalConfig,
-    MiddlewareService, Phase, PriorityClass, QpuPolicy, QuantumTask, QueueConfig, TaskQueue,
+    DaemonConfig, FairshareTracker, JournalConfig, MiddlewareService, PriorityClass, QuantumTask,
+    QueueConfig, TaskQueue,
 };
 use hpcqc_program::{ProgramIr, Pulse, Register, SequenceBuilder};
-use hpcqc_scheduler::PatternHint;
+use hpcqc_scheduler::{
+    AdmissionPolicy, Cosim, CosimConfig, HybridJob, PatternHint, Phase, QpuPolicy,
+};
 use proptest::prelude::*;
+use reference_queue::ReferenceTaskQueue;
 use std::io::Cursor;
 use std::sync::Arc;
 

@@ -22,8 +22,7 @@
 //!   stays under a target: fills the QPU without drowning the node pool
 //!   (the paper's §3.5 "fine-grained orchestration" with `--hint=`).
 
-use crate::session::PriorityClass;
-use hpcqc_scheduler::{EventQueue, PatternHint, WaitStats};
+use crate::{EventQueue, PatternHint, PriorityClass, WaitStats};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 

@@ -9,10 +9,14 @@
 //! * [`SlurmSim`] — partitions with priorities, FIFO + conservative backfill,
 //!   partition preemption with requeue, time limits, cancellation,
 //! * [`AccountingSummary`] — per-partition wait/turnaround statistics and
-//!   utilization, feeding the Table-1 and Figure-2 experiments.
+//!   utilization, feeding the Table-1 and Figure-2 experiments,
+//! * [`cosim`] — discrete-event co-simulation of the two-level architecture
+//!   (batch admission above, the daemon's QPU multiplexing below) powering
+//!   the Table-1 / Figure-2 experiments.
 
 pub mod accounting;
 pub mod cluster;
+pub mod cosim;
 pub mod job;
 pub mod malleable;
 pub mod sim;
@@ -20,7 +24,10 @@ pub mod slurm;
 
 pub use accounting::{AccountingSummary, WaitStats};
 pub use cluster::{AllocError, Allocation, Cluster};
-pub use job::{Job, JobId, JobSpec, JobState, PatternHint};
+pub use cosim::{
+    hint_duty, AdmissionPolicy, Cosim, CosimConfig, CosimReport, HybridJob, Phase, QpuPolicy,
+};
+pub use job::{Job, JobId, JobSpec, JobState, PatternHint, PriorityClass};
 pub use malleable::{MalleableJob, MalleableReport, MalleableSim, MalleableSpec, MalleableState};
 pub use sim::EventQueue;
 pub use slurm::{standard_partitions, Partition, SchedError, SchedPolicy, SlurmSim};

@@ -6,8 +6,7 @@
 //! feed both the middleware co-simulation (Table-1/Figure-2 experiments) and
 //! the batch-scheduler simulator.
 
-use hpcqc_middleware::{HybridJob, Phase, PriorityClass};
-use hpcqc_scheduler::{JobSpec, PatternHint};
+use hpcqc_scheduler::{HybridJob, JobSpec, PatternHint, Phase, PriorityClass};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

@@ -4,8 +4,10 @@
 //! taxonomy's scheduler hints as measurable orderings, robustly across
 //! seeds — this is the repository's executable form of Table 1.
 
-use hpcqc::middleware::{AdmissionPolicy, Cosim, CosimConfig, CosimReport, QpuPolicy};
-use hpcqc::scheduler::{standard_partitions, Cluster, JobState, SchedPolicy, SlurmSim};
+use hpcqc::scheduler::{
+    standard_partitions, AdmissionPolicy, Cluster, Cosim, CosimConfig, CosimReport, JobState,
+    QpuPolicy, SchedPolicy, SlurmSim,
+};
 use hpcqc::workloads::{generate_population, to_batch_spec, PatternGenConfig};
 
 fn run(mix: (f64, f64, f64), admission: AdmissionPolicy, qpu: QpuPolicy, seed: u64) -> CosimReport {
