@@ -163,7 +163,6 @@ fn run_case(sessions: usize, per_session: usize) -> CaseResult {
             fsync_every: 64,
             group_max_records: 64,
             compact_every: 0,
-            ..JournalConfig::default()
         },
         ..DaemonConfig::default()
     };

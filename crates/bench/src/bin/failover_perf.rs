@@ -112,7 +112,6 @@ fn bench_cfg() -> DaemonConfig {
             fsync_every: 64,
             group_max_records: 64,
             compact_every: 0,
-            ..JournalConfig::default()
         },
         ..DaemonConfig::default()
     }

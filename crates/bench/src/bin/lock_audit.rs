@@ -85,7 +85,6 @@ fn main() {
             fsync_every: 64,
             group_max_records: 64,
             compact_every: 0,
-            ..JournalConfig::default()
         },
         ..DaemonConfig::default()
     };

@@ -30,10 +30,10 @@
 //! The default full ladder runs a matched JSON-vs-binary, single-vs-batch
 //! matrix and reports the headline ingest comparison.
 //!
-//! `--shards K` serves the daemon on K SO_REUSEPORT event loops. On the
-//! 1-core CI runner this is expected to measure ~1× (no spare cores to run
-//! the extra loops); the flag exists so multi-core machines can reproduce
-//! the scaling claim honestly.
+//! `--shards K` serves the daemon on K SO_REUSEPORT event loops. On a
+//! 1-core runner this measures ~1× (no spare cores to run the extra
+//! loops); EXPERIMENTS.md RP-2 has the interleaved `--shards 1|2` runs on a
+//! 2-core one.
 //!
 //! Run: `cargo run --release -p hpcqc-bench --bin rest_perf [--quick]
 //!       [--codec json|binary] [--batch N] [--shards K] [--out PATH]`
@@ -42,7 +42,7 @@ use hpcqc_bench::{percentile, render_table, HarnessArgs};
 use hpcqc_emulator::{Emulator, SampleResult, SvBackend};
 use hpcqc_middleware::rest::serve_with;
 use hpcqc_middleware::ServerConfig;
-use hpcqc_middleware::{http_request, DaemonConfig, MiddlewareService};
+use hpcqc_middleware::{DaemonConfig, HttpClient, MiddlewareService};
 use hpcqc_program::{DeviceSpec, ProgramIr, Pulse, Register, SequenceBuilder};
 use hpcqc_qrmi::{AcquisitionToken, QrmiError, QuantumResource, ResourceType, TaskId};
 use mio::{Events, Interest, Poll, Token};
@@ -355,7 +355,8 @@ fn run_case(addr: &str, spec: CaseSpec) -> CaseResult {
     let tokens: Vec<String> = (0..n_sessions)
         .map(|u| {
             let body = format!(r#"{{"user":"bench-{u}","class":"production"}}"#);
-            let (st, body) = http_request(addr, "POST", "/v1/sessions", Some(&body))
+            let (st, body) = HttpClient::new(addr)
+                .request("POST", "/v1/sessions", Some(&body))
                 .expect("session opens over HTTP");
             assert_eq!(st, 201, "{body}");
             let v: serde_json::Value = serde_json::from_str(&body).expect("session json");

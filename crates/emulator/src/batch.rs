@@ -4,29 +4,24 @@
 //! parameter searches) run the *same* program shape many times with
 //! different drive parameters. Submitting each point as an independent run
 //! repeats work that depends only on the template: building the
-//! [`RydbergHamiltonian`] (fixed by the register), allocating RK4
-//! workspaces, and discretizing the schedule. [`BatchRunner`] executes a
-//! whole sweep with those shared, and — for all-constant templates — builds
-//! every point's stepping grid by transforming the template's grid instead
-//! of re-sampling waveforms.
+//! [`RydbergHamiltonian`] (fixed by the register) and allocating the RK4
+//! workspace. [`BatchRunner`] executes a whole sweep with those two shared
+//! and nothing else: every point's schedule is discretized from its own
+//! materialized sequence, exactly as an independent run would.
 //!
 //! The defining contract, asserted bit-for-bit by the tests: a sweep over
 //! `N` points with base seed `s` returns exactly what `N` independent
 //! [`Emulator::run`] calls on the materialized programs with seeds
-//! `s, s+1, …, s+N−1` would return. Batching is an execution strategy, not
-//! a semantic: per-point validation, integration grids, and the
-//! counter-derived per-shot RNG streams are all identical to the
-//! sequential path.
+//! `s, s+1, …, s+N−1` would return — per-point validation, integration
+//! grids and the counter-derived per-shot RNG streams included.
 
 use crate::backend::{sample_outcomes, sampling_distribution, Emulator, EmulatorError, SvBackend};
-use crate::hamiltonian::{DiscretizedDrive, RydbergHamiltonian};
+use crate::hamiltonian::RydbergHamiltonian;
 use crate::result::SampleResult;
-use crate::statevector::{evolve_drive_ws, evolve_sequence_ws_h, SvWorkspace, SV_MAX_QUBITS};
-use hpcqc_program::sequence::GLOBAL_CHANNEL;
-use hpcqc_program::{ProgramIr, Pulse, Sequence, TimedPulse, Waveform};
+use crate::statevector::{evolve_sequence_ws_h, SvWorkspace, SV_MAX_QUBITS};
+use hpcqc_program::{ProgramIr, Pulse, Sequence, TimedPulse};
 use rand::distributions::Distribution;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One parameter assignment of a sweep: a pointwise transform applied to a
 /// template [`Sequence`]. Durations and geometry are never changed, so every
@@ -76,76 +71,8 @@ impl SweepPoint {
     }
 }
 
-/// Is every global-channel pulse of the template constant in both amplitude
-/// and detuning? Only then does `sample(t) · factor` equal
-/// `scaled(factor).sample(t)` bit-for-bit (a constant's sample *is* its
-/// stored value), which is what licenses the grid-transform fast path.
-fn is_constant_template(seq: &Sequence) -> bool {
-    seq.pulses
-        .iter()
-        .filter(|tp| tp.channel == GLOBAL_CHANNEL)
-        .all(|tp| {
-            matches!(tp.pulse.amplitude, Waveform::Constant { .. })
-                && matches!(tp.pulse.detuning, Waveform::Constant { .. })
-        })
-}
-
-/// A template's drive sources on a midpoint grid: `Some((Ω, δ, φ))` inside
-/// a global pulse, `None` in an idle gap.
-type TemplateGrid = Vec<Option<(f64, f64, f64)>>;
-
-/// The template's drive sources on an `nsteps` midpoint grid:
-/// `Some((Ω, δ, φ))` holds the stored constants of the global pulse
-/// covering the step midpoint (the same pulse `drive_at` would select);
-/// `None` marks an idle gap, where the drive is exactly `(0, 0, 0)`.
-fn constant_grid(seq: &Sequence, nsteps: usize) -> TemplateGrid {
-    let total = seq.duration();
-    let dt = total / nsteps as f64;
-    (0..nsteps)
-        .map(|k| {
-            let t = (k as f64 + 0.5) * dt;
-            for tp in &seq.pulses {
-                if tp.channel != GLOBAL_CHANNEL {
-                    continue;
-                }
-                let end = tp.start + tp.pulse.duration();
-                if t >= tp.start && t <= end {
-                    let (o, d) = match (&tp.pulse.amplitude, &tp.pulse.detuning) {
-                        (
-                            Waveform::Constant { value: o, .. },
-                            Waveform::Constant { value: d, .. },
-                        ) => (*o, *d),
-                        _ => unreachable!("constant_grid requires a constant template"),
-                    };
-                    return Some((o, d, tp.pulse.phase));
-                }
-            }
-            None
-        })
-        .collect()
-}
-
-/// Transform a template grid into the drive steps of one sweep point. The
-/// arithmetic mirrors [`SweepPoint::materialize`] + constant-waveform
-/// sampling operation-for-operation, so the result is bit-identical to
-/// discretizing the materialized sequence.
-fn transform_grid(grid: &[Option<(f64, f64, f64)>], point: &SweepPoint) -> Vec<(f64, f64, f64)> {
-    grid.iter()
-        .map(|src| match src {
-            Some((o, d, p)) => (
-                o * point.omega_scale,
-                d * point.delta_scale,
-                p + point.phase_offset,
-            ),
-            None => (0.0, 0.0, 0.0),
-        })
-        .collect()
-}
-
 /// Executes sweeps on a state-vector backend with template-level work
-/// shared across points: one Hamiltonian build, one workspace allocation,
-/// and (for constant templates) one schedule discretization per distinct
-/// step count instead of one per point.
+/// shared across points: one Hamiltonian build and one workspace allocation.
 pub struct BatchRunner<'a> {
     backend: &'a SvBackend,
 }
@@ -175,62 +102,18 @@ impl<'a> BatchRunner<'a> {
             return Err(EmulatorError::TooLarge { qubits: n, limit });
         }
         let spec = self.backend.spec();
-        let cfg = &self.backend.config;
         let h = RydbergHamiltonian::new(&seq.register, spec.c6_coefficient);
         let mut ws = SvWorkspace::new();
-
-        let fast = is_constant_template(seq);
-        let total = seq.duration();
-        let probe_steps = DiscretizedDrive::steps_for(total, cfg.max_dt);
-        // Template grids by step count; the probe grid is shared by every
-        // point, finer grids appear only when a point's stronger drive
-        // tightens the stability bound.
-        let mut grids: HashMap<usize, TemplateGrid> = HashMap::new();
-
         let mut results = Vec::with_capacity(points.len());
         for (k, point) in points.iter().enumerate() {
-            let seed = seed_base.wrapping_add(k as u64);
             let seq_k = point.materialize(seq);
             let violations = hpcqc_program::validate(&seq_k, &spec);
             if !violations.is_empty() {
                 return Err(EmulatorError::Validation(violations));
             }
-            let state = if fast {
-                let probe_grid = grids
-                    .entry(probe_steps)
-                    .or_insert_with(|| constant_grid(seq, probe_steps));
-                let probe = DiscretizedDrive {
-                    dt: total / probe_steps as f64,
-                    steps: transform_grid(probe_grid, point),
-                };
-                // Step control exactly as `evolve_sequence_ws_h`: bound from
-                // this point's own drive extrema, reuse the probe grid when
-                // the bound doesn't force a finer one.
-                let (omax, dmax) = probe.max_drive();
-                let scale = h.energy_scale(omax, dmax).max(1e-9);
-                let dt_bound = (cfg.stability_factor / scale).min(cfg.max_dt);
-                let nsteps = DiscretizedDrive::steps_for(total, dt_bound);
-                let drive = if nsteps == probe_steps {
-                    probe
-                } else {
-                    let grid = grids
-                        .entry(nsteps)
-                        .or_insert_with(|| constant_grid(seq, nsteps));
-                    DiscretizedDrive {
-                        dt: total / nsteps as f64,
-                        steps: transform_grid(grid, point),
-                    }
-                };
-                evolve_drive_ws(&h, &drive, cfg, &mut ws)
-            } else {
-                // General templates (ramps, Blackman, …): scaling does not
-                // commute with sampling at the bit level, so discretize the
-                // materialized sequence — the Hamiltonian and workspace are
-                // still shared.
-                evolve_sequence_ws_h(&h, &seq_k, cfg, &mut ws)
-            };
-            let probs = state.probabilities();
-            let dist = sampling_distribution(&probs)?;
+            let state = evolve_sequence_ws_h(&h, &seq_k, &self.backend.config, &mut ws);
+            let dist = sampling_distribution(&state.probabilities())?;
+            let seed = seed_base.wrapping_add(k as u64);
             let outcomes = sample_outcomes(template.shots, n, seed, &self.backend.noise, |rng| {
                 dist.sample(rng) as u64
             });
@@ -244,7 +127,8 @@ impl<'a> BatchRunner<'a> {
 mod tests {
     use super::*;
     use crate::noise::SpamNoise;
-    use hpcqc_program::{Register, SequenceBuilder};
+    use hpcqc_program::sequence::GLOBAL_CHANNEL;
+    use hpcqc_program::{Register, SequenceBuilder, Waveform};
 
     /// QAOA-style all-constant template: alternating drive layers with
     /// distinct phases on a blockaded chain.
@@ -257,7 +141,7 @@ mod tests {
         ProgramIr::new(b.build().unwrap(), shots, "batch-test")
     }
 
-    /// Template with ramps: exercises the general (re-discretizing) path.
+    /// Template with ramps: sampled waveforms instead of stored constants.
     fn ramp_template(n: usize, shots: u32) -> ProgramIr {
         let reg = Register::linear(n, 10.0).unwrap();
         let mut b = SequenceBuilder::new(reg);
@@ -334,7 +218,7 @@ mod tests {
     fn batched_constant_sweep_matches_sequential_runs_bit_for_bit() {
         // The tentpole contract: a 32-point sweep through the BatchRunner
         // equals 32 independent backend runs exactly — same counts, same
-        // per-shot streams, fast path and all.
+        // per-shot streams.
         let backend = SvBackend::default();
         let tpl = constant_template(6, 64);
         let points = grid_points(32);
@@ -349,7 +233,7 @@ mod tests {
 
     #[test]
     fn batched_ramp_sweep_matches_sequential_runs_bit_for_bit() {
-        // General path (per-point discretization): same contract.
+        // Ramp waveforms: same contract.
         let backend = SvBackend::default();
         let tpl = ramp_template(4, 50);
         let points = grid_points(6);
@@ -428,45 +312,5 @@ mod tests {
         let tpl = constant_template(3, 10);
         let res = BatchRunner::new(&backend).run_sweep(&tpl, &[], 1).unwrap();
         assert!(res.is_empty());
-    }
-
-    #[test]
-    fn gap_steps_transform_to_zero_drive() {
-        // A template whose global channel ends before another channel does
-        // has trailing gap steps; they must stay exactly (0, 0, 0) under any
-        // point (notably: no phase offset leaks into idle time).
-        let reg = Register::linear(2, 10.0).unwrap();
-        let mut b = SequenceBuilder::new(reg);
-        b.add_global_pulse(Pulse::constant(0.1, 4.0, 1.0, 0.2).unwrap());
-        b.add_pulse("aux", Pulse::constant(0.3, 0.0, 0.0, 0.0).unwrap());
-        let seq = b.build().unwrap();
-        assert!(is_constant_template(&seq));
-        let p = SweepPoint {
-            omega_scale: 2.0,
-            delta_scale: 3.0,
-            phase_offset: 0.9,
-        };
-        let direct = DiscretizedDrive::from_sequence(&p.materialize(&seq), 0.011);
-        let nsteps = direct.steps.len();
-        let grid = constant_grid(&seq, nsteps);
-        let gap_from = nsteps.div_ceil(3); // global pulse covers the first third
-        assert!(
-            grid[..gap_from - 1].iter().all(|s| s.is_some()),
-            "pulse region"
-        );
-        assert!(grid[gap_from..].iter().all(|s| s.is_none()), "gap region");
-        let steps = transform_grid(&grid, &p);
-        for &(o, d, ph) in &steps[gap_from..] {
-            assert_eq!((o, d, ph), (0.0, 0.0, 0.0));
-        }
-        // and the transformed steps match the materialized sequence's own
-        // discretization exactly
-        assert_eq!(direct.steps, steps);
-    }
-
-    #[test]
-    fn ramp_template_is_not_constant() {
-        assert!(!is_constant_template(&ramp_template(2, 1).sequence));
-        assert!(is_constant_template(&constant_template(2, 1).sequence));
     }
 }

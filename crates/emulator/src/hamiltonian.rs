@@ -103,9 +103,7 @@ pub struct DiscretizedDrive {
 
 impl DiscretizedDrive {
     /// Number of steps a grid capped at `max_dt` needs for `total` µs.
-    /// Crate-visible so the batch runner can key its grid cache by the same
-    /// step count an independent run would compute.
-    pub(crate) fn steps_for(total: f64, max_dt: f64) -> usize {
+    fn steps_for(total: f64, max_dt: f64) -> usize {
         (total / max_dt).ceil().max(1.0) as usize
     }
 

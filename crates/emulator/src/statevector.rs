@@ -1313,18 +1313,6 @@ pub(crate) fn evolve_sequence_ws_h(
     let scale = h.energy_scale(omax, dmax).max(1e-9);
     let dt_bound = (cfg.stability_factor / scale).min(cfg.max_dt);
     let drive = probe.refined(seq, dt_bound);
-    evolve_drive_ws(h, &drive, cfg, ws)
-}
-
-/// Step the ground state through an already-discretized drive. The final
-/// leg shared by the sequence path and the batch fast path (which builds
-/// the grid by transforming a template instead of re-sampling waveforms).
-pub(crate) fn evolve_drive_ws(
-    h: &RydbergHamiltonian,
-    drive: &DiscretizedDrive,
-    cfg: &SvConfig,
-    ws: &mut SvWorkspace,
-) -> StateVector {
     let mut state = StateVector::ground(h.n);
     for &(omega, delta, phase) in &drive.steps {
         rk4_step_ws_with(h, &mut state, omega, delta, phase, drive.dt, ws, cfg.kernel);
@@ -1545,6 +1533,130 @@ mod tests {
                 apply_h_into_with(&h, &psi, o, d, p, &mut auto_out, SvKernel::Auto);
                 apply_h_into_with(&h, &psi, o, d, p, &mut scalar_out, SvKernel::Scalar);
                 assert_eq!(auto_out, scalar_out, "n={n} drive=({o},{d},{p})");
+            }
+        }
+    }
+
+    type ApplyHChunk =
+        unsafe fn(&RydbergHamiltonian, &[Complex64], f64, f64, f64, usize, &mut [Complex64]);
+    type StageChunk = unsafe fn(&[Complex64], &[Complex64], Complex64, usize, &mut [Complex64]);
+    type CombineChunk = unsafe fn(
+        &[Complex64],
+        &[Complex64],
+        &[Complex64],
+        &[Complex64],
+        Complex64,
+        usize,
+        &mut [Complex64],
+    );
+
+    /// Every SIMD tier this CPU can execute. `SvKernel::Auto` picks one per
+    /// host, so the parity tests above reach only that one; this lists them
+    /// all so each can be called directly. A tier the CPU lacks is skipped.
+    fn host_tiers() -> Vec<(&'static str, ApplyHChunk, StageChunk, CombineChunk)> {
+        #[allow(unused_mut)]
+        let mut tiers: Vec<(&'static str, ApplyHChunk, StageChunk, CombineChunk)> = vec![(
+            "lanes",
+            apply_h_chunk_lanes,
+            stage_input_chunk_lanes,
+            combine_chunk_lanes,
+        )];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                tiers.push((
+                    "avx2",
+                    apply_h_chunk_avx2,
+                    stage_input_chunk_avx2,
+                    combine_chunk_avx2,
+                ));
+            } else {
+                eprintln!("skipping avx2 tier: not supported by this CPU");
+            }
+            if is_x86_feature_detected!("avx512f") {
+                tiers.push((
+                    "avx512",
+                    apply_h_chunk_avx512,
+                    stage_input_chunk_avx512,
+                    combine_chunk_avx512,
+                ));
+            } else {
+                eprintln!("skipping avx512 tier: not supported by this CPU");
+            }
+        }
+        tiers
+    }
+
+    /// Amplitudes as raw bit patterns: `==` on `f64` equates `-0.0` and
+    /// `0.0`, which is exactly the difference a blend or mask trick makes.
+    fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+        v.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
+    }
+
+    /// Pseudo-random amplitudes with signed zeros planted in the real part,
+    /// the imaginary part, and both.
+    fn amps_with_signed_zeros(dim: usize, seed: u64) -> Vec<Complex64> {
+        let mut v = pseudo_random_amps(dim, seed);
+        v[0].re = -0.0;
+        v[1].im = -0.0;
+        v[2] = Complex64::new(-0.0, -0.0);
+        v[dim - 1] = ZERO;
+        v
+    }
+
+    #[test]
+    fn every_host_simd_tier_matches_scalar_bit_for_bit() {
+        let tiers = host_tiers();
+        for n in [2usize, 3, 5, 8] {
+            let reg = Register::linear(n, 6.5).unwrap();
+            let h = RydbergHamiltonian::new(&reg, C6_COEFF);
+            let dim = h.dim();
+            let psi = amps_with_signed_zeros(dim, 0xABCD_0001 + n as u64);
+            let k1 = amps_with_signed_zeros(dim, 0x1111 + n as u64);
+            let k2 = amps_with_signed_zeros(dim, 0x2222 + n as u64);
+            let k3 = amps_with_signed_zeros(dim, 0x3333 + n as u64);
+            let k4 = amps_with_signed_zeros(dim, 0x4444 + n as u64);
+            let c = Complex64::new(0.0, -1e-3 / 6.0);
+            // One chunk, and two chunks so the second runs at `base != 0`.
+            let splits: &[usize] = if dim >= 8 { &[dim, dim / 2] } else { &[dim] };
+            for &(name, apply_h, stage, combine) in &tiers {
+                for &chunk_len in splits {
+                    let ctx = format!("tier={name} n={n} chunk={chunk_len}");
+                    for &(o, d, p) in &[(3.2, -1.1, 0.7), (0.0, 2.5, 0.0), (1.0, 0.0, -2.2)] {
+                        let mut want = vec![ZERO; dim];
+                        apply_h_chunk(&h, &psi, o, d, p, 0, &mut want);
+                        let mut got = vec![ZERO; dim];
+                        for (ci, chunk) in got.chunks_mut(chunk_len).enumerate() {
+                            // SAFETY: `psi.len() == h.dim()`, n ≥ 2, chunks are
+                            // 4-aligned slices of a `dim`-long buffer, and
+                            // `host_tiers` checked the CPU feature.
+                            unsafe { apply_h(&h, &psi, o, d, p, ci * chunk_len, chunk) };
+                        }
+                        assert_eq!(bits(&got), bits(&want), "apply_h {ctx} drive=({o},{d},{p})");
+                    }
+
+                    let want: Vec<Complex64> = (0..dim).map(|b| psi[b] + c * k1[b]).collect();
+                    let mut got = vec![ZERO; dim];
+                    for (ci, chunk) in got.chunks_mut(chunk_len).enumerate() {
+                        let base = ci * chunk_len;
+                        // SAFETY: chunk lengths are multiples of 4, `k1[base..]`
+                        // is the matching slice, `psi` spans `dim`.
+                        unsafe { stage(&psi, &k1[base..base + chunk.len()], c, base, chunk) };
+                    }
+                    assert_eq!(bits(&got), bits(&want), "stage_input {ctx}");
+
+                    let want: Vec<Complex64> = (0..dim)
+                        .map(|b| psi[b] + c * (k1[b] + 2.0 * (k2[b] + k3[b]) + k4[b]))
+                        .collect();
+                    let mut got = psi.clone();
+                    for (ci, chunk) in got.chunks_mut(chunk_len).enumerate() {
+                        let base = ci * chunk_len;
+                        let k4_chunk = &k4[base..base + chunk.len()];
+                        // SAFETY: as above; K1–K3 span `dim`.
+                        unsafe { combine(&k1, &k2, &k3, k4_chunk, c, base, chunk) };
+                    }
+                    assert_eq!(bits(&got), bits(&want), "combine {ctx}");
+                }
             }
         }
     }

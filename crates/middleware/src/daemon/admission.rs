@@ -7,7 +7,7 @@ use crate::session::PriorityClass;
 use crate::taskqueue::QuantumTask;
 use crate::tasks::{TaskState, TaskTable};
 use hpcqc_emulator::SampleResult;
-use hpcqc_program::ProgramIr;
+use hpcqc_program::{ProgramIr, Violation, ViolationKind};
 use hpcqc_scheduler::PatternHint;
 use hpcqc_telemetry::labels;
 use std::sync::atomic::Ordering;
@@ -218,7 +218,9 @@ impl MiddlewareService {
                 }
                 _ => {}
             }
-            if self.cfg.validate_on_submit {
+            // With analysis on, its hard-constraint pass runs `validate`
+            // itself: validate once per submit.
+            if self.cfg.validate_on_submit && !self.cfg.analyze_on_submit {
                 let violations = hpcqc_program::validate(&ir.sequence, &spec);
                 if !violations.is_empty() {
                     return Err(rejected(violations.iter().map(|v| v.to_string()).collect()));
@@ -232,9 +234,28 @@ impl MiddlewareService {
                 }
                 if report.has_errors() {
                     lm.rejection(session.class.as_str());
-                    return Err(rejected(
-                        report.errors().iter().map(|d| d.render()).collect(),
-                    ));
+                    // What `validate` found is reported alone and in its
+                    // words — the answer clients get with analysis off;
+                    // anything else keeps the analyzer's rendering.
+                    let errors = report.errors();
+                    let violations: Vec<String> = errors
+                        .iter()
+                        .filter_map(|d| match &d.violation {
+                            Some(ViolationKind::ShotsOutOfRange) | None => None,
+                            Some(kind) => Some(
+                                Violation {
+                                    kind: kind.clone(),
+                                    message: d.message.clone(),
+                                }
+                                .to_string(),
+                            ),
+                        })
+                        .collect();
+                    return Err(rejected(if violations.is_empty() {
+                        errors.iter().map(|d| d.render()).collect()
+                    } else {
+                        violations
+                    }));
                 }
                 // Cross-check the user's pattern hint against the inferred
                 // one; adopt the inference when the user declared nothing.

@@ -12,6 +12,10 @@ use hpcqc_telemetry::labels;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+/// Tasks run per `dispatch_lock` hold by [`MiddlewareService::pump`] and the
+/// background dispatcher.
+const PUMP_BATCH: usize = 16;
+
 impl MiddlewareService {
     /// Dispatch and run the next task, honoring preemption. Returns the id
     /// of the task that made progress, or `None` when the queue is empty.
@@ -214,12 +218,12 @@ impl MiddlewareService {
         out
     }
 
-    /// Drain the queue completely in batches of `pump_batch`. Returns the
+    /// Drain the queue completely in batches of [`PUMP_BATCH`]. Returns the
     /// number of dispatches.
     pub fn pump(&self) -> usize {
         let mut n = 0;
         loop {
-            let k = self.pump_batch(self.cfg.pump_batch);
+            let k = self.pump_batch(PUMP_BATCH);
             if k == 0 {
                 break;
             }
@@ -242,7 +246,7 @@ impl MiddlewareService {
                 // shim state) must not kill the dispatcher: the queue would
                 // silently stop draining while submissions kept succeeding.
                 let pumped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    svc.pump_batch(svc.cfg.pump_batch)
+                    svc.pump_batch(PUMP_BATCH)
                 }));
                 match pumped {
                     Ok(0) => {

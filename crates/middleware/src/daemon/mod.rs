@@ -65,11 +65,6 @@ pub struct DaemonConfig {
     /// Requeues allowed after an execution failure before a task is declared
     /// poisoned and failed permanently.
     pub max_task_retries: u32,
-    /// Tasks run per `dispatch_lock` hold by [`pump`] and the background
-    /// dispatcher (≥ 1).
-    ///
-    /// [`pump`]: MiddlewareService::pump
-    pub pump_batch: usize,
     /// Write-ahead journal tuning (only consulted when the daemon was opened
     /// with [`MiddlewareService::recover`]).
     pub journal: JournalConfig,
@@ -88,7 +83,6 @@ impl Default for DaemonConfig {
             cache_dev_results: true,
             session_ttl_secs: 0.0,
             max_task_retries: 2,
-            pump_batch: 16,
             journal: JournalConfig::default(),
         }
     }

@@ -79,16 +79,33 @@ fn dev_shot_cap_applied() {
 
 #[test]
 fn server_side_validation_rejects_bad_program() {
-    let (d, _) = qpu_daemon(DaemonConfig::default());
-    let tok = d.open_session("u", PriorityClass::Test).unwrap();
     let reg = Register::linear(2, 1.0).unwrap(); // violates 5 µm min distance
     let mut b = SequenceBuilder::new(reg);
     b.add_global_pulse(Pulse::constant(0.5, 4.0, 0.0, 0.0).unwrap());
     let bad = ProgramIr::new(b.build().unwrap(), 10, "test");
-    match d.submit(&tok, bad, PatternHint::None) {
-        Err(DaemonError::Validation(v)) => assert!(!v.is_empty()),
-        other => panic!("expected validation error, got {other:?}"),
-    }
+    let reject = |cfg: DaemonConfig| {
+        let (d, _) = qpu_daemon(cfg);
+        let tok = d.open_session("u", PriorityClass::Test).unwrap();
+        match d.submit(&tok, bad.clone(), PatternHint::None) {
+            Err(DaemonError::Validation(v)) => (v, d.metrics_text()),
+            other => panic!("expected validation error, got {other:?}"),
+        }
+    };
+    let (validator_words, _) = reject(DaemonConfig {
+        analyze_on_submit: false,
+        ..DaemonConfig::default()
+    });
+    assert!(
+        validator_words[0].starts_with("AtomsTooClose: "),
+        "{validator_words:?}"
+    );
+    // The default config validates once, inside the analyzer: the client
+    // reads the same words, and the rejection is now counted as a lint too.
+    let (default_words, text) = reject(DaemonConfig::default());
+    assert_eq!(default_words, validator_words);
+    assert!(text.contains("daemon_tasks_rejected_total{class=\"test\"} 1"));
+    assert!(text.contains("daemon_lint_rejections_total{class=\"test\"} 1"));
+    assert!(text.contains("analysis_diagnostics_total{code=\"HQ0102\",severity=\"error\"} 1"));
 }
 
 #[test]
@@ -1118,7 +1135,6 @@ fn submitters_racing_the_dispatcher_leave_every_acked_task_finished_once() {
             fsync_every: 0,
             compact_every: 48,
             group_max_records: 8,
-            ..JournalConfig::default()
         },
         ..DaemonConfig::default()
     };

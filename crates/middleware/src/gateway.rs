@@ -25,7 +25,7 @@
 //!
 //! [`promote`]: crate::daemon::MiddlewareService::promote
 
-use crate::http::{http_request, Handler, HttpClient, Request, Response};
+use crate::http::{Handler, HttpClient, Request, Response};
 use crate::server::{HttpServer, ServerConfig};
 use hpcqc_sync::{rank, TrackedMutex};
 use hpcqc_telemetry::{labels, Registry, ReplicationMetrics};
@@ -544,10 +544,14 @@ fn static_content_type(ct: &str) -> &'static str {
     }
 }
 
-/// One-shot readiness probe (fresh connection: a probe must never be fooled
-/// by — or wedge on — a pooled connection to a dead process).
+/// One-shot readiness probe (a fresh client has no pooled connection: a
+/// probe must never be fooled by — or wedge on — a stale socket to a dead
+/// process).
 fn probe_ready(addr: &str) -> bool {
-    matches!(http_request(addr, "GET", "/v1/readyz", None), Ok((200, _)))
+    matches!(
+        HttpClient::new(addr).request("GET", "/v1/readyz", None),
+        Ok((200, _))
+    )
 }
 
 /// Handle to a background probe loop ([`Gateway::spawn_prober`]).
@@ -817,7 +821,9 @@ mod tests {
             tokens.push(v["token"].as_str().unwrap().to_string());
         }
         for addr in [server_a.addr(), server_b.addr()] {
-            let (st, body) = http_request(&addr, "GET", "/v1/sessions", None).unwrap();
+            let (st, body) = HttpClient::new(&addr)
+                .request("GET", "/v1/sessions", None)
+                .unwrap();
             assert_eq!(st, 200);
             let v: serde_json::Value = serde_json::from_str(&body).unwrap();
             assert!(

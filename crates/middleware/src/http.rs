@@ -5,23 +5,25 @@
 //! small and auditable, which matters for a service installed with elevated
 //! access on a quantum access node (§3.4).
 //!
-//! This module owns the *protocol*: request/response types, the head parser
-//! shared by the blocking and incremental paths, bounded-size reads, and the
-//! blocking clients ([`http_request`] one-shot, [`HttpClient`] keep-alive).
-//! The readiness-driven event-loop server lives in [`crate::server`] and is
-//! re-exported here as [`HttpServer`].
+//! This module owns the *protocol*: request/response types, the one request
+//! parser ([`extract_request`], which cuts requests out of a connection's
+//! input buffer — the event loop calls it after every read and the hostile-
+//! input tests call the same function), and the blocking keep-alive client
+//! ([`HttpClient`]). The readiness-driven event-loop server lives in
+//! [`crate::server`] and is re-exported here as [`HttpServer`].
 //!
 //! Safety properties (property-tested against arbitrary byte soup):
 //! * parsing is total — malformed inputs produce `Err`, never panics;
-//! * every read is bounded *before* it happens — a peer cannot make the
-//!   server buffer more than [`MAX_HEAD_BYTES`] of head or
-//!   [`MAX_BODY_BYTES`] of body, not even transiently;
+//! * input is bounded — a peer that sends more than [`MAX_HEAD_BYTES`] of
+//!   head, or declares more than [`MAX_BODY_BYTES`] of body, is answered
+//!   `413` at the first framing attempt that sees it, so the server never
+//!   holds more than the budget plus one readiness event's worth of reads;
 //! * error bodies are always valid JSON — parser error text is escaped
 //!   through the JSON serializer, never string-interpolated.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -263,8 +265,9 @@ fn read_line_bounded<R: BufRead>(
     Ok(n)
 }
 
-/// A parsed request head: the [`Request`] (body still empty) plus the
-/// framing facts the transport needs to finish and answer it.
+/// A parsed request head: the [`Request`] (body empty until
+/// [`extract_request`] has cut it) plus the framing facts the transport
+/// needs to finish and answer it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedHead {
     /// The request with an empty body.
@@ -281,8 +284,7 @@ pub struct ParsedHead {
 /// Parse a complete request head (start line + headers + terminating blank
 /// line) from raw bytes.
 ///
-/// Shared by the blocking [`parse_request`] and the event-loop server's
-/// incremental per-connection parser. Total: never panics.
+/// Total: never panics.
 pub fn parse_head_bytes(head: &[u8]) -> Result<ParsedHead, HttpError> {
     let text = std::str::from_utf8(head)
         .map_err(|_| HttpError::Malformed("request head is not UTF-8".into()))?;
@@ -364,45 +366,54 @@ pub fn parse_head_bytes(head: &[u8]) -> Result<ParsedHead, HttpError> {
     })
 }
 
-/// Parse one request from a buffered reader (blocking path: tests, tools).
+/// Position one past the `\r\n\r\n` (or bare `\n\n`) head terminator.
+fn find_head_end(buf: &[u8]) -> Option<usize> {
+    let crlf = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4);
+    let lf = buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2);
+    match (crlf, lf) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// Cut one complete request off the front of a connection's input buffer.
 ///
-/// Total over `read`: malformed inputs produce `Err`, never panics —
-/// property-tested against arbitrary byte soup. Every line read is bounded
-/// by the remaining head budget before it happens.
-pub fn parse_request<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
-    // ---- head ----
-    let mut head = Vec::new();
-    let mut line = String::new();
-    // request line: budgeted like any other head line
-    let n = read_line_bounded(reader, &mut line, MAX_HEAD_BYTES)?;
-    if n == 0 {
-        return Err(HttpError::Malformed("empty request".into()));
-    }
-    head.extend_from_slice(line.as_bytes());
-    // headers, until the blank line, inside the remaining budget
-    loop {
-        if head.len() >= MAX_HEAD_BYTES {
-            return Err(HttpError::TooLarge);
+/// The server's one framing decision, total over `buf` (malformed input is
+/// an `Err`, never a panic) and independent of how the bytes were segmented
+/// on the way in. `pending` is the connection's framing state between
+/// calls: a head already cut from `buf` whose body is still arriving.
+///
+/// * `Ok(Some(head))` — `head.request` is complete (body included); its
+///   bytes are gone from `buf`, pipelined bytes behind it are left in place.
+/// * `Ok(None)` — more bytes are needed. A body is cut only once all
+///   `content-length` bytes are present.
+/// * `Err` — the stream position is unrecoverable. [`HttpError::TooLarge`]
+///   fires as soon as more than [`MAX_HEAD_BYTES`] are buffered without a
+///   head terminator, or a head declares more than [`MAX_BODY_BYTES`].
+pub fn extract_request(
+    buf: &mut Vec<u8>,
+    pending: &mut Option<ParsedHead>,
+) -> Result<Option<ParsedHead>, HttpError> {
+    if pending.is_none() && !buf.is_empty() {
+        match find_head_end(buf) {
+            Some(end) if end > MAX_HEAD_BYTES => return Err(HttpError::TooLarge),
+            Some(end) => {
+                let head = parse_head_bytes(&buf[..end])?;
+                if head.content_length > MAX_BODY_BYTES {
+                    return Err(HttpError::TooLarge);
+                }
+                buf.drain(..end);
+                *pending = Some(head);
+            }
+            None if buf.len() > MAX_HEAD_BYTES => return Err(HttpError::TooLarge),
+            None => {}
         }
-        let n = read_line_bounded(reader, &mut line, MAX_HEAD_BYTES - head.len())?;
-        if n == 0 {
-            return Err(HttpError::Malformed("connection closed mid-headers".into()));
-        }
-        head.extend_from_slice(line.as_bytes());
-        if line.trim_end().is_empty() {
-            break;
-        }
     }
-    let parsed = parse_head_bytes(&head)?;
-    // ---- body ----
-    if parsed.content_length > MAX_BODY_BYTES {
-        return Err(HttpError::TooLarge);
-    }
-    let mut body = vec![0u8; parsed.content_length];
-    reader.read_exact(&mut body).map_err(io_err)?;
-    let mut request = parsed.request;
-    request.body = body;
-    Ok(request)
+    let Some(mut head) = pending.take_if(|h| buf.len() >= h.content_length) else {
+        return Ok(None);
+    };
+    head.request.body = buf.drain(..head.content_length).collect();
+    Ok(Some(head))
 }
 
 /// The request handler type.
@@ -420,9 +431,8 @@ pub struct RawResponse {
     pub close: bool,
 }
 
-/// Read one response from a buffered reader. Shared by [`http_request`] and
-/// [`HttpClient`]. The body stays raw bytes: binary frames must not go
-/// through a UTF-8 gate.
+/// Read one response from a buffered reader. The body stays raw bytes:
+/// binary frames must not go through a UTF-8 gate.
 fn read_response_raw<R: BufRead>(reader: &mut R) -> Result<RawResponse, HttpError> {
     let mut status_line = String::new();
     let n = read_line_bounded(reader, &mut status_line, MAX_HEAD_BYTES)?;
@@ -470,52 +480,20 @@ fn read_response_raw<R: BufRead>(reader: &mut R) -> Result<RawResponse, HttpErro
     })
 }
 
-/// String-body convenience over [`read_response_raw`] for the JSON paths.
-fn read_response<R: BufRead>(reader: &mut R) -> Result<(u16, String, bool), HttpError> {
-    let raw = read_response_raw(reader)?;
-    String::from_utf8(raw.body)
-        .map(|b| (raw.status, b, raw.close))
-        .map_err(|_| HttpError::Malformed("response body not UTF-8".into()))
-}
-
 fn serialize_request_head(
     method: &str,
     path: &str,
     content_type: &str,
     accept: Option<&str>,
     body_len: usize,
-    keep_alive: bool,
 ) -> String {
     let accept = match accept {
         Some(a) => format!("accept: {a}\r\n"),
         None => String::new(),
     };
     format!(
-        "{method} {path} HTTP/1.1\r\nhost: localhost\r\ncontent-type: {content_type}\r\n{accept}content-length: {body_len}\r\nconnection: {}\r\n\r\n",
-        if keep_alive { "keep-alive" } else { "close" },
+        "{method} {path} HTTP/1.1\r\nhost: localhost\r\ncontent-type: {content_type}\r\n{accept}content-length: {body_len}\r\nconnection: keep-alive\r\n\r\n"
     )
-}
-
-/// Tiny blocking one-shot HTTP client (`connection: close`) for tests and
-/// tools. Long-lived clients should prefer [`HttpClient`], which reuses the
-/// connection across requests.
-pub fn http_request(
-    addr: impl ToSocketAddrs,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> Result<(u16, String), HttpError> {
-    let mut stream = TcpStream::connect(addr).map_err(io_err)?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(io_err)?;
-    let body = body.unwrap_or("");
-    let head = serialize_request_head(method, path, "application/json", None, body.len(), false);
-    stream.write_all(head.as_bytes()).map_err(io_err)?;
-    stream.write_all(body.as_bytes()).map_err(io_err)?;
-    let mut reader = BufReader::new(stream);
-    let (status, body, _close) = read_response(&mut reader)?;
-    Ok((status, body))
 }
 
 /// Blocking keep-alive HTTP client.
@@ -604,8 +582,7 @@ impl HttpClient {
             let reader = guard.as_mut().expect("connection just ensured");
             // head and body go out as one buffer: one write syscall/request
             let mut req =
-                serialize_request_head(method, path, content_type, accept, body.len(), true)
-                    .into_bytes();
+                serialize_request_head(method, path, content_type, accept, body.len()).into_bytes();
             req.extend_from_slice(body);
             let result = reader
                 .get_mut()
@@ -636,16 +613,72 @@ impl HttpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
     use std::sync::Arc;
 
-    fn parse(s: &str) -> Result<Request, HttpError> {
-        parse_request(&mut Cursor::new(s.as_bytes().to_vec()))
+    /// What a connection that received `segments` in that order ends up
+    /// with, driving [`extract_request`] after every arrival the way the
+    /// event loop does.
+    #[derive(Debug, PartialEq)]
+    struct Fed {
+        /// The first framing outcome that was not "need more bytes".
+        outcome: Result<Option<Request>, HttpError>,
+        /// Bytes still buffered once every segment has arrived.
+        rest: Vec<u8>,
+        /// A head cut from the buffer whose body never completed.
+        pending: Option<ParsedHead>,
+    }
+
+    /// Returns the [`Fed`] state and the longest buffer the parser was shown
+    /// before it gave its outcome.
+    fn feed<'a>(segments: impl IntoIterator<Item = &'a [u8]>) -> (Fed, usize) {
+        let (mut buf, mut pending, mut peak) = (Vec::new(), None, 0);
+        let mut outcome = Ok(None);
+        for seg in segments {
+            buf.extend_from_slice(seg);
+            if outcome == Ok(None) {
+                peak = peak.max(buf.len());
+                outcome = extract_request(&mut buf, &mut pending).map(|h| h.map(|h| h.request));
+            }
+        }
+        let fed = Fed {
+            outcome,
+            rest: buf,
+            pending,
+        };
+        (fed, peak)
+    }
+
+    /// Feed `s` whole and split at every byte boundary — the event loop sees
+    /// arbitrary segmentation — and require the same end state each time.
+    fn feed_every_way(s: &str) -> Fed {
+        let bytes = s.as_bytes();
+        let (whole, _) = feed([bytes]);
+        for cut in 0..=bytes.len() {
+            let (split, _) = feed([&bytes[..cut], &bytes[cut..]]);
+            assert_eq!(split, whole, "split at byte {cut} of {s:?}");
+        }
+        whole
+    }
+
+    fn parse(s: &str) -> Result<Option<Request>, HttpError> {
+        feed_every_way(s).outcome
+    }
+
+    fn complete(s: &str) -> Request {
+        parse(s).unwrap().expect("a complete request")
+    }
+
+    #[test]
+    fn find_head_end_variants() {
+        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nrest"), Some(18));
+        assert_eq!(find_head_end(b"GET / HTTP/1.1\n\nrest"), Some(16));
+        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
+        assert_eq!(find_head_end(b""), None);
     }
 
     #[test]
     fn parses_get_with_query() {
-        let r = parse("GET /v1/tasks/7?token=abc&verbose HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let r = complete("GET /v1/tasks/7?token=abc&verbose HTTP/1.1\r\nHost: x\r\n\r\n");
         assert_eq!(r.method, "GET");
         assert_eq!(r.path, "/v1/tasks/7");
         assert_eq!(r.query["token"], "abc");
@@ -657,16 +690,30 @@ mod tests {
     #[test]
     fn parses_post_with_body() {
         let r =
-            parse("POST /v1/sessions HTTP/1.1\r\nContent-Length: 15\r\n\r\n{\"user\":\"ada\"}x")
-                .unwrap();
+            complete("POST /v1/sessions HTTP/1.1\r\nContent-Length: 15\r\n\r\n{\"user\":\"ada\"}x");
         assert_eq!(r.method, "POST");
         assert_eq!(r.body.len(), 15);
         assert_eq!(r.body_str().unwrap(), "{\"user\":\"ada\"}x");
     }
 
     #[test]
+    fn leaves_pipelined_bytes_in_the_buffer() {
+        let second = "GET /second HTTP/1.1\r\n\r\n";
+        let fed = feed_every_way(&format!(
+            "POST /first HTTP/1.1\r\ncontent-length: 2\r\n\r\nhi{second}"
+        ));
+        let first = fed.outcome.unwrap().expect("first request");
+        assert_eq!(
+            (first.path.as_str(), first.body.as_slice()),
+            ("/first", &b"hi"[..])
+        );
+        assert_eq!(fed.rest, second.as_bytes());
+        assert_eq!(complete(second).path, "/second");
+    }
+
+    #[test]
     fn rejects_malformed_inputs() {
-        assert!(parse("").is_err());
+        assert_eq!(parse(""), Ok(None), "nothing to frame yet");
         assert!(parse("GET\r\n\r\n").is_err());
         assert!(parse("GET /x\r\n\r\n").is_err(), "missing version");
         assert!(parse("GET /x SPDY/3\r\n\r\n").is_err());
@@ -687,38 +734,62 @@ mod tests {
         assert_eq!(r, Err(HttpError::TooLarge));
     }
 
+    /// A body is cut only when all `content-length` bytes are present: a
+    /// short one stays buffered behind its parsed head (the event loop
+    /// closes such a connection on EOF or at the request deadline).
     #[test]
     fn rejects_truncated_body() {
-        assert!(matches!(
-            parse("POST /x HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort"),
-            Err(HttpError::Io(_))
-        ));
+        let fed = feed_every_way("POST /x HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort");
+        assert_eq!(fed.outcome, Ok(None));
+        assert_eq!(fed.rest, b"short");
+        assert_eq!(fed.pending.expect("head parsed").content_length, 50);
     }
 
-    /// Regression: a 10 MB headerless line used to be buffered whole by
-    /// `read_line` before the size check ran — the bound must be enforced
-    /// by the read itself, inside the head budget.
+    /// Regression: a 10 MB headerless line used to be buffered whole before
+    /// the size check ran. The parser must give up at the first attempt
+    /// that sees more than the head budget, however the bytes arrive.
     #[test]
     fn oversized_request_line_is_bounded_not_buffered() {
-        let mut soup = vec![b'A'; 10 << 20]; // 10 MB, no newline anywhere
-        let r = parse_request(&mut Cursor::new(std::mem::take(&mut soup)));
-        assert_eq!(r, Err(HttpError::TooLarge));
+        const SEGMENT: usize = 4 << 10;
+        let soup = vec![b'A'; 10 << 20]; // 10 MB, no newline anywhere
+        let (fed, peak) = feed(soup.chunks(SEGMENT));
+        assert_eq!(fed.outcome, Err(HttpError::TooLarge));
+        assert!(
+            peak > MAX_HEAD_BYTES && peak <= MAX_HEAD_BYTES + SEGMENT,
+            "gave up with {peak} bytes buffered"
+        );
         // Same for an endless header line after a valid request line.
         let mut buf = b"GET /x HTTP/1.1\r\n".to_vec();
         buf.extend(std::iter::repeat_n(b'h', 10 << 20));
-        let r = parse_request(&mut Cursor::new(buf));
-        assert_eq!(r, Err(HttpError::TooLarge));
+        let (fed, peak) = feed(buf.chunks(SEGMENT));
+        assert_eq!(fed.outcome, Err(HttpError::TooLarge));
+        assert!(peak <= MAX_HEAD_BYTES + SEGMENT, "{peak} bytes buffered");
+        // Arriving one byte at a time, the line is crossed exactly.
+        let near = std::iter::once(&soup[..MAX_HEAD_BYTES - 8]);
+        let (fed, peak) = feed(near.chain(soup[..16].chunks(1)));
+        assert_eq!(fed.outcome, Err(HttpError::TooLarge));
+        assert_eq!(peak, MAX_HEAD_BYTES + 1);
     }
 
     #[test]
     fn head_exactly_at_budget_is_accepted() {
         // A request whose head is close to (but under) MAX_HEAD_BYTES parses.
         let filler = "x".repeat(MAX_HEAD_BYTES - 100);
-        let r = parse(&format!("GET /x HTTP/1.1\r\npad: {filler}\r\n\r\n"));
-        assert!(r.is_ok(), "under-budget head must parse: {r:?}");
+        let under = format!("GET /x HTTP/1.1\r\npad: {filler}\r\n\r\n");
+        for segment in [under.len(), 4 << 10, 1000] {
+            let (fed, _) = feed(under.as_bytes().chunks(segment));
+            assert!(
+                matches!(fed.outcome, Ok(Some(_))),
+                "under-budget head must parse: {:?}",
+                fed.outcome
+            );
+        }
         let filler = "x".repeat(MAX_HEAD_BYTES);
-        let r = parse(&format!("GET /x HTTP/1.1\r\npad: {filler}\r\n\r\n"));
-        assert_eq!(r, Err(HttpError::TooLarge));
+        let over = format!("GET /x HTTP/1.1\r\npad: {filler}\r\n\r\n");
+        for segment in [over.len(), 4 << 10, 1000] {
+            let (fed, _) = feed(over.as_bytes().chunks(segment));
+            assert_eq!(fed.outcome, Err(HttpError::TooLarge));
+        }
     }
 
     #[test]
@@ -794,10 +865,14 @@ mod tests {
             }
         }))
         .unwrap();
-        let (status, body) = http_request(server.addr(), "GET", "/ping", None).unwrap();
+        let (status, body) = HttpClient::new(server.addr())
+            .request("GET", "/ping", None)
+            .unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, r#"{"pong":true}"#);
-        let (status, _) = http_request(server.addr(), "GET", "/nope", None).unwrap();
+        let (status, _) = HttpClient::new(server.addr())
+            .request("GET", "/nope", None)
+            .unwrap();
         assert_eq!(status, 404);
     }
 
@@ -807,8 +882,9 @@ mod tests {
             Response::json(200, req.body_str().unwrap_or("").to_string())
         }))
         .unwrap();
-        let (status, body) =
-            http_request(server.addr(), "POST", "/echo", Some(r#"{"k":42}"#)).unwrap();
+        let (status, body) = HttpClient::new(server.addr())
+            .request("POST", "/echo", Some(r#"{"k":42}"#))
+            .unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, r#"{"k":42}"#);
     }
@@ -825,7 +901,7 @@ mod tests {
                 let addr = addr.clone();
                 std::thread::spawn(move || {
                     for _ in 0..5 {
-                        let (status, _) = http_request(&addr, "GET", "/", None).unwrap();
+                        let (status, _) = HttpClient::new(&addr).request("GET", "/", None).unwrap();
                         assert_eq!(status, 200);
                     }
                 })

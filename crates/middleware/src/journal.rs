@@ -128,14 +128,6 @@ pub struct JournalConfig {
     /// pre-group-commit behavior. Capped by `fsync_every` when that is
     /// non-zero.
     pub group_max_records: usize,
-    /// Group commit: flush early once the batch holds this many framed
-    /// bytes (0 = no byte trigger).
-    pub group_max_bytes: usize,
-    /// Group commit: flush early once the oldest buffered record has waited
-    /// this long, checked on the next append (0 = no age trigger). The
-    /// dispatcher's idle path also flushes, so a quiescent daemon never
-    /// strands a batch.
-    pub group_max_age_secs: f64,
 }
 
 impl Default for JournalConfig {
@@ -144,8 +136,6 @@ impl Default for JournalConfig {
             fsync_every: 1,
             compact_every: 256,
             group_max_records: 1,
-            group_max_bytes: 0,
-            group_max_age_secs: 0.0,
         }
     }
 }
@@ -247,8 +237,6 @@ struct BufState {
     /// Framed records awaiting the next batch flush.
     buf: Vec<u8>,
     buf_records: usize,
-    /// When the oldest buffered record was appended (age trigger).
-    buf_oldest: Option<std::time::Instant>,
     appends_since_fsync: usize,
     records_since_compact: usize,
     /// Next write ticket to issue. Batches hit the WAL in ticket order.
@@ -339,7 +327,6 @@ impl SharedJournal {
                     cfg,
                     buf: Vec::new(),
                     buf_records: 0,
-                    buf_oldest: None,
                     appends_since_fsync: 0,
                     records_since_compact: 0,
                     next_ticket: 0,
@@ -406,7 +393,6 @@ impl SharedJournal {
         let bytes = std::mem::take(&mut b.buf);
         let records = b.buf_records;
         b.buf_records = 0;
-        b.buf_oldest = None;
         if fsync {
             b.appends_since_fsync = 0;
         }
@@ -505,19 +491,12 @@ impl SharedJournal {
         b.buf.extend_from_slice(&fnv1a32(&payload).to_le_bytes());
         b.buf.extend_from_slice(&payload);
         b.buf_records += 1;
-        b.buf_oldest.get_or_insert_with(std::time::Instant::now);
         b.appends_since_fsync += 1;
         b.records_since_compact += 1;
         let wants_compaction =
             b.cfg.compact_every > 0 && b.records_since_compact >= b.cfg.compact_every;
 
-        let age_tripped = b.cfg.group_max_age_secs > 0.0
-            && b.buf_oldest
-                .is_some_and(|t| t.elapsed().as_secs_f64() >= b.cfg.group_max_age_secs);
-        let must_flush = b.buf_records >= Self::batch_limit(&b.cfg)
-            || (b.cfg.group_max_bytes > 0 && b.buf.len() >= b.cfg.group_max_bytes)
-            || age_tripped;
-        if !must_flush {
+        if b.buf_records < Self::batch_limit(&b.cfg) {
             return Ok((frame_len, None, wants_compaction));
         }
         let fsync = b.cfg.fsync_every > 0 && b.appends_since_fsync >= b.cfg.fsync_every;
@@ -640,7 +619,6 @@ impl SharedJournal {
         // said: drop the buffer and start a fresh log
         b.buf.clear();
         b.buf_records = 0;
-        b.buf_oldest = None;
         b.appends_since_fsync = 0;
         b.records_since_compact = 0;
         let issued = b.next_ticket;
@@ -1284,7 +1262,6 @@ mod tests {
             fsync_every: 4,
             compact_every: 0,
             group_max_records: 4,
-            ..JournalConfig::default()
         };
         let j = SharedJournal::open(&dir, cfg).unwrap();
         for i in 0..3 {
@@ -1312,7 +1289,6 @@ mod tests {
             fsync_every: 2,
             compact_every: 0,
             group_max_records: 100,
-            ..JournalConfig::default()
         };
         let j = SharedJournal::open(&dir, cfg).unwrap();
         assert!(!j.append(&rec(0)).unwrap().flushed);
@@ -1323,31 +1299,12 @@ mod tests {
     }
 
     #[test]
-    fn byte_trigger_flushes_early() {
-        let dir = tmpdir("group-bytes");
-        let cfg = JournalConfig {
-            fsync_every: 0,
-            compact_every: 0,
-            group_max_records: 1000,
-            group_max_bytes: 1, // any record exceeds this
-            ..JournalConfig::default()
-        };
-        let j = SharedJournal::open(&dir, cfg).unwrap();
-        let out = j.append(&rec(0)).unwrap();
-        assert!(out.flushed);
-        assert!(!out.fsynced, "fsync_every=0 never fsyncs on append");
-        assert_eq!(Journal::load(&dir).unwrap().records.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn sync_flushes_pending_batch() {
         let dir = tmpdir("group-sync");
         let cfg = JournalConfig {
             fsync_every: 0,
             compact_every: 0,
             group_max_records: 8,
-            ..JournalConfig::default()
         };
         let j = SharedJournal::open(&dir, cfg).unwrap();
         j.append(&rec(0)).unwrap();
@@ -1366,7 +1323,6 @@ mod tests {
             fsync_every: 0,
             compact_every: 0,
             group_max_records: 3,
-            ..JournalConfig::default()
         };
         let j = SharedJournal::open(&dir, cfg).unwrap();
         for i in 0..3 {
@@ -1392,7 +1348,6 @@ mod tests {
             fsync_every: 0,
             compact_every: 0,
             group_max_records: 10,
-            ..JournalConfig::default()
         };
         let j = SharedJournal::open(&dir, cfg).unwrap();
         j.append(&rec(0)).unwrap();
@@ -1430,7 +1385,6 @@ mod tests {
             fsync_every: 4,
             compact_every: 0,
             group_max_records: 4,
-            ..JournalConfig::default()
         };
         let j = SharedJournal::open(&dir, cfg).unwrap();
         for i in 0..3 {
@@ -1457,7 +1411,6 @@ mod tests {
             fsync_every: 0, // keep the test off the fsync path for speed
             compact_every: 0,
             group_max_records: 7,
-            ..JournalConfig::default()
         };
         let j = std::sync::Arc::new(SharedJournal::open(&dir, cfg).unwrap());
         let threads: Vec<_> = (0..8u64)
@@ -1499,7 +1452,6 @@ mod tests {
             fsync_every: 2,
             compact_every: 0,
             group_max_records: 2,
-            ..JournalConfig::default()
         };
         let j = SharedJournal::open(&dir, cfg).unwrap();
         assert!(!j.append_deferred(&rec(0)).unwrap().flushed);
@@ -1534,7 +1486,6 @@ mod tests {
             fsync_every: 2,
             compact_every: 0,
             group_max_records: 2,
-            ..JournalConfig::default()
         };
         let j = SharedJournal::open(&dir, cfg).unwrap();
         j.append_deferred(&rec(0)).unwrap();
@@ -1573,7 +1524,6 @@ mod tests {
             fsync_every: 0,
             compact_every: 0,
             group_max_records: 2,
-            ..JournalConfig::default()
         };
         let j = SharedJournal::open(&dir, cfg).unwrap();
         j.append_deferred(&rec(0)).unwrap();

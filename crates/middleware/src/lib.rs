@@ -35,7 +35,7 @@ pub use daemon::{
 };
 pub use fairshare::FairshareTracker;
 pub use gateway::{Gateway, GatewayConfig, ShardConfig};
-pub use http::{http_request, HttpClient, Request, Response};
+pub use http::{HttpClient, Request, Response};
 pub use journal::{
     DaemonSnapshot, FollowerReplica, Journal, JournalConfig, JournalRecord, ReplicaAck, ShipError,
     ShipEvent, ShippedBatch, ShippedSnapshot,

@@ -503,7 +503,7 @@ pub fn serve_with(
 mod tests {
     use super::*;
     use crate::daemon::DaemonConfig;
-    use crate::http::http_request;
+    use crate::http::HttpClient;
     use hpcqc_emulator::SvBackend;
     use hpcqc_program::{Pulse, Register, SequenceBuilder};
     use hpcqc_qrmi::LocalEmulatorResource;
@@ -529,21 +529,22 @@ mod tests {
     fn full_rest_workflow_over_sockets() {
         let server = serve(service()).unwrap();
         let addr = server.addr();
+        let client = HttpClient::new(&addr);
 
         // open session
-        let (st, body) = http_request(
-            &addr,
-            "POST",
-            "/v1/sessions",
-            Some(r#"{"user":"ada","class":"production"}"#),
-        )
-        .unwrap();
+        let (st, body) = client
+            .request(
+                "POST",
+                "/v1/sessions",
+                Some(r#"{"user":"ada","class":"production"}"#),
+            )
+            .unwrap();
         assert_eq!(st, 201, "{body}");
         let v: serde_json::Value = serde_json::from_str(&body).unwrap();
         let token = v["token"].as_str().unwrap().to_string();
 
         // fetch target spec
-        let (st, body) = http_request(&addr, "GET", "/v1/target", None).unwrap();
+        let (st, body) = client.request("GET", "/v1/target", None).unwrap();
         assert_eq!(st, 200);
         assert!(body.contains("max_qubits"));
 
@@ -552,37 +553,43 @@ mod tests {
             r#"{{"token":"{token}","ir":{},"hint":"qc-heavy"}}"#,
             ir_json(25)
         );
-        let (st, body) = http_request(&addr, "POST", "/v1/tasks", Some(&submit)).unwrap();
+        let (st, body) = client.request("POST", "/v1/tasks", Some(&submit)).unwrap();
         assert_eq!(st, 201, "{body}");
         let v: serde_json::Value = serde_json::from_str(&body).unwrap();
         let task_id = v["task_id"].as_u64().unwrap();
 
         // queued
-        let (st, body) = http_request(&addr, "GET", &format!("/v1/tasks/{task_id}"), None).unwrap();
+        let (st, body) = client
+            .request("GET", &format!("/v1/tasks/{task_id}"), None)
+            .unwrap();
         assert_eq!(st, 200);
         assert!(body.contains("Queued"), "{body}");
 
         // pump (simulation hook)
-        let (st, _) = http_request(&addr, "POST", "/v1/pump", Some("{}")).unwrap();
+        let (st, _) = client.request("POST", "/v1/pump", Some("{}")).unwrap();
         assert_eq!(st, 200);
 
         // completed + result
-        let (_, body) = http_request(&addr, "GET", &format!("/v1/tasks/{task_id}"), None).unwrap();
+        let (_, body) = client
+            .request("GET", &format!("/v1/tasks/{task_id}"), None)
+            .unwrap();
         assert!(body.contains("Completed"), "{body}");
-        let (st, body) =
-            http_request(&addr, "GET", &format!("/v1/tasks/{task_id}/result"), None).unwrap();
+        let (st, body) = client
+            .request("GET", &format!("/v1/tasks/{task_id}/result"), None)
+            .unwrap();
         assert_eq!(st, 200);
         let res: hpcqc_emulator::SampleResult = serde_json::from_str(&body).unwrap();
         assert_eq!(res.shots, 25);
 
         // metrics
-        let (st, body) = http_request(&addr, "GET", "/metrics", None).unwrap();
+        let (st, body) = client.request("GET", "/metrics", None).unwrap();
         assert_eq!(st, 200);
         assert!(body.contains("daemon_tasks_submitted_total"));
 
         // close session
-        let (st, _) =
-            http_request(&addr, "DELETE", &format!("/v1/sessions/{token}"), None).unwrap();
+        let (st, _) = client
+            .request("DELETE", &format!("/v1/sessions/{token}"), None)
+            .unwrap();
         assert_eq!(st, 200);
     }
 
@@ -590,13 +597,14 @@ mod tests {
     fn warnings_route_exposes_analyzer_findings() {
         let server = serve(service()).unwrap();
         let addr = server.addr();
-        let (_, body) = http_request(
-            &addr,
-            "POST",
-            "/v1/sessions",
-            Some(r#"{"user":"ada","class":"production"}"#),
-        )
-        .unwrap();
+        let client = HttpClient::new(&addr);
+        let (_, body) = client
+            .request(
+                "POST",
+                "/v1/sessions",
+                Some(r#"{"user":"ada","class":"production"}"#),
+            )
+            .unwrap();
         let v: serde_json::Value = serde_json::from_str(&body).unwrap();
         let token = v["token"].as_str().unwrap().to_string();
 
@@ -609,28 +617,25 @@ mod tests {
             r#"{{"token":"{token}","ir":{}}}"#,
             serde_json::to_string(&ir).unwrap()
         );
-        let (st, body) = http_request(&addr, "POST", "/v1/tasks", Some(&submit)).unwrap();
+        let (st, body) = client.request("POST", "/v1/tasks", Some(&submit)).unwrap();
         assert_eq!(st, 201, "{body}");
         let v: serde_json::Value = serde_json::from_str(&body).unwrap();
         let task_id = v["task_id"].as_u64().unwrap();
 
-        let (st, body) =
-            http_request(&addr, "GET", &format!("/v1/tasks/{task_id}/warnings"), None).unwrap();
+        let (st, body) = client
+            .request("GET", &format!("/v1/tasks/{task_id}/warnings"), None)
+            .unwrap();
         assert_eq!(st, 200);
         assert!(body.contains("HQ0701"), "{body}");
 
         // a task with no findings returns an empty list, not an error
         let submit = format!(r#"{{"token":"{token}","ir":{}}}"#, ir_json(25));
-        let (_, body) = http_request(&addr, "POST", "/v1/tasks", Some(&submit)).unwrap();
+        let (_, body) = client.request("POST", "/v1/tasks", Some(&submit)).unwrap();
         let v: serde_json::Value = serde_json::from_str(&body).unwrap();
         let clean_id = v["task_id"].as_u64().unwrap();
-        let (st, body) = http_request(
-            &addr,
-            "GET",
-            &format!("/v1/tasks/{clean_id}/warnings"),
-            None,
-        )
-        .unwrap();
+        let (st, body) = client
+            .request("GET", &format!("/v1/tasks/{clean_id}/warnings"), None)
+            .unwrap();
         assert_eq!(st, 200);
         assert_eq!(body, r#"{"warnings":[]}"#);
     }
@@ -640,13 +645,13 @@ mod tests {
     }
 
     fn open_token(addr: &str) -> String {
-        let (st, body) = http_request(
-            addr,
-            "POST",
-            "/v1/sessions",
-            Some(r#"{"user":"bin","class":"production"}"#),
-        )
-        .unwrap();
+        let (st, body) = HttpClient::new(addr)
+            .request(
+                "POST",
+                "/v1/sessions",
+                Some(r#"{"user":"bin","class":"production"}"#),
+            )
+            .unwrap();
         assert_eq!(st, 201, "{body}");
         serde_json::from_str::<serde_json::Value>(&body).unwrap()["token"]
             .as_str()
@@ -661,7 +666,7 @@ mod tests {
         let server = serve(service()).unwrap();
         let addr = server.addr();
         let token = open_token(&addr);
-        let client = crate::http::HttpClient::new(addr.clone());
+        let client = HttpClient::new(addr.clone());
 
         let frame = wire::SubmitFrame {
             token: token.clone(),
@@ -708,7 +713,7 @@ mod tests {
             wire::WireStatus::Queued { .. }
         ));
 
-        let (st, _) = http_request(&addr, "POST", "/v1/pump", Some("{}")).unwrap();
+        let (st, _) = client.request("POST", "/v1/pump", Some("{}")).unwrap();
         assert_eq!(st, 200);
 
         let raw = client
@@ -746,7 +751,7 @@ mod tests {
         let server = serve(service()).unwrap();
         let addr = server.addr();
         let token = open_token(&addr);
-        let client = crate::http::HttpClient::new(addr.clone());
+        let client = HttpClient::new(addr.clone());
 
         let good = |key: &str| wire::SubmitFrame {
             token: token.clone(),
@@ -794,7 +799,9 @@ mod tests {
             ir_json(5),
             ir_json(5)
         );
-        let (st, body) = http_request(&addr, "POST", "/v1/tasks:batch", Some(&body)).unwrap();
+        let (st, body) = client
+            .request("POST", "/v1/tasks:batch", Some(&body))
+            .unwrap();
         assert_eq!(st, 200, "{body}");
         let v: serde_json::Value = serde_json::from_str(&body).unwrap();
         let arr = v.as_array().unwrap();
@@ -820,7 +827,7 @@ mod tests {
     #[test]
     fn unknown_submit_content_type_is_415() {
         let server = serve(service()).unwrap();
-        let client = crate::http::HttpClient::new(server.addr());
+        let client = HttpClient::new(server.addr());
         for path in ["/v1/tasks", "/v1/tasks:batch"] {
             let raw = client
                 .request_bytes("POST", path, "application/x-msgpack", Some(b"\x00\x01"))
@@ -839,24 +846,25 @@ mod tests {
     fn auth_errors_map_to_http_codes() {
         let server = serve(service()).unwrap();
         let addr = server.addr();
+        let client = HttpClient::new(&addr);
         // submit with a bogus token → 401
         let submit = format!(r#"{{"token":"bogus","ir":{}}}"#, ir_json(5));
-        let (st, _) = http_request(&addr, "POST", "/v1/tasks", Some(&submit)).unwrap();
+        let (st, _) = client.request("POST", "/v1/tasks", Some(&submit)).unwrap();
         assert_eq!(st, 401);
         // unknown task → 404
-        let (st, _) = http_request(&addr, "GET", "/v1/tasks/999", None).unwrap();
+        let (st, _) = client.request("GET", "/v1/tasks/999", None).unwrap();
         assert_eq!(st, 404);
         // bad class → 400
-        let (st, _) = http_request(
-            &addr,
-            "POST",
-            "/v1/sessions",
-            Some(r#"{"user":"x","class":"vip"}"#),
-        )
-        .unwrap();
+        let (st, _) = client
+            .request(
+                "POST",
+                "/v1/sessions",
+                Some(r#"{"user":"x","class":"vip"}"#),
+            )
+            .unwrap();
         assert_eq!(st, 400);
         // unknown route → 404
-        let (st, _) = http_request(&addr, "GET", "/v2/everything", None).unwrap();
+        let (st, _) = client.request("GET", "/v2/everything", None).unwrap();
         assert_eq!(st, 404);
     }
 
@@ -865,13 +873,14 @@ mod tests {
         let svc = service();
         let server = serve(svc).unwrap();
         let addr = server.addr();
-        let (_, body) = http_request(
-            &addr,
-            "POST",
-            "/v1/sessions",
-            Some(r#"{"user":"x","class":"test"}"#),
-        )
-        .unwrap();
+        let client = HttpClient::new(&addr);
+        let (_, body) = client
+            .request(
+                "POST",
+                "/v1/sessions",
+                Some(r#"{"user":"x","class":"test"}"#),
+            )
+            .unwrap();
         let token = serde_json::from_str::<serde_json::Value>(&body).unwrap()["token"]
             .as_str()
             .unwrap()
@@ -885,7 +894,7 @@ mod tests {
             r#"{{"token":"{token}","ir":{}}}"#,
             serde_json::to_string(&bad).unwrap()
         );
-        let (st, body) = http_request(&addr, "POST", "/v1/tasks", Some(&submit)).unwrap();
+        let (st, body) = client.request("POST", "/v1/tasks", Some(&submit)).unwrap();
         assert_eq!(st, 422, "{body}");
     }
 
@@ -893,57 +902,60 @@ mod tests {
     fn cancel_via_rest_requires_token() {
         let server = serve(service()).unwrap();
         let addr = server.addr();
-        let (_, body) = http_request(
-            &addr,
-            "POST",
-            "/v1/sessions",
-            Some(r#"{"user":"x","class":"test"}"#),
-        )
-        .unwrap();
+        let client = HttpClient::new(&addr);
+        let (_, body) = client
+            .request(
+                "POST",
+                "/v1/sessions",
+                Some(r#"{"user":"x","class":"test"}"#),
+            )
+            .unwrap();
         let token = serde_json::from_str::<serde_json::Value>(&body).unwrap()["token"]
             .as_str()
             .unwrap()
             .to_string();
         let submit = format!(r#"{{"token":"{token}","ir":{}}}"#, ir_json(5));
-        let (_, body) = http_request(&addr, "POST", "/v1/tasks", Some(&submit)).unwrap();
+        let (_, body) = client.request("POST", "/v1/tasks", Some(&submit)).unwrap();
         let id = serde_json::from_str::<serde_json::Value>(&body).unwrap()["task_id"]
             .as_u64()
             .unwrap();
-        let (st, _) = http_request(&addr, "DELETE", &format!("/v1/tasks/{id}"), None).unwrap();
+        let (st, _) = client
+            .request("DELETE", &format!("/v1/tasks/{id}"), None)
+            .unwrap();
         assert_eq!(st, 400, "token required");
-        let (st, _) = http_request(
-            &addr,
-            "DELETE",
-            &format!("/v1/tasks/{id}?token={token}"),
-            None,
-        )
-        .unwrap();
+        let (st, _) = client
+            .request("DELETE", &format!("/v1/tasks/{id}?token={token}"), None)
+            .unwrap();
         assert_eq!(st, 200);
     }
 
     #[test]
     fn admin_routes_404_without_device() {
         let server = serve(service()).unwrap();
-        let (st, _) = http_request(server.addr(), "GET", "/v1/admin/qpu/status", None).unwrap();
+        let client = HttpClient::new(server.addr());
+        let (st, _) = client.request("GET", "/v1/admin/qpu/status", None).unwrap();
         assert_eq!(st, 404);
     }
 
     #[test]
     fn malformed_submit_json_is_400() {
         let server = serve(service()).unwrap();
-        let (st, body) =
-            http_request(server.addr(), "POST", "/v1/tasks", Some("{not json")).unwrap();
+        let client = HttpClient::new(server.addr());
+        let (st, body) = client
+            .request("POST", "/v1/tasks", Some("{not json"))
+            .unwrap();
         assert_eq!(st, 400, "{body}");
         // structurally valid JSON missing required fields is still a 400
-        let (st, _) = http_request(server.addr(), "POST", "/v1/tasks", Some("{}")).unwrap();
+        let (st, _) = client.request("POST", "/v1/tasks", Some("{}")).unwrap();
         assert_eq!(st, 400);
     }
 
     #[test]
     fn unknown_session_token_is_401() {
         let server = serve(service()).unwrap();
+        let client = HttpClient::new(server.addr());
         let submit = format!(r#"{{"token":"sess-0-doesnotexist","ir":{}}}"#, ir_json(5));
-        let (st, body) = http_request(server.addr(), "POST", "/v1/tasks", Some(&submit)).unwrap();
+        let (st, body) = client.request("POST", "/v1/tasks", Some(&submit)).unwrap();
         assert_eq!(st, 401, "{body}");
     }
 
@@ -951,31 +963,28 @@ mod tests {
     fn cancel_of_completed_task_is_409() {
         let server = serve(service()).unwrap();
         let addr = server.addr();
-        let (_, body) = http_request(
-            &addr,
-            "POST",
-            "/v1/sessions",
-            Some(r#"{"user":"x","class":"test"}"#),
-        )
-        .unwrap();
+        let client = HttpClient::new(&addr);
+        let (_, body) = client
+            .request(
+                "POST",
+                "/v1/sessions",
+                Some(r#"{"user":"x","class":"test"}"#),
+            )
+            .unwrap();
         let token = serde_json::from_str::<serde_json::Value>(&body).unwrap()["token"]
             .as_str()
             .unwrap()
             .to_string();
         let submit = format!(r#"{{"token":"{token}","ir":{}}}"#, ir_json(5));
-        let (_, body) = http_request(&addr, "POST", "/v1/tasks", Some(&submit)).unwrap();
+        let (_, body) = client.request("POST", "/v1/tasks", Some(&submit)).unwrap();
         let id = serde_json::from_str::<serde_json::Value>(&body).unwrap()["task_id"]
             .as_u64()
             .unwrap();
-        let (st, _) = http_request(&addr, "POST", "/v1/pump", Some("{}")).unwrap();
+        let (st, _) = client.request("POST", "/v1/pump", Some("{}")).unwrap();
         assert_eq!(st, 200);
-        let (st, body) = http_request(
-            &addr,
-            "DELETE",
-            &format!("/v1/tasks/{id}?token={token}"),
-            None,
-        )
-        .unwrap();
+        let (st, body) = client
+            .request("DELETE", &format!("/v1/tasks/{id}?token={token}"), None)
+            .unwrap();
         assert_eq!(st, 409, "{body}");
     }
 
@@ -984,28 +993,29 @@ mod tests {
         let svc = service();
         let server = serve(Arc::clone(&svc)).unwrap();
         let addr = server.addr().to_string();
-        let (st, body) = http_request(&addr, "GET", "/v1/healthz", None).unwrap();
+        let client = HttpClient::new(&addr);
+        let (st, body) = client.request("GET", "/v1/healthz", None).unwrap();
         assert_eq!(st, 200);
         assert!(body.contains("ok"), "{body}");
         // readiness agrees while serving as leader
-        let (st, body) = http_request(&addr, "GET", "/v1/readyz", None).unwrap();
+        let (st, body) = client.request("GET", "/v1/readyz", None).unwrap();
         assert_eq!(st, 200, "{body}");
         assert!(body.contains(r#""role":"leader""#), "{body}");
         svc.shutdown(std::time::Duration::from_millis(50));
-        let (st, body) = http_request(&addr, "GET", "/v1/healthz", None).unwrap();
+        let (st, body) = client.request("GET", "/v1/healthz", None).unwrap();
         assert_eq!(st, 503, "{body}");
         assert!(body.contains("stopped"), "{body}");
-        let (st, body) = http_request(&addr, "GET", "/v1/readyz", None).unwrap();
+        let (st, body) = client.request("GET", "/v1/readyz", None).unwrap();
         assert_eq!(st, 503, "{body}");
         assert!(body.contains(r#""role":"stopped""#), "{body}");
         // a stopped daemon refuses new sessions with 503 too
-        let (st, _) = http_request(
-            &addr,
-            "POST",
-            "/v1/sessions",
-            Some(r#"{"user":"x","class":"test"}"#),
-        )
-        .unwrap();
+        let (st, _) = client
+            .request(
+                "POST",
+                "/v1/sessions",
+                Some(r#"{"user":"x","class":"test"}"#),
+            )
+            .unwrap();
         assert_eq!(st, 503);
     }
 
@@ -1018,21 +1028,22 @@ mod tests {
         svc.set_role(crate::daemon::ReplicaRole::Follower);
         let server = serve(Arc::clone(&svc)).unwrap();
         let addr = server.addr().to_string();
-        let (st, body) = http_request(&addr, "GET", "/v1/healthz", None).unwrap();
+        let client = HttpClient::new(&addr);
+        let (st, body) = client.request("GET", "/v1/healthz", None).unwrap();
         assert_eq!(st, 200, "{body}");
-        let (st, body) = http_request(&addr, "GET", "/v1/readyz", None).unwrap();
+        let (st, body) = client.request("GET", "/v1/readyz", None).unwrap();
         assert_eq!(st, 503, "{body}");
         assert!(body.contains(r#""role":"follower""#), "{body}");
-        let (st, _) = http_request(
-            &addr,
-            "POST",
-            "/v1/sessions",
-            Some(r#"{"user":"x","class":"test"}"#),
-        )
-        .unwrap();
+        let (st, _) = client
+            .request(
+                "POST",
+                "/v1/sessions",
+                Some(r#"{"user":"x","class":"test"}"#),
+            )
+            .unwrap();
         assert_eq!(st, 503, "followers admit no client work");
         svc.set_role(crate::daemon::ReplicaRole::Leader);
-        let (st, body) = http_request(&addr, "GET", "/v1/readyz", None).unwrap();
+        let (st, body) = client.request("GET", "/v1/readyz", None).unwrap();
         assert_eq!(st, 200, "{body}");
         assert!(body.contains(r#""ready":true"#), "{body}");
     }
@@ -1068,9 +1079,10 @@ mod tests {
     fn transport_counters_show_up_on_metrics_route() {
         let server = serve(service()).unwrap();
         let addr = server.addr();
-        let (st, _) = http_request(&addr, "GET", "/v1/healthz", None).unwrap();
+        let client = HttpClient::new(&addr);
+        let (st, _) = client.request("GET", "/v1/healthz", None).unwrap();
         assert_eq!(st, 200);
-        let (st, body) = http_request(&addr, "GET", "/metrics", None).unwrap();
+        let (st, body) = client.request("GET", "/metrics", None).unwrap();
         assert_eq!(st, 200);
         assert!(
             body.contains("http_connections_accepted_total"),
@@ -1093,7 +1105,8 @@ mod tests {
             .unwrap();
         svc.pump();
         let server = serve(svc).unwrap();
-        let (st, body) = http_request(server.addr(), "GET", "/metrics", None).unwrap();
+        let client = HttpClient::new(server.addr());
+        let (st, body) = client.request("GET", "/metrics", None).unwrap();
         assert_eq!(st, 200);
         assert!(
             body.contains("lock_acquisitions{lock=\"middleware.daemon.tasks\"}"),

@@ -11,8 +11,10 @@
 //!   the next arrival is answered `503` and the listener leaves the poll
 //!   set (accept pause) until the table drains below a low watermark;
 //! * **incremental per-connection parsing** — bytes accumulate in a
-//!   per-connection buffer and requests are cut out as they complete, so
-//!   HTTP/1.1 keep-alive and pipelined requests work; one request is in
+//!   per-connection buffer and requests are cut out as they complete
+//!   ([`crate::http::extract_request`] owns every framing decision; the
+//!   event loop only moves bytes and tracks deadlines), so HTTP/1.1
+//!   keep-alive and pipelined requests work; one request is in
 //!   flight per connection, further pipelined bytes wait in the buffer
 //!   (bounded — read interest is dropped past a cap, pushing backpressure
 //!   into TCP);
@@ -35,13 +37,14 @@
 //!   server binds N listeners to the same port and runs N independent
 //!   event loops; the kernel hash-balances connections across them, so
 //!   there is no shared accept queue, connection table, or poller between
-//!   shards. On a single core this is ~1× (documented honestly in
-//!   BENCH_rest.json); it exists so multi-core access nodes scale the
-//!   ingest path without a dispatcher thread.
+//!   shards. On a single core this is ~1×; with a second core the extra
+//!   loop takes the overloaded `rest_perf` rungs from hundreds of
+//!   milliseconds of queueing to single digits (EXPERIMENTS.md RP-2), so
+//!   multi-core access nodes scale the ingest path without a dispatcher
+//!   thread.
 
 use crate::http::{
-    error_response, parse_head_bytes, Handler, HttpError, ParsedHead, Request, Response,
-    MAX_BODY_BYTES, MAX_HEAD_BYTES,
+    error_response, extract_request, Handler, HttpError, ParsedHead, Request, Response,
 };
 use hpcqc_sync::{rank, TrackedMutex};
 use hpcqc_telemetry::TransportMetrics;
@@ -649,42 +652,14 @@ impl EventLoop {
         if conn.busy || conn.wlen > 0 {
             return Extract::Pending;
         }
-        // ---- head ----
-        if conn.head.is_none() && !conn.rbuf.is_empty() {
-            match find_head_end(&conn.rbuf) {
-                Some(end) if end > MAX_HEAD_BYTES => {
-                    return self.error_close(idx, &HttpError::TooLarge);
-                }
-                Some(end) => match parse_head_bytes(&conn.rbuf[..end]) {
-                    Ok(head) if head.content_length > MAX_BODY_BYTES => {
-                        return self.error_close(idx, &HttpError::TooLarge);
-                    }
-                    Ok(head) => {
-                        conn.rbuf.drain(..end);
-                        conn.head = Some(head);
-                    }
-                    Err(e) => return self.error_close(idx, &e),
-                },
-                None if conn.rbuf.len() > MAX_HEAD_BYTES => {
-                    return self.error_close(idx, &HttpError::TooLarge);
-                }
-                None => {}
-            }
-        }
-        let Some(conn) = self.conns[idx].as_mut() else {
-            return Extract::Closed;
-        };
-        // ---- body ----
-        let body_len = conn.head.as_ref().map(|h| h.content_length);
-        if let Some(len) = body_len {
-            if conn.rbuf.len() >= len {
-                let head = conn.head.take().expect("head just checked");
-                let mut req = head.request;
-                req.body = conn.rbuf.drain(..len).collect();
+        match extract_request(&mut conn.rbuf, &mut conn.head) {
+            Ok(Some(head)) => {
                 conn.req_keep_alive = head.keep_alive;
                 conn.request_started = None;
-                return Extract::Ready(req);
+                return Extract::Ready(head.request);
             }
+            Ok(None) => {}
+            Err(e) => return self.error_close(idx, &e),
         }
         // ---- partial request bookkeeping / EOF ----
         let partial = conn.head.is_some() || !conn.rbuf.is_empty();
@@ -915,32 +890,14 @@ impl EventLoop {
     }
 }
 
-/// Position one past the `\r\n\r\n` (or bare `\n\n`) head terminator.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    let crlf = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4);
-    let lf = buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2);
-    match (crlf, lf) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::http_request;
+    use crate::http::HttpClient;
     use std::io::{BufRead, BufReader};
 
     fn ok_handler() -> Handler {
         Arc::new(|req: Request| Response::json(200, format!(r#"{{"path":{:?}}}"#, req.path)))
-    }
-
-    #[test]
-    fn find_head_end_variants() {
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nrest"), Some(18));
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\n\nrest"), Some(16));
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
-        assert_eq!(find_head_end(b""), None);
     }
 
     #[test]
@@ -954,7 +911,9 @@ mod tests {
             },
         )
         .unwrap();
-        let (status, body) = http_request(server.addr(), "GET", "/inline", None).unwrap();
+        let (status, body) = HttpClient::new(server.addr())
+            .request("GET", "/inline", None)
+            .unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("/inline"));
     }
@@ -970,7 +929,9 @@ mod tests {
             },
         )
         .unwrap();
-        let (status, body) = http_request(server.addr(), "GET", "/pooled", None).unwrap();
+        let (status, body) = HttpClient::new(server.addr())
+            .request("GET", "/pooled", None)
+            .unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("/pooled"));
     }
@@ -984,11 +945,15 @@ mod tests {
             Response::json(200, "{}")
         }))
         .unwrap();
-        let (status, body) = http_request(server.addr(), "GET", "/boom", None).unwrap();
+        let (status, body) = HttpClient::new(server.addr())
+            .request("GET", "/boom", None)
+            .unwrap();
         assert_eq!(status, 500);
         assert!(body.contains("panicked"), "body: {body}");
         // The server survives.
-        let (status, _) = http_request(server.addr(), "GET", "/fine", None).unwrap();
+        let (status, _) = HttpClient::new(server.addr())
+            .request("GET", "/fine", None)
+            .unwrap();
         assert_eq!(status, 200);
     }
 
@@ -1019,7 +984,7 @@ mod tests {
         // After the table drains, accepting resumes and requests succeed.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            match http_request(server.addr(), "GET", "/after", None) {
+            match HttpClient::new(server.addr()).request("GET", "/after", None) {
                 Ok((200, _)) => break,
                 _ if Instant::now() > deadline => panic!("accept never resumed"),
                 _ => std::thread::sleep(Duration::from_millis(20)),
@@ -1050,13 +1015,14 @@ mod tests {
         // Many short-lived connections: the kernel spreads them across the
         // shard listeners; every one must be answered regardless of shard.
         for i in 0..32 {
-            let (status, body) =
-                http_request(server.addr(), "GET", &format!("/shard-{i}"), None).unwrap();
+            let (status, body) = HttpClient::new(server.addr())
+                .request("GET", &format!("/shard-{i}"), None)
+                .unwrap();
             assert_eq!(status, 200);
             assert!(body.contains(&format!("/shard-{i}")));
         }
         // Keep-alive clients work against a sharded listener too.
-        let client = crate::http::HttpClient::new(server.addr());
+        let client = HttpClient::new(server.addr());
         for _ in 0..8 {
             assert_eq!(client.request("GET", "/ka", None).unwrap().0, 200);
         }
@@ -1102,7 +1068,9 @@ mod tests {
             Response::json(200, payload.clone())
         }))
         .unwrap();
-        let (status, body) = http_request(server.addr(), "GET", "/big", None).unwrap();
+        let (status, body) = HttpClient::new(server.addr())
+            .request("GET", "/big", None)
+            .unwrap();
         assert_eq!(status, 200);
         assert_eq!(body.len(), expected.len());
         assert_eq!(body, expected);

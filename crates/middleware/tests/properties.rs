@@ -6,7 +6,7 @@ mod common;
 #[path = "common/reference_queue.rs"]
 mod reference_queue;
 
-use hpcqc_middleware::http::parse_request;
+use hpcqc_middleware::http::{extract_request, HttpError, Request};
 use hpcqc_middleware::{
     DaemonConfig, FairshareTracker, JournalConfig, MiddlewareService, PriorityClass, QuantumTask,
     QueueConfig, TaskQueue,
@@ -17,8 +17,23 @@ use hpcqc_scheduler::{
 };
 use proptest::prelude::*;
 use reference_queue::ReferenceTaskQueue;
-use std::io::Cursor;
 use std::sync::Arc;
+
+/// Deliver `bytes` to the server's request parser as the two segments
+/// `bytes[..cut]` and `bytes[cut..]`, framing after each arrival as the
+/// event loop does: the first outcome that is not "need more bytes", and
+/// what is left in the connection buffer once everything has arrived.
+fn frame(bytes: &[u8], cut: usize) -> (Result<Option<Request>, HttpError>, Vec<u8>) {
+    let (mut buf, mut pending) = (Vec::new(), None);
+    let mut outcome = Ok(None);
+    for segment in [&bytes[..cut], &bytes[cut..]] {
+        buf.extend_from_slice(segment);
+        if outcome == Ok(None) {
+            outcome = extract_request(&mut buf, &mut pending).map(|h| h.map(|h| h.request));
+        }
+    }
+    (outcome, buf)
+}
 
 fn dummy_ir() -> Arc<ProgramIr> {
     let reg = Register::linear(2, 6.0).unwrap();
@@ -148,22 +163,33 @@ proptest! {
 
     #[test]
     fn http_parser_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        // totality: arbitrary byte soup must produce Ok or Err, never panic
-        let _ = parse_request(&mut Cursor::new(bytes));
+        // totality: arbitrary byte soup produces a request, "need more" or a
+        // typed error, never a panic — and the same one however the bytes
+        // were segmented on the way in
+        let whole = frame(&bytes, bytes.len());
+        for cut in 0..bytes.len() {
+            prop_assert_eq!(frame(&bytes, cut), whole.clone(), "split at byte {}", cut);
+        }
     }
 
     #[test]
     fn http_parser_accepts_what_it_should(
         path in "[a-z0-9/]{1,30}",
         body in "[ -~]{0,100}",
+        pipelined in "[ -~]{0,40}",
     ) {
         let raw = format!(
-            "POST /{path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+            "POST /{path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}{pipelined}",
             body.len()
-        );
-        let req = parse_request(&mut Cursor::new(raw.into_bytes())).unwrap();
-        prop_assert_eq!(req.method, "POST");
-        prop_assert_eq!(req.body, body.into_bytes());
+        )
+        .into_bytes();
+        for cut in 0..=raw.len() {
+            let (outcome, rest) = frame(&raw, cut);
+            let req = outcome.unwrap().expect("a complete request");
+            prop_assert_eq!(req.method, "POST");
+            prop_assert_eq!(req.body, body.as_bytes(), "body cut at content-length");
+            prop_assert_eq!(rest, pipelined.as_bytes(), "bytes behind it stay buffered");
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 
 use hpcqc::emulator::SvBackend;
 use hpcqc::middleware::{
-    http_request, DaemonConfig, FollowerReplica, Gateway, GatewayConfig, MiddlewareService,
+    DaemonConfig, FollowerReplica, Gateway, GatewayConfig, HttpClient, MiddlewareService,
     ShardConfig,
 };
 use hpcqc::qrmi::LocalEmulatorResource;
@@ -24,11 +24,15 @@ fn resource() -> Arc<LocalEmulatorResource> {
 }
 
 fn post(addr: &str, path: &str, body: &str) -> (u16, String) {
-    http_request(addr, "POST", path, Some(body)).expect("http request")
+    HttpClient::new(addr)
+        .request("POST", path, Some(body))
+        .expect("http request")
 }
 
 fn get(addr: &str, path: &str) -> (u16, String) {
-    http_request(addr, "GET", path, None).expect("http request")
+    HttpClient::new(addr)
+        .request("GET", path, None)
+        .expect("http request")
 }
 
 fn main() {
@@ -153,13 +157,9 @@ fn main() {
 
     // The shard 0 session token still routes — closed on the replica, which
     // only knows it because the open was shipped before the kill.
-    let (status, body) = http_request(
-        &gw_addr,
-        "DELETE",
-        &format!("/v1/sessions/{s0_token}"),
-        None,
-    )
-    .expect("http request");
+    let (status, body) = HttpClient::new(&gw_addr)
+        .request("DELETE", &format!("/v1/sessions/{s0_token}"), None)
+        .expect("http request");
     assert_eq!(status, 200, "session survives failover: {body}");
     let (status, _) = post(
         &gw_addr,

@@ -157,13 +157,9 @@ fn telemetry_history_is_queryable_through_the_daemon() {
         svc.advance_time(100.0);
     }
     let server = serve(svc).expect("binds");
-    let (status, body) = hpcqc::middleware::http_request(
-        server.addr(),
-        "GET",
-        "/v1/telemetry/qpu_rabi_scale?from=0&to=1000",
-        None,
-    )
-    .unwrap();
+    let (status, body) = hpcqc::middleware::HttpClient::new(server.addr())
+        .request("GET", "/v1/telemetry/qpu_rabi_scale?from=0&to=1000", None)
+        .unwrap();
     assert_eq!(status, 200);
     let points: Vec<hpcqc::telemetry::Point> = serde_json::from_str(&body).unwrap();
     assert_eq!(points.len(), 5);
