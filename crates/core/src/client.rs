@@ -471,58 +471,49 @@ impl DaemonSession {
     /// that routes the poll to the session's shard.
     pub fn status(&self, task: u64) -> Result<DaemonTaskStatus, ClientError> {
         let path = format!("/v1/tasks/{task}?token={}", self.token);
-        if self.client.binary_active() {
-            // GETs negotiate via Accept: a daemon that does not speak the
-            // codec ignores the header and answers JSON, so we dispatch on
-            // the response's content-type instead of expecting an error.
-            let raw = self.get_accept_binary(&path)?;
-            if raw.content_type.starts_with(wire::CONTENT_TYPE_BIN) {
-                return wire::decode_status(&raw.body)
-                    .map(wire_status_to_daemon)
-                    .map_err(|e| ClientError::Protocol(e.to_string()));
-            }
-            let body = String::from_utf8_lossy(&raw.body).into_owned();
-            return serde_json::from_str(&expect_2xx(raw.status, body)?)
-                .map_err(|e| ClientError::Protocol(e.to_string()));
-        }
-        let (st, body) = self.client.request("GET", &path, None)?;
-        let body = expect_2xx(st, body)?;
-        serde_json::from_str(&body).map_err(|e| ClientError::Protocol(e.to_string()))
+        self.get_decoded(&path, |body| {
+            wire::decode_status(body).map(wire_status_to_daemon)
+        })
     }
 
     /// Fetch the result of a completed task (token routes as in
     /// [`Self::status`]).
     pub fn result(&self, task: u64) -> Result<SampleResult, ClientError> {
         let path = format!("/v1/tasks/{task}/result?token={}", self.token);
-        if self.client.binary_active() {
-            let raw = self.get_accept_binary(&path)?;
-            if raw.content_type.starts_with(wire::CONTENT_TYPE_BIN) {
-                return wire::decode_result(&raw.body)
-                    .map_err(|e| ClientError::Protocol(e.to_string()));
-            }
-            let body = String::from_utf8_lossy(&raw.body).into_owned();
-            return serde_json::from_str(&expect_2xx(raw.status, body)?)
-                .map_err(|e| ClientError::Protocol(e.to_string()));
-        }
-        let (st, body) = self.client.request("GET", &path, None)?;
-        let body = expect_2xx(st, body)?;
-        serde_json::from_str(&body).map_err(|e| ClientError::Protocol(e.to_string()))
+        self.get_decoded(&path, wire::decode_result)
     }
 
-    /// One GET asking for a binary reply; non-2xx is mapped to
-    /// [`ClientError::Api`] whichever codec the error body arrived in.
-    fn get_accept_binary(&self, path: &str) -> Result<RawResponse, ClientError> {
-        let raw = self.client.http.request_bytes_accept(
-            "GET",
-            path,
-            "application/json",
-            Some(wire::CONTENT_TYPE_BIN),
-            None,
-        )?;
-        if !(200..300).contains(&raw.status) {
-            return Err(api_error(&raw));
-        }
-        Ok(raw)
+    /// One GET, decoded from whichever codec the daemon answered in. With
+    /// the binary codec active the request asks for a binary reply via
+    /// `Accept`; a daemon that does not speak the codec ignores the header
+    /// and answers JSON, so the decoder is picked by the response's
+    /// content-type instead of expecting an error.
+    fn get_decoded<T: serde::Deserialize>(
+        &self,
+        path: &str,
+        decode_bin: impl FnOnce(&[u8]) -> Result<T, wire::WireError>,
+    ) -> Result<T, ClientError> {
+        let body = if self.client.binary_active() {
+            let raw = self.client.http.request_bytes_accept(
+                "GET",
+                path,
+                "application/json",
+                Some(wire::CONTENT_TYPE_BIN),
+                None,
+            )?;
+            // non-2xx is an Api error whichever codec the error body is in
+            if !(200..300).contains(&raw.status) {
+                return Err(api_error(&raw));
+            }
+            if raw.content_type.starts_with(wire::CONTENT_TYPE_BIN) {
+                return decode_bin(&raw.body).map_err(|e| ClientError::Protocol(e.to_string()));
+            }
+            String::from_utf8_lossy(&raw.body).into_owned()
+        } else {
+            let (st, body) = self.client.request("GET", path, None)?;
+            expect_2xx(st, body)?
+        };
+        serde_json::from_str(&body).map_err(|e| ClientError::Protocol(e.to_string()))
     }
 
     /// Cancel a queued task.
@@ -745,6 +736,18 @@ mod tests {
         shipper.stop();
         let last_acked = svc_a.last_acked();
         drop(server_a);
+        // everything shipped was acked by the final pump: no lag left
+        let text = svc_a.metrics_text();
+        for series in [
+            "replication_shipped_records_total ",
+            "replication_shipped_bytes_total ",
+            "replication_acked_records_total ",
+            "replication_acked_bytes_total ",
+            "replication_lag_records 0\n",
+            "replication_lag_bytes 0\n",
+        ] {
+            assert!(text.contains(series), "{series:?} missing:\n{text}");
+        }
 
         // A second submit starts while the shard has no serving replica; it
         // must retry-with-backoff through the whole failover window.
@@ -762,6 +765,12 @@ mod tests {
         let svc_b = Arc::new(
             MiddlewareService::promote(&dir_b, res as _, DaemonConfig::default(), last_acked)
                 .unwrap(),
+        );
+        let text = svc_b.metrics_text();
+        assert!(text.contains("replication_promotions_total 1\n"), "{text}");
+        assert!(
+            text.contains("replication_failover_seconds_count 1\n"),
+            "{text}"
         );
         let _server_b = serve_on(Arc::clone(&svc_b), follower_port).unwrap();
         gw.probe_once();

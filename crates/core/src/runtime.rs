@@ -15,7 +15,7 @@ use hpcqc_program::{DeviceSpec, ProgramIr, Violation};
 use hpcqc_qrmi::{
     ConfigError, QrmiError, QuantumResource, ResourceRegistry, ResourceType, TaskStatus,
 };
-use hpcqc_telemetry::FaultMetrics;
+use hpcqc_telemetry::{catalog, labels, Registry};
 use std::sync::Arc;
 
 /// Errors surfaced by the runtime.
@@ -102,7 +102,7 @@ pub struct Runtime {
     /// Allow falling back to a local emulator when the primary's budget runs out.
     fallback: bool,
     /// Recovery telemetry sink.
-    metrics: Option<FaultMetrics>,
+    metrics: Option<Registry>,
     /// Client-side static-analysis pipeline run before execution.
     analyzer: Analyzer,
     /// Pre-flight switch: analyze before attempting, fail fast on Errors.
@@ -151,8 +151,8 @@ impl Runtime {
         self
     }
 
-    /// Report retries, backoff and fallbacks through `metrics`.
-    pub fn with_fault_metrics(mut self, metrics: FaultMetrics) -> Self {
+    /// Count retries, backoff and fallbacks into `metrics`.
+    pub fn with_fault_metrics(mut self, metrics: Registry) -> Self {
         self.metrics = Some(metrics);
         self
     }
@@ -249,7 +249,8 @@ impl Runtime {
                 .find(|r| r.resource_type() == ResourceType::EmulatorLocal);
             if let Some(alt) = alt {
                 if let Some(m) = &self.metrics {
-                    m.fallback(primary.resource_id(), alt.resource_id());
+                    let l = labels(&[("from", primary.resource_id()), ("to", alt.resource_id())]);
+                    m.inc(&catalog::RUNTIME_FALLBACKS, l, 1.0);
                 }
                 let (report, attempts, backoff_secs) = self.run_with_retries(&alt, ir)?;
                 return Ok(RecoveredRun {
@@ -286,6 +287,7 @@ impl Runtime {
         ir: &ProgramIr,
     ) -> Result<(RunReport, u32, f64), RuntimeError> {
         let mut backoff = self.retry.backoff(self.class);
+        let on_resource = || labels(&[("resource", res.resource_id())]);
         loop {
             match self.attempt_once(res, ir) {
                 Ok(report) => return Ok((report, backoff.attempts(), backoff.total_backoff())),
@@ -296,13 +298,14 @@ impl Runtime {
                                 RuntimeError::Qrmi(QrmiError::AcquisitionDenied(_)) => "acquire",
                                 _ => "execute",
                             };
-                            m.retry(res.resource_id(), op);
-                            m.backoff(res.resource_id(), delay);
+                            let l = labels(&[("resource", res.resource_id()), ("op", op)]);
+                            m.inc(&catalog::RUNTIME_RETRIES, l, 1.0);
+                            m.inc(&catalog::RUNTIME_BACKOFF_SECONDS, on_resource(), delay);
                         }
                     }
                     None => {
                         if let Some(m) = &self.metrics {
-                            m.budget_exhausted(res.resource_id());
+                            m.inc(&catalog::RUNTIME_RETRY_BUDGET_EXHAUSTED, on_resource(), 1.0);
                         }
                         return Err(e);
                     }
@@ -697,7 +700,7 @@ mod tests {
 
         #[test]
         fn retries_ride_through_transient_faults() {
-            let metrics = FaultMetrics::default();
+            let metrics = Registry::new();
             let rt = Runtime::new(flaky_registry(FaultProfile::flaky()))
                 .with_retry_policy(RetryPolicy::default())
                 .with_priority_class(PriorityClass::Production)
@@ -710,7 +713,7 @@ mod tests {
                 recovered_any |= run.attempts > 1;
             }
             assert!(recovered_any, "a 25%-failure resource must cost retries");
-            let text = metrics.registry().expose();
+            let text = metrics.expose();
             assert!(text.contains("runtime_retries_total"));
             assert!(text.contains("runtime_backoff_seconds_total"));
         }
@@ -722,7 +725,7 @@ mod tests {
                 acquire_denial_rate: 1.0,
                 ..FaultProfile::none()
             };
-            let metrics = FaultMetrics::default();
+            let metrics = Registry::new();
             let rt = Runtime::new(flaky_registry(profile))
                 .with_retry_policy(RetryPolicy::default().with_budget(
                     PriorityClass::Development,
@@ -737,11 +740,9 @@ mod tests {
             assert_eq!(run.fallback_resource.as_deref(), Some("emu-local"));
             assert_eq!(run.report.resource_id, "emu-local");
             assert!(metrics
-                .registry()
                 .expose()
                 .contains("runtime_fallbacks_total{from=\"flaky-cloud\",to=\"emu-local\"} 1"));
             assert!(metrics
-                .registry()
                 .expose()
                 .contains("runtime_retry_budget_exhausted_total{resource=\"flaky-cloud\"} 1"));
         }

@@ -316,8 +316,8 @@ mod tests {
     use super::*;
     use hpcqc_program::{Pulse, Register, SequenceBuilder};
     use hpcqc_qrmi::{
-        FaultConfig, InstrumentedResource, LocalEmulatorResource, QrmiConfig, ResourceFactory,
-        ResourceRegistry, TimingModel,
+        FaultInjector, FaultProfile, InstrumentedResource, LocalEmulatorResource, QrmiConfig,
+        ResourceFactory, ResourceRegistry, TimingModel,
     };
     use std::sync::Arc;
 
@@ -421,25 +421,21 @@ mod tests {
 
     #[test]
     fn quantum_retries_recover_from_injected_faults() {
-        // an instrumented resource that fails ~50% of task starts: with 5
-        // retries the step almost surely succeeds; with 0 it likely fails.
+        // a simulated-timing resource that loses ~50% of started tasks: with
+        // 16 retries the step almost surely succeeds; with 0 it likely fails.
         let flaky = || -> Runtime {
             let inner = Arc::new(LocalEmulatorResource::new(
                 "emu",
                 Arc::new(hpcqc_emulator::SvBackend::default()),
                 1,
             ));
-            let instrumented = Arc::new(InstrumentedResource::new(
-                inner,
-                TimingModel::production_1hz(),
-                FaultConfig {
-                    task_failure_prob: 0.5,
-                    acquire_denial_prob: 0.0,
-                },
-                42,
-            ));
+            let timed = InstrumentedResource::new(inner, TimingModel::production_1hz());
+            let profile = FaultProfile {
+                task_failure_rate: 0.5,
+                ..FaultProfile::none()
+            };
             let mut reg = ResourceRegistry::new();
-            reg.register(instrumented);
+            reg.register(Arc::new(FaultInjector::new(Arc::new(timed), profile, 42)));
             reg.default_resource = Some("emu".into());
             Runtime::new(reg)
         };

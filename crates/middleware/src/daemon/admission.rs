@@ -9,7 +9,7 @@ use crate::tasks::{TaskState, TaskTable};
 use hpcqc_emulator::SampleResult;
 use hpcqc_program::{ProgramIr, Violation, ViolationKind};
 use hpcqc_scheduler::PatternHint;
-use hpcqc_telemetry::labels;
+use hpcqc_telemetry::{catalog, labels};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -109,18 +109,11 @@ impl MiddlewareService {
             // it; the task is admitted all the same, so that is not an error.
             let _ = self.sessions.record_task(&task.session);
             // the only completions journaled here are dev-cache hits
-            let (name, help) = match records.peek() {
-                Some(JournalRecord::TaskCompleted { .. }) => (
-                    "daemon_dev_cache_hits_total",
-                    "Development tasks served from the result cache",
-                ),
-                _ => (
-                    "daemon_tasks_submitted_total",
-                    "Tasks accepted into the queue",
-                ),
+            let counter = match records.peek() {
+                Some(JournalRecord::TaskCompleted { .. }) => &catalog::DAEMON_DEV_CACHE_HITS,
+                _ => &catalog::DAEMON_TASKS_SUBMITTED,
             };
-            self.registry
-                .counter_add(name, help, labels(&[("class", task.class.as_str())]), 1.0);
+            self.count_class(counter, task.class);
         }
         for rec in &journal {
             self.journal_append_deferred(rec);
@@ -184,7 +177,7 @@ impl MiddlewareService {
         if let Some(key) = &idempotency_key {
             let original = self.tasks.lock().idempotent(key);
             if let Some(original) = original {
-                self.durability_metrics().deduped(session.class.as_str());
+                self.count_class(&catalog::DAEMON_IDEMPOTENT_HITS, session.class);
                 return Ok(Prepared::Done(original));
             }
         }
@@ -193,12 +186,7 @@ impl MiddlewareService {
         }
         let mut pending_warnings: Vec<String> = Vec::new();
         let rejected = |violations: Vec<String>| {
-            self.registry.counter_add(
-                "daemon_tasks_rejected_total",
-                "Tasks rejected at validation",
-                labels(&[("class", session.class.as_str())]),
-                1.0,
-            );
+            self.count_class(&catalog::DAEMON_TASKS_REJECTED, session.class);
             DaemonError::Validation(violations)
         };
         if self.cfg.validate_on_submit || self.cfg.analyze_on_submit {
@@ -208,7 +196,7 @@ impl MiddlewareService {
             // checks below re-establish safety server-side.
             match ir.validated_against_revision {
                 Some(rev) if rev != spec.revision => {
-                    self.lint_metrics().stale_validation();
+                    self.count(&catalog::DAEMON_STALE_VALIDATION, 1);
                     if !self.cfg.analyze_on_submit {
                         pending_warnings.push(format!(
                             "client validated against stale spec revision {rev} (current {})",
@@ -228,12 +216,12 @@ impl MiddlewareService {
             }
             if self.cfg.analyze_on_submit {
                 let report = self.analyzer.analyze(&ir, Some(&spec));
-                let lm = self.lint_metrics();
                 for d in &report.diagnostics {
-                    lm.diagnostic(d.code.as_str(), d.severity.as_str());
+                    let l = labels(&[("code", d.code.as_str()), ("severity", d.severity.as_str())]);
+                    self.registry.inc(&catalog::ANALYSIS_DIAGNOSTICS, l, 1.0);
                 }
                 if report.has_errors() {
-                    lm.rejection(session.class.as_str());
+                    self.count_class(&catalog::DAEMON_LINT_REJECTIONS, session.class);
                     // What `validate` found is reported alone and in its
                     // words — the answer clients get with analysis off;
                     // anything else keeps the analyzer's rendering.
@@ -261,10 +249,13 @@ impl MiddlewareService {
                 // one; adopt the inference when the user declared nothing.
                 if let Some(inferred) = report.facts.inferred_hint {
                     if hint == PatternHint::None {
-                        lm.hint_adopted(inferred.as_str());
+                        let l = labels(&[("hint", inferred.as_str())]);
+                        self.registry.inc(&catalog::DAEMON_HINT_ADOPTED, l, 1.0);
                         hint = inferred;
                     } else if hint != inferred {
-                        lm.hint_mismatch(hint.as_str(), inferred.as_str());
+                        let l =
+                            labels(&[("declared", hint.as_str()), ("inferred", inferred.as_str())]);
+                        self.registry.inc(&catalog::DAEMON_HINT_MISMATCH, l, 1.0);
                         pending_warnings.push(format!(
                             "declared pattern hint '{}' contradicts inferred '{}' \
                              (keeping the declared hint)",

@@ -8,7 +8,7 @@ use crate::taskqueue::QuantumTask;
 use hpcqc_emulator::SampleResult;
 use hpcqc_program::ProgramIr;
 use hpcqc_qrmi::QuantumResource;
-use hpcqc_telemetry::labels;
+use hpcqc_telemetry::{catalog, labels};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -86,11 +86,9 @@ impl MiddlewareService {
         let class = task.class.as_str();
         if done == 0 {
             // first time this task runs: record wait
-            self.registry.histogram_observe(
-                "daemon_task_wait_seconds",
-                "Queue wait before first execution",
+            self.registry.observe(
+                &catalog::DAEMON_TASK_WAIT_SECONDS,
                 labels(&[("class", class)]),
-                &[1.0, 10.0, 60.0, 600.0, 3600.0],
                 now - task.submitted_at,
             );
         }
@@ -141,29 +139,22 @@ impl MiddlewareService {
             (applied, preempted)
         };
         applied.expect("a running task accepts its outcome");
-        match &rec {
-            JournalRecord::TaskFailed { .. } => self.fault_metrics().poisoned(class),
-            JournalRecord::TaskAttemptFailed { .. } => self.fault_metrics().requeue(class),
+        let outcome = match &rec {
+            JournalRecord::TaskFailed { .. } => Some(&catalog::DAEMON_TASKS_POISONED),
+            JournalRecord::TaskAttemptFailed { .. } => Some(&catalog::DAEMON_TASK_REQUEUES),
             JournalRecord::TaskCompleted { result, .. } => {
                 if self.cfg.cache_dev_results && task.class == PriorityClass::Development {
                     self.dev_cache
                         .lock()
                         .insert(task.ir.fingerprint(), result.clone());
                 }
-                self.registry.counter_add(
-                    "daemon_tasks_completed_total",
-                    "Tasks completed",
-                    labels(&[("class", class)]),
-                    1.0,
-                );
+                Some(&catalog::DAEMON_TASKS_COMPLETED)
             }
-            _ if preempted => self.registry.counter_add(
-                "daemon_preemptions_total",
-                "Shot-boundary preemptions",
-                labels(&[("class", class)]),
-                1.0,
-            ),
-            _ => {}
+            _ if preempted => Some(&catalog::DAEMON_PREEMPTIONS),
+            _ => None,
+        };
+        if let Some(counter) = outcome {
+            self.count_class(counter, task.class);
         }
         self.journal_append(&rec);
         Some(id)
@@ -208,9 +199,8 @@ impl MiddlewareService {
             if let Some(f) = &self.fairshare {
                 f.charge(&task.user, r.execution_secs, self.now());
             }
-            self.registry.counter_add(
-                "daemon_qpu_busy_seconds_total",
-                "Device seconds consumed through the daemon",
+            self.registry.inc(
+                &catalog::DAEMON_QPU_BUSY_SECONDS,
                 labels(&[("class", task.class.as_str())]),
                 r.execution_secs,
             );
@@ -257,12 +247,7 @@ impl MiddlewareService {
                     }
                     Ok(_) => {}
                     Err(_) => {
-                        svc.registry.counter_add(
-                            "daemon_dispatcher_panics_total",
-                            "Dispatcher pump panics survived (task skipped)",
-                            hpcqc_telemetry::Labels::new(),
-                            1.0,
-                        );
+                        svc.count(&catalog::DAEMON_DISPATCHER_PANICS, 1);
                         // back off briefly: a deterministic panic loop must
                         // not spin a core
                         std::thread::sleep(idle_poll);

@@ -26,9 +26,7 @@ use hpcqc_program::DeviceSpec;
 use hpcqc_qpu::{QpuStatus, VirtualQpu};
 use hpcqc_qrmi::QuantumResource;
 use hpcqc_sync::{rank, TrackedMutex as Mutex, TrackedRwLock};
-use hpcqc_telemetry::{
-    labels, DurabilityMetrics, FaultMetrics, LintMetrics, Registry, ReplicationMetrics,
-};
+use hpcqc_telemetry::{catalog, labels, Labels, Registry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
@@ -313,26 +311,6 @@ impl MiddlewareService {
         self
     }
 
-    /// Typed facade over this daemon's registry for recovery counters.
-    fn fault_metrics(&self) -> FaultMetrics {
-        FaultMetrics::new(self.registry.clone())
-    }
-
-    /// Typed facade over this daemon's registry for analyzer counters.
-    fn lint_metrics(&self) -> LintMetrics {
-        LintMetrics::new(self.registry.clone())
-    }
-
-    /// Typed facade over this daemon's registry for durability counters.
-    fn durability_metrics(&self) -> DurabilityMetrics {
-        DurabilityMetrics::new(self.registry.clone())
-    }
-
-    /// Typed facade over this daemon's registry for replication counters.
-    fn replication_metrics(&self) -> ReplicationMetrics {
-        ReplicationMetrics::new(self.registry.clone())
-    }
-
     // ---- durability -----------------------------------------------------
 
     /// Append one record to the WAL (no-op for in-memory daemons) and run
@@ -360,7 +338,6 @@ impl MiddlewareService {
         let Some(journal) = &self.journal else {
             return;
         };
-        let m = self.durability_metrics();
         let wants_compaction = {
             // Shared gate around the append: compaction cannot cut the WAL
             // between a sibling thread's snapshot and this record landing.
@@ -372,7 +349,11 @@ impl MiddlewareService {
             };
             match res {
                 Ok(out) => {
-                    m.append(out.bytes, out.fsynced);
+                    self.count(&catalog::JOURNAL_APPENDS, 1);
+                    self.count(&catalog::JOURNAL_BYTES, out.bytes);
+                    if out.fsynced {
+                        self.count(&catalog::JOURNAL_FSYNCS, 1);
+                    }
                     out.wants_compaction
                 }
                 Err(e) => {
@@ -390,7 +371,7 @@ impl MiddlewareService {
             if journal.wants_compaction() {
                 let snap = self.snapshot_state();
                 match journal.compact(&snap) {
-                    Ok(()) => m.snapshot(),
+                    Ok(()) => self.count(&catalog::JOURNAL_SNAPSHOTS, 1),
                     Err(e) => self.journal_error("compact", &e),
                 }
             }
@@ -412,7 +393,7 @@ impl MiddlewareService {
         }
         let _gate = self.compact_gate.read();
         match journal.sync() {
-            Ok(()) => self.durability_metrics().fsync(),
+            Ok(()) => self.count(&catalog::JOURNAL_FSYNCS, 1),
             Err(e) => self.journal_error("fsync", &e),
         }
     }
@@ -421,12 +402,19 @@ impl MiddlewareService {
     /// from memory (durability degrades, availability does not).
     fn journal_error(&self, op: &str, e: &std::io::Error) {
         let _ = e;
-        self.registry.counter_add(
-            "journal_errors_total",
-            "Write-ahead journal IO failures (durability degraded)",
-            labels(&[("op", op)]),
-            1.0,
-        );
+        self.registry
+            .inc(&catalog::JOURNAL_ERRORS, labels(&[("op", op)]), 1.0);
+    }
+
+    /// Add `n` to one of the daemon's unlabelled counters.
+    fn count(&self, c: &catalog::Counter, n: usize) {
+        self.registry.inc(c, Labels::new(), n as f64);
+    }
+
+    /// Add one to one of the daemon's per-class counters.
+    fn count_class(&self, c: &catalog::Counter, class: PriorityClass) {
+        self.registry
+            .inc(c, labels(&[("class", class.as_str())]), 1.0);
     }
 
     /// Current liveness (the `GET /v1/healthz` answer).
@@ -463,12 +451,7 @@ impl MiddlewareService {
         let cutoff = self.now() - self.cfg.session_ttl_secs;
         let expired = self.sessions.gc(cutoff);
         if !expired.is_empty() {
-            self.registry.counter_add(
-                "daemon_sessions_expired_total",
-                "Sessions expired by TTL",
-                hpcqc_telemetry::Labels::new(),
-                expired.len() as f64,
-            );
+            self.count(&catalog::DAEMON_SESSIONS_EXPIRED, expired.len());
             self.journal_append(&JournalRecord::SessionsExpired {
                 tokens: expired.into_iter().map(|s| s.token).collect(),
             });
@@ -485,12 +468,7 @@ impl MiddlewareService {
         {
             Ok(s) => Ok(s),
             Err(SessionError::Expired) => {
-                self.registry.counter_add(
-                    "daemon_sessions_expired_total",
-                    "Sessions expired by TTL",
-                    hpcqc_telemetry::Labels::new(),
-                    1.0,
-                );
+                self.count(&catalog::DAEMON_SESSIONS_EXPIRED, 1);
                 self.journal_append(&JournalRecord::SessionsExpired {
                     tokens: vec![token.to_string()],
                 });
@@ -522,12 +500,7 @@ impl MiddlewareService {
     pub fn open_session(&self, user: &str, class: PriorityClass) -> Result<String, DaemonError> {
         self.check_admitting()?;
         let s = self.sessions.open(user, class, self.now())?;
-        self.registry.counter_add(
-            "daemon_sessions_opened_total",
-            "Sessions opened",
-            labels(&[("class", class.as_str())]),
-            1.0,
-        );
+        self.count_class(&catalog::DAEMON_SESSIONS_OPENED, class);
         let token = s.token.clone();
         self.journal_append_deferred(&JournalRecord::SessionOpened { session: s });
         Ok(token)

@@ -5,6 +5,7 @@ use super::{DaemonConfig, DaemonError, DaemonHealth, DrainReport, MiddlewareServ
 use crate::journal::{DaemonSnapshot, Journal, JournalRecord, SharedJournal};
 use crate::tasks::Applied;
 use hpcqc_qrmi::QuantumResource;
+use hpcqc_telemetry::{catalog, Labels};
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -75,11 +76,22 @@ impl MiddlewareService {
         let recovered_tasks = table.queue().len();
         *svc.tasks.get_mut() = table;
 
-        let metrics = svc.durability_metrics();
-        metrics.replay(t0.elapsed().as_secs_f64(), n_records, truncated, illegal);
-        metrics.recovered_tasks(recovered_tasks);
-        metrics.requeued_on_recovery(requeued_inflight);
-        metrics.recovered_sessions(svc.sessions.count());
+        svc.registry.set(
+            &catalog::JOURNAL_REPLAY_SECONDS,
+            Labels::new(),
+            t0.elapsed().as_secs_f64(),
+        );
+        svc.count(&catalog::JOURNAL_REPLAYED_RECORDS, n_records);
+        // a clean replay leaves these two families out of the exposition
+        if truncated > 0 {
+            svc.count(&catalog::JOURNAL_TRUNCATED_BYTES, truncated);
+        }
+        if illegal > 0 {
+            svc.count(&catalog::JOURNAL_REPLAY_ILLEGAL, illegal);
+        }
+        svc.count(&catalog::DAEMON_RECOVERED_TASKS, recovered_tasks);
+        svc.count(&catalog::DAEMON_RECOVERY_REQUEUED, requeued_inflight);
+        svc.count(&catalog::DAEMON_RECOVERED_SESSIONS, svc.sessions.count());
 
         let journal = SharedJournal::open(path, journal_cfg)
             .map_err(|e| DaemonError::Internal(format!("journal open: {e}")))?;
@@ -90,7 +102,7 @@ impl MiddlewareService {
             journal
                 .compact(&svc.snapshot_state())
                 .map_err(|e| DaemonError::Internal(format!("journal compact: {e}")))?;
-            metrics.snapshot();
+            svc.count(&catalog::JOURNAL_SNAPSHOTS, 1);
         }
         svc.journal = Some(journal);
         Ok(svc)
@@ -160,20 +172,20 @@ impl MiddlewareService {
             }
         }
         let pending = self.queue_depth();
-        let m = self.durability_metrics();
         if let Some(journal) = &self.journal {
             let _gate = self.compact_gate.write();
             let snap = self.snapshot_state();
             match journal.compact(&snap) {
-                Ok(()) => m.snapshot(),
+                Ok(()) => self.count(&catalog::JOURNAL_SNAPSHOTS, 1),
                 Err(e) => self.journal_error("compact", &e),
             }
             match journal.sync() {
-                Ok(()) => m.fsync(),
+                Ok(()) => self.count(&catalog::JOURNAL_FSYNCS, 1),
                 Err(e) => self.journal_error("fsync", &e),
             }
         }
-        m.drained(dispatched, pending);
+        self.count(&catalog::DAEMON_DRAIN_DISPATCHED, dispatched);
+        self.count(&catalog::DAEMON_DRAIN_PENDING, pending);
         *self.lifecycle.lock() = DaemonHealth::Stopped;
         DrainReport {
             dispatched,

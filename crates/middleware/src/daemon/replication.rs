@@ -4,6 +4,7 @@
 use super::{DaemonConfig, DaemonError, DaemonHealth, MiddlewareService};
 use crate::journal::{FollowerReplica, ReplicaAck, ShipError};
 use hpcqc_qrmi::QuantumResource;
+use hpcqc_telemetry::{catalog, labels, Labels};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::atomic::Ordering;
@@ -138,22 +139,25 @@ impl MiddlewareService {
         // events this replica still needs stay retained even while other,
         // faster followers ack past them.
         journal.ship_ack(name, replica.ack());
-        let m = self.replication_metrics();
         let events = journal.ship_fetch(replica.ack().applied_seq);
         for ev in &events {
-            m.shipped(ev.records() as usize, ev.payload_len());
+            self.count(&catalog::REPLICATION_SHIPPED_RECORDS, ev.records() as usize);
+            self.count(&catalog::REPLICATION_SHIPPED_BYTES, ev.payload_len());
         }
         // One durability point per round (the follower's group commit): the
         // ack covers everything the round fsynced.
         let (applied, rejection) = replica.apply_all(&events);
         for ev in events.iter().take(applied) {
-            m.acked(ev.records() as usize, ev.payload_len());
+            self.count(&catalog::REPLICATION_ACKED_RECORDS, ev.records() as usize);
+            self.count(&catalog::REPLICATION_ACKED_BYTES, ev.payload_len());
         }
         journal.ship_ack(name, replica.ack());
         self.update_replication_lag();
         match rejection {
             Some(e) => {
-                m.rejected(e.reason());
+                let l = labels(&[("reason", e.reason())]);
+                self.registry
+                    .inc(&catalog::REPLICATION_REJECTED_EVENTS, l, 1.0);
                 Err(e)
             }
             None => Ok(applied),
@@ -191,7 +195,12 @@ impl MiddlewareService {
             r.lag_records = records;
             r.lag_bytes = bytes;
         }
-        self.replication_metrics().lag(records, bytes);
+        for (gauge, v) in [
+            (&catalog::REPLICATION_LAG_RECORDS, records),
+            (&catalog::REPLICATION_LAG_BYTES, bytes),
+        ] {
+            self.registry.set(gauge, Labels::new(), v as f64);
+        }
     }
 
     /// Promote the follower journal at `path` to a serving leader.
@@ -223,9 +232,12 @@ impl MiddlewareService {
             )));
         }
         let svc = Self::recover(path, resource, cfg)?;
-        let m = svc.replication_metrics();
-        m.promotion();
-        m.failover_duration(t0.elapsed().as_secs_f64());
+        svc.count(&catalog::REPLICATION_PROMOTIONS, 1);
+        svc.registry.observe(
+            &catalog::REPLICATION_FAILOVER_SECONDS,
+            Labels::new(),
+            t0.elapsed().as_secs_f64(),
+        );
         Ok(svc)
     }
 

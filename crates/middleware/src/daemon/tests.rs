@@ -853,6 +853,16 @@ fn recover_restores_queue_sessions_and_id_watermark() {
     drop(d); // crash: no drain, no final snapshot
 
     let d2 = MiddlewareService::recover(&dir, emu_resource(), DaemonConfig::default()).unwrap();
+    // session + 3 × submit + dispatch + complete replayed off a clean WAL
+    let text = d2.metrics_text();
+    for series in [
+        "journal_replayed_records_total 6",
+        "daemon_recovered_tasks_total 2",
+        "daemon_recovered_sessions_total 1",
+    ] {
+        assert!(text.contains(series), "{series} missing:\n{text}");
+    }
+    assert!(!text.contains("journal_truncated_bytes_total"), "{text}");
     // completed work survived with its result intact
     assert_eq!(d2.task_result(done).unwrap().counts, done_result.counts);
     // queued work survived as queued
@@ -1006,6 +1016,9 @@ fn shutdown_drains_then_rejects() {
     let report = d.shutdown(std::time::Duration::from_secs(5));
     assert_eq!(report.dispatched, 2);
     assert_eq!(report.pending, 0);
+    let text = d.metrics_text();
+    assert!(text.contains("daemon_drain_dispatched_total 2"), "{text}");
+    assert!(text.contains("daemon_drain_pending_total 0"), "{text}");
     assert_eq!(d.health(), DaemonHealth::Stopped);
     assert_eq!(d.task_status(a).unwrap(), DaemonTaskStatus::Completed);
     assert_eq!(d.task_status(b).unwrap(), DaemonTaskStatus::Completed);
@@ -1019,6 +1032,30 @@ fn shutdown_drains_then_rejects() {
         Err(DaemonError::Unavailable(_))
     ));
     assert!(d.pump_once().is_none());
+}
+
+/// The one replication series no failover scenario reaches: a follower
+/// whose WAL already holds bytes this leader never shipped is refused at
+/// the first batch, untouched, and the refusal is counted by reason.
+#[test]
+fn ship_pending_counts_a_rejected_follower() {
+    let d = MiddlewareService::recover(
+        journal_dir("ship-reject"),
+        emu_resource(),
+        DaemonConfig::default(),
+    )
+    .unwrap();
+    d.enable_shipping().unwrap();
+    d.open_session("alice", PriorityClass::Test).unwrap();
+    let fdir = journal_dir("ship-reject-follower");
+    std::fs::write(fdir.join("wal.log"), b"foreign").unwrap();
+    let mut stale = crate::journal::FollowerReplica::open(&fdir).unwrap();
+    assert!(d.ship_pending(&mut stale, "stale").is_err());
+    let text = d.metrics_text();
+    assert!(
+        text.contains("replication_rejected_events_total{reason=\"offset\"} 1"),
+        "{text}"
+    );
 }
 
 #[test]

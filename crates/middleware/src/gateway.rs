@@ -28,7 +28,7 @@
 use crate::http::{Handler, HttpClient, Request, Response};
 use crate::server::{HttpServer, ServerConfig};
 use hpcqc_sync::{rank, TrackedMutex};
-use hpcqc_telemetry::{labels, Registry, ReplicationMetrics};
+use hpcqc_telemetry::{catalog, labels, Registry};
 use hpcqc_wire as wire;
 use std::sync::Arc;
 
@@ -167,10 +167,6 @@ impl Gateway {
         &self.registry
     }
 
-    fn replication_metrics(&self) -> ReplicationMetrics {
-        ReplicationMetrics::new(self.registry.clone())
-    }
-
     /// The session-placement key for `req`: the session token from the path
     /// (`/v1/sessions/{token}`), the `token` query parameter, or — for JSON
     /// bodies only — the request body (`token`, else `user` for session
@@ -279,11 +275,15 @@ impl Gateway {
                 .map(|s| (s.cfg.name.clone(), s.active.clone(), s.cfg.follower.clone()))
                 .collect()
         };
-        let m = self.replication_metrics();
         let mut ready_count = 0;
         for (name, active, follower) in targets {
             let active_ready = probe_ready(&active);
-            m.probe(&name, active_ready);
+            let ready = if active_ready { "yes" } else { "no" };
+            self.registry.inc(
+                &catalog::GATEWAY_PROBES,
+                labels(&[("shard", &name), ("ready", ready)]),
+                1.0,
+            );
             if active_ready {
                 ready_count += 1;
                 self.set_ready(&name, true);
@@ -296,7 +296,6 @@ impl Gateway {
             match promoted {
                 Some(addr) => {
                     self.fail_over(&name, &addr);
-                    m.shard_failover(&name);
                     ready_count += 1;
                 }
                 None => self.set_ready(&name, false),
@@ -319,6 +318,12 @@ impl Gateway {
             s.client = Arc::new(HttpClient::new(addr.to_string()));
             s.ready = true;
         }
+        drop(t);
+        self.registry.inc(
+            &catalog::GATEWAY_SHARD_FAILOVERS,
+            labels(&[("shard", shard)]),
+            1.0,
+        );
     }
 
     /// Explicitly move `shard`'s traffic to its configured follower (the
@@ -335,7 +340,6 @@ impl Gateway {
                 .clone()?
         };
         self.fail_over(shard, &follower);
-        self.replication_metrics().shard_failover(shard);
         Some(follower)
     }
 
@@ -431,9 +435,8 @@ impl Gateway {
                 format!(r#"{{"error":"shard {shard} has no ready replica"}}"#),
             );
         }
-        self.registry.counter_add(
-            "gateway_requests_total",
-            "Requests routed, by shard",
+        self.registry.inc(
+            &catalog::GATEWAY_REQUESTS,
             labels(&[("shard", &shard)]),
             1.0,
         );
@@ -749,6 +752,7 @@ mod tests {
         assert_eq!(st, 201, "traffic flows to the promoted follower");
         let text = gw.registry().expose();
         assert!(text.contains(r#"gateway_shard_failovers_total{shard="s0"} 1"#));
+        assert!(text.contains(r#"gateway_probes_total{ready="no",shard="s0"} 2"#));
     }
 
     /// One request with arbitrary headers and a raw byte body (query split

@@ -26,6 +26,7 @@
 use crate::session::{PriorityClass, Session};
 use crate::taskqueue::QuantumTask;
 use hpcqc_emulator::SampleResult;
+use hpcqc_wire as wire;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -170,15 +171,26 @@ pub struct Replay {
 const WAL_FILE: &str = "wal.log";
 const SNAPSHOT_FILE: &str = "snapshot.json";
 
-/// FNV-1a 32-bit over the record payload; cheap, dependency-free, and more
-/// than enough to reject a torn or bit-flipped record.
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
+/// The intact prefix of WAL `bytes`: the payload of every
+/// `[len][crc][payload]` frame up to the first torn header, short body or
+/// checksum mismatch, and the bytes those frames span.
+fn wal_frames(bytes: &[u8]) -> (Vec<&[u8]>, usize) {
+    let mut payloads = Vec::new();
+    let mut pos = 0usize;
+    while pos + 8 <= bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
+        let start = pos + 8;
+        let Some(end) = start.checked_add(len).filter(|&e| e <= bytes.len()) else {
+            break; // torn tail: frame header promises more than exists
+        };
+        if wire::checksum(&bytes[start..end]) != crc {
+            break; // corrupt record: stop at the last intact prefix
+        }
+        payloads.push(&bytes[start..end]);
+        pos = end;
     }
-    h
+    (payloads, pos)
 }
 
 /// Reader of a journal directory. The writer is [`SharedJournal`].
@@ -202,25 +214,18 @@ impl Journal {
         }
         let mut buf = Vec::new();
         File::open(&wal_path)?.read_to_end(&mut buf)?;
-        let mut pos = 0usize;
-        while pos + 8 <= buf.len() {
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-            let start = pos + 8;
-            let Some(end) = start.checked_add(len).filter(|&e| e <= buf.len()) else {
-                break; // torn tail: frame header promises more than exists
-            };
-            let payload = &buf[start..end];
-            if fnv1a32(payload) != crc {
-                break; // corrupt record: stop at the last intact prefix
-            }
+        let (payloads, mut intact) = wal_frames(&buf);
+        for (i, payload) in payloads.iter().enumerate() {
             match serde_json::from_slice::<JournalRecord>(payload) {
                 Ok(rec) => replay.records.push(rec),
-                Err(_) => break, // checksummed but unparseable: same policy
+                Err(_) => {
+                    // checksummed but unparseable: same policy
+                    intact = payloads[..i].iter().map(|p| 8 + p.len()).sum();
+                    break;
+                }
             }
-            pos = end;
         }
-        replay.truncated_bytes = buf.len() - pos;
+        replay.truncated_bytes = buf.len() - intact;
         Ok(replay)
     }
 }
@@ -488,7 +493,8 @@ impl SharedJournal {
         b.buf.reserve(frame_len);
         b.buf
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        b.buf.extend_from_slice(&fnv1a32(&payload).to_le_bytes());
+        b.buf
+            .extend_from_slice(&wire::checksum(&payload).to_le_bytes());
         b.buf.extend_from_slice(&payload);
         b.buf_records += 1;
         b.appends_since_fsync += 1;
@@ -703,7 +709,8 @@ impl SharedJournal {
             log.push_snapshot(&snap);
         }
         if !wal.is_empty() {
-            let records = count_frames(&wal);
+            // the records recovery would replay from these bytes
+            let records = wal_frames(&wal).0.len() as u64;
             log.push_batch(records, &wal);
         }
         *s = Some(log);
@@ -790,22 +797,6 @@ impl SharedJournal {
 // the leader persisted) and acknowledges how far it is durably applied.
 // Promotion replays that directory through the ordinary recovery path.
 // ---------------------------------------------------------------------------
-
-/// Count framed records in WAL `bytes` (frames are `[len][crc][payload]`).
-fn count_frames(bytes: &[u8]) -> u64 {
-    let mut n = 0;
-    let mut at = 0usize;
-    while at + 8 <= bytes.len() {
-        let len =
-            u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]) as usize;
-        if at + 8 + len > bytes.len() {
-            break;
-        }
-        at += 8 + len;
-        n += 1;
-    }
-    n
-}
 
 /// One group-commit batch on the shipping stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -913,7 +904,7 @@ impl ShippingLog {
             seq: self.next_seq,
             offset: self.wal_offset,
             records,
-            checksum: fnv1a32(bytes),
+            checksum: wire::checksum(bytes),
             bytes: bytes.to_vec(),
         };
         self.next_seq += 1;
@@ -924,7 +915,7 @@ impl ShippingLog {
     fn push_snapshot(&mut self, bytes: &[u8]) {
         let ev = ShippedSnapshot {
             seq: self.next_seq,
-            checksum: fnv1a32(bytes),
+            checksum: wire::checksum(bytes),
             bytes: bytes.to_vec(),
         };
         self.next_seq += 1;
@@ -1098,7 +1089,7 @@ impl FollowerReplica {
     fn apply_unsynced(&mut self, ev: &ShipEvent) -> Result<(), ShipError> {
         match ev {
             ShipEvent::Batch(b) => {
-                if fnv1a32(&b.bytes) != b.checksum {
+                if wire::checksum(&b.bytes) != b.checksum {
                     return Err(ShipError::Checksum { seq: b.seq });
                 }
                 if b.seq != self.next_seq {
@@ -1118,7 +1109,7 @@ impl FollowerReplica {
                 self.next_seq = b.seq + 1;
             }
             ShipEvent::Snapshot(s) => {
-                if fnv1a32(&s.bytes) != s.checksum {
+                if wire::checksum(&s.bytes) != s.checksum {
                     return Err(ShipError::Checksum { seq: s.seq });
                 }
                 // Forward jumps are allowed: a snapshot is a full-state
@@ -1673,7 +1664,7 @@ mod tests {
         };
         let mut skewed = second.clone();
         skewed.offset += 8;
-        skewed.checksum = fnv1a32(&skewed.bytes);
+        skewed.checksum = wire::checksum(&skewed.bytes);
         let err = f.apply(&ShipEvent::Batch(skewed)).unwrap_err();
         assert_eq!(err.reason(), "offset");
 
@@ -1719,9 +1710,19 @@ mod tests {
             };
             j.compact(&snap).unwrap();
             j.append(&rec(9)).unwrap();
+            j.append(&rec(10)).unwrap();
         }
+        // a bit-flipped last frame: the bootstrap must count what recovery
+        // replays, not every length-prefixed frame
+        let wal_path = dir.join(WAL_FILE);
+        let mut wal = std::fs::read(&wal_path).unwrap();
+        *wal.last_mut().unwrap() ^= 0x01;
+        std::fs::write(&wal_path, &wal).unwrap();
         let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
         j.enable_shipping().unwrap();
+        let shipped: u64 = j.ship_fetch(0).iter().map(|ev| ev.records()).sum();
+        let replayed = Journal::load(&dir).unwrap().records.len();
+        assert_eq!((shipped, replayed), (1, 1));
         let mut f = FollowerReplica::open(&fdir).unwrap();
         pump(&j, &mut f, "f0");
         let replay = Journal::load(&fdir).unwrap();

@@ -44,7 +44,6 @@ use crate::session::PriorityClass;
 use hpcqc_program::ProgramIr;
 use hpcqc_qpu::QpuStatus;
 use hpcqc_scheduler::PatternHint;
-use hpcqc_telemetry::TransportMetrics;
 use hpcqc_wire as wire;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -478,7 +477,7 @@ pub fn serve(svc: Arc<MiddlewareService>) -> std::io::Result<HttpServer> {
 /// shows up on `GET /metrics` next to the scheduler counters.
 pub fn serve_on(svc: Arc<MiddlewareService>, port: u16) -> std::io::Result<HttpServer> {
     let cfg = ServerConfig {
-        metrics: Some(TransportMetrics::new(svc.registry().clone())),
+        metrics: Some(svc.registry().clone()),
         ..ServerConfig::default()
     };
     serve_with(svc, port, cfg)
@@ -493,7 +492,7 @@ pub fn serve_with(
     mut cfg: ServerConfig,
 ) -> std::io::Result<HttpServer> {
     if cfg.metrics.is_none() {
-        cfg.metrics = Some(TransportMetrics::new(svc.registry().clone()));
+        cfg.metrics = Some(svc.registry().clone());
     }
     let handler: Handler = Arc::new(move |req: Request| route(&svc, &req));
     HttpServer::spawn_with(port, handler, cfg)

@@ -47,7 +47,7 @@ use crate::http::{
     error_response, extract_request, Handler, HttpError, ParsedHead, Request, Response,
 };
 use hpcqc_sync::{rank, TrackedMutex};
-use hpcqc_telemetry::TransportMetrics;
+use hpcqc_telemetry::{catalog, labels, Labels, Registry};
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -89,7 +89,7 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Transport telemetry sink (connection lifecycle, backpressure,
     /// deadline closes). Shards share the sink; counters aggregate.
-    pub metrics: Option<TransportMetrics>,
+    pub metrics: Option<Registry>,
 }
 
 impl ServerConfig {
@@ -397,7 +397,7 @@ struct EventLoop {
     max_connections: usize,
     idle_timeout: Duration,
     request_deadline: Duration,
-    metrics: Option<TransportMetrics>,
+    metrics: Option<Registry>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     /// Slots freed during the current event batch; recycled only at the
@@ -450,8 +450,31 @@ impl EventLoop {
         let _ = self.poll.registry().deregister(&self.listener);
     }
 
-    fn metrics(&self) -> Option<&TransportMetrics> {
-        self.metrics.as_ref()
+    /// Add one to a transport counter (no-op without a sink).
+    fn count(&self, c: &catalog::Counter, lbls: Labels) {
+        if let Some(m) = &self.metrics {
+            m.inc(c, lbls, 1.0);
+        }
+    }
+
+    /// A response left the server; `status` is bucketed by class.
+    fn count_request(&self, status: u16) {
+        let class = match status {
+            100..=199 => "1xx",
+            200..=299 => "2xx",
+            300..=399 => "3xx",
+            400..=499 => "4xx",
+            _ => "5xx",
+        };
+        self.count(&catalog::HTTP_REQUESTS, labels(&[("code", class)]));
+    }
+
+    /// A connection entered (`delta` = 1) or left (−1) the table.
+    fn count_connection(&self, c: &catalog::Counter, delta: f64) {
+        if let Some(m) = &self.metrics {
+            m.inc(c, Labels::new(), 1.0);
+            m.add(&catalog::HTTP_CONNECTIONS_ACTIVE, Labels::new(), delta);
+        }
     }
 
     // ---- accept path ----
@@ -468,10 +491,8 @@ impl EventLoop {
                     Ok((mut s, _)) => {
                         let resp = Response::json(503, r#"{"error":"connection table full"}"#);
                         let _ = s.write_all(&resp.encode(false));
-                        if let Some(m) = self.metrics() {
-                            m.rejected();
-                            m.request(503);
-                        }
+                        self.count(&catalog::HTTP_CONNECTIONS_REJECTED, Labels::new());
+                        self.count_request(503);
                         self.pause_accept();
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {}
@@ -525,9 +546,7 @@ impl EventLoop {
             }
         };
         self.active += 1;
-        if let Some(m) = self.metrics() {
-            m.accepted();
-        }
+        self.count_connection(&catalog::HTTP_CONNECTIONS_ACCEPTED, 1.0);
         self.update_interest(idx);
     }
 
@@ -535,9 +554,7 @@ impl EventLoop {
         if !self.accept_paused {
             self.accept_paused = true;
             let _ = self.poll.registry().deregister(&self.listener);
-            if let Some(m) = self.metrics() {
-                m.accept_paused();
-            }
+            self.count(&catalog::HTTP_ACCEPT_PAUSES, Labels::new());
         }
     }
 
@@ -551,9 +568,7 @@ impl EventLoop {
                 .poll
                 .registry()
                 .register(&self.listener, LISTENER, Interest::READABLE);
-            if let Some(m) = self.metrics() {
-                m.accept_resumed();
-            }
+            self.count(&catalog::HTTP_ACCEPT_RESUMES, Labels::new());
         }
     }
 
@@ -683,9 +698,7 @@ impl EventLoop {
     /// no longer read (the stream position is unrecoverable).
     fn error_close(&mut self, idx: usize, e: &HttpError) -> Extract {
         let resp = error_response(e);
-        if let Some(m) = self.metrics() {
-            m.request(resp.status);
-        }
+        self.count_request(resp.status);
         let Some(conn) = self.conns[idx].as_mut() else {
             return Extract::Closed;
         };
@@ -723,11 +736,9 @@ impl EventLoop {
             conn.enqueue_response(resp, !close);
             conn.last_activity = Instant::now();
         }
-        if let Some(m) = self.metrics() {
-            m.request(status);
-            if served > 1 {
-                m.keepalive_reuse();
-            }
+        self.count_request(status);
+        if served > 1 {
+            self.count(&catalog::HTTP_KEEPALIVE_REUSE, Labels::new());
         }
         self.flush_write(idx)
             && self.conns[idx]
@@ -841,9 +852,7 @@ impl EventLoop {
             }
             self.active -= 1;
             self.free_pending.push(idx);
-            if let Some(m) = self.metrics() {
-                m.closed();
-            }
+            self.count_connection(&catalog::HTTP_CONNECTIONS_CLOSED, -1.0);
             self.maybe_resume_accept();
         }
     }
@@ -874,15 +883,12 @@ impl EventLoop {
             }
             if let Some(started) = conn.request_started {
                 if now.duration_since(started) > self.request_deadline {
-                    if let Some(m) = self.metrics() {
-                        m.deadline_close("read");
-                    }
+                    // slow/partial request: the slowloris defense
+                    self.count(&catalog::HTTP_DEADLINE_CLOSES, labels(&[("kind", "read")]));
                     self.close(idx);
                 }
             } else if now.duration_since(conn.last_activity) > self.idle_timeout {
-                if let Some(m) = self.metrics() {
-                    m.deadline_close("idle");
-                }
+                self.count(&catalog::HTTP_DEADLINE_CLOSES, labels(&[("kind", "idle")]));
                 self.close(idx);
             }
         }
@@ -959,7 +965,7 @@ mod tests {
 
     #[test]
     fn connection_cap_rejects_with_503_and_resumes() {
-        let metrics = TransportMetrics::default();
+        let metrics = Registry::new();
         let server = HttpServer::spawn_with(
             0,
             ok_handler(),
@@ -990,9 +996,10 @@ mod tests {
                 _ => std::thread::sleep(Duration::from_millis(20)),
             }
         }
-        assert!(metrics.value("http_connections_rejected_total") >= 1.0);
-        assert!(metrics.value("http_accept_pauses_total") >= 1.0);
-        assert!(metrics.value("http_accept_resumes_total") >= 1.0);
+        let value = |name| metrics.get_value(name, &Labels::new()).unwrap_or(0.0);
+        assert!(value("http_connections_rejected_total") >= 1.0);
+        assert!(value("http_accept_pauses_total") >= 1.0);
+        assert!(value("http_accept_resumes_total") >= 1.0);
     }
 
     #[test]

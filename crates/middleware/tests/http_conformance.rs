@@ -7,7 +7,7 @@
 
 use hpcqc_middleware::http::{Handler, Request, Response};
 use hpcqc_middleware::server::{HttpServer, ServerConfig};
-use hpcqc_telemetry::TransportMetrics;
+use hpcqc_telemetry::{Labels, Registry};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -22,8 +22,8 @@ fn echo_handler() -> Handler {
     })
 }
 
-fn server_with(cfg: ServerConfig) -> (HttpServer, TransportMetrics) {
-    let metrics = TransportMetrics::default();
+fn server_with(cfg: ServerConfig) -> (HttpServer, Registry) {
+    let metrics = Registry::new();
     let server = HttpServer::spawn_with(
         0,
         echo_handler(),
@@ -34,6 +34,11 @@ fn server_with(cfg: ServerConfig) -> (HttpServer, TransportMetrics) {
     )
     .unwrap();
     (server, metrics)
+}
+
+/// An unlabelled transport counter (0 before its first event).
+fn value(metrics: &Registry, name: &str) -> f64 {
+    metrics.get_value(name, &Labels::new()).unwrap_or(0.0)
 }
 
 fn connect(server: &HttpServer) -> TcpStream {
@@ -123,11 +128,12 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     // Give the event loop a beat to account the final completion.
     std::thread::sleep(Duration::from_millis(50));
     assert!(
-        metrics.value("http_keepalive_reuse_total") >= 4.0,
+        value(&metrics, "http_keepalive_reuse_total") >= 4.0,
         "5 requests on one connection = 4 reuses, got {}",
-        metrics.value("http_keepalive_reuse_total")
+        value(&metrics, "http_keepalive_reuse_total")
     );
-    assert_eq!(metrics.value("http_connections_accepted_total"), 1.0);
+    assert_eq!(value(&metrics, "http_connections_accepted_total"), 1.0);
+    assert_eq!(value(&metrics, "http_connections_active"), 1.0);
 }
 
 #[test]
@@ -201,7 +207,6 @@ fn truncated_body_on_reused_connection_closes_without_response() {
     std::thread::sleep(Duration::from_millis(50));
     assert_eq!(
         metrics
-            .registry()
             .get_value(
                 "http_requests_total",
                 &hpcqc_telemetry::labels(&[("code", "2xx")])
@@ -233,7 +238,6 @@ fn slowloris_partial_request_is_closed_by_deadline() {
     std::thread::sleep(Duration::from_millis(50));
     assert!(
         metrics
-            .registry()
             .get_value(
                 "http_deadline_closes_total",
                 &hpcqc_telemetry::labels(&[("kind", "read")])
@@ -242,7 +246,7 @@ fn slowloris_partial_request_is_closed_by_deadline() {
             >= 1.0,
         "read-deadline close must be counted"
     );
-    assert!(metrics.value("http_connections_closed_total") >= 1.0);
+    assert!(value(&metrics, "http_connections_closed_total") >= 1.0);
 }
 
 #[test]
@@ -262,7 +266,6 @@ fn idle_keep_alive_connection_is_reaped() {
     std::thread::sleep(Duration::from_millis(50));
     assert!(
         metrics
-            .registry()
             .get_value(
                 "http_deadline_closes_total",
                 &hpcqc_telemetry::labels(&[("kind", "idle")])
@@ -443,10 +446,10 @@ fn rejected_connection_read_error_does_not_poison_others() {
         std::thread::sleep(Duration::from_millis(50));
     }
     std::thread::sleep(Duration::from_millis(50));
-    assert!(metrics.value("http_connections_rejected_total") >= 1.0);
+    assert!(value(&metrics, "http_connections_rejected_total") >= 1.0);
     assert!(
-        metrics.value("http_connections_accepted_total")
-            >= metrics.value("http_connections_closed_total")
+        value(&metrics, "http_connections_accepted_total")
+            >= value(&metrics, "http_connections_closed_total")
     );
 }
 

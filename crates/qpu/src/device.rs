@@ -13,7 +13,7 @@ use crate::calibration::Calibration;
 use hpcqc_emulator::{Emulator, MpsBackend, MpsConfig, SampleResult, SpamNoise, SvBackend};
 use hpcqc_program::{DeviceSpec, ProgramIr, Sequence, Violation};
 use hpcqc_sync::{rank, TrackedMutex as Mutex};
-use hpcqc_telemetry::{labels, Registry, TimeSeriesDb};
+use hpcqc_telemetry::{catalog, labels, Registry, TimeSeriesDb};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -149,9 +149,8 @@ impl VirtualQpu {
     /// Operator/admin: set the device status (maintenance windows etc.).
     pub fn set_status(&self, s: QpuStatus) {
         self.inner.lock().status = s;
-        self.registry.gauge_set(
-            "qpu_up",
-            "1 when the QPU is operational",
+        self.registry.set(
+            &catalog::QPU_UP,
             labels(&[("device", &self.name)]),
             if s == QpuStatus::Operational {
                 1.0
@@ -205,9 +204,8 @@ impl VirtualQpu {
         inner.calibration.recalibrate(now);
         let cal = inner.calibration.clone();
         drop(inner);
-        self.registry.counter_add(
-            "qpu_recalibrations_total",
-            "Number of recalibration cycles",
+        self.registry.inc(
+            &catalog::QPU_RECALIBRATIONS,
             labels(&[("device", &self.name)]),
             1.0,
         );
@@ -216,30 +214,19 @@ impl VirtualQpu {
 
     fn record_telemetry(&self, now: f64, cal: &Calibration) {
         let l = labels(&[("device", &self.name)]);
-        self.registry.gauge_set(
-            "qpu_rabi_scale",
-            "Calibrated Rabi-frequency scale factor (nominal 1.0)",
-            l.clone(),
-            cal.rabi_scale.current,
-        );
-        self.registry.gauge_set(
-            "qpu_detuning_offset_radus",
-            "Calibrated detuning offset (rad/us, nominal 0)",
+        let reg = &self.registry;
+        reg.set(&catalog::QPU_RABI_SCALE, l.clone(), cal.rabi_scale.current);
+        reg.set(
+            &catalog::QPU_DETUNING_OFFSET,
             l.clone(),
             cal.detuning_offset.current,
         );
-        self.registry.gauge_set(
-            "qpu_detection_error",
-            "Readout false-positive probability",
+        reg.set(
+            &catalog::QPU_DETECTION_ERROR,
             l.clone(),
             cal.detection_epsilon.current,
         );
-        self.registry.gauge_set(
-            "qpu_spec_revision",
-            "Current device-spec revision",
-            l,
-            cal.revision as f64,
-        );
+        reg.set(&catalog::QPU_SPEC_REVISION, l, cal.revision as f64);
         self.tsdb
             .append("qpu_rabi_scale", now, cal.rabi_scale.current);
         self.tsdb
@@ -297,9 +284,8 @@ impl VirtualQpu {
         let spec = cal.effective_spec(&self.base_spec);
         let violations = hpcqc_program::validate(&ir.sequence, &spec);
         if !violations.is_empty() {
-            self.registry.counter_add(
-                "qpu_jobs_rejected_total",
-                "Jobs rejected by device-side validation",
+            self.registry.inc(
+                &catalog::QPU_JOBS_REJECTED,
                 labels(&[("device", &self.name)]),
                 1.0,
             );
@@ -355,20 +341,11 @@ impl VirtualQpu {
             inner.rng = rng;
         }
         let l = labels(&[("device", &self.name)]);
+        self.registry.inc(&catalog::QPU_JOBS, l.clone(), 1.0);
         self.registry
-            .counter_add("qpu_jobs_total", "Completed jobs", l.clone(), 1.0);
-        self.registry.counter_add(
-            "qpu_shots_total",
-            "Total shots executed",
-            l.clone(),
-            ir.shots as f64,
-        );
-        self.registry.counter_add(
-            "qpu_busy_seconds_total",
-            "Cumulative seconds the device was executing",
-            l,
-            device_secs,
-        );
+            .inc(&catalog::QPU_SHOTS, l.clone(), ir.shots as f64);
+        self.registry
+            .inc(&catalog::QPU_BUSY_SECONDS, l, device_secs);
 
         Ok(QpuExecution {
             result,

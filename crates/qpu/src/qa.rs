@@ -56,9 +56,8 @@ pub fn run_qa(
     let health = (measured / expected).clamp(0.0, 1.0);
     // publish for the observability stack
     qpu.tsdb().append("qpu_qa_transfer", qpu.now(), measured);
-    qpu.registry().gauge_set(
-        "qpu_qa_health",
-        "Latest QA health score (1 = nominal)",
+    qpu.registry().set(
+        &hpcqc_telemetry::catalog::QPU_QA_HEALTH,
         hpcqc_telemetry::labels(&[("device", qpu.name())]),
         health,
     );

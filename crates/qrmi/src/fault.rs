@@ -3,9 +3,9 @@
 //! [`FaultInjector`] wraps any [`QuantumResource`] and injects deterministic,
 //! seeded faults at the QRMI boundary so the recovery machinery above it —
 //! runtime retries, graceful degradation, daemon requeues — can be exercised
-//! reproducibly. It extends the simple start-time failures of
-//! [`crate::InstrumentedResource`] with the full failure surface a real
-//! cloud/on-prem resource exposes:
+//! reproducibly. It covers the failure surface a real cloud/on-prem resource
+//! exposes (compose it over [`crate::InstrumentedResource`] for simulated
+//! timing on top):
 //!
 //! * **acquisition denials** — `acquire` rejected (busy device, quota),
 //! * **transient task failures** — a started task reports
@@ -28,7 +28,7 @@ use crate::resource::{
 use hpcqc_emulator::SampleResult;
 use hpcqc_program::{DeviceSpec, ProgramIr};
 use hpcqc_sync::{rank, TrackedMutex as Mutex};
-use hpcqc_telemetry::FaultMetrics;
+use hpcqc_telemetry::{catalog, labels, Registry};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -134,7 +134,7 @@ pub struct FaultInjector {
     injected: Mutex<HashMap<String, InjectedFate>>,
     injected_counter: AtomicU64,
     counts: Mutex<BTreeMap<&'static str, u64>>,
-    metrics: Option<FaultMetrics>,
+    metrics: Option<Registry>,
 }
 
 impl FaultInjector {
@@ -171,8 +171,8 @@ impl FaultInjector {
         FaultInjector::new(inner, profile, seed)
     }
 
-    /// Report injected faults through `metrics`.
-    pub fn with_metrics(mut self, metrics: FaultMetrics) -> Self {
+    /// Count injected faults into `metrics`.
+    pub fn with_metrics(mut self, metrics: Registry) -> Self {
         self.metrics = Some(metrics);
         self
     }
@@ -216,7 +216,8 @@ impl FaultInjector {
     fn record(&self, kind: &'static str) {
         *self.counts.lock().entry(kind).or_insert(0) += 1;
         if let Some(m) = &self.metrics {
-            m.fault_injected(self.inner.resource_id(), kind);
+            let l = labels(&[("resource", self.inner.resource_id()), ("kind", kind)]);
+            m.inc(&catalog::QRMI_FAULTS_INJECTED, l, 1.0);
         }
     }
 }
@@ -529,7 +530,7 @@ mod tests {
 
     #[test]
     fn metrics_reported_when_attached() {
-        let metrics = FaultMetrics::default();
+        let metrics = Registry::new();
         let profile = FaultProfile {
             acquire_denial_rate: 1.0,
             ..FaultProfile::none()
@@ -542,7 +543,6 @@ mod tests {
         let r = FaultInjector::new(inner, profile, 1).with_metrics(metrics.clone());
         assert!(r.acquire().is_err());
         assert!(metrics
-            .registry()
             .expose()
             .contains("qrmi_faults_injected_total{kind=\"acquire_denied\",resource=\"emu\"} 1"));
     }

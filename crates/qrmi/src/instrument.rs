@@ -1,5 +1,5 @@
-//! Instrumented resource decorator: simulated timing, fault injection and
-//! profiling for emulator-backed development.
+//! Instrumented resource decorator: simulated timing and profiling for
+//! emulator-backed development.
 //!
 //! The paper's discussion (§4, *Emulation and testability*) notes that plain
 //! emulator modes are "best suited to functional validation, not performance
@@ -10,11 +10,11 @@
 //! * **simulated QPU timing** — results report the wall-clock the program
 //!   *would* take on hardware (`shots / shot_rate + overhead`), so hybrid
 //!   workflows can be performance-profiled on a laptop,
-//! * **fault injection** — seeded, probabilistic task failures and
-//!   acquisition rejections, so retry/fallback logic in runtimes and
-//!   workflow engines can be exercised deterministically,
 //! * **profiling** — a per-operation trace (counts + simulated durations)
 //!   retrievable by the test harness.
+//!
+//! Fault injection is [`crate::FaultInjector`]'s job; wrap one around this
+//! decorator to exercise retry/fallback logic under simulated timing.
 
 use crate::resource::{
     AcquisitionToken, QrmiError, QuantumResource, ResourceType, TaskId, TaskStatus,
@@ -22,35 +22,9 @@ use crate::resource::{
 use hpcqc_emulator::SampleResult;
 use hpcqc_program::{DeviceSpec, ProgramIr};
 use hpcqc_sync::{rank, TrackedMutex as Mutex};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Fault-injection configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FaultConfig {
-    /// Probability a `task_start` fails with a backend error.
-    pub task_failure_prob: f64,
-    /// Probability an `acquire` is rejected (device busy).
-    pub acquire_denial_prob: f64,
-}
-
-impl FaultConfig {
-    /// No injected faults.
-    pub fn none() -> Self {
-        FaultConfig {
-            task_failure_prob: 0.0,
-            acquire_denial_prob: 0.0,
-        }
-    }
-
-    pub fn is_valid(&self) -> bool {
-        (0.0..=1.0).contains(&self.task_failure_prob)
-            && (0.0..=1.0).contains(&self.acquire_denial_prob)
-    }
-}
 
 /// Simulated-hardware timing configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -144,30 +118,16 @@ pub struct ProfileEntry {
 pub struct InstrumentedResource {
     inner: Arc<dyn QuantumResource>,
     timing: TimingModel,
-    faults: FaultConfig,
-    rng: Mutex<ChaCha8Rng>,
     profile: Mutex<BTreeMap<String, ProfileEntry>>,
     /// Remember per-task shot counts so `task_result` can stamp timing.
     task_shots: Mutex<BTreeMap<String, u32>>,
 }
 
 impl InstrumentedResource {
-    pub fn new(
-        inner: Arc<dyn QuantumResource>,
-        timing: TimingModel,
-        faults: FaultConfig,
-        seed: u64,
-    ) -> Self {
-        assert!(faults.is_valid(), "fault probabilities must be in [0,1]");
+    pub fn new(inner: Arc<dyn QuantumResource>, timing: TimingModel) -> Self {
         InstrumentedResource {
             inner,
             timing,
-            faults,
-            rng: Mutex::new(
-                "qrmi.instrument.rng",
-                rank::QRMI_RNG,
-                ChaCha8Rng::seed_from_u64(seed),
-            ),
             profile: Mutex::new(
                 "qrmi.instrument.profile",
                 rank::QRMI_PROFILE,
@@ -214,13 +174,6 @@ impl QuantumResource for InstrumentedResource {
 
     fn acquire(&self) -> Result<AcquisitionToken, QrmiError> {
         self.record("acquire", 0.0);
-        if self.faults.acquire_denial_prob > 0.0
-            && self.rng.lock().gen::<f64>() < self.faults.acquire_denial_prob
-        {
-            return Err(QrmiError::AcquisitionDenied(
-                "injected fault: device busy".into(),
-            ));
-        }
         self.inner.acquire()
     }
 
@@ -238,12 +191,6 @@ impl QuantumResource for InstrumentedResource {
     }
 
     fn task_start(&self, token: &AcquisitionToken, ir: &ProgramIr) -> Result<TaskId, QrmiError> {
-        if self.faults.task_failure_prob > 0.0
-            && self.rng.lock().gen::<f64>() < self.faults.task_failure_prob
-        {
-            self.record("task_start_injected_failure", 0.0);
-            return Err(QrmiError::Backend("injected fault: task lost".into()));
-        }
         let id = self.inner.task_start(token, ir)?;
         self.task_shots.lock().insert(id.0.clone(), ir.shots);
         self.record("task_start", 0.0);
@@ -299,18 +246,18 @@ mod tests {
         ProgramIr::new(b.build().unwrap(), shots, "instr-test")
     }
 
-    fn instrumented(faults: FaultConfig, timing: TimingModel) -> InstrumentedResource {
+    fn instrumented(timing: TimingModel) -> InstrumentedResource {
         let inner = Arc::new(LocalEmulatorResource::new(
             "emu",
             Arc::new(SvBackend::default()),
             1,
         ));
-        InstrumentedResource::new(inner, timing, faults, 7)
+        InstrumentedResource::new(inner, timing)
     }
 
     #[test]
     fn simulated_timing_stamped_on_results() {
-        let r = instrumented(FaultConfig::none(), TimingModel::production_1hz());
+        let r = instrumented(TimingModel::production_1hz());
         let tok = r.acquire().unwrap();
         let res = run_to_completion(&r, &tok, &ir(120), 10).unwrap();
         assert!(
@@ -320,7 +267,7 @@ mod tests {
         // the advertised spec carries the simulated rate
         assert_eq!(r.target().unwrap().shot_rate_hz, 1.0);
         // roadmap profile is 100x faster
-        let fast = instrumented(FaultConfig::none(), TimingModel::roadmap_100hz());
+        let fast = instrumented(TimingModel::roadmap_100hz());
         let tok = fast.acquire().unwrap();
         let res = run_to_completion(&fast, &tok, &ir(120), 10).unwrap();
         assert!((res.execution_secs - 4.2).abs() < 1e-9);
@@ -328,7 +275,7 @@ mod tests {
 
     #[test]
     fn profile_records_operations() {
-        let r = instrumented(FaultConfig::none(), TimingModel::production_1hz());
+        let r = instrumented(TimingModel::production_1hz());
         let tok = r.acquire().unwrap();
         for _ in 0..3 {
             run_to_completion(&r, &tok, &ir(10), 10).unwrap();
@@ -344,71 +291,10 @@ mod tests {
     }
 
     #[test]
-    fn injected_task_failures_are_seeded_and_bounded() {
-        let r = instrumented(
-            FaultConfig {
-                task_failure_prob: 0.5,
-                acquire_denial_prob: 0.0,
-            },
-            TimingModel::production_1hz(),
-        );
-        let tok = r.acquire().unwrap();
-        let mut failures = 0;
-        let trials = 200;
-        for _ in 0..trials {
-            if r.task_start(&tok, &ir(1)).is_err() {
-                failures += 1;
-            }
-        }
-        let rate = failures as f64 / trials as f64;
-        assert!((rate - 0.5).abs() < 0.12, "failure rate {rate}");
-        // deterministic: same seed, same sequence
-        let r2 = instrumented(
-            FaultConfig {
-                task_failure_prob: 0.5,
-                acquire_denial_prob: 0.0,
-            },
-            TimingModel::production_1hz(),
-        );
-        let tok2 = r2.acquire().unwrap();
-        let mut failures2 = 0;
-        for _ in 0..trials {
-            if r2.task_start(&tok2, &ir(1)).is_err() {
-                failures2 += 1;
-            }
-        }
-        assert_eq!(failures, failures2);
-    }
-
-    #[test]
-    fn injected_acquire_denials() {
-        let r = instrumented(
-            FaultConfig {
-                task_failure_prob: 0.0,
-                acquire_denial_prob: 1.0,
-            },
-            TimingModel::production_1hz(),
-        );
-        assert!(matches!(r.acquire(), Err(QrmiError::AcquisitionDenied(_))));
-    }
-
-    #[test]
     fn metadata_marks_instrumentation() {
-        let r = instrumented(FaultConfig::none(), TimingModel::roadmap_100hz());
+        let r = instrumented(TimingModel::roadmap_100hz());
         let m = r.metadata();
         assert_eq!(m["instrumented"], "true");
         assert_eq!(m["simulated_shot_rate_hz"], "100");
-    }
-
-    #[test]
-    #[should_panic(expected = "fault probabilities")]
-    fn invalid_fault_config_rejected() {
-        instrumented(
-            FaultConfig {
-                task_failure_prob: 1.5,
-                acquire_denial_prob: 0.0,
-            },
-            TimingModel::production_1hz(),
-        );
     }
 }

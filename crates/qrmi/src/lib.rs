@@ -16,7 +16,7 @@ pub mod resource;
 pub use backends::{CloudEngine, CloudResource, LocalEmulatorResource, QpuDirectResource};
 pub use config::{ConfigError, QrmiConfig, ResourceConfig, ResourceFactory, ResourceRegistry};
 pub use fault::{FaultInjector, FaultProfile};
-pub use instrument::{FaultConfig, InstrumentedResource, ProfileEntry, TimingModel};
+pub use instrument::{InstrumentedResource, ProfileEntry, TimingModel};
 pub use resource::{
     run_to_completion, AcquisitionToken, QrmiError, QuantumResource, ResourceType, TaskId,
     TaskStatus,

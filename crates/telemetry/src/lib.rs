@@ -3,8 +3,15 @@
 //! Stand-in for the Prometheus / InfluxDB / Grafana triplet the paper builds
 //! its monitoring on (§3.6):
 //!
-//! * [`Registry`] — counters, gauges and histograms with label sets, rendered
-//!   in the genuine Prometheus text exposition format by [`Registry::expose`],
+//! * [`catalog`] — the one table that declares every metric the stack
+//!   exposes: a `const` [`Counter`](catalog::Counter) /
+//!   [`Gauge`](catalog::Gauge) / [`Histogram`](catalog::Histogram)
+//!   descriptor carrying its name, help text and (by its type) its kind,
+//! * [`Registry`] — label-keyed series, written only through a catalog
+//!   descriptor (`inc`, `set`/`add`, `observe`) by the code where the event
+//!   happens, rendered in the genuine Prometheus text exposition format by
+//!   [`Registry::expose`]; [`export_lock_metrics`] republishes the tracked
+//!   locks' contention stats into it on scrape,
 //! * [`TimeSeriesDb`] — append-only time series with retention, range queries
 //!   and downsampling (the InfluxDB role),
 //! * [`ZScoreDetector`] / [`CusumDetector`] — online calibration-drift
@@ -13,23 +20,14 @@
 //!   pending → firing → resolved lifecycle.
 
 pub mod alerts;
+pub mod catalog;
 pub mod drift;
-pub mod durability;
-pub mod fault;
-pub mod lint;
 pub mod metrics;
-pub mod replication;
 pub mod sync;
-pub mod transport;
 pub mod tsdb;
 
 pub use alerts::{AlertEvent, AlertManager, AlertRule, AlertState, Cmp};
 pub use drift::{CusumDetector, Detection, ZScoreDetector};
-pub use durability::DurabilityMetrics;
-pub use fault::FaultMetrics;
-pub use lint::LintMetrics;
 pub use metrics::{labels, Labels, Registry};
-pub use replication::ReplicationMetrics;
 pub use sync::export_lock_metrics;
-pub use transport::TransportMetrics;
 pub use tsdb::{Agg, Point, TimeSeriesDb};

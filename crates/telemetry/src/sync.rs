@@ -12,6 +12,9 @@
 //! operators care about the lock, not the instance. Gauges (not counters)
 //! because each scrape re-publishes an absolute snapshot.
 
+use crate::catalog::{
+    LOCK_ACQUISITIONS, LOCK_CONTENDED_ACQUISITIONS, LOCK_HOLD_SECONDS, LOCK_RANK, LOCK_WAIT_SECONDS,
+};
 use crate::metrics::{labels, Registry};
 use hpcqc_sync::{all_lock_stats, histogram_quantile_ns, BUCKETS};
 use std::collections::BTreeMap;
@@ -58,38 +61,18 @@ fn aggregate() -> BTreeMap<&'static str, NameAgg> {
 pub fn export_lock_metrics(reg: &Registry) {
     for (name, agg) in aggregate() {
         let l = labels(&[("lock", name)]);
-        reg.gauge_set(
-            "lock_acquisitions",
-            "Total acquisitions of each tracked lock",
-            l.clone(),
-            agg.acquisitions as f64,
-        );
-        reg.gauge_set(
-            "lock_contended_acquisitions",
-            "Acquisitions that had to wait for another holder",
+        reg.set(&LOCK_ACQUISITIONS, l.clone(), agg.acquisitions as f64);
+        reg.set(
+            &LOCK_CONTENDED_ACQUISITIONS,
             l.clone(),
             agg.contended as f64,
         );
-        reg.gauge_set(
-            "lock_rank",
-            "Declared lock-hierarchy rank (see DESIGN.md §14)",
-            l,
-            agg.rank as f64,
-        );
+        reg.set(&LOCK_RANK, l, agg.rank as f64);
         for (q, qs) in [(0.5, "0.5"), (0.99, "0.99")] {
             let ql = labels(&[("lock", name), ("quantile", qs)]);
-            reg.gauge_set(
-                "lock_wait_seconds",
-                "Lock acquisition wait time (log2-histogram quantile)",
-                ql.clone(),
-                histogram_quantile_ns(&agg.wait, q) / 1e9,
-            );
-            reg.gauge_set(
-                "lock_hold_seconds",
-                "Lock hold time (log2-histogram quantile)",
-                ql,
-                histogram_quantile_ns(&agg.hold, q) / 1e9,
-            );
+            let secs = |hist| histogram_quantile_ns(hist, q) / 1e9;
+            reg.set(&LOCK_WAIT_SECONDS, ql.clone(), secs(&agg.wait));
+            reg.set(&LOCK_HOLD_SECONDS, ql, secs(&agg.hold));
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Property-based tests on the observability stack.
 
+use hpcqc_telemetry::catalog::QPU_SHOTS;
 use hpcqc_telemetry::{
     labels, Agg, CusumDetector, Detection, Registry, TimeSeriesDb, ZScoreDetector,
 };
@@ -120,13 +121,13 @@ proptest! {
         let r = Registry::new();
         let l = labels(&[("k", "v")]);
         for &inc in &increments {
-            r.counter_add("c_total", "test", l.clone(), inc);
+            r.inc(&QPU_SHOTS, l.clone(), inc);
         }
         let total: f64 = increments.iter().sum();
-        prop_assert!((r.get_value("c_total", &l).unwrap() - total).abs() < 1e-9);
+        prop_assert!((r.get_value("qpu_shots_total", &l).unwrap() - total).abs() < 1e-9);
         // exposition contains the series exactly once
         let text = r.expose();
-        let hits = text.lines().filter(|ln| ln.starts_with("c_total{")).count();
+        let hits = text.lines().filter(|ln| ln.starts_with("qpu_shots_total{")).count();
         prop_assert_eq!(hits, 1);
     }
 }

@@ -22,10 +22,10 @@ use hpcqc::qrmi::{
     ResourceRegistry,
 };
 use hpcqc::sdk::AnalogProgram;
-use hpcqc::telemetry::FaultMetrics;
+use hpcqc::telemetry::Registry;
 use std::sync::Arc;
 
-fn registry(profile: FaultProfile, metrics: &FaultMetrics) -> ResourceRegistry {
+fn registry(profile: FaultProfile, metrics: &Registry) -> ResourceRegistry {
     let backend = Arc::new(SvBackend::default());
     let cloud = Arc::new(CloudResource::new(
         "flaky-cloud",
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .to_ir(100)?;
 
     // --- 1. a ~25%-failure resource, production-class retry budget -------
-    let metrics = FaultMetrics::default();
+    let metrics = Registry::new();
     let profile = FaultProfile::flaky();
     println!(
         "flaky profile: {:.0}% acquire denials, {:.0}% task failures, \
@@ -104,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 3. the whole story, as Prometheus would scrape it ---------------
     println!("\n# telemetry");
-    for line in metrics.registry().expose().lines() {
+    for line in metrics.expose().lines() {
         if ["fault", "retr", "backoff", "fallback"]
             .iter()
             .any(|k| line.contains(k))

@@ -2,9 +2,9 @@
 //!
 //! The §4 future-work "workflow engine integration" in action: a
 //! calibration-probe → analysis → production-sweep → post-processing
-//! pipeline expressed as a dependency graph, executed by the runtime on an
-//! *instrumented* resource that injects task failures and simulates 1 Hz
-//! hardware timing — so the retry logic and the simulated device-time
+//! pipeline expressed as a dependency graph, executed by the runtime on a
+//! fault-injecting, *instrumented* resource that loses tasks and simulates
+//! 1 Hz hardware timing — so the retry logic and the simulated device-time
 //! profile are both exercised on a laptop.
 //!
 //! Run: `cargo run --release --example workflow_pipeline`
@@ -13,7 +13,8 @@ use hpcqc::core::{Runtime, Value, Workflow};
 use hpcqc::emulator::SvBackend;
 use hpcqc::program::{ProgramIr, Pulse, Register, SequenceBuilder};
 use hpcqc::qrmi::{
-    FaultConfig, InstrumentedResource, LocalEmulatorResource, ResourceRegistry, TimingModel,
+    FaultInjector, FaultProfile, InstrumentedResource, LocalEmulatorResource, ResourceRegistry,
+    TimingModel,
 };
 use std::sync::Arc;
 
@@ -27,22 +28,21 @@ fn pulse_program(duration: f64, shots: u32) -> ProgramIr {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // an emulator dressed up as flaky 1 Hz hardware (§4: fault injection +
     // simulated QPU timing for realistic development)
-    let flaky = Arc::new(InstrumentedResource::new(
+    let timed = Arc::new(InstrumentedResource::new(
         Arc::new(LocalEmulatorResource::new(
             "dev-qpu",
             Arc::new(SvBackend::default()),
             3,
         )),
         TimingModel::production_1hz(),
-        FaultConfig {
-            task_failure_prob: 0.3,
-            acquire_denial_prob: 0.0,
-        },
-        2026,
     ));
-    let profile_handle = Arc::clone(&flaky);
+    let profile_handle = Arc::clone(&timed);
+    let lossy = FaultProfile {
+        task_failure_rate: 0.3,
+        ..FaultProfile::none()
+    };
     let mut registry = ResourceRegistry::new();
-    registry.register(flaky);
+    registry.register(Arc::new(FaultInjector::new(timed, lossy, 2026)));
     registry.default_resource = Some("dev-qpu".into());
     let runtime = Runtime::new(registry);
 
@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nretries absorbed {} injected failures; simulated hardware time {:.0}s \
          (30% task-loss rate, 1 Hz device) — the pipeline is robust to the \
-         faults the instrumented resource injects.",
+         faults the injector throws at it.",
         total_attempts - trace.len() as u32,
         profile_handle.simulated_device_secs()
     );

@@ -15,7 +15,7 @@ use hpcqc::qrmi::{
     ResourceRegistry,
 };
 use hpcqc::scheduler::PatternHint;
-use hpcqc::telemetry::FaultMetrics;
+use hpcqc::telemetry::Registry;
 use std::sync::Arc;
 
 fn program(shots: u32) -> ProgramIr {
@@ -27,7 +27,7 @@ fn program(shots: u32) -> ProgramIr {
 
 /// Registry: a flaky cloud resource (the default) plus a clean local
 /// emulator for graceful degradation.
-fn registry(profile: FaultProfile, metrics: &FaultMetrics) -> ResourceRegistry {
+fn registry(profile: FaultProfile, metrics: &Registry) -> ResourceRegistry {
     let backend = Arc::new(SvBackend::default());
     let cloud = Arc::new(CloudResource::new(
         "flaky-cloud",
@@ -56,7 +56,7 @@ fn workflow_completes_against_faulty_resource_with_retries() {
     assert!(profile.task_failure_rate >= 0.2);
     assert!(profile.acquire_denial_rate > 0.0);
 
-    let metrics = FaultMetrics::default();
+    let metrics = Registry::new();
     let rt = Runtime::new(registry(profile, &metrics))
         .with_retry_policy(RetryPolicy::default())
         .with_priority_class(PriorityClass::Production)
@@ -81,7 +81,7 @@ fn workflow_completes_against_faulty_resource_with_retries() {
 
     // telemetry saw the whole story: injected faults and the retries that
     // recovered from them
-    let text = metrics.registry().expose();
+    let text = metrics.expose();
     assert!(text.contains("qrmi_faults_injected_total"), "{text}");
     assert!(text.contains("runtime_retries_total"), "{text}");
     assert!(text.contains("runtime_backoff_seconds_total"), "{text}");
@@ -94,7 +94,7 @@ fn budget_exhaustion_degrades_to_local_emulator() {
         acquire_denial_rate: 1.0,
         ..FaultProfile::none()
     };
-    let metrics = FaultMetrics::default();
+    let metrics = Registry::new();
     let rt = Runtime::new(registry(profile, &metrics))
         .with_retry_policy(RetryPolicy::default().with_budget(
             PriorityClass::Development,
@@ -111,7 +111,7 @@ fn budget_exhaustion_degrades_to_local_emulator() {
     assert_eq!(run.report.resource_id, "emu-local");
     assert_eq!(run.report.result.shots, 30);
 
-    let text = metrics.registry().expose();
+    let text = metrics.expose();
     assert!(text.contains("runtime_retry_budget_exhausted_total{resource=\"flaky-cloud\"} 1"));
     assert!(text.contains("runtime_fallbacks_total{from=\"flaky-cloud\",to=\"emu-local\"} 1"));
     // the denials themselves were recorded by the injector

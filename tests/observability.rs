@@ -3,10 +3,18 @@
 //! QPU calibration → telemetry → drift detection → alert → admin
 //! recalibration, with the QA probe closing the loop.
 
+use hpcqc::core::DaemonClient;
+use hpcqc::emulator::SvBackend;
+use hpcqc::middleware::rest::serve_on;
+use hpcqc::middleware::{DaemonConfig, JournalConfig, MiddlewareService, PriorityClass};
+use hpcqc::program::{ProgramIr, Pulse, Register, SequenceBuilder};
 use hpcqc::qpu::{run_qa, VirtualQpu};
+use hpcqc::qrmi::LocalEmulatorResource;
+use hpcqc::scheduler::PatternHint;
 use hpcqc::telemetry::{
     Agg, AlertManager, AlertRule, AlertState, Cmp, CusumDetector, Detection, ZScoreDetector,
 };
+use std::sync::Arc;
 
 #[test]
 fn injected_fade_is_detected_before_the_qa_probe_notices() {
@@ -159,4 +167,85 @@ fn prometheus_exposition_is_scrape_compatible() {
         }
     }
     assert!(text.contains("qpu_qa_health"));
+}
+
+/// The series `e2e_perf` reads off `GET /metrics`, with the label keys it
+/// (and every dashboard) found there before the metric catalog: a renamed
+/// series or a changed label set would zero a benchmark counter silently.
+#[test]
+fn daemon_scrape_carries_every_series_the_benchmark_reads() {
+    let dir = std::env::temp_dir().join(format!("hpcqc-obs-scrape-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let resource = Arc::new(LocalEmulatorResource::new(
+        "emu",
+        Arc::new(SvBackend::default()),
+        1,
+    ));
+    let cfg = DaemonConfig {
+        preempt_chunk_shots: 5,
+        journal: JournalConfig {
+            compact_every: 4,
+            ..JournalConfig::default()
+        },
+        ..DaemonConfig::default()
+    };
+    let svc = Arc::new(MiddlewareService::recover(&dir, resource, cfg).unwrap());
+    let server = serve_on(Arc::clone(&svc), 0).unwrap();
+    let client = DaemonClient::new(server.addr());
+    let program = |shots| {
+        let mut b = SequenceBuilder::new(Register::linear(2, 6.0).unwrap());
+        b.add_global_pulse(Pulse::constant(0.3, 4.0, 0.0, 0.0).unwrap());
+        ProgramIr::new(b.build().unwrap(), shots, "scrape")
+    };
+    // submit → dispatch → result; the same development program again is a
+    // result-cache hit
+    let dev = client
+        .open_session("dana", PriorityClass::Development)
+        .unwrap();
+    for _ in 0..2 {
+        assert_eq!(dev.run(&program(10), PatternHint::None).unwrap().shots, 10);
+    }
+    // a test task aged to the head with a production task queued behind it
+    // is preempted at its first slice boundary
+    let test = client.open_session("tess", PriorityClass::Test).unwrap();
+    let sliced = test.submit(&program(20), PatternHint::None).unwrap();
+    svc.advance_time(2.0 * 3600.0);
+    let prod = client
+        .open_session("pat", PriorityClass::Production)
+        .unwrap();
+    assert_eq!(prod.run(&program(10), PatternHint::None).unwrap().shots, 10);
+    assert_eq!(test.wait(sliced, 100).unwrap().shots, 20);
+
+    let text = client.metrics().unwrap();
+    let label_keys = |name: &str| -> Option<Vec<&str>> {
+        let line = text.lines().find(|l| {
+            l.strip_prefix(name)
+                .is_some_and(|r| r.starts_with(['{', ' ']))
+        })?;
+        let labels = line[name.len()..].split(' ').next().unwrap();
+        let inner = labels.trim_start_matches('{').trim_end_matches('}');
+        Some(
+            inner
+                .split(',')
+                .filter_map(|kv| kv.split_once('=').map(|(k, _)| k))
+                .collect(),
+        )
+    };
+    for (name, keys) in [
+        ("journal_appends_total", vec![]),
+        ("journal_bytes_total", vec![]),
+        ("journal_fsyncs_total", vec![]),
+        ("journal_snapshots_total", vec![]),
+        ("daemon_tasks_submitted_total", vec!["class"]),
+        ("daemon_tasks_completed_total", vec!["class"]),
+        ("daemon_dev_cache_hits_total", vec!["class"]),
+        ("daemon_preemptions_total", vec!["class"]),
+        ("http_requests_total", vec!["code"]),
+        ("http_keepalive_reuse_total", vec![]),
+        ("lock_wait_seconds", vec!["lock", "quantile"]),
+    ] {
+        assert_eq!(label_keys(name), Some(keys), "{name}");
+    }
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }
