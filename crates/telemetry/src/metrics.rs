@@ -231,7 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn gauge_sets_and_adds() {
+    fn set_overwrites_and_add_moves_a_gauge() {
         let r = Registry::new();
         let l = Labels::new();
         r.set(&DEPTH, l.clone(), 9.0);
