@@ -1,14 +1,11 @@
 //! Experiment EP — emulator kernel performance trajectory.
 //!
 //! Times `evolve + sample` across qubit counts for both emulator backends,
-//! plus batched parameter-sweep execution, and writes the results to
-//! `BENCH_emulator.json`. The 16-qubit state-vector case is the headline
-//! single-program number: the JSON records the measured time next to the
-//! pre-PR baseline (commit b1b38e8, same harness, same machine class) and
-//! the resulting speedup. The batch case times one `run_sweep` over a
-//! QAOA-style point grid against the same points run as independent
-//! sequential `run` calls — once with the current kernel and once with the
-//! pre-SIMD scalar kernel, the honest "before this PR" comparator.
+//! plus one parameter sweep through `Runtime::run_sweep`, and writes the
+//! results to `BENCH_emulator.json`. The 16-qubit state-vector case is the
+//! headline single-program number: the JSON records the measured time next
+//! to the pre-PR baseline (commit b1b38e8, same harness, same machine class)
+//! and the resulting speedup.
 //!
 //! Phase attribution comes from [`SvBackend::run_timed`]: both phases are
 //! measured inside one instrumented run, so `total_ms = evolve_ms +
@@ -22,15 +19,15 @@
 //! `--quick` shrinks sizes/reps for the CI smoke job; the harness exits
 //! non-zero if any timing comes back non-finite or non-positive, so a CI
 //! run doubles as a panic/NaN gate for the kernels. The quick set still
-//! includes the 20-qubit state-vector case (single rep) and a small batch
-//! case, so CI exercises the largest dense register and the batched path.
+//! includes the 20-qubit state-vector case (single rep) — the one size in
+//! it whose passes fork — and a small sweep.
 
 use hpcqc_bench::{render_table, HarnessArgs};
+use hpcqc_core::Runtime;
 use hpcqc_emulator::mps::evolve_sequence_mps;
-use hpcqc_emulator::{
-    Emulator, MpsBackend, MpsConfig, SvBackend, SvConfig, SvKernel, SvPhaseTimings, SweepPoint,
-};
+use hpcqc_emulator::{Emulator, MpsBackend, MpsConfig, SvBackend, SvPhaseTimings, SweepPoint};
 use hpcqc_program::{ProgramIr, Pulse, Register, Sequence, SequenceBuilder};
+use hpcqc_qrmi::{QrmiConfig, ResourceFactory};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -59,24 +56,15 @@ struct CaseResult {
 }
 
 #[derive(Debug, Serialize)]
-struct BatchCaseResult {
+struct SweepCaseResult {
     backend: String,
     qubits: usize,
     points: usize,
     shots: u32,
     reps: usize,
-    /// One batched `run_sweep` over all points, ms (best of reps).
-    batch_ms: f64,
-    /// The same points as independent `run` calls with the pre-SIMD scalar
-    /// kernel — the "before this PR" sequential comparator, ms.
-    sequential_scalar_ms: f64,
-    /// The same points as independent `run` calls with the current (SIMD)
-    /// kernel — isolates the batching amortization alone, ms.
-    sequential_auto_ms: f64,
-    /// `sequential_scalar_ms / batch_ms`: batched + SIMD vs pre-PR serial.
-    speedup_vs_sequential_scalar: f64,
-    /// `sequential_auto_ms / batch_ms`: batching amortization alone.
-    speedup_vs_sequential_auto: f64,
+    /// One `Runtime::run_sweep` over all points — one lease, one ordinary
+    /// task per point — ms (best of reps).
+    sweep_ms: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -86,7 +74,7 @@ struct BenchReport {
     quick: bool,
     unix_time_secs: u64,
     cases: Vec<CaseResult>,
-    batch_cases: Vec<BatchCaseResult>,
+    sweep: SweepCaseResult,
     baseline_pre_pr: Baseline,
     /// Measured speedup of the headline 16q sv case vs the pre-PR baseline
     /// (`baseline total / measured total`); `null` in quick mode, where the
@@ -109,9 +97,8 @@ fn bench_sequence(n: usize) -> Sequence {
     b.build().expect("valid sequence")
 }
 
-/// A p=2 QAOA-style alternation of driver (Ω on) and cost (δ on) layers —
-/// all-constant waveforms, so the batch runner's shared-discretization fast
-/// path applies, exactly as a parameter-sweep workload would hit it.
+/// A p=2 QAOA-style alternation of driver (Ω on) and cost (δ on) layers,
+/// the template a parameter-sweep workload scales point by point.
 fn qaoa_template(n: usize, shots: u32) -> ProgramIr {
     let reg = Register::linear(n, 10.0).expect("valid linear register");
     let mut b = SequenceBuilder::new(reg);
@@ -123,7 +110,7 @@ fn qaoa_template(n: usize, shots: u32) -> ProgramIr {
     ] {
         b.add_global_pulse(Pulse::constant(0.1, omega, delta, phase).expect("valid pulse"));
     }
-    ProgramIr::new(b.build().expect("valid sequence"), shots, "bench-batch")
+    ProgramIr::new(b.build().expect("valid sequence"), shots, "bench-sweep")
 }
 
 fn sweep_grid(count: usize) -> Vec<SweepPoint> {
@@ -137,10 +124,6 @@ fn sweep_grid(count: usize) -> Vec<SweepPoint> {
             }
         })
         .collect()
-}
-
-fn time_best<F: FnMut() -> f64>(reps: usize, mut f: F) -> f64 {
-    (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min)
 }
 
 fn run_sv_case(n: usize, shots: u32, reps: usize) -> CaseResult {
@@ -209,68 +192,50 @@ fn run_mps_case(n: usize, shots: u32, reps: usize) -> CaseResult {
     }
 }
 
-fn run_batch_case(n: usize, point_count: usize, shots: u32, reps: usize) -> BatchCaseResult {
-    let auto = SvBackend::default();
-    let scalar = SvBackend {
-        config: SvConfig {
-            kernel: SvKernel::Scalar,
-            ..SvConfig::default()
-        },
-        ..SvBackend::default()
+fn sweep_case(n: usize, point_count: usize, shots: u32, reps: usize) -> SweepCaseResult {
+    const SEED: u64 = 7;
+    // The zero-setup development runtime: `emu-local` over `SvBackend`, a
+    // fresh one handing task `k` the seed `SEED + k`.
+    let runtime = || {
+        let registry = ResourceFactory::new(SEED)
+            .build_registry(&QrmiConfig::development_default())
+            .expect("development registry builds");
+        Runtime::new(registry)
     };
     let template = qaoa_template(n, shots);
     let points = sweep_grid(point_count);
 
-    // Correctness gate before any timing: the batched sweep must be
-    // bit-identical to independent sequential runs of each point.
-    let batched = auto
-        .run_sweep(&template, &points, 7)
-        .expect("batched sweep succeeds");
+    // Correctness gate before any timing: the sweep must return what
+    // independent runs of each materialized point return, seed for seed.
+    let swept = runtime()
+        .run_sweep(&template, &points)
+        .expect("sweep succeeds");
     for (k, p) in points.iter().enumerate() {
         let mut ir = template.clone();
         ir.sequence = p.materialize(&template.sequence);
-        let solo = auto
-            .run(&ir, 7 + k as u64)
-            .expect("sequential run succeeds");
-        assert_eq!(batched[k], solo, "batch/sequential divergence at point {k}");
+        let solo = SvBackend::default()
+            .run(&ir, SEED + k as u64)
+            .expect("run succeeds");
+        assert_eq!(swept[k].result, solo, "sweep/run divergence at point {k}");
     }
 
-    let batch_ms = time_best(reps, || {
-        let t = Instant::now();
-        let rs = auto
-            .run_sweep(&template, &points, 7)
-            .expect("batched sweep succeeds");
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(rs.len(), points.len());
-        ms
-    });
-    let sequential = |backend: &SvBackend| {
-        time_best(reps, || {
+    let rt = runtime();
+    let sweep_ms = (0..reps)
+        .map(|_| {
             let t = Instant::now();
-            for (k, p) in points.iter().enumerate() {
-                let mut ir = template.clone();
-                ir.sequence = p.materialize(&template.sequence);
-                let r = backend
-                    .run(&ir, 7 + k as u64)
-                    .expect("sequential run succeeds");
-                assert_eq!(r.shots, shots);
-            }
-            t.elapsed().as_secs_f64() * 1e3
+            let reports = rt.run_sweep(&template, &points).expect("sweep succeeds");
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(reports.len(), points.len());
+            ms
         })
-    };
-    let sequential_auto_ms = sequential(&auto);
-    let sequential_scalar_ms = sequential(&scalar);
-    BatchCaseResult {
+        .fold(f64::INFINITY, f64::min);
+    SweepCaseResult {
         backend: "emu-sv".into(),
         qubits: n,
         points: point_count,
         shots,
         reps,
-        batch_ms,
-        sequential_scalar_ms,
-        sequential_auto_ms,
-        speedup_vs_sequential_scalar: sequential_scalar_ms / batch_ms,
-        speedup_vs_sequential_auto: sequential_auto_ms / batch_ms,
+        sweep_ms,
     }
 }
 
@@ -293,7 +258,7 @@ fn main() {
         &[8, 12, 14, 16, 20]
     };
     let mps_sizes: &[usize] = if args.quick { &[8] } else { &[8, 12, 16] };
-    let (batch_qubits, batch_points) = if args.quick { (8, 8) } else { (12, 32) };
+    let (sweep_qubits, sweep_points) = if args.quick { (8, 8) } else { (12, 32) };
 
     let mut cases = Vec::new();
     for &n in sv_sizes {
@@ -304,44 +269,30 @@ fn main() {
         eprintln!("timing emu-mps n={n} ...");
         cases.push(run_mps_case(n, shots, reps));
     }
-    eprintln!("timing emu-sv batched sweep n={batch_qubits} points={batch_points} ...");
-    let batch_cases = vec![run_batch_case(batch_qubits, batch_points, shots, reps)];
+    eprintln!("timing emu-sv sweep n={sweep_qubits} points={sweep_points} ...");
+    let sweep = sweep_case(sweep_qubits, sweep_points, shots, reps);
 
     // Gate: every timing must be finite and positive (a panic would have
     // aborted already; NaN/0 indicates a broken clock or kernel). The
     // sample phase is directly measured now, so it gets the same `> 0`
     // check as the others — no exemption.
     let mut gate_failures = 0usize;
+    let mut gate = |what: String, v: f64| {
+        if !v.is_finite() || v <= 0.0 {
+            eprintln!("non-finite or non-positive timing: {what}={v}");
+            gate_failures += 1;
+        }
+    };
     for c in &cases {
         for (label, v) in [
             ("evolve_ms", c.evolve_ms),
             ("total_ms", c.total_ms),
             ("sample_ms", c.sample_ms),
         ] {
-            if !v.is_finite() || v <= 0.0 {
-                eprintln!(
-                    "non-finite or non-positive timing: {} n={} {label}={v}",
-                    c.backend, c.qubits
-                );
-                gate_failures += 1;
-            }
+            gate(format!("{} n={} {label}", c.backend, c.qubits), v);
         }
     }
-    for c in &batch_cases {
-        for (label, v) in [
-            ("batch_ms", c.batch_ms),
-            ("sequential_scalar_ms", c.sequential_scalar_ms),
-            ("sequential_auto_ms", c.sequential_auto_ms),
-        ] {
-            if !v.is_finite() || v <= 0.0 {
-                eprintln!(
-                    "non-finite or non-positive timing: batch n={} {label}={v}",
-                    c.qubits
-                );
-                gate_failures += 1;
-            }
-        }
-    }
+    gate(format!("sweep n={} sweep_ms", sweep.qubits), sweep.sweep_ms);
     if gate_failures > 0 {
         eprintln!("{gate_failures} timing gate failure(s)");
         std::process::exit(1);
@@ -371,30 +322,9 @@ fn main() {
             &rows
         )
     );
-    let batch_rows: Vec<Vec<String>> = batch_cases
-        .iter()
-        .map(|c| {
-            vec![
-                format!("{}x{}q", c.points, c.qubits),
-                format!("{:.2}", c.batch_ms),
-                format!("{:.2}", c.sequential_auto_ms),
-                format!("{:.2}", c.sequential_scalar_ms),
-                format!("{:.2}x", c.speedup_vs_sequential_scalar),
-            ]
-        })
-        .collect();
     println!(
-        "{}",
-        render_table(
-            &[
-                "sweep",
-                "batch(ms)",
-                "seq-simd(ms)",
-                "seq-scalar(ms)",
-                "vs scalar"
-            ],
-            &batch_rows
-        )
+        "sweep {}x{}q: {:.2} ms",
+        sweep.points, sweep.qubits, sweep.sweep_ms
     );
     if let Some(s) = speedup {
         println!("sv16 total vs pre-PR baseline {PRE_PR_SV16_TOTAL_MS:.2} ms: {s:.2}x");
@@ -402,8 +332,8 @@ fn main() {
 
     let report = BenchReport {
         benchmark: "emulator_perf".into(),
-        commit_note: "SIMD lane kernels + batched sweep execution; phase timings now from one \
-                      instrumented run (total = evolve + sample exactly)"
+        commit_note: "SIMD kernels forking from 18 qubits up; a sweep is Runtime::run_sweep, one \
+                      ordinary task per point"
             .into(),
         quick: args.quick,
         unix_time_secs: std::time::SystemTime::now()
@@ -411,7 +341,7 @@ fn main() {
             .map(|d| d.as_secs())
             .unwrap_or(0),
         cases,
-        batch_cases,
+        sweep,
         baseline_pre_pr: Baseline {
             commit: "b1b38e8".into(),
             sv16_evolve_ms: PRE_PR_SV16_EVOLVE_MS,

@@ -1,19 +1,13 @@
-//! Hybrid execution helpers: sweeps and iterative quantum-classical loops.
+//! Hybrid execution helper: the iterative quantum-classical loop.
 //!
-//! The building blocks hybrid workflows compose with the runtime: parameter
-//! sweeps (many programs, one backend) and the generic
-//! evaluate-update-repeat loop that variational algorithms instantiate. The
-//! loop is backend-agnostic — the runtime decides whether evaluations hit an
+//! The generic evaluate-update-repeat loop that variational algorithms
+//! instantiate (parameter sweeps are [`Runtime::run_sweep`]). The loop is
+//! backend-agnostic — the runtime decides whether evaluations hit an
 //! emulator or the QPU — which is precisely how a workflow moves from
 //! development to production without code changes (Figure 1).
 
-use crate::runtime::{RunReport, Runtime, RuntimeError};
+use crate::runtime::{Runtime, RuntimeError};
 use hpcqc_program::ProgramIr;
-
-/// Run a family of programs on the current backend.
-pub fn sweep(rt: &Runtime, programs: &[ProgramIr]) -> Vec<Result<RunReport, RuntimeError>> {
-    programs.iter().map(|p| rt.run(p)).collect()
-}
 
 /// Outcome of one iteration of a hybrid loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,15 +96,6 @@ mod tests {
         let mut b = SequenceBuilder::new(reg);
         b.add_global_pulse(Pulse::constant(duration, 4.0, 0.0, 0.0).unwrap());
         ProgramIr::new(b.build().unwrap(), 2000, "hybrid-test")
-    }
-
-    #[test]
-    fn sweep_runs_every_program() {
-        let rt = runtime();
-        let programs: Vec<ProgramIr> = [0.1, 0.2, 0.3].iter().map(|&d| program(d)).collect();
-        let out = sweep(&rt, &programs);
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(Result::is_ok));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   transient QRMI failures don't kill a workflow.
 //! * [`DaemonClient`] / [`DaemonSession`] — the REST session client for
 //!   multi-user deployments behind the middleware daemon (§3.3).
-//! * [`hybrid`] — parameter sweeps and the generic variational loop.
+//! * [`hybrid`] — the generic variational loop.
 
 pub mod client;
 pub mod config;
@@ -27,7 +27,7 @@ pub mod workflow;
 pub use client::{BatchItem, ClientError, DaemonClient, DaemonSession};
 pub use config::RuntimeConfig;
 pub use hpcqc_emulator::SweepPoint;
-pub use hybrid::{iterate, sweep, IterationRecord, LoopResult};
+pub use hybrid::{iterate, IterationRecord, LoopResult};
 pub use retry::{AttemptBudget, Backoff, RetryPolicy};
 pub use runtime::{RecoveredRun, RunReport, Runtime, RuntimeError};
 pub use workflow::{Outputs, TraceEntry, Value, Workflow, WorkflowError};

@@ -12,9 +12,7 @@ use hpcqc_analysis::{AnalysisReport, Analyzer, Diagnostic};
 use hpcqc_emulator::{SampleResult, SweepPoint};
 use hpcqc_middleware::PriorityClass;
 use hpcqc_program::{DeviceSpec, ProgramIr, Violation};
-use hpcqc_qrmi::{
-    ConfigError, QrmiError, QuantumResource, ResourceRegistry, ResourceType, TaskStatus,
-};
+use hpcqc_qrmi::{ConfigError, QrmiError, QuantumResource, ResourceRegistry, ResourceType};
 use hpcqc_telemetry::{catalog, labels, Registry};
 use std::sync::Arc;
 
@@ -340,19 +338,17 @@ impl Runtime {
     }
 
     /// Run a parameter sweep — `points.len()` variations of one program
-    /// template — on the current backend in a single acquisition.
+    /// template — on the current backend under a single acquisition.
     ///
-    /// Every point is validated against the live spec before anything runs
-    /// (a scaled point can violate limits the template satisfies), then the
-    /// whole sweep is submitted through
-    /// [`hpcqc_qrmi::QuantumResource::task_start_sweep`]. Resources wrapping
-    /// a batched engine (the local emulator) execute the sweep in one batch —
-    /// amortizing Hamiltonian construction, drive discretization, and buffer
-    /// allocation — while guaranteeing results bit-identical to
-    /// `points.len()` independent [`Runtime::run`] calls.
+    /// Every materialized point passes the same gate [`Runtime::run`] applies
+    /// before anything runs: when pre-flight is on, the analyzer's Error
+    /// diagnostics, then validation against the live spec (a scaled point
+    /// can violate limits the template satisfies). Then the points run as
+    /// ordinary tasks, in order, under one lease — so they draw the seeds,
+    /// and return the results, of `points.len()` [`Runtime::run`] calls.
     ///
-    /// The sweep is atomic: one invalid point (or one failed task) fails the
-    /// whole call, matching the batched engine's fail-fast contract.
+    /// The sweep is atomic: one invalid point fails the call before the
+    /// acquisition, and one failed task fails it without running the rest.
     pub fn run_sweep(
         &self,
         template: &ProgramIr,
@@ -360,51 +356,36 @@ impl Runtime {
     ) -> Result<Vec<RunReport>, RuntimeError> {
         let res = self.resource()?;
         let spec = res.target()?;
-        let mut fingerprints = Vec::with_capacity(points.len());
+        let mut programs = Vec::with_capacity(points.len());
         for p in points {
-            let seq = p.materialize(&template.sequence);
-            let violations = hpcqc_program::validate(&seq, &spec);
+            let mut ir = template.clone();
+            ir.sequence = p.materialize(&template.sequence);
+            if self.preflight {
+                let report = self.analyzer.analyze(&ir, Some(&spec));
+                if report.has_errors() {
+                    return Err(RuntimeError::Validation(report.error_violations()));
+                }
+            }
+            let violations = hpcqc_program::validate(&ir.sequence, &spec);
             if !violations.is_empty() {
                 return Err(RuntimeError::Validation(violations));
             }
-            let mut ir = template.clone();
-            ir.sequence = seq;
-            fingerprints.push(ir.fingerprint());
+            programs.push(ir.with_validation_revision(spec.revision));
         }
-        let stamped = template.clone().with_validation_revision(spec.revision);
         let lease = res.acquire()?;
-        let out = (|| -> Result<Vec<SampleResult>, QrmiError> {
-            let tasks = res.task_start_sweep(&lease, &stamped, points)?;
-            tasks
-                .iter()
-                .map(|t| {
-                    for _ in 0..self.max_polls {
-                        match res.task_status(t)? {
-                            TaskStatus::Completed => return res.task_result(t),
-                            TaskStatus::Failed(m) => return Err(QrmiError::Backend(m)),
-                            TaskStatus::Cancelled => {
-                                return Err(QrmiError::InvalidState("task was cancelled".into()))
-                            }
-                            TaskStatus::Queued | TaskStatus::Running => {}
-                        }
-                    }
-                    Err(QrmiError::InvalidState(format!(
-                        "task did not complete within {} polls",
-                        self.max_polls
-                    )))
-                })
-                .collect()
-        })();
+        let out: Result<Vec<SampleResult>, QrmiError> = programs
+            .iter()
+            .map(|ir| hpcqc_qrmi::run_to_completion(res.as_ref(), &lease, ir, self.max_polls))
+            .collect();
         res.release(&lease)?;
-        let results = out?;
-        Ok(results
+        Ok(out?
             .into_iter()
-            .zip(fingerprints)
-            .map(|(result, program_fingerprint)| RunReport {
+            .zip(&programs)
+            .map(|(result, ir)| RunReport {
                 result,
                 resource_id: res.resource_id().to_string(),
                 spec_revision: spec.revision,
-                program_fingerprint,
+                program_fingerprint: ir.fingerprint(),
             })
             .collect())
     }
@@ -614,13 +595,20 @@ mod tests {
         // pre-flight (HQ0108) catch. Without it this run would grind through
         // ten million shots before the backend noticed anything.
         let rt = Runtime::new(registry_with_qpu());
-        match rt.run(&ir(10_000_000)) {
-            Err(RuntimeError::Validation(v)) => {
-                assert!(v
-                    .iter()
-                    .any(|viol| { viol.kind == hpcqc_program::ViolationKind::ShotsOutOfRange }));
+        let big = ir(10_000_000);
+        let points = [SweepPoint::identity(), SweepPoint::identity()];
+        for blocked in [
+            rt.run(&big).map(|_| ()),
+            rt.run_sweep(&big, &points).map(|_| ()),
+        ] {
+            match blocked {
+                Err(RuntimeError::Validation(v)) => {
+                    assert!(v.iter().any(|viol| {
+                        viol.kind == hpcqc_program::ViolationKind::ShotsOutOfRange
+                    }));
+                }
+                other => panic!("expected validation error, got {other:?}"),
             }
-            other => panic!("expected validation error, got {other:?}"),
         }
     }
 

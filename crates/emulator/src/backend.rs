@@ -5,16 +5,15 @@
 //! layer wraps these as resources; the runtime environment picks one at
 //! configuration time — never in source code.
 
-use crate::batch::SweepPoint;
 use crate::mps::{evolve_sequence_mps, MpsConfig};
 use crate::noise::SpamNoise;
+use crate::par;
 use crate::result::SampleResult;
 use crate::statevector::{evolve_sequence, SvConfig, SV_MAX_QUBITS};
 use hpcqc_program::{DeviceSpec, ProgramIr};
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// Errors from emulator execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,42 +61,38 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Counter-derived RNG stream for one shot: mixing `(seed, shot)` gives
 /// every shot its own independent deterministic stream, so shots can be
 /// drawn in any order — or concurrently — with bit-identical results.
-pub(crate) fn shot_rng(seed: u64, shot: u64) -> ChaCha8Rng {
+fn shot_rng(seed: u64, shot: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(splitmix64(
         seed.wrapping_add(shot.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
     ))
 }
 
-/// Shots per work chunk for parallel sampling. Fixed so the partition (and
-/// thus the result) is machine-independent.
-const SHOT_CHUNK: usize = 64;
+/// Draw the outcomes of shots `base..base + chunk.len()`, each from its own
+/// counter-derived RNG stream. `draw` produces the raw bitstring; SPAM noise
+/// is applied from the same per-shot stream.
+fn sample_chunk<F>(base: usize, chunk: &mut [u64], n: usize, seed: u64, noise: &SpamNoise, draw: &F)
+where
+    F: Fn(&mut ChaCha8Rng) -> u64,
+{
+    for (k, slot) in chunk.iter_mut().enumerate() {
+        let mut rng = shot_rng(seed, (base + k) as u64);
+        let raw = draw(&mut rng);
+        *slot = noise.apply(raw, n, &mut rng);
+    }
+}
 
-/// Draw `shots` outcomes with per-shot counter-derived RNG streams,
-/// chunk-parallel over the output buffer. `draw` produces the raw
-/// bitstring; SPAM noise is applied from the same per-shot stream.
-/// Crate-visible so the batch runner samples through the exact same path.
-pub(crate) fn sample_outcomes<F>(
-    shots: u32,
-    n: usize,
-    seed: u64,
-    noise: &SpamNoise,
-    draw: F,
-) -> Vec<u64>
+/// Draw `shots` outcomes, chunked by [`par::for_each_chunk`].
+fn sample_outcomes<F>(shots: u32, n: usize, seed: u64, noise: &SpamNoise, draw: F) -> Vec<u64>
 where
     F: Fn(&mut ChaCha8Rng) -> u64 + Sync,
 {
     let mut outcomes = vec![0u64; shots as usize];
-    outcomes
-        .par_chunks_mut(SHOT_CHUNK)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let shot = (ci * SHOT_CHUNK + k) as u64;
-                let mut rng = shot_rng(seed, shot);
-                let raw = draw(&mut rng);
-                *slot = noise.apply(raw, n, &mut rng);
-            }
-        });
+    par::for_each_chunk(
+        &mut outcomes,
+        par::SHOT_CHUNK,
+        par::SHOT_FORK_AT,
+        |base, chunk| sample_chunk(base, chunk, n, seed, noise, &draw),
+    );
     outcomes
 }
 
@@ -136,28 +131,6 @@ pub trait Emulator: Send + Sync {
 
     /// Execute the program for `ir.shots` shots with a deterministic seed.
     fn run(&self, ir: &ProgramIr, seed: u64) -> Result<SampleResult, EmulatorError>;
-
-    /// Execute `template` at every [`SweepPoint`], seeding point `k` with
-    /// `seed_base + k`. The default materializes and runs each point
-    /// independently; backends with a batched engine (the state-vector
-    /// backend's [`crate::BatchRunner`]) override this with an
-    /// implementation that returns bit-identical results faster.
-    fn run_sweep(
-        &self,
-        template: &ProgramIr,
-        points: &[SweepPoint],
-        seed_base: u64,
-    ) -> Result<Vec<SampleResult>, EmulatorError> {
-        points
-            .iter()
-            .enumerate()
-            .map(|(k, p)| {
-                let mut ir = template.clone();
-                ir.sequence = p.materialize(&template.sequence);
-                self.run(&ir, seed_base.wrapping_add(k as u64))
-            })
-            .collect()
-    }
 }
 
 /// Where one [`SvBackend::run_timed`] call spent its wall-clock,
@@ -252,15 +225,6 @@ impl Emulator for SvBackend {
 
     fn run(&self, ir: &ProgramIr, seed: u64) -> Result<SampleResult, EmulatorError> {
         self.run_timed(ir, seed).map(|(res, _)| res)
-    }
-
-    fn run_sweep(
-        &self,
-        template: &ProgramIr,
-        points: &[SweepPoint],
-        seed_base: u64,
-    ) -> Result<Vec<SampleResult>, EmulatorError> {
-        crate::batch::BatchRunner::new(self).run_sweep(template, points, seed_base)
     }
 }
 
@@ -495,10 +459,24 @@ mod tests {
         assert!((frac - 2.0 / 3.0).abs() < 0.05, "got {frac}");
     }
 
+    /// `sample_outcomes` with the fork forced, whatever the shot count.
+    fn forked_outcomes<F>(shots: u32, n: usize, seed: u64, noise: &SpamNoise, draw: &F) -> Vec<u64>
+    where
+        F: Fn(&mut ChaCha8Rng) -> u64 + Sync,
+    {
+        let mut outcomes = vec![0u64; shots as usize];
+        par::forked(&mut outcomes, par::SHOT_CHUNK, |base, chunk| {
+            sample_chunk(base, chunk, n, seed, noise, draw)
+        });
+        outcomes
+    }
+
     #[test]
     fn sv_parallel_sampling_matches_serial_reference() {
-        // The chunk-parallel sampler must reproduce a plain serial loop over
-        // the same per-shot streams exactly, including the SPAM draws.
+        // The sampler's forked arm (called directly: 500 shots are below
+        // SHOT_FORK_AT) and the arm `run` takes must both reproduce a plain
+        // serial loop over the same per-shot streams exactly, including the
+        // SPAM draws.
         let ir = pi_pulse_ir(3, 9.0, 500);
         let b = SvBackend {
             noise: SpamNoise {
@@ -522,6 +500,11 @@ mod tests {
             .collect();
         let reference = SampleResult::from_shots(n, &outcomes, b.name());
         assert_eq!(res.counts, reference.counts);
+        let draw = |rng: &mut ChaCha8Rng| dist.sample(rng) as u64;
+        assert_eq!(
+            forked_outcomes(ir.shots, n, seed, &b.noise, &draw),
+            outcomes
+        );
     }
 
     #[test]
@@ -543,6 +526,11 @@ mod tests {
             .collect();
         let reference = SampleResult::from_shots(n, &outcomes, b.name());
         assert_eq!(res.counts, reference.counts);
+        let draw = |rng: &mut ChaCha8Rng| mps.sample_prepared(rng);
+        assert_eq!(
+            forked_outcomes(ir.shots, n, seed, &b.noise, &draw),
+            outcomes
+        );
     }
 
     #[test]
@@ -558,27 +546,6 @@ mod tests {
             t.total_ms >= t.evolve_ms,
             "single-run phase decomposition is monotone by construction"
         );
-    }
-
-    #[test]
-    fn mps_default_sweep_runs_each_point() {
-        // MpsBackend has no batched engine: the trait default materializes
-        // and runs sequentially — still seeded per point.
-        let b = MpsBackend::default();
-        let tpl = pi_pulse_ir(3, 9.0, 50);
-        let points = [
-            SweepPoint::identity(),
-            SweepPoint {
-                omega_scale: 0.5,
-                ..SweepPoint::identity()
-            },
-        ];
-        let swept = b.run_sweep(&tpl, &points, 30).unwrap();
-        assert_eq!(swept.len(), 2);
-        let mut half = tpl.clone();
-        half.sequence = points[1].materialize(&tpl.sequence);
-        assert_eq!(swept[0], b.run(&tpl, 30).unwrap());
-        assert_eq!(swept[1], b.run(&half, 31).unwrap());
     }
 
     #[test]

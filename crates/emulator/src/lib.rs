@@ -3,7 +3,7 @@
 //! Rust stand-in for the vendor's open-source emulator suite (paper ref [5]):
 //!
 //! * [`SvBackend`] — exact state-vector integration of the Rydberg
-//!   Hamiltonian (RK4, matrix-free, rayon-parallel kernel), up to ~20 qubits.
+//!   Hamiltonian (RK4, matrix-free, chunk-parallel kernel), up to ~20 qubits.
 //! * [`MpsBackend`] — matrix-product-state TEBD with a configurable bond
 //!   dimension `χ`; `χ = 1` is the product-state "mock QPU" mode the paper's
 //!   footnote 3 describes for end-to-end testing at arbitrary size.
@@ -18,13 +18,14 @@ pub mod hamiltonian;
 pub mod linalg;
 pub mod mps;
 pub mod noise;
+mod par;
 pub mod result;
 pub mod statevector;
 
 pub use backend::{
     sampling_distribution, Emulator, EmulatorError, MpsBackend, SvBackend, SvPhaseTimings,
 };
-pub use batch::{BatchRunner, SweepPoint};
+pub use batch::SweepPoint;
 pub use hamiltonian::{DiscretizedDrive, RydbergHamiltonian};
 pub use mps::{Mps, MpsConfig};
 pub use noise::SpamNoise;

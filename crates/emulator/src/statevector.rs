@@ -3,34 +3,28 @@
 //! Integrates the time-dependent Schrödinger equation `dψ/dt = −i H(t) ψ`
 //! with a classical RK4 integrator and a matrix-free `H·ψ` kernel. The hot
 //! path is allocation-free: [`apply_h_into`] writes into a caller-provided
-//! buffer (rayon-split over disjoint mutable output chunks, so amplitudes
-//! are bit-identical for any worker count) and [`SvWorkspace`] keeps the
-//! RK4 scratch vectors alive across every step of a sequence.
+//! buffer, split over disjoint mutable output chunks by [`crate::par`] (which
+//! also decides when the chunks fork), so amplitudes are bit-identical for
+//! any worker count, and [`SvWorkspace`] keeps the RK4 scratch vectors alive
+//! across every step of a sequence.
 //!
-//! The hot passes run on SIMD lanes ([`simd::f64x4`]) by default: four
-//! consecutive basis states per iteration (one *bit-pair block* — bits 0
-//! and 1 resolved by in-register shuffles, higher bits by contiguous block
-//! loads), with an AVX2 instantiation selected at runtime on x86-64. Every
-//! lane operation is the exact IEEE-754 scalar operation in the same order,
-//! so SIMD results are bit-identical to the scalar reference kernels
+//! The hot passes work on four consecutive basis states per iteration (one
+//! *bit-pair block* — bits 0 and 1 resolved by in-register shuffles, higher
+//! bits by contiguous block loads). Each pass exists three times: a portable
+//! kernel on [`simd::f64x4`] lanes, and hand-written AVX2 and AVX-512F
+//! kernels, the widest one the CPU supports selected at runtime on x86-64.
+//! Every lane operation is the exact IEEE-754 scalar operation in the same
+//! order, so all three are bit-identical to the scalar reference kernels
 //! ([`SvKernel::Scalar`]) — asserted by the parity tests below.
 
 use crate::hamiltonian::{DiscretizedDrive, RydbergHamiltonian};
+use crate::par::{for_each_chunk, AMP_CHUNK, AMP_FORK_AT};
 use hpcqc_program::Sequence;
 use num_complex::Complex64;
-use rayon::prelude::*;
 use simd::f64x4;
 
 /// Hard cap of the dense method: `2^26` amplitudes ≈ 1 GiB of state.
 pub const SV_MAX_QUBITS: usize = 26;
-
-/// Parallelization threshold: below this dimension the fork overhead
-/// outweighs the work and the kernel runs sequentially.
-const PAR_DIM_THRESHOLD: usize = 1 << 12;
-
-/// Output-chunk length for the parallel kernel split. Fixed (rather than
-/// derived from the worker count) so the partition is machine-independent.
-const PAR_CHUNK_LEN: usize = 1 << 11;
 
 const ZERO: Complex64 = Complex64::new(0.0, 0.0);
 
@@ -607,24 +601,9 @@ pub fn apply_h_into_with(
         dim,
         "output buffer must match the state dimension"
     );
-    if dim >= PAR_DIM_THRESHOLD {
-        out.par_chunks_mut(PAR_CHUNK_LEN)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                apply_h_chunk_dispatch(
-                    h,
-                    psi,
-                    omega,
-                    delta,
-                    phase,
-                    ci * PAR_CHUNK_LEN,
-                    chunk,
-                    kernel,
-                );
-            });
-    } else {
-        apply_h_chunk_dispatch(h, psi, omega, delta, phase, 0, out, kernel);
-    }
+    for_each_chunk(out, AMP_CHUNK, AMP_FORK_AT, |base, chunk| {
+        apply_h_chunk_dispatch(h, psi, omega, delta, phase, base, chunk, kernel);
+    });
 }
 
 /// Forced-sequential, forced-scalar reference for [`apply_h_into`] — used
@@ -856,13 +835,7 @@ fn stage_input_into(
             }
         }
     };
-    if out.len() >= PAR_DIM_THRESHOLD {
-        out.par_chunks_mut(PAR_CHUNK_LEN)
-            .enumerate()
-            .for_each(|(ci, chunk)| fill(ci * PAR_CHUNK_LEN, chunk));
-    } else {
-        fill(0, out);
-    }
+    for_each_chunk(out, AMP_CHUNK, AMP_FORK_AT, fill);
 }
 
 /// SIMD instantiation of the RK4 combine pass:
@@ -1047,7 +1020,7 @@ unsafe fn combine_chunk_dispatch(
 struct SendPtr(*mut Complex64);
 // SAFETY: the pointer is only dereferenced inside `from_raw_parts_mut`
 // windows that are disjoint per chunk (the same partition as the
-// `par_chunks_mut` driving the pass).
+// `for_each_chunk` driving the pass).
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
@@ -1092,14 +1065,7 @@ fn apply_h_stage_pass(
             }
         }
     };
-    if dim >= PAR_DIM_THRESHOLD {
-        k_out
-            .par_chunks_mut(PAR_CHUNK_LEN)
-            .enumerate()
-            .for_each(|(ci, chunk)| pass(ci * PAR_CHUNK_LEN, chunk));
-    } else {
-        pass(0, k_out);
-    }
+    for_each_chunk(k_out, AMP_CHUNK, AMP_FORK_AT, pass);
 }
 
 /// Fused final RK4 pass: `k_out = H·input`, and per chunk — K4 still
@@ -1143,14 +1109,7 @@ fn apply_h_combine_pass(
             }
         }
     };
-    if dim >= PAR_DIM_THRESHOLD {
-        k_out
-            .par_chunks_mut(PAR_CHUNK_LEN)
-            .enumerate()
-            .for_each(|(ci, chunk)| pass(ci * PAR_CHUNK_LEN, chunk));
-    } else {
-        pass(0, k_out);
-    }
+    for_each_chunk(k_out, AMP_CHUNK, AMP_FORK_AT, pass);
 }
 
 /// Evolve `state` through one RK4 step of `dt` at fixed drive values
@@ -1173,8 +1132,7 @@ pub fn rk4_step_ws(
     rk4_step_ws_with(h, state, omega, delta, phase, dt, ws, SvKernel::default());
 }
 
-/// [`rk4_step_ws`] with an explicit kernel selection — the batch runner and
-/// benchmark comparators thread [`SvKernel::Scalar`] through here.
+/// [`rk4_step_ws`] with an explicit kernel selection.
 #[allow(clippy::too_many_arguments)]
 pub fn rk4_step_ws_with(
     h: &RydbergHamiltonian,
@@ -1212,15 +1170,7 @@ pub fn rk4_step_ws_with(
                 *slot += c_comb * (k1[b] + 2.0 * (k2[b] + k3[b]) + k4[b]);
             }
         };
-        if dim >= PAR_DIM_THRESHOLD {
-            state
-                .amps
-                .par_chunks_mut(PAR_CHUNK_LEN)
-                .enumerate()
-                .for_each(|(ci, chunk)| combine(ci * PAR_CHUNK_LEN, chunk));
-        } else {
-            combine(0, &mut state.amps);
-        }
+        for_each_chunk(&mut state.amps, AMP_CHUNK, AMP_FORK_AT, combine);
         return;
     }
 
@@ -1293,18 +1243,6 @@ pub fn evolve_sequence_ws(
     ws: &mut SvWorkspace,
 ) -> StateVector {
     let h = RydbergHamiltonian::new(&seq.register, c6);
-    evolve_sequence_ws_h(&h, seq, cfg, ws)
-}
-
-/// [`evolve_sequence_ws`] with a pre-built Hamiltonian: sweep runners share
-/// one `h` across many sequences on the *same register* (building it is
-/// `O(2^n · pairs)` — pure waste to repeat when only the drive changes).
-pub(crate) fn evolve_sequence_ws_h(
-    h: &RydbergHamiltonian,
-    seq: &Sequence,
-    cfg: &SvConfig,
-    ws: &mut SvWorkspace,
-) -> StateVector {
     // Choose a step honoring both the user cap and the energy scale of the
     // strongest drive in the schedule. The coarse probe is reused as the
     // stepping grid whenever the stability bound does not force a finer one.
@@ -1315,7 +1253,9 @@ pub(crate) fn evolve_sequence_ws_h(
     let drive = probe.refined(seq, dt_bound);
     let mut state = StateVector::ground(h.n);
     for &(omega, delta, phase) in &drive.steps {
-        rk4_step_ws_with(h, &mut state, omega, delta, phase, drive.dt, ws, cfg.kernel);
+        rk4_step_ws_with(
+            &h, &mut state, omega, delta, phase, drive.dt, ws, cfg.kernel,
+        );
     }
     state.renormalize();
     state
@@ -1499,29 +1439,38 @@ mod tests {
 
     #[test]
     fn parallel_kernel_matches_serial_bit_for_bit() {
-        // dim 2^13 = 8192 ≥ PAR_DIM_THRESHOLD, so apply_h_into takes the
-        // chunk-split path; amplitudes must equal the forced-serial kernel
-        // exactly (not approximately).
+        // dim 2^13 is below AMP_FORK_AT, so the forked arm is called
+        // directly: four chunks on the machine's workers, and amplitudes
+        // must equal the forced-serial kernel exactly (not approximately).
         let n = 13;
         let reg = Register::linear(n, 7.0).unwrap();
         let h = RydbergHamiltonian::new(&reg, C6_COEFF);
         let psi = pseudo_random_amps(h.dim(), 0x5EED_CAFE);
         let mut par = vec![ZERO; h.dim()];
         let mut ser = vec![ZERO; h.dim()];
-        apply_h_into(&h, &psi, 3.2, -1.1, 0.7, &mut par);
+        let forked_apply_h = |o: f64, d: f64, p: f64, out: &mut [Complex64]| {
+            crate::par::forked(out, AMP_CHUNK, |base, chunk| {
+                apply_h_chunk_dispatch(&h, &psi, o, d, p, base, chunk, SvKernel::Auto);
+            });
+        };
+        forked_apply_h(3.2, -1.1, 0.7, &mut par);
         apply_h_into_serial(&h, &psi, 3.2, -1.1, 0.7, &mut ser);
         assert!(par.iter().any(|a| a.norm_sqr() > 0.0));
         assert_eq!(par, ser);
         // Ω = 0 takes the diagonal-only fast path — same contract.
-        apply_h_into(&h, &psi, 0.0, 2.5, 0.0, &mut par);
+        forked_apply_h(0.0, 2.5, 0.0, &mut par);
         apply_h_into_serial(&h, &psi, 0.0, 2.5, 0.0, &mut ser);
+        assert_eq!(par, ser);
+        // And the cut-over arm `apply_h_into` takes at this size agrees.
+        apply_h_into(&h, &psi, 3.2, -1.1, 0.7, &mut par);
+        apply_h_into_serial(&h, &psi, 3.2, -1.1, 0.7, &mut ser);
         assert_eq!(par, ser);
     }
 
     #[test]
     fn simd_kernel_matches_scalar_bit_for_bit() {
-        // Small odd/even register sizes exercise the serial SIMD path
-        // (below PAR_DIM_THRESHOLD) against the scalar reference, including
+        // Small odd/even register sizes exercise the single-chunk SIMD path
+        // (dim ≤ AMP_CHUNK) against the scalar reference, including
         // the Ω = 0 diagonal fast path and a negative phase.
         for n in [2usize, 3, 5, 8] {
             let reg = Register::linear(n, 6.5).unwrap();

@@ -13,7 +13,7 @@ use crate::instrument::KernelProfile;
 use crate::resource::{
     AcquisitionToken, QrmiError, QuantumResource, ResourceType, TaskId, TaskStatus,
 };
-use hpcqc_emulator::{Emulator, SampleResult, SweepPoint};
+use hpcqc_emulator::{Emulator, SampleResult};
 use hpcqc_program::{DeviceSpec, ProgramIr};
 use hpcqc_qpu::VirtualQpu;
 use hpcqc_sync::{rank, TrackedMutex as Mutex};
@@ -33,15 +33,84 @@ enum TaskState {
     Cancelled,
 }
 
-struct TaskTable {
-    tasks: HashMap<String, TaskState>,
+impl TaskState {
+    /// The terminal state of a finished run.
+    fn of<E: std::fmt::Display>(run: Result<SampleResult, E>) -> Self {
+        match run {
+            Ok(res) => TaskState::Done(res),
+            Err(e) => TaskState::Failed(e.to_string()),
+        }
+    }
+
+    /// The status a terminal state reports; `None` while pending (what a
+    /// pending task reports differs per backend).
+    fn terminal_status(&self) -> Option<TaskStatus> {
+        match self {
+            TaskState::Pending { .. } => None,
+            TaskState::Done(_) => Some(TaskStatus::Completed),
+            TaskState::Failed(m) => Some(TaskStatus::Failed(m.clone())),
+            TaskState::Cancelled => Some(TaskStatus::Cancelled),
+        }
+    }
 }
 
-impl TaskTable {
-    fn new() -> Self {
-        TaskTable {
-            tasks: HashMap::new(),
+/// The task ledger every backend keeps: task id → the lease that started it
+/// and its state. A lease's tasks are dropped when the lease is released, so
+/// a long-running daemon does not hold every result it ever produced a
+/// second time; callers fetch results before they release.
+struct Ledger {
+    tasks: Mutex<HashMap<String, (String, TaskState)>>,
+}
+
+impl Ledger {
+    fn new(lock_name: &'static str) -> Self {
+        Ledger {
+            tasks: Mutex::new(lock_name, rank::QRMI_TASKS, HashMap::new()),
         }
+    }
+
+    fn start(&self, lease: &AcquisitionToken, state: TaskState, counter: &AtomicU64) -> TaskId {
+        let id = new_id("task", counter);
+        self.tasks
+            .lock()
+            .insert(id.clone(), (lease.0.clone(), state));
+        TaskId(id)
+    }
+
+    /// Run `f` on the task's state under the ledger lock.
+    fn with<R>(&self, task: &TaskId, f: impl FnOnce(&mut TaskState) -> R) -> Result<R, QrmiError> {
+        match self.tasks.lock().get_mut(&task.0) {
+            Some((_, state)) => Ok(f(state)),
+            None => Err(QrmiError::UnknownTask),
+        }
+    }
+
+    fn status(&self, task: &TaskId, pending_as: TaskStatus) -> Result<TaskStatus, QrmiError> {
+        self.with(task, |s| s.terminal_status().unwrap_or(pending_as))
+    }
+
+    /// Cancel a task that has not run yet.
+    fn stop(&self, task: &TaskId) -> Result<(), QrmiError> {
+        self.with(task, |s| match s {
+            TaskState::Pending { .. } => {
+                *s = TaskState::Cancelled;
+                Ok(())
+            }
+            _ => Err(QrmiError::InvalidState("task already terminal".into())),
+        })?
+    }
+
+    fn result(&self, task: &TaskId) -> Result<SampleResult, QrmiError> {
+        self.with(task, |s| match s {
+            TaskState::Done(r) => Ok(r.clone()),
+            TaskState::Failed(m) => Err(QrmiError::Backend(m.clone())),
+            _ => Err(QrmiError::InvalidState("task not completed".into())),
+        })?
+    }
+
+    /// Drop every task `lease` started.
+    fn forget(&self, lease: &AcquisitionToken) {
+        self.tasks.lock().retain(|_, (l, _)| *l != lease.0);
     }
 }
 
@@ -49,7 +118,7 @@ impl TaskTable {
 pub struct LocalEmulatorResource {
     id: String,
     emulator: Arc<dyn Emulator>,
-    tasks: Mutex<TaskTable>,
+    ledger: Ledger,
     tokens: Mutex<HashSet<String>>,
     counter: AtomicU64,
     seed_counter: AtomicU64,
@@ -61,7 +130,7 @@ impl LocalEmulatorResource {
         LocalEmulatorResource {
             id: id.into(),
             emulator,
-            tasks: Mutex::new("qrmi.emulator.tasks", rank::QRMI_TASKS, TaskTable::new()),
+            ledger: Ledger::new("qrmi.emulator.tasks"),
             tokens: Mutex::new("qrmi.emulator.tokens", rank::QRMI_TOKENS, HashSet::new()),
             counter: AtomicU64::new(0),
             seed_counter: AtomicU64::new(seed),
@@ -95,11 +164,11 @@ impl QuantumResource for LocalEmulatorResource {
     }
 
     fn release(&self, token: &AcquisitionToken) -> Result<(), QrmiError> {
-        if self.tokens.lock().remove(&token.0) {
-            Ok(())
-        } else {
-            Err(QrmiError::InvalidToken)
+        if !self.tokens.lock().remove(&token.0) {
+            return Err(QrmiError::InvalidToken);
         }
+        self.ledger.forget(token);
+        Ok(())
     }
 
     fn target(&self) -> Result<DeviceSpec, QrmiError> {
@@ -111,92 +180,22 @@ impl QuantumResource for LocalEmulatorResource {
             return Err(QrmiError::InvalidToken);
         }
         let seed = self.seed_counter.fetch_add(1, Ordering::Relaxed);
-        let id = new_id("task", &self.counter);
         let t = std::time::Instant::now();
-        let state = match self.emulator.run(ir, seed) {
-            Ok(res) => TaskState::Done(res),
-            Err(e) => TaskState::Failed(e.to_string()),
-        };
+        let state = TaskState::of(self.emulator.run(ir, seed));
         self.kernel.lock().record(t.elapsed().as_secs_f64());
-        self.tasks.lock().tasks.insert(id.clone(), state);
-        Ok(TaskId(id))
-    }
-
-    fn task_start_sweep(
-        &self,
-        token: &AcquisitionToken,
-        template: &ProgramIr,
-        points: &[SweepPoint],
-    ) -> Result<Vec<TaskId>, QrmiError> {
-        if !self.tokens.lock().contains(&token.0) {
-            return Err(QrmiError::InvalidToken);
-        }
-        // One contiguous seed block, so the sweep draws exactly the seeds
-        // that `points.len()` sequential `task_start` calls would have.
-        let seed_base = self
-            .seed_counter
-            .fetch_add(points.len() as u64, Ordering::Relaxed);
-        let t = std::time::Instant::now();
-        let out = self.emulator.run_sweep(template, points, seed_base);
-        self.kernel.lock().record(t.elapsed().as_secs_f64());
-        let mut ids = Vec::with_capacity(points.len());
-        let mut table = self.tasks.lock();
-        match out {
-            Ok(results) => {
-                for res in results {
-                    let id = new_id("task", &self.counter);
-                    table.tasks.insert(id.clone(), TaskState::Done(res));
-                    ids.push(TaskId(id));
-                }
-            }
-            Err(e) => {
-                // The sweep is atomic at this layer: one invalid point
-                // fails the whole batch (fail-fast), and every task
-                // records the same error.
-                let msg = e.to_string();
-                for _ in points {
-                    let id = new_id("task", &self.counter);
-                    table
-                        .tasks
-                        .insert(id.clone(), TaskState::Failed(msg.clone()));
-                    ids.push(TaskId(id));
-                }
-            }
-        }
-        Ok(ids)
+        Ok(self.ledger.start(token, state, &self.counter))
     }
 
     fn task_status(&self, task: &TaskId) -> Result<TaskStatus, QrmiError> {
-        let t = self.tasks.lock();
-        match t.tasks.get(&task.0) {
-            None => Err(QrmiError::UnknownTask),
-            Some(TaskState::Done(_)) => Ok(TaskStatus::Completed),
-            Some(TaskState::Failed(m)) => Ok(TaskStatus::Failed(m.clone())),
-            Some(TaskState::Cancelled) => Ok(TaskStatus::Cancelled),
-            Some(TaskState::Pending { .. }) => Ok(TaskStatus::Queued),
-        }
+        self.ledger.status(task, TaskStatus::Queued)
     }
 
     fn task_stop(&self, task: &TaskId) -> Result<(), QrmiError> {
-        let mut t = self.tasks.lock();
-        match t.tasks.get_mut(&task.0) {
-            None => Err(QrmiError::UnknownTask),
-            Some(s @ TaskState::Pending { .. }) => {
-                *s = TaskState::Cancelled;
-                Ok(())
-            }
-            Some(_) => Err(QrmiError::InvalidState("task already terminal".into())),
-        }
+        self.ledger.stop(task)
     }
 
     fn task_result(&self, task: &TaskId) -> Result<SampleResult, QrmiError> {
-        let t = self.tasks.lock();
-        match t.tasks.get(&task.0) {
-            None => Err(QrmiError::UnknownTask),
-            Some(TaskState::Done(r)) => Ok(r.clone()),
-            Some(TaskState::Failed(m)) => Err(QrmiError::Backend(m.clone())),
-            Some(_) => Err(QrmiError::InvalidState("task not completed".into())),
-        }
+        self.ledger.result(task)
     }
 
     fn metadata(&self) -> BTreeMap<String, String> {
@@ -213,7 +212,7 @@ impl QuantumResource for LocalEmulatorResource {
 pub struct QpuDirectResource {
     id: String,
     qpu: VirtualQpu,
-    tasks: Mutex<TaskTable>,
+    ledger: Ledger,
     lease: Mutex<Option<String>>,
     counter: AtomicU64,
     seed_counter: AtomicU64,
@@ -224,7 +223,7 @@ impl QpuDirectResource {
         QpuDirectResource {
             id: id.into(),
             qpu,
-            tasks: Mutex::new("qrmi.qpu_direct.tasks", rank::QRMI_TASKS, TaskTable::new()),
+            ledger: Ledger::new("qrmi.qpu_direct.tasks"),
             lease: Mutex::new("qrmi.qpu_direct.lease", rank::QRMI_LEASE, None),
             counter: AtomicU64::new(0),
             seed_counter: AtomicU64::new(seed),
@@ -259,13 +258,15 @@ impl QuantumResource for QpuDirectResource {
     }
 
     fn release(&self, token: &AcquisitionToken) -> Result<(), QrmiError> {
-        let mut lease = self.lease.lock();
-        if lease.as_deref() == Some(token.0.as_str()) {
+        {
+            let mut lease = self.lease.lock();
+            if lease.as_deref() != Some(token.0.as_str()) {
+                return Err(QrmiError::InvalidToken);
+            }
             *lease = None;
-            Ok(())
-        } else {
-            Err(QrmiError::InvalidToken)
         }
+        self.ledger.forget(token);
+        Ok(())
     }
 
     fn target(&self) -> Result<DeviceSpec, QrmiError> {
@@ -277,41 +278,23 @@ impl QuantumResource for QpuDirectResource {
             return Err(QrmiError::InvalidToken);
         }
         let seed = self.seed_counter.fetch_add(1, Ordering::Relaxed);
-        let id = new_id("task", &self.counter);
-        let state = match self.qpu.execute(ir, seed) {
-            Ok(ex) => TaskState::Done(ex.result),
-            Err(e) => TaskState::Failed(e.to_string()),
-        };
-        self.tasks.lock().tasks.insert(id.clone(), state);
-        Ok(TaskId(id))
+        let state = TaskState::of(self.qpu.execute(ir, seed).map(|ex| ex.result));
+        Ok(self.ledger.start(token, state, &self.counter))
     }
 
     fn task_status(&self, task: &TaskId) -> Result<TaskStatus, QrmiError> {
-        match self.tasks.lock().tasks.get(&task.0) {
-            None => Err(QrmiError::UnknownTask),
-            Some(TaskState::Done(_)) => Ok(TaskStatus::Completed),
-            Some(TaskState::Failed(m)) => Ok(TaskStatus::Failed(m.clone())),
-            Some(TaskState::Cancelled) => Ok(TaskStatus::Cancelled),
-            Some(TaskState::Pending { .. }) => Ok(TaskStatus::Running),
-        }
+        self.ledger.status(task, TaskStatus::Running)
     }
 
     fn task_stop(&self, task: &TaskId) -> Result<(), QrmiError> {
-        match self.tasks.lock().tasks.get(&task.0) {
-            None => Err(QrmiError::UnknownTask),
-            Some(_) => Err(QrmiError::InvalidState(
-                "direct QPU tasks run synchronously and cannot be stopped".into(),
-            )),
-        }
+        self.ledger.with(task, |_| ())?;
+        Err(QrmiError::InvalidState(
+            "direct QPU tasks run synchronously and cannot be stopped".into(),
+        ))
     }
 
     fn task_result(&self, task: &TaskId) -> Result<SampleResult, QrmiError> {
-        match self.tasks.lock().tasks.get(&task.0) {
-            None => Err(QrmiError::UnknownTask),
-            Some(TaskState::Done(r)) => Ok(r.clone()),
-            Some(TaskState::Failed(m)) => Err(QrmiError::Backend(m.clone())),
-            Some(_) => Err(QrmiError::InvalidState("task not completed".into())),
-        }
+        self.ledger.result(task)
     }
 
     fn metadata(&self) -> BTreeMap<String, String> {
@@ -339,7 +322,7 @@ pub struct CloudResource {
     rtype: ResourceType,
     /// Polls a task waits in the simulated cloud queue before running.
     pub queue_polls: u32,
-    tasks: Mutex<TaskTable>,
+    ledger: Ledger,
     tokens: Mutex<HashSet<String>>,
     counter: AtomicU64,
     seed_counter: AtomicU64,
@@ -357,7 +340,7 @@ impl CloudResource {
             engine,
             rtype,
             queue_polls,
-            tasks: Mutex::new("qrmi.cloud.tasks", rank::QRMI_TASKS, TaskTable::new()),
+            ledger: Ledger::new("qrmi.cloud.tasks"),
             tokens: Mutex::new("qrmi.cloud.tokens", rank::QRMI_TOKENS, HashSet::new()),
             counter: AtomicU64::new(0),
             seed_counter: AtomicU64::new(seed),
@@ -377,14 +360,8 @@ impl CloudResource {
     fn execute(&self, ir: &ProgramIr, seed: u64) -> TaskState {
         let t = std::time::Instant::now();
         let state = match &self.engine {
-            CloudEngine::Emulator(e) => match e.run(ir, seed) {
-                Ok(r) => TaskState::Done(r),
-                Err(e) => TaskState::Failed(e.to_string()),
-            },
-            CloudEngine::Qpu(q) => match q.execute(ir, seed) {
-                Ok(ex) => TaskState::Done(ex.result),
-                Err(e) => TaskState::Failed(e.to_string()),
-            },
+            CloudEngine::Emulator(e) => TaskState::of(e.run(ir, seed)),
+            CloudEngine::Qpu(q) => TaskState::of(q.execute(ir, seed).map(|ex| ex.result)),
         };
         self.kernel.lock().record(t.elapsed().as_secs_f64());
         state
@@ -407,11 +384,11 @@ impl QuantumResource for CloudResource {
     }
 
     fn release(&self, token: &AcquisitionToken) -> Result<(), QrmiError> {
-        if self.tokens.lock().remove(&token.0) {
-            Ok(())
-        } else {
-            Err(QrmiError::InvalidToken)
+        if !self.tokens.lock().remove(&token.0) {
+            return Err(QrmiError::InvalidToken);
         }
+        self.ledger.forget(token);
+        Ok(())
     }
 
     fn target(&self) -> Result<DeviceSpec, QrmiError> {
@@ -425,66 +402,45 @@ impl QuantumResource for CloudResource {
         if !self.tokens.lock().contains(&token.0) {
             return Err(QrmiError::InvalidToken);
         }
-        let id = new_id("task", &self.counter);
-        self.tasks.lock().tasks.insert(
-            id.clone(),
-            TaskState::Pending {
-                ir: ir.clone(),
-                polls_left: self.queue_polls,
-            },
-        );
-        Ok(TaskId(id))
+        let state = TaskState::Pending {
+            ir: ir.clone(),
+            polls_left: self.queue_polls,
+        };
+        Ok(self.ledger.start(token, state, &self.counter))
     }
 
     fn task_status(&self, task: &TaskId) -> Result<TaskStatus, QrmiError> {
-        // fast path under the lock; execution happens outside it
-        let due = {
-            let mut t = self.tasks.lock();
-            match t.tasks.get_mut(&task.0) {
-                None => return Err(QrmiError::UnknownTask),
-                Some(TaskState::Done(_)) => return Ok(TaskStatus::Completed),
-                Some(TaskState::Failed(m)) => return Ok(TaskStatus::Failed(m.clone())),
-                Some(TaskState::Cancelled) => return Ok(TaskStatus::Cancelled),
-                Some(TaskState::Pending { ir, polls_left }) => {
-                    if *polls_left > 0 {
-                        *polls_left -= 1;
-                        return Ok(TaskStatus::Queued);
-                    }
-                    ir.clone()
-                }
+        // The queue countdown runs under the ledger lock; execution happens
+        // outside it.
+        let polled = self.ledger.with(task, |s| match s {
+            TaskState::Pending { polls_left, .. } if *polls_left > 0 => {
+                *polls_left -= 1;
+                Err(TaskStatus::Queued)
             }
+            TaskState::Pending { ir, .. } => Ok(ir.clone()),
+            done => Err(done.terminal_status().expect("not pending")),
+        })?;
+        let due = match polled {
+            Ok(ir) => ir,
+            Err(status) => return Ok(status),
         };
         let seed = self.seed_counter.fetch_add(1, Ordering::Relaxed);
         let state = self.execute(&due, seed);
-        let status = match &state {
-            TaskState::Done(_) => TaskStatus::Completed,
-            TaskState::Failed(m) => TaskStatus::Failed(m.clone()),
-            _ => unreachable!("execute returns terminal states"),
-        };
-        // another poller may have raced us; terminal states are idempotent
-        self.tasks.lock().tasks.insert(task.0.clone(), state);
+        let status = state
+            .terminal_status()
+            .expect("execute returns terminal states");
+        // Another poller may have raced us (terminal states are idempotent),
+        // or the lease may be gone, and its task with it.
+        let _ = self.ledger.with(task, |s| *s = state);
         Ok(status)
     }
 
     fn task_stop(&self, task: &TaskId) -> Result<(), QrmiError> {
-        let mut t = self.tasks.lock();
-        match t.tasks.get_mut(&task.0) {
-            None => Err(QrmiError::UnknownTask),
-            Some(s @ TaskState::Pending { .. }) => {
-                *s = TaskState::Cancelled;
-                Ok(())
-            }
-            Some(_) => Err(QrmiError::InvalidState("task already terminal".into())),
-        }
+        self.ledger.stop(task)
     }
 
     fn task_result(&self, task: &TaskId) -> Result<SampleResult, QrmiError> {
-        match self.tasks.lock().tasks.get(&task.0) {
-            None => Err(QrmiError::UnknownTask),
-            Some(TaskState::Done(r)) => Ok(r.clone()),
-            Some(TaskState::Failed(m)) => Err(QrmiError::Backend(m.clone())),
-            Some(_) => Err(QrmiError::InvalidState("task not completed".into())),
-        }
+        self.ledger.result(task)
     }
 
     fn metadata(&self) -> BTreeMap<String, String> {
@@ -660,95 +616,42 @@ mod tests {
     }
 
     #[test]
-    fn local_sweep_matches_sequential_task_starts() {
-        // The sweep override must consume one contiguous seed block so its
-        // results are exactly what sequential submissions of the
-        // materialized points would have produced on a fresh resource.
-        let points: Vec<SweepPoint> = (0..5)
-            .map(|k| SweepPoint {
-                omega_scale: 0.6 + 0.1 * k as f64,
-                delta_scale: 1.0,
-                phase_offset: 0.3 * k as f64,
-            })
-            .collect();
-        let template = ir(80);
-
-        let swept = local();
-        let tok = swept.acquire().unwrap();
-        let tasks = swept.task_start_sweep(&tok, &template, &points).unwrap();
-        assert_eq!(tasks.len(), points.len());
-        let batch_results: Vec<SampleResult> = tasks
-            .iter()
-            .map(|t| swept.task_result(t).unwrap())
-            .collect();
-
-        let seq_res = local(); // fresh resource, same initial seed
-        let tok2 = seq_res.acquire().unwrap();
-        for (k, p) in points.iter().enumerate() {
-            let mut pir = template.clone();
-            pir.sequence = p.materialize(&template.sequence);
-            let t = seq_res.task_start(&tok2, &pir).unwrap();
-            assert_eq!(
-                seq_res.task_result(&t).unwrap(),
-                batch_results[k],
-                "point {k} differs from its sequential twin"
-            );
+    fn released_lease_takes_its_tasks_with_it() {
+        // A daemon runs acquire → task → result → release for every
+        // dispatch; the ledger must not grow with the tasks it has served.
+        fn cycles(r: &dyn QuantumResource, ledger: &Ledger) {
+            let mut served = Vec::new();
+            for _ in 0..5 {
+                let tok = r.acquire().unwrap();
+                let task = r.task_start(&tok, &ir(5)).unwrap();
+                while r.task_status(&task).unwrap() != TaskStatus::Completed {}
+                assert_eq!(r.task_result(&task).unwrap().shots, 5);
+                r.release(&tok).unwrap();
+                served.push(task);
+            }
+            assert!(ledger.tasks.lock().is_empty(), "{}", r.resource_id());
+            for task in &served {
+                assert_eq!(r.task_result(task), Err(QrmiError::UnknownTask));
+                assert_eq!(r.task_status(task), Err(QrmiError::UnknownTask));
+            }
         }
-        // and the next plain submission on the swept resource continues the
-        // seed counter past the block
-        let t = swept.task_start(&tok, &template).unwrap();
-        assert!(swept.task_result(&t).is_ok());
-        assert_eq!(swept.kernel_profile().runs, 2, "sweep counts as one run");
-    }
-
-    #[test]
-    fn local_sweep_invalid_point_fails_all_tasks() {
-        let r = local();
-        let tok = r.acquire().unwrap();
-        let bad = [
-            SweepPoint::identity(),
-            SweepPoint {
-                omega_scale: 1000.0, // blows past the emulator amplitude cap
-                delta_scale: 1.0,
-                phase_offset: 0.0,
-            },
-        ];
-        let tasks = r.task_start_sweep(&tok, &ir(10), &bad).unwrap();
-        assert_eq!(tasks.len(), 2);
-        for t in &tasks {
-            assert!(matches!(r.task_status(t).unwrap(), TaskStatus::Failed(_)));
-        }
-    }
-
-    #[test]
-    fn sweep_without_lease_rejected() {
-        let r = local();
-        let fake = AcquisitionToken("nope".into());
-        assert_eq!(
-            r.task_start_sweep(&fake, &ir(5), &[SweepPoint::identity()]),
-            Err(QrmiError::InvalidToken)
-        );
-    }
-
-    #[test]
-    fn default_sweep_on_cloud_resource_submits_per_point_tasks() {
-        // CloudResource keeps the trait default: every point becomes an
-        // independently queued task.
-        let r = CloudResource::new(
+        let emu = local();
+        cycles(&emu, &emu.ledger);
+        let qpu = QpuDirectResource::new("fresnel-1", VirtualQpu::new("fresnel-1", 3), 1);
+        cycles(&qpu, &qpu.ledger);
+        let cloud = CloudResource::new(
             "emu-cloud",
             CloudEngine::Emulator(Arc::new(SvBackend::default())),
-            1,
+            2,
             1,
         );
-        let tok = r.acquire().unwrap();
-        let points = [SweepPoint::identity(), SweepPoint::identity()];
-        let tasks = r.task_start_sweep(&tok, &ir(10), &points).unwrap();
-        assert_eq!(tasks.len(), 2);
-        for t in &tasks {
-            assert_eq!(r.task_status(t).unwrap(), TaskStatus::Queued);
-            assert_eq!(r.task_status(t).unwrap(), TaskStatus::Completed);
-            assert_eq!(r.task_result(t).unwrap().shots, 10);
-        }
+        cycles(&cloud, &cloud.ledger);
+        // Releasing one lease leaves another lease's tasks alone.
+        let (a, b) = (emu.acquire().unwrap(), emu.acquire().unwrap());
+        let kept = emu.task_start(&b, &ir(5)).unwrap();
+        emu.task_start(&a, &ir(5)).unwrap();
+        emu.release(&a).unwrap();
+        assert_eq!(emu.task_result(&kept).unwrap().shots, 5);
     }
 
     #[test]

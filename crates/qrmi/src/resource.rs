@@ -7,7 +7,7 @@
 //! QPU — implements this one trait, which is what makes the runtime's
 //! `--qpu=<resource>` switch possible without touching program source.
 
-use hpcqc_emulator::{SampleResult, SweepPoint};
+use hpcqc_emulator::SampleResult;
 use hpcqc_program::{DeviceSpec, ProgramIr};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -114,7 +114,8 @@ pub trait QuantumResource: Send + Sync {
     /// Lease the resource. Exclusive resources reject concurrent leases.
     fn acquire(&self) -> Result<AcquisitionToken, QrmiError>;
 
-    /// Return a lease.
+    /// Return a lease. The tasks started under it go with it: fetch results
+    /// before releasing.
     fn release(&self, token: &AcquisitionToken) -> Result<(), QrmiError>;
 
     /// The *current* target device specification (revision included), so
@@ -123,29 +124,6 @@ pub trait QuantumResource: Send + Sync {
 
     /// Submit a program under a lease.
     fn task_start(&self, token: &AcquisitionToken, ir: &ProgramIr) -> Result<TaskId, QrmiError>;
-
-    /// Submit a whole parameter sweep under a lease: one task per point, in
-    /// point order. The default materializes each point and submits it as
-    /// an independent task; resources wrapping a batched engine (the local
-    /// emulator) override this to execute the sweep in one batch while
-    /// returning the same per-point tasks — with identical seeds, and
-    /// therefore identical results, to `points.len()` sequential
-    /// `task_start` calls.
-    fn task_start_sweep(
-        &self,
-        token: &AcquisitionToken,
-        template: &ProgramIr,
-        points: &[SweepPoint],
-    ) -> Result<Vec<TaskId>, QrmiError> {
-        points
-            .iter()
-            .map(|p| {
-                let mut ir = template.clone();
-                ir.sequence = p.materialize(&template.sequence);
-                self.task_start(token, &ir)
-            })
-            .collect()
-    }
 
     /// Poll task state. Polling may advance simulated backend queues.
     fn task_status(&self, task: &TaskId) -> Result<TaskStatus, QrmiError>;

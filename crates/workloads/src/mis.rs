@@ -233,15 +233,12 @@ impl MisSweepSearch {
     }
 }
 
-/// Grid-search the (Ω, δ) scaling of a base MIS sweep in one batched
-/// submission.
+/// Grid-search the (Ω, δ) scaling of a base MIS sweep.
 ///
 /// Builds the `omega_scales × delta_scales` grid of [`SweepPoint`]s over the
-/// base program and submits it through [`Runtime::run_sweep`], so a backend
-/// with a batched engine (the local emulator) amortizes Hamiltonian
-/// construction and drive discretization across the whole grid instead of
-/// paying it per point — while returning results bit-identical to
-/// independent runs.
+/// base program and runs it through [`Runtime::run_sweep`]: every point is
+/// checked before anything runs, then the grid runs under one lease with
+/// results bit-identical to independent runs.
 ///
 /// Panics if either scale list is empty (the grid would have no points).
 pub fn sweep_search(
