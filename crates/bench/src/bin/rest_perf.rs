@@ -14,10 +14,10 @@
 //!
 //! Each rate case reports achieved RPS and latency percentiles; the
 //! headline "sustained" figure is the highest rate where the achieved rate
-//! stays within 3% of target and p99 < 10 ms. Connections reconnect
-//! transparently when the server closes them (`connection: close`), so the
-//! same harness measured the pre-PR thread-per-connection server — those
-//! numbers are kept below as the baseline.
+//! stays within 3% of target and p99 < 10 ms, read off the medians over the
+//! runs. Connections reconnect transparently when the server closes them
+//! (`connection: close`), so the same harness can measure a
+//! thread-per-connection server (EXPERIMENTS.md RP has those numbers).
 //!
 //! # Codec and batch axes
 //!
@@ -38,84 +38,17 @@
 //! Run: `cargo run --release -p hpcqc-bench --bin rest_perf [--quick]
 //!       [--codec json|binary] [--batch N] [--shards K] [--out PATH]`
 
-use hpcqc_bench::{percentile, render_table, HarnessArgs};
-use hpcqc_emulator::{Emulator, SampleResult, SvBackend};
+use hpcqc_bench::{bench_program, instant_daemon, percentile, Case, HarnessArgs, Report, Sample};
 use hpcqc_middleware::rest::serve_with;
-use hpcqc_middleware::ServerConfig;
-use hpcqc_middleware::{DaemonConfig, HttpClient, MiddlewareService};
-use hpcqc_program::{DeviceSpec, ProgramIr, Pulse, Register, SequenceBuilder};
-use hpcqc_qrmi::{AcquisitionToken, QrmiError, QuantumResource, ResourceType, TaskId};
+use hpcqc_middleware::{HttpClient, ServerConfig};
+use hpcqc_program::ProgramIr;
 use mio::{Events, Interest, Poll, Token};
-use serde::Serialize;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Pre-PR reference, measured with this same harness against the
-/// thread-per-connection `Connection: close` server at commit 29bbd49
-/// (same machine class: 1 CPU). Every request paid a fresh TCP connect plus
-/// an OS thread spawn: the legacy server held 6k submits/s at 1000
-/// connections (p99 5.9 ms) and collapsed at 8k (p99 4.2 s, arrival debt
-/// diverging).
-const PRE_PR_SUSTAINED_RPS_1K: f64 = 6000.0;
-const PRE_PR_BEST_RPS_1K: f64 = 6000.0;
-const PRE_PR_P99_MS_AT_BEST: f64 = 5.94;
-
-/// QRMI stub completing every task instantly (same shape as `daemon_perf`):
-/// all measured cycles belong to the HTTP layer and the daemon bookkeeping.
-struct InstantResource {
-    spec: DeviceSpec,
-}
-
-impl QuantumResource for InstantResource {
-    fn resource_id(&self) -> &str {
-        "instant-qpu"
-    }
-
-    fn resource_type(&self) -> ResourceType {
-        ResourceType::QpuDirect
-    }
-
-    fn acquire(&self) -> Result<AcquisitionToken, QrmiError> {
-        Ok(AcquisitionToken("instant-lease".into()))
-    }
-
-    fn release(&self, _token: &AcquisitionToken) -> Result<(), QrmiError> {
-        Ok(())
-    }
-
-    fn target(&self) -> Result<DeviceSpec, QrmiError> {
-        Ok(self.spec.clone())
-    }
-
-    fn task_start(&self, _token: &AcquisitionToken, ir: &ProgramIr) -> Result<TaskId, QrmiError> {
-        Ok(TaskId(format!("instant:{}", ir.shots)))
-    }
-
-    fn task_status(&self, _task: &TaskId) -> Result<hpcqc_qrmi::TaskStatus, QrmiError> {
-        Ok(hpcqc_qrmi::TaskStatus::Completed)
-    }
-
-    fn task_stop(&self, _task: &TaskId) -> Result<(), QrmiError> {
-        Ok(())
-    }
-
-    fn task_result(&self, task: &TaskId) -> Result<SampleResult, QrmiError> {
-        let shots: usize = task
-            .0
-            .strip_prefix("instant:")
-            .and_then(|s| s.parse().ok())
-            .ok_or(QrmiError::UnknownTask)?;
-        Ok(SampleResult::from_shots(2, &vec![0u64; shots], "instant"))
-    }
-
-    fn metadata(&self) -> BTreeMap<String, String> {
-        BTreeMap::from([("vendor".into(), "bench".into())])
-    }
-}
 
 /// Submit encoding for one case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,80 +83,6 @@ struct CaseSpec {
     secs: f64,
     codec: Codec,
     batch: usize,
-}
-
-#[derive(Debug, Serialize)]
-struct CaseResult {
-    connections: usize,
-    codec: &'static str,
-    /// Submits per HTTP request (1 = single `POST /v1/tasks`).
-    batch: usize,
-    /// Target rate in submits/s.
-    target_rps: f64,
-    duration_secs: f64,
-    /// Completed HTTP requests (each carrying `batch` submits).
-    samples: usize,
-    /// Achieved submits/s (`samples * batch / wall`).
-    achieved_rps: f64,
-    latency_p50_ms: f64,
-    latency_p90_ms: f64,
-    latency_p99_ms: f64,
-    latency_max_ms: f64,
-    /// Non-201 responses + transport failures (lost samples).
-    errors: usize,
-    /// Connections re-established mid-run: 0 on a keep-alive server.
-    reconnects: usize,
-    /// The case was aborted early: arrival debt exceeded two seconds of
-    /// target load, i.e. the server cannot keep up at this rate.
-    unsustainable: bool,
-}
-
-#[derive(Debug, Serialize)]
-struct Baseline {
-    commit: String,
-    sustained_rps_1k_conns: f64,
-    best_achieved_rps_1k_conns: f64,
-    latency_p99_ms_at_best: f64,
-}
-
-/// The headline ingest comparison: matched JSON single-submit vs binary
-/// batched cases from the same run (same harness, same CO correction).
-#[derive(Debug, Serialize)]
-struct IngestComparison {
-    json_single_best_rps: f64,
-    binary_single_best_rps: f64,
-    json_batched_best_rps: f64,
-    binary_batched_best_rps: f64,
-    /// `binary_batched_best_rps / json_single_best_rps`.
-    binary_batched_vs_json_single: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct BenchReport {
-    benchmark: String,
-    commit_note: String,
-    quick: bool,
-    unix_time_secs: u64,
-    /// SO_REUSEPORT event-loop shards the server ran with. Results in this
-    /// file were measured with shards=1 on a 1-core runner; the sharded
-    /// path is exercised (and its wiring benched) but cannot show scaling
-    /// without spare cores.
-    shards: usize,
-    cases: Vec<CaseResult>,
-    /// Highest probed rate at 1k connections (JSON, single-submit — the
-    /// historical axis) with achieved ≥ 97% of target and p99 < 10 ms;
-    /// `null` in quick mode.
-    sustained_rps_1k_conns: Option<f64>,
-    /// `null` when the run had no matched comparison cases (quick mode).
-    ingest_comparison: Option<IngestComparison>,
-    baseline_pre_pr: Baseline,
-}
-
-fn bench_program(shots: u32) -> ProgramIr {
-    let reg = Register::linear(2, 6.0).expect("valid register");
-    let mut b = SequenceBuilder::new(reg);
-    b.add_global_pulse(Pulse::constant(0.5, 4.0, 0.0, 0.0).expect("valid pulse"));
-    ProgramIr::new(b.build().expect("valid sequence"), shots, "rest-bench")
 }
 
 /// One multiplexed keep-alive connection of the load generator.
@@ -340,8 +199,9 @@ fn build_request(codec: Codec, batch: usize, token: &str, ir: &ProgramIr) -> Vec
 }
 
 /// Drive `spec.connections` connections at aggregate `spec.rate` submits/s
-/// for `spec.secs` (request arrivals fire at `rate / batch`).
-fn run_case(addr: &str, spec: CaseSpec) -> CaseResult {
+/// for `spec.secs` (request arrivals fire at `rate / batch`). Latency
+/// percentiles are per HTTP request (each carrying `batch` submits).
+fn run_case(addr: &str, spec: CaseSpec) -> Vec<Sample> {
     let CaseSpec {
         connections,
         rate,
@@ -584,23 +444,29 @@ fn run_case(addr: &str, spec: CaseSpec) -> CaseResult {
     }
 
     let wall = t0.elapsed().as_secs_f64().min(secs.max(0.001));
-    stats.latencies_ms.sort_by(f64::total_cmp);
-    CaseResult {
-        connections,
-        codec: codec.as_str(),
-        batch,
-        target_rps: rate,
-        duration_secs: secs,
-        samples: stats.latencies_ms.len(),
-        achieved_rps: stats.latencies_ms.len() as f64 * batch as f64 / wall,
-        latency_p50_ms: percentile(&stats.latencies_ms, 0.50),
-        latency_p90_ms: percentile(&stats.latencies_ms, 0.90),
-        latency_p99_ms: percentile(&stats.latencies_ms, 0.99),
-        latency_max_ms: stats.latencies_ms.last().copied().unwrap_or(f64::NAN),
-        errors: stats.errors,
-        reconnects: stats.reconnects,
-        unsustainable,
-    }
+    let lat = &mut stats.latencies_ms;
+    lat.sort_by(f64::total_cmp);
+    vec![
+        // Achieved submits/s (`samples * batch / wall`).
+        (
+            "achieved_rps",
+            "1/s",
+            lat.len() as f64 * batch as f64 / wall,
+        ),
+        ("latency_p50_ms", "ms", percentile(lat, 0.50)),
+        ("latency_p90_ms", "ms", percentile(lat, 0.90)),
+        ("latency_p99_ms", "ms", percentile(lat, 0.99)),
+        ("latency_max_ms", "ms", percentile(lat, 1.0)),
+        // Completed HTTP requests.
+        ("samples", "count", lat.len() as f64),
+        // Non-2xx responses + transport failures (lost samples).
+        ("errors", "count", stats.errors as f64),
+        // Connections re-established mid-run: 0 on a keep-alive server.
+        ("reconnects", "count", stats.reconnects as f64),
+        // 1 when the run was aborted early: arrival debt exceeded two
+        // seconds of target load, i.e. the server cannot keep up.
+        ("unsustainable", "count", f64::from(u8::from(unsustainable))),
+    ]
 }
 
 /// Clamp a connection count to what the fd limit allows (client + server
@@ -624,46 +490,14 @@ fn fd_clamped(conns: usize) -> usize {
     conns.min(max)
 }
 
-fn main() {
-    let args = HarnessArgs::from_env();
-    let flag_val = |name: &str| {
-        args.flags
-            .iter()
-            .position(|f| f == name)
-            .and_then(|i| args.flags.get(i + 1).cloned())
-    };
-    let out_path = flag_val("--out").unwrap_or_else(|| "BENCH_rest.json".to_string());
-    let codec_override = flag_val("--codec").map(|v| {
-        Codec::parse(&v).unwrap_or_else(|| {
-            eprintln!("--codec must be json|binary, got {v:?}");
-            std::process::exit(2);
-        })
-    });
-    let batch_override: Option<usize> = flag_val("--batch").map(|v| {
-        v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-            eprintln!("--batch must be a positive integer, got {v:?}");
-            std::process::exit(2);
-        })
-    });
-    let shards: usize = flag_val("--shards")
-        .map(|v| {
-            v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                eprintln!("--shards must be a positive integer, got {v:?}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(1);
-
+/// One measured run of `spec` on a stack of its own: daemon, REST server on
+/// `shards` event loops, and a dispatcher draining the queue as deployed.
+/// Nothing evicts a completed task from the daemon's table, so a stack kept
+/// across runs would hand each run the table (and any aborted run's
+/// backlog) of all the runs before it, and grow by gigabytes over a ladder.
+fn run_fresh(spec: CaseSpec, shards: usize) -> Vec<Sample> {
     // The wire is the subject: control-plane extras off, journal off.
-    let cfg = DaemonConfig {
-        validate_on_submit: false,
-        analyze_on_submit: false,
-        ..DaemonConfig::default()
-    };
-    let resource = Arc::new(InstantResource {
-        spec: SvBackend::default().spec(),
-    });
-    let svc = Arc::new(MiddlewareService::new(resource, cfg));
+    let svc = Arc::new(instant_daemon(None));
     // Sized for the 10k-connection case: the default 4096-connection cap is
     // a DoS guard, not a bench subject — at 10k conns it would turn the run
     // into a 503/reconnect storm.
@@ -677,31 +511,63 @@ fn main() {
         },
     )
     .expect("REST server binds");
-    let addr = server.addr();
-    if shards > 1 {
+    if server.shards() != shards {
         eprintln!(
-            "serving on {} SO_REUSEPORT shard(s) (requested {shards})",
+            "serving on {} shard(s), not the {shards} requested",
             server.shards()
         );
     }
-
-    // dispatcher draining the queue, as deployed
-    let stop = Arc::new(AtomicBool::new(false));
-    let dispatcher = {
-        let svc = Arc::clone(&svc);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
+    let addr = server.addr();
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
             while !stop.load(Ordering::Acquire) {
                 if svc.pump_batch(64) == 0 {
                     std::thread::sleep(Duration::from_micros(200));
                 }
             }
+        });
+        // Discarded warmup: pre-faults lazy allocations (connection slab,
+        // page cache, per-thread state) and absorbs the first connect storm
+        // so the measured run doesn't start with a cold-start debt spiral.
+        let warmup = CaseSpec {
+            rate: 2_000.0,
+            secs: 2.0,
+            ..spec
+        };
+        let _ = run_case(&addr, warmup);
+        let samples = run_case(&addr, spec);
+        stop.store(true, Ordering::Release);
+        samples
+    })
+}
+
+fn main() {
+    let args = HarnessArgs::from_env();
+    let flag_val = |name: &str| {
+        args.flags
+            .iter()
+            .position(|f| f == name)
+            .and_then(|i| args.flags.get(i + 1).cloned())
+    };
+    let codec_override = flag_val("--codec").map(|v| {
+        Codec::parse(&v).unwrap_or_else(|| {
+            eprintln!("--codec must be json|binary, got {v:?}");
+            std::process::exit(2);
+        })
+    });
+    let positive = |name: &str| -> Option<usize> {
+        flag_val(name).map(|v| {
+            v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
+                eprintln!("{name} must be a positive integer, got {v:?}");
+                std::process::exit(2);
+            })
         })
     };
+    let batch_override = positive("--batch");
+    let shards = positive("--shards").unwrap_or(1);
 
-    // REST_PERF_CASES="conns:rps:secs[:codec[:batch]],..." overrides the
-    // ladder for exploratory runs; --codec/--batch override those axes on
-    // whatever ladder is selected.
+    // --codec/--batch override those axes on whichever ladder is selected.
     let case = |connections: usize, rate: f64, codec: Codec, batch: usize| CaseSpec {
         connections,
         rate,
@@ -709,26 +575,10 @@ fn main() {
         codec,
         batch,
     };
-    let mut cases_spec: Vec<CaseSpec> = if let Ok(spec) = std::env::var("REST_PERF_CASES") {
-        spec.split(',')
-            .filter_map(|c| {
-                let mut it = c.split(':');
-                Some(CaseSpec {
-                    connections: it.next()?.parse().ok()?,
-                    rate: it.next()?.parse().ok()?,
-                    secs: it.next()?.parse().ok()?,
-                    codec: it.next().map_or(Some(Codec::Json), Codec::parse)?,
-                    batch: it.next().map_or(Some(1), |b| b.parse().ok())?,
-                })
-            })
-            .collect()
-    } else if args.quick {
+    let mut ladder: Vec<CaseSpec> = if args.quick {
         vec![CaseSpec {
-            connections: 64,
-            rate: 1000.0,
             secs: 2.0,
-            codec: Codec::Json,
-            batch: 1,
+            ..case(64, 1000.0, Codec::Json, 1)
         }]
     } else {
         vec![
@@ -753,210 +603,67 @@ fn main() {
             case(1000, 120_000.0, Codec::Binary, 16),
             case(1000, 160_000.0, Codec::Binary, 16),
             // high-connection case (historical)
-            CaseSpec {
-                connections: 10_000,
-                rate: 10_000.0,
-                secs: 4.0,
-                codec: Codec::Json,
-                batch: 1,
-            },
+            case(10_000, 10_000.0, Codec::Json, 1),
         ]
     };
-    if let Some(codec) = codec_override {
-        for c in &mut cases_spec {
-            c.codec = codec;
-        }
-    }
-    if let Some(batch) = batch_override {
-        for c in &mut cases_spec {
-            c.batch = batch;
-        }
+    for c in &mut ladder {
+        c.codec = codec_override.unwrap_or(c.codec);
+        c.batch = batch_override.unwrap_or(c.batch);
+        c.connections = fd_clamped(c.connections);
     }
 
-    // Discarded warmup: pre-faults lazy allocations (connection slab, page
-    // cache, per-thread state) and absorbs the first connect storm so the
-    // first measured case doesn't start with a cold-start debt spiral.
-    {
-        let first = cases_spec.first().copied().unwrap_or(CaseSpec {
-            connections: 64,
-            rate: 2_000.0,
-            secs: 2.0,
-            codec: Codec::Json,
-            batch: 1,
-        });
-        let conns = fd_clamped(first.connections);
-        eprintln!(
-            "warmup: {conns} connections at 2000 submits/s ({}, batch {}) for 2s (discarded) ...",
-            first.codec.as_str(),
-            first.batch
-        );
-        let _ = run_case(
-            &addr,
-            CaseSpec {
-                connections: conns,
-                rate: 2_000.0,
-                secs: 2.0,
-                codec: first.codec,
-                batch: first.batch,
-            },
-        );
-    }
-
-    // Inter-case barrier: an aborted case can leave seconds of queued
-    // backlog; let the dispatcher drain it so the next rung starts clean
-    // instead of competing with leftover work.
-    let drain = |svc: &MiddlewareService| {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while svc.queue_depth() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    };
-
-    let mut cases = Vec::new();
-    for spec in cases_spec {
-        let spec = CaseSpec {
-            connections: fd_clamped(spec.connections),
-            ..spec
-        };
-        drain(&svc);
-        eprintln!(
-            "driving {} connections at {:.0} submits/s ({}, batch {}) for {:.0}s ...",
+    let mut report = Report::new("rest_perf", &args);
+    for spec in ladder {
+        let name = format!(
+            "{}c-{}-b{}@{:.0}",
             spec.connections,
-            spec.rate,
             spec.codec.as_str(),
             spec.batch,
-            spec.secs
+            spec.rate
         );
-        cases.push(run_case(&addr, spec));
+        let params = serde_json::json!({
+            "connections": spec.connections,
+            "codec": spec.codec.as_str(),
+            "batch": spec.batch,
+            "target_rps": spec.rate,
+            "duration_secs": spec.secs,
+            "shards": shards
+        });
+        report.case(&name, params, |_| run_fresh(spec, shards));
     }
+    report.finish(&args.out_path("rest"));
 
-    // Gate: finite, positive measurements on every completed case.
-    for c in &cases {
-        if c.unsustainable {
-            continue;
-        }
-        for (label, v) in [
-            ("achieved_rps", c.achieved_rps),
-            ("latency_p50_ms", c.latency_p50_ms),
-            ("latency_p99_ms", c.latency_p99_ms),
-        ] {
-            if !v.is_finite() || v <= 0.0 {
-                eprintln!(
-                    "non-finite or non-positive measurement: {}c@{} {label}={v}",
-                    c.connections, c.target_rps
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-
-    // A case "qualifies" when it kept up with its target at sane tails —
-    // the same bar the historical sustained figure uses.
-    let qualifies = |c: &CaseResult| {
-        !c.unsustainable && c.achieved_rps >= 0.97 * c.target_rps && c.latency_p99_ms < 10.0
-    };
-    let sustained = cases
-        .iter()
-        .filter(|c| c.connections == 1000 && c.codec == "json" && c.batch == 1 && qualifies(c))
-        .map(|c| c.target_rps)
-        .fold(None::<f64>, |acc, r| Some(acc.map_or(r, |a: f64| a.max(r))));
-
-    // Headline comparison: best qualifying submits/s per (codec, batched)
-    // axis, from this same run.
+    // Headlines, read off the medians: the best 1k-connection case per
+    // (codec, batched) axis that kept up with its target at sane tails.
+    let med = |c: &Case, m: &str| c.metrics[m].median;
+    let target = |c: &Case| c.params["target_rps"].as_f64().expect("target_rps");
     let best = |codec: &str, batched: bool| {
-        cases
+        report
+            .cases
             .iter()
-            .filter(|c| c.codec == codec && (c.batch > 1) == batched && qualifies(c))
-            .map(|c| c.achieved_rps)
-            .fold(None::<f64>, |acc, r| Some(acc.map_or(r, |a: f64| a.max(r))))
+            .filter(|c| {
+                c.params["connections"].as_u64() == Some(1000)
+                    && c.params["codec"].as_str() == Some(codec)
+                    && (c.params["batch"].as_u64() > Some(1)) == batched
+            })
+            .filter(|c| {
+                med(c, "unsustainable") == 0.0
+                    && med(c, "achieved_rps") >= 0.97 * target(c)
+                    && med(c, "latency_p99_ms") < 10.0
+            })
+            .max_by(|a, b| med(a, "achieved_rps").total_cmp(&med(b, "achieved_rps")))
     };
-    let ingest_comparison = match (best("json", false), best("binary", true)) {
-        (Some(json_single), Some(binary_batched)) => Some(IngestComparison {
-            json_single_best_rps: json_single,
-            binary_single_best_rps: best("binary", false).unwrap_or(0.0),
-            json_batched_best_rps: best("json", true).unwrap_or(0.0),
-            binary_batched_best_rps: binary_batched,
-            binary_batched_vs_json_single: binary_batched / json_single,
-        }),
-        _ => None,
-    };
-
-    let rows: Vec<Vec<String>> = cases
-        .iter()
-        .map(|c| {
-            vec![
-                format!("{}", c.connections),
-                c.codec.to_string(),
-                format!("{}", c.batch),
-                format!("{:.0}", c.target_rps),
-                if c.unsustainable {
-                    "UNSUSTAINABLE".into()
-                } else {
-                    format!("{:.0}", c.achieved_rps)
-                },
-                format!("{:.2}", c.latency_p50_ms),
-                format!("{:.2}", c.latency_p99_ms),
-                format!("{}", c.errors),
-                format!("{}", c.reconnects),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "conns",
-                "codec",
-                "batch",
-                "target/s",
-                "achieved/s",
-                "p50(ms)",
-                "p99(ms)",
-                "errs",
-                "reconn"
-            ],
-            &rows
-        )
-    );
-    if let Some(s) = sustained {
+    if let Some(json) = best("json", false) {
         println!(
-            "sustained at 1k conns (json, single): {s:.0} submits/s (p99 < 10 ms); pre-PR best {:.0}/s (sustained)",
-            PRE_PR_BEST_RPS_1K
+            "sustained at 1k conns (json, single): {:.0} submits/s (p99 < 10 ms)",
+            target(json)
         );
+        if let Some(bin) = best("binary", true) {
+            let (b, j) = (med(bin, "achieved_rps"), med(json, "achieved_rps"));
+            println!(
+                "ingest: binary batched {b:.0}/s vs json single {j:.0}/s = {:.2}x",
+                b / j
+            );
+        }
     }
-    if let Some(cmp) = &ingest_comparison {
-        println!(
-            "ingest: binary batched {:.0}/s vs json single {:.0}/s = {:.2}x",
-            cmp.binary_batched_best_rps,
-            cmp.json_single_best_rps,
-            cmp.binary_batched_vs_json_single
-        );
-    }
-
-    let report = BenchReport {
-        benchmark: "rest_perf".into(),
-        commit_note: "binary wire codec + batched ingest over the epoll keep-alive front end"
-            .into(),
-        quick: args.quick,
-        unix_time_secs: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        shards: server.shards(),
-        cases,
-        sustained_rps_1k_conns: sustained,
-        ingest_comparison,
-        baseline_pre_pr: Baseline {
-            commit: "29bbd49".into(),
-            sustained_rps_1k_conns: PRE_PR_SUSTAINED_RPS_1K,
-            best_achieved_rps_1k_conns: PRE_PR_BEST_RPS_1K,
-            latency_p99_ms_at_best: PRE_PR_P99_MS_AT_BEST,
-        },
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, json + "\n").expect("write benchmark json");
-    eprintln!("wrote {out_path}");
-
-    stop.store(true, Ordering::Release);
-    dispatcher.join().expect("dispatcher thread");
 }

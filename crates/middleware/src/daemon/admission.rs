@@ -309,12 +309,10 @@ impl MiddlewareService {
 
     /// Warning-level analyzer findings recorded for a task at submission
     /// (empty when the analyzer found nothing or is disabled).
-    pub fn task_warnings(&self, id: u64) -> Vec<String> {
-        self.tasks
-            .lock()
-            .entry(id)
-            .map(|e| e.warnings.clone())
-            .unwrap_or_default()
+    pub fn task_warnings(&self, id: u64) -> Result<Vec<String>, DaemonError> {
+        let tasks = self.tasks.lock();
+        let entry = tasks.entry(id).ok_or(DaemonError::UnknownTask(id))?;
+        Ok(entry.warnings.clone())
     }
 
     /// Fetch the result of a completed task.

@@ -143,7 +143,7 @@ fn hint_mismatch_recorded_for_mislabeled_pattern() {
     assert!(d
         .metrics_text()
         .contains("daemon_hint_mismatch_total{declared=\"cc-heavy\",inferred=\"qc-heavy\"} 1"));
-    let warnings = d.task_warnings(id);
+    let warnings = d.task_warnings(id).unwrap();
     assert!(
         warnings
             .iter()
@@ -167,7 +167,7 @@ fn inferred_hint_adopted_when_undeclared() {
         .metrics_text()
         .contains("daemon_hint_adopted_total{hint=\"cc-heavy\"} 1"));
     // adoption is silent: no warning recorded for it
-    assert!(d.task_warnings(id).is_empty(), "{:?}", d.task_warnings(id));
+    assert_eq!(d.task_warnings(id), Ok(vec![]));
 }
 
 #[test]
@@ -183,7 +183,7 @@ fn stale_validation_surfaces_warning_and_counter() {
         )
         .unwrap();
     assert!(d.metrics_text().contains("daemon_stale_validation_total 1"));
-    let warnings = d.task_warnings(id);
+    let warnings = d.task_warnings(id).unwrap();
     assert!(
         warnings.iter().any(|w| w.contains("HQ0701")),
         "{warnings:?}"
@@ -196,7 +196,7 @@ fn stale_validation_surfaces_warning_and_counter() {
             PatternHint::None,
         )
         .unwrap();
-    assert!(d.task_warnings(id2).is_empty());
+    assert_eq!(d.task_warnings(id2), Ok(vec![]));
     assert!(d.metrics_text().contains("daemon_stale_validation_total 1"));
 }
 

@@ -356,8 +356,12 @@ pub fn route(svc: &MiddlewareService, req: &Request) -> Response {
             let Ok(id) = id.parse::<u64>() else {
                 return bad_request("task id must be a number");
             };
-            let warnings = svc.task_warnings(id);
-            Response::json(200, serde_json::json!({ "warnings": warnings }).to_string())
+            match svc.task_warnings(id) {
+                Ok(warnings) => {
+                    Response::json(200, serde_json::json!({ "warnings": warnings }).to_string())
+                }
+                Err(e) => err_response(&e),
+            }
         }
         ("GET", ["v1", "tasks", id, "result"]) => {
             let Ok(id) = id.parse::<u64>() else {

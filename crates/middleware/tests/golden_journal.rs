@@ -222,7 +222,11 @@ fn golden_journal_recovers_to_the_expected_table() {
     assert_eq!(d.queue_depth(), 3);
     assert_eq!(d.excluded_resources(ids.a4), vec!["emu".to_string()]);
     assert!(d.excluded_resources(ids.a5).is_empty());
-    assert!(d.task_warnings(ids.a1).iter().any(|w| w.contains("HQ0701")));
+    assert!(d
+        .task_warnings(ids.a1)
+        .unwrap()
+        .iter()
+        .any(|w| w.contains("HQ0701")));
     assert_eq!(d.qpu_status(), Some(QpuStatus::Maintenance));
     let text = d.metrics_text();
     assert!(text.contains("daemon_recovery_requeued_total 1"), "{text}");

@@ -455,6 +455,29 @@ fn rejected_connection_read_error_does_not_poison_others() {
 
 /// `read_one_response` helper sanity: errors loudly rather than hanging on
 /// a server that never answers (uses the read timeout set in `connect`).
+/// Every per-task route answers an id the daemon has never seen with 404
+/// and a JSON error — `/warnings` used to answer `200 {"warnings":[]}`,
+/// telling a client that mistyped an id its program linted clean.
+#[test]
+fn unknown_task_id_is_404_on_every_task_route() {
+    let resource = Arc::new(hpcqc_qrmi::LocalEmulatorResource::new(
+        "emu",
+        Arc::new(hpcqc_emulator::SvBackend::default()),
+        1,
+    ));
+    let svc = hpcqc_middleware::MiddlewareService::new(resource, Default::default());
+    let server = hpcqc_middleware::rest::serve(Arc::new(svc)).unwrap();
+    let mut stream = connect(&server);
+    for route in ["", "/warnings", "/result"] {
+        let raw = format!("GET /v1/tasks/424242{route} HTTP/1.1\r\nhost: t\r\n\r\n");
+        stream.write_all(raw.as_bytes()).unwrap();
+        let (status, _, body) = read_one_response(&mut stream);
+        assert_eq!(status, 404, "route {route:?}: {body}");
+        let v: serde_json::Value = serde_json::from_str(&body).expect("json error body");
+        assert!(v["error"].as_str().is_some(), "route {route:?}: {body}");
+    }
+}
+
 #[test]
 fn helper_times_out_rather_than_hanging() {
     let (server, _metrics) = server_with(ServerConfig::default());

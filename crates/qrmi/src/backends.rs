@@ -21,10 +21,6 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn new_id(prefix: &str, counter: &AtomicU64) -> String {
-    format!("{prefix}-{}", counter.fetch_add(1, Ordering::Relaxed))
-}
-
 #[derive(Debug, Clone)]
 enum TaskState {
     Pending { ir: ProgramIr, polls_left: u32 },
@@ -54,23 +50,68 @@ impl TaskState {
     }
 }
 
-/// The task ledger every backend keeps: task id → the lease that started it
-/// and its state. A lease's tasks are dropped when the lease is released, so
-/// a long-running daemon does not hold every result it ever produced a
-/// second time; callers fetch results before they release.
+/// The bookkeeping every backend keeps: the leases it has out and, per task
+/// id, the lease that started it and its state. A lease's tasks are dropped
+/// when the lease is released, so a long-running daemon does not hold every
+/// result it ever produced a second time; callers fetch results before they
+/// release.
 struct Ledger {
+    leases: Mutex<HashSet<String>>,
+    /// A physical device grants one lease at a time.
+    exclusive: bool,
     tasks: Mutex<HashMap<String, (String, TaskState)>>,
+    counter: AtomicU64,
 }
 
 impl Ledger {
-    fn new(lock_name: &'static str) -> Self {
+    /// `exclusive`: one lease at a time, not any number of concurrent ones.
+    fn new(exclusive: bool, leases_lock: &'static str, tasks_lock: &'static str) -> Self {
+        let leases_rank = if exclusive {
+            rank::QRMI_LEASE
+        } else {
+            rank::QRMI_TOKENS
+        };
         Ledger {
-            tasks: Mutex::new(lock_name, rank::QRMI_TASKS, HashMap::new()),
+            leases: Mutex::new(leases_lock, leases_rank, HashSet::new()),
+            exclusive,
+            tasks: Mutex::new(tasks_lock, rank::QRMI_TASKS, HashMap::new()),
+            counter: AtomicU64::new(0),
         }
     }
 
-    fn start(&self, lease: &AcquisitionToken, state: TaskState, counter: &AtomicU64) -> TaskId {
-        let id = new_id("task", counter);
+    fn new_id(&self, prefix: &str) -> String {
+        format!("{prefix}-{}", self.counter.fetch_add(1, Ordering::Relaxed))
+    }
+
+    fn acquire(&self) -> Result<AcquisitionToken, QrmiError> {
+        let mut leases = self.leases.lock();
+        if self.exclusive && !leases.is_empty() {
+            return Err(QrmiError::AcquisitionDenied(
+                "QPU already leased; direct access is exclusive".into(),
+            ));
+        }
+        let tok = self.new_id("lease");
+        leases.insert(tok.clone());
+        Ok(AcquisitionToken(tok))
+    }
+
+    /// End `lease` and drop every task it started.
+    fn release(&self, lease: &AcquisitionToken) -> Result<(), QrmiError> {
+        if !self.leases.lock().remove(&lease.0) {
+            return Err(QrmiError::InvalidToken);
+        }
+        self.tasks.lock().retain(|_, (l, _)| *l != lease.0);
+        Ok(())
+    }
+
+    /// `task_start`'s token check.
+    fn check(&self, lease: &AcquisitionToken) -> Result<(), QrmiError> {
+        let held = self.leases.lock().contains(&lease.0);
+        held.then_some(()).ok_or(QrmiError::InvalidToken)
+    }
+
+    fn start(&self, lease: &AcquisitionToken, state: TaskState) -> TaskId {
+        let id = self.new_id("task");
         self.tasks
             .lock()
             .insert(id.clone(), (lease.0.clone(), state));
@@ -107,11 +148,6 @@ impl Ledger {
             _ => Err(QrmiError::InvalidState("task not completed".into())),
         })?
     }
-
-    /// Drop every task `lease` started.
-    fn forget(&self, lease: &AcquisitionToken) {
-        self.tasks.lock().retain(|_, (l, _)| *l != lease.0);
-    }
 }
 
 /// In-process emulator resource (`emulator:local`).
@@ -119,8 +155,6 @@ pub struct LocalEmulatorResource {
     id: String,
     emulator: Arc<dyn Emulator>,
     ledger: Ledger,
-    tokens: Mutex<HashSet<String>>,
-    counter: AtomicU64,
     seed_counter: AtomicU64,
     kernel: Mutex<KernelProfile>,
 }
@@ -130,9 +164,7 @@ impl LocalEmulatorResource {
         LocalEmulatorResource {
             id: id.into(),
             emulator,
-            ledger: Ledger::new("qrmi.emulator.tasks"),
-            tokens: Mutex::new("qrmi.emulator.tokens", rank::QRMI_TOKENS, HashSet::new()),
-            counter: AtomicU64::new(0),
+            ledger: Ledger::new(false, "qrmi.emulator.tokens", "qrmi.emulator.tasks"),
             seed_counter: AtomicU64::new(seed),
             kernel: Mutex::new(
                 "qrmi.emulator.kernel",
@@ -158,17 +190,11 @@ impl QuantumResource for LocalEmulatorResource {
     }
 
     fn acquire(&self) -> Result<AcquisitionToken, QrmiError> {
-        let tok = new_id("lease", &self.counter);
-        self.tokens.lock().insert(tok.clone());
-        Ok(AcquisitionToken(tok))
+        self.ledger.acquire()
     }
 
     fn release(&self, token: &AcquisitionToken) -> Result<(), QrmiError> {
-        if !self.tokens.lock().remove(&token.0) {
-            return Err(QrmiError::InvalidToken);
-        }
-        self.ledger.forget(token);
-        Ok(())
+        self.ledger.release(token)
     }
 
     fn target(&self) -> Result<DeviceSpec, QrmiError> {
@@ -176,14 +202,12 @@ impl QuantumResource for LocalEmulatorResource {
     }
 
     fn task_start(&self, token: &AcquisitionToken, ir: &ProgramIr) -> Result<TaskId, QrmiError> {
-        if !self.tokens.lock().contains(&token.0) {
-            return Err(QrmiError::InvalidToken);
-        }
+        self.ledger.check(token)?;
         let seed = self.seed_counter.fetch_add(1, Ordering::Relaxed);
         let t = std::time::Instant::now();
         let state = TaskState::of(self.emulator.run(ir, seed));
         self.kernel.lock().record(t.elapsed().as_secs_f64());
-        Ok(self.ledger.start(token, state, &self.counter))
+        Ok(self.ledger.start(token, state))
     }
 
     fn task_status(&self, task: &TaskId) -> Result<TaskStatus, QrmiError> {
@@ -213,8 +237,6 @@ pub struct QpuDirectResource {
     id: String,
     qpu: VirtualQpu,
     ledger: Ledger,
-    lease: Mutex<Option<String>>,
-    counter: AtomicU64,
     seed_counter: AtomicU64,
 }
 
@@ -223,9 +245,7 @@ impl QpuDirectResource {
         QpuDirectResource {
             id: id.into(),
             qpu,
-            ledger: Ledger::new("qrmi.qpu_direct.tasks"),
-            lease: Mutex::new("qrmi.qpu_direct.lease", rank::QRMI_LEASE, None),
-            counter: AtomicU64::new(0),
+            ledger: Ledger::new(true, "qrmi.qpu_direct.lease", "qrmi.qpu_direct.tasks"),
             seed_counter: AtomicU64::new(seed),
         }
     }
@@ -246,27 +266,11 @@ impl QuantumResource for QpuDirectResource {
     }
 
     fn acquire(&self) -> Result<AcquisitionToken, QrmiError> {
-        let mut lease = self.lease.lock();
-        if lease.is_some() {
-            return Err(QrmiError::AcquisitionDenied(
-                "QPU already leased; direct access is exclusive".into(),
-            ));
-        }
-        let tok = new_id("lease", &self.counter);
-        *lease = Some(tok.clone());
-        Ok(AcquisitionToken(tok))
+        self.ledger.acquire()
     }
 
     fn release(&self, token: &AcquisitionToken) -> Result<(), QrmiError> {
-        {
-            let mut lease = self.lease.lock();
-            if lease.as_deref() != Some(token.0.as_str()) {
-                return Err(QrmiError::InvalidToken);
-            }
-            *lease = None;
-        }
-        self.ledger.forget(token);
-        Ok(())
+        self.ledger.release(token)
     }
 
     fn target(&self) -> Result<DeviceSpec, QrmiError> {
@@ -274,12 +278,10 @@ impl QuantumResource for QpuDirectResource {
     }
 
     fn task_start(&self, token: &AcquisitionToken, ir: &ProgramIr) -> Result<TaskId, QrmiError> {
-        if self.lease.lock().as_deref() != Some(token.0.as_str()) {
-            return Err(QrmiError::InvalidToken);
-        }
+        self.ledger.check(token)?;
         let seed = self.seed_counter.fetch_add(1, Ordering::Relaxed);
         let state = TaskState::of(self.qpu.execute(ir, seed).map(|ex| ex.result));
-        Ok(self.ledger.start(token, state, &self.counter))
+        Ok(self.ledger.start(token, state))
     }
 
     fn task_status(&self, task: &TaskId) -> Result<TaskStatus, QrmiError> {
@@ -323,8 +325,6 @@ pub struct CloudResource {
     /// Polls a task waits in the simulated cloud queue before running.
     pub queue_polls: u32,
     ledger: Ledger,
-    tokens: Mutex<HashSet<String>>,
-    counter: AtomicU64,
     seed_counter: AtomicU64,
     kernel: Mutex<KernelProfile>,
 }
@@ -340,9 +340,7 @@ impl CloudResource {
             engine,
             rtype,
             queue_polls,
-            ledger: Ledger::new("qrmi.cloud.tasks"),
-            tokens: Mutex::new("qrmi.cloud.tokens", rank::QRMI_TOKENS, HashSet::new()),
-            counter: AtomicU64::new(0),
+            ledger: Ledger::new(false, "qrmi.cloud.tokens", "qrmi.cloud.tasks"),
             seed_counter: AtomicU64::new(seed),
             kernel: Mutex::new(
                 "qrmi.cloud.kernel",
@@ -378,17 +376,11 @@ impl QuantumResource for CloudResource {
     }
 
     fn acquire(&self) -> Result<AcquisitionToken, QrmiError> {
-        let tok = new_id("lease", &self.counter);
-        self.tokens.lock().insert(tok.clone());
-        Ok(AcquisitionToken(tok))
+        self.ledger.acquire()
     }
 
     fn release(&self, token: &AcquisitionToken) -> Result<(), QrmiError> {
-        if !self.tokens.lock().remove(&token.0) {
-            return Err(QrmiError::InvalidToken);
-        }
-        self.ledger.forget(token);
-        Ok(())
+        self.ledger.release(token)
     }
 
     fn target(&self) -> Result<DeviceSpec, QrmiError> {
@@ -399,14 +391,12 @@ impl QuantumResource for CloudResource {
     }
 
     fn task_start(&self, token: &AcquisitionToken, ir: &ProgramIr) -> Result<TaskId, QrmiError> {
-        if !self.tokens.lock().contains(&token.0) {
-            return Err(QrmiError::InvalidToken);
-        }
+        self.ledger.check(token)?;
         let state = TaskState::Pending {
             ir: ir.clone(),
             polls_left: self.queue_polls,
         };
-        Ok(self.ledger.start(token, state, &self.counter))
+        Ok(self.ledger.start(token, state))
     }
 
     fn task_status(&self, task: &TaskId) -> Result<TaskStatus, QrmiError> {
