@@ -120,6 +120,14 @@ fn slot_to_outcome(slot: wire::BatchSlot) -> Result<u64, ClientError> {
     }
 }
 
+/// Sleep before status poll number `poll` (0-based) of a wait against a
+/// self-dispatching daemon: 250 µs, doubling per poll, capped at `interval`.
+fn poll_delay(poll: usize, interval: Duration) -> Duration {
+    const FIRST: Duration = Duration::from_micros(250);
+    // 2^20 × 250 µs is minutes, past any interval worth configuring
+    FIRST.saturating_mul(1 << poll.min(20)).min(interval)
+}
+
 fn wire_status_to_daemon(s: wire::WireStatus) -> DaemonTaskStatus {
     match s {
         wire::WireStatus::Queued { position } => DaemonTaskStatus::Queued { position },
@@ -143,8 +151,11 @@ pub struct DaemonClient {
     /// Whether polling should ask the daemon to pump its queue (simulation
     /// deployments; production daemons run their own dispatch thread).
     pub pump_on_poll: bool,
-    /// Sleep between status polls when the daemon dispatches on its own
-    /// (`pump_on_poll = false`); ignored otherwise.
+    /// Steady-state sleep between status polls when the daemon dispatches
+    /// on its own (`pump_on_poll = false`); ignored otherwise. The first
+    /// polls of a [`DaemonSession::wait`] come sooner — 250 µs, doubling per
+    /// poll up to this interval — so a task the daemon finishes in a
+    /// millisecond is not waited on for a whole interval.
     pub poll_interval: std::time::Duration,
     http: std::sync::Arc<HttpClient>,
     /// Binary-codec preference, shared by clones (including every session
@@ -527,9 +538,13 @@ impl DaemonSession {
     }
 
     /// Poll until the task completes (optionally pumping the daemon's queue
-    /// each round), then fetch the result.
+    /// each round), then fetch the result. `max_polls` is a count, not a
+    /// time: without pumping, poll `n` is preceded by a sleep of 250 µs × 2ⁿ
+    /// capped at [`DaemonClient::poll_interval`], so 10 000 polls at the
+    /// default 20 ms interval give up after ≈ 200 s (seven ramp-up polls
+    /// inside the first 32 ms, the rest 20 ms apart).
     pub fn wait(&self, task: u64, max_polls: usize) -> Result<SampleResult, ClientError> {
-        for _ in 0..max_polls {
+        for poll in 0..max_polls {
             if self.client.pump_on_poll {
                 // the token body field is routing metadata for gateways;
                 // the daemon's pump handler does not read it
@@ -537,7 +552,7 @@ impl DaemonSession {
                 let (st, body) = self.client.request("POST", "/v1/pump", Some(&body))?;
                 expect_2xx(st, body)?;
             } else {
-                std::thread::sleep(self.client.poll_interval);
+                std::thread::sleep(poll_delay(poll, self.client.poll_interval));
             }
             match self.status(task)? {
                 DaemonTaskStatus::Completed => return self.result(task),
@@ -576,17 +591,17 @@ mod tests {
     use hpcqc_qrmi::LocalEmulatorResource;
     use std::sync::Arc;
 
-    fn daemon() -> hpcqc_middleware::HttpServer {
+    fn service() -> Arc<MiddlewareService> {
         let res = Arc::new(LocalEmulatorResource::new(
             "emu",
             Arc::new(SvBackend::default()),
             1,
         ));
-        serve(Arc::new(MiddlewareService::new(
-            res,
-            DaemonConfig::default(),
-        )))
-        .unwrap()
+        Arc::new(MiddlewareService::new(res, DaemonConfig::default()))
+    }
+
+    fn daemon() -> hpcqc_middleware::HttpServer {
+        serve(service()).unwrap()
     }
 
     fn ir(shots: u32) -> ProgramIr {
@@ -625,6 +640,44 @@ mod tests {
             Err(ClientError::TaskFailed(m)) => assert!(m.contains("cancelled")),
             other => panic!("expected cancelled, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn poll_delay_starts_at_250us_doubles_and_caps_at_the_interval() {
+        let ms20 = Duration::from_millis(20);
+        assert_eq!(poll_delay(0, ms20), Duration::from_micros(250));
+        assert_eq!(poll_delay(1, ms20), Duration::from_micros(500));
+        assert_eq!(poll_delay(6, ms20), Duration::from_millis(16));
+        assert_eq!(poll_delay(7, ms20), ms20);
+        assert_eq!(poll_delay(usize::MAX, ms20), ms20);
+        // an interval below the first step is the delay from the first poll on
+        let us100 = Duration::from_micros(100);
+        assert_eq!(poll_delay(0, us100), us100);
+        assert_eq!(poll_delay(3, us100), us100);
+        assert_eq!(poll_delay(0, Duration::ZERO), Duration::ZERO);
+    }
+
+    /// The shipped CLI's path (`pump_on_poll = false`, then `run`): neither
+    /// the dispatcher's idle interval nor the client's poll interval is a
+    /// floor under the time to result. Both are 5 s here, the task takes
+    /// milliseconds.
+    #[test]
+    fn run_against_a_self_dispatching_daemon_does_not_wait_out_an_interval() {
+        let interval = Duration::from_secs(5);
+        let svc = service();
+        let _dispatcher = svc.spawn_dispatcher(interval);
+        let server = serve(Arc::clone(&svc)).unwrap();
+        let mut client = DaemonClient::new(server.addr());
+        client.pump_on_poll = false;
+        client.poll_interval = interval;
+        let session = client.open_session("ada", PriorityClass::Test).unwrap();
+        // the dispatcher has found the queue empty and parked by now
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = std::time::Instant::now();
+        let result = session.run(&ir(42), PatternHint::None).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(result.shots, 42);
+        assert!(took < Duration::from_secs(2), "run took {took:?}");
     }
 
     #[test]

@@ -118,6 +118,11 @@ impl MiddlewareService {
         for rec in &journal {
             self.journal_append_deferred(rec);
         }
+        // Once per batch, and only after the appends: the dispatcher is
+        // never told about a task the journal does not hold yet.
+        if !journal.is_empty() {
+            self.wake.raise();
+        }
         outcomes
     }
 

@@ -226,12 +226,26 @@ impl MiddlewareService {
     /// Start a background dispatcher thread: the production deployment mode,
     /// where the daemon drains its queue continuously and clients only poll
     /// task status. Returns a handle that stops the thread when dropped.
+    ///
+    /// The thread does not poll: a submit wakes it (see [`WakeSignal`]), so
+    /// `idle_poll` is no latency floor. It is the idle housekeeping interval
+    /// — how often a quiescent daemon makes a parked group-commit batch
+    /// durable ([`sync_journal`](Self::sync_journal)) and expires idle
+    /// sessions — and the upper bound on a wake-up nothing signalled.
     pub fn spawn_dispatcher(self: &Arc<Self>, idle_poll: std::time::Duration) -> DispatcherHandle {
         let svc = Arc::clone(self);
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let thread = std::thread::spawn(move || {
-            while !stop2.load(std::sync::atomic::Ordering::SeqCst) {
+            loop {
+                // Read before the stop check and the pump, never after:
+                // a stop, or a submit landing once the pump has seen an
+                // empty queue, has then already moved the epoch past
+                // `seen`, so the wait below returns at once.
+                let seen = svc.wake.epoch();
+                if stop2.load(std::sync::atomic::Ordering::SeqCst) {
+                    break;
+                }
                 // A panicking handler (bad task, injected fault, poisoned
                 // shim state) must not kill the dispatcher: the queue would
                 // silently stop draining while submissions kept succeeding.
@@ -241,29 +255,92 @@ impl MiddlewareService {
                 match pumped {
                     Ok(0) => {
                         // quiescent: make any buffered group-commit batch
-                        // durable before going to sleep
+                        // durable before parking
                         svc.sync_journal();
-                        std::thread::sleep(idle_poll);
+                        svc.wake.wait_past(seen, idle_poll);
                     }
                     Ok(_) => {}
                     Err(_) => {
                         svc.count(&catalog::DAEMON_DISPATCHER_PANICS, 1);
-                        // back off briefly: a deterministic panic loop must
-                        // not spin a core
+                        // back off briefly, and not on the signal: a
+                        // deterministic panic loop fed by a busy submitter
+                        // must not spin a core
                         std::thread::sleep(idle_poll);
                     }
                 }
             }
         });
         DispatcherHandle {
+            svc: Arc::clone(self),
             stop,
             thread: Some(thread),
         }
     }
 }
 
+/// The admit → dispatch hand-off: `submit_batch` raises it once its records
+/// are journaled, the idle dispatcher waits on it instead of sleeping.
+///
+/// A plain `std` mutex, deliberately outside the ranked lock hierarchy like
+/// `SharedJournal::seq`: it guards only these two words, nothing is acquired
+/// under it, and the waiter holds no tracked lock while blocked.
+#[derive(Default)]
+pub(super) struct WakeSignal {
+    state: std::sync::Mutex<WakeState>,
+    cv: std::sync::Condvar,
+}
+
+#[derive(Default)]
+struct WakeState {
+    /// Bumped by every [`WakeSignal::raise`].
+    epoch: u64,
+    /// Dispatcher threads blocked in [`WakeSignal::wait_past`].
+    parked: usize,
+}
+
+impl WakeSignal {
+    fn lock(&self) -> std::sync::MutexGuard<'_, WakeState> {
+        // both fields are valid after any partial update
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn epoch(&self) -> u64 {
+        self.lock().epoch
+    }
+
+    /// Dispatchers blocked right now: lets a test order itself after the
+    /// park instead of sleeping and hoping.
+    #[cfg(test)]
+    pub(super) fn parked(&self) -> usize {
+        self.lock().parked
+    }
+
+    /// Tell the dispatcher there may be work. The notify (a futex syscall)
+    /// is paid only when a dispatcher is parked, so a saturated daemon's
+    /// submit path pays one uncontended lock and nothing else.
+    pub(super) fn raise(&self) {
+        let mut s = self.lock();
+        s.epoch += 1;
+        if s.parked > 0 {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Block until the epoch has moved past `seen` or `timeout` has elapsed.
+    fn wait_past(&self, seen: u64, timeout: std::time::Duration) {
+        let mut s = self.lock();
+        s.parked += 1;
+        let (mut s, _) = self
+            .cv
+            .wait_timeout_while(s, timeout, |s| s.epoch == seen)
+            .unwrap_or_else(|e| e.into_inner());
+        s.parked -= 1;
+    }
+}
+
 /// Stops the background dispatcher thread when dropped.
 pub struct DispatcherHandle {
+    svc: Arc<MiddlewareService>,
     stop: Arc<std::sync::atomic::AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -271,6 +348,8 @@ pub struct DispatcherHandle {
 impl Drop for DispatcherHandle {
     fn drop(&mut self) {
         self.stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        // a parked dispatcher re-reads `stop` now, not an interval from now
+        self.svc.wake.raise();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }

@@ -205,6 +205,9 @@ pub struct MiddlewareService {
     /// clients all pump the queue — only one dispatch may hold the resource
     /// lease at a time.
     dispatch_lock: Mutex<()>,
+    /// Raised by `submit_batch`, waited on by the idle background
+    /// dispatcher in place of a sleep.
+    wake: dispatch::WakeSignal,
     fairshare: Option<crate::fairshare::FairshareTracker>,
     /// Development-result cache keyed by program fingerprint.
     dev_cache: Mutex<HashMap<u64, SampleResult>>,
@@ -256,6 +259,7 @@ impl MiddlewareService {
             registry: Registry::new(),
             cfg,
             dispatch_lock: Mutex::new("middleware.daemon.dispatch", rank::DISPATCH, ()),
+            wake: dispatch::WakeSignal::default(),
             fairshare,
             dev_cache: Mutex::new(
                 "middleware.daemon.dev_cache",
@@ -379,8 +383,9 @@ impl MiddlewareService {
     }
 
     /// Flush and fsync any buffered group-commit batch. Called by the
-    /// background dispatcher when the queue runs dry, so a lull in traffic
-    /// never strands an unflushed batch; no-op when nothing is pending.
+    /// background dispatcher when the queue runs dry and then once per idle
+    /// interval, so a lull in traffic never strands an unflushed batch;
+    /// no-op when nothing is pending.
     pub fn sync_journal(&self) {
         let Some(journal) = &self.journal else {
             return;

@@ -349,6 +349,179 @@ fn dispatcher_handle_drop_stops_thread() {
     ));
 }
 
+// ---- dispatcher wake-up ----------------------------------------------
+//
+// The dispatchers below idle for 5 s at a time, so anything these tests
+// wait for arrives by wake-up or blows its deadline: a missed wake-up costs
+// seconds, not milliseconds.
+
+const LONG_IDLE: std::time::Duration = std::time::Duration::from_secs(5);
+
+/// Start a dispatcher and return once it has found the queue empty and
+/// parked.
+fn parked_dispatcher(
+    d: &Arc<MiddlewareService>,
+    idle_poll: std::time::Duration,
+) -> DispatcherHandle {
+    let handle = d.spawn_dispatcher(idle_poll);
+    wait_parked(d);
+    handle
+}
+
+fn wait_parked(d: &MiddlewareService) {
+    while d.wake.parked() == 0 {
+        std::thread::yield_now();
+    }
+}
+
+/// Poll until every task in `ids` is `Completed`; panic after `within`.
+fn assert_completed_within(d: &MiddlewareService, ids: &[u64], within: std::time::Duration) {
+    let t0 = std::time::Instant::now();
+    for &id in ids {
+        loop {
+            match d.task_status(id).unwrap() {
+                DaemonTaskStatus::Completed => break,
+                DaemonTaskStatus::Failed(m) => panic!("task {id} failed: {m}"),
+                status => assert!(
+                    t0.elapsed() < within,
+                    "task {id} still {status:?} after {within:?}: the dispatcher slept on it"
+                ),
+            }
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+    }
+}
+
+#[test]
+fn submit_wakes_a_parked_dispatcher() {
+    let second = std::time::Duration::from_secs(1);
+    let d = Arc::new(emu_daemon(DaemonConfig::default()));
+    let _dispatcher = parked_dispatcher(&d, LONG_IDLE);
+    let tok = d.open_session("prod", PriorityClass::Production).unwrap();
+    let id = d.submit(&tok, ir(30), PatternHint::None).unwrap();
+    assert_completed_within(&d, &[id], second);
+
+    // one raise per batch wakes it for all sixteen frames
+    wait_parked(&d);
+    let items = (0..16)
+        .map(|k| SubmitItem {
+            token: tok.clone(),
+            ir: ir(10 + k),
+            hint: PatternHint::None,
+            idempotency_key: None,
+        })
+        .collect();
+    let ids: Vec<u64> = d
+        .submit_batch(items)
+        .into_iter()
+        .map(|r| r.unwrap())
+        .collect();
+    assert_completed_within(&d, &ids, second);
+
+    // a dev-cache hit raises the signal with nothing to dispatch; the miss
+    // behind it must not find the dispatcher asleep on a stale epoch
+    let dev = d.open_session("dev", PriorityClass::Development).unwrap();
+    let miss = d.submit(&dev, ir(20), PatternHint::None).unwrap();
+    assert_completed_within(&d, &[miss], second);
+    let hit = d.submit(&dev, ir(20), PatternHint::None).unwrap();
+    assert_eq!(d.task_status(hit).unwrap(), DaemonTaskStatus::Completed);
+    let miss = d.submit(&dev, ir(21), PatternHint::None).unwrap();
+    assert_completed_within(&d, &[miss], second);
+}
+
+#[test]
+fn dropping_the_handle_wakes_a_parked_dispatcher() {
+    let d = Arc::new(emu_daemon(DaemonConfig::default()));
+    let dispatcher = parked_dispatcher(&d, LONG_IDLE);
+    let t0 = std::time::Instant::now();
+    drop(dispatcher);
+    let took = t0.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "stopping waited out the idle interval: {took:?}"
+    );
+}
+
+/// Closed-loop submitters with staggered sub-millisecond gaps land submits
+/// on every side of the dispatcher's pump-empty → park transition; each
+/// waits for its own task, and a task slept on waits out 5 s. A peer's next
+/// submit would rescue a lost wake-up within its gap, so the gaps grow with
+/// the thread index: the slowest submitter runs alone for the second half
+/// of the test, where nobody rescues anything.
+#[test]
+fn submits_racing_the_park_transition_are_never_slept_on() {
+    let dir = journal_dir("wake-vs-park");
+    let d = Arc::new(
+        MiddlewareService::recover(&dir, emu_resource(), DaemonConfig::default()).unwrap(),
+    );
+    let dispatcher = parked_dispatcher(&d, LONG_IDLE);
+    let submitters: Vec<_> = (0..4u64)
+        .map(|i| {
+            let d = Arc::clone(&d);
+            std::thread::spawn(move || {
+                let tok = d
+                    .open_session(&format!("user{i}"), PriorityClass::Production)
+                    .unwrap();
+                for k in 0..200u64 {
+                    let id = d.submit(&tok, ir(5), PatternHint::None).unwrap();
+                    assert_completed_within(&d, &[id], std::time::Duration::from_secs(2));
+                    let gap_us = (k * 37 + i * 11) % 97 * 10 * (i + 1);
+                    std::thread::sleep(std::time::Duration::from_micros(gap_us));
+                }
+            })
+        })
+        .collect();
+    for t in submitters {
+        t.join().unwrap();
+    }
+    drop(dispatcher);
+    d.sync_journal();
+    let live = d.snapshot_state();
+    assert_eq!(live.completed.len(), 800);
+    drop(d);
+    let recovered = MiddlewareService::recover(&dir, emu_resource(), DaemonConfig::default())
+        .unwrap()
+        .snapshot_state();
+    assert_eq!(recovered, live);
+}
+
+/// The one job the idle interval keeps: a record no submit announced — a
+/// session record deferred into a group-commit batch that never fills —
+/// is made durable by the parked dispatcher's timer.
+#[test]
+fn idle_timer_still_syncs_a_lone_deferred_record() {
+    let interval = std::time::Duration::from_millis(400);
+    let dir = journal_dir("idle-sync");
+    let cfg = DaemonConfig {
+        journal: JournalConfig {
+            // the batch limit is the smaller of the two
+            fsync_every: 8,
+            group_max_records: 8,
+            ..JournalConfig::default()
+        },
+        ..DaemonConfig::default()
+    };
+    let d = Arc::new(MiddlewareService::recover(&dir, emu_resource(), cfg).unwrap());
+    let _dispatcher = parked_dispatcher(&d, interval);
+    let journal = d.journal.as_ref().unwrap();
+    let t0 = std::time::Instant::now();
+    d.open_session("lone", PriorityClass::Test).unwrap();
+    assert_eq!(
+        journal.pending_records(),
+        1,
+        "deferred, not written through"
+    );
+    while journal.pending_records() > 0 || journal.unsynced_appends() > 0 {
+        assert!(
+            t0.elapsed() < 2 * interval,
+            "the idle timer never synced the parked record"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let on_disk = Journal::load(&dir).unwrap();
+    assert_eq!(on_disk.records.len(), 1, "the session record is in the WAL");
+}
+
 #[test]
 fn fairshare_demotes_heavy_user_within_class() {
     let (d, _) = qpu_daemon(DaemonConfig {

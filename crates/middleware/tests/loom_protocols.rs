@@ -380,3 +380,114 @@ fn ack_racing_ahead_of_apply_is_caught() {
     );
     assert!(msg.contains("LOOM_REPLAY"), "missing replay seed: {msg}");
 }
+
+// ---------------------------------------------------------------------------
+// Protocol 5: admit → dispatch wake-up (daemon/dispatch.rs `WakeSignal`,
+// raised by daemon/admission.rs `submit_batch`).
+//
+// A submit that races the dispatcher going idle is never slept on. The
+// submitter makes the task visible first (push under the table lock), then
+// bumps the epoch and — only if a dispatcher is parked — notifies, in one
+// hold of the signal mutex. The dispatcher reads the epoch *before* it looks
+// at the queue and parks only while the epoch is still the one it read. The
+// real wait is timed; the model's is not, so a lost wake-up is the checker's
+// deadlock report instead of an `idle_poll` of latency nobody would notice.
+// ---------------------------------------------------------------------------
+
+struct WakeModel {
+    /// The task table's queue.
+    queue: Mutex<Vec<u64>>,
+    /// `WakeState`: (epoch, a dispatcher is parked).
+    wake: Mutex<(u64, bool)>,
+    cv: Condvar,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum WakeBug {
+    None,
+    /// The dispatcher reads the epoch after the pump came back empty: a
+    /// submit landing between the two is already part of the epoch it then
+    /// waits on.
+    EpochReadAfterPump,
+    /// "Notify only when parked" done wrong: the submitter looks at the
+    /// parked flag in one hold and bumps the epoch in the next, and the
+    /// dispatcher parks in between.
+    ParkedReadOutsideTheBump,
+}
+
+impl WakeModel {
+    /// `submit_batch`: admit under the table lock, then `WakeSignal::raise`.
+    fn submit(&self, bug: WakeBug) {
+        self.queue.lock().unwrap().push(1);
+        if bug == WakeBug::ParkedReadOutsideTheBump {
+            let parked = self.wake.lock().unwrap().1;
+            self.wake.lock().unwrap().0 += 1;
+            if parked {
+                self.cv.notify_all();
+            }
+            return;
+        }
+        let mut w = self.wake.lock().unwrap();
+        w.0 += 1;
+        if w.1 {
+            self.cv.notify_all();
+        }
+    }
+
+    /// One turn of the `spawn_dispatcher` loop whose pump may come back
+    /// empty, then the pump after the wake-up.
+    fn dispatch(&self, bug: WakeBug) -> Option<u64> {
+        let mut seen = self.wake.lock().unwrap().0;
+        if let Some(task) = self.queue.lock().unwrap().pop() {
+            return Some(task);
+        }
+        if bug == WakeBug::EpochReadAfterPump {
+            seen = self.wake.lock().unwrap().0;
+        }
+        let mut w = self.wake.lock().unwrap();
+        w.1 = true;
+        while w.0 == seen {
+            w = self.cv.wait(w).unwrap();
+        }
+        w.1 = false;
+        drop(w);
+        self.queue.lock().unwrap().pop()
+    }
+}
+
+fn wake_model(bug: WakeBug) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let m = Arc::new(WakeModel {
+            queue: Mutex::new(Vec::new()),
+            wake: Mutex::new((0, false)),
+            cv: Condvar::new(),
+        });
+        let m2 = Arc::clone(&m);
+        let submitter = thread::spawn(move || m2.submit(bug));
+        assert_eq!(
+            m.dispatch(bug),
+            Some(1),
+            "woken dispatcher must find the submitted task"
+        );
+        submitter.join().unwrap();
+    }
+}
+
+#[test]
+fn submit_racing_the_dispatcher_going_idle_is_never_slept_on() {
+    loom::model(wake_model(WakeBug::None));
+}
+
+#[test]
+fn epoch_read_after_the_empty_pump_is_caught() {
+    let msg = failure_message(wake_model(WakeBug::EpochReadAfterPump));
+    assert!(msg.contains("deadlock"), "unexpected failure: {msg}");
+    assert!(msg.contains("LOOM_REPLAY"), "missing replay seed: {msg}");
+}
+
+#[test]
+fn parked_flag_read_outside_the_epoch_bump_is_caught() {
+    let msg = failure_message(wake_model(WakeBug::ParkedReadOutsideTheBump));
+    assert!(msg.contains("deadlock"), "unexpected failure: {msg}");
+    assert!(msg.contains("LOOM_REPLAY"), "missing replay seed: {msg}");
+}
