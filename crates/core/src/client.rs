@@ -671,7 +671,8 @@ mod tests {
         client.pump_on_poll = false;
         client.poll_interval = interval;
         let session = client.open_session("ada", PriorityClass::Test).unwrap();
-        // the dispatcher has found the queue empty and parked by now
+        // time for the dispatcher to find the queue empty and park (the
+        // case a sleeping one fails); the bound holds if it has not yet
         std::thread::sleep(Duration::from_millis(50));
         let t0 = std::time::Instant::now();
         let result = session.run(&ir(42), PatternHint::None).unwrap();

@@ -442,12 +442,13 @@ fn dropping_the_handle_wakes_a_parked_dispatcher() {
     );
 }
 
-/// Closed-loop submitters with staggered sub-millisecond gaps land submits
-/// on every side of the dispatcher's pump-empty → park transition; each
-/// waits for its own task, and a task slept on waits out 5 s. A peer's next
-/// submit would rescue a lost wake-up within its gap, so the gaps grow with
-/// the thread index: the slowest submitter runs alone for the second half
-/// of the test, where nobody rescues anything.
+/// Closed-loop submitters land submits on every side of the dispatcher's
+/// pump-empty → park transition: each waits for its own task (a task slept
+/// on waits out 5 s), then pauses for a staggered 0–1 × what that task took
+/// — sub-millisecond in a release build, and still commensurate with the
+/// dispatcher's cycle in a debug one. A peer's next submit would rescue a
+/// lost wake-up within its pause, so the pauses grow with the thread index:
+/// the slowest submitter runs alone at the end, where nobody rescues anything.
 #[test]
 fn submits_racing_the_park_transition_are_never_slept_on() {
     let dir = journal_dir("wake-vs-park");
@@ -455,18 +456,19 @@ fn submits_racing_the_park_transition_are_never_slept_on() {
         MiddlewareService::recover(&dir, emu_resource(), DaemonConfig::default()).unwrap(),
     );
     let dispatcher = parked_dispatcher(&d, LONG_IDLE);
-    let submitters: Vec<_> = (0..4u64)
+    let submitters: Vec<_> = (0..4u32)
         .map(|i| {
             let d = Arc::clone(&d);
             std::thread::spawn(move || {
                 let tok = d
                     .open_session(&format!("user{i}"), PriorityClass::Production)
                     .unwrap();
-                for k in 0..200u64 {
+                for k in 0..200u32 {
+                    let t0 = std::time::Instant::now();
                     let id = d.submit(&tok, ir(5), PatternHint::None).unwrap();
                     assert_completed_within(&d, &[id], std::time::Duration::from_secs(2));
-                    let gap_us = (k * 37 + i * 11) % 97 * 10 * (i + 1);
-                    std::thread::sleep(std::time::Duration::from_micros(gap_us));
+                    let stagger = (k * 37 + i * 11) % 97;
+                    std::thread::sleep(t0.elapsed() * stagger * (i + 1) / 97);
                 }
             })
         })

@@ -478,16 +478,19 @@ fn submit_racing_the_dispatcher_going_idle_is_never_slept_on() {
     loom::model(wake_model(WakeBug::None));
 }
 
-#[test]
-fn epoch_read_after_the_empty_pump_is_caught() {
-    let msg = failure_message(wake_model(WakeBug::EpochReadAfterPump));
+/// The dispatcher parked for good with the task in the queue.
+fn assert_lost_wake_up_is_caught(bug: WakeBug) {
+    let msg = failure_message(wake_model(bug));
     assert!(msg.contains("deadlock"), "unexpected failure: {msg}");
     assert!(msg.contains("LOOM_REPLAY"), "missing replay seed: {msg}");
 }
 
 #[test]
+fn epoch_read_after_the_empty_pump_is_caught() {
+    assert_lost_wake_up_is_caught(WakeBug::EpochReadAfterPump);
+}
+
+#[test]
 fn parked_flag_read_outside_the_epoch_bump_is_caught() {
-    let msg = failure_message(wake_model(WakeBug::ParkedReadOutsideTheBump));
-    assert!(msg.contains("deadlock"), "unexpected failure: {msg}");
-    assert!(msg.contains("LOOM_REPLAY"), "missing replay seed: {msg}");
+    assert_lost_wake_up_is_caught(WakeBug::ParkedReadOutsideTheBump);
 }

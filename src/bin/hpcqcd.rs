@@ -78,6 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         service = service.with_qpu_admin(qpu);
     }
     let service = Arc::new(service);
+    // The interval is idle housekeeping (journal sync, session expiry), not
+    // a latency floor: submits wake the dispatcher.
     let _dispatcher = service.spawn_dispatcher(Duration::from_millis(20));
 
     let port: u16 = env
