@@ -99,7 +99,7 @@ impl MiddlewareService {
                 .collect()
         };
         // Phase 3: accounting, then deferred journal appends; the dispatcher
-        // flushes the parked batch with a single write + fsync (group commit).
+        // flushes the buffered batch with a single write + fsync (group commit).
         let mut records = journal.iter().peekable();
         while let Some(rec) = records.next() {
             let JournalRecord::TaskSubmitted { task, .. } = rec else {

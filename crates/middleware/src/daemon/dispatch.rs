@@ -229,7 +229,7 @@ impl MiddlewareService {
     ///
     /// The thread does not poll: a submit wakes it (see [`WakeSignal`]), so
     /// `idle_poll` is no latency floor. It is the idle housekeeping interval
-    /// — how often a quiescent daemon makes a parked group-commit batch
+    /// — how often a quiescent daemon makes a buffered group-commit batch
     /// durable ([`sync_journal`](Self::sync_journal)) and expires idle
     /// sessions — and the upper bound on a wake-up nothing signalled.
     pub fn spawn_dispatcher(self: &Arc<Self>, idle_poll: std::time::Duration) -> DispatcherHandle {

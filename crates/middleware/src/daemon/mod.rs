@@ -329,7 +329,7 @@ impl MiddlewareService {
     }
 
     /// [`journal_append`](Self::journal_append) for client-visible request
-    /// paths (submit/cancel/session): a batch this append trips is parked
+    /// paths (submit/cancel/session): a batch this append trips is left
     /// for the dispatcher to write, so no client ever waits on an fsync —
     /// the lock audit traced the submit p99 tail to exactly that
     /// one-in-`group_max_records` write under `middleware.journal.file`
@@ -390,10 +390,8 @@ impl MiddlewareService {
         let Some(journal) = &self.journal else {
             return;
         };
-        if journal.pending_records() == 0
-            && journal.unsynced_appends() == 0
-            && journal.deferred_batches() == 0
-        {
+        // buffered records count as unsynced, so this one question covers both
+        if journal.unsynced_appends() == 0 {
             return;
         }
         let _gate = self.compact_gate.read();

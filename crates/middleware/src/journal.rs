@@ -193,20 +193,50 @@ fn wal_frames(bytes: &[u8]) -> (Vec<&[u8]>, usize) {
     (payloads, pos)
 }
 
+fn invalid_data(e: serde_json::Error) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+}
+
+/// Durably make `bytes` the replay base of the journal in `dir` and return
+/// a fresh, empty WAL: the snapshot goes to a temp file, is fsynced, and is
+/// renamed over the old one; the directory is fsynced so the rename itself
+/// is on stable storage *before* the WAL is cut. Without that a power loss
+/// could leave the old snapshot beside an empty WAL.
+fn install_snapshot(dir: &Path, bytes: &[u8]) -> std::io::Result<File> {
+    let tmp = dir.join("snapshot.json.tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_data()?;
+    }
+    std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
+    File::open(dir)?.sync_all()?;
+    let wal = OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(true)
+        .open(dir.join(WAL_FILE))?;
+    wal.sync_data()?;
+    Ok(wal)
+}
+
 /// Reader of a journal directory. The writer is [`SharedJournal`].
 pub struct Journal;
 
 impl Journal {
     /// Read a journal directory back: snapshot (if any) plus every intact
-    /// WAL record. A torn or corrupt tail is measured and discarded, never
-    /// an error — crash recovery must always make it back up.
+    /// WAL record. A torn or corrupt WAL tail is measured and discarded,
+    /// never an error — crash recovery must always make it back up. An
+    /// unparseable snapshot *is* an error (`InvalidData`): it is installed
+    /// by an atomic rename, so it is never torn, and replaying the WAL over
+    /// an empty base would hand out task ids clients still hold.
     pub fn load(dir: impl AsRef<Path>) -> std::io::Result<Replay> {
         let dir = dir.as_ref();
         let mut replay = Replay::default();
         let snap_path = dir.join(SNAPSHOT_FILE);
         if snap_path.exists() {
             let body = std::fs::read(&snap_path)?;
-            replay.snapshot = serde_json::from_slice(&body).ok();
+            replay.snapshot = Some(serde_json::from_slice(&body).map_err(invalid_data)?);
         }
         let wal_path = dir.join(WAL_FILE);
         if !wal_path.exists() {
@@ -239,16 +269,14 @@ impl Journal {
 /// behind a `write`+`fsync` another thread is performing.
 struct BufState {
     cfg: JournalConfig,
-    /// Framed records awaiting the next batch flush.
+    /// Framed records awaiting the next commit.
     buf: Vec<u8>,
     buf_records: usize,
     appends_since_fsync: usize,
     records_since_compact: usize,
-    /// Next write ticket to issue. Batches hit the WAL in ticket order.
-    next_ticket: u64,
 }
 
-/// WAL file state — only batch flushers and compaction touch this.
+/// WAL file state — only committers and compaction touch this.
 struct FileState {
     wal: File,
 }
@@ -257,7 +285,7 @@ struct FileState {
 /// threads without a convoy.
 ///
 /// Appends go through a group-commit buffer: frames accumulate in memory
-/// and are flushed to the WAL as one `write` (and at most one `fsync`) per
+/// and are committed to the WAL as one `write` (and at most one `fsync`) per
 /// batch, per the [`JournalConfig`] policy. Dropping the journal does
 /// **not** flush — an unflushed batch dies with the process, exactly like a
 /// crash; callers that need durability call [`SharedJournal::sync`] (drain
@@ -268,49 +296,30 @@ struct FileState {
 /// buffer-lock work, while the one-in-`group_max_records` append that trips
 /// the batch carries the `write`+`fsync` alone.
 ///
-/// Batches are sequenced onto the WAL by a ticket protocol: the trip-taker
-/// draws a ticket while still holding the buffer lock (so tickets order
-/// batches exactly as their records were appended) and writers wait their
-/// turn on a condvar before touching the file. The ticket is advanced even
-/// when the write errors — a failed flush must never wedge later batches.
+/// WAL order is kept by lock coupling (the private `commit`): the thread
+/// that takes the buffered bytes acquires the file lock *before* it releases
+/// the buffer lock, so batches reach the file in the order they left the
+/// buffer — WAL byte order equals append order by construction — and
+/// concurrent appends keep buffering while the write is in flight.
 ///
 /// `append` returns only after any batch it tripped is on disk (and fsynced
 /// when the policy says so), and `sync` makes everything buffered durable.
 ///
 /// [`append_deferred`](Self::append_deferred) additionally lets latency-
 /// sensitive callers (the daemon's submit path) trip a batch without paying
-/// its `write`+`fsync`: the batch is parked on a queue, ticket already
-/// drawn, and the next `append`/`flush`/`sync` writes it before its own
-/// batch. Durability is unchanged in *kind* — group commit already defers
-/// the write — only the thread that pays for it moves off the client path.
+/// its `write`+`fsync`: the bytes simply stay in the buffer, and the next
+/// `append`/`sync` commits them together with its own. Durability is
+/// unchanged in *kind* — group commit already defers the write — only the
+/// thread that pays for it moves off the client path.
 pub struct SharedJournal {
     dir: PathBuf,
     buf: hpcqc_sync::TrackedMutex<BufState>,
-    /// Batches tripped by `append_deferred`, awaiting a writer. Pushed while
-    /// the buffer lock is still held, so the queue is FIFO in ticket order
-    /// and any thread that later draws a ticket can observe (and steal)
-    /// every deferred batch ordered before its own.
-    pending: hpcqc_sync::TrackedMutex<std::collections::VecDeque<Batch>>,
     file: hpcqc_sync::TrackedMutex<FileState>,
-    /// Tickets below this value have finished their WAL write. Guards only
-    /// the counter (internal sequencing, deliberately outside the tracked
-    /// hierarchy — waiters hold no tracked lock while blocked on it).
-    seq: std::sync::Mutex<u64>,
-    seq_cv: std::sync::Condvar,
     /// Leader→follower shipping stream. `None` until
     /// [`enable_shipping`](Self::enable_shipping); appended right after a
-    /// WAL write (still holding that write's ticket) so the stream order
-    /// always equals the WAL byte order.
+    /// WAL write, still under the file lock, so the stream order always
+    /// equals the WAL byte order.
     shipping: hpcqc_sync::TrackedMutex<Option<ShippingLog>>,
-}
-
-/// One batch handed from the buffer to the WAL writer.
-struct Batch {
-    ticket: u64,
-    bytes: Vec<u8>,
-    /// Records framed into `bytes` (shipped to followers for lag metrics).
-    records: usize,
-    fsync: bool,
 }
 
 impl SharedJournal {
@@ -334,21 +343,13 @@ impl SharedJournal {
                     buf_records: 0,
                     appends_since_fsync: 0,
                     records_since_compact: 0,
-                    next_ticket: 0,
                 },
-            ),
-            pending: hpcqc_sync::TrackedMutex::new(
-                "middleware.journal.pending",
-                hpcqc_sync::rank::JOURNAL_PENDING,
-                std::collections::VecDeque::new(),
             ),
             file: hpcqc_sync::TrackedMutex::new(
                 "middleware.journal.file",
                 hpcqc_sync::rank::JOURNAL_FILE,
                 FileState { wal },
             ),
-            seq: std::sync::Mutex::new(0),
-            seq_cv: std::sync::Condvar::new(),
             shipping: hpcqc_sync::TrackedMutex::new(
                 "middleware.journal.shiplog",
                 hpcqc_sync::rank::SHIP_LOG,
@@ -362,7 +363,8 @@ impl SharedJournal {
         self.buf.lock().buf_records
     }
 
-    /// Appends since the last fsync (buffered or flushed-but-unsynced).
+    /// Appends since the last fsync (buffered or flushed-but-unsynced);
+    /// never below [`pending_records`](Self::pending_records).
     pub fn unsynced_appends(&self) -> usize {
         self.buf.lock().appends_since_fsync
     }
@@ -384,108 +386,65 @@ impl SharedJournal {
         }
     }
 
-    /// Draw the next write ticket. Must be called under the buffer lock so
-    /// ticket order equals append order.
-    fn issue_ticket(b: &mut BufState) -> u64 {
-        let t = b.next_ticket;
-        b.next_ticket += 1;
-        t
-    }
-
-    /// Take the pending batch out of the buffer (caller decides the fsync
-    /// policy bit), leaving the buffer empty. Under the buffer lock.
-    fn take_batch(b: &mut BufState, fsync: bool) -> Batch {
+    /// The one commit path. Take everything buffered, then acquire the file
+    /// lock **before** releasing the buffer lock: whoever takes the next
+    /// batch (or compacts) queues on the file lock behind this one, so WAL
+    /// order equals buffer order and a batch taken before a compaction can
+    /// never land in the WAL that compaction cut. The `write`, the `fsync`
+    /// and the shipping-log push run under the file lock alone.
+    fn commit(
+        &self,
+        mut b: hpcqc_sync::TrackedMutexGuard<'_, BufState>,
+        fsync: bool,
+    ) -> std::io::Result<()> {
         let bytes = std::mem::take(&mut b.buf);
-        let records = b.buf_records;
-        b.buf_records = 0;
+        let records = std::mem::take(&mut b.buf_records);
         if fsync {
             b.appends_since_fsync = 0;
         }
-        Batch {
-            ticket: Self::issue_ticket(b),
-            bytes,
-            records,
-            fsync,
+        let mut f = self.file.lock();
+        drop(b);
+        if !bytes.is_empty() {
+            f.wal.write_all(&bytes)?;
         }
+        if fsync {
+            f.wal.sync_data()?;
+        }
+        // Failed or empty writes ship nothing.
+        if !bytes.is_empty() {
+            if let Some(log) = self.shipping.lock().as_mut() {
+                log.push_batch(records as u64, &bytes);
+            }
+        }
+        Ok(())
     }
 
-    /// Write one batch to the WAL in ticket order, after writing any
-    /// deferred batch ordered before it. The steal is mandatory, not an
-    /// optimization: a deferred batch has no writer of its own, so a later
-    /// ticket that skipped it would wait on [`write_batch_ordered`]'s
-    /// condvar forever.
-    fn write_batch(&self, batch: Batch) -> std::io::Result<()> {
-        let mut stolen = Ok(());
-        loop {
-            let earlier = {
-                let mut p = self.pending.lock();
-                if p.front().is_some_and(|d| d.ticket < batch.ticket) {
-                    p.pop_front()
-                } else {
-                    None
-                }
-            };
-            let Some(d) = earlier else { break };
-            // Keep writing our own batch even if a stolen one fails — its
-            // ticket advanced regardless, and wedging *our* ticket would
-            // stall every writer behind us. First error wins the return.
-            if let Err(e) = self.write_batch_ordered(d) {
-                if stolen.is_ok() {
-                    stolen = Err(e);
-                }
-            }
-        }
-        let own = self.write_batch_ordered(batch);
-        own.and(stolen)
+    /// Append one record into the group-commit buffer; commit the batch it
+    /// completes, if any (one `write`, at most one `fsync`). Only the
+    /// tripping thread pays for that — concurrent appends keep buffering
+    /// meanwhile.
+    pub fn append(&self, rec: &JournalRecord) -> std::io::Result<AppendOutcome> {
+        self.append_inner(rec, false)
     }
 
-    /// Write one batch to the WAL in ticket order. Advances the ticket even
-    /// on error so later batches (and `compact`) are never wedged behind a
-    /// failed write.
-    fn write_batch_ordered(&self, batch: Batch) -> std::io::Result<()> {
-        let mut seq = self.seq.lock().unwrap_or_else(|e| e.into_inner());
-        while *seq != batch.ticket {
-            seq = self.seq_cv.wait(seq).unwrap_or_else(|e| e.into_inner());
-        }
-        drop(seq);
-        let res = (|| {
-            let mut f = self.file.lock();
-            if !batch.bytes.is_empty() {
-                f.wal.write_all(&batch.bytes)?;
-            }
-            if batch.fsync {
-                f.wal.sync_data()?;
-            }
-            Ok(())
-        })();
-        // Ship the batch while we still own the ticket: no later ticket can
-        // append to the shipping log before us, so stream order equals WAL
-        // byte order. Failed or empty (ticket-retiring) writes ship nothing.
-        if res.is_ok() && !batch.bytes.is_empty() {
-            let mut s = self.shipping.lock();
-            if let Some(log) = s.as_mut() {
-                log.push_batch(batch.records as u64, &batch.bytes);
-            }
-        }
-        let mut seq = self.seq.lock().unwrap_or_else(|e| e.into_inner());
-        *seq += 1;
-        self.seq_cv.notify_all();
-        res
+    /// Append one record without ever paying for a WAL write: a batch this
+    /// append trips stays in the buffer for the next `append`/`sync` caller
+    /// (in practice the background dispatcher, which journals every
+    /// dispatch) to commit along with its own record. This is the
+    /// submit-path variant — the lock audit traced the daemon's submit p99
+    /// to one-in-`group_max_records` submitters eating a multi-millisecond
+    /// `write`+`fsync`.
+    ///
+    /// `flushed`/`fsynced` report `false` because nothing reached the OS on
+    /// this call. Under a write-through config deferral is disabled (see
+    /// `append_inner`) and this is `append`.
+    pub fn append_deferred(&self, rec: &JournalRecord) -> std::io::Result<AppendOutcome> {
+        self.append_inner(rec, true)
     }
 
-    /// Encode `rec` into the group-commit buffer and, when the batch policy
-    /// trips, take the batch. With `defer`, a tripped batch is parked on
-    /// `pending` *while the buffer lock is still held* — the ticket issue
-    /// and the publish must be atomic, or a sibling could draw a later
-    /// ticket, see an empty queue, and wait forever on the unpublished one.
-    /// Returns `(frame bytes, batch to write now, wants_compaction)`.
-    fn buffer_record(
-        &self,
-        rec: &JournalRecord,
-        defer: bool,
-    ) -> std::io::Result<(usize, Option<Batch>, bool)> {
+    fn append_inner(&self, rec: &JournalRecord, defer: bool) -> std::io::Result<AppendOutcome> {
         let payload = serde_json::to_string(rec)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?
+            .map_err(invalid_data)?
             .into_bytes();
         let frame_len = payload.len() + 8;
 
@@ -499,120 +458,39 @@ impl SharedJournal {
         b.buf_records += 1;
         b.appends_since_fsync += 1;
         b.records_since_compact += 1;
-        let wants_compaction =
-            b.cfg.compact_every > 0 && b.records_since_compact >= b.cfg.compact_every;
+        let mut out = AppendOutcome {
+            bytes: frame_len,
+            flushed: false,
+            fsynced: false,
+            wants_compaction: b.cfg.compact_every > 0
+                && b.records_since_compact >= b.cfg.compact_every,
+        };
 
-        if b.buf_records < Self::batch_limit(&b.cfg) {
-            return Ok((frame_len, None, wants_compaction));
-        }
-        let fsync = b.cfg.fsync_every > 0 && b.appends_since_fsync >= b.cfg.fsync_every;
         // Write-through (batch limit 1) is an explicit request for
         // per-append durability — honor it even on the deferred path.
         // Deferral only moves the payer when group commit already defers
         // durability to a batch boundary.
-        let defer = defer && Self::batch_limit(&b.cfg) > 1;
-        let batch = Self::take_batch(&mut b, fsync);
-        if defer {
-            self.pending.lock().push_back(batch);
-            return Ok((frame_len, None, wants_compaction));
+        let limit = Self::batch_limit(&b.cfg);
+        if b.buf_records < limit || (defer && limit > 1) {
+            return Ok(out);
         }
-        Ok((frame_len, Some(batch), wants_compaction))
-    }
-
-    /// Append one record into the group-commit buffer; flush the batch it
-    /// completes, if any (one `write`, at most one `fsync`). Only the
-    /// tripping thread pays for that — concurrent appends keep buffering
-    /// meanwhile.
-    pub fn append(&self, rec: &JournalRecord) -> std::io::Result<AppendOutcome> {
-        self.append_inner(rec, false)
-    }
-
-    /// Append one record without ever paying for a WAL write: a batch this
-    /// append trips is parked for the next `append`/`flush`/`sync` caller
-    /// (in practice the background dispatcher, which journals every
-    /// dispatch) to write. This is the submit-path variant — the lock audit
-    /// traced the daemon's submit p99 to one-in-`group_max_records`
-    /// submitters eating a multi-millisecond `write`+`fsync`.
-    ///
-    /// `flushed`/`fsynced` report `false` because nothing reached the OS on
-    /// this call; the eventual writer carries the batch's fsync bit. Under a
-    /// write-through config deferral is disabled (see `buffer_record`) and
-    /// this is `append`.
-    pub fn append_deferred(&self, rec: &JournalRecord) -> std::io::Result<AppendOutcome> {
-        self.append_inner(rec, true)
-    }
-
-    fn append_inner(&self, rec: &JournalRecord, defer: bool) -> std::io::Result<AppendOutcome> {
-        let (bytes, batch, wants_compaction) = self.buffer_record(rec, defer)?;
-        let mut out = AppendOutcome {
-            bytes,
-            flushed: false,
-            fsynced: false,
-            wants_compaction,
-        };
-        // An issued ticket must be written, never dropped, or every later
-        // writer wedges behind it.
-        if let Some(batch) = batch {
-            (out.flushed, out.fsynced) = (true, batch.fsync);
-            self.write_batch(batch)?;
-        }
+        let fsync = b.cfg.fsync_every > 0 && b.appends_since_fsync >= b.cfg.fsync_every;
+        (out.flushed, out.fsynced) = (true, fsync);
+        self.commit(b, fsync)?;
         Ok(out)
     }
 
-    /// Deferred batches parked and not yet written (idle-sync must not
-    /// early-return while this is non-zero).
-    pub fn deferred_batches(&self) -> usize {
-        self.pending.lock().len()
-    }
-
-    /// Write the buffered batch (and any deferred batches) to the WAL
-    /// (no fsync of its own; deferred batches keep their fsync bit).
-    pub fn flush(&self) -> std::io::Result<()> {
-        let batch = {
-            let mut b = self.buf.lock();
-            if b.buf.is_empty() {
-                drop(b);
-                return self.drain_deferred();
-            }
-            Self::take_batch(&mut b, false)
-        };
-        self.write_batch(batch)
-    }
-
-    /// Write every parked deferred batch now. Concurrent drainers are fine:
-    /// each batch is popped exactly once and [`write_batch_ordered`] serializes
-    /// them by ticket.
-    fn drain_deferred(&self) -> std::io::Result<()> {
-        let mut res = Ok(());
-        loop {
-            let d = self.pending.lock().pop_front();
-            let Some(d) = d else { break };
-            if let Err(e) = self.write_batch_ordered(d) {
-                if res.is_ok() {
-                    res = Err(e);
-                }
-            }
-        }
-        res
-    }
-
-    /// Flush any buffered batch and force the WAL to stable storage.
+    /// Commit anything buffered and force the WAL to stable storage.
     pub fn sync(&self) -> std::io::Result<()> {
-        let batch = {
-            let mut b = self.buf.lock();
-            b.appends_since_fsync = 0;
-            Self::take_batch(&mut b, true)
-        };
-        self.write_batch(batch)
+        self.commit(self.buf.lock(), true)
     }
 
     /// Compact: atomically persist `snap` as the new replay base and truncate
-    /// the WAL. Crash-safe — the snapshot is written to a temp file, fsynced,
-    /// then renamed over the old one before the WAL is cut. Safe against
-    /// concurrent appends: the buffer is cleared first (holding
-    /// the buffer lock blocks new tickets), then compaction waits for every
-    /// already-issued ticket to finish its write before cutting the log —
-    /// a stale in-flight batch can never resurface in the fresh WAL.
+    /// the WAL (crash-safe, see `install_snapshot`). Safe against
+    /// concurrent appends: the buffer is cleared under the buffer lock, and
+    /// the file lock taken next is granted only after every batch that ever
+    /// left the buffer has finished its write (see `commit`)
+    /// — a stale in-flight batch can never resurface in the fresh WAL.
     ///
     /// Note that an append racing this call may still land records in the
     /// cut WAL *after* the snapshot was taken but miss the snapshot itself;
@@ -620,6 +498,9 @@ impl SharedJournal {
     /// (appends hold it shared, compaction exclusive — see
     /// `MiddlewareService::journal_append`).
     pub fn compact(&self, snap: &DaemonSnapshot) -> std::io::Result<()> {
+        let body = serde_json::to_string(snap)
+            .map_err(invalid_data)?
+            .into_bytes();
         let mut b = self.buf.lock();
         // the snapshot covers everything the WAL (and the unflushed batch)
         // said: drop the buffer and start a fresh log
@@ -627,60 +508,16 @@ impl SharedJournal {
         b.buf_records = 0;
         b.appends_since_fsync = 0;
         b.records_since_compact = 0;
-        let issued = b.next_ticket;
-        // Deferred batches hold issued tickets but have no writer; waiting
-        // for `issued` below would deadlock on them. The snapshot covers
-        // their records, so retire each ticket with an emptied batch
-        // instead of writing soon-to-be-truncated bytes. (Lock order stays
-        // ascending: buf 900 → pending 910 → file 920.)
-        loop {
-            let d = self.pending.lock().pop_front();
-            let Some(d) = d else { break };
-            let _ = self.write_batch_ordered(Batch {
-                ticket: d.ticket,
-                bytes: Vec::new(),
-                records: 0,
-                fsync: false,
-            });
-        }
-        // Wait for in-flight batch writes (ticket drawn, WAL write pending).
-        // Holding `buf` here blocks new tickets, so this terminates.
-        let mut seq = self.seq.lock().unwrap_or_else(|e| e.into_inner());
-        while *seq != issued {
-            seq = self.seq_cv.wait(seq).unwrap_or_else(|e| e.into_inner());
-        }
-        drop(seq);
-
-        let tmp = self.dir.join("snapshot.json.tmp");
-        let body = serde_json::to_string(snap)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?
-            .into_bytes();
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&body)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
         let mut f = self.file.lock();
-        f.wal = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(self.dir.join(WAL_FILE))?;
-        f.wal.sync_data()?;
-        drop(f);
-        // Ship the compaction as a snapshot event. Still holding the buffer
-        // lock: no ticket can be issued, so no batch event can interleave
-        // between the WAL cut and this event. Earlier events are superseded
-        // (the snapshot carries the full state), so the log is trimmed to it
-        // and a follower behind the trim point resyncs from the snapshot.
-        {
-            let mut s = self.shipping.lock();
-            if let Some(log) = s.as_mut() {
-                log.push_snapshot(&body);
-            }
+        f.wal = install_snapshot(&self.dir, &body)?;
+        // Ship the compaction as a snapshot event, still under the file
+        // lock, so no batch event can interleave between the WAL cut and
+        // this event. Earlier events are superseded (the snapshot carries
+        // the full state), so the log is trimmed to it and a follower behind
+        // the trim point resyncs from the snapshot.
+        if let Some(log) = self.shipping.lock().as_mut() {
+            log.push_snapshot(&body);
         }
-        drop(b);
         Ok(())
     }
 
@@ -690,7 +527,7 @@ impl SharedJournal {
     ///
     /// Call right after [`open`](Self::open) / recovery, before concurrent
     /// appends begin — the bootstrap reads the files under the file lock but
-    /// does not drain buffered or deferred batches.
+    /// does not commit what is still buffered.
     pub fn enable_shipping(&self) -> std::io::Result<()> {
         let f = self.file.lock();
         let snap = match std::fs::read(self.dir.join(SNAPSHOT_FILE)) {
@@ -1035,8 +872,7 @@ impl FollowerReplica {
     /// promotion-refusal check reads this).
     pub fn peek_ack(dir: impl AsRef<Path>) -> std::io::Result<ReplicaAck> {
         let text = std::fs::read_to_string(dir.as_ref().join(REPLICA_META_FILE))?;
-        serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        serde_json::from_str(&text).map_err(invalid_data)
     }
 
     /// Validate and durably apply one shipped event; returns the new cursor
@@ -1079,8 +915,7 @@ impl FollowerReplica {
         let ack = self.ack();
         std::fs::write(
             self.dir.join(REPLICA_META_FILE),
-            serde_json::to_string(&ack)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?,
+            serde_json::to_string(&ack).map_err(invalid_data)?,
         )?;
         Ok(())
     }
@@ -1121,19 +956,7 @@ impl FollowerReplica {
                         got: s.seq,
                     });
                 }
-                let tmp = self.dir.join("snapshot.json.tmp");
-                {
-                    let mut f = File::create(&tmp)?;
-                    f.write_all(&s.bytes)?;
-                    f.sync_data()?;
-                }
-                std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
-                self.wal = OpenOptions::new()
-                    .create(true)
-                    .write(true)
-                    .truncate(true)
-                    .open(self.dir.join(WAL_FILE))?;
-                self.wal.sync_data()?;
+                self.wal = install_snapshot(&self.dir, &s.bytes)?;
                 self.wal_len = 0;
                 self.next_seq = s.seq + 1;
             }
@@ -1404,12 +1227,22 @@ mod tests {
             group_max_records: 7,
         };
         let j = std::sync::Arc::new(SharedJournal::open(&dir, cfg).unwrap());
+        // Even threads pay for the batches they trip; odd threads defer
+        // every append and call `sync` now and then, so all three ways into
+        // the commit path race each other.
         let threads: Vec<_> = (0..8u64)
             .map(|t| {
                 let j = std::sync::Arc::clone(&j);
                 std::thread::spawn(move || {
                     for i in 0..50u64 {
-                        j.append(&rec(t * 1000 + i)).unwrap();
+                        if t % 2 == 0 {
+                            j.append(&rec(t * 1000 + i)).unwrap();
+                        } else {
+                            j.append_deferred(&rec(t * 1000 + i)).unwrap();
+                            if i % 16 == 15 {
+                                j.sync().unwrap();
+                            }
+                        }
                     }
                 })
             })
@@ -1418,6 +1251,7 @@ mod tests {
             h.join().unwrap();
         }
         j.sync().unwrap();
+        assert_eq!(j.pending_records(), 0);
         let replay = Journal::load(&dir).unwrap();
         assert_eq!(replay.records.len(), 400, "no record lost or torn");
         assert_eq!(replay.truncated_bytes, 0, "batches landed whole, in order");
@@ -1445,28 +1279,36 @@ mod tests {
             group_max_records: 2,
         };
         let j = SharedJournal::open(&dir, cfg).unwrap();
-        assert!(!j.append_deferred(&rec(0)).unwrap().flushed);
-        let out = j.append_deferred(&rec(1)).unwrap();
-        assert!(
-            !out.flushed && !out.fsynced,
-            "tripping append defers the batch instead of writing it"
-        );
-        assert_eq!(j.deferred_batches(), 1);
+        j.enable_shipping().unwrap();
+        // three deferred trips (records 1, 3, 5 each complete a batch of 2)
+        for i in 0..6 {
+            let out = j.append_deferred(&rec(i)).unwrap();
+            assert!(
+                !out.flushed && !out.fsynced,
+                "a tripping deferred append leaves the batch for a payer"
+            );
+        }
+        assert_eq!(j.pending_records(), 6);
         assert_eq!(
             Journal::load(&dir).unwrap().records.len(),
             0,
             "nothing on disk yet"
         );
-        // The next ordinary writer steals the parked batch before its own.
-        j.append(&rec(2)).unwrap();
-        j.append(&rec(3)).unwrap();
-        assert_eq!(j.deferred_batches(), 0);
+        assert!(j.ship_fetch(0).is_empty(), "nothing shipped yet");
+        // The next ordinary writer pays for everything buffered, at once.
+        let out = j.append(&rec(6)).unwrap();
+        assert!(out.flushed && out.fsynced);
+        assert_eq!(j.pending_records(), 0);
+        assert_eq!(j.unsynced_appends(), 0);
         let replay = Journal::load(&dir).unwrap();
         assert_eq!(
             replay.records,
-            vec![rec(0), rec(1), rec(2), rec(3)],
-            "deferred batch lands before later batches, in append order"
+            (0..7).map(rec).collect::<Vec<_>>(),
+            "deferred records land before the payer's, in append order"
         );
+        let shipped = j.ship_fetch(0);
+        assert_eq!(shipped.len(), 1, "one write, one fsync, one batch event");
+        assert_eq!(shipped[0].records(), 7);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1479,19 +1321,17 @@ mod tests {
             group_max_records: 2,
         };
         let j = SharedJournal::open(&dir, cfg).unwrap();
-        j.append_deferred(&rec(0)).unwrap();
-        j.append_deferred(&rec(1)).unwrap();
-        assert_eq!(j.deferred_batches(), 1);
+        for i in 0..3 {
+            j.append_deferred(&rec(i)).unwrap();
+        }
+        assert_eq!(j.pending_records(), 3);
         j.sync().unwrap();
-        assert_eq!(j.deferred_batches(), 0);
-        assert_eq!(Journal::load(&dir).unwrap().records, vec![rec(0), rec(1)]);
-        // flush with an empty buffer must also drain parked batches
-        j.append_deferred(&rec(2)).unwrap();
-        j.append_deferred(&rec(3)).unwrap();
-        assert_eq!(j.deferred_batches(), 1);
-        j.flush().unwrap();
-        assert_eq!(j.deferred_batches(), 0);
-        assert_eq!(Journal::load(&dir).unwrap().records.len(), 4);
+        assert_eq!(j.pending_records(), 0, "sync leaves nothing buffered");
+        assert_eq!(j.unsynced_appends(), 0);
+        assert_eq!(
+            Journal::load(&dir).unwrap().records,
+            vec![rec(0), rec(1), rec(2)]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1503,13 +1343,13 @@ mod tests {
         let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
         let out = j.append_deferred(&rec(0)).unwrap();
         assert!(out.flushed && out.fsynced);
-        assert_eq!(j.deferred_batches(), 0);
+        assert_eq!(j.pending_records(), 0);
         assert_eq!(Journal::load(&dir).unwrap().records, vec![rec(0)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn compact_retires_deferred_tickets_without_deadlock() {
+    fn compact_covers_deferred_records_and_later_appends_land() {
         let dir = tmpdir("shared-deferred-compact");
         let cfg = JournalConfig {
             fsync_every: 0,
@@ -1519,26 +1359,20 @@ mod tests {
         let j = SharedJournal::open(&dir, cfg).unwrap();
         j.append_deferred(&rec(0)).unwrap();
         j.append_deferred(&rec(1)).unwrap();
-        assert_eq!(
-            j.deferred_batches(),
-            1,
-            "batch parked with its ticket issued"
-        );
-        // compact waits for every issued ticket; parked batches have no
-        // writer, so compact itself must retire them or it deadlocks here.
+        assert_eq!(j.pending_records(), 2, "tripped batch still buffered");
         let snap = DaemonSnapshot {
             next_task: 9,
             ..DaemonSnapshot::default()
         };
         j.compact(&snap).unwrap();
-        assert_eq!(j.deferred_batches(), 0);
+        assert_eq!(j.pending_records(), 0);
         let replay = Journal::load(&dir).unwrap();
         assert_eq!(replay.snapshot.as_ref().unwrap().next_task, 9);
         assert!(
             replay.records.is_empty(),
-            "snapshot covers the parked records"
+            "snapshot covers the deferred records"
         );
-        // and the ticket sequence is intact: later appends still land
+        // later appends still land, in the fresh WAL
         j.append(&rec(2)).unwrap();
         j.sync().unwrap();
         assert_eq!(Journal::load(&dir).unwrap().records, vec![rec(2)]);

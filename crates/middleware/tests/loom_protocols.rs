@@ -26,106 +26,118 @@ fn failure_message(f: impl Fn() + Send + Sync + 'static) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 1: group-commit WAL tickets (journal.rs `SharedJournal`).
+// Protocol 1: group-commit lock coupling (journal.rs `SharedJournal::commit`
+// and `compact`).
 //
-// Submitters are issued a ticket under the buffer lock at batch-trip time;
-// the WAL write for ticket N may only happen once `seq == N`, so file write
-// order always equals append order even though the buffer lock is released
-// before the (slow, fsyncing) file write.
+// The thread that takes a batch out of the buffer locks the WAL file *before*
+// it unlocks the buffer, and only then does the (slow, fsyncing) write under
+// the file lock alone. Whoever takes the next batch — or compacts, which
+// clears the buffer and then cuts the file — queues on the file lock behind
+// it, so file order equals buffer order and a batch taken before a cut is
+// written before that cut. The buggy variant unlocks the buffer first.
 // ---------------------------------------------------------------------------
 
-struct TicketJournal {
-    /// `BufState::next_ticket` — tickets are issued under the buffer lock.
-    next_ticket: Mutex<u64>,
-    /// WAL write order actually observed (stands in for `FileState`).
+#[derive(Default)]
+struct CoupledBuf {
+    /// Appends so far; a record's number is its place in append order.
+    next: u64,
+    /// Records buffered, not yet taken.
+    records: Vec<u64>,
+    /// First append number the last compaction's snapshot does *not* cover.
+    cut_at: u64,
+}
+
+struct CoupledJournal {
+    /// `BufState`.
+    buf: Mutex<CoupledBuf>,
+    /// `FileState`: the records in the WAL, in byte order.
     wal: Mutex<Vec<u64>>,
-    /// Next ticket allowed to write, with its condvar.
-    seq: Mutex<u64>,
-    seq_cv: Condvar,
 }
 
-impl TicketJournal {
-    fn new() -> Self {
-        TicketJournal {
-            next_ticket: Mutex::new(0),
-            wal: Mutex::new(Vec::new()),
-            seq: Mutex::new(0),
-            seq_cv: Condvar::new(),
-        }
-    }
-
-    /// `append` + `write_batch`: take a ticket, then write in ticket order.
-    fn append_ordered(&self) {
-        let ticket = {
-            let mut t = self.next_ticket.lock().unwrap();
-            let mine = *t;
-            *t += 1;
-            mine
-        };
-        // write_batch: wait for our turn…
-        let mut s = self.seq.lock().unwrap();
-        while *s != ticket {
-            s = self.seq_cv.wait(s).unwrap();
-        }
-        drop(s);
-        // …write under the file lock…
-        self.wal.lock().unwrap().push(ticket);
-        // …and pass the baton (even the error path does this in the real
-        // code, or every later writer would wait forever).
-        *self.seq.lock().unwrap() += 1;
-        self.seq_cv.notify_all();
-    }
-
-    /// Injected bug: write immediately after taking the ticket. The buffer
-    /// lock is already released, so two submitters can land out of order.
-    fn append_unordered(&self) {
-        let ticket = {
-            let mut t = self.next_ticket.lock().unwrap();
-            let mine = *t;
-            *t += 1;
-            mine
-        };
-        self.wal.lock().unwrap().push(ticket);
-        *self.seq.lock().unwrap() += 1;
-        self.seq_cv.notify_all();
-    }
-}
-
-fn group_commit_model(ordered: bool) -> impl Fn() + Send + Sync + 'static {
-    move || {
-        let j = Arc::new(TicketJournal::new());
-        let j2 = Arc::clone(&j);
-        let h = thread::spawn(move || {
-            if ordered {
-                j2.append_ordered()
-            } else {
-                j2.append_unordered()
-            }
-        });
-        if ordered {
-            j.append_ordered()
+impl CoupledJournal {
+    /// `append` tripping a batch, then `commit`.
+    fn append(&self, coupled: bool) {
+        let mut b = self.buf.lock().unwrap();
+        let n = b.next;
+        b.next += 1;
+        b.records.push(n);
+        let batch = std::mem::take(&mut b.records);
+        if coupled {
+            let mut f = self.wal.lock().unwrap();
+            drop(b);
+            f.extend(batch);
         } else {
-            j.append_unordered()
+            // Injected bug: the buffer lock is gone before the file lock is
+            // held, so a later batch — or a compaction — can get in between.
+            drop(b);
+            self.wal.lock().unwrap().extend(batch);
         }
-        h.join().unwrap();
-        let wal = j.wal.lock().unwrap();
-        assert_eq!(
-            *wal,
-            vec![0, 1],
-            "WAL write order must equal ticket (append) order"
+    }
+
+    /// `compact`: clear the buffer, then cut the file, holding both.
+    fn compact(&self) {
+        let mut b = self.buf.lock().unwrap();
+        b.records.clear();
+        b.cut_at = b.next;
+        self.wal.lock().unwrap().clear();
+    }
+}
+
+fn coupling_model(
+    writers: usize,
+    compactor: bool,
+    coupled: bool,
+) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let j = Arc::new(CoupledJournal {
+            buf: Mutex::new(CoupledBuf::default()),
+            wal: Mutex::new(Vec::new()),
+        });
+        let handles: Vec<_> = (0..writers)
+            .map(|_| {
+                let j = Arc::clone(&j);
+                thread::spawn(move || j.append(coupled))
+            })
+            .collect();
+        if compactor {
+            j.compact();
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        let wal = j.wal.lock().unwrap().clone();
+        assert!(
+            wal.windows(2).all(|w| w[0] < w[1]),
+            "WAL byte order must equal append order: {wal:?}"
+        );
+        let cut_at = j.buf.lock().unwrap().cut_at;
+        assert!(
+            wal.iter().all(|&n| n >= cut_at),
+            "a batch taken before the cut resurfaced in the fresh WAL: {wal:?}"
         );
     }
 }
 
 #[test]
-fn group_commit_tickets_keep_wal_in_append_order() {
-    loom::model(group_commit_model(true));
+fn lock_coupling_keeps_wal_in_append_order_across_a_compaction() {
+    // Three threads: at the default bound of 3 this model alone takes about
+    // a second. Both ways to break it (the twins below) need one preemption.
+    let mut bounded = loom::model::Builder::new();
+    bounded.preemption_bound = Some(2);
+    bounded.check(coupling_model(2, true, true));
 }
 
 #[test]
-fn group_commit_without_ticket_wait_is_caught() {
-    let msg = failure_message(group_commit_model(false));
-    assert!(msg.contains("WAL write order"), "unexpected failure: {msg}");
+fn unlocking_buf_before_locking_file_reorders_the_wal() {
+    let msg = failure_message(coupling_model(2, false, false));
+    assert!(msg.contains("WAL byte order"), "unexpected failure: {msg}");
+    assert!(msg.contains("LOOM_REPLAY"), "missing replay seed: {msg}");
+}
+
+#[test]
+fn unlocking_buf_before_locking_file_lets_a_cut_batch_resurface() {
+    let msg = failure_message(coupling_model(1, true, false));
+    assert!(msg.contains("resurfaced"), "unexpected failure: {msg}");
     assert!(msg.contains("LOOM_REPLAY"), "missing replay seed: {msg}");
 }
 

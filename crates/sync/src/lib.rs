@@ -68,10 +68,8 @@ pub mod rank {
     pub const QPU_STATUS: u32 = 880;
     /// Journal group-commit buffer.
     pub const JOURNAL_BUF: u32 = 900;
-    /// Journal deferred-batch queue (pushed under the buffer lock, drained
-    /// before the WAL file is touched).
-    pub const JOURNAL_PENDING: u32 = 910;
-    /// Journal WAL file + fsync state (acquired after draining the buffer).
+    /// Journal WAL file + fsync state (acquired while the buffer lock is
+    /// still held, which is then released: WAL order equals buffer order).
     pub const JOURNAL_FILE: u32 = 920;
     /// Journal shipping log (leader→follower stream buffer). Events are
     /// appended right after a WAL write or snapshot, so it nests inside
