@@ -1,13 +1,13 @@
 //! Shared utilities for the experiment harnesses.
 //!
-//! Each paper artifact (Table 1, Figure 1, Figure 2, the §2.5/§3.6
-//! observability claims) has a binary in `src/bin/` that regenerates it and
-//! prints the rows EXPERIMENTS.md records; each layer of the stack has a
-//! `*_perf` binary that writes a `BENCH_*.json`. This library is what they
-//! share: the CLI ([`HarnessArgs`]), seeded statistics and table rendering,
-//! the stub daemon the control-plane harnesses drive ([`InstantResource`],
-//! [`instant_daemon`], [`drive_fleet`]) and the one report shape every
-//! `BENCH_*.json` has ([`Report`]).
+//! The paper's artifacts (Table 1, Figure 1, Figure 2, the §2.5/§3.6
+//! observability claims) are regenerated by one binary, `paper`, which
+//! states each claim as a named gate and writes `BENCH_paper.json`; each
+//! layer of the stack has a `*_perf` binary that writes a `BENCH_*.json`.
+//! This library is what they share: the CLI ([`HarnessArgs`]), percentiles
+//! and table rendering, the stub daemon the control-plane harnesses drive
+//! ([`InstantResource`], [`instant_daemon`], [`drive_fleet`]) and the one
+//! report shape every `BENCH_*.json` has ([`Report`]).
 
 use hpcqc_emulator::{Emulator, SampleResult, SvBackend};
 use hpcqc_middleware::{DaemonConfig, JournalConfig, MiddlewareService, PriorityClass};
@@ -21,20 +21,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Mean and sample standard deviation.
-pub fn mean_sd(xs: &[f64]) -> (f64, f64) {
-    if xs.is_empty() {
-        return (0.0, 0.0);
-    }
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    if xs.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (mean, var.sqrt())
-}
-
 /// Nearest-rank percentile: `p` in [0, 1] over an ascending-sorted slice.
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -42,12 +28,6 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
     let idx = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len()) - 1;
     sorted[idx]
-}
-
-/// `mean±sd` with fixed precision.
-pub fn fmt_pm(xs: &[f64], precision: usize) -> String {
-    let (m, s) = mean_sd(xs);
-    format!("{m:.precision$}±{s:.precision$}")
 }
 
 /// Render a fixed-width table with a header row.
@@ -357,9 +337,14 @@ pub fn drive_fleet(svc: &MiddlewareService, sessions: usize, per_session: usize)
 /// One metric of one run, as a case's closure reports it: name, unit, value.
 pub type Sample = (&'static str, &'static str, f64);
 
+/// Units whose zero is a reading, not a broken clock: a tally (errors,
+/// reconnects, preemptions), a fraction (node time wasted by a sequential
+/// queue) and a simulated latency (a job that never queued, a fault caught
+/// on its first sample).
+const ZERO_FLOOR_UNITS: [&str; 4] = ["count", "ratio", "sim_s", "sim_min"];
+
 /// A metric folded over a case's runs. A timing or a rate must come out
-/// finite and positive; a tally (`unit == "count"`: errors, reconnects) may
-/// be zero.
+/// finite and positive; a unit in [`ZERO_FLOOR_UNITS`] may be zero.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Stat {
     pub unit: String,
@@ -381,7 +366,7 @@ impl Stat {
     }
 
     fn passes_gate(&self) -> bool {
-        let floor_ok = if self.unit == "count" {
+        let floor_ok = if ZERO_FLOOR_UNITS.contains(&self.unit.as_str()) {
             self.min >= 0.0
         } else {
             self.min > 0.0
@@ -402,9 +387,29 @@ pub struct Case {
     pub metrics: BTreeMap<String, Stat>,
 }
 
+/// A named statement the report's numbers either bear out or falsify.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Claim {
+    pub name: String,
+    pub holds: bool,
+    /// The readings the verdict was drawn from.
+    pub detail: String,
+}
+
+impl Claim {
+    pub fn new(name: &str, holds: bool, detail: String) -> Claim {
+        Claim {
+            name: name.to_string(),
+            holds,
+            detail,
+        }
+    }
+}
+
 /// The one shape of every `BENCH_*.json`: which harness, on which commit and
-/// machine, and each case's metrics as min/median/max over `runs` runs —
-/// a number from this runner counts only with its cross-run range.
+/// machine, each case's metrics as min/median/max over `runs` runs — a
+/// number from this runner counts only with its cross-run range — and the
+/// claims checked against them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Report {
     pub harness: String,
@@ -415,6 +420,8 @@ pub struct Report {
     pub runs: usize,
     pub unix_time_secs: u64,
     pub cases: Vec<Case>,
+    #[serde(default)]
+    pub claims: Vec<Claim>,
 }
 
 impl Report {
@@ -436,6 +443,7 @@ impl Report {
                 .duration_since(std::time::UNIX_EPOCH)
                 .map_or(0, |d| d.as_secs()),
             cases: Vec::new(),
+            claims: Vec::new(),
         }
     }
 
@@ -473,9 +481,10 @@ impl Report {
         });
     }
 
-    /// Every metric must be finite and — tallies aside — positive: NaN or 0
-    /// means a broken clock, an empty sample set or a kernel that did
-    /// nothing. The error names each offending case and metric.
+    /// Every metric must be finite and — units in [`ZERO_FLOOR_UNITS`]
+    /// aside — positive: NaN or 0 means a broken clock, an empty sample set
+    /// or a kernel that did nothing. Every claim must hold. The error names
+    /// each offending case and metric, and each falsified claim.
     pub fn gate(&self) -> Result<(), String> {
         let bad: Vec<String> = self
             .cases
@@ -488,6 +497,12 @@ impl Report {
                     c.name, s.min, s.median, s.max, s.unit
                 )
             })
+            .chain(
+                self.claims
+                    .iter()
+                    .filter(|c| !c.holds)
+                    .map(|c| format!("claim does not hold: {}: {}", c.name, c.detail)),
+            )
             .collect();
         if bad.is_empty() {
             Ok(())
@@ -517,7 +532,7 @@ impl Report {
         render_table(&["case", "metric", "unit", "min", "median", "max"], &rows)
     }
 
-    /// Gate (exit 1 on failure), print the table, write the JSON to `out`.
+    /// Gate (exit 1 on failure), print the tables, write the JSON to `out`.
     pub fn finish(&self, out: &str) {
         if let Err(e) = self.gate() {
             eprintln!("{e}");
@@ -528,6 +543,14 @@ impl Report {
             self.harness, self.commit, self.runs
         );
         println!("{}", self.table());
+        if !self.claims.is_empty() {
+            let rows: Vec<Vec<String>> = self
+                .claims
+                .iter()
+                .map(|c| vec![c.name.clone(), c.detail.clone()])
+                .collect();
+            println!("{}", render_table(&["claim (holds)", "readings"], &rows));
+        }
         let json = serde_json::to_string_pretty(self).expect("report serializes");
         std::fs::write(out, json + "\n").expect("write report");
         eprintln!("wrote {out}");
@@ -537,20 +560,6 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_sd_basics() {
-        let (m, s) = mean_sd(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((m - 5.0).abs() < 1e-12);
-        assert!((s - 2.138089935).abs() < 1e-6, "sample sd, got {s}");
-        assert_eq!(mean_sd(&[]), (0.0, 0.0));
-        assert_eq!(mean_sd(&[3.0]), (3.0, 0.0));
-    }
-
-    #[test]
-    fn fmt_pm_renders() {
-        assert_eq!(fmt_pm(&[1.0, 1.0], 2), "1.00±0.00");
-    }
 
     #[test]
     fn table_renders_aligned() {
@@ -575,10 +584,10 @@ mod tests {
 
     #[test]
     fn args_parse() {
-        let a = parse(&["--quick", "--gres"]).unwrap();
+        let a = parse(&["--quick", "--codec"]).unwrap();
         assert!(a.quick);
         assert_eq!(a.seeds, 2);
-        assert_eq!(a.flags, vec!["--gres".to_string()]);
+        assert_eq!(a.flags, vec!["--codec".to_string()]);
         let b = parse(&["--seeds", "9"]).unwrap();
         assert!(!b.quick);
         assert_eq!(b.seeds, 9);
@@ -629,10 +638,46 @@ mod tests {
             assert!(!report.commit.is_empty());
             report.gate().expect("a zero tally passes the gate");
 
+            report.claims.push(Claim::new(
+                "median is 3 or 4",
+                median >= 3.0,
+                format!("{median}"),
+            ));
             let json = serde_json::to_string_pretty(&report).unwrap();
             let back: Report = serde_json::from_str(&json).unwrap();
             assert_eq!(back, report);
+
+            // A report written before claims existed has no `claims` key.
+            let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+            let mut without = serde_json::Map::new();
+            for (k, field) in v
+                .as_object()
+                .unwrap()
+                .iter()
+                .filter(|(k, _)| *k != "claims")
+            {
+                without.insert(k.clone(), field.clone());
+            }
+            let old: Report = serde_json::from_value(serde_json::Value::Object(without)).unwrap();
+            assert!(old.claims.is_empty());
+            assert_eq!(old.cases, report.cases);
         }
+    }
+
+    #[test]
+    fn gate_names_each_falsified_claim() {
+        let mut report = report_with_runs(1);
+        report.case("c", serde_json::json!(null), |_| vec![("t_ms", "ms", 1.0)]);
+        report
+            .claims
+            .push(Claim::new("holds", true, "1 <= 2".into()));
+        report.gate().expect("a claim that holds passes the gate");
+        report
+            .claims
+            .push(Claim::new("util above 0.9", false, "0.42".into()));
+        let err = report.gate().expect_err("a falsified claim fails the gate");
+        assert!(err.contains("util above 0.9: 0.42"), "{err}");
+        assert!(!err.contains("holds"), "{err}");
     }
 
     #[test]
@@ -649,11 +694,17 @@ mod tests {
             assert!(err.contains("broken t_ms"), "{bad}: {err}");
             assert!(!err.contains("ok_ms"), "{bad}: {err}");
         }
-        let mut report = report_with_runs(1);
-        report.case("c", serde_json::json!(null), |_| {
-            vec![("errors", "count", -1.0)]
-        });
-        assert!(report.gate().is_err(), "a tally may be zero, not negative");
+        for unit in ZERO_FLOOR_UNITS {
+            for (v, passes) in [(0.0, true), (-1.0, false)] {
+                let mut report = report_with_runs(1);
+                report.case("c", serde_json::json!(null), |_| vec![("m", unit, v)]);
+                assert_eq!(
+                    report.gate().is_ok(),
+                    passes,
+                    "{unit} {v}: zero, not negative"
+                );
+            }
+        }
     }
 
     #[test]
@@ -675,11 +726,12 @@ mod tests {
         assert_eq!(svc.queue_depth(), 0);
     }
 
-    /// What keeps a fifth report shape from appearing: the four checked-in
-    /// baselines are full-mode runs of the one envelope.
+    /// What keeps another report shape from appearing: the checked-in
+    /// baselines are full-mode runs of the one envelope, and every claim in
+    /// them holds (`gate`).
     #[test]
     fn checked_in_reports_parse_as_the_envelope() {
-        for stem in ["daemon", "emulator", "replication", "rest"] {
+        for stem in ["daemon", "emulator", "paper", "replication", "rest"] {
             let path = format!("{}/../../BENCH_{stem}.json", env!("CARGO_MANIFEST_DIR"));
             let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
             let report: Report =
@@ -688,6 +740,7 @@ mod tests {
             assert!(report.runs >= 3, "{path}: {} runs", report.runs);
             assert!(!report.commit.is_empty(), "{path}");
             assert!(!report.cases.is_empty(), "{path}");
+            assert!(stem != "paper" || !report.claims.is_empty(), "{path}");
             report.gate().unwrap_or_else(|e| panic!("{path}: {e}"));
         }
     }

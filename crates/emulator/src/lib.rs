@@ -31,6 +31,5 @@ pub use mps::{Mps, MpsConfig};
 pub use noise::SpamNoise;
 pub use result::{Counts, SampleResult};
 pub use statevector::{
-    evolve_sequence, evolve_sequence_ws, StateVector, SvConfig, SvKernel, SvWorkspace,
-    SV_MAX_QUBITS,
+    evolve_sequence, evolve_sequence_ws, StateVector, SvConfig, SvWorkspace, SV_MAX_QUBITS,
 };

@@ -1,6 +1,6 @@
 //! The emulator's one fork point.
 //!
-//! Every chunk-parallel pass in this crate — the five state-vector kernel
+//! Every chunk-parallel pass in this crate — the three state-vector kernel
 //! passes and shot sampling — goes through [`for_each_chunk`], which owns
 //! two decisions: the partition of the output buffer and whether the
 //! chunks run on forked threads or on the caller's.

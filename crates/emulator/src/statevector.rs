@@ -15,7 +15,8 @@
 //! kernels, the widest one the CPU supports selected at runtime on x86-64.
 //! Every lane operation is the exact IEEE-754 scalar operation in the same
 //! order, so all three are bit-identical to the scalar reference kernels
-//! ([`SvKernel::Scalar`]) — asserted by the parity tests below.
+//! ([`apply_h_into_serial`] and the test module's unfused RK4 step) —
+//! asserted by the parity tests below.
 
 use crate::hamiltonian::{DiscretizedDrive, RydbergHamiltonian};
 use crate::par::{for_each_chunk, AMP_CHUNK, AMP_FORK_AT};
@@ -149,22 +150,6 @@ fn apply_h_chunk(
         }
         *slot = acc;
     }
-}
-
-/// Kernel selection for the state-vector hot passes.
-///
-/// Both variants produce bit-identical amplitudes: the SIMD lane kernels
-/// perform exactly the scalar IEEE-754 operations in the same order, only
-/// packed four `f64` lanes at a time (see the parity tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SvKernel {
-    /// SIMD lane kernels, with AVX-512/AVX2 instantiations picked at
-    /// runtime on x86-64 and a portable scalar-per-lane fallback elsewhere.
-    #[default]
-    Auto,
-    /// The scalar reference loops (pre-SIMD behavior) — the parity baseline
-    /// and the honest "sequential execution" comparator in benchmarks.
-    Scalar,
 }
 
 /// Reinterpret interleaved complex amplitudes as raw `f64` lanes
@@ -515,11 +500,9 @@ unsafe fn apply_h_chunk_avx512(
     }
 }
 
-/// Per-chunk kernel selection: scalar reference, or the SIMD lane kernel
-/// (AVX-512F- or AVX2-compiled when the CPU supports it). Registers of
-/// fewer than two atoms fall back to the scalar loop (no bit-pair block
-/// exists).
-#[allow(clippy::too_many_arguments)]
+/// Per-chunk kernel selection: the SIMD lane kernel, AVX-512F- or
+/// AVX2-compiled when the CPU supports it. Registers of fewer than two
+/// atoms fall back to the scalar loop (no bit-pair block exists).
 fn apply_h_chunk_dispatch(
     h: &RydbergHamiltonian,
     psi: &[Complex64],
@@ -528,9 +511,8 @@ fn apply_h_chunk_dispatch(
     phase: f64,
     base: usize,
     out: &mut [Complex64],
-    kernel: SvKernel,
 ) {
-    if kernel == SvKernel::Scalar || h.n < 2 {
+    if h.n < 2 {
         apply_h_chunk(h, psi, omega, delta, phase, base, out);
         return;
     }
@@ -543,8 +525,8 @@ fn apply_h_chunk_dispatch(
         if simd::avx512_available() {
             // SAFETY: AVX-512F support was just verified at runtime; the
             // lane-kernel contract holds — callers pass 4-aligned chunks of
-            // a `2^n ≥ 4` dimensional state whose length
-            // `apply_h_into_with` asserted.
+            // a `2^n ≥ 4` dimensional state whose length `apply_h_into`
+            // asserted.
             unsafe { apply_h_chunk_avx512(h, psi, omega, delta, phase, base, out) };
             return;
         }
@@ -567,8 +549,7 @@ fn apply_h_chunk_dispatch(
 ///
 /// Large dimensions are split over disjoint mutable output chunks; every
 /// output element is computed independently, so the result is bit-identical
-/// to [`apply_h_into_serial`] for any worker count. Runs the default
-/// ([`SvKernel::Auto`]) kernel; see [`apply_h_into_with`] to pick one.
+/// to [`apply_h_into_serial`] for any worker count.
 pub fn apply_h_into(
     h: &RydbergHamiltonian,
     psi: &[Complex64],
@@ -576,19 +557,6 @@ pub fn apply_h_into(
     delta: f64,
     phase: f64,
     out: &mut [Complex64],
-) {
-    apply_h_into_with(h, psi, omega, delta, phase, out, SvKernel::default());
-}
-
-/// [`apply_h_into`] with an explicit kernel selection.
-pub fn apply_h_into_with(
-    h: &RydbergHamiltonian,
-    psi: &[Complex64],
-    omega: f64,
-    delta: f64,
-    phase: f64,
-    out: &mut [Complex64],
-    kernel: SvKernel,
 ) {
     let dim = psi.len();
     assert_eq!(
@@ -602,7 +570,7 @@ pub fn apply_h_into_with(
         "output buffer must match the state dimension"
     );
     for_each_chunk(out, AMP_CHUNK, AMP_FORK_AT, |base, chunk| {
-        apply_h_chunk_dispatch(h, psi, omega, delta, phase, base, chunk, kernel);
+        apply_h_chunk_dispatch(h, psi, omega, delta, phase, base, chunk);
     });
 }
 
@@ -806,36 +774,6 @@ unsafe fn stage_input_chunk_dispatch(
     }
     // SAFETY: contract forwarded from the caller.
     unsafe { stage_input_chunk_lanes(psi, k_chunk, c, base, chunk) }
-}
-
-/// `out = psi + c·k`, chunk-parallel for large dimensions (elementwise, so
-/// bit-identical for any worker count and for either kernel).
-fn stage_input_into(
-    psi: &[Complex64],
-    k: &[Complex64],
-    c: Complex64,
-    out: &mut [Complex64],
-    kernel: SvKernel,
-) {
-    // The lane pass handles two complex elements per vector, so it needs an
-    // even length; odd dimensions (only dim = 1 here) go scalar.
-    debug_assert!(psi.len() >= out.len() && k.len() >= out.len());
-    let use_lanes = kernel != SvKernel::Scalar && out.len() >= 2 && out.len().is_multiple_of(2);
-    let fill = |base: usize, chunk: &mut [Complex64]| {
-        if use_lanes {
-            // SAFETY: chunks come from an even-length `out` split at an even
-            // chunk size, and `psi`/`k` are at least as long as `out`.
-            unsafe {
-                stage_input_chunk_dispatch(psi, &k[base..base + chunk.len()], c, base, chunk)
-            };
-        } else {
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                let b = base + j;
-                *slot = psi[b] + c * k[b];
-            }
-        }
-    };
-    for_each_chunk(out, AMP_CHUNK, AMP_FORK_AT, fill);
 }
 
 /// SIMD instantiation of the RK4 combine pass:
@@ -1044,18 +982,17 @@ fn apply_h_stage_pass(
     psi: &[Complex64],
     c: Complex64,
     stage_out: &mut [Complex64],
-    kernel: SvKernel,
 ) {
     let dim = input.len();
     debug_assert!(k_out.len() == dim && stage_out.len() == dim && psi.len() == dim);
     let sp = SendPtr(stage_out.as_mut_ptr());
     let sp = &sp; // capture the Sync wrapper, not the raw pointer field
     let pass = |base: usize, kchunk: &mut [Complex64]| {
-        apply_h_chunk_dispatch(h, input, omega, delta, phase, base, kchunk, kernel);
+        apply_h_chunk_dispatch(h, input, omega, delta, phase, base, kchunk);
         // SAFETY: disjoint per-chunk window of `stage_out` (same partition
         // as the pass itself).
         let schunk = unsafe { std::slice::from_raw_parts_mut(sp.0.add(base), kchunk.len()) };
-        if kernel != SvKernel::Scalar && kchunk.len() >= 2 && kchunk.len().is_multiple_of(2) {
+        if kchunk.len() >= 2 && kchunk.len().is_multiple_of(2) {
             // SAFETY: even chunk of an even-length buffer; `psi` spans the
             // full dimension and `kchunk` is the matching K-slice.
             unsafe { stage_input_chunk_dispatch(psi, kchunk, c, base, schunk) };
@@ -1086,7 +1023,6 @@ fn apply_h_combine_pass(
     k3: &[Complex64],
     c: Complex64,
     psi: &mut [Complex64],
-    kernel: SvKernel,
 ) {
     let dim = input.len();
     debug_assert!(k_out.len() == dim && psi.len() == dim);
@@ -1094,11 +1030,11 @@ fn apply_h_combine_pass(
     let pp = SendPtr(psi.as_mut_ptr());
     let pp = &pp; // capture the Sync wrapper, not the raw pointer field
     let pass = |base: usize, kchunk: &mut [Complex64]| {
-        apply_h_chunk_dispatch(h, input, omega, delta, phase, base, kchunk, kernel);
+        apply_h_chunk_dispatch(h, input, omega, delta, phase, base, kchunk);
         // SAFETY: disjoint per-chunk window of `psi` (same partition as the
         // pass itself).
         let pchunk = unsafe { std::slice::from_raw_parts_mut(pp.0.add(base), kchunk.len()) };
-        if kernel != SvKernel::Scalar && kchunk.len() >= 2 && kchunk.len().is_multiple_of(2) {
+        if kchunk.len() >= 2 && kchunk.len().is_multiple_of(2) {
             // SAFETY: even chunk of an even-length buffer; K1–K3 span the
             // full dimension and `kchunk` is the matching K4-slice.
             unsafe { combine_chunk_dispatch(k1, k2, k3, kchunk, c, base, pchunk) };
@@ -1129,50 +1065,11 @@ pub fn rk4_step_ws(
     dt: f64,
     ws: &mut SvWorkspace,
 ) {
-    rk4_step_ws_with(h, state, omega, delta, phase, dt, ws, SvKernel::default());
-}
-
-/// [`rk4_step_ws`] with an explicit kernel selection.
-#[allow(clippy::too_many_arguments)]
-pub fn rk4_step_ws_with(
-    h: &RydbergHamiltonian,
-    state: &mut StateVector,
-    omega: f64,
-    delta: f64,
-    phase: f64,
-    dt: f64,
-    ws: &mut SvWorkspace,
-    kernel: SvKernel,
-) {
     let dim = state.amps.len();
     ws.ensure(dim);
     let c_half = Complex64::new(0.0, -dt / 2.0);
     let c_full = Complex64::new(0.0, -dt);
     let c_comb = Complex64::new(0.0, -dt / 6.0);
-
-    if kernel == SvKernel::Scalar {
-        // Unfused reference sequence (the pre-SIMD pass structure, kept as
-        // the honest sequential comparator). Identical bits to the fused
-        // path below — every element is computed from fully written inputs
-        // with the same per-element expressions either way.
-        apply_h_into_with(h, &state.amps, omega, delta, phase, &mut ws.k1, kernel);
-        stage_input_into(&state.amps, &ws.k1, c_half, &mut ws.tmp, kernel);
-        apply_h_into_with(h, &ws.tmp, omega, delta, phase, &mut ws.k2, kernel);
-        stage_input_into(&state.amps, &ws.k2, c_half, &mut ws.tmp, kernel);
-        apply_h_into_with(h, &ws.tmp, omega, delta, phase, &mut ws.k3, kernel);
-        stage_input_into(&state.amps, &ws.k3, c_full, &mut ws.tmp, kernel);
-        apply_h_into_with(h, &ws.tmp, omega, delta, phase, &mut ws.k4, kernel);
-        // ψ += (−i dt/6) (K1 + 2 K2 + 2 K3 + K4)
-        let (k1, k2, k3, k4) = (&ws.k1, &ws.k2, &ws.k3, &ws.k4);
-        let combine = |base: usize, chunk: &mut [Complex64]| {
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                let b = base + j;
-                *slot += c_comb * (k1[b] + 2.0 * (k2[b] + k3[b]) + k4[b]);
-            }
-        };
-        for_each_chunk(&mut state.amps, AMP_CHUNK, AMP_FORK_AT, combine);
-        return;
-    }
 
     // Fused passes: each stage input (and the final combine) is formed per
     // chunk right after the chunk's K-block is written, while it is still
@@ -1182,12 +1079,10 @@ pub fn rk4_step_ws_with(
     let psi = &mut state.amps;
     let (k1, k2, k3, k4) = (&mut ws.k1, &mut ws.k2, &mut ws.k3, &mut ws.k4);
     let (tmp, tmp2) = (&mut ws.tmp, &mut ws.tmp2);
-    apply_h_stage_pass(h, psi, omega, delta, phase, k1, psi, c_half, tmp, kernel);
-    apply_h_stage_pass(h, tmp, omega, delta, phase, k2, psi, c_half, tmp2, kernel);
-    apply_h_stage_pass(h, tmp2, omega, delta, phase, k3, psi, c_full, tmp, kernel);
-    apply_h_combine_pass(
-        h, tmp, omega, delta, phase, k4, k1, k2, k3, c_comb, psi, kernel,
-    );
+    apply_h_stage_pass(h, psi, omega, delta, phase, k1, psi, c_half, tmp);
+    apply_h_stage_pass(h, tmp, omega, delta, phase, k2, psi, c_half, tmp2);
+    apply_h_stage_pass(h, tmp2, omega, delta, phase, k3, psi, c_full, tmp);
+    apply_h_combine_pass(h, tmp, omega, delta, phase, k4, k1, k2, k3, c_comb, psi);
 }
 
 /// One RK4 step with a throwaway workspace — compatibility wrapper for
@@ -1213,8 +1108,6 @@ pub struct SvConfig {
     pub max_dt: f64,
     /// Safety factor in the adaptive step bound (dimensionless).
     pub stability_factor: f64,
-    /// Which hot-pass kernel to run; amplitudes are identical either way.
-    pub kernel: SvKernel,
 }
 
 impl Default for SvConfig {
@@ -1222,7 +1115,6 @@ impl Default for SvConfig {
         SvConfig {
             max_dt: 1e-3,
             stability_factor: 0.1,
-            kernel: SvKernel::Auto,
         }
     }
 }
@@ -1253,9 +1145,7 @@ pub fn evolve_sequence_ws(
     let drive = probe.refined(seq, dt_bound);
     let mut state = StateVector::ground(h.n);
     for &(omega, delta, phase) in &drive.steps {
-        rk4_step_ws_with(
-            &h, &mut state, omega, delta, phase, drive.dt, ws, cfg.kernel,
-        );
+        rk4_step_ws(&h, &mut state, omega, delta, phase, drive.dt, ws);
     }
     state.renormalize();
     state
@@ -1450,7 +1340,7 @@ mod tests {
         let mut ser = vec![ZERO; h.dim()];
         let forked_apply_h = |o: f64, d: f64, p: f64, out: &mut [Complex64]| {
             crate::par::forked(out, AMP_CHUNK, |base, chunk| {
-                apply_h_chunk_dispatch(&h, &psi, o, d, p, base, chunk, SvKernel::Auto);
+                apply_h_chunk_dispatch(&h, &psi, o, d, p, base, chunk);
             });
         };
         forked_apply_h(3.2, -1.1, 0.7, &mut par);
@@ -1476,12 +1366,16 @@ mod tests {
             let reg = Register::linear(n, 6.5).unwrap();
             let h = RydbergHamiltonian::new(&reg, C6_COEFF);
             let psi = pseudo_random_amps(h.dim(), 0xABCD_0001 + n as u64);
-            let mut auto_out = vec![ZERO; h.dim()];
+            let mut simd_out = vec![ZERO; h.dim()];
             let mut scalar_out = vec![ZERO; h.dim()];
             for &(o, d, p) in &[(3.2, -1.1, 0.7), (0.0, 2.5, 0.0), (1.0, 0.0, -2.2)] {
-                apply_h_into_with(&h, &psi, o, d, p, &mut auto_out, SvKernel::Auto);
-                apply_h_into_with(&h, &psi, o, d, p, &mut scalar_out, SvKernel::Scalar);
-                assert_eq!(auto_out, scalar_out, "n={n} drive=({o},{d},{p})");
+                apply_h_into(&h, &psi, o, d, p, &mut simd_out);
+                apply_h_into_serial(&h, &psi, o, d, p, &mut scalar_out);
+                assert_eq!(
+                    bits(&simd_out),
+                    bits(&scalar_out),
+                    "n={n} drive=({o},{d},{p})"
+                );
             }
         }
     }
@@ -1499,7 +1393,7 @@ mod tests {
         &mut [Complex64],
     );
 
-    /// Every SIMD tier this CPU can execute. `SvKernel::Auto` picks one per
+    /// Every SIMD tier this CPU can execute. The dispatch picks one per
     /// host, so the parity tests above reach only that one; this lists them
     /// all so each can be called directly. A tier the CPU lacks is skipped.
     fn host_tiers() -> Vec<(&'static str, ApplyHChunk, StageChunk, CombineChunk)> {
@@ -1610,21 +1504,57 @@ mod tests {
         }
     }
 
+    /// The unfused scalar RK4 step, the oracle of the fused SIMD passes:
+    /// every stage from the scalar loops, each written in full before the
+    /// next reads it, with the per-element expressions of the fused passes.
+    fn rk4_step_scalar(
+        h: &RydbergHamiltonian,
+        state: &mut StateVector,
+        (omega, delta, phase): (f64, f64, f64),
+        dt: f64,
+    ) {
+        let psi = &state.amps;
+        let apply_h = |input: &[Complex64]| {
+            let mut out = vec![ZERO; input.len()];
+            apply_h_into_serial(h, input, omega, delta, phase, &mut out);
+            out
+        };
+        let stage = |k: &[Complex64], c: Complex64| -> Vec<Complex64> {
+            psi.iter().zip(k).map(|(&p, &k)| p + c * k).collect()
+        };
+        let k1 = apply_h(psi);
+        let k2 = apply_h(&stage(&k1, Complex64::new(0.0, -dt / 2.0)));
+        let k3 = apply_h(&stage(&k2, Complex64::new(0.0, -dt / 2.0)));
+        let k4 = apply_h(&stage(&k3, Complex64::new(0.0, -dt)));
+        let c = Complex64::new(0.0, -dt / 6.0);
+        for (b, slot) in state.amps.iter_mut().enumerate() {
+            *slot += c * (k1[b] + 2.0 * (k2[b] + k3[b]) + k4[b]);
+        }
+    }
+
     #[test]
     fn evolve_auto_and_scalar_kernels_bit_identical() {
         // Full-integrator parity: the SIMD hot passes must reproduce the
-        // scalar evolution exactly, not approximately.
+        // scalar evolution exactly, not approximately — the oracle walks the
+        // step grid `evolve_sequence_ws` picks.
         let reg = Register::linear(5, 7.0).unwrap();
         let mut b = SequenceBuilder::new(reg);
         b.add_global_pulse(Pulse::constant(0.3, 3.0, -1.5, 0.4).unwrap());
         let seq = b.build().unwrap();
-        let scalar_cfg = SvConfig {
-            kernel: SvKernel::Scalar,
-            ..SvConfig::default()
-        };
-        let a = evolve_sequence(&seq, C6_COEFF, &SvConfig::default());
-        let s = evolve_sequence(&seq, C6_COEFF, &scalar_cfg);
-        assert_eq!(a.amps, s.amps);
+        let cfg = SvConfig::default();
+        let h = RydbergHamiltonian::new(&seq.register, C6_COEFF);
+        let probe = DiscretizedDrive::from_sequence(&seq, cfg.max_dt);
+        let (omax, dmax) = probe.max_drive();
+        let scale = h.energy_scale(omax, dmax).max(1e-9);
+        let drive = probe.refined(&seq, (cfg.stability_factor / scale).min(cfg.max_dt));
+        let mut scalar = StateVector::ground(h.n);
+        for &step in &drive.steps {
+            rk4_step_scalar(&h, &mut scalar, step, drive.dt);
+        }
+        scalar.renormalize();
+        let simd = evolve_sequence(&seq, C6_COEFF, &cfg);
+        assert!(drive.steps.len() > 1);
+        assert_eq!(bits(&simd.amps), bits(&scalar.amps));
     }
 
     #[test]

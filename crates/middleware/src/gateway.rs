@@ -326,23 +326,6 @@ impl Gateway {
         );
     }
 
-    /// Explicitly move `shard`'s traffic to its configured follower (the
-    /// orchestrated-failover path: promote, then repoint). Returns the new
-    /// active address, or `None` if the shard has no follower.
-    pub fn promote_shard(&self, shard: &str) -> Option<String> {
-        let follower = {
-            let t = self.routes.lock();
-            t.shards
-                .iter()
-                .find(|s| s.cfg.name == shard)?
-                .cfg
-                .follower
-                .clone()?
-        };
-        self.fail_over(shard, &follower);
-        Some(follower)
-    }
-
     /// Route one request. Aggregation routes (`/metrics`, `/v1/sessions`,
     /// the gateway's own healthz/readyz) are answered here; everything else
     /// proxies to its shard.

@@ -181,12 +181,6 @@ impl SequenceBuilder {
         }
     }
 
-    /// Override the measurement basis label.
-    pub fn with_measurement_basis(mut self, basis: impl Into<String>) -> Self {
-        self.measurement_basis = basis.into();
-        self
-    }
-
     /// End time of the last pulse on `channel` (0 if none yet).
     fn channel_end(&self, channel: &str) -> f64 {
         self.pulses

@@ -117,12 +117,6 @@ impl QrmiConfig {
         })
     }
 
-    /// Parse from the process environment.
-    pub fn from_process_env() -> Result<Self, ConfigError> {
-        let map: BTreeMap<String, String> = std::env::vars().collect();
-        Self::from_map(&map)
-    }
-
     /// A ready-to-use development default: local SV emulator + product-state
     /// mock, defaulting to the SV emulator — the "works on a laptop with zero
     /// setup" experience §3.2 targets.

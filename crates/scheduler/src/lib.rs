@@ -18,7 +18,6 @@ pub mod accounting;
 pub mod cluster;
 pub mod cosim;
 pub mod job;
-pub mod malleable;
 pub mod sim;
 pub mod slurm;
 
@@ -28,6 +27,5 @@ pub use cosim::{
     hint_duty, AdmissionPolicy, Cosim, CosimConfig, CosimReport, HybridJob, Phase, QpuPolicy,
 };
 pub use job::{Job, JobId, JobSpec, JobState, PatternHint, PriorityClass};
-pub use malleable::{MalleableJob, MalleableReport, MalleableSim, MalleableSpec, MalleableState};
 pub use sim::EventQueue;
 pub use slurm::{standard_partitions, Partition, SchedError, SchedPolicy, SlurmSim};

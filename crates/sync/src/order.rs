@@ -6,7 +6,7 @@
 //! the violations that acquisition introduces. The `tracked` module feeds it
 //! from real guards; the proptest suite feeds it synthetic schedules.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::Location;
 
 /// A static acquisition site (file:line:column of the `lock()` call).
@@ -68,17 +68,12 @@ impl std::fmt::Display for Violation {
     }
 }
 
-struct Edge {
-    from_site: Site,
-    to_site: Site,
-}
-
 /// The dynamic acquired-before graph. Nodes are lock names; an edge A → B
 /// means some thread acquired B while holding A. A cycle means two threads
 /// can deadlock even if each individual schedule looked fine.
 #[derive(Default)]
 pub struct OrderTracker {
-    edges: HashMap<&'static str, HashMap<&'static str, Edge>>,
+    edges: HashMap<&'static str, HashSet<&'static str>>,
 }
 
 impl OrderTracker {
@@ -132,30 +127,15 @@ impl OrderTracker {
                     cycle: Some(CycleReport { path }),
                 });
             }
-            self.edges
-                .entry(h_name)
-                .or_default()
-                .entry(new_name)
-                .or_insert(Edge {
-                    from_site: h_site,
-                    to_site: new_site,
-                });
+            self.edges.entry(h_name).or_default().insert(new_name);
         }
         out
-    }
-
-    /// First acquisition sites recorded for an edge, if present.
-    pub fn edge_sites(&self, from: &str, to: &str) -> Option<(Site, Site)> {
-        self.edges
-            .get(from)?
-            .get(to)
-            .map(|e| (e.from_site, e.to_site))
     }
 
     /// DFS: a path `from → … → to` through existing edges.
     fn path_between(&self, from: &'static str, to: &'static str) -> Option<Vec<&'static str>> {
         let mut stack = vec![vec![from]];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         seen.insert(from);
         while let Some(path) = stack.pop() {
             let node = *path.last().expect("non-empty path");
@@ -163,7 +143,7 @@ impl OrderTracker {
                 return Some(path);
             }
             if let Some(next) = self.edges.get(node) {
-                for &n in next.keys() {
+                for &n in next {
                     if seen.insert(n) {
                         let mut p = path.clone();
                         p.push(n);

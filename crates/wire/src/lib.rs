@@ -836,22 +836,6 @@ pub fn decode_error(input: &[u8]) -> Result<WireErrorBody, WireError> {
     finish(d, body)
 }
 
-/// Peek the frame kind without decoding the payload (used by response
-/// dispatch: a 2xx body may be `TaskId`/`Status`/..., an error body is
-/// `Error`).
-pub fn peek_kind(input: &[u8]) -> Result<FrameKind, WireError> {
-    if input.len() < 4 {
-        return Err(WireError::Truncated);
-    }
-    if input[..2] != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if input[2] != WIRE_VERSION {
-        return Err(WireError::UnsupportedVersion(input[2]));
-    }
-    FrameKind::from_u8(input[3]).ok_or(WireError::UnknownKind(input[3]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

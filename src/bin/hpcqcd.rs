@@ -2,13 +2,16 @@
 //!
 //! The deployable form of the paper's §3.3 component: reads QRMI
 //! configuration from the environment, fronts the configured resource
-//! (creating virtual QPUs for `qpu:*` resources), serves the REST API on
-//! `HPCQCD_PORT` (default 7777) and runs a background dispatcher.
+//! (creating virtual QPUs for `qpu:*` resources), journals every state
+//! transition under `HPCQCD_JOURNAL` (default `hpcqcd-journal` in the
+//! working directory) and recovers from it on boot, serves the REST API on
+//! `HPCQCD_PORT` (default 7777; 0 picks a free port) and runs a background
+//! dispatcher.
 //!
 //! ```text
 //! QRMI_RESOURCES=fresnel-1 QRMI_DEFAULT_RESOURCE=fresnel-1 \
 //! QRMI_RESOURCE_FRESNEL_1_TYPE=qpu:direct \
-//! HPCQCD_PORT=7777 cargo run --release --bin hpcqcd
+//! HPCQCD_JOURNAL=/var/lib/hpcqcd HPCQCD_PORT=7777 cargo run --release --bin hpcqcd
 //! ```
 //!
 //! With no QRMI variables set it fronts a virtual QPU named `fresnel-1` —
@@ -73,7 +76,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .get(&front)
         .ok_or_else(|| format!("default resource {front:?} not configured"))?;
 
-    let mut service = MiddlewareService::new(resource, DaemonConfig::default());
+    let journal = env
+        .get("HPCQCD_JOURNAL")
+        .map_or("hpcqcd-journal", String::as_str);
+    let mut service = MiddlewareService::recover(journal, resource, DaemonConfig::default())?;
     if let Some(qpu) = admin_qpu {
         service = service.with_qpu_admin(qpu);
     }
@@ -88,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or(7777);
     let server = serve_on(Arc::clone(&service), port)?;
     println!(
-        "hpcqcd: fronting {front:?}, REST on http://{}",
+        "hpcqcd: fronting {front:?}, journal {journal:?}, REST on http://{}",
         server.addr()
     );
     println!("hpcqcd: dispatcher running; Ctrl-C to stop");

@@ -1,0 +1,103 @@
+//! The shipped daemon survives a restart: `hpcqcd` journals under
+//! `HPCQCD_JOURNAL`, so a task acknowledged before the process is killed is
+//! known to the next process on the same directory, and resubmitting its
+//! idempotency key returns the same task id instead of enqueuing a new one.
+
+use hpcqc::core::DaemonClient;
+use hpcqc::middleware::PriorityClass;
+use hpcqc::program::{ProgramIr, Pulse, Register, SequenceBuilder};
+use hpcqc::scheduler::PatternHint;
+use std::io::{BufRead, BufReader};
+use std::path::Path;
+use std::process::{Child, ChildStdout, Command, Stdio};
+
+/// A running `hpcqcd`, killed on drop. Its stdout stays open for the
+/// daemon's lifetime: a closed pipe would fail the daemon's next print.
+struct Daemon {
+    child: Child,
+    _stdout: BufReader<ChildStdout>,
+    addr: String,
+}
+
+impl Daemon {
+    /// Start `hpcqcd` over `journal` on a free port and read the address it
+    /// prints.
+    fn start(journal: &Path) -> Daemon {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_hpcqcd"))
+            .env("HPCQCD_JOURNAL", journal)
+            .env("HPCQCD_PORT", "0")
+            .env_remove("QRMI_RESOURCES")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("hpcqcd starts");
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut addr = None;
+        let mut line = String::new();
+        while addr.is_none() {
+            line.clear();
+            let n = stdout.read_line(&mut line).expect("hpcqcd stdout");
+            assert!(n > 0, "hpcqcd exited before printing its address");
+            addr = line
+                .split_once("REST on http://")
+                .map(|(_, a)| a.trim().to_string());
+        }
+        Daemon {
+            child,
+            _stdout: stdout,
+            addr: addr.expect("address read"),
+        }
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+fn program() -> ProgramIr {
+    let reg = Register::linear(2, 6.0).expect("valid register");
+    let mut b = SequenceBuilder::new(reg);
+    b.add_global_pulse(Pulse::constant(0.5, 4.0, 0.0, 0.0).expect("valid pulse"));
+    ProgramIr::new(b.build().expect("valid sequence"), 20, "restart")
+}
+
+#[test]
+fn acked_task_and_its_idempotency_key_survive_a_kill() {
+    let journal = std::env::temp_dir().join(format!("hpcqcd-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&journal);
+
+    let first = Daemon::start(&journal);
+    let session = DaemonClient::new(first.addr.clone())
+        .open_session("ada", PriorityClass::Production)
+        .expect("session opens");
+    // Two tasks, so a daemon that forgot everything cannot hand the keyed
+    // one's id to a fresh submit by coincidence.
+    session
+        .submit(&program(), PatternHint::None)
+        .expect("first submit");
+    let id = session
+        .submit_keyed(&program(), PatternHint::None, Some("restart-key"))
+        .expect("keyed submit acked");
+    drop(first); // SIGKILL: no drain, no final snapshot
+
+    let second = Daemon::start(&journal);
+    let session = DaemonClient::new(second.addr.clone())
+        .open_session("ada", PriorityClass::Production)
+        .expect("session opens after restart");
+    session
+        .status(id)
+        .unwrap_or_else(|e| panic!("task {id} acked before the kill is unknown: {e}"));
+    let again = session
+        .submit_keyed(&program(), PatternHint::None, Some("restart-key"))
+        .expect("resubmit");
+    assert_eq!(
+        again, id,
+        "the idempotency key must resolve to the original task"
+    );
+
+    drop(second);
+    let _ = std::fs::remove_dir_all(&journal);
+}
