@@ -23,7 +23,10 @@
 //!
 //! `--codec json|binary` selects the submit encoding (JSON bodies against
 //! `POST /v1/tasks`, or `application/x-hpcqc-bin` wire frames), `--batch N`
-//! packs N submits into one `POST /v1/tasks:batch` request. Rates are always
+//! packs N submits into one `POST /v1/tasks:batch` request. Bodies are
+//! encoded by the daemon's own `protocol::Codec` and responses framed by
+//! its `http::extract_response`, so the load generator speaks exactly what
+//! the SDK does. Rates are always
 //! **submits**/s, so a batch case at the same rate issues 1/N as many HTTP
 //! requests; latency percentiles are per *request* (i.e. per batch), still
 //! measured from the scheduled arrival (coordinated-omission-corrected).
@@ -39,9 +42,12 @@
 //!       [--codec json|binary] [--batch N] [--shards K] [--out PATH]`
 
 use hpcqc_bench::{bench_program, instant_daemon, percentile, Case, HarnessArgs, Report, Sample};
+use hpcqc_middleware::http::extract_response;
+use hpcqc_middleware::protocol::Codec;
 use hpcqc_middleware::rest::serve_with;
 use hpcqc_middleware::{HttpClient, ServerConfig};
 use hpcqc_program::ProgramIr;
+use hpcqc_wire::SubmitFrame;
 use mio::{Events, Interest, Poll, Token};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -50,27 +56,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Submit encoding for one case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Codec {
-    Json,
-    Binary,
-}
-
-impl Codec {
-    fn as_str(self) -> &'static str {
-        match self {
-            Codec::Json => "json",
-            Codec::Binary => "binary",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Codec> {
-        match s {
-            "json" => Some(Codec::Json),
-            "binary" | "bin" => Some(Codec::Binary),
-            _ => None,
-        }
+/// The `--codec` spelling of a codec.
+fn codec_name(codec: Codec) -> &'static str {
+    match codec {
+        Codec::Json => "json",
+        Codec::Binary => "binary",
     }
 }
 
@@ -116,29 +106,6 @@ impl Conn {
     }
 }
 
-/// Scan an accumulated response buffer; returns
-/// `Some((status, total_len, close))` once one full response is buffered.
-fn try_parse_response(buf: &[u8]) -> Option<(u16, usize, bool)> {
-    let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
-    let head = std::str::from_utf8(&buf[..head_end]).ok()?;
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines.next()?.split(' ').nth(1)?.parse().ok()?;
-    let mut content_length = 0usize;
-    let mut close = false;
-    for line in lines {
-        if let Some((k, v)) = line.split_once(':') {
-            if k.eq_ignore_ascii_case("content-length") {
-                content_length = v.trim().parse().ok()?;
-            } else if k.eq_ignore_ascii_case("connection") && v.trim().eq_ignore_ascii_case("close")
-            {
-                close = true;
-            }
-        }
-    }
-    let total = head_end + content_length;
-    (buf.len() >= total).then_some((status, total, close))
-}
-
 struct CaseStats {
     latencies_ms: Vec<f64>,
     errors: usize,
@@ -148,49 +115,20 @@ struct CaseStats {
 /// Serialize one prebuilt submit request for `token` (the per-connection
 /// request buffer the load generator replays).
 fn build_request(codec: Codec, batch: usize, token: &str, ir: &ProgramIr) -> Vec<u8> {
-    let (path, content_type, body): (&str, &str, Vec<u8>) = match (codec, batch) {
-        (Codec::Json, 1) => {
-            let ir_json = serde_json::to_string(ir).expect("ir serializes");
-            (
-                "/v1/tasks",
-                "application/json",
-                format!(r#"{{"token":"{token}","ir":{ir_json}}}"#).into_bytes(),
-            )
-        }
-        (Codec::Json, n) => {
-            let ir_json = serde_json::to_string(ir).expect("ir serializes");
-            let one = format!(r#"{{"token":"{token}","ir":{ir_json}}}"#);
-            (
-                "/v1/tasks:batch",
-                "application/json",
-                format!("[{}]", vec![one; n].join(",")).into_bytes(),
-            )
-        }
-        (Codec::Binary, n) => {
-            let frame = hpcqc_wire::SubmitFrame {
-                token: token.to_string(),
-                hint: None,
-                idempotency_key: None,
-                ir: ir.clone(),
-            };
-            if n == 1 {
-                (
-                    "/v1/tasks",
-                    hpcqc_wire::CONTENT_TYPE_BIN,
-                    hpcqc_wire::encode_submit(&frame),
-                )
-            } else {
-                (
-                    "/v1/tasks:batch",
-                    hpcqc_wire::CONTENT_TYPE_BIN,
-                    hpcqc_wire::encode_submit_batch(&vec![frame; n]),
-                )
-            }
-        }
+    let frame = SubmitFrame {
+        token: token.to_string(),
+        hint: None,
+        idempotency_key: None,
+        ir: ir.clone(),
+    };
+    let (path, body) = match batch {
+        1 => ("/v1/tasks", codec.encode(&frame)),
+        n => ("/v1/tasks:batch", codec.encode(&vec![frame; n])),
     };
     let mut req = format!(
-        "POST {path} HTTP/1.1\r\nhost: bench\r\ncontent-type: {content_type}\r\n\
+        "POST {path} HTTP/1.1\r\nhost: bench\r\ncontent-type: {}\r\n\
          content-length: {}\r\n\r\n",
+        codec.content_type(),
         body.len()
     )
     .into_bytes();
@@ -410,8 +348,10 @@ fn run_case(addr: &str, spec: CaseSpec) -> Vec<Sample> {
                     }
                 }
             }
-            // complete response?
-            if let Some((status, total, close)) = try_parse_response(&conn.rbuf) {
+            // complete response? (one the framer refuses ends the connection)
+            let framed = extract_response(&conn.rbuf);
+            if let Ok(Some(head)) = framed {
+                let (status, end, close) = (head.status, head.end(), head.close);
                 let now = t0.elapsed().as_secs_f64();
                 if let Some(sched) = conn.outstanding.take() {
                     if status == ok_status {
@@ -420,7 +360,7 @@ fn run_case(addr: &str, spec: CaseSpec) -> Vec<Sample> {
                         stats.errors += 1;
                     }
                 }
-                conn.rbuf.drain(..total);
+                conn.rbuf.drain(..end);
                 if close {
                     teardown!(conn, poll);
                     stats.reconnects += 1;
@@ -429,7 +369,7 @@ fn run_case(addr: &str, spec: CaseSpec) -> Vec<Sample> {
                     debt_total -= 1;
                     start_request(conn, idx, next_sched, addr, &poll, &mut stats);
                 }
-            } else if eof {
+            } else if eof || framed.is_err() {
                 if conn.outstanding.take().is_some() {
                     stats.errors += 1;
                 }
@@ -550,11 +490,13 @@ fn main() {
             .position(|f| f == name)
             .and_then(|i| args.flags.get(i + 1).cloned())
     };
-    let codec_override = flag_val("--codec").map(|v| {
-        Codec::parse(&v).unwrap_or_else(|| {
+    let codec_override = flag_val("--codec").map(|v| match v.as_str() {
+        "json" => Codec::Json,
+        "binary" | "bin" => Codec::Binary,
+        _ => {
             eprintln!("--codec must be json|binary, got {v:?}");
             std::process::exit(2);
-        })
+        }
     });
     let positive = |name: &str| -> Option<usize> {
         flag_val(name).map(|v| {
@@ -617,13 +559,13 @@ fn main() {
         let name = format!(
             "{}c-{}-b{}@{:.0}",
             spec.connections,
-            spec.codec.as_str(),
+            codec_name(spec.codec),
             spec.batch,
             spec.rate
         );
         let params = serde_json::json!({
             "connections": spec.connections,
-            "codec": spec.codec.as_str(),
+            "codec": codec_name(spec.codec),
             "batch": spec.batch,
             "target_rps": spec.rate,
             "duration_secs": spec.secs,

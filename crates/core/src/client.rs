@@ -6,23 +6,30 @@
 //! instead of holding the QPU resource directly — the daemon owns
 //! prioritization and preemption.
 //!
+//! Every call goes through one private send path, and every body is
+//! encoded and decoded by [`hpcqc_middleware::protocol`], the module the
+//! daemon's routes use too. Every session-scoped call carries `?token=`:
+//! placement metadata for a gateway, ignored by a daemon reached directly.
+//!
 //! # Wire codec
 //!
 //! The client speaks JSON by default. [`DaemonClient::prefer_binary`] opts
-//! into the compact binary wire codec (`application/x-hpcqc-bin`) on the
-//! submit, status and result paths; the first HTTP 415 from a daemon that
-//! does not speak it downgrades the client (and every clone sharing its
-//! connection) back to JSON permanently, so mixed fleets need no
-//! configuration. [`DaemonSession::submit_batch`] sends N programs in one
-//! request/one daemon lock acquisition, with per-program outcomes.
+//! into the compact binary wire codec on the submit, status and result
+//! paths; the first HTTP 415 from a daemon that does not speak it
+//! downgrades the client (and every clone sharing its connection) back to
+//! JSON permanently, so mixed fleets need no configuration. Replies are
+//! decoded in whichever codec they arrive in.
+//! [`DaemonSession::submit_batch`] sends N programs in one request/one
+//! daemon lock acquisition, with per-program outcomes.
 
 use crate::retry::{AttemptBudget, RetryPolicy};
 use hpcqc_emulator::SampleResult;
-use hpcqc_middleware::http::{HttpClient, HttpError, RawResponse};
+use hpcqc_middleware::http::{HttpClient, HttpError};
+use hpcqc_middleware::protocol::{Codec, Message, OpenSessionReq};
 use hpcqc_middleware::{DaemonTaskStatus, PriorityClass};
 use hpcqc_program::{DeviceSpec, ProgramIr};
 use hpcqc_scheduler::PatternHint;
-use hpcqc_wire as wire;
+use hpcqc_wire::{BatchSlot, SubmitFrame};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -62,48 +69,6 @@ impl From<HttpError> for ClientError {
     }
 }
 
-fn expect_2xx(status: u16, body: String) -> Result<String, ClientError> {
-    if (200..300).contains(&status) {
-        Ok(body)
-    } else {
-        let message = serde_json::from_str::<serde_json::Value>(&body)
-            .ok()
-            .and_then(|v| v["error"].as_str().map(String::from))
-            .unwrap_or(body);
-        Err(ClientError::Api { status, message })
-    }
-}
-
-/// The `PatternHint` wire spelling shared by the JSON and binary paths.
-fn hint_str(hint: PatternHint) -> Option<&'static str> {
-    match hint {
-        PatternHint::QcHeavy => Some("qc-heavy"),
-        PatternHint::CcHeavy => Some("cc-heavy"),
-        PatternHint::QcBalanced => Some("qc-balanced"),
-        PatternHint::None => None,
-    }
-}
-
-/// Map a non-2xx raw response to [`ClientError::Api`], decoding the error
-/// body whichever codec it arrived in.
-fn api_error(raw: &RawResponse) -> ClientError {
-    let message = if raw.content_type.starts_with(wire::CONTENT_TYPE_BIN) {
-        wire::decode_error(&raw.body)
-            .map(|e| e.message)
-            .unwrap_or_else(|_| "undecodable binary error frame".into())
-    } else {
-        std::str::from_utf8(&raw.body)
-            .ok()
-            .and_then(|b| serde_json::from_str::<serde_json::Value>(b).ok())
-            .and_then(|v| v["error"].as_str().map(String::from))
-            .unwrap_or_else(|| String::from_utf8_lossy(&raw.body).into_owned())
-    };
-    ClientError::Api {
-        status: raw.status,
-        message,
-    }
-}
-
 /// One program in a [`DaemonSession::submit_batch`] call.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchItem<'a> {
@@ -111,13 +76,6 @@ pub struct BatchItem<'a> {
     pub hint: PatternHint,
     /// Per-frame dedup key (same semantics as [`DaemonSession::submit_keyed`]).
     pub idempotency_key: Option<&'a str>,
-}
-
-fn slot_to_outcome(slot: wire::BatchSlot) -> Result<u64, ClientError> {
-    match slot {
-        wire::BatchSlot::Ok { task_id } => Ok(task_id),
-        wire::BatchSlot::Err { status, message } => Err(ClientError::Api { status, message }),
-    }
 }
 
 /// Sleep before status poll number `poll` (0-based) of a wait against a
@@ -128,14 +86,8 @@ fn poll_delay(poll: usize, interval: Duration) -> Duration {
     FIRST.saturating_mul(1 << poll.min(20)).min(interval)
 }
 
-fn wire_status_to_daemon(s: wire::WireStatus) -> DaemonTaskStatus {
-    match s {
-        wire::WireStatus::Queued { position } => DaemonTaskStatus::Queued { position },
-        wire::WireStatus::Running => DaemonTaskStatus::Running,
-        wire::WireStatus::Completed => DaemonTaskStatus::Completed,
-        wire::WireStatus::Failed(m) => DaemonTaskStatus::Failed(m),
-        wire::WireStatus::Cancelled => DaemonTaskStatus::Cancelled,
-    }
+fn json<T: serde::Deserialize>(body: &[u8]) -> Result<T, ClientError> {
+    serde_json::from_slice(body).map_err(|e| ClientError::Protocol(e.to_string()))
 }
 
 /// A connection to one middleware daemon.
@@ -160,7 +112,7 @@ pub struct DaemonClient {
     http: std::sync::Arc<HttpClient>,
     /// Binary-codec preference, shared by clones (including every session
     /// opened from this client): `true` while the daemon is believed to
-    /// speak `application/x-hpcqc-bin`; the first 415 clears it for all.
+    /// speak the binary codec; the first 415 clears it for all.
     binary: std::sync::Arc<AtomicBool>,
 }
 
@@ -198,18 +150,51 @@ impl DaemonClient {
         self.binary.load(Ordering::Relaxed)
     }
 
-    /// Record a 415: the daemon does not speak the binary codec.
-    fn downgrade_to_json(&self) {
-        self.binary.store(false, Ordering::Relaxed);
-    }
-
-    fn request(
+    /// The one request path. `token` goes into `?token=`. With `binary`
+    /// (a codec-aware call) the body is encoded, and the reply asked for,
+    /// in the binary codec while it is active; a 415 to such a request
+    /// downgrades the client (and its clones) to JSON and sends once more.
+    /// A 2xx reply comes back with the codec it arrived in; any other is an
+    /// [`ClientError::Api`] with its error decoded in that codec.
+    fn send(
         &self,
         method: &str,
         path: &str,
-        body: Option<&str>,
-    ) -> Result<(u16, String), HttpError> {
-        self.http.request(method, path, body)
+        token: Option<&str>,
+        binary: bool,
+        body: impl Fn(Codec) -> Option<Vec<u8>>,
+    ) -> Result<(Codec, Vec<u8>), ClientError> {
+        let path = match token {
+            Some(token) => format!("{path}?token={token}"),
+            None => path.to_string(),
+        };
+        loop {
+            let codec = if binary && self.binary_active() {
+                Codec::Binary
+            } else {
+                Codec::Json
+            };
+            let ct = codec.content_type();
+            let raw = self.http.request_bytes_accept(
+                method,
+                &path,
+                ct,
+                Some(ct),
+                body(codec).as_deref(),
+            )?;
+            let reply = Codec::named(&raw.content_type).unwrap_or(Codec::Json);
+            if (200..300).contains(&raw.status) {
+                return Ok((reply, raw.body));
+            }
+            if raw.status == 415 && codec == Codec::Binary {
+                self.binary.store(false, Ordering::Relaxed);
+                continue;
+            }
+            return Err(ClientError::Api {
+                status: raw.status,
+                message: reply.error_message(&raw.body),
+            });
+        }
     }
 
     /// Open a session in `class` for `user`.
@@ -218,12 +203,14 @@ impl DaemonClient {
         user: &str,
         class: PriorityClass,
     ) -> Result<DaemonSession, ClientError> {
-        let body = serde_json::json!({ "user": user, "class": class.as_str() }).to_string();
-        let (st, body) = self.request("POST", "/v1/sessions", Some(&body))?;
-        let body = expect_2xx(st, body)?;
-        let v: serde_json::Value =
-            serde_json::from_str(&body).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        let token = v["token"]
+        let open = OpenSessionReq {
+            user: user.to_string(),
+            class: class.as_str().to_string(),
+        };
+        let (_, reply) = self.send("POST", "/v1/sessions", None, false, |_| {
+            serde_json::to_string(&open).ok().map(String::into_bytes)
+        })?;
+        let token = json::<serde_json::Value>(&reply)?["token"]
             .as_str()
             .ok_or_else(|| ClientError::Protocol("missing token".into()))?
             .to_string();
@@ -235,25 +222,20 @@ impl DaemonClient {
 
     /// Fetch the daemon's current target device spec.
     pub fn target(&self) -> Result<DeviceSpec, ClientError> {
-        let (st, body) = self.request("GET", "/v1/target", None)?;
-        let body = expect_2xx(st, body)?;
-        serde_json::from_str(&body).map_err(|e| ClientError::Protocol(e.to_string()))
+        json(&self.send("GET", "/v1/target", None, false, |_| None)?.1)
     }
 
     /// Fetch the Prometheus metrics exposition.
     pub fn metrics(&self) -> Result<String, ClientError> {
-        let (st, body) = self.request("GET", "/metrics", None)?;
-        expect_2xx(st, body)
+        let (_, body) = self.send("GET", "/metrics", None, false, |_| None)?;
+        Ok(String::from_utf8_lossy(&body).into_owned())
     }
 
     /// Daemon readiness: `Ok("ok")` when serving; an [`ClientError::Api`]
     /// with status 503 while the daemon drains or after it stopped.
     pub fn healthz(&self) -> Result<String, ClientError> {
-        let (st, body) = self.request("GET", "/v1/healthz", None)?;
-        let body = expect_2xx(st, body)?;
-        let v: serde_json::Value =
-            serde_json::from_str(&body).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        v["status"]
+        let (_, body) = self.send("GET", "/v1/healthz", None, false, |_| None)?;
+        json::<serde_json::Value>(&body)?["status"]
             .as_str()
             .map(String::from)
             .ok_or_else(|| ClientError::Protocol("missing status".into()))
@@ -261,6 +243,28 @@ impl DaemonClient {
 }
 
 impl DaemonSession {
+    /// One codec-aware call on this session, its reply decoded as `M`.
+    fn call<M: Message>(
+        &self,
+        method: &str,
+        path: &str,
+        body: impl Fn(Codec) -> Option<Vec<u8>>,
+    ) -> Result<M, ClientError> {
+        let (codec, reply) = self
+            .client
+            .send(method, path, Some(&self.token), true, body)?;
+        codec.decode(&reply).map_err(ClientError::Protocol)
+    }
+
+    fn frame(&self, ir: &ProgramIr, hint: PatternHint, key: Option<&str>) -> SubmitFrame {
+        SubmitFrame {
+            token: self.token.clone(),
+            hint: (hint != PatternHint::None).then(|| hint.as_str().to_string()),
+            idempotency_key: key.map(String::from),
+            ir: ir.clone(),
+        }
+    }
+
     /// Submit a program; returns the daemon task id.
     pub fn submit(&self, ir: &ProgramIr, hint: PatternHint) -> Result<u64, ClientError> {
         self.submit_keyed(ir, hint, None)
@@ -275,53 +279,8 @@ impl DaemonSession {
         hint: PatternHint,
         idempotency_key: Option<&str>,
     ) -> Result<u64, ClientError> {
-        if self.client.binary_active() {
-            match self.submit_keyed_binary(ir, hint, idempotency_key) {
-                Err(ClientError::Api { status: 415, .. }) => self.client.downgrade_to_json(),
-                other => return other,
-            }
-        }
-        let body = serde_json::json!({
-            "token": self.token,
-            "ir": ir,
-            "hint": hint_str(hint),
-            "idempotency_key": idempotency_key,
-        })
-        .to_string();
-        let (st, body) = self.client.request("POST", "/v1/tasks", Some(&body))?;
-        let body = expect_2xx(st, body)?;
-        let v: serde_json::Value =
-            serde_json::from_str(&body).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        v["task_id"]
-            .as_u64()
-            .ok_or_else(|| ClientError::Protocol("missing task_id".into()))
-    }
-
-    /// One submit as a binary wire frame. The `?token=` query parameter is
-    /// routing metadata for gateways (placement without parsing the body);
-    /// a daemon reached directly ignores it.
-    fn submit_keyed_binary(
-        &self,
-        ir: &ProgramIr,
-        hint: PatternHint,
-        idempotency_key: Option<&str>,
-    ) -> Result<u64, ClientError> {
-        let frame = wire::SubmitFrame {
-            token: self.token.clone(),
-            hint: hint_str(hint).map(String::from),
-            idempotency_key: idempotency_key.map(String::from),
-            ir: ir.clone(),
-        };
-        let raw = self.client.http.request_bytes(
-            "POST",
-            &format!("/v1/tasks?token={}", self.token),
-            wire::CONTENT_TYPE_BIN,
-            Some(&wire::encode_submit(&frame)),
-        )?;
-        if !(200..300).contains(&raw.status) {
-            return Err(api_error(&raw));
-        }
-        wire::decode_task_id(&raw.body).map_err(|e| ClientError::Protocol(e.to_string()))
+        let frame = self.frame(ir, hint, idempotency_key);
+        self.call("POST", "/v1/tasks", |codec| Some(codec.encode(&frame)))
     }
 
     /// Submit `items` as one `POST /v1/tasks:batch` request: one HTTP round
@@ -338,76 +297,18 @@ impl DaemonSession {
         if items.is_empty() {
             return Ok(Vec::new());
         }
-        if self.client.binary_active() {
-            match self.submit_batch_binary(items) {
-                Err(ClientError::Api { status: 415, .. }) => self.client.downgrade_to_json(),
-                other => return other,
-            }
-        }
-        self.submit_batch_json(items)
-    }
-
-    fn submit_batch_binary(
-        &self,
-        items: &[BatchItem<'_>],
-    ) -> Result<Vec<Result<u64, ClientError>>, ClientError> {
-        let frames: Vec<wire::SubmitFrame> = items
+        let frames: Vec<SubmitFrame> = items
             .iter()
-            .map(|it| wire::SubmitFrame {
-                token: self.token.clone(),
-                hint: hint_str(it.hint).map(String::from),
-                idempotency_key: it.idempotency_key.map(String::from),
-                ir: it.ir.clone(),
-            })
+            .map(|it| self.frame(it.ir, it.hint, it.idempotency_key))
             .collect();
-        let raw = self.client.http.request_bytes(
-            "POST",
-            &format!("/v1/tasks:batch?token={}", self.token),
-            wire::CONTENT_TYPE_BIN,
-            Some(&wire::encode_submit_batch(&frames)),
-        )?;
-        if !(200..300).contains(&raw.status) {
-            return Err(api_error(&raw));
-        }
-        let slots = wire::decode_batch_reply(&raw.body)
-            .map_err(|e| ClientError::Protocol(e.to_string()))?;
-        Ok(slots.into_iter().map(slot_to_outcome).collect())
-    }
-
-    fn submit_batch_json(
-        &self,
-        items: &[BatchItem<'_>],
-    ) -> Result<Vec<Result<u64, ClientError>>, ClientError> {
-        let body: Vec<serde_json::Value> = items
-            .iter()
-            .map(|it| {
-                serde_json::json!({
-                    "token": self.token,
-                    "ir": it.ir,
-                    "hint": hint_str(it.hint),
-                    "idempotency_key": it.idempotency_key,
-                })
-            })
-            .collect();
-        let (st, body) = self.client.request(
-            "POST",
-            "/v1/tasks:batch",
-            Some(&serde_json::Value::Array(body).to_string()),
-        )?;
-        let body = expect_2xx(st, body)?;
-        let v: serde_json::Value =
-            serde_json::from_str(&body).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        let slots = v
-            .as_array()
-            .ok_or_else(|| ClientError::Protocol("batch reply is not an array".into()))?;
+        let slots: Vec<BatchSlot> = self.call("POST", "/v1/tasks:batch", |codec| {
+            Some(codec.encode(&frames))
+        })?;
         Ok(slots
-            .iter()
-            .map(|s| match s["task_id"].as_u64() {
-                Some(id) => Ok(id),
-                None => Err(ClientError::Api {
-                    status: s["status"].as_u64().unwrap_or(500) as u16,
-                    message: s["error"].as_str().unwrap_or("unknown error").to_string(),
-                }),
+            .into_iter()
+            .map(|slot| match slot {
+                BatchSlot::Ok { task_id } => Ok(task_id),
+                BatchSlot::Err { status, message } => Err(ClientError::Api { status, message }),
             })
             .collect())
     }
@@ -477,64 +378,22 @@ impl DaemonSession {
         }
     }
 
-    /// Current status of a task. The token query parameter is ignored by a
-    /// daemon reached directly; through a gateway it is the placement key
-    /// that routes the poll to the session's shard.
+    /// Current status of a task.
     pub fn status(&self, task: u64) -> Result<DaemonTaskStatus, ClientError> {
-        let path = format!("/v1/tasks/{task}?token={}", self.token);
-        self.get_decoded(&path, |body| {
-            wire::decode_status(body).map(wire_status_to_daemon)
-        })
+        self.call("GET", &format!("/v1/tasks/{task}"), |_| None)
     }
 
-    /// Fetch the result of a completed task (token routes as in
-    /// [`Self::status`]).
+    /// Fetch the result of a completed task.
     pub fn result(&self, task: u64) -> Result<SampleResult, ClientError> {
-        let path = format!("/v1/tasks/{task}/result?token={}", self.token);
-        self.get_decoded(&path, wire::decode_result)
-    }
-
-    /// One GET, decoded from whichever codec the daemon answered in. With
-    /// the binary codec active the request asks for a binary reply via
-    /// `Accept`; a daemon that does not speak the codec ignores the header
-    /// and answers JSON, so the decoder is picked by the response's
-    /// content-type instead of expecting an error.
-    fn get_decoded<T: serde::Deserialize>(
-        &self,
-        path: &str,
-        decode_bin: impl FnOnce(&[u8]) -> Result<T, wire::WireError>,
-    ) -> Result<T, ClientError> {
-        let body = if self.client.binary_active() {
-            let raw = self.client.http.request_bytes_accept(
-                "GET",
-                path,
-                "application/json",
-                Some(wire::CONTENT_TYPE_BIN),
-                None,
-            )?;
-            // non-2xx is an Api error whichever codec the error body is in
-            if !(200..300).contains(&raw.status) {
-                return Err(api_error(&raw));
-            }
-            if raw.content_type.starts_with(wire::CONTENT_TYPE_BIN) {
-                return decode_bin(&raw.body).map_err(|e| ClientError::Protocol(e.to_string()));
-            }
-            String::from_utf8_lossy(&raw.body).into_owned()
-        } else {
-            let (st, body) = self.client.request("GET", path, None)?;
-            expect_2xx(st, body)?
-        };
-        serde_json::from_str(&body).map_err(|e| ClientError::Protocol(e.to_string()))
+        self.call("GET", &format!("/v1/tasks/{task}/result"), |_| None)
     }
 
     /// Cancel a queued task.
     pub fn cancel(&self, task: u64) -> Result<(), ClientError> {
-        let (st, body) = self.client.request(
-            "DELETE",
-            &format!("/v1/tasks/{task}?token={}", self.token),
-            None,
-        )?;
-        expect_2xx(st, body).map(|_| ())
+        let path = format!("/v1/tasks/{task}");
+        self.client
+            .send("DELETE", &path, Some(&self.token), false, |_| None)
+            .map(drop)
     }
 
     /// Poll until the task completes (optionally pumping the daemon's queue
@@ -546,11 +405,8 @@ impl DaemonSession {
     pub fn wait(&self, task: u64, max_polls: usize) -> Result<SampleResult, ClientError> {
         for poll in 0..max_polls {
             if self.client.pump_on_poll {
-                // the token body field is routing metadata for gateways;
-                // the daemon's pump handler does not read it
-                let body = format!(r#"{{"token":"{}"}}"#, self.token);
-                let (st, body) = self.client.request("POST", "/v1/pump", Some(&body))?;
-                expect_2xx(st, body)?;
+                self.client
+                    .send("POST", "/v1/pump", Some(&self.token), false, |_| None)?;
             } else {
                 std::thread::sleep(poll_delay(poll, self.client.poll_interval));
             }
@@ -574,10 +430,10 @@ impl DaemonSession {
 
     /// Close the session on the daemon.
     pub fn close(self) -> Result<(), ClientError> {
-        let (st, body) =
-            self.client
-                .request("DELETE", &format!("/v1/sessions/{}", self.token), None)?;
-        expect_2xx(st, body).map(|_| ())
+        let path = format!("/v1/sessions/{}", self.token);
+        self.client
+            .send("DELETE", &path, None, false, |_| None)
+            .map(drop)
     }
 }
 
@@ -774,7 +630,6 @@ mod tests {
                 primary: server_a.addr().to_string(),
                 follower: Some(follower_addr),
             }],
-            ..GatewayConfig::default()
         }));
         let gw_server = gw.serve(0).unwrap();
 

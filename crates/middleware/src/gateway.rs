@@ -26,10 +26,10 @@
 //! [`promote`]: crate::daemon::MiddlewareService::promote
 
 use crate::http::{Handler, HttpClient, Request, Response};
+use crate::protocol::Codec;
 use crate::server::{HttpServer, ServerConfig};
 use hpcqc_sync::{rank, TrackedMutex};
 use hpcqc_telemetry::{catalog, labels, Registry};
-use hpcqc_wire as wire;
 use std::sync::Arc;
 
 /// One shard: a leader daemon and (optionally) its warm-standby follower.
@@ -45,21 +45,17 @@ pub struct ShardConfig {
 }
 
 /// Gateway configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GatewayConfig {
     pub shards: Vec<ShardConfig>,
-    /// Virtual nodes per shard on the hash ring (evens out placement).
-    pub virtual_nodes: usize,
 }
 
-impl Default for GatewayConfig {
-    fn default() -> Self {
-        GatewayConfig {
-            shards: Vec::new(),
-            virtual_nodes: 64,
-        }
-    }
-}
+/// Points per shard on the hash ring: enough that every shard's arcs add
+/// up to a fair share of the sessions
+/// (`ring_spreads_sessions_and_placement_is_sticky` checks three shards),
+/// few enough that building the ring is free. No deployment, example or
+/// benchmark has used another value.
+const VIRTUAL_NODES: usize = 64;
 
 /// Live routing state for one shard.
 struct ShardState {
@@ -127,10 +123,9 @@ pub struct Gateway {
 
 impl Gateway {
     pub fn new(cfg: GatewayConfig) -> Self {
-        let vnodes = cfg.virtual_nodes.max(1);
-        let mut ring = Vec::with_capacity(cfg.shards.len() * vnodes);
+        let mut ring = Vec::with_capacity(cfg.shards.len() * VIRTUAL_NODES);
         for (i, shard) in cfg.shards.iter().enumerate() {
-            for v in 0..vnodes {
+            for v in 0..VIRTUAL_NODES {
                 ring.push((hash64(format!("{}#{v}", shard.name).as_bytes()), i));
             }
         }
@@ -172,9 +167,10 @@ impl Gateway {
     /// bodies only — the request body (`token`, else `user` for session
     /// creation, else the first element's `token` for batch arrays — so all
     /// of a user's sessions land on one shard and its quota view stays
-    /// local). Binary wire bodies are never sniffed: a binary submit that
-    /// must hit its session's shard carries `?token=` instead (the SDK adds
-    /// it), so routing stays body-opaque.
+    /// local). The SDK puts `?token=` on every session-scoped call in
+    /// either codec, so its submits are placed without parsing the program
+    /// body; the sniff serves clients that omit the query. Binary wire
+    /// bodies are never sniffed.
     fn placement_key(req: &Request) -> RouteKey {
         let segs: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
         if let ["v1", "sessions", token] = segs.as_slice() {
@@ -183,11 +179,8 @@ impl Gateway {
         if let Some(token) = req.query.get("token") {
             return RouteKey::Token(token.clone());
         }
-        let binary = req
-            .headers
-            .get("content-type")
-            .is_some_and(|ct| ct.split(';').next().unwrap_or("").trim() == wire::CONTENT_TYPE_BIN);
-        if binary {
+        let content_type = req.headers.get("content-type").map_or("", String::as_str);
+        if Codec::named(content_type) == Some(Codec::Binary) {
             return RouteKey::Keyless;
         }
         if let Ok(body) = req.body_str() {
@@ -519,14 +512,14 @@ impl Gateway {
 }
 
 /// Map a proxied response's `content-type` onto the static strings
-/// [`Response`] carries. The REST API only ever answers with these three
-/// families; unknown or absent types default to JSON (the API's own
-/// default).
+/// [`Response`] carries. The REST API only ever answers in one of its two
+/// codecs or with Prometheus text; unknown or absent types default to JSON
+/// (the API's own default).
 fn static_content_type(ct: &str) -> &'static str {
-    match ct.split(';').next().unwrap_or("").trim() {
-        t if t == wire::CONTENT_TYPE_BIN => wire::CONTENT_TYPE_BIN,
-        "text/plain" => "text/plain; version=0.0.4",
-        _ => "application/json",
+    match Codec::named(ct) {
+        Some(codec) => codec.content_type(),
+        None if ct.starts_with("text/plain") => "text/plain; version=0.0.4",
+        None => "application/json",
     }
 }
 
@@ -627,7 +620,6 @@ mod tests {
                     follower: None,
                 },
             ],
-            ..GatewayConfig::default()
         });
         let mut counts = std::collections::HashMap::new();
         for i in 0..300 {
@@ -663,7 +655,6 @@ mod tests {
                     follower: None,
                 },
             ],
-            ..GatewayConfig::default()
         }));
         // open enough sessions that both shards see some
         let mut tokens = Vec::new();
@@ -714,7 +705,6 @@ mod tests {
                 primary: server_a.addr().to_string(),
                 follower: Some(server_b.addr().to_string()),
             }],
-            ..GatewayConfig::default()
         }));
         assert_eq!(gw.probe_once(), 1, "primary serving");
         let (st, _) = post(&gw, "/v1/sessions", r#"{"user":"u","class":"test"}"#);
@@ -791,7 +781,6 @@ mod tests {
                     follower: None,
                 },
             ],
-            ..GatewayConfig::default()
         }));
 
         // Sessions opened through the gateway spread over both shards (the
@@ -911,10 +900,7 @@ mod tests {
             primary: "127.0.0.1:1".into(), // nothing listens here
             follower: Some(server.addr().to_string()),
         };
-        let gw = Arc::new(Gateway::new(GatewayConfig {
-            shards: vec![dead],
-            ..GatewayConfig::default()
-        }));
+        let gw = Arc::new(Gateway::new(GatewayConfig { shards: vec![dead] }));
         // optimistic start: first request hits the dead primary, gets 503,
         // and marks the shard unready
         let (st, body) = post(&gw, "/v1/sessions", r#"{"user":"u","class":"test"}"#);

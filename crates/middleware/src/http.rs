@@ -5,12 +5,15 @@
 //! small and auditable, which matters for a service installed with elevated
 //! access on a quantum access node (§3.4).
 //!
-//! This module owns the *protocol*: request/response types, the one request
-//! parser ([`extract_request`], which cuts requests out of a connection's
-//! input buffer — the event loop calls it after every read and the hostile-
-//! input tests call the same function), and the blocking keep-alive client
-//! ([`HttpClient`]). The readiness-driven event-loop server lives in
-//! [`crate::server`] and is re-exported here as [`HttpServer`].
+//! This module owns the *transport protocol*: request/response types, the
+//! one request parser ([`extract_request`], which cuts requests out of a
+//! connection's input buffer — the event loop calls it after every read and
+//! the hostile-input tests call the same function), the one response framer
+//! ([`extract_response`], its mirror for the client side), and the blocking
+//! keep-alive client ([`HttpClient`]) that reads through it. What a body
+//! means is [`crate::protocol`]'s business. The readiness-driven event-loop
+//! server lives in [`crate::server`] and is re-exported here as
+//! [`HttpServer`].
 //!
 //! Safety properties (property-tested against arbitrary byte soup):
 //! * parsing is total — malformed inputs produce `Err`, never panics;
@@ -18,11 +21,13 @@
 //!   head, or declares more than [`MAX_BODY_BYTES`] of body, is answered
 //!   `413` at the first framing attempt that sees it, so the server never
 //!   holds more than the budget plus one readiness event's worth of reads;
+//!   a response declaring more than [`MAX_RESPONSE_BODY_BYTES`] is
+//!   [`HttpError::TooLarge`] before any of its body is read;
 //! * error bodies are always valid JSON — parser error text is escaped
 //!   through the JSON serializer, never string-interpolated.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -31,8 +36,16 @@ pub use crate::server::{HttpServer, ServerConfig};
 
 /// Upper bound on accepted request bodies (1 MiB: programs are small).
 pub const MAX_BODY_BYTES: usize = 1 << 20;
-/// Upper bound on the request head (start line + headers).
+/// Upper bound on a request or response head (start line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 << 10;
+/// Upper bound on a response body the client accepts. The largest reply
+/// the daemon produces is a result: an emulator accepts up to 10^6 shots,
+/// so up to 10^6 distinct bitstrings, each a JSON count entry of at most
+/// 25 bytes (`"<u64 key>":<count>,`; 12 bytes in a binary frame) — 25 MB
+/// in all. The metrics, session and telemetry views are far smaller. 32 MiB
+/// takes the largest result with room, and a hostile `content-length` is
+/// refused before anything is allocated for it.
+pub const MAX_RESPONSE_BODY_BYTES: usize = 32 << 20;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,27 +107,6 @@ impl Response {
         Response::json(404, r#"{"error":"not found"}"#)
     }
 
-    pub(crate) fn status_text(&self) -> &'static str {
-        match self.status {
-            200 => "OK",
-            201 => "Created",
-            204 => "No Content",
-            400 => "Bad Request",
-            401 => "Unauthorized",
-            403 => "Forbidden",
-            404 => "Not Found",
-            408 => "Request Timeout",
-            409 => "Conflict",
-            413 => "Payload Too Large",
-            415 => "Unsupported Media Type",
-            422 => "Unprocessable Entity",
-            429 => "Too Many Requests",
-            500 => "Internal Server Error",
-            503 => "Service Unavailable",
-            _ => "Unknown",
-        }
-    }
-
     /// Preformatted status line for the codes the API actually emits. The
     /// submit hot path encodes one response per request; `format!` with five
     /// interpolations was measurable there, a static-slice copy is not.
@@ -137,6 +129,12 @@ impl Response {
             503 => "HTTP/1.1 503 Service Unavailable\r\n",
             _ => return None,
         })
+    }
+
+    pub(crate) fn status_text(&self) -> &'static str {
+        // "HTTP/1.1 200 " before the reason phrase, "\r\n" after it
+        self.status_line()
+            .map_or("Unknown", |line| &line[13..line.len() - 2])
     }
 
     /// Append the serialized head + body to `out` without intermediate
@@ -244,27 +242,6 @@ fn io_err(e: std::io::Error) -> HttpError {
     HttpError::Io(e.to_string())
 }
 
-/// Read one `\n`-terminated line of at most `max` bytes into `line`
-/// (cleared first). Returns the byte count (0 = EOF).
-///
-/// The cap is enforced *by the read itself* via [`Read::take`]: a peer
-/// streaming an endless headerless line costs at most `max + 1` buffered
-/// bytes before [`HttpError::TooLarge`], instead of an unbounded
-/// allocation.
-fn read_line_bounded<R: BufRead>(
-    reader: &mut R,
-    line: &mut String,
-    max: usize,
-) -> Result<usize, HttpError> {
-    line.clear();
-    let mut limited = reader.take(max as u64 + 1);
-    let n = limited.read_line(line).map_err(io_err)?;
-    if n > max {
-        return Err(HttpError::TooLarge);
-    }
-    Ok(n)
-}
-
 /// A parsed request head: the [`Request`] (body empty until
 /// [`extract_request`] has cut it) plus the framing facts the transport
 /// needs to finish and answer it.
@@ -366,14 +343,19 @@ pub fn parse_head_bytes(head: &[u8]) -> Result<ParsedHead, HttpError> {
     })
 }
 
-/// Position one past the `\r\n\r\n` (or bare `\n\n`) head terminator.
+/// Position one past the first `\r\n\r\n` (or bare `\n\n`) head
+/// terminator. The scan stops there: a body behind it is never read.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
-    let crlf = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4);
-    let lf = buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2);
-    match (crlf, lf) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
+    let mut from = 0;
+    while let Some(i) = buf[from..].iter().position(|&b| b == b'\n') {
+        let nl = from + i;
+        match &buf[nl + 1..] {
+            [b'\n', ..] => return Some(nl + 2),
+            [b'\r', b'\n', ..] if nl > 0 && buf[nl - 1] == b'\r' => return Some(nl + 3),
+            _ => from = nl + 1,
+        }
     }
+    None
 }
 
 /// Cut one complete request off the front of a connection's input buffer.
@@ -419,6 +401,89 @@ pub fn extract_request(
 /// The request handler type.
 pub type Handler = std::sync::Arc<dyn Fn(Request) -> Response + Send + Sync>;
 
+/// A response framed by [`extract_response`]: views into the buffer,
+/// nothing copied.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResponseHead<'a> {
+    pub status: u16,
+    /// The `content-type` value (empty when absent).
+    pub content_type: &'a str,
+    /// Bytes of the head, terminator included: the body starts here.
+    pub head_len: usize,
+    /// The declared `content-length` (0 when absent).
+    pub body_len: usize,
+    /// Whether the server announced `connection: close`.
+    pub close: bool,
+}
+
+impl ResponseHead<'_> {
+    /// One past the response's last byte: what to drain once it is used.
+    pub fn end(&self) -> usize {
+        self.head_len + self.body_len
+    }
+}
+
+/// Frame one complete response at the front of a client's input buffer.
+///
+/// The client-side mirror of [`extract_request`], and as total: malformed
+/// input is an `Err`, never a panic. It copies and allocates nothing and
+/// leaves `buf` alone; the caller reads the response through the returned
+/// head and drains [`ResponseHead::end`] bytes.
+///
+/// * `Ok(Some(head))` — the head and all `content-length` bytes of body are
+///   in `buf`; pipelined bytes may follow.
+/// * `Ok(None)` — more bytes are needed.
+/// * `Err` — [`HttpError::TooLarge`] once more than [`MAX_HEAD_BYTES`] are
+///   buffered without a head terminator, or as soon as a head declares more
+///   than [`MAX_RESPONSE_BODY_BYTES`]; [`HttpError::Malformed`] for a bad
+///   status line, header line or `content-length`.
+pub fn extract_response(buf: &[u8]) -> Result<Option<ResponseHead<'_>>, HttpError> {
+    let Some(head_len) = find_head_end(buf) else {
+        if buf.len() > MAX_HEAD_BYTES {
+            return Err(HttpError::TooLarge);
+        }
+        return Ok(None);
+    };
+    if head_len > MAX_HEAD_BYTES {
+        return Err(HttpError::TooLarge);
+    }
+    let head = std::str::from_utf8(&buf[..head_len])
+        .map_err(|_| HttpError::Malformed("response head is not UTF-8".into()))?;
+    let mut lines = head.lines();
+    let status_line = lines.next().unwrap_or("");
+    let status = status_line
+        .strip_prefix("HTTP/1.")
+        .and_then(|rest| rest.split(' ').nth(1)?.parse().ok())
+        .ok_or_else(|| HttpError::Malformed(format!("bad status line {status_line:?}")))?;
+    let mut framed = ResponseHead {
+        status,
+        content_type: "",
+        head_len,
+        body_len: 0,
+        close: false,
+    };
+    for line in lines.take_while(|l| !l.trim().is_empty()) {
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(HttpError::Malformed(format!("bad header line {line:?}")));
+        };
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            let digits = !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit());
+            framed.body_len = match value.parse() {
+                Ok(n) if n <= MAX_RESPONSE_BODY_BYTES => n,
+                // all digits, so too long to parse or past the cap
+                _ if digits => return Err(HttpError::TooLarge),
+                _ => return Err(HttpError::Malformed("bad content-length".into())),
+            };
+        } else if name.eq_ignore_ascii_case("content-type") {
+            framed.content_type = value;
+        } else if name.eq_ignore_ascii_case("connection") {
+            framed.close = value.eq_ignore_ascii_case("close");
+        }
+    }
+    Ok((buf.len() >= framed.end()).then_some(framed))
+}
+
 /// One response as read off the wire, body untouched. `close` reports
 /// whether the server announced `connection: close`.
 #[derive(Debug, Clone, PartialEq)]
@@ -431,53 +496,37 @@ pub struct RawResponse {
     pub close: bool,
 }
 
-/// Read one response from a buffered reader. The body stays raw bytes:
-/// binary frames must not go through a UTF-8 gate.
-fn read_response_raw<R: BufRead>(reader: &mut R) -> Result<RawResponse, HttpError> {
-    let mut status_line = String::new();
-    let n = read_line_bounded(reader, &mut status_line, MAX_HEAD_BYTES)?;
-    if n == 0 {
-        return Err(HttpError::Io("connection closed before response".into()));
-    }
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| HttpError::Malformed(format!("bad status line {status_line:?}")))?;
-    let mut content_length = 0usize;
-    let mut content_type = String::new();
-    let mut close = false;
-    let mut line = String::new();
-    let mut head_budget = MAX_HEAD_BYTES;
-    loop {
-        let n = read_line_bounded(reader, &mut line, head_budget)?;
-        head_budget = head_budget.saturating_sub(n);
-        if n == 0 || line.trim_end().is_empty() {
-            break;
-        }
-        if let Some((k, v)) = line.trim_end().split_once(':') {
-            if k.trim().eq_ignore_ascii_case("content-length") {
-                content_length = v
-                    .trim()
-                    .parse()
-                    .map_err(|_| HttpError::Malformed("bad content-length".into()))?;
-            } else if k.trim().eq_ignore_ascii_case("content-type") {
-                content_type = v.trim().to_string();
-            } else if k.trim().eq_ignore_ascii_case("connection")
-                && v.trim().eq_ignore_ascii_case("close")
-            {
-                close = true;
+/// The client's one connection and the bytes read from it not yet framed.
+#[derive(Debug)]
+struct Connection {
+    stream: TcpStream,
+    buf: Vec<u8>,
+}
+
+impl Connection {
+    /// Read until a response frames, and take it out of the buffer.
+    fn read_response(&mut self) -> Result<RawResponse, HttpError> {
+        let mut chunk = [0u8; 16 << 10];
+        loop {
+            if let Some(head) = extract_response(&self.buf)? {
+                let (end, raw) = (
+                    head.end(),
+                    RawResponse {
+                        status: head.status,
+                        content_type: head.content_type.to_string(),
+                        body: self.buf[head.head_len..head.end()].to_vec(),
+                        close: head.close,
+                    },
+                );
+                self.buf.drain(..end);
+                return Ok(raw);
+            }
+            match self.stream.read(&mut chunk).map_err(io_err)? {
+                0 => return Err(HttpError::Io("connection closed before response".into())),
+                n => self.buf.extend_from_slice(&chunk[..n]),
             }
         }
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(io_err)?;
-    Ok(RawResponse {
-        status,
-        content_type,
-        body,
-        close,
-    })
 }
 
 fn serialize_request_head(
@@ -503,13 +552,14 @@ fn serialize_request_head(
 /// server closes it, retrying the request once if the failure happened on a
 /// reused connection (the server may have idle-closed it between requests —
 /// a race inherent to HTTP keep-alive, and safe to retry here because the
-/// REST API's submit path is idempotent by design).
+/// REST API's submit path is idempotent by design). Responses are framed by
+/// [`extract_response`].
 ///
 /// Thread-safe: concurrent requests serialize on the single connection.
 #[derive(Debug)]
 pub struct HttpClient {
     addr: String,
-    stream: Mutex<Option<BufReader<TcpStream>>>,
+    conn: Mutex<Option<Connection>>,
 }
 
 impl Clone for HttpClient {
@@ -523,7 +573,7 @@ impl HttpClient {
     pub fn new(addr: impl Into<String>) -> Self {
         HttpClient {
             addr: addr.into(),
-            stream: Mutex::new(None),
+            conn: Mutex::new(None),
         }
     }
 
@@ -538,27 +588,22 @@ impl HttpClient {
         path: &str,
         body: Option<&str>,
     ) -> Result<(u16, String), HttpError> {
-        let raw = self.request_bytes(method, path, "application/json", body.map(str::as_bytes))?;
+        let raw = self.request_bytes_accept(
+            method,
+            path,
+            "application/json",
+            None,
+            body.map(str::as_bytes),
+        )?;
         String::from_utf8(raw.body)
             .map(|b| (raw.status, b))
             .map_err(|_| HttpError::Malformed("response body not UTF-8".into()))
     }
 
-    /// Issue one request with an explicit content type and a raw byte body;
-    /// the response body comes back untouched. The binary submit path and
-    /// the gateway's opaque forwarding are built on this.
-    pub fn request_bytes(
-        &self,
-        method: &str,
-        path: &str,
-        content_type: &str,
-        body: Option<&[u8]>,
-    ) -> Result<RawResponse, HttpError> {
-        self.request_bytes_accept(method, path, content_type, None, body)
-    }
-
-    /// [`request_bytes`](Self::request_bytes) with an explicit `Accept`
-    /// header — how the SDK asks for binary Status/Result frames on GETs.
+    /// Issue one request with an explicit content type, an optional
+    /// `Accept` header and a raw byte body; the response body comes back
+    /// untouched. The SDK's codec-aware calls and the gateway's opaque
+    /// forwarding are built on this.
     pub fn request_bytes_accept(
         &self,
         method: &str,
@@ -567,7 +612,7 @@ impl HttpClient {
         accept: Option<&str>,
         body: Option<&[u8]>,
     ) -> Result<RawResponse, HttpError> {
-        let mut guard = self.stream.lock().unwrap_or_else(|p| p.into_inner());
+        let mut guard = self.conn.lock().unwrap_or_else(|p| p.into_inner());
         let body = body.unwrap_or(b"");
         for attempt in 0..2 {
             let reused = guard.is_some();
@@ -577,18 +622,21 @@ impl HttpClient {
                     .set_read_timeout(Some(Duration::from_secs(30)))
                     .map_err(io_err)?;
                 let _ = stream.set_nodelay(true);
-                *guard = Some(BufReader::new(stream));
+                *guard = Some(Connection {
+                    stream,
+                    buf: Vec::new(),
+                });
             }
-            let reader = guard.as_mut().expect("connection just ensured");
+            let conn = guard.as_mut().expect("connection just ensured");
             // head and body go out as one buffer: one write syscall/request
             let mut req =
                 serialize_request_head(method, path, content_type, accept, body.len()).into_bytes();
             req.extend_from_slice(body);
-            let result = reader
-                .get_mut()
+            let result = conn
+                .stream
                 .write_all(&req)
                 .map_err(io_err)
-                .and_then(|()| read_response_raw(reader));
+                .and_then(|()| conn.read_response());
             match result {
                 Ok(raw) => {
                     if raw.close {
@@ -613,6 +661,7 @@ impl HttpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader};
     use std::sync::Arc;
 
     /// What a connection that received `segments` in that order ends up
@@ -805,6 +854,180 @@ mod tests {
         let h = parse_head_bytes(b"GET /x HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").unwrap();
         assert!(h.keep_alive);
         assert!(parse_head_bytes(&[0xff, 0xfe, b'\n', b'\n']).is_err());
+    }
+
+    /// One response as a client sees it: status, content type, body, close.
+    type Framed = (u16, String, Vec<u8>, bool);
+
+    /// Every response `segments` frame into, framing after each arrival
+    /// the way [`HttpClient`] does after each read and draining what was
+    /// framed; then the error that stopped the framing, if any, and the
+    /// bytes left over once every segment has arrived.
+    fn frame_responses<'a>(
+        segments: impl IntoIterator<Item = &'a [u8]>,
+    ) -> (Vec<Framed>, Option<HttpError>, Vec<u8>) {
+        let (mut buf, mut framed, mut err) = (Vec::new(), Vec::new(), None);
+        for seg in segments {
+            buf.extend_from_slice(seg);
+            while err.is_none() {
+                match extract_response(&buf) {
+                    Ok(Some(h)) => {
+                        let body = buf[h.head_len..h.end()].to_vec();
+                        framed.push((h.status, h.content_type.to_string(), body, h.close));
+                        let end = h.end();
+                        buf.drain(..end);
+                    }
+                    Ok(None) => break,
+                    Err(e) => err = Some(e),
+                }
+            }
+        }
+        (framed, err, buf)
+    }
+
+    /// [`frame_responses`] of `bytes` whole and split at every byte
+    /// boundary, required to agree.
+    fn frame_every_way(bytes: &[u8]) -> (Vec<Framed>, Option<HttpError>, Vec<u8>) {
+        let whole = frame_responses([bytes]);
+        for cut in 0..=bytes.len() {
+            let split = frame_responses([&bytes[..cut], &bytes[cut..]]);
+            assert_eq!(split, whole, "split at byte {cut}");
+        }
+        whole
+    }
+
+    #[test]
+    fn frames_a_response_and_leaves_what_follows() {
+        let (framed, err, rest) = frame_every_way(
+            b"HTTP/1.1 201 Created\r\nContent-Type: application/json\r\n\
+              content-length: 13\r\nconnection: keep-alive\r\n\r\n{\"task_id\":3}HTTP/1.1",
+        );
+        assert_eq!(
+            framed,
+            [(
+                201,
+                "application/json".into(),
+                b"{\"task_id\":3}".to_vec(),
+                false
+            )]
+        );
+        assert_eq!((err, rest.as_slice()), (None, &b"HTTP/1.1"[..]));
+    }
+
+    #[test]
+    fn frames_two_pipelined_responses_in_one_buffer() {
+        let mut two = Response::bytes(200, "application/x-hpcqc-bin", b"HQ\x00\r\n\r\n".to_vec())
+            .encode(true);
+        Response::json(404, r#"{"error":"not found"}"#).encode_into(false, &mut two);
+        let (framed, err, rest) = frame_every_way(&two);
+        assert_eq!(
+            framed,
+            [
+                (
+                    200,
+                    "application/x-hpcqc-bin".into(),
+                    b"HQ\x00\r\n\r\n".to_vec(),
+                    false
+                ),
+                (
+                    404,
+                    "application/json".into(),
+                    br#"{"error":"not found"}"#.to_vec(),
+                    true
+                ),
+            ]
+        );
+        assert_eq!((err, rest), (None, Vec::new()));
+    }
+
+    /// A body is framed only once all `content-length` bytes are present;
+    /// a response without the header has an empty body.
+    #[test]
+    fn truncated_body_is_not_framed() {
+        let short = b"HTTP/1.1 200 OK\r\ncontent-length: 50\r\n\r\nshort";
+        assert_eq!(extract_response(short), Ok(None));
+        let (framed, err, rest) = frame_every_way(short);
+        assert_eq!((framed, err, rest.as_slice()), (vec![], None, &short[..]));
+        let bare = b"HTTP/1.0 204 No Content\n\n";
+        let (framed, _, _) = frame_every_way(bare);
+        assert_eq!(framed, [(204, String::new(), Vec::new(), false)]);
+    }
+
+    #[test]
+    fn head_past_the_budget_is_too_large() {
+        let endless = vec![b'H'; MAX_HEAD_BYTES + 1];
+        assert_eq!(extract_response(&endless), Err(HttpError::TooLarge));
+        assert_eq!(extract_response(&endless[..MAX_HEAD_BYTES]), Ok(None));
+        let pad = "x".repeat(MAX_HEAD_BYTES);
+        let long = format!("HTTP/1.1 200 OK\r\npad: {pad}\r\n\r\n");
+        let (framed, err, _) = frame_every_way(long.as_bytes());
+        assert_eq!((framed, err), (vec![], Some(HttpError::TooLarge)));
+    }
+
+    /// A declared length past the cap is refused at the head, before any
+    /// body arrives: no allocation is sized from the peer's number.
+    #[test]
+    fn hostile_content_length_is_too_large() {
+        for len in [
+            "18446744073709551615".to_string(),
+            "99999999999999999999999".to_string(),
+            (MAX_RESPONSE_BODY_BYTES + 1).to_string(),
+        ] {
+            let head = format!("HTTP/1.1 200 OK\r\ncontent-length: {len}\r\n\r\n");
+            let (framed, err, _) = frame_every_way(head.as_bytes());
+            assert_eq!((framed, err), (vec![], Some(HttpError::TooLarge)), "{len}");
+        }
+        let at_cap =
+            format!("HTTP/1.1 200 OK\r\ncontent-length: {MAX_RESPONSE_BODY_BYTES}\r\n\r\n");
+        assert_eq!(
+            extract_response(at_cap.as_bytes()),
+            Ok(None),
+            "waits for the body"
+        );
+    }
+
+    #[test]
+    fn malformed_responses_are_errors() {
+        for bad in [
+            &b"HTTP/1.1 abc OK\r\n\r\n"[..],
+            b"SPDY/3 200 OK\r\n\r\n",
+            b"\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nno colon here\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\ncontent-length: -1\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\ncontent-length: 1 2\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\ncontent-length:\r\n\r\n",
+        ] {
+            assert!(
+                matches!(extract_response(bad), Err(HttpError::Malformed(_))),
+                "{:?}",
+                String::from_utf8_lossy(bad)
+            );
+        }
+    }
+
+    /// Regression: the client sized its body buffer from the peer's
+    /// `content-length` before reading a byte of body, so this header
+    /// panicked it with a capacity overflow (and any large value was
+    /// allocated up front). The SDK and the gateway's upstream calls read
+    /// through this client.
+    #[test]
+    fn client_refuses_a_hostile_content_length_from_a_raw_server() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let stub = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut req = Vec::new();
+            let mut byte = [0u8; 1];
+            while !req.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap() == 1 {
+                req.push(byte[0]);
+            }
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\n")
+                .unwrap();
+        });
+        let got = HttpClient::new(addr).request("GET", "/v1/tasks/1", None);
+        assert_eq!(got, Err(HttpError::TooLarge));
+        stub.join().unwrap();
     }
 
     /// Regression: parse-error text used to be interpolated into the JSON

@@ -15,6 +15,9 @@
 //! * [`http`] / [`server`] / [`rest`] — a real HTTP/1.1 REST API served by
 //!   a readiness-driven (epoll) event loop with keep-alive, pipelining and
 //!   connection backpressure,
+//! * [`protocol`] — the REST messages in both codecs (JSON and the binary
+//!   wire frames) and the negotiation between them, shared by the routes,
+//!   the SDK client and the gateway,
 //! * [`gateway`] — consistent-hash front door over N replicated shards:
 //!   readiness-probed routing, follower failover, aggregated views.
 
@@ -23,6 +26,7 @@ pub mod fairshare;
 pub mod gateway;
 pub mod http;
 pub mod journal;
+pub mod protocol;
 pub mod rest;
 pub mod server;
 pub mod session;

@@ -1,6 +1,6 @@
 //! REST API: routes over the daemon service.
 //!
-//! The JSON protocol spoken between the runtime's session client and the
+//! The protocol spoken between the runtime's session client and the
 //! daemon. Routes (all JSON unless noted):
 //!
 //! ```text
@@ -8,12 +8,11 @@
 //! DELETE /v1/sessions/{token}                             → {}
 //! GET    /v1/sessions                                     → [Session]   (admin)
 //! GET    /v1/target                                       → DeviceSpec
-//! POST   /v1/tasks                   {token, ir, hint,
-//!                                     idempotency_key?}   → {task_id}
-//! POST   /v1/tasks:batch             [SubmitReq, ...]     → [slot, ...]
-//! GET    /v1/tasks/{id}                                   → DaemonTaskStatus
+//! POST   /v1/tasks                   submit               → task id      (both codecs)
+//! POST   /v1/tasks:batch             [submit, ...]        → [slot, ...]  (both codecs)
+//! GET    /v1/tasks/{id}                                   → status       (both codecs)
 //! GET    /v1/tasks/{id}/warnings                          → {warnings: [str]}
-//! GET    /v1/tasks/{id}/result                            → SampleResult
+//! GET    /v1/tasks/{id}/result                            → result       (both codecs)
 //! DELETE /v1/tasks/{id}?token=T                           → {}
 //! POST   /v1/pump                    {}                   → {dispatched} (drives the queue)
 //! GET    /v1/healthz                                      → {status} (503 while draining)
@@ -25,46 +24,26 @@
 //! GET    /v1/telemetry/{series}?from=&to=                 → [Point]
 //! ```
 //!
-//! **Content negotiation.** The submit-path routes (`POST /v1/tasks`,
-//! `POST /v1/tasks:batch`) also speak the length-prefixed binary codec
-//! from `hpcqc-wire`: a request with `Content-Type:
-//! application/x-hpcqc-bin` carries a Submit/SubmitBatch frame and is
-//! answered with a TaskId/BatchReply (or Error) frame in the same
-//! encoding. `GET /v1/tasks/{id}` and `GET /v1/tasks/{id}/result` answer
-//! binary Status/Result frames when the client sends `Accept:
-//! application/x-hpcqc-bin`. JSON remains the default everywhere; an
-//! unrecognized `Content-Type` on a submit route is refused with `415`
-//! so older clients (and clients probing a JSON-only deployment) can fall
-//! back deterministically.
+//! **Content negotiation.** The four codec-aware routes are one arm each:
+//! pick the [`Codec`] (the body's `Content-Type` on the submit routes,
+//! which answer in the same codec; `Accept` on the two reads), decode,
+//! call the daemon, encode. Both encodings of every message live in
+//! [`crate::protocol`]. JSON is the default everywhere; an unrecognized
+//! `Content-Type` on a submit route is refused with `415` so older clients
+//! (and clients probing a JSON-only deployment) can fall back
+//! deterministically. A query string (`?token=`) is placement metadata
+//! for the gateway and is ignored here.
 
-use crate::daemon::{DaemonError, DaemonTaskStatus, MiddlewareService, SubmitItem};
+use crate::daemon::{DaemonError, MiddlewareService, SubmitItem};
 use crate::http::{Handler, Request, Response};
+use crate::protocol::{Codec, Message, OpenSessionReq};
 use crate::server::{HttpServer, ServerConfig};
 use crate::session::PriorityClass;
-use hpcqc_program::ProgramIr;
 use hpcqc_qpu::QpuStatus;
 use hpcqc_scheduler::PatternHint;
-use hpcqc_wire as wire;
+use hpcqc_wire::{BatchSlot, SubmitFrame};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-#[derive(Debug, Serialize, Deserialize)]
-struct OpenSessionReq {
-    user: String,
-    class: String,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct SubmitReq {
-    token: String,
-    ir: ProgramIr,
-    #[serde(default)]
-    hint: Option<String>,
-    /// Client-chosen dedup key: retrying a submit with the same key returns
-    /// the originally assigned task id (survives daemon restarts).
-    #[serde(default)]
-    idempotency_key: Option<String>,
-}
 
 #[derive(Debug, Serialize, Deserialize)]
 struct StatusReq {
@@ -88,99 +67,38 @@ fn daemon_status(e: &DaemonError) -> u16 {
     }
 }
 
+/// A daemon read's outcome as a reply in `codec`: the message, or the
+/// error with its status.
+fn answer<M: Message>(codec: Codec, outcome: Result<M, DaemonError>) -> Response {
+    match outcome {
+        Ok(msg) => codec.reply(200, codec.encode(&msg)),
+        Err(e) => codec.error(daemon_status(&e), &e.to_string()),
+    }
+}
+
 fn err_response(e: &DaemonError) -> Response {
-    Response::json(
-        daemon_status(e),
-        serde_json::json!({ "error": e.to_string() }).to_string(),
-    )
+    Codec::Json.error(daemon_status(e), &e.to_string())
 }
 
 fn bad_request(msg: &str) -> Response {
-    Response::json(400, serde_json::json!({ "error": msg }).to_string())
-}
-
-/// The request body's media type, parameters (`; charset=...`) stripped.
-/// Absent means JSON — that's what every pre-binary client sends.
-fn content_type(req: &Request) -> &str {
-    req.headers
-        .get("content-type")
-        .map(|v| v.split(';').next().unwrap_or("").trim())
-        .unwrap_or("")
-}
-
-/// Whether the client asked for a binary reply (`Accept:
-/// application/x-hpcqc-bin`) on a GET route.
-fn wants_binary_reply(req: &Request) -> bool {
-    req.headers.get("accept").is_some_and(|v| {
-        v.split(',')
-            .any(|p| p.split(';').next().unwrap_or("").trim() == wire::CONTENT_TYPE_BIN)
-    })
-}
-
-/// An error in the binary framing the client negotiated: HTTP status for
-/// routers/metrics, an Error frame in the body for the SDK.
-fn bin_error(status: u16, msg: &str) -> Response {
-    Response::bytes(
-        status,
-        wire::CONTENT_TYPE_BIN,
-        wire::encode_error(status, msg),
-    )
-}
-
-fn parse_hint(h: Option<&str>) -> Option<PatternHint> {
-    match h {
-        None => Some(PatternHint::None),
-        Some(h) => PatternHint::parse(h),
-    }
+    Codec::Json.error(400, msg)
 }
 
 const HINT_ERR: &str = "hint must be qc-heavy|cc-heavy|qc-balanced|none";
 
-fn to_wire_status(s: &DaemonTaskStatus) -> wire::WireStatus {
-    match s {
-        DaemonTaskStatus::Queued { position } => wire::WireStatus::Queued {
-            position: *position,
-        },
-        DaemonTaskStatus::Running => wire::WireStatus::Running,
-        DaemonTaskStatus::Completed => wire::WireStatus::Completed,
-        DaemonTaskStatus::Failed(m) => wire::WireStatus::Failed(m.clone()),
-        DaemonTaskStatus::Cancelled => wire::WireStatus::Cancelled,
-    }
-}
-
-/// One slot of a JSON batch-submit reply (the JSON mirror of the binary
-/// BatchReply frame): `{"task_id": n}` or `{"status": s, "error": msg}`.
-fn slot_json(s: &wire::BatchSlot) -> serde_json::Value {
-    match s {
-        wire::BatchSlot::Ok { task_id } => serde_json::json!({ "task_id": task_id }),
-        wire::BatchSlot::Err { status, message } => {
-            serde_json::json!({ "status": status, "error": message })
-        }
-    }
-}
-
-fn outcome_slots(outcomes: Vec<Result<u64, DaemonError>>) -> Vec<wire::BatchSlot> {
-    outcomes
-        .into_iter()
-        .map(|o| match o {
-            Ok(id) => wire::BatchSlot::Ok { task_id: id },
-            Err(e) => wire::BatchSlot::Err {
-                status: daemon_status(&e),
-                message: e.to_string(),
-            },
-        })
-        .collect()
-}
-
 /// Run a batch of submit frames through [`MiddlewareService::submit_batch`],
 /// producing one order-preserving slot per frame. Frames with an
 /// unparseable hint get their error slot here and never reach the daemon.
-fn submit_frames(svc: &MiddlewareService, frames: Vec<wire::SubmitFrame>) -> Vec<wire::BatchSlot> {
-    let mut slots: Vec<Option<wire::BatchSlot>> = (0..frames.len()).map(|_| None).collect();
+fn submit_frames(svc: &MiddlewareService, frames: Vec<SubmitFrame>) -> Vec<BatchSlot> {
+    let mut slots: Vec<Option<BatchSlot>> = (0..frames.len()).map(|_| None).collect();
     let mut items = Vec::with_capacity(frames.len());
     let mut item_slot = Vec::with_capacity(frames.len());
     for (i, f) in frames.into_iter().enumerate() {
-        match parse_hint(f.hint.as_deref()) {
+        let hint = match f.hint.as_deref() {
+            None => Some(PatternHint::None),
+            Some(h) => PatternHint::parse(h),
+        };
+        match hint {
             Some(hint) => {
                 items.push(SubmitItem {
                     token: f.token,
@@ -191,18 +109,21 @@ fn submit_frames(svc: &MiddlewareService, frames: Vec<wire::SubmitFrame>) -> Vec
                 item_slot.push(i);
             }
             None => {
-                slots[i] = Some(wire::BatchSlot::Err {
+                slots[i] = Some(BatchSlot::Err {
                     status: 400,
                     message: HINT_ERR.into(),
                 });
             }
         }
     }
-    for (j, slot) in outcome_slots(svc.submit_batch(items))
-        .into_iter()
-        .enumerate()
-    {
-        slots[item_slot[j]] = Some(slot);
+    for (j, outcome) in svc.submit_batch(items).into_iter().enumerate() {
+        slots[item_slot[j]] = Some(match outcome {
+            Ok(task_id) => BatchSlot::Ok { task_id },
+            Err(e) => BatchSlot::Err {
+                status: daemon_status(&e),
+                message: e.to_string(),
+            },
+        });
     }
     slots
         .into_iter()
@@ -213,6 +134,7 @@ fn submit_frames(svc: &MiddlewareService, frames: Vec<wire::SubmitFrame>) -> Vec
 /// Route one request against the service.
 pub fn route(svc: &MiddlewareService, req: &Request) -> Response {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+    let header = |name: &str| req.headers.get(name).map(String::as_str);
     match (req.method.as_str(), segments.as_slice()) {
         ("POST", ["v1", "sessions"]) => {
             let Ok(body) = req.body_str() else {
@@ -244,113 +166,35 @@ pub fn route(svc: &MiddlewareService, req: &Request) -> Response {
             Ok(spec) => Response::json(200, serde_json::to_string(&spec).expect("spec serializes")),
             Err(e) => err_response(&e),
         },
-        ("POST", ["v1", "tasks"]) => match content_type(req) {
-            wire::CONTENT_TYPE_BIN => match wire::decode_submit(&req.body) {
-                Err(e) => bin_error(400, &format!("bad submit frame: {e}")),
-                Ok(frame) => {
-                    let Some(hint) = parse_hint(frame.hint.as_deref()) else {
-                        return bin_error(400, HINT_ERR);
-                    };
-                    match svc.submit_with_key(
-                        &frame.token,
-                        frame.ir,
-                        hint,
-                        frame.idempotency_key.as_deref(),
-                    ) {
-                        Ok(id) => {
-                            Response::bytes(201, wire::CONTENT_TYPE_BIN, wire::encode_task_id(id))
-                        }
-                        Err(e) => bin_error(daemon_status(&e), &e.to_string()),
-                    }
-                }
-            },
-            "" | "application/json" => {
-                let Ok(body) = req.body_str() else {
-                    return bad_request("body not UTF-8");
-                };
-                let submit: SubmitReq = match serde_json::from_str(body) {
-                    Ok(s) => s,
-                    Err(e) => return bad_request(&format!("bad submit body: {e}")),
-                };
-                let Some(hint) = parse_hint(submit.hint.as_deref()) else {
-                    return bad_request(HINT_ERR);
-                };
-                match svc.submit_with_key(
-                    &submit.token,
-                    submit.ir,
-                    hint,
-                    submit.idempotency_key.as_deref(),
-                ) {
-                    Ok(id) => Response::json(201, serde_json::json!({ "task_id": id }).to_string()),
-                    Err(e) => err_response(&e),
-                }
+        // A single submit is the batch of one, as it is inside the daemon.
+        ("POST", ["v1", "tasks"]) => {
+            let codec = match Codec::of_content_type(header("content-type")) {
+                Ok(codec) => codec,
+                Err(refused) => return refused,
+            };
+            match codec.decode::<SubmitFrame>(&req.body) {
+                Err(e) => codec.error(400, &e),
+                Ok(frame) => match submit_frames(svc, vec![frame]).pop().expect("a slot") {
+                    BatchSlot::Ok { task_id } => codec.reply(201, codec.encode(&task_id)),
+                    BatchSlot::Err { status, message } => codec.error(status, &message),
+                },
             }
-            other => Response::json(
-                415,
-                serde_json::json!({ "error": format!("unsupported content type {other:?}") })
-                    .to_string(),
-            ),
-        },
-        ("POST", ["v1", "tasks:batch"]) => match content_type(req) {
-            wire::CONTENT_TYPE_BIN => match wire::decode_submit_batch(&req.body) {
-                Err(e) => bin_error(400, &format!("bad batch frame: {e}")),
-                Ok(frames) => {
-                    let slots = submit_frames(svc, frames);
-                    Response::bytes(
-                        200,
-                        wire::CONTENT_TYPE_BIN,
-                        wire::encode_batch_reply(&slots),
-                    )
-                }
-            },
-            "" | "application/json" => {
-                let Ok(body) = req.body_str() else {
-                    return bad_request("body not UTF-8");
-                };
-                let reqs: Vec<SubmitReq> = match serde_json::from_str(body) {
-                    Ok(r) => r,
-                    Err(e) => return bad_request(&format!("bad batch body: {e}")),
-                };
-                if reqs.len() > wire::MAX_BATCH_FRAMES {
-                    return bad_request(&format!(
-                        "batch of {} exceeds the {}-frame cap",
-                        reqs.len(),
-                        wire::MAX_BATCH_FRAMES
-                    ));
-                }
-                let frames = reqs
-                    .into_iter()
-                    .map(|r| wire::SubmitFrame {
-                        token: r.token,
-                        hint: r.hint,
-                        idempotency_key: r.idempotency_key,
-                        ir: r.ir,
-                    })
-                    .collect();
-                let slots: Vec<serde_json::Value> =
-                    submit_frames(svc, frames).iter().map(slot_json).collect();
-                Response::json(200, serde_json::Value::Array(slots).to_string())
+        }
+        ("POST", ["v1", "tasks:batch"]) => {
+            let codec = match Codec::of_content_type(header("content-type")) {
+                Ok(codec) => codec,
+                Err(refused) => return refused,
+            };
+            match codec.decode::<Vec<SubmitFrame>>(&req.body) {
+                Err(e) => codec.error(400, &e),
+                Ok(frames) => codec.reply(200, codec.encode(&submit_frames(svc, frames))),
             }
-            other => Response::json(
-                415,
-                serde_json::json!({ "error": format!("unsupported content type {other:?}") })
-                    .to_string(),
-            ),
-        },
+        }
         ("GET", ["v1", "tasks", id]) => {
             let Ok(id) = id.parse::<u64>() else {
                 return bad_request("task id must be a number");
             };
-            match svc.task_status(id) {
-                Ok(s) if wants_binary_reply(req) => Response::bytes(
-                    200,
-                    wire::CONTENT_TYPE_BIN,
-                    wire::encode_status(&to_wire_status(&s)),
-                ),
-                Ok(s) => Response::json(200, serde_json::to_string(&s).expect("status serializes")),
-                Err(e) if wants_binary_reply(req) => bin_error(daemon_status(&e), &e.to_string()),
-                Err(e) => err_response(&e),
-            }
+            answer(Codec::of_accept(header("accept")), svc.task_status(id))
         }
         ("GET", ["v1", "tasks", id, "warnings"]) => {
             let Ok(id) = id.parse::<u64>() else {
@@ -367,14 +211,7 @@ pub fn route(svc: &MiddlewareService, req: &Request) -> Response {
             let Ok(id) = id.parse::<u64>() else {
                 return bad_request("task id must be a number");
             };
-            match svc.task_result(id) {
-                Ok(r) if wants_binary_reply(req) => {
-                    Response::bytes(200, wire::CONTENT_TYPE_BIN, wire::encode_result(&r))
-                }
-                Ok(r) => Response::json(200, serde_json::to_string(&r).expect("result serializes")),
-                Err(e) if wants_binary_reply(req) => bin_error(daemon_status(&e), &e.to_string()),
-                Err(e) => err_response(&e),
-            }
+            answer(Codec::of_accept(header("accept")), svc.task_result(id))
         }
         ("DELETE", ["v1", "tasks", id]) => {
             let Ok(id) = id.parse::<u64>() else {
@@ -475,21 +312,15 @@ pub fn serve(svc: Arc<MiddlewareService>) -> std::io::Result<HttpServer> {
 }
 
 /// Serve the daemon over HTTP on a specific localhost port (0 = ephemeral).
-///
-/// Transport telemetry (connection lifecycle, keep-alive reuse,
-/// backpressure, deadline closes) lands in the daemon's own registry, so it
-/// shows up on `GET /metrics` next to the scheduler counters.
 pub fn serve_on(svc: Arc<MiddlewareService>, port: u16) -> std::io::Result<HttpServer> {
-    let cfg = ServerConfig {
-        metrics: Some(svc.registry().clone()),
-        ..ServerConfig::default()
-    };
-    serve_with(svc, port, cfg)
+    serve_with(svc, port, ServerConfig::default())
 }
 
 /// [`serve_on`] with explicit transport tuning (connection cap, deadlines,
-/// worker count). When `cfg.metrics` is `None` the daemon registry is wired
-/// in, matching [`serve_on`].
+/// worker count). Transport telemetry (connection lifecycle, keep-alive
+/// reuse, backpressure, deadline closes) lands in the daemon's own registry
+/// unless `cfg.metrics` names another, so it shows up on `GET /metrics`
+/// next to the scheduler counters.
 pub fn serve_with(
     svc: Arc<MiddlewareService>,
     port: u16,
@@ -508,8 +339,10 @@ mod tests {
     use crate::daemon::DaemonConfig;
     use crate::http::HttpClient;
     use hpcqc_emulator::SvBackend;
+    use hpcqc_program::ProgramIr;
     use hpcqc_program::{Pulse, Register, SequenceBuilder};
     use hpcqc_qrmi::LocalEmulatorResource;
+    use hpcqc_wire as wire;
 
     fn service() -> Arc<MiddlewareService> {
         let res = Arc::new(LocalEmulatorResource::new(
@@ -678,10 +511,11 @@ mod tests {
             ir: ir(25),
         };
         let raw = client
-            .request_bytes(
+            .request_bytes_accept(
                 "POST",
                 "/v1/tasks",
                 wire::CONTENT_TYPE_BIN,
+                None,
                 Some(&wire::encode_submit(&frame)),
             )
             .unwrap();
@@ -691,10 +525,11 @@ mod tests {
 
         // same idempotency key replays to the same id
         let raw = client
-            .request_bytes(
+            .request_bytes_accept(
                 "POST",
                 "/v1/tasks",
                 wire::CONTENT_TYPE_BIN,
+                None,
                 Some(&wire::encode_submit(&frame)),
             )
             .unwrap();
@@ -773,10 +608,11 @@ mod tests {
             good("batch-b"),
         ];
         let raw = client
-            .request_bytes(
+            .request_bytes_accept(
                 "POST",
                 "/v1/tasks:batch",
                 wire::CONTENT_TYPE_BIN,
+                None,
                 Some(&wire::encode_submit_batch(&frames)),
             )
             .unwrap();
@@ -814,10 +650,11 @@ mod tests {
 
         // idempotency keys replay per-frame across batches
         let raw = client
-            .request_bytes(
+            .request_bytes_accept(
                 "POST",
                 "/v1/tasks:batch",
                 wire::CONTENT_TYPE_BIN,
+                None,
                 Some(&wire::encode_submit_batch(&[good("batch-a")])),
             )
             .unwrap();
@@ -833,13 +670,25 @@ mod tests {
         let client = HttpClient::new(server.addr());
         for path in ["/v1/tasks", "/v1/tasks:batch"] {
             let raw = client
-                .request_bytes("POST", path, "application/x-msgpack", Some(b"\x00\x01"))
+                .request_bytes_accept(
+                    "POST",
+                    path,
+                    "application/x-msgpack",
+                    None,
+                    Some(b"\x00\x01"),
+                )
                 .unwrap();
             assert_eq!(raw.status, 415, "{path}");
         }
         // a truncated binary frame is a 400 (bad frame), not a hang or 500
         let raw = client
-            .request_bytes("POST", "/v1/tasks", wire::CONTENT_TYPE_BIN, Some(b"HQ\x01"))
+            .request_bytes_accept(
+                "POST",
+                "/v1/tasks",
+                wire::CONTENT_TYPE_BIN,
+                None,
+                Some(b"HQ\x01"),
+            )
             .unwrap();
         assert_eq!(raw.status, 400);
         assert!(wire::decode_error(&raw.body).is_ok());

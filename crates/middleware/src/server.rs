@@ -68,17 +68,15 @@ const PIPELINE_BUF_CAP: usize = 64 << 10;
 const READ_BUDGET: usize = 64 << 10;
 
 /// Tuning knobs for [`HttpServer`]. `Default` suits tests and the daemon.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Connection-table hard cap; the arrival that finds the table full is
-    /// answered `503` and accepting pauses. 0 = default (4096).
+    /// answered `503` and accepting pauses.
     pub max_connections: usize,
     /// Keep-alive connections idle longer than this are closed.
-    /// Zero = default (30 s).
     pub idle_timeout: Duration,
     /// A connection that has started a request must deliver all of it
     /// within this window or be closed (slowloris defense).
-    /// Zero = default (10 s).
     pub request_deadline: Duration,
     /// Handler threads *per shard*. `None` = spare cores (cores − 1,
     /// capped at 4); `Some(0)` = run handlers inline on the event thread.
@@ -92,31 +90,20 @@ pub struct ServerConfig {
     pub metrics: Option<Registry>,
 }
 
+impl Default for ServerConfig {
+    fn default() -> Self {
+        ServerConfig {
+            max_connections: 4096,
+            idle_timeout: Duration::from_secs(30),
+            request_deadline: Duration::from_secs(10),
+            workers: None,
+            shards: 1,
+            metrics: None,
+        }
+    }
+}
+
 impl ServerConfig {
-    fn max_connections(&self) -> usize {
-        if self.max_connections == 0 {
-            4096
-        } else {
-            self.max_connections
-        }
-    }
-
-    fn idle_timeout(&self) -> Duration {
-        if self.idle_timeout.is_zero() {
-            Duration::from_secs(30)
-        } else {
-            self.idle_timeout
-        }
-    }
-
-    fn request_deadline(&self) -> Duration {
-        if self.request_deadline.is_zero() {
-            Duration::from_secs(10)
-        } else {
-            self.request_deadline
-        }
-    }
-
     fn worker_count(&self) -> usize {
         self.workers.unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -222,11 +209,6 @@ impl HttpServer {
 
             let stop2 = stop.clone();
             let metrics = cfg.metrics.clone();
-            let (max_connections, idle_timeout, request_deadline) = (
-                cfg.max_connections(),
-                cfg.idle_timeout(),
-                cfg.request_deadline(),
-            );
             event_threads.push(
                 std::thread::Builder::new()
                     .name(format!("http-event-loop-{shard}"))
@@ -235,9 +217,9 @@ impl HttpServer {
                             poll,
                             listener,
                             handler,
-                            max_connections,
-                            idle_timeout,
-                            request_deadline,
+                            max_connections: cfg.max_connections,
+                            idle_timeout: cfg.idle_timeout,
+                            request_deadline: cfg.request_deadline,
                             metrics,
                             conns: Vec::new(),
                             free: Vec::new(),

@@ -78,7 +78,6 @@ fn main() {
                 follower: None,
             },
         ],
-        ..GatewayConfig::default()
     }));
     let gw_server = gw.serve(0).expect("gateway serves");
     let gw_addr = gw_server.addr();
