@@ -26,10 +26,10 @@
 //! packs N submits into one `POST /v1/tasks:batch` request. Bodies are
 //! encoded by the daemon's own `protocol::Codec` and responses framed by
 //! its `http::extract_response`, so the load generator speaks exactly what
-//! the SDK does. Rates are always
-//! **submits**/s, so a batch case at the same rate issues 1/N as many HTTP
-//! requests; latency percentiles are per *request* (i.e. per batch), still
-//! measured from the scheduled arrival (coordinated-omission-corrected).
+//! the SDK does. Rates are always **submits**/s, so a batch case at the
+//! same rate issues 1/N as many HTTP requests; latency percentiles are per
+//! *request* (i.e. per batch), still measured from the scheduled arrival
+//! (coordinated-omission-corrected).
 //! The default full ladder runs a matched JSON-vs-binary, single-vs-batch
 //! matrix and reports the headline ingest comparison.
 //!

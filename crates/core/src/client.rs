@@ -6,10 +6,11 @@
 //! instead of holding the QPU resource directly — the daemon owns
 //! prioritization and preemption.
 //!
-//! Every call goes through one private send path, and every body is
-//! encoded and decoded by [`hpcqc_middleware::protocol`], the module the
-//! daemon's routes use too. Every session-scoped call carries `?token=`:
-//! placement metadata for a gateway, ignored by a daemon reached directly.
+//! Every call goes through one private send path, and every codec-aware
+//! message is encoded and decoded by [`hpcqc_middleware::protocol`], the
+//! module the daemon's routes use too. Every session-scoped call carries
+//! `?token=`: placement metadata for a gateway, ignored by a daemon
+//! reached directly.
 //!
 //! # Wire codec
 //!

@@ -501,12 +501,22 @@ pub struct RawResponse {
 struct Connection {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// Where each read lands before it joins `buf`: allocated (and zeroed)
+    /// once per connection, not once per response.
+    chunk: Box<[u8]>,
 }
 
 impl Connection {
+    fn new(stream: TcpStream) -> Self {
+        Connection {
+            stream,
+            buf: Vec::new(),
+            chunk: vec![0; 16 << 10].into_boxed_slice(),
+        }
+    }
+
     /// Read until a response frames, and take it out of the buffer.
     fn read_response(&mut self) -> Result<RawResponse, HttpError> {
-        let mut chunk = [0u8; 16 << 10];
         loop {
             if let Some(head) = extract_response(&self.buf)? {
                 let (end, raw) = (
@@ -521,9 +531,9 @@ impl Connection {
                 self.buf.drain(..end);
                 return Ok(raw);
             }
-            match self.stream.read(&mut chunk).map_err(io_err)? {
+            match self.stream.read(&mut self.chunk).map_err(io_err)? {
                 0 => return Err(HttpError::Io("connection closed before response".into())),
-                n => self.buf.extend_from_slice(&chunk[..n]),
+                n => self.buf.extend_from_slice(&self.chunk[..n]),
             }
         }
     }
@@ -622,10 +632,7 @@ impl HttpClient {
                     .set_read_timeout(Some(Duration::from_secs(30)))
                     .map_err(io_err)?;
                 let _ = stream.set_nodelay(true);
-                *guard = Some(Connection {
-                    stream,
-                    buf: Vec::new(),
-                });
+                *guard = Some(Connection::new(stream));
             }
             let conn = guard.as_mut().expect("connection just ensured");
             // head and body go out as one buffer: one write syscall/request
