@@ -107,6 +107,27 @@ impl Response {
         Response::json(404, r#"{"error":"not found"}"#)
     }
 
+    pub(crate) fn status_text(&self) -> &'static str {
+        match self.status {
+            200 => "OK",
+            201 => "Created",
+            204 => "No Content",
+            400 => "Bad Request",
+            401 => "Unauthorized",
+            403 => "Forbidden",
+            404 => "Not Found",
+            408 => "Request Timeout",
+            409 => "Conflict",
+            413 => "Payload Too Large",
+            415 => "Unsupported Media Type",
+            422 => "Unprocessable Entity",
+            429 => "Too Many Requests",
+            500 => "Internal Server Error",
+            503 => "Service Unavailable",
+            _ => "Unknown",
+        }
+    }
+
     /// Preformatted status line for the codes the API actually emits. The
     /// submit hot path encodes one response per request; `format!` with five
     /// interpolations was measurable there, a static-slice copy is not.
@@ -129,12 +150,6 @@ impl Response {
             503 => "HTTP/1.1 503 Service Unavailable\r\n",
             _ => return None,
         })
-    }
-
-    pub(crate) fn status_text(&self) -> &'static str {
-        // "HTTP/1.1 200 " before the reason phrase, "\r\n" after it
-        self.status_line()
-            .map_or("Unknown", |line| &line[13..line.len() - 2])
     }
 
     /// Append the serialized head + body to `out` without intermediate
@@ -519,15 +534,13 @@ impl Connection {
     fn read_response(&mut self) -> Result<RawResponse, HttpError> {
         loop {
             if let Some(head) = extract_response(&self.buf)? {
-                let (end, raw) = (
-                    head.end(),
-                    RawResponse {
-                        status: head.status,
-                        content_type: head.content_type.to_string(),
-                        body: self.buf[head.head_len..head.end()].to_vec(),
-                        close: head.close,
-                    },
-                );
+                let end = head.end();
+                let raw = RawResponse {
+                    status: head.status,
+                    content_type: head.content_type.to_string(),
+                    body: self.buf[head.head_len..end].to_vec(),
+                    close: head.close,
+                };
                 self.buf.drain(..end);
                 return Ok(raw);
             }
@@ -879,9 +892,9 @@ mod tests {
             while err.is_none() {
                 match extract_response(&buf) {
                     Ok(Some(h)) => {
-                        let body = buf[h.head_len..h.end()].to_vec();
-                        framed.push((h.status, h.content_type.to_string(), body, h.close));
                         let end = h.end();
+                        let body = buf[h.head_len..end].to_vec();
+                        framed.push((h.status, h.content_type.to_string(), body, h.close));
                         buf.drain(..end);
                     }
                     Ok(None) => break,
