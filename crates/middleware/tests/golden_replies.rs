@@ -16,12 +16,14 @@ use hpcqc_emulator::SvBackend;
 use hpcqc_middleware::http::Request;
 use hpcqc_middleware::{rest, DaemonConfig, MiddlewareService, PriorityClass};
 use hpcqc_program::{ProgramIr, Pulse, Register, SequenceBuilder};
+use hpcqc_qpu::VirtualQpu;
 use hpcqc_qrmi::LocalEmulatorResource;
 use hpcqc_scheduler::PatternHint;
 use hpcqc_wire as wire;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
+use std::time::Duration;
 
 const JSON: &str = "application/json";
 const BIN: &str = "application/x-hpcqc-bin";
@@ -259,6 +261,122 @@ fn codec_aware_routes_answer_their_golden_replies() {
                 drift,
                 "row {i} {} {} ct={:?} accept={:?}\n  want {want:?}\n  got  {got:?}",
                 row.method, row.path, row.content_type, row.accept
+            );
+        }
+    }
+    assert!(drift.is_empty(), "golden replies drifted:\n{drift}");
+}
+
+// ---- the JSON-only routes that change daemon state -----------------------
+
+/// What the daemon has been through before a [`StateRow`]'s request.
+#[derive(Clone, Copy)]
+enum Setup {
+    /// [`daemon`]'s state, a second session `stranger` owning queued task 3,
+    /// and an administrable device.
+    Base,
+    /// `Base`, then task 2 cancelled by its owner.
+    Cancelled,
+    /// `Base`, then a graceful drain.
+    Drained,
+}
+
+struct StateRow {
+    setup: Setup,
+    method: &'static str,
+    /// `{T}` is the first session's token; a query string is split off
+    /// into `Request::query`.
+    path: &'static str,
+    body: &'static str,
+    status: u16,
+    reply: &'static str,
+}
+
+fn state_answer(row: &StateRow) -> (u16, String, String) {
+    let (svc, token) = daemon();
+    let svc = svc.with_qpu_admin(VirtualQpu::new("fresnel-1", 7));
+    let stranger = svc.open_session("stranger", PriorityClass::Test).unwrap();
+    assert_eq!(
+        svc.submit(&stranger, program(4.0), PatternHint::None),
+        Ok(3)
+    );
+    match row.setup {
+        Setup::Base => {}
+        Setup::Cancelled => svc.cancel(&token, 2).unwrap(),
+        Setup::Drained => drop(svc.shutdown(Duration::ZERO)),
+    }
+    let target = row.path.replace("{T}", &token);
+    let (path, query) = target.split_once('?').unwrap_or((&target, ""));
+    let query = query
+        .split('&')
+        .filter_map(|kv| kv.split_once('='))
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    let req = Request {
+        method: row.method.to_string(),
+        path: path.to_string(),
+        query,
+        headers: BTreeMap::new(),
+        body: row.body.as_bytes().to_vec(),
+    };
+    let resp = rest::route(&svc, &req);
+    let body = String::from_utf8(resp.body).unwrap();
+    (resp.status, resp.content_type.to_string(), body)
+}
+
+#[rustfmt::skip]
+const STATE_ROWS: &[StateRow] = &[
+    // ---- POST /v1/sessions ----
+    StateRow { setup: Setup::Base, method: "POST", path: "/v1/sessions", body: r#"{"user":"ada","class":"production"}"#,
+               status: 201, reply: r#"{"token":"sess-3-7405c22837d4bd88"}"# },
+    StateRow { setup: Setup::Base, method: "POST", path: "/v1/sessions", body: r#"{"user":"ada"}"#,
+               status: 400, reply: r#"{"error":"expected {user, class}"}"# },
+    StateRow { setup: Setup::Base, method: "POST", path: "/v1/sessions", body: r#"{"user":"ada","class":"vip"}"#,
+               status: 400, reply: r#"{"error":"class must be production|test|development"}"# },
+    StateRow { setup: Setup::Drained, method: "POST", path: "/v1/sessions", body: r#"{"user":"ada","class":"test"}"#,
+               status: 503, reply: r#"{"error":"unavailable: daemon is stopped"}"# },
+    // ---- DELETE /v1/sessions/{token} ----
+    StateRow { setup: Setup::Base, method: "DELETE", path: "/v1/sessions/{T}", body: "",
+               status: 200, reply: "{}" },
+    StateRow { setup: Setup::Base, method: "DELETE", path: "/v1/sessions/sess-0-bogus", body: "",
+               status: 401, reply: r#"{"error":"session error: unknown or expired session token"}"# },
+    // ---- GET /v1/sessions: the first session submitted two and cancelled one ----
+    StateRow { setup: Setup::Cancelled, method: "GET", path: "/v1/sessions", body: "",
+               status: 200, reply: r#"[{"token":"sess-1-e4237f51974c14f7","user":"golden","class":"Production","created_at":0,"last_active":0,"task_count":1},{"token":"sess-2-28b1d5e129477419","user":"stranger","class":"Test","created_at":0,"last_active":0,"task_count":1}]"# },
+    // ---- DELETE /v1/tasks/{id} ----
+    StateRow { setup: Setup::Base, method: "DELETE", path: "/v1/tasks/2?token={T}", body: "",
+               status: 200, reply: "{}" },
+    StateRow { setup: Setup::Base, method: "DELETE", path: "/v1/tasks/2?token=sess-0-bogus", body: "",
+               status: 401, reply: r#"{"error":"session error: unknown or expired session token"}"# },
+    StateRow { setup: Setup::Base, method: "DELETE", path: "/v1/tasks/3?token={T}", body: "",
+               status: 403, reply: r#"{"error":"forbidden: task belongs to another session"}"# },
+    StateRow { setup: Setup::Base, method: "DELETE", path: "/v1/tasks/99?token={T}", body: "",
+               status: 404, reply: r#"{"error":"unknown task 99"}"# },
+    StateRow { setup: Setup::Base, method: "DELETE", path: "/v1/tasks/1?token={T}", body: "",
+               status: 409, reply: r#"{"error":"queue error: task is not queued"}"# },
+    // ---- /v1/admin/qpu/status ----
+    StateRow { setup: Setup::Base, method: "GET", path: "/v1/admin/qpu/status", body: "",
+               status: 200, reply: r#"{"status":"Operational"}"# },
+    StateRow { setup: Setup::Base, method: "POST", path: "/v1/admin/qpu/status", body: r#"{"status":"maintenance"}"#,
+               status: 200, reply: "{}" },
+    StateRow { setup: Setup::Base, method: "POST", path: "/v1/admin/qpu/status", body: r#"{"status":"broken"}"#,
+               status: 400, reply: r#"{"error":"status must be operational|calibrating|maintenance|down"}"# },
+];
+
+/// The session, cancel and admin routes. Every reply is JSON, and the
+/// daemon state behind it is built through the public API, so session
+/// tokens and clocks are deterministic.
+#[test]
+fn state_changing_routes_answer_their_golden_replies() {
+    let mut drift = String::new();
+    for (i, row) in STATE_ROWS.iter().enumerate() {
+        let got = state_answer(row);
+        let want = (row.status, JSON.to_string(), row.reply.to_string());
+        if got != want {
+            let _ = writeln!(
+                drift,
+                "row {i} {} {}\n  want {want:?}\n  got  {got:?}",
+                row.method, row.path
             );
         }
     }
