@@ -300,7 +300,7 @@ impl MiddlewareService {
     /// re-applied here.
     pub fn with_qpu_admin(mut self, qpu: VirtualQpu) -> Self {
         if let Some(status) = self.last_qpu_status.get_mut().as_deref() {
-            if let Some(s) = parse_qpu_status(status) {
+            if let Some(s) = QpuStatus::parse(status) {
                 qpu.set_status(s);
             }
         }
@@ -554,7 +554,7 @@ impl MiddlewareService {
         match &self.qpu_admin {
             Some(q) => {
                 q.set_status(s);
-                let status = qpu_status_str(s).to_string();
+                let status = s.as_str().to_string();
                 *self.last_qpu_status.lock() = Some(status.clone());
                 self.journal_append(&JournalRecord::QpuStatusChanged { status });
                 Ok(())
@@ -599,26 +599,6 @@ impl MiddlewareService {
             .entry(id)
             .map(|e| e.excluded.iter().cloned().collect());
         excluded.unwrap_or_default()
-    }
-}
-
-/// String forms of [`QpuStatus`] used in journal records.
-fn qpu_status_str(s: QpuStatus) -> &'static str {
-    match s {
-        QpuStatus::Operational => "operational",
-        QpuStatus::Calibrating => "calibrating",
-        QpuStatus::Maintenance => "maintenance",
-        QpuStatus::Down => "down",
-    }
-}
-
-fn parse_qpu_status(s: &str) -> Option<QpuStatus> {
-    match s {
-        "operational" => Some(QpuStatus::Operational),
-        "calibrating" => Some(QpuStatus::Calibrating),
-        "maintenance" => Some(QpuStatus::Maintenance),
-        "down" => Some(QpuStatus::Down),
-        _ => None,
     }
 }
 

@@ -251,10 +251,7 @@ pub fn route(svc: &MiddlewareService, req: &Request) -> Response {
         }
         ("GET", ["metrics"]) => Response::text(200, svc.metrics_text()),
         ("GET", ["v1", "admin", "qpu", "status"]) => match svc.qpu_status() {
-            Some(s) => Response::json(
-                200,
-                serde_json::json!({ "status": format!("{s:?}") }).to_string(),
-            ),
+            Some(s) => Response::json(200, serde_json::json!({ "status": s.as_str() }).to_string()),
             None => Response::json(404, r#"{"error":"no admin access to a device"}"#),
         },
         ("POST", ["v1", "admin", "qpu", "status"]) => {
@@ -264,12 +261,8 @@ pub fn route(svc: &MiddlewareService, req: &Request) -> Response {
             let Ok(sr): Result<StatusReq, _> = serde_json::from_str(body) else {
                 return bad_request("expected {status}");
             };
-            let status = match sr.status.as_str() {
-                "operational" => QpuStatus::Operational,
-                "calibrating" => QpuStatus::Calibrating,
-                "maintenance" => QpuStatus::Maintenance,
-                "down" => QpuStatus::Down,
-                _ => return bad_request("status must be operational|calibrating|maintenance|down"),
+            let Some(status) = QpuStatus::parse(&sr.status) else {
+                return bad_request("status must be operational|calibrating|maintenance|down");
             };
             match svc.set_qpu_status(status) {
                 Ok(()) => Response::json(200, "{}"),
@@ -779,6 +772,40 @@ mod tests {
             .request("DELETE", &format!("/v1/tasks/{id}?token={token}"), None)
             .unwrap();
         assert_eq!(st, 200);
+    }
+
+    /// What `GET /v1/admin/qpu/status` answers, `POST` takes back as is.
+    #[test]
+    fn admin_status_read_posts_back_unchanged() {
+        let qpu = hpcqc_qpu::VirtualQpu::new("fresnel-1", 7);
+        qpu.set_status(QpuStatus::Maintenance);
+        let res = Arc::new(LocalEmulatorResource::new(
+            "emu",
+            Arc::new(SvBackend::default()),
+            1,
+        ));
+        let svc = MiddlewareService::new(res, DaemonConfig::default()).with_qpu_admin(qpu);
+        let call = |method: &str, body: &[u8]| {
+            let req = Request {
+                method: method.into(),
+                path: "/v1/admin/qpu/status".into(),
+                query: Default::default(),
+                headers: Default::default(),
+                body: body.to_vec(),
+            };
+            route(&svc, &req)
+        };
+        let read = call("GET", b"");
+        assert_eq!(read.status, 200);
+        let posted = call("POST", &read.body);
+        assert_eq!(
+            posted.status,
+            200,
+            "{:?}",
+            String::from_utf8_lossy(&posted.body)
+        );
+        assert_eq!(svc.qpu_status(), Some(QpuStatus::Maintenance));
+        assert_eq!(call("GET", b"").body, read.body);
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //!
 //! Every row runs on a fresh daemon with one session, task 1 completed and
 //! task 2 queued; a submit in a row is therefore task 3.
+//!
+//! A second table does the same for the JSON-only routes that change
+//! daemon state: opening, closing and listing sessions, cancelling a task,
+//! and reading and setting the device status.
 
 use hpcqc_emulator::SvBackend;
 use hpcqc_middleware::http::Request;
@@ -356,7 +360,7 @@ const STATE_ROWS: &[StateRow] = &[
                status: 409, reply: r#"{"error":"queue error: task is not queued"}"# },
     // ---- /v1/admin/qpu/status ----
     StateRow { setup: Setup::Base, method: "GET", path: "/v1/admin/qpu/status", body: "",
-               status: 200, reply: r#"{"status":"Operational"}"# },
+               status: 200, reply: r#"{"status":"operational"}"# },
     StateRow { setup: Setup::Base, method: "POST", path: "/v1/admin/qpu/status", body: r#"{"status":"maintenance"}"#,
                status: 200, reply: "{}" },
     StateRow { setup: Setup::Base, method: "POST", path: "/v1/admin/qpu/status", body: r#"{"status":"broken"}"#,

@@ -32,6 +32,27 @@ pub enum QpuStatus {
     Down,
 }
 
+impl QpuStatus {
+    const NAMES: [(QpuStatus, &'static str); 4] = [
+        (QpuStatus::Operational, "operational"),
+        (QpuStatus::Calibrating, "calibrating"),
+        (QpuStatus::Maintenance, "maintenance"),
+        (QpuStatus::Down, "down"),
+    ];
+
+    /// The status's one string form: what the admin API reads and writes
+    /// and what the daemon journals.
+    pub fn as_str(&self) -> &'static str {
+        let named = Self::NAMES.iter().find(|(s, _)| s == self);
+        named.expect("every status is named").1
+    }
+
+    /// The inverse of [`as_str`](Self::as_str).
+    pub fn parse(s: &str) -> Option<QpuStatus> {
+        Self::NAMES.iter().find(|(_, n)| *n == s).map(|(s, _)| *s)
+    }
+}
+
 /// Errors surfaced by the device.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QpuError {
@@ -441,6 +462,14 @@ mod tests {
         ));
         qpu.set_status(QpuStatus::Operational);
         assert!(qpu.execute(&pi_pulse_ir(1, 10), 1).is_ok());
+    }
+
+    #[test]
+    fn status_names_round_trip() {
+        for (s, name) in QpuStatus::NAMES {
+            assert_eq!((s.as_str(), QpuStatus::parse(name)), (name, Some(s)));
+        }
+        assert_eq!(QpuStatus::parse("Maintenance"), None);
     }
 
     #[test]
