@@ -72,8 +72,9 @@ impl MiddlewareService {
     }
 
     /// Submit N programs as one unit: per-frame validation runs outside any
-    /// shared lock, then every accepted task enters the task table under a
-    /// *single* hold, and the journal records go out as deferred appends
+    /// shared lock, then every accepted task enters the task table — and is
+    /// charged to its session — under a *single* hold, and the journal
+    /// records go out as deferred appends
     /// that the group-commit machinery flushes with one fsync for the whole
     /// batch. Outcomes are per-frame and order-preserving: one frame failing
     /// validation (or hitting a session quota) does not poison its
@@ -98,16 +99,13 @@ impl MiddlewareService {
                 .map(|p| Self::admit(&mut tasks, p?, &mut journal))
                 .collect()
         };
-        // Phase 3: accounting, then deferred journal appends; the dispatcher
+        // Phase 3: counters, then deferred journal appends; the dispatcher
         // flushes the buffered batch with a single write + fsync (group commit).
         let mut records = journal.iter().peekable();
         while let Some(rec) = records.next() {
             let JournalRecord::TaskSubmitted { task, .. } = rec else {
                 continue;
             };
-            // The session may have closed or expired since prepare validated
-            // it; the task is admitted all the same, so that is not an error.
-            let _ = self.sessions.record_task(&task.session);
             // the only completions journaled here are dev-cache hits
             let counter = match records.peek() {
                 Some(JournalRecord::TaskCompleted { .. }) => &catalog::DAEMON_DEV_CACHE_HITS,
@@ -127,7 +125,9 @@ impl MiddlewareService {
     }
 
     /// Admit one prepared frame under the caller's table hold, pushing the
-    /// records it applied onto `journal`.
+    /// records it applied onto `journal`. Applying the `TaskSubmitted`
+    /// charges the task's session, if it is still open: one closed since
+    /// prepare validated it does not stop the task.
     fn admit(
         tasks: &mut TaskTable,
         prepared: Prepared,
@@ -160,17 +160,16 @@ impl MiddlewareService {
         // the same terminal state (the cache itself is volatile)
         let completed = cached.map(|result| JournalRecord::TaskCompleted { id, result, at });
         for rec in [Some(submitted), completed].into_iter().flatten() {
-            tasks
-                .apply(&rec)
-                .map_err(|e| DaemonError::Internal(e.to_string()))?;
+            tasks.apply(&rec)?;
             journal.push(rec);
         }
         Ok(id)
     }
 
-    /// Everything submit does *before* the task table: session + idempotency
-    /// checks, dev shot capping, validation/analysis, task construction,
-    /// and the dev result cache lookup.
+    /// Everything submit does *before* admission: the session and
+    /// idempotency checks (one table hold), dev shot capping,
+    /// validation/analysis, task construction, and the dev result cache
+    /// lookup.
     fn prepare_submit(&self, item: SubmitItem) -> Result<Prepared, DaemonError> {
         let SubmitItem {
             token,
@@ -178,13 +177,16 @@ impl MiddlewareService {
             mut hint,
             idempotency_key,
         } = item;
-        let session = self.validate_session(&token)?;
-        if let Some(key) = &idempotency_key {
-            let original = self.tasks.lock().idempotent(key);
-            if let Some(original) = original {
-                self.count_class(&catalog::DAEMON_IDEMPOTENT_HITS, session.class);
-                return Ok(Prepared::Done(original));
-            }
+        let (checked, original) = {
+            let mut tasks = self.tasks.lock();
+            let checked = self.check_session(&mut tasks, &token);
+            let key = idempotency_key.as_deref();
+            (checked, key.and_then(|k| tasks.idempotent(k)))
+        };
+        let session = self.after_check(&token, checked)?;
+        if let Some(original) = original {
+            self.count_class(&catalog::DAEMON_IDEMPOTENT_HITS, session.class);
+            return Ok(Prepared::Done(original));
         }
         if session.class == PriorityClass::Development && ir.shots > self.cfg.dev_shot_cap {
             ir.shots = self.cfg.dev_shot_cap;
@@ -330,9 +332,9 @@ impl MiddlewareService {
         }
     }
 
-    /// Cancel a queued task (the owner's session token must match). The
-    /// session's live-task count is refunded so a cancelled task does not
-    /// consume quota forever.
+    /// Cancel a queued task (the owner's session token must match). Applying
+    /// the `TaskCancelled` refunds the session's live-task count in the same
+    /// hold, so a cancelled task does not consume quota forever.
     pub fn cancel(&self, token: &str, id: u64) -> Result<(), DaemonError> {
         self.validate_session(token)?;
         let rec = JournalRecord::TaskCancelled { id };
@@ -350,12 +352,8 @@ impl MiddlewareService {
                 }
                 None => return Err(DaemonError::UnknownTask(id)),
             }
-            tasks
-                .apply(&rec)
-                .map_err(|e| DaemonError::Internal(e.to_string()))?;
+            tasks.apply(&rec)?;
         }
-        // refund the quota slot the task was holding
-        let _ = self.sessions.release_task(token);
         self.journal_append_deferred(&rec);
         Ok(())
     }

@@ -195,7 +195,7 @@ impl MiddlewareService {
             .map_err(|e| e.to_string());
         res.release(&lease).map_err(|e| e.to_string())?;
         if let Ok(r) = &out {
-            *self.clock.lock() += r.execution_secs;
+            self.advance_clock(r.execution_secs);
             if let Some(f) = &self.fairshare {
                 f.charge(&task.user, r.execution_secs, self.now());
             }

@@ -17,9 +17,9 @@ pub use dispatch::DispatcherHandle;
 pub use replication::{ReadinessReport, ReplicaRole, ShipperHandle};
 
 use crate::journal::{JournalConfig, JournalRecord, SharedJournal};
-use crate::session::{PriorityClass, Session, SessionError, SessionManager};
+use crate::session::{mint_token, PriorityClass, Session, SessionError};
 use crate::taskqueue::{QueueConfig, QueueError, TaskQueue};
-use crate::tasks::TaskTable;
+use crate::tasks::{Applied, IllegalTransition, TaskTable};
 use hpcqc_analysis::Analyzer;
 use hpcqc_emulator::SampleResult;
 use hpcqc_program::DeviceSpec;
@@ -29,7 +29,7 @@ use hpcqc_sync::{rank, TrackedMutex as Mutex, TrackedRwLock};
 use hpcqc_telemetry::{catalog, labels, Labels, Registry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Daemon configuration (the site-tunable `slurm.conf` analogue of §3.4).
@@ -177,6 +177,14 @@ impl From<SessionError> for DaemonError {
     }
 }
 
+/// A live path built a record the table refused: a daemon bug, never a
+/// client's.
+impl From<IllegalTransition> for DaemonError {
+    fn from(e: IllegalTransition) -> Self {
+        DaemonError::Internal(e.to_string())
+    }
+}
+
 impl From<QueueError> for DaemonError {
     fn from(e: QueueError) -> Self {
         DaemonError::Queue(e.to_string())
@@ -185,10 +193,11 @@ impl From<QueueError> for DaemonError {
 
 /// The middleware daemon.
 pub struct MiddlewareService {
-    sessions: SessionManager,
-    /// Every task's lifecycle state, the dispatch queue and the idempotency
-    /// map: one table behind one lock, changed only by `TaskTable::apply`.
-    /// Never held across a journal write, an fsync, analysis or a QRMI call.
+    /// The daemon's replicated state: every task's lifecycle, the dispatch
+    /// queue, the idempotency map, the open sessions, the admin-set device
+    /// status and the replay floors — one table behind one lock, changed
+    /// only by `TaskTable::apply`. Never held across a journal write, an
+    /// fsync, analysis or a QRMI call.
     tasks: Mutex<TaskTable>,
     resource: Arc<dyn QuantumResource>,
     /// Direct handle to the device for the admin surface (None when the
@@ -198,7 +207,11 @@ pub struct MiddlewareService {
     /// failing on the primary (e.g. a local emulator for degraded service).
     alternates: Vec<Arc<dyn QuantumResource>>,
     next_task: AtomicU64,
-    clock: Mutex<f64>,
+    /// The counter of the next session token (minted under the table hold).
+    session_counter: AtomicU64,
+    /// The simulated clock (seconds), an `f64` in an atomic word: the submit
+    /// and status paths read it without a lock. It only moves forward.
+    clock: AtomicU64,
     registry: Registry,
     cfg: DaemonConfig,
     /// Serializes dispatch: the QPU is a serial device, and concurrent REST
@@ -223,10 +236,6 @@ pub struct MiddlewareService {
     compact_gate: TrackedRwLock<()>,
     /// Serving → Draining → Stopped.
     lifecycle: Mutex<DaemonHealth>,
-    /// Last admin-set device status (string form): persisted in snapshots,
-    /// recovered from the journal (which outlives the `VirtualQpu` instance)
-    /// and re-applied when the admin handle is attached.
-    last_qpu_status: Mutex<Option<String>>,
     /// Replication role and shipping lag (readiness reporting).
     replication: Mutex<ReplicationState>,
 }
@@ -245,7 +254,6 @@ impl MiddlewareService {
             None => TaskQueue::new(cfg.queue),
         };
         MiddlewareService {
-            sessions: SessionManager::new(cfg.max_sessions),
             tasks: Mutex::new(
                 "middleware.daemon.tasks",
                 rank::TASKS,
@@ -255,7 +263,8 @@ impl MiddlewareService {
             qpu_admin: None,
             alternates: Vec::new(),
             next_task: AtomicU64::new(1),
-            clock: Mutex::new("middleware.daemon.clock", rank::CLOCK, 0.0),
+            session_counter: AtomicU64::new(1),
+            clock: AtomicU64::new(0),
             registry: Registry::new(),
             cfg,
             dispatch_lock: Mutex::new("middleware.daemon.dispatch", rank::DISPATCH, ()),
@@ -278,11 +287,6 @@ impl MiddlewareService {
                 rank::LIFECYCLE,
                 DaemonHealth::Ok,
             ),
-            last_qpu_status: Mutex::new(
-                "middleware.daemon.last_qpu_status",
-                rank::QPU_STATUS,
-                None,
-            ),
             replication: Mutex::new(
                 "middleware.daemon.replication",
                 rank::REPLICATION,
@@ -299,10 +303,8 @@ impl MiddlewareService {
     /// journal recorded an admin-set status before the restart, it is
     /// re-applied here.
     pub fn with_qpu_admin(mut self, qpu: VirtualQpu) -> Self {
-        if let Some(status) = self.last_qpu_status.get_mut().as_deref() {
-            if let Some(s) = QpuStatus::parse(status) {
-                qpu.set_status(s);
-            }
+        if let Some(s) = self.tasks.get_mut().qpu_status().and_then(QpuStatus::parse) {
+            qpu.set_status(s);
         }
         self.qpu_admin = Some(qpu);
         self
@@ -432,17 +434,32 @@ impl MiddlewareService {
 
     /// Daemon clock (seconds).
     pub fn now(&self) -> f64 {
-        *self.clock.lock()
+        f64::from_bits(self.clock.load(Ordering::Relaxed))
+    }
+
+    /// Move the clock `dt` forward; returns the new time.
+    fn advance_clock(&self, dt: f64) -> f64 {
+        let add = |t| Some((f64::from_bits(t) + dt).to_bits());
+        let before = self
+            .clock
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
+        f64::from_bits(before.expect("the update always answers")) + dt
     }
 
     /// Advance the daemon clock (simulated idle time). Expires idle
     /// sessions past their TTL.
     pub fn advance_time(&self, dt: f64) {
-        *self.clock.lock() += dt;
+        let rec = JournalRecord::ClockAdvanced {
+            to: self.advance_clock(dt),
+        };
         if let Some(q) = &self.qpu_admin {
             q.advance_time(dt);
         }
-        self.journal_append(&JournalRecord::ClockAdvanced { to: self.now() });
+        self.tasks
+            .lock()
+            .apply(&rec)
+            .expect("the clock record is legal");
+        self.journal_append(&rec);
         self.gc_sessions();
     }
 
@@ -452,33 +469,59 @@ impl MiddlewareService {
             return;
         }
         let cutoff = self.now() - self.cfg.session_ttl_secs;
-        let expired = self.sessions.gc(cutoff);
-        if !expired.is_empty() {
-            self.count(&catalog::DAEMON_SESSIONS_EXPIRED, expired.len());
-            self.journal_append(&JournalRecord::SessionsExpired {
-                tokens: expired.into_iter().map(|s| s.token).collect(),
-            });
-        }
+        let (expired, rec) = {
+            let mut tasks = self.tasks.lock();
+            let tokens = tasks.idle_since(cutoff);
+            if tokens.is_empty() {
+                return;
+            }
+            let (n, rec) = (tokens.len(), JournalRecord::SessionsExpired { tokens });
+            tasks.apply(&rec).expect("session records are legal");
+            (n, rec)
+        };
+        self.count(&catalog::DAEMON_SESSIONS_EXPIRED, expired);
+        self.journal_append(&rec);
     }
 
-    /// TTL-aware session validation used by every client-facing call: an
-    /// idle-expired session is removed, journaled, and reported as
-    /// [`SessionError::Expired`]; an active one has its idle clock touched.
-    fn validate_session(&self, token: &str) -> Result<Session, DaemonError> {
-        match self
-            .sessions
-            .validate_active(token, self.now(), self.cfg.session_ttl_secs)
-        {
-            Ok(s) => Ok(s),
-            Err(SessionError::Expired) => {
-                self.count(&catalog::DAEMON_SESSIONS_EXPIRED, 1);
-                self.journal_append(&JournalRecord::SessionsExpired {
-                    tokens: vec![token.to_string()],
-                });
-                Err(SessionError::Expired.into())
-            }
-            Err(e) => Err(e.into()),
+    /// TTL-aware session lookup under the caller's table hold, for every
+    /// client-facing call: an idle-expired session is removed by applying
+    /// `SessionsExpired` ([`Self::after_check`] journals it once the hold is
+    /// released) and reported as [`SessionError::Expired`]; an active one
+    /// has its idle clock touched.
+    fn check_session(&self, tasks: &mut TaskTable, token: &str) -> Result<Session, SessionError> {
+        let (now, ttl) = (self.now(), self.cfg.session_ttl_secs);
+        let s = tasks.session(token).ok_or(SessionError::UnknownToken)?;
+        if ttl > 0.0 && now - s.last_active >= ttl {
+            let rec = JournalRecord::SessionsExpired {
+                tokens: vec![token.to_string()],
+            };
+            tasks.apply(&rec).expect("session records are legal");
+            return Err(SessionError::Expired);
         }
+        Ok(tasks
+            .touch(token, now)
+            .expect("the session was just looked up"))
+    }
+
+    /// The part of a [`Self::check_session`] that waits for the table hold
+    /// to be released: count and journal the expiry it applied.
+    fn after_check(
+        &self,
+        token: &str,
+        checked: Result<Session, SessionError>,
+    ) -> Result<Session, DaemonError> {
+        if checked == Err(SessionError::Expired) {
+            self.count(&catalog::DAEMON_SESSIONS_EXPIRED, 1);
+            self.journal_append(&JournalRecord::SessionsExpired {
+                tokens: vec![token.to_string()],
+            });
+        }
+        Ok(checked?)
+    }
+
+    fn validate_session(&self, token: &str) -> Result<Session, DaemonError> {
+        let checked = self.check_session(&mut self.tasks.lock(), token);
+        self.after_check(token, checked)
     }
 
     /// Reject client calls once draining/stopped — or while this daemon is
@@ -499,28 +542,52 @@ impl MiddlewareService {
 
     // ---- session API -------------------------------------------------
 
-    /// Open a session for `user` in `class`; returns the token.
+    /// Open a session for `user` in `class`; returns the token. The site's
+    /// session cap is checked, and the token minted, in the hold that
+    /// applies the `SessionOpened`.
     pub fn open_session(&self, user: &str, class: PriorityClass) -> Result<String, DaemonError> {
         self.check_admitting()?;
-        let s = self.sessions.open(user, class, self.now())?;
+        let (token, rec) = {
+            let mut tasks = self.tasks.lock();
+            let max = self.cfg.max_sessions;
+            if max > 0 && tasks.session_count() >= max {
+                return Err(SessionError::TooManySessions(max).into());
+            }
+            let n = self.session_counter.fetch_add(1, Ordering::Relaxed);
+            let now = self.now();
+            let session = Session {
+                token: mint_token(n, user),
+                user: user.into(),
+                class,
+                created_at: now,
+                last_active: now,
+                task_count: 0,
+            };
+            let token = session.token.clone();
+            let rec = JournalRecord::SessionOpened { session };
+            tasks.apply(&rec)?;
+            (token, rec)
+        };
         self.count_class(&catalog::DAEMON_SESSIONS_OPENED, class);
-        let token = s.token.clone();
-        self.journal_append_deferred(&JournalRecord::SessionOpened { session: s });
+        self.journal_append_deferred(&rec);
         Ok(token)
     }
 
     /// Close a session.
     pub fn close_session(&self, token: &str) -> Result<(), DaemonError> {
-        self.sessions.close(token)?;
-        self.journal_append_deferred(&JournalRecord::SessionClosed {
+        let rec = JournalRecord::SessionClosed {
             token: token.to_string(),
-        });
+        };
+        if self.tasks.lock().apply(&rec)? == Applied::NoOp {
+            return Err(SessionError::UnknownToken.into());
+        }
+        self.journal_append_deferred(&rec);
         Ok(())
     }
 
-    /// List sessions (admin).
-    pub fn list_sessions(&self) -> Vec<crate::session::Session> {
-        self.sessions.list()
+    /// List sessions (admin), oldest first.
+    pub fn list_sessions(&self) -> Vec<Session> {
+        self.tasks.lock().sessions()
     }
 
     /// The current device spec, fetched through QRMI — what clients validate
@@ -554,9 +621,11 @@ impl MiddlewareService {
         match &self.qpu_admin {
             Some(q) => {
                 q.set_status(s);
-                let status = s.as_str().to_string();
-                *self.last_qpu_status.lock() = Some(status.clone());
-                self.journal_append(&JournalRecord::QpuStatusChanged { status });
+                let rec = JournalRecord::QpuStatusChanged {
+                    status: s.as_str().to_string(),
+                };
+                self.tasks.lock().apply(&rec)?;
+                self.journal_append(&rec);
                 Ok(())
             }
             None => Err(DaemonError::Forbidden(

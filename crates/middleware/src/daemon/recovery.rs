@@ -1,9 +1,8 @@
-//! Snapshots, crash recovery (snapshot + `TaskTable::apply` over the WAL
-//! tail) and graceful drain.
+//! Snapshots, crash recovery (snapshot + `TaskTable::apply` over every WAL
+//! record) and graceful drain.
 
 use super::{DaemonConfig, DaemonError, DaemonHealth, DrainReport, MiddlewareService};
-use crate::journal::{DaemonSnapshot, Journal, JournalRecord, SharedJournal};
-use crate::tasks::Applied;
+use crate::journal::{DaemonSnapshot, Journal, SharedJournal};
 use hpcqc_qrmi::QuantumResource;
 use hpcqc_telemetry::{catalog, Labels};
 use std::path::Path;
@@ -11,19 +10,20 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 impl MiddlewareService {
-    /// Capture the full daemon state (what compaction persists). Running
-    /// tasks are folded back into the queued set: a snapshot never claims
-    /// work that has not produced a durable result.
+    /// Capture the full daemon state (what compaction persists): every
+    /// replicated field in one table hold, so a task and its session's
+    /// charge are seen together. Running tasks are folded back into the
+    /// queued set: a snapshot never claims work that has not produced a
+    /// durable result.
     pub fn snapshot_state(&self) -> DaemonSnapshot {
+        let tasks = self.tasks.lock();
         let mut snap = DaemonSnapshot {
             clock: self.now(),
             next_task: self.next_task.load(Ordering::Relaxed),
-            session_counter: self.sessions.counter_watermark(),
-            sessions: self.sessions.list(),
-            qpu_status: self.last_qpu_status.lock().clone(),
+            session_counter: self.session_counter.load(Ordering::Relaxed),
             ..DaemonSnapshot::default()
         };
-        self.tasks.lock().snapshot_into(&mut snap);
+        tasks.snapshot_into(&mut snap);
         snap
     }
 
@@ -48,32 +48,27 @@ impl MiddlewareService {
         let journal_cfg = cfg.journal;
         let mut svc = Self::new(resource, cfg);
 
-        // snapshot + `apply` over the WAL tail + "every Running goes back
-        // to Queued": recovery runs the live state machine
+        // snapshot + `apply` over every record + "every Running goes back
+        // to Queued": recovery runs the live state machine and nothing else
         let mut snap = replay.snapshot.unwrap_or_default();
         let mut table = std::mem::take(svc.tasks.get_mut())
             .with_snapshot(&mut snap)
             .map_err(|e| DaemonError::Internal(format!("restore task: {e}")))?;
-        svc.sessions.restore(snap.sessions, snap.session_counter);
-        svc.next_task
-            .store(snap.next_task.max(1), Ordering::Relaxed);
-        *svc.clock.get_mut() = snap.clock;
-        *svc.last_qpu_status.get_mut() = snap.qpu_status;
-        let mut illegal = 0usize;
-        for rec in &replay.records {
-            // the session a cancel refunds is only known while it is queued
-            let owner = match rec {
-                JournalRecord::TaskCancelled { id } => {
-                    table.queue().get(*id).map(|t| t.session.clone())
-                }
-                _ => None,
-            };
-            let applied = table.apply(rec);
-            illegal += applied.is_err() as usize;
-            svc.replay_rest(rec, applied == Ok(Applied::Changed), owner);
-        }
+        let illegal = replay
+            .records
+            .iter()
+            .filter(|rec| table.apply(rec).is_err());
+        let illegal = illegal.count();
         let (table, requeued_inflight) = table.into_recovered();
+        // the live counters start from the floors the records left
+        let floors = table.floors();
+        svc.next_task
+            .store(floors.next_task.max(1), Ordering::Relaxed);
+        let counter = floors.session_counter.max(1);
+        svc.session_counter.store(counter, Ordering::Relaxed);
+        svc.clock.store(floors.clock.to_bits(), Ordering::Relaxed);
         let recovered_tasks = table.queue().len();
+        let recovered_sessions = table.session_count();
         *svc.tasks.get_mut() = table;
 
         svc.registry.set(
@@ -91,7 +86,7 @@ impl MiddlewareService {
         }
         svc.count(&catalog::DAEMON_RECOVERED_TASKS, recovered_tasks);
         svc.count(&catalog::DAEMON_RECOVERY_REQUEUED, requeued_inflight);
-        svc.count(&catalog::DAEMON_RECOVERED_SESSIONS, svc.sessions.count());
+        svc.count(&catalog::DAEMON_RECOVERED_SESSIONS, recovered_sessions);
 
         let journal = SharedJournal::open(path, journal_cfg)
             .map_err(|e| DaemonError::Internal(format!("journal open: {e}")))?;
@@ -106,54 +101,6 @@ impl MiddlewareService {
         }
         svc.journal = Some(journal);
         Ok(svc)
-    }
-
-    /// The non-task remainder of replaying one WAL record: sessions, clock,
-    /// device status and the id watermarks (the task half went through
-    /// `TaskTable::apply`). `changed` says whether the table took the record
-    /// as a transition — a submit or cancel the snapshot already reflects
-    /// must not move its session's task count a second time — and
-    /// `cancelled_owner` is the session a `TaskCancelled` refunds.
-    fn replay_rest(&mut self, rec: &JournalRecord, changed: bool, cancelled_owner: Option<String>) {
-        let mut clock = *self.clock.get_mut();
-        match rec {
-            JournalRecord::SessionOpened { session } => {
-                // the token embeds the counter value ("sess-{n}-…"): keep
-                // the mint watermark ahead of every replayed token
-                let minted = session.token.split('-').nth(1);
-                let next = minted
-                    .and_then(|n| n.parse::<u64>().ok())
-                    .map_or(0, |n| n + 1);
-                self.sessions.restore(vec![session.clone()], next);
-            }
-            JournalRecord::SessionClosed { token } => drop(self.sessions.close(token)),
-            JournalRecord::SessionsExpired { tokens } => {
-                tokens.iter().for_each(|t| drop(self.sessions.close(t)))
-            }
-            JournalRecord::TaskSubmitted { task, .. } => {
-                clock = clock.max(task.submitted_at);
-                self.next_task.fetch_max(task.id + 1, Ordering::Relaxed);
-                if changed {
-                    let _ = self.sessions.record_task(&task.session);
-                }
-            }
-            JournalRecord::TaskDispatched { at, .. } | JournalRecord::TaskCompleted { at, .. } => {
-                clock = clock.max(*at);
-            }
-            JournalRecord::TaskCancelled { .. } => {
-                if let (true, Some(owner)) = (changed, cancelled_owner) {
-                    let _ = self.sessions.release_task(&owner);
-                }
-            }
-            JournalRecord::QpuStatusChanged { status } => {
-                *self.last_qpu_status.get_mut() = Some(status.clone());
-            }
-            JournalRecord::ClockAdvanced { to } => clock = clock.max(*to),
-            JournalRecord::TaskRequeued { .. }
-            | JournalRecord::TaskAttemptFailed { .. }
-            | JournalRecord::TaskFailed { .. } => {}
-        }
-        *self.clock.get_mut() = clock;
     }
 
     /// Graceful drain: stop admitting sessions and tasks, keep dispatching

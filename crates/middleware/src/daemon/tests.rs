@@ -513,15 +513,16 @@ fn idle_timer_still_syncs_a_lone_deferred_record() {
         1,
         "deferred, not written through"
     );
-    while journal.unsynced_appends() > 0 {
+    // the count drops to 0 as the batch is taken, a moment before its
+    // write lands: wait for the record in the WAL too
+    let in_wal = || Journal::load(&dir).unwrap().records.len() == 1;
+    while journal.unsynced_appends() > 0 || !in_wal() {
         assert!(
             t0.elapsed() < 2 * interval,
             "the idle timer never synced the buffered record"
         );
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
-    let on_disk = Journal::load(&dir).unwrap();
-    assert_eq!(on_disk.records.len(), 1, "the session record is in the WAL");
 }
 
 #[test]
@@ -1280,9 +1281,9 @@ fn expired_session_rejected_at_validate_time() {
     });
     let idle = d.open_session("idle", PriorityClass::Production).unwrap();
     let busy = d.open_session("busy", PriorityClass::Production).unwrap();
-    *d.clock.lock() += 50.0; // execution time, not advance_time: no gc
+    d.advance_clock(50.0); // execution time, not advance_time: no gc
     d.submit(&busy, ir(5), PatternHint::None).unwrap(); // touches busy
-    *d.clock.lock() += 70.0; // idle now 120 s stale, busy only 70 s
+    d.advance_clock(70.0); // idle now 120 s stale, busy only 70 s
     assert!(matches!(
         d.submit(&idle, ir(5), PatternHint::None),
         Err(DaemonError::Session(SessionError::Expired))
@@ -1298,7 +1299,7 @@ fn stale_sessions_gced_on_pump() {
         ..DaemonConfig::default()
     });
     d.open_session("alice", PriorityClass::Production).unwrap();
-    *d.clock.lock() += 150.0; // past the TTL with no gc sweep yet
+    d.advance_clock(150.0); // past the TTL with no gc sweep yet
     assert_eq!(d.list_sessions().len(), 1);
     assert!(d.pump_once().is_none()); // idle pump still sweeps sessions
     assert!(d.list_sessions().is_empty(), "gc runs on pump_once");
@@ -1444,6 +1445,65 @@ fn submitters_racing_the_dispatcher_leave_every_acked_task_finished_once() {
     assert!(!d2
         .metrics_text()
         .contains("daemon_recovery_requeued_total 1"));
+}
+
+/// Submitters that cancel what they submit, racing the dispatcher while
+/// every append compacts: a compaction that lands between a task's
+/// admission and its session's charge (or a cancel and its refund) would
+/// snapshot one without the other, and replay cannot repair that. The
+/// recovered sessions must equal the live ones, charges included.
+#[test]
+fn submitters_and_cancellers_racing_compaction_recover_every_session_charge() {
+    let dir = journal_dir("charge-vs-compaction");
+    let cfg = DaemonConfig {
+        journal: JournalConfig {
+            fsync_every: 0,
+            compact_every: 1,
+            group_max_records: 1,
+        },
+        ..DaemonConfig::default()
+    };
+    let d = Arc::new(MiddlewareService::recover(&dir, emu_resource(), cfg.clone()).unwrap());
+    let start = Arc::new(std::sync::Barrier::new(5));
+    let submitters: Vec<_> = (0..4)
+        .map(|i| {
+            let (d, start) = (Arc::clone(&d), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let tok = d
+                    .open_session(&format!("user{i}"), PriorityClass::Test)
+                    .unwrap();
+                start.wait();
+                for _ in 0..15 {
+                    let id = d.submit(&tok, ir(5), PatternHint::None).unwrap();
+                    // best-effort: the dispatcher may have claimed it already
+                    let _ = d.cancel(&tok, id);
+                }
+            })
+        })
+        .collect();
+    start.wait();
+    while submitters.iter().any(|t| !t.is_finished()) {
+        d.pump_batch(4);
+    }
+    for t in submitters {
+        t.join().unwrap();
+    }
+    d.pump();
+    let charges = |d: &MiddlewareService| {
+        let sessions = d.snapshot_state().sessions.into_iter();
+        sessions
+            .map(|s| (s.token, s.user, s.class, s.task_count))
+            .collect::<Vec<_>>()
+    };
+    let live = charges(&d);
+    d.sync_journal();
+    drop(d);
+    let d2 = MiddlewareService::recover(&dir, emu_resource(), cfg).unwrap();
+    assert_eq!(
+        charges(&d2),
+        live,
+        "recovered session charges differ from live"
+    );
 }
 
 #[test]

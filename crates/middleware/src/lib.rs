@@ -4,12 +4,14 @@
 //! lightweight service on the quantum access node adding a second level of
 //! scheduling below Slurm.
 //!
-//! * [`SessionManager`] — multi-user sessions with bearer tokens and the
-//!   three priority classes (production / test / development),
+//! * [`session`] — multi-user sessions with bearer tokens and the three
+//!   priority classes (production / test / development),
 //! * [`TaskQueue`] — priority queue with aging and shot-boundary preemption
 //!   semantics,
 //! * [`MiddlewareService`] — the daemon core: validation against the live
 //!   device spec, chunked execution through QRMI, admin + telemetry surface,
+//!   and one replicated state — tasks, sessions, device status, replay
+//!   floors — changed only by applying journal records (`tasks.rs`),
 //! * [`journal`] — write-ahead journal + snapshots giving the daemon durable
 //!   state: crash recovery, idempotent submission, graceful drain,
 //! * [`http`] / [`server`] / [`rest`] — a real HTTP/1.1 REST API served by
@@ -45,5 +47,5 @@ pub use journal::{
     ShipEvent, ShippedBatch, ShippedSnapshot,
 };
 pub use server::{HttpServer, ServerConfig};
-pub use session::{PriorityClass, Session, SessionError, SessionManager};
+pub use session::{PriorityClass, Session, SessionError};
 pub use taskqueue::{QuantumTask, QueueConfig, QueueError, TaskQueue};

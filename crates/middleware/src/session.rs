@@ -6,12 +6,13 @@
 //! (production / test / development), which the daemon maps to queue
 //! priorities — mirroring how the classes map to Slurm partitions one level
 //! below.
+//!
+//! Open sessions live in the daemon's task table (`crate::tasks`) and change
+//! only as it applies `SessionOpened`, `SessionClosed` and `SessionsExpired`
+//! records; this module holds the session type, its errors and the token
+//! format.
 
-use hpcqc_sync::{rank, TrackedMutex as Mutex};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 pub use hpcqc_scheduler::PriorityClass;
 
@@ -56,216 +57,140 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-/// Thread-safe session registry.
-#[derive(Clone)]
-pub struct SessionManager {
-    inner: Arc<Mutex<HashMap<String, Session>>>,
-    counter: Arc<AtomicU64>,
-    /// Site policy: maximum concurrent sessions (0 = unlimited).
-    pub max_sessions: usize,
+/// The bearer token of the `n`-th session the daemon opens, for `user`.
+///
+/// Tokens embed a non-guessable component derived from the counter and the
+/// user (this is a simulator: real deployments would use a CSPRNG, but the
+/// *interface* — opaque bearer token — is identical).
+pub(crate) fn mint_token(n: u64, user: &str) -> String {
+    // FNV-style mix so tokens aren't trivially sequential
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ n.wrapping_mul(0x100_0000_01b3);
+    for b in user.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    format!("sess-{n}-{h:016x}")
 }
 
-impl SessionManager {
-    pub fn new(max_sessions: usize) -> Self {
-        SessionManager {
-            inner: Arc::new(Mutex::new(
-                "middleware.sessions",
-                rank::SESSIONS,
-                HashMap::new(),
-            )),
-            counter: Arc::new(AtomicU64::new(1)),
-            max_sessions,
-        }
+/// The counter value `token` was minted with (`sess-{n}-…`).
+pub(crate) fn token_counter(token: &str) -> Option<u64> {
+    token.split('-').nth(1)?.parse().ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::daemon::{DaemonConfig, DaemonError, MiddlewareService};
+    use crate::journal::{DaemonSnapshot, JournalRecord as R};
+    use crate::taskqueue::{QuantumTask, QueueConfig, TaskQueue};
+    use crate::tasks::{Applied, TaskTable};
+    use hpcqc_emulator::SvBackend;
+    use hpcqc_program::{ProgramIr, Pulse, Register, SequenceBuilder};
+    use hpcqc_qrmi::LocalEmulatorResource;
+    use hpcqc_scheduler::PatternHint;
+    use std::sync::Arc;
+
+    fn table() -> TaskTable {
+        TaskTable::new(TaskQueue::new(QueueConfig::default()))
     }
 
-    /// Open a session; returns its token.
-    ///
-    /// Tokens embed a non-guessable component derived from a counter and the
-    /// user (this is a simulator: real deployments would use a CSPRNG, but
-    /// the *interface* — opaque bearer token — is identical).
-    pub fn open(
-        &self,
-        user: &str,
-        class: PriorityClass,
-        now: f64,
-    ) -> Result<Session, SessionError> {
-        let mut map = self.inner.lock();
-        if self.max_sessions > 0 && map.len() >= self.max_sessions {
-            return Err(SessionError::TooManySessions(self.max_sessions));
-        }
-        let n = self.counter.fetch_add(1, Ordering::Relaxed);
-        // FNV-style mix so tokens aren't trivially sequential
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ n.wrapping_mul(0x100_0000_01b3);
-        for b in user.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        let token = format!("sess-{n}-{h:016x}");
-        let s = Session {
-            token: token.clone(),
+    /// Open the `n`-th session, for `user`, through the table.
+    fn open(t: &mut TaskTable, n: u64, user: &str, class: PriorityClass, now: f64) -> String {
+        let session = Session {
+            token: mint_token(n, user),
             user: user.into(),
             class,
             created_at: now,
             last_active: now,
             task_count: 0,
         };
-        map.insert(token, s.clone());
-        Ok(s)
+        let token = session.token.clone();
+        assert_eq!(t.apply(&R::SessionOpened { session }), Ok(Applied::Changed));
+        token
     }
 
-    /// Validate a token, returning the session. No TTL is applied — use
-    /// [`SessionManager::validate_active`] on request paths.
-    pub fn validate(&self, token: &str) -> Result<Session, SessionError> {
-        self.inner
-            .lock()
-            .get(token)
-            .cloned()
-            .ok_or(SessionError::UnknownToken)
-    }
-
-    /// Validate a token *and* enforce the idle TTL: a session idle for
-    /// `ttl_secs` or longer (0 disables) is removed and reported as
-    /// [`SessionError::Expired`]. On success the session's `last_active`
-    /// advances to `now`, so activity keeps a session alive.
-    pub fn validate_active(
-        &self,
-        token: &str,
-        now: f64,
-        ttl_secs: f64,
-    ) -> Result<Session, SessionError> {
-        let mut map = self.inner.lock();
-        let s = map.get_mut(token).ok_or(SessionError::UnknownToken)?;
-        if ttl_secs > 0.0 && now - s.last_active >= ttl_secs {
-            map.remove(token);
-            return Err(SessionError::Expired);
+    fn submitted(id: u64, token: &str) -> R {
+        let mut b = SequenceBuilder::new(Register::linear(2, 6.0).unwrap());
+        b.add_global_pulse(Pulse::constant(0.5, 4.0, 0.0, 0.0).unwrap());
+        let task = QuantumTask {
+            id,
+            session: token.into(),
+            user: "u".into(),
+            class: PriorityClass::Test,
+            ir: Arc::new(ProgramIr::new(b.build().unwrap(), 10, "test")),
+            hint: PatternHint::None,
+            submitted_at: 1.0,
+        };
+        R::TaskSubmitted {
+            task,
+            idempotency_key: None,
+            warnings: Vec::new(),
         }
-        s.last_active = s.last_active.max(now);
-        Ok(s.clone())
     }
 
-    /// Record a task submission against the session.
-    pub fn record_task(&self, token: &str) -> Result<(), SessionError> {
-        let mut map = self.inner.lock();
-        let s = map.get_mut(token).ok_or(SessionError::UnknownToken)?;
-        s.task_count += 1;
-        Ok(())
+    fn count(t: &TaskTable, token: &str) -> u64 {
+        t.session(token).unwrap().task_count
     }
 
-    /// Refund a task slot (cancellation): the inverse of
-    /// [`SessionManager::record_task`], so per-session accounting does not
-    /// leak cancelled work.
-    pub fn release_task(&self, token: &str) -> Result<(), SessionError> {
-        let mut map = self.inner.lock();
-        let s = map.get_mut(token).ok_or(SessionError::UnknownToken)?;
-        s.task_count = s.task_count.saturating_sub(1);
-        Ok(())
+    fn daemon(cfg: DaemonConfig) -> MiddlewareService {
+        let backend = Arc::new(SvBackend::default());
+        MiddlewareService::new(Arc::new(LocalEmulatorResource::new("emu", backend, 1)), cfg)
     }
-
-    /// Close a session.
-    pub fn close(&self, token: &str) -> Result<Session, SessionError> {
-        self.inner
-            .lock()
-            .remove(token)
-            .ok_or(SessionError::UnknownToken)
-    }
-
-    /// Currently open sessions, sorted by creation time.
-    pub fn list(&self) -> Vec<Session> {
-        let mut v: Vec<Session> = self.inner.lock().values().cloned().collect();
-        v.sort_by(|a, b| {
-            a.created_at
-                .total_cmp(&b.created_at)
-                .then(a.token.cmp(&b.token))
-        });
-        v
-    }
-
-    /// Number of open sessions.
-    pub fn count(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// Expire sessions idle since `cutoff` or earlier; returns the removed
-    /// sessions (for journaling and metrics).
-    pub fn gc(&self, cutoff: f64) -> Vec<Session> {
-        let mut map = self.inner.lock();
-        let mut expired = Vec::new();
-        map.retain(|_, s| {
-            if s.last_active > cutoff {
-                true
-            } else {
-                expired.push(s.clone());
-                false
-            }
-        });
-        expired
-    }
-
-    /// The next token counter value (persisted across restarts so recovered
-    /// daemons never mint a token that collides with a live session).
-    pub fn counter_watermark(&self) -> u64 {
-        self.counter.load(Ordering::Relaxed)
-    }
-
-    /// Restore sessions and the token counter from a recovery replay. The
-    /// counter only moves forward.
-    pub fn restore(&self, sessions: Vec<Session>, counter: u64) {
-        let mut map = self.inner.lock();
-        for s in sessions {
-            map.insert(s.token.clone(), s);
-        }
-        self.counter.fetch_max(counter, Ordering::Relaxed);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn open_validate_close_lifecycle() {
-        let m = SessionManager::new(0);
-        let s = m.open("alice", PriorityClass::Production, 10.0).unwrap();
-        assert!(s.token.starts_with("sess-"));
-        let v = m.validate(&s.token).unwrap();
-        assert_eq!(v.user, "alice");
-        assert_eq!(v.class, PriorityClass::Production);
-        m.close(&s.token).unwrap();
-        assert_eq!(m.validate(&s.token), Err(SessionError::UnknownToken));
-        assert_eq!(m.close(&s.token), Err(SessionError::UnknownToken));
+        let mut t = table();
+        let token = open(&mut t, 1, "alice", PriorityClass::Production, 10.0);
+        assert!(token.starts_with("sess-"));
+        let s = t.session(&token).unwrap();
+        assert_eq!(
+            (s.user.as_str(), s.class),
+            ("alice", PriorityClass::Production)
+        );
+        let close = R::SessionClosed {
+            token: token.clone(),
+        };
+        assert_eq!(t.apply(&close), Ok(Applied::Changed));
+        assert!(t.session(&token).is_none());
+        assert_eq!(t.apply(&close), Ok(Applied::NoOp), "an unknown token");
     }
 
     #[test]
     fn tokens_are_unique() {
-        let m = SessionManager::new(0);
-        let a = m.open("u", PriorityClass::Development, 0.0).unwrap();
-        let b = m.open("u", PriorityClass::Development, 0.0).unwrap();
-        assert_ne!(a.token, b.token);
+        assert_ne!(mint_token(1, "u"), mint_token(2, "u"));
+        assert_ne!(mint_token(1, "u"), mint_token(1, "v"));
+        assert_eq!(token_counter(&mint_token(42, "u")), Some(42));
+        assert_eq!(token_counter("bogus"), None);
     }
 
     #[test]
     fn session_limit_enforced() {
-        let m = SessionManager::new(2);
-        m.open("a", PriorityClass::Test, 0.0).unwrap();
-        m.open("b", PriorityClass::Test, 0.0).unwrap();
+        let d = daemon(DaemonConfig {
+            max_sessions: 2,
+            ..DaemonConfig::default()
+        });
+        d.open_session("a", PriorityClass::Test).unwrap();
+        let b = d.open_session("b", PriorityClass::Test).unwrap();
         assert_eq!(
-            m.open("c", PriorityClass::Test, 0.0),
-            Err(SessionError::TooManySessions(2))
+            d.open_session("c", PriorityClass::Test),
+            Err(DaemonError::Session(SessionError::TooManySessions(2)))
         );
         // closing one frees a slot
-        let s = m.list()[0].clone();
-        m.close(&s.token).unwrap();
-        assert!(m.open("c", PriorityClass::Test, 0.0).is_ok());
+        d.close_session(&b).unwrap();
+        assert!(d.open_session("c", PriorityClass::Test).is_ok());
     }
 
     #[test]
     fn task_counting() {
-        let m = SessionManager::new(0);
-        let s = m.open("u", PriorityClass::Test, 0.0).unwrap();
-        m.record_task(&s.token).unwrap();
-        m.record_task(&s.token).unwrap();
-        assert_eq!(m.validate(&s.token).unwrap().task_count, 2);
-        assert_eq!(m.record_task("bogus"), Err(SessionError::UnknownToken));
+        let mut t = table();
+        let token = open(&mut t, 1, "u", PriorityClass::Test, 0.0);
+        for id in [1, 2] {
+            assert_eq!(t.apply(&submitted(id, &token)), Ok(Applied::Changed));
+        }
+        assert_eq!(count(&t, &token), 2);
+        // a task whose session is gone is admitted, and charges no one
+        assert_eq!(t.apply(&submitted(3, "bogus")), Ok(Applied::Changed));
+        assert_eq!(count(&t, &token), 2);
     }
 
     #[test]
@@ -285,75 +210,77 @@ mod tests {
 
     #[test]
     fn validate_active_enforces_ttl_and_touches() {
-        let m = SessionManager::new(0);
-        let s = m.open("u", PriorityClass::Test, 0.0).unwrap();
+        let d = daemon(DaemonConfig {
+            session_ttl_secs: 100.0,
+            ..DaemonConfig::default()
+        });
+        let tok = d.open_session("u", PriorityClass::Test).unwrap();
         // activity at t=50 keeps it alive and advances last_active
-        let v = m.validate_active(&s.token, 50.0, 100.0).unwrap();
-        assert_eq!(v.last_active, 50.0);
-        // idle 100s from t=50: expired exactly at the TTL boundary
-        assert_eq!(
-            m.validate_active(&s.token, 150.0, 100.0),
-            Err(SessionError::Expired)
-        );
-        // expiry removed it: a second check sees an unknown token
-        assert_eq!(
-            m.validate_active(&s.token, 150.0, 100.0),
-            Err(SessionError::UnknownToken)
-        );
+        d.advance_time(50.0);
+        assert_eq!(d.cancel(&tok, 99), Err(DaemonError::UnknownTask(99)));
+        assert_eq!(d.list_sessions()[0].last_active, 50.0);
+        // idle 100 s from t=50: expired exactly at the TTL boundary
+        d.advance_time(100.0);
+        assert!(d.list_sessions().is_empty());
+        let unknown = DaemonError::Session(SessionError::UnknownToken);
+        assert_eq!(d.cancel(&tok, 99), Err(unknown));
         // ttl 0 disables enforcement entirely
-        let s2 = m.open("v", PriorityClass::Test, 0.0).unwrap();
-        assert!(m.validate_active(&s2.token, 1e9, 0.0).is_ok());
+        let d = daemon(DaemonConfig::default());
+        let tok = d.open_session("v", PriorityClass::Test).unwrap();
+        d.advance_time(1e9);
+        assert_eq!(d.cancel(&tok, 99), Err(DaemonError::UnknownTask(99)));
     }
 
     #[test]
-    fn release_task_refunds_accounting() {
-        let m = SessionManager::new(0);
-        let s = m.open("u", PriorityClass::Test, 0.0).unwrap();
-        m.record_task(&s.token).unwrap();
-        m.record_task(&s.token).unwrap();
-        m.release_task(&s.token).unwrap();
-        assert_eq!(m.validate(&s.token).unwrap().task_count, 1);
-        // never underflows
-        m.release_task(&s.token).unwrap();
-        m.release_task(&s.token).unwrap();
-        assert_eq!(m.validate(&s.token).unwrap().task_count, 0);
-        assert_eq!(m.release_task("bogus"), Err(SessionError::UnknownToken));
+    fn cancel_refunds_accounting() {
+        let mut t = table();
+        let token = open(&mut t, 1, "u", PriorityClass::Test, 0.0);
+        for id in [1, 2] {
+            t.apply(&submitted(id, &token)).unwrap();
+        }
+        assert_eq!(t.apply(&R::TaskCancelled { id: 1 }), Ok(Applied::Changed));
+        assert_eq!(count(&t, &token), 1);
+        // a cancel the table already holds refunds nothing
+        assert_eq!(t.apply(&R::TaskCancelled { id: 1 }), Ok(Applied::NoOp));
+        assert_eq!(count(&t, &token), 1);
+        t.apply(&R::TaskCancelled { id: 2 }).unwrap();
+        assert_eq!(count(&t, &token), 0);
     }
 
     #[test]
     fn gc_uses_last_active_and_returns_expired() {
-        let m = SessionManager::new(0);
-        let a = m.open("a", PriorityClass::Test, 0.0).unwrap();
-        let b = m.open("b", PriorityClass::Test, 0.0).unwrap();
+        let mut t = table();
+        let a = open(&mut t, 1, "a", PriorityClass::Test, 0.0);
+        let b = open(&mut t, 2, "b", PriorityClass::Test, 0.0);
         // b stays active at t=80; a does not
-        m.validate_active(&b.token, 80.0, 0.0).unwrap();
-        let expired = m.gc(50.0);
-        assert_eq!(expired.len(), 1);
-        assert_eq!(expired[0].token, a.token);
-        assert_eq!(m.count(), 1);
+        t.touch(&b, 80.0).unwrap();
+        let idle = t.idle_since(50.0);
+        assert_eq!(idle, vec![a]);
+        let expired = R::SessionsExpired { tokens: idle };
+        assert_eq!(t.apply(&expired), Ok(Applied::Changed));
+        assert_eq!(t.session_count(), 1);
     }
 
     #[test]
     fn restore_preserves_sessions_and_counter() {
-        let m = SessionManager::new(0);
-        let s = m.open("u", PriorityClass::Production, 3.0).unwrap();
-        let counter = m.counter_watermark();
-        let fresh = SessionManager::new(0);
-        fresh.restore(vec![s.clone()], counter);
-        assert_eq!(fresh.validate(&s.token).unwrap().user, "u");
-        // a new session on the restored manager can never reuse the token
-        let n = fresh.open("u", PriorityClass::Production, 4.0).unwrap();
-        assert_ne!(n.token, s.token);
+        let mut t = table();
+        let token = open(&mut t, 7, "u", PriorityClass::Production, 3.0);
+        let mut snap = DaemonSnapshot::default();
+        t.snapshot_into(&mut snap);
+        assert_eq!(snap.session_counter, 8, "past the counter of every token");
+        let back = table().with_snapshot(&mut snap).unwrap();
+        assert_eq!(back.session(&token).unwrap().user, "u");
+        // a daemon recovered from it mints from 8 on: no token is reused
+        assert_eq!(back.floors().session_counter, 8);
     }
 
     #[test]
     fn list_sorted_by_creation() {
-        let m = SessionManager::new(0);
-        m.open("a", PriorityClass::Test, 5.0).unwrap();
-        m.open("b", PriorityClass::Test, 1.0).unwrap();
-        let l = m.list();
-        assert_eq!(l[0].user, "b");
-        assert_eq!(l[1].user, "a");
-        assert_eq!(m.count(), 2);
+        let mut t = table();
+        open(&mut t, 1, "a", PriorityClass::Test, 5.0);
+        open(&mut t, 2, "b", PriorityClass::Test, 1.0);
+        let l = t.sessions();
+        assert_eq!((l[0].user.as_str(), l[1].user.as_str()), ("b", "a"));
+        assert_eq!(t.session_count(), 2);
     }
 }

@@ -1,13 +1,20 @@
-//! The daemon's task table: every task's lifecycle state behind one lock,
-//! changed by one function.
+//! The daemon's replicated state — every task's lifecycle, the open
+//! sessions, the admin-set device status and the replay floors — behind one
+//! lock, changed by one function.
 //!
 //! A task is written down once — as a [`TaskEntry`] whose [`TaskState`] is
 //! `Queued | Running | Completed | Failed | Cancelled` — and moves only
 //! through [`TaskTable::apply`], which takes the same [`JournalRecord`] the
-//! WAL stores. The live daemon builds a record, applies it under one short
-//! hold of [`rank::TASKS`](hpcqc_sync::rank::TASKS) and then appends it;
-//! recovery is [`TaskTable::with_snapshot`] plus `apply` over the WAL tail,
-//! so the two cannot disagree. DESIGN.md §9 has the (state × record) table;
+//! WAL stores. So does everything else the journal carries: sessions
+//! (`SessionOpened` inserts, `SessionClosed` and `SessionsExpired` remove),
+//! each session's `task_count` (charged by a task's first `TaskSubmitted`,
+//! refunded by its `TaskCancelled`, in the same step that admits or cancels
+//! the task), the device status (`QpuStatusChanged`) and the [`Floors`] the
+//! next task id, session token and clock must not fall below. The live
+//! daemon builds a record, applies it under one short hold of
+//! [`rank::TASKS`](hpcqc_sync::rank::TASKS) and then appends it; recovery
+//! is [`TaskTable::with_snapshot`] plus `apply` over every WAL record, so
+//! the two cannot disagree. DESIGN.md §9 has the (state × record) table;
 //! its two rules:
 //!
 //! * **A record never un-finishes a task.** The WAL is appended after the
@@ -18,16 +25,24 @@
 //!   and anything arriving for a finished one are no-ops; so is the run
 //!   progress of a task not submitted yet, and a run outcome that overtook
 //!   its `TaskSubmitted` creates the finished entry, which the late submit
-//!   then only annotates.
+//!   then only annotates (and charges). A `SessionOpened` for a known token
+//!   is a no-op for the same reason: the snapshot holds that session, charge
+//!   and all.
 //! * **`Queued` accepts run outcomes.** A snapshot folds running tasks back
 //!   to queued, so the outcome of a run that straddled a compaction finds
 //!   its task `Queued`.
+//!
+//! Two writes bypass `apply`, and neither is journaled: a preempted task's
+//! slice progress ([`TaskTable::apply_slice`]) and a session's `last_active`
+//! ([`TaskTable::touch`]). The live-only checks — the session cap, idle
+//! expiry and token minting — stay with the daemon, which builds the record
+//! they decide on and applies it in the same hold.
 //!
 //! Everything else is an [`IllegalTransition`], which replay counts and
 //! skips and which the live paths cannot produce.
 
 use crate::journal::{DaemonSnapshot, JournalRecord};
-use crate::session::PriorityClass;
+use crate::session::{token_counter, PriorityClass, Session};
 use crate::taskqueue::{QuantumTask, QueueError, TaskQueue};
 use hpcqc_emulator::SampleResult;
 use std::collections::{BTreeSet, HashMap};
@@ -79,7 +94,7 @@ impl TaskEntry {
 pub(crate) enum Applied {
     /// The transition landed.
     Changed,
-    /// The table already reflects the record (or it is not a task record).
+    /// The table already reflects the record; only the floors may rise.
     NoOp,
 }
 
@@ -97,8 +112,22 @@ impl std::fmt::Display for IllegalTransition {
     }
 }
 
-/// Task entries + the dispatch queue + the idempotency map, kept consistent
-/// by living behind one lock and changing only in [`apply`](Self::apply).
+/// The watermarks the records carry, which replay must not fall below:
+/// raised by [`TaskTable::apply`], never lowered. Recovery starts the
+/// daemon's id, token and clock counters from them.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) struct Floors {
+    /// One past every task id a record names.
+    pub next_task: u64,
+    /// One past every token counter a `SessionOpened` minted (`sess-{n}-…`).
+    pub session_counter: u64,
+    /// The latest `submitted_at`, `at` and `to` seen.
+    pub clock: f64,
+}
+
+/// Task entries, the dispatch queue, the idempotency map, the open sessions,
+/// the device status and the floors, kept consistent by living behind one
+/// lock and changing only in [`apply`](Self::apply).
 #[derive(Default)]
 pub(crate) struct TaskTable {
     entries: HashMap<u64, TaskEntry>,
@@ -106,6 +135,11 @@ pub(crate) struct TaskTable {
     queue: TaskQueue,
     /// Idempotency key → the task id originally assigned for it.
     idempotency: HashMap<String, u64>,
+    /// Open sessions by token, each carrying its task charge.
+    sessions: HashMap<String, Session>,
+    /// Last admin-set device status, in `QpuStatus::as_str` form.
+    qpu_status: Option<String>,
+    floors: Floors,
 }
 
 impl TaskTable {
@@ -116,9 +150,9 @@ impl TaskTable {
         }
     }
 
-    /// Fill a new table with what a snapshot describes, taking the task
-    /// lists out of `snap`. Metadata for ids the snapshot lists in no state
-    /// is dropped.
+    /// Fill a new table with what a snapshot describes, taking the task and
+    /// session lists out of `snap`. Metadata for ids the snapshot lists in no
+    /// state is dropped.
     pub(crate) fn with_snapshot(mut self, snap: &mut DaemonSnapshot) -> Result<Self, QueueError> {
         use std::mem::take;
         for task in take(&mut snap.queued) {
@@ -158,6 +192,14 @@ impl TaskTable {
             }
         }
         self.idempotency = take(&mut snap.idempotency).into_iter().collect();
+        let sessions = take(&mut snap.sessions).into_iter();
+        self.sessions = sessions.map(|s| (s.token.clone(), s)).collect();
+        self.qpu_status = snap.qpu_status.take();
+        self.floors = Floors {
+            next_task: snap.next_task,
+            session_counter: snap.session_counter,
+            clock: snap.clock,
+        };
         Ok(self)
     }
 
@@ -179,8 +221,7 @@ impl TaskTable {
         (self, requeued)
     }
 
-    /// The one function that changes a task's state (see the module table).
-    /// Non-task records are none of the table's business: `NoOp`.
+    /// The one function that changes the table (see the module docs).
     pub(crate) fn apply(&mut self, rec: &JournalRecord) -> Result<Applied, IllegalTransition> {
         self.step(rec, None)
     }
@@ -202,6 +243,15 @@ impl TaskTable {
         slice: Option<SampleResult>,
     ) -> Result<Applied, IllegalTransition> {
         use {JournalRecord as R, TaskState as S};
+        let at = match rec {
+            R::TaskSubmitted { task, .. } => Some(task.submitted_at),
+            R::TaskDispatched { at, .. } | R::TaskCompleted { at, .. } => Some(*at),
+            R::ClockAdvanced { to } => Some(*to),
+            _ => None,
+        };
+        if let Some(at) = at {
+            self.floors.clock = self.floors.clock.max(at);
+        }
         let (id, record) = match rec {
             R::TaskSubmitted { task, .. } => (task.id, "TaskSubmitted"),
             R::TaskDispatched { id, .. } => (*id, "TaskDispatched"),
@@ -210,8 +260,9 @@ impl TaskTable {
             R::TaskCompleted { id, .. } => (*id, "TaskCompleted"),
             R::TaskFailed { id, .. } => (*id, "TaskFailed"),
             R::TaskCancelled { id } => (*id, "TaskCancelled"),
-            _ => return Ok(Applied::NoOp),
+            _ => return Ok(self.step_untasked(rec)),
         };
+        self.floors.next_task = self.floors.next_task.max(id + 1);
         let illegal = Err(IllegalTransition { id, record });
         // the state the record ends the task in, if it ends it
         let end = match rec {
@@ -235,7 +286,7 @@ impl TaskTable {
                 (_, Some(end)) => TaskEntry::new(end),
                 (_, None) => return Ok(Applied::NoOp),
             };
-            annotate(&mut e, &mut self.idempotency, rec);
+            annotate(&mut e, &mut self.idempotency, &mut self.sessions, rec);
             self.entries.insert(id, e);
             return Ok(Applied::Changed);
         };
@@ -243,7 +294,7 @@ impl TaskTable {
             // never un-finish (or re-queue) a known task; only fill in what
             // a run outcome that got here first could not know
             if e.meta.is_none() {
-                annotate(e, &mut self.idempotency, rec);
+                annotate(e, &mut self.idempotency, &mut self.sessions, rec);
             }
             return Ok(Applied::NoOp);
         }
@@ -273,8 +324,12 @@ impl TaskTable {
                 }
             }
             _ => {
-                if !running {
-                    self.queue.remove(id);
+                let body = if running { None } else { self.queue.remove(id) };
+                // a cancel refunds the charge its task's submit took
+                if let (R::TaskCancelled { .. }, Some(task)) = (rec, body) {
+                    if let Some(s) = self.sessions.get_mut(&task.session) {
+                        s.task_count = s.task_count.saturating_sub(1);
+                    }
                 }
                 e.state = end.expect("the remaining records end the task");
                 e.shots_done = 0;
@@ -303,7 +358,40 @@ impl TaskTable {
         Ok(Applied::Changed)
     }
 
-    // ---- reads -----------------------------------------------------------
+    /// The records that name no task: sessions, the device status and the
+    /// clock (whose floor `step` has already raised).
+    fn step_untasked(&mut self, rec: &JournalRecord) -> Applied {
+        use JournalRecord as R;
+        let changed = match rec {
+            R::SessionOpened { session } => {
+                let minted = token_counter(&session.token).map_or(0, |n| n + 1);
+                self.floors.session_counter = self.floors.session_counter.max(minted);
+                let known = self.sessions.contains_key(&session.token);
+                if !known {
+                    self.sessions.insert(session.token.clone(), session.clone());
+                }
+                !known
+            }
+            R::SessionClosed { token } => self.sessions.remove(token).is_some(),
+            R::SessionsExpired { tokens } => {
+                let sessions = &mut self.sessions;
+                tokens
+                    .iter()
+                    .fold(false, |any, t| sessions.remove(t).is_some() | any)
+            }
+            R::QpuStatusChanged { status } => {
+                self.qpu_status.replace(status.clone()).as_ref() != Some(status)
+            }
+            _ => false,
+        };
+        if changed {
+            Applied::Changed
+        } else {
+            Applied::NoOp
+        }
+    }
+
+    // ---- reads, and the one untracked session write ----------------------
 
     pub(crate) fn entry(&self, id: u64) -> Option<&TaskEntry> {
         self.entries.get(&id)
@@ -319,6 +407,50 @@ impl TaskTable {
         self.idempotency.get(key).copied()
     }
 
+    pub(crate) fn session(&self, token: &str) -> Option<&Session> {
+        self.sessions.get(token)
+    }
+
+    pub(crate) fn session_count(&self) -> usize {
+        self.sessions.len()
+    }
+
+    /// Open sessions, oldest first (creation time, then token).
+    pub(crate) fn sessions(&self) -> Vec<Session> {
+        let mut v: Vec<Session> = self.sessions.values().cloned().collect();
+        v.sort_by(|a, b| {
+            a.created_at
+                .total_cmp(&b.created_at)
+                .then(a.token.cmp(&b.token))
+        });
+        v
+    }
+
+    /// Tokens of the sessions idle since `cutoff` or earlier, sorted.
+    pub(crate) fn idle_since(&self, cutoff: f64) -> Vec<String> {
+        let idle = self.sessions.values().filter(|s| s.last_active <= cutoff);
+        let mut tokens: Vec<String> = idle.map(|s| s.token.clone()).collect();
+        tokens.sort();
+        tokens
+    }
+
+    /// Activity at `now` keeps session `token` alive: its idle clock moves
+    /// forward. The one session write outside [`apply`](Self::apply), and
+    /// never journaled.
+    pub(crate) fn touch(&mut self, token: &str, now: f64) -> Option<Session> {
+        let s = self.sessions.get_mut(token)?;
+        s.last_active = s.last_active.max(now);
+        Some(s.clone())
+    }
+
+    pub(crate) fn qpu_status(&self) -> Option<&str> {
+        self.qpu_status.as_deref()
+    }
+
+    pub(crate) fn floors(&self) -> Floors {
+        self.floors
+    }
+
     /// `last` merged with the earlier slices of task `id`: the task's full
     /// result once `last` brings it to its shot count.
     pub(crate) fn merged_result(&self, id: u64, last: SampleResult) -> SampleResult {
@@ -328,9 +460,11 @@ impl TaskTable {
         }
     }
 
-    /// Write the table into `snap`'s task fields, one pass, every list in
-    /// its on-disk order. Running tasks are folded back into `queued`: a
-    /// snapshot never claims work that has not produced a durable result.
+    /// Write the table into `snap`, one pass, every list in its on-disk
+    /// order. Running tasks are folded back into `queued`: a snapshot never
+    /// claims work that has not produced a durable result. The watermarks
+    /// `snap` already holds (the daemon's live counters, which run ahead of
+    /// the records) are raised to the floors.
     pub(crate) fn snapshot_into(&self, snap: &mut DaemonSnapshot) {
         snap.queued = self.queue.iter().cloned().collect();
         let mut entries: Vec<(u64, &TaskEntry)> =
@@ -366,11 +500,23 @@ impl TaskTable {
             .map(|(k, &id)| (k.clone(), id))
             .collect();
         snap.idempotency.sort();
+        snap.sessions = self.sessions();
+        snap.qpu_status = self.qpu_status.clone();
+        snap.next_task = snap.next_task.max(self.floors.next_task);
+        snap.session_counter = snap.session_counter.max(self.floors.session_counter);
+        snap.clock = snap.clock.max(self.floors.clock);
     }
 }
 
-/// Copy what only a `TaskSubmitted` knows into its task's entry.
-fn annotate(e: &mut TaskEntry, idempotency: &mut HashMap<String, u64>, rec: &JournalRecord) {
+/// Copy what only a `TaskSubmitted` knows into its task's entry, and charge
+/// the task to its session if that is still open. Runs once per task: for
+/// the first `TaskSubmitted` the table sees of it.
+fn annotate(
+    e: &mut TaskEntry,
+    idempotency: &mut HashMap<String, u64>,
+    sessions: &mut HashMap<String, Session>,
+    rec: &JournalRecord,
+) {
     if let JournalRecord::TaskSubmitted {
         task,
         idempotency_key,
@@ -381,6 +527,9 @@ fn annotate(e: &mut TaskEntry, idempotency: &mut HashMap<String, u64>, rec: &Jou
         e.warnings = warnings.clone();
         if let Some(key) = idempotency_key {
             idempotency.entry(key.clone()).or_insert(task.id);
+        }
+        if let Some(s) = sessions.get_mut(&task.session) {
+            s.task_count += 1;
         }
     }
 }
@@ -403,6 +552,7 @@ pub(crate) fn merge_results(mut a: SampleResult, b: SampleResult) -> SampleResul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::mint_token;
     use crate::taskqueue::QueueConfig;
     use hpcqc_program::{ProgramIr, Pulse, Register, SequenceBuilder};
     use hpcqc_scheduler::PatternHint;
@@ -411,12 +561,23 @@ mod tests {
 
     const ID: u64 = 7;
 
+    fn session(n: u64) -> Session {
+        Session {
+            token: mint_token(n, "alice"),
+            user: "alice".into(),
+            class: PriorityClass::Test,
+            created_at: 0.5,
+            last_active: 0.5,
+            task_count: 0,
+        }
+    }
+
     fn task() -> QuantumTask {
         let mut b = SequenceBuilder::new(Register::linear(2, 6.0).unwrap());
         b.add_global_pulse(Pulse::constant(0.5, 4.0, 0.0, 0.0).unwrap());
         QuantumTask {
             id: ID,
-            session: "sess-1".into(),
+            session: session(1).token,
             user: "alice".into(),
             class: PriorityClass::Test,
             ir: Arc::new(ProgramIr::new(b.build().unwrap(), 10, "test")),
@@ -460,10 +621,14 @@ mod tests {
         ]
     }
 
-    /// A table whose task 7 is in `state` (`None`: absent), built only by
-    /// legal transitions.
+    /// A table with task 7's session open and the task in `state` (`None`:
+    /// absent), built only by legal transitions.
     fn table_in(state: &str) -> TaskTable {
         let mut t = TaskTable::new(TaskQueue::new(QueueConfig::default()));
+        let opened = R::SessionOpened {
+            session: session(1),
+        };
+        assert_eq!(t.apply(&opened), Ok(Applied::Changed));
         let r = records();
         let path: &[usize] = match state {
             "absent" => &[],
@@ -490,10 +655,15 @@ mod tests {
         })
     }
 
+    fn charge(t: &TaskTable) -> u64 {
+        t.session(&session(1).token).unwrap().task_count
+    }
+
     /// The specification: for every (state, record) pair, the state the
     /// task lands in, or `ILLEGAL` for an [`IllegalTransition`]. A record
     /// that leaves a finished, or an absent, task as it was is a no-op; so
-    /// is a `TaskSubmitted` for any known task.
+    /// is a `TaskSubmitted` for any known task. In every cell the session is
+    /// charged exactly for a task that was submitted and not cancelled.
     #[test]
     fn every_state_record_pair_lands_where_the_table_says() {
         const A: &str = "absent";
@@ -536,8 +706,106 @@ mod tests {
                 let queued = state_name(&t) == Q;
                 assert_eq!(t.queue().get(ID).is_some(), queued, "{case}");
                 assert_eq!(t.queue().len(), queued as usize, "{case}");
+                let e = t.entry(ID);
+                let charged =
+                    e.is_some_and(|e| e.meta.is_some() && e.state != TaskState::Cancelled);
+                assert_eq!(charge(&t), charged as u64, "{case}: the session's charge");
+                assert_eq!(t.floors().next_task, ID + 1, "{case}: the id floor");
             }
         }
+    }
+
+    /// The session records × a known and an unknown token, and the device
+    /// status: what `apply` answers and whether the session is open after.
+    #[test]
+    fn session_and_status_records_land_where_the_table_says() {
+        let open = |n| R::SessionOpened {
+            session: session(n),
+        };
+        let known = session(1).token;
+        let unknown = session(2).token;
+        let closed = |t: &str| R::SessionClosed { token: t.into() };
+        let expired = |t: &str| R::SessionsExpired {
+            tokens: vec![t.into()],
+        };
+        use Applied::{Changed, NoOp};
+        // (record, what apply answers, is the known session open after)
+        let spec: [(R, Applied, bool); 6] = [
+            (open(1), NoOp, true),
+            (open(2), Changed, true),
+            (closed(&known), Changed, false),
+            (closed(&unknown), NoOp, true),
+            (expired(&known), Changed, false),
+            (expired(&unknown), NoOp, true),
+        ];
+        for (rec, applied, open_after) in spec {
+            let mut t = table_in("Queued");
+            assert_eq!(t.apply(&rec), Ok(applied), "{rec:?}");
+            assert_eq!(t.session(&known).is_some(), open_after, "{rec:?}");
+            if open_after {
+                assert_eq!(charge(&t), 1, "{rec:?}: a known session keeps its charge");
+            }
+        }
+        let mut t = table_in("absent");
+        let status = R::QpuStatusChanged {
+            status: "maintenance".into(),
+        };
+        assert_eq!(t.apply(&status), Ok(Changed));
+        assert_eq!(t.apply(&status), Ok(NoOp), "already the status");
+        assert_eq!(t.qpu_status(), Some("maintenance"));
+    }
+
+    /// The charge lands once per task and the refund once per cancel, in
+    /// the step that admits or cancels the task; a record the table already
+    /// reflects moves neither.
+    #[test]
+    fn the_charge_follows_the_first_submit_and_the_cancel() {
+        let r = records();
+        let mut t = table_in("absent");
+        assert_eq!((t.apply(&r[0]), charge(&t)), (Ok(Applied::Changed), 1));
+        assert_eq!((t.apply(&r[0]), charge(&t)), (Ok(Applied::NoOp), 1));
+        assert_eq!((t.apply(&r[6]), charge(&t)), (Ok(Applied::Changed), 0));
+        assert_eq!((t.apply(&r[6]), charge(&t)), (Ok(Applied::NoOp), 0));
+        // a completion that overtook its submit: the late submit charges
+        let mut t = table_in("absent");
+        t.apply(&r[4]).unwrap();
+        assert_eq!((t.apply(&r[0]), charge(&t)), (Ok(Applied::NoOp), 1));
+        // a task whose session closed before admission charges no one
+        let mut t = table_in("absent");
+        t.apply(&R::SessionClosed {
+            token: session(1).token,
+        })
+        .unwrap();
+        assert_eq!(t.apply(&r[0]), Ok(Applied::Changed));
+        assert_eq!(t.session_count(), 0);
+    }
+
+    /// Each floor rises with the records that carry it and never falls.
+    #[test]
+    fn the_floors_rise_with_the_records_and_never_fall() {
+        let r = records();
+        let mut t = table_in("absent");
+        let floors = |t: &TaskTable| {
+            let f = t.floors();
+            (f.next_task, f.session_counter, f.clock)
+        };
+        assert_eq!(floors(&t), (0, 2, 0.0), "sess-1 was minted");
+        t.apply(&r[4]).unwrap(); // a completion names the id and its time
+        assert_eq!(floors(&t), (ID + 1, 2, 3.0));
+        t.apply(&r[0]).unwrap(); // submitted_at 1.0 is behind the clock
+        assert_eq!(floors(&t), (ID + 1, 2, 3.0));
+        t.apply(&R::ClockAdvanced { to: 9.5 }).unwrap();
+        t.apply(&R::SessionOpened {
+            session: session(41),
+        })
+        .unwrap();
+        assert_eq!(floors(&t), (ID + 1, 42, 9.5));
+        t.apply(&R::SessionOpened {
+            session: session(3),
+        })
+        .unwrap();
+        t.apply(&R::ClockAdvanced { to: 4.0 }).unwrap();
+        assert_eq!(floors(&t), (ID + 1, 42, 9.5), "never lowered");
     }
 
     #[test]
@@ -580,6 +848,10 @@ mod tests {
     fn snapshot_round_trips_through_the_table() {
         let mut t = table_in("Running");
         t.apply(&records()[3]).unwrap();
+        t.apply(&R::QpuStatusChanged {
+            status: "down".into(),
+        })
+        .unwrap();
         let mut snap = DaemonSnapshot::default();
         t.snapshot_into(&mut snap);
         let expected = snap.clone();
@@ -592,5 +864,7 @@ mod tests {
         back.snapshot_into(&mut again);
         assert_eq!(again, expected);
         assert_eq!(again.failures, vec![(ID, 1, vec!["emu".to_string()])]);
+        assert_eq!((again.sessions.len(), again.sessions[0].task_count), (1, 1));
+        assert_eq!(back.floors(), t.floors());
     }
 }

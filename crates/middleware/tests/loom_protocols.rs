@@ -7,7 +7,7 @@
 //! variants are the regression teeth: if the shim's exploration ever stops
 //! finding these injected bugs, these tests fail.
 //!
-//! The models mirror `daemon/` / `tasks.rs` / `journal.rs` / `server.rs` shapes but use
+//! The six models mirror `daemon/` / `tasks.rs` / `journal.rs` / `server.rs` shapes but use
 //! loom's types directly — the production `TrackedMutex` wraps parking_lot,
 //! which the model checker cannot schedule. Keeping the protocol skeletons
 //! in sync with the real code is the point of DESIGN.md §14's table.
@@ -505,4 +505,74 @@ fn epoch_read_after_the_empty_pump_is_caught() {
 #[test]
 fn parked_flag_read_outside_the_epoch_bump_is_caught() {
     assert_lost_wake_up_is_caught(WakeBug::ParkedReadOutsideTheBump);
+}
+
+// ---------------------------------------------------------------------------
+// Protocol 6: a task and its session charge move together (tasks.rs
+// `TaskTable::apply`, daemon/admission.rs `submit_batch`,
+// daemon/recovery.rs `snapshot_state`).
+//
+// Admission applies `TaskSubmitted` under one hold of the table, and that
+// same `apply` charges the task to its session; the compaction snapshot
+// reads tasks and sessions in one hold too. So a snapshot never holds a
+// task without its charge — a loss replay could not repair, because a
+// `TaskSubmitted` the snapshot already holds is a no-op. The buggy twin
+// charges the session after the table hold, under a lock of its own, and
+// the snapshot reads the two locks one after the other.
+// ---------------------------------------------------------------------------
+
+struct ChargeModel {
+    /// The task table's ids and, in the shipped design, the session's
+    /// charge beside them.
+    table: Mutex<(Vec<u64>, u64)>,
+    /// The twin's session lock, holding the charge.
+    sessions: Mutex<u64>,
+}
+
+fn charge_model(one_hold: bool) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let m = Arc::new(ChargeModel {
+            table: Mutex::new((Vec::new(), 0)),
+            sessions: Mutex::new(0),
+        });
+        let m2 = Arc::clone(&m);
+        let submitter = thread::spawn(move || {
+            if one_hold {
+                let mut t = m2.table.lock().unwrap();
+                t.0.push(1);
+                t.1 += 1;
+            } else {
+                // Injected bug: the charge lands after the table hold.
+                m2.table.lock().unwrap().0.push(1);
+                *m2.sessions.lock().unwrap() += 1;
+            }
+        });
+        let (tasks, charge) = if one_hold {
+            let t = m.table.lock().unwrap();
+            (t.0.len() as u64, t.1)
+        } else {
+            let charge = *m.sessions.lock().unwrap();
+            (m.table.lock().unwrap().0.len() as u64, charge)
+        };
+        assert_eq!(
+            tasks, charge,
+            "a snapshot holds a task without its session charge"
+        );
+        submitter.join().unwrap();
+    }
+}
+
+#[test]
+fn snapshot_sees_a_task_and_its_session_charge_together() {
+    loom::model(charge_model(true));
+}
+
+#[test]
+fn charging_the_session_after_the_table_hold_is_caught() {
+    let msg = failure_message(charge_model(false));
+    assert!(
+        msg.contains("without its session charge"),
+        "unexpected failure: {msg}"
+    );
+    assert!(msg.contains("LOOM_REPLAY"), "missing replay seed: {msg}");
 }

@@ -48,24 +48,19 @@ pub mod rank {
     /// dispatcher journals mid-pump, and below every state lock the snapshot
     /// reads.
     pub const COMPACT_GATE: u32 = 150;
-    /// Session table (validated before admission to the task table).
-    pub const SESSIONS: u32 = 200;
-    /// The daemon's task table: every task's lifecycle state, the dispatch
-    /// queue and the idempotency map. Held for one short section per
+    /// The daemon's replicated state: every task's lifecycle state, the
+    /// dispatch queue, the idempotency map, the open sessions, the device
+    /// status and the replay floors. Held for one short section per
     /// transition — never across a journal write, analysis or a QRMI call.
     pub const TASKS: u32 = 300;
     /// Fairshare usage tracker (read under the task-table lock for ranking).
     pub const FAIRSHARE: u32 = 480;
     /// Development-result cache.
     pub const DEV_CACHE: u32 = 750;
-    /// Simulated clock (innermost of the daemon state locks).
-    pub const CLOCK: u32 = 850;
     /// Replication role + lag (leader/follower flag, shipped-vs-acked gap).
     pub const REPLICATION: u32 = 860;
     /// Daemon lifecycle flags.
     pub const LIFECYCLE: u32 = 870;
-    /// Admin-set device status strings (recovered / last-seen).
-    pub const QPU_STATUS: u32 = 880;
     /// Journal group-commit buffer.
     pub const JOURNAL_BUF: u32 = 900;
     /// Journal WAL file + fsync state (acquired while the buffer lock is
