@@ -1,16 +1,16 @@
 //! `pairs` — the paired verdict on interleaved parent/change `e2e_perf` runs.
 //!
 //! ```text
-//! pairs PARENT CHANGE [--first parent|change] [--workload NAME]
-//!       [--benchmark BENCHMARK.json] [--out PATH]
+//! pairs PARENT CHANGE [--first parent|change] [--benchmark BENCHMARK.json]
+//!       [--out PATH]
 //! ```
 //!
 //! `PARENT` and `CHANGE` are files of `e2e_perf` result lines (the JSON
 //! object a run prints last), one per run, in pair order: the i-th line of a
-//! workload in each file is that workload's pair i. A line may name its
-//! workload before the object (`tiny_loop {"correct": true, …}`); a bare
-//! object belongs to `--workload`. `--first` names the side that ran first
-//! in pair 1 (default `parent`); the order alternates after that.
+//! workload in each file is that workload's pair i. Each line names its
+//! workload before the object (`tiny_loop {"correct": true, …}`). `--first`
+//! names the side that ran first in pair 1 (default `parent`); the order
+//! alternates after that.
 //!
 //! The end-to-end metrics, their directions and bounds come from
 //! `BENCHMARK.json`, which is only read. For every workload × metric one
@@ -151,19 +151,16 @@ fn paired(parent: &[f64], change: &[f64], parent_first: bool, m: &Metric) -> Pai
 }
 
 /// The runs in `text` by workload, in file order.
-fn read_runs(text: &str, workload: Option<&str>) -> Result<BTreeMap<String, Vec<Value>>, String> {
+fn read_runs(text: &str) -> Result<BTreeMap<String, Vec<Value>>, String> {
     let mut runs: BTreeMap<String, Vec<Value>> = BTreeMap::new();
     for (i, line) in text.lines().map(str::trim).enumerate() {
         if line.is_empty() {
             continue;
         }
-        let (name, json) = match line.split_once(' ') {
-            Some((name, json)) if !name.starts_with('{') => (name, json),
-            _ => {
-                let name = workload.ok_or(format!("line {}: no workload name", i + 1))?;
-                (name, line)
-            }
-        };
+        let (name, json) = line
+            .split_once(' ')
+            .filter(|(name, _)| !name.starts_with('{'))
+            .ok_or(format!("line {}: no workload name", i + 1))?;
         let run = serde_json::from_str(json).map_err(|e| format!("line {}: {e}", i + 1))?;
         runs.entry(name.to_string()).or_default().push(run);
     }
@@ -213,14 +210,13 @@ const HEADER: &str = "| workload | metric (bound) | parent median [q1–q3] \
 
 /// Read both files against `BENCHMARK.json`: the report and the table.
 fn compare(args: &HarnessArgs) -> Result<(Report, String), String> {
-    let (mut files, mut first, mut workload) = (Vec::new(), "parent".to_string(), None);
+    let (mut files, mut first) = (Vec::new(), "parent".to_string());
     let mut benchmark = "BENCHMARK.json".to_string();
     let mut flags = args.flags.iter();
     while let Some(flag) = flags.next() {
         let mut value = || flags.next().cloned().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
             "--first" => first = value()?,
-            "--workload" => workload = Some(value()?),
             "--benchmark" => benchmark = value()?,
             f if f.starts_with("--") => return Err(format!("unknown flag {f}")),
             f => files.push(f.to_string()),
@@ -233,12 +229,12 @@ fn compare(args: &HarnessArgs) -> Result<(Report, String), String> {
     };
     let [parent, change] = files.as_slice() else {
         return Err("usage: pairs PARENT CHANGE [--first parent|change] \
-                    [--workload NAME] [--benchmark BENCHMARK.json] [--out PATH]"
+                    [--benchmark BENCHMARK.json] [--out PATH]"
             .into());
     };
     let read = |path: &str| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
-    let parent = read_runs(&read(parent)?, workload.as_deref())?;
-    let change = read_runs(&read(change)?, workload.as_deref())?;
+    let parent = read_runs(&read(parent)?)?;
+    let change = read_runs(&read(change)?)?;
     let declared: Value =
         serde_json::from_str(&read(&benchmark)?).map_err(|e| format!("{benchmark}: {e}"))?;
     let metrics: Vec<Metric> = declared["end_to_end"]
@@ -395,14 +391,11 @@ mod tests {
 
     #[test]
     fn first_of_pair_alternates_and_lines_carry_their_workload() {
-        let text = "tiny_loop {\"failed\": 1, \"attempted\": 4}\n\n{\"attempted\": 4}\n";
-        let runs = read_runs(text, Some("bin_loop")).unwrap();
+        let text = "tiny_loop {\"failed\": 1, \"attempted\": 4}\n\nbin_loop {}\n";
+        let runs = read_runs(text).unwrap();
         assert_eq!((runs["tiny_loop"].len(), runs["bin_loop"].len()), (1, 1));
         assert_eq!(failed_share(&runs["tiny_loop"]), 0.25);
-        assert!(
-            read_runs("{}", None).is_err(),
-            "a bare line needs --workload"
-        );
+        assert!(read_runs("{}").is_err(), "a line names its workload");
         // pair 1: the parent runs first and reads better; pair 2: the
         // change runs first and reads better
         let r = paired(&[1.0, 1.0], &[2.0, 0.5], true, &metric(true));

@@ -207,8 +207,6 @@ pub struct MiddlewareService {
     /// failing on the primary (e.g. a local emulator for degraded service).
     alternates: Vec<Arc<dyn QuantumResource>>,
     next_task: AtomicU64,
-    /// The counter of the next session token (minted under the table hold).
-    session_counter: AtomicU64,
     /// The simulated clock (seconds), an `f64` in an atomic word: the submit
     /// and status paths read it without a lock. It only moves forward.
     clock: AtomicU64,
@@ -263,7 +261,6 @@ impl MiddlewareService {
             qpu_admin: None,
             alternates: Vec::new(),
             next_task: AtomicU64::new(1),
-            session_counter: AtomicU64::new(1),
             clock: AtomicU64::new(0),
             registry: Registry::new(),
             cfg,
@@ -553,7 +550,8 @@ impl MiddlewareService {
             if max > 0 && tasks.session_count() >= max {
                 return Err(SessionError::TooManySessions(max).into());
             }
-            let n = self.session_counter.fetch_add(1, Ordering::Relaxed);
+            // applying the `SessionOpened` raises the floor past `n`
+            let n = tasks.floors().session_counter.max(1);
             let now = self.now();
             let session = Session {
                 token: mint_token(n, user),

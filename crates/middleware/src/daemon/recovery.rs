@@ -20,7 +20,8 @@ impl MiddlewareService {
         let mut snap = DaemonSnapshot {
             clock: self.now(),
             next_task: self.next_task.load(Ordering::Relaxed),
-            session_counter: self.session_counter.load(Ordering::Relaxed),
+            // token counters start at 1; `snapshot_into` raises it to the floor
+            session_counter: 1,
             ..DaemonSnapshot::default()
         };
         tasks.snapshot_into(&mut snap);
@@ -64,8 +65,6 @@ impl MiddlewareService {
         let floors = table.floors();
         svc.next_task
             .store(floors.next_task.max(1), Ordering::Relaxed);
-        let counter = floors.session_counter.max(1);
-        svc.session_counter.store(counter, Ordering::Relaxed);
         svc.clock.store(floors.clock.to_bits(), Ordering::Relaxed);
         let recovered_tasks = table.queue().len();
         let recovered_sessions = table.session_count();

@@ -1293,6 +1293,27 @@ fn expired_session_rejected_at_validate_time() {
 }
 
 #[test]
+fn session_expires_exactly_at_the_ttl_boundary() {
+    let d = emu_daemon(DaemonConfig {
+        session_ttl_secs: 100.0,
+        ..DaemonConfig::default()
+    });
+    let a = d.open_session("a", PriorityClass::Test).unwrap();
+    let b = d.open_session("b", PriorityClass::Test).unwrap();
+    let unknown_task = Err(DaemonError::UnknownTask(99));
+    d.advance_clock(50.0); // no gc sweep on this path
+    assert_eq!(d.cancel(&a, 99), unknown_task, "active: touched at t=50");
+    d.advance_clock(49.5);
+    assert_eq!(d.cancel(&b, 99), unknown_task, "idle 99.5 s: still active");
+    d.advance_clock(50.5); // a idle exactly the TTL
+    let expired = Err(DaemonError::Session(SessionError::Expired));
+    assert_eq!(d.cancel(&a, 99), expired);
+    let unknown = Err(DaemonError::Session(SessionError::UnknownToken));
+    assert_eq!(d.cancel(&a, 99), unknown, "the expiry removed it");
+    assert_eq!(d.cancel(&b, 99), unknown_task, "b was touched at t=99.5");
+}
+
+#[test]
 fn stale_sessions_gced_on_pump() {
     let d = emu_daemon(DaemonConfig {
         session_ttl_secs: 100.0,

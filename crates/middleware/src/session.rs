@@ -219,7 +219,8 @@ mod tests {
         d.advance_time(50.0);
         assert_eq!(d.cancel(&tok, 99), Err(DaemonError::UnknownTask(99)));
         assert_eq!(d.list_sessions()[0].last_active, 50.0);
-        // idle 100 s from t=50: expired exactly at the TTL boundary
+        // idle 100 s from t=50: the sweep expires it at the TTL boundary
+        // (`check_session`'s own boundary: daemon/tests.rs)
         d.advance_time(100.0);
         assert!(d.list_sessions().is_empty());
         let unknown = DaemonError::Session(SessionError::UnknownToken);

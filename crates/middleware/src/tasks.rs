@@ -114,7 +114,8 @@ impl std::fmt::Display for IllegalTransition {
 
 /// The watermarks the records carry, which replay must not fall below:
 /// raised by [`TaskTable::apply`], never lowered. Recovery starts the
-/// daemon's id, token and clock counters from them.
+/// daemon's id and clock counters from them; session tokens are minted from
+/// the token floor itself.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub(crate) struct Floors {
     /// One past every task id a record names.
