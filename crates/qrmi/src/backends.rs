@@ -9,7 +9,6 @@
 //!   queue: tasks stay `Queued` for a configurable number of polls before
 //!   running, modelling the loose-coupling latency of cloud access (§2.2.1).
 
-use crate::instrument::KernelProfile;
 use crate::resource::{
     AcquisitionToken, QrmiError, QuantumResource, ResourceType, TaskId, TaskStatus,
 };
@@ -17,9 +16,57 @@ use hpcqc_emulator::{Emulator, SampleResult};
 use hpcqc_program::{DeviceSpec, ProgramIr};
 use hpcqc_qpu::VirtualQpu;
 use hpcqc_sync::{rank, TrackedMutex as Mutex};
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Wall-clock profile of *real* emulator kernel invocations — as opposed to
+/// the simulated device timing a [`VirtualQpu`] stamps. QRMI resources that
+/// run an in-process emulator record how much host CPU each `Emulator::run`
+/// consumed, so regressions in the classical kernels show up in resource
+/// metadata without a dedicated benchmark run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct KernelProfile {
+    /// Completed `Emulator::run` invocations (including failed ones — a
+    /// rejected program still costs validation/evolution time).
+    pub runs: u64,
+    /// Accumulated wall-clock seconds across all runs.
+    pub total_secs: f64,
+    /// Wall-clock seconds of the most recent run.
+    pub last_secs: f64,
+}
+
+impl KernelProfile {
+    /// Fold one completed run into the profile.
+    pub fn record(&mut self, secs: f64) {
+        self.runs += 1;
+        self.total_secs += secs;
+        self.last_secs = secs;
+    }
+
+    /// Mean wall-clock seconds per run (0 before the first run).
+    pub fn mean_secs(&self) -> f64 {
+        if self.runs == 0 {
+            0.0
+        } else {
+            self.total_secs / self.runs as f64
+        }
+    }
+
+    /// Render into resource metadata under `kernel_*` keys.
+    pub fn to_metadata(self, m: &mut BTreeMap<String, String>) {
+        m.insert("kernel_runs".into(), self.runs.to_string());
+        m.insert(
+            "kernel_secs_total".into(),
+            format!("{:.6}", self.total_secs),
+        );
+        m.insert(
+            "kernel_secs_mean".into(),
+            format!("{:.6}", self.mean_secs()),
+        );
+    }
+}
 
 #[derive(Debug, Clone)]
 enum TaskState {

@@ -58,53 +58,6 @@ impl TimingModel {
     }
 }
 
-/// Wall-clock profile of *real* emulator kernel invocations — as opposed to
-/// the simulated device timing of [`TimingModel`]. QRMI resources that run
-/// an in-process emulator record how much host CPU each `Emulator::run`
-/// consumed, so regressions in the classical kernels show up in resource
-/// metadata without a dedicated benchmark run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct KernelProfile {
-    /// Completed `Emulator::run` invocations (including failed ones — a
-    /// rejected program still costs validation/evolution time).
-    pub runs: u64,
-    /// Accumulated wall-clock seconds across all runs.
-    pub total_secs: f64,
-    /// Wall-clock seconds of the most recent run.
-    pub last_secs: f64,
-}
-
-impl KernelProfile {
-    /// Fold one completed run into the profile.
-    pub fn record(&mut self, secs: f64) {
-        self.runs += 1;
-        self.total_secs += secs;
-        self.last_secs = secs;
-    }
-
-    /// Mean wall-clock seconds per run (0 before the first run).
-    pub fn mean_secs(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.total_secs / self.runs as f64
-        }
-    }
-
-    /// Render into resource metadata under `kernel_*` keys.
-    pub fn to_metadata(self, m: &mut BTreeMap<String, String>) {
-        m.insert("kernel_runs".into(), self.runs.to_string());
-        m.insert(
-            "kernel_secs_total".into(),
-            format!("{:.6}", self.total_secs),
-        );
-        m.insert(
-            "kernel_secs_mean".into(),
-            format!("{:.6}", self.mean_secs()),
-        );
-    }
-}
-
 /// One profiled operation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfileEntry {

@@ -13,7 +13,9 @@ pub mod fault;
 pub mod instrument;
 pub mod resource;
 
-pub use backends::{CloudEngine, CloudResource, LocalEmulatorResource, QpuDirectResource};
+pub use backends::{
+    CloudEngine, CloudResource, KernelProfile, LocalEmulatorResource, QpuDirectResource,
+};
 pub use config::{ConfigError, QrmiConfig, ResourceConfig, ResourceFactory, ResourceRegistry};
 pub use fault::{FaultInjector, FaultProfile};
 pub use instrument::{InstrumentedResource, ProfileEntry, TimingModel};
