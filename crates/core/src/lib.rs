@@ -22,7 +22,6 @@ pub mod config;
 pub mod hybrid;
 pub mod retry;
 pub mod runtime;
-pub mod workflow;
 
 pub use client::{BatchItem, ClientError, DaemonClient, DaemonSession};
 pub use config::RuntimeConfig;
@@ -30,4 +29,3 @@ pub use hpcqc_emulator::SweepPoint;
 pub use hybrid::{iterate, IterationRecord, LoopResult};
 pub use retry::{AttemptBudget, Backoff, RetryPolicy};
 pub use runtime::{RecoveredRun, RunReport, Runtime, RuntimeError};
-pub use workflow::{Outputs, TraceEntry, Value, Workflow, WorkflowError};

@@ -70,7 +70,12 @@ impl KernelProfile {
 
 #[derive(Debug, Clone)]
 enum TaskState {
-    Pending { ir: ProgramIr, polls_left: u32 },
+    Pending {
+        ir: ProgramIr,
+        polls_left: u32,
+    },
+    /// Claimed by the poll that executes it; no other poll runs it again.
+    Running,
     Done(SampleResult),
     Failed(String),
     Cancelled,
@@ -85,11 +90,12 @@ impl TaskState {
         }
     }
 
-    /// The status a terminal state reports; `None` while pending (what a
-    /// pending task reports differs per backend).
-    fn terminal_status(&self) -> Option<TaskStatus> {
+    /// The status this state reports; `None` while pending (what a pending
+    /// task reports differs per backend).
+    fn status(&self) -> Option<TaskStatus> {
         match self {
             TaskState::Pending { .. } => None,
+            TaskState::Running => Some(TaskStatus::Running),
             TaskState::Done(_) => Some(TaskStatus::Completed),
             TaskState::Failed(m) => Some(TaskStatus::Failed(m.clone())),
             TaskState::Cancelled => Some(TaskStatus::Cancelled),
@@ -97,95 +103,133 @@ impl TaskState {
     }
 }
 
-/// The bookkeeping every backend keeps: the leases it has out and, per task
-/// id, the lease that started it and its state. A lease's tasks are dropped
-/// when the lease is released, so a long-running daemon does not hold every
-/// result it ever produced a second time; callers fetch results before they
-/// release.
+/// What a [`Ledger`] guards, in one hold.
+#[derive(Default)]
+struct Book {
+    leases: HashSet<String>,
+    /// Per task id: the lease that started it, and its state.
+    tasks: HashMap<String, (String, TaskState)>,
+    /// Source of lease and task ids.
+    counter: u64,
+    kernel: KernelProfile,
+}
+
+impl Book {
+    fn new_id(&mut self, prefix: &str) -> String {
+        self.counter += 1;
+        format!("{prefix}-{}", self.counter - 1)
+    }
+}
+
+/// The bookkeeping every backend keeps, behind one lock: the leases it has
+/// out, per task id the lease that started it and its state, the id
+/// counter and the kernel profile. A lease's tasks are dropped when the
+/// lease is released, so a long-running daemon does not hold every result
+/// it ever produced a second time; callers fetch results before they
+/// release. No engine runs under the lock.
 struct Ledger {
-    leases: Mutex<HashSet<String>>,
     /// A physical device grants one lease at a time.
     exclusive: bool,
-    tasks: Mutex<HashMap<String, (String, TaskState)>>,
-    counter: AtomicU64,
+    book: Mutex<Book>,
 }
 
 impl Ledger {
     /// `exclusive`: one lease at a time, not any number of concurrent ones.
-    fn new(exclusive: bool, leases_lock: &'static str, tasks_lock: &'static str) -> Self {
-        let leases_rank = if exclusive {
-            rank::QRMI_LEASE
-        } else {
-            rank::QRMI_TOKENS
-        };
+    fn new(exclusive: bool, lock_name: &'static str) -> Self {
         Ledger {
-            leases: Mutex::new(leases_lock, leases_rank, HashSet::new()),
             exclusive,
-            tasks: Mutex::new(tasks_lock, rank::QRMI_TASKS, HashMap::new()),
-            counter: AtomicU64::new(0),
+            book: Mutex::new(lock_name, rank::QRMI_LEDGER, Book::default()),
         }
     }
 
-    fn new_id(&self, prefix: &str) -> String {
-        format!("{prefix}-{}", self.counter.fetch_add(1, Ordering::Relaxed))
-    }
-
     fn acquire(&self) -> Result<AcquisitionToken, QrmiError> {
-        let mut leases = self.leases.lock();
-        if self.exclusive && !leases.is_empty() {
+        let mut book = self.book.lock();
+        if self.exclusive && !book.leases.is_empty() {
             return Err(QrmiError::AcquisitionDenied(
                 "QPU already leased; direct access is exclusive".into(),
             ));
         }
-        let tok = self.new_id("lease");
-        leases.insert(tok.clone());
+        let tok = book.new_id("lease");
+        book.leases.insert(tok.clone());
         Ok(AcquisitionToken(tok))
     }
 
     /// End `lease` and drop every task it started.
     fn release(&self, lease: &AcquisitionToken) -> Result<(), QrmiError> {
-        if !self.leases.lock().remove(&lease.0) {
+        let mut book = self.book.lock();
+        if !book.leases.remove(&lease.0) {
             return Err(QrmiError::InvalidToken);
         }
-        self.tasks.lock().retain(|_, (l, _)| *l != lease.0);
+        book.tasks.retain(|_, (l, _)| *l != lease.0);
         Ok(())
     }
 
-    /// `task_start`'s token check.
+    /// `task_start`'s token check before it runs anything.
     fn check(&self, lease: &AcquisitionToken) -> Result<(), QrmiError> {
-        let held = self.leases.lock().contains(&lease.0);
+        let held = self.book.lock().leases.contains(&lease.0);
         held.then_some(()).ok_or(QrmiError::InvalidToken)
     }
 
-    fn start(&self, lease: &AcquisitionToken, state: TaskState) -> TaskId {
-        let id = self.new_id("task");
-        self.tasks
-            .lock()
-            .insert(id.clone(), (lease.0.clone(), state));
-        TaskId(id)
+    /// Store a new task under `lease`, folding the wall-clock of the engine
+    /// run that produced it (if any) into the kernel profile. The lease is
+    /// checked again in this hold: one released while the engine ran takes
+    /// its task with it, so nothing is stored.
+    fn start(
+        &self,
+        lease: &AcquisitionToken,
+        state: TaskState,
+        kernel_secs: Option<f64>,
+    ) -> Result<TaskId, QrmiError> {
+        let mut book = self.book.lock();
+        if let Some(secs) = kernel_secs {
+            book.kernel.record(secs);
+        }
+        if !book.leases.contains(&lease.0) {
+            return Err(QrmiError::InvalidToken);
+        }
+        let id = book.new_id("task");
+        book.tasks.insert(id.clone(), (lease.0.clone(), state));
+        Ok(TaskId(id))
     }
 
     /// Run `f` on the task's state under the ledger lock.
     fn with<R>(&self, task: &TaskId, f: impl FnOnce(&mut TaskState) -> R) -> Result<R, QrmiError> {
-        match self.tasks.lock().get_mut(&task.0) {
+        match self.book.lock().tasks.get_mut(&task.0) {
             Some((_, state)) => Ok(f(state)),
             None => Err(QrmiError::UnknownTask),
         }
     }
 
     fn status(&self, task: &TaskId, pending_as: TaskStatus) -> Result<TaskStatus, QrmiError> {
-        self.with(task, |s| s.terminal_status().unwrap_or(pending_as))
+        self.with(task, |s| s.status().unwrap_or(pending_as))
     }
 
-    /// Cancel a task that has not run yet.
+    /// Cancel a task that has not started running.
     fn stop(&self, task: &TaskId) -> Result<(), QrmiError> {
         self.with(task, |s| match s {
             TaskState::Pending { .. } => {
                 *s = TaskState::Cancelled;
                 Ok(())
             }
-            _ => Err(QrmiError::InvalidState("task already terminal".into())),
+            _ => Err(QrmiError::InvalidState(
+                "task already running or terminal".into(),
+            )),
         })?
+    }
+
+    /// Store the outcome of a claimed task's run and fold its wall-clock
+    /// into the kernel profile, in one hold. The task may be gone with its
+    /// released lease; the run still counts.
+    fn settle(&self, task: &TaskId, state: TaskState, kernel_secs: f64) {
+        let mut book = self.book.lock();
+        book.kernel.record(kernel_secs);
+        if let Some((_, s)) = book.tasks.get_mut(&task.0) {
+            *s = state;
+        }
+    }
+
+    fn kernel(&self) -> KernelProfile {
+        self.book.lock().kernel
     }
 
     fn result(&self, task: &TaskId) -> Result<SampleResult, QrmiError> {
@@ -203,7 +247,6 @@ pub struct LocalEmulatorResource {
     emulator: Arc<dyn Emulator>,
     ledger: Ledger,
     seed_counter: AtomicU64,
-    kernel: Mutex<KernelProfile>,
 }
 
 impl LocalEmulatorResource {
@@ -211,19 +254,14 @@ impl LocalEmulatorResource {
         LocalEmulatorResource {
             id: id.into(),
             emulator,
-            ledger: Ledger::new(false, "qrmi.emulator.tokens", "qrmi.emulator.tasks"),
+            ledger: Ledger::new(false, "qrmi.emulator.ledger"),
             seed_counter: AtomicU64::new(seed),
-            kernel: Mutex::new(
-                "qrmi.emulator.kernel",
-                rank::QRMI_KERNEL,
-                KernelProfile::default(),
-            ),
         }
     }
 
     /// Wall-clock profile of the emulator runs this resource performed.
     pub fn kernel_profile(&self) -> KernelProfile {
-        *self.kernel.lock()
+        self.ledger.kernel()
     }
 }
 
@@ -253,8 +291,8 @@ impl QuantumResource for LocalEmulatorResource {
         let seed = self.seed_counter.fetch_add(1, Ordering::Relaxed);
         let t = std::time::Instant::now();
         let state = TaskState::of(self.emulator.run(ir, seed));
-        self.kernel.lock().record(t.elapsed().as_secs_f64());
-        Ok(self.ledger.start(token, state))
+        let secs = t.elapsed().as_secs_f64();
+        self.ledger.start(token, state, Some(secs))
     }
 
     fn task_status(&self, task: &TaskId) -> Result<TaskStatus, QrmiError> {
@@ -292,7 +330,7 @@ impl QpuDirectResource {
         QpuDirectResource {
             id: id.into(),
             qpu,
-            ledger: Ledger::new(true, "qrmi.qpu_direct.lease", "qrmi.qpu_direct.tasks"),
+            ledger: Ledger::new(true, "qrmi.qpu_direct.ledger"),
             seed_counter: AtomicU64::new(seed),
         }
     }
@@ -328,7 +366,7 @@ impl QuantumResource for QpuDirectResource {
         self.ledger.check(token)?;
         let seed = self.seed_counter.fetch_add(1, Ordering::Relaxed);
         let state = TaskState::of(self.qpu.execute(ir, seed).map(|ex| ex.result));
-        Ok(self.ledger.start(token, state))
+        self.ledger.start(token, state, None)
     }
 
     fn task_status(&self, task: &TaskId) -> Result<TaskStatus, QrmiError> {
@@ -373,7 +411,6 @@ pub struct CloudResource {
     pub queue_polls: u32,
     ledger: Ledger,
     seed_counter: AtomicU64,
-    kernel: Mutex<KernelProfile>,
 }
 
 impl CloudResource {
@@ -387,29 +424,14 @@ impl CloudResource {
             engine,
             rtype,
             queue_polls,
-            ledger: Ledger::new(false, "qrmi.cloud.tokens", "qrmi.cloud.tasks"),
+            ledger: Ledger::new(false, "qrmi.cloud.ledger"),
             seed_counter: AtomicU64::new(seed),
-            kernel: Mutex::new(
-                "qrmi.cloud.kernel",
-                rank::QRMI_KERNEL,
-                KernelProfile::default(),
-            ),
         }
     }
 
     /// Wall-clock profile of the engine executions this resource performed.
     pub fn kernel_profile(&self) -> KernelProfile {
-        *self.kernel.lock()
-    }
-
-    fn execute(&self, ir: &ProgramIr, seed: u64) -> TaskState {
-        let t = std::time::Instant::now();
-        let state = match &self.engine {
-            CloudEngine::Emulator(e) => TaskState::of(e.run(ir, seed)),
-            CloudEngine::Qpu(q) => TaskState::of(q.execute(ir, seed).map(|ex| ex.result)),
-        };
-        self.kernel.lock().record(t.elapsed().as_secs_f64());
-        state
+        self.ledger.kernel()
     }
 }
 
@@ -443,32 +465,37 @@ impl QuantumResource for CloudResource {
             ir: ir.clone(),
             polls_left: self.queue_polls,
         };
-        Ok(self.ledger.start(token, state))
+        self.ledger.start(token, state, None)
     }
 
     fn task_status(&self, task: &TaskId) -> Result<TaskStatus, QrmiError> {
-        // The queue countdown runs under the ledger lock; execution happens
-        // outside it.
+        // The queue countdown and the claim of a due task run under the
+        // ledger lock, so exactly one poll executes it; execution happens
+        // outside the lock.
         let polled = self.ledger.with(task, |s| match s {
             TaskState::Pending { polls_left, .. } if *polls_left > 0 => {
                 *polls_left -= 1;
                 Err(TaskStatus::Queued)
             }
-            TaskState::Pending { ir, .. } => Ok(ir.clone()),
-            done => Err(done.terminal_status().expect("not pending")),
+            TaskState::Pending { ir, .. } => {
+                let due = ir.clone();
+                *s = TaskState::Running;
+                Ok(due)
+            }
+            other => Err(other.status().expect("not pending")),
         })?;
         let due = match polled {
             Ok(ir) => ir,
             Err(status) => return Ok(status),
         };
         let seed = self.seed_counter.fetch_add(1, Ordering::Relaxed);
-        let state = self.execute(&due, seed);
-        let status = state
-            .terminal_status()
-            .expect("execute returns terminal states");
-        // Another poller may have raced us (terminal states are idempotent),
-        // or the lease may be gone, and its task with it.
-        let _ = self.ledger.with(task, |s| *s = state);
+        let t = std::time::Instant::now();
+        let state = match &self.engine {
+            CloudEngine::Emulator(e) => TaskState::of(e.run(&due, seed)),
+            CloudEngine::Qpu(q) => TaskState::of(q.execute(&due, seed).map(|ex| ex.result)),
+        };
+        let status = state.status().expect("a run ends in a terminal state");
+        self.ledger.settle(task, state, t.elapsed().as_secs_f64());
         Ok(status)
     }
 
@@ -666,7 +693,7 @@ mod tests {
                 r.release(&tok).unwrap();
                 served.push(task);
             }
-            assert!(ledger.tasks.lock().is_empty(), "{}", r.resource_id());
+            assert!(ledger.book.lock().tasks.is_empty(), "{}", r.resource_id());
             for task in &served {
                 assert_eq!(r.task_result(task), Err(QrmiError::UnknownTask));
                 assert_eq!(r.task_status(task), Err(QrmiError::UnknownTask));
@@ -689,6 +716,108 @@ mod tests {
         emu.task_start(&a, &ir(5)).unwrap();
         emu.release(&a).unwrap();
         assert_eq!(emu.task_result(&kept).unwrap().shots, 5);
+    }
+
+    /// An emulator whose first run parks until [`Gated::open`], so a test
+    /// can act on the resource while that run is in flight. Later runs go
+    /// straight through.
+    #[derive(Default)]
+    struct Gated {
+        sv: SvBackend,
+        /// (runs entered, gate open)
+        state: std::sync::Mutex<(usize, bool)>,
+        cv: std::sync::Condvar,
+    }
+
+    impl Gated {
+        /// Block until the first run is parked at the gate.
+        fn wait_parked(&self) {
+            let mut s = self.state.lock().unwrap();
+            while s.0 == 0 {
+                s = self.cv.wait(s).unwrap();
+            }
+        }
+
+        fn open(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.cv.notify_all();
+        }
+    }
+
+    impl Emulator for Gated {
+        fn name(&self) -> &str {
+            self.sv.name()
+        }
+
+        fn spec(&self) -> DeviceSpec {
+            self.sv.spec()
+        }
+
+        fn run(
+            &self,
+            ir: &ProgramIr,
+            seed: u64,
+        ) -> Result<SampleResult, hpcqc_emulator::EmulatorError> {
+            let mut s = self.state.lock().unwrap();
+            s.0 += 1;
+            if s.0 == 1 {
+                self.cv.notify_all();
+                while !s.1 {
+                    s = self.cv.wait(s).unwrap();
+                }
+            }
+            drop(s);
+            self.sv.run(ir, seed)
+        }
+    }
+
+    #[test]
+    fn lease_released_mid_run_stores_no_task() {
+        let gate = Arc::new(Gated::default());
+        let r = Arc::new(LocalEmulatorResource::new("emu-local", gate.clone(), 1));
+        let tok = r.acquire().unwrap();
+        let starter = {
+            let (r, tok) = (r.clone(), tok.clone());
+            std::thread::spawn(move || r.task_start(&tok, &ir(5)))
+        };
+        gate.wait_parked();
+        r.release(&tok).unwrap();
+        gate.open();
+        assert_eq!(starter.join().unwrap(), Err(QrmiError::InvalidToken));
+        assert!(
+            r.ledger.book.lock().tasks.is_empty(),
+            "task under a dead lease"
+        );
+        assert_eq!(r.kernel_profile().runs, 1, "the run still counts");
+    }
+
+    #[test]
+    fn concurrent_polls_execute_a_due_task_once() {
+        let gate = Arc::new(Gated::default());
+        let r = Arc::new(CloudResource::new(
+            "emu-cloud",
+            CloudEngine::Emulator(gate.clone()),
+            0,
+            1,
+        ));
+        let tok = r.acquire().unwrap();
+        let task = r.task_start(&tok, &ir(5)).unwrap();
+        let first = {
+            let (r, task) = (r.clone(), task.clone());
+            std::thread::spawn(move || r.task_status(&task))
+        };
+        gate.wait_parked();
+        // The first poll is mid-run: a second one must not run it again,
+        // and the claimed task can no longer be stopped.
+        assert_eq!(r.task_status(&task), Ok(TaskStatus::Running));
+        assert!(matches!(
+            r.task_stop(&task),
+            Err(QrmiError::InvalidState(_))
+        ));
+        gate.open();
+        assert_eq!(first.join().unwrap(), Ok(TaskStatus::Completed));
+        assert_eq!(r.kernel_profile().runs, 1);
+        assert_eq!(r.task_result(&task).unwrap().shots, 5);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! seeded faults at the QRMI boundary so the recovery machinery above it —
 //! runtime retries, graceful degradation, daemon requeues — can be exercised
 //! reproducibly. It covers the failure surface a real cloud/on-prem resource
-//! exposes (compose it over [`crate::InstrumentedResource`] for simulated
-//! timing on top):
+//! exposes (wrap a [`crate::QpuDirectResource`] to add the simulated device
+//! timing its `VirtualQpu` stamps on every result):
 //!
 //! * **acquisition denials** — `acquire` rejected (busy device, quota),
 //! * **transient task failures** — a started task reports
@@ -33,7 +33,6 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Per-resource-type fault pressure.
@@ -118,22 +117,57 @@ enum InjectedFate {
     Cancelled,
 }
 
-/// Burst ("weather") state: correlated fault windows.
-#[derive(Debug, Default)]
-struct Weather {
+/// Everything the injector draws and remembers, behind one lock. The
+/// wrapped resource is only called once the guard is dropped.
+struct FaultState {
+    rng: ChaCha8Rng,
+    /// Operations left in the active burst window (0: none active).
     burst_left: u32,
+    /// Fates of tasks that never reached the wrapped backend.
+    injected: HashMap<String, InjectedFate>,
+    /// Number of the next injected task id.
+    next_injected: u64,
+    counts: BTreeMap<&'static str, u64>,
+}
+
+impl FaultState {
+    /// Advance the burst process one operation; true while a burst is active.
+    fn tick(&mut self, profile: &FaultProfile) -> bool {
+        if self.burst_left > 0 {
+            self.burst_left -= 1;
+            return true;
+        }
+        if profile.mtbf_ops > 0.0
+            && profile.burst_len > 0
+            && self.rng.gen_bool((1.0 / profile.mtbf_ops).min(1.0))
+        {
+            self.burst_left = profile.burst_len;
+            return true;
+        }
+        false
+    }
+
+    fn count(&mut self, kind: &'static str) {
+        *self.counts.entry(kind).or_insert(0) += 1;
+    }
+
+    /// Tick, then draw against `base` (scaled inside a burst); a hit is
+    /// counted as `kind`.
+    fn roll(&mut self, profile: &FaultProfile, base: f64, kind: &'static str) -> bool {
+        let p = profile.effective(base, self.tick(profile));
+        let hit = p > 0.0 && self.rng.gen::<f64>() < p;
+        if hit {
+            self.count(kind);
+        }
+        hit
+    }
 }
 
 /// The decorator. See the module docs for the fault model.
 pub struct FaultInjector {
     inner: Arc<dyn QuantumResource>,
     profile: FaultProfile,
-    rng: Mutex<ChaCha8Rng>,
-    weather: Mutex<Weather>,
-    /// Fates of tasks that never reached the wrapped backend.
-    injected: Mutex<HashMap<String, InjectedFate>>,
-    injected_counter: AtomicU64,
-    counts: Mutex<BTreeMap<&'static str, u64>>,
+    state: Mutex<FaultState>,
     metrics: Option<Registry>,
 }
 
@@ -141,18 +175,17 @@ impl FaultInjector {
     /// Wrap `inner`, injecting faults per `profile`, seeded for determinism.
     pub fn new(inner: Arc<dyn QuantumResource>, profile: FaultProfile, seed: u64) -> Self {
         assert!(profile.is_valid(), "invalid fault profile: {profile:?}");
+        let state = FaultState {
+            rng: ChaCha8Rng::seed_from_u64(seed),
+            burst_left: 0,
+            injected: HashMap::new(),
+            next_injected: 0,
+            counts: BTreeMap::new(),
+        };
         FaultInjector {
             inner,
             profile,
-            rng: Mutex::new(
-                "qrmi.fault.rng",
-                rank::QRMI_RNG,
-                ChaCha8Rng::seed_from_u64(seed),
-            ),
-            weather: Mutex::new("qrmi.fault.weather", rank::QRMI_WEATHER, Weather::default()),
-            injected: Mutex::new("qrmi.fault.injected", rank::QRMI_INJECTED, HashMap::new()),
-            injected_counter: AtomicU64::new(0),
-            counts: Mutex::new("qrmi.fault.counts", rank::QRMI_COUNTS, BTreeMap::new()),
+            state: Mutex::new("qrmi.fault", rank::QRMI_FAULT, state),
             metrics: None,
         }
     }
@@ -185,36 +218,16 @@ impl FaultInjector {
     /// Injected-fault counts by kind (`acquire_denied`, `task_failed`,
     /// `task_stuck`, `result_fetch`), for assertions without a registry.
     pub fn fault_counts(&self) -> BTreeMap<&'static str, u64> {
-        self.counts.lock().clone()
+        self.state.lock().counts.clone()
     }
 
     /// Total injected faults across all kinds.
     pub fn total_faults(&self) -> u64 {
-        self.counts.lock().values().sum()
+        self.state.lock().counts.values().sum()
     }
 
-    /// Advance the burst process one operation; true while a burst is active.
-    fn tick(&self) -> bool {
-        let mut w = self.weather.lock();
-        if w.burst_left > 0 {
-            w.burst_left -= 1;
-            return true;
-        }
-        if self.profile.mtbf_ops > 0.0
-            && self.profile.burst_len > 0
-            && self
-                .rng
-                .lock()
-                .gen_bool((1.0 / self.profile.mtbf_ops).min(1.0))
-        {
-            w.burst_left = self.profile.burst_len;
-            return true;
-        }
-        false
-    }
-
-    fn record(&self, kind: &'static str) {
-        *self.counts.lock().entry(kind).or_insert(0) += 1;
+    /// Export one injected fault (already counted in the state).
+    fn export(&self, kind: &'static str) {
         if let Some(m) = &self.metrics {
             let l = labels(&[("resource", self.inner.resource_id()), ("kind", kind)]);
             m.inc(&catalog::QRMI_FAULTS_INJECTED, l, 1.0);
@@ -232,12 +245,13 @@ impl QuantumResource for FaultInjector {
     }
 
     fn acquire(&self) -> Result<AcquisitionToken, QrmiError> {
-        let in_burst = self.tick();
-        let p = self
-            .profile
-            .effective(self.profile.acquire_denial_rate, in_burst);
-        if p > 0.0 && self.rng.lock().gen::<f64>() < p {
-            self.record("acquire_denied");
+        let kind = "acquire_denied";
+        let denied = self
+            .state
+            .lock()
+            .roll(&self.profile, self.profile.acquire_denial_rate, kind);
+        if denied {
+            self.export(kind);
             return Err(QrmiError::AcquisitionDenied(
                 "injected fault: device busy".into(),
             ));
@@ -254,45 +268,46 @@ impl QuantumResource for FaultInjector {
     }
 
     fn task_start(&self, token: &AcquisitionToken, ir: &ProgramIr) -> Result<TaskId, QrmiError> {
-        let in_burst = self.tick();
-        let p_fail = self
-            .profile
-            .effective(self.profile.task_failure_rate, in_burst);
-        let p_stuck = self
-            .profile
-            .effective(self.profile.stuck_task_rate, in_burst);
-        let fate = {
-            let draw = self.rng.lock().gen::<f64>();
-            if draw < p_fail {
-                Some(InjectedFate::FailOnPoll(
-                    "injected fault: task lost by backend".into(),
+        let doomed = {
+            let mut s = self.state.lock();
+            let in_burst = s.tick(&self.profile);
+            let p_fail = self
+                .profile
+                .effective(self.profile.task_failure_rate, in_burst);
+            let p_stuck = self
+                .profile
+                .effective(self.profile.stuck_task_rate, in_burst);
+            let draw = s.rng.gen::<f64>();
+            let fate = if draw < p_fail {
+                Some((
+                    InjectedFate::FailOnPoll("injected fault: task lost by backend".into()),
+                    "task_failed",
                 ))
             } else if draw < p_fail + p_stuck {
-                Some(InjectedFate::StuckRunning)
+                Some((InjectedFate::StuckRunning, "task_stuck"))
             } else {
                 None
-            }
-        };
-        match fate {
-            None => self.inner.task_start(token, ir),
-            Some(f) => {
+            };
+            fate.map(|(fate, kind)| {
                 // doomed: never reaches the backend, no device time wasted
-                self.record(match f {
-                    InjectedFate::FailOnPoll(_) => "task_failed",
-                    _ => "task_stuck",
-                });
-                let id = format!(
-                    "injected-{}",
-                    self.injected_counter.fetch_add(1, Ordering::Relaxed)
-                );
-                self.injected.lock().insert(id.clone(), f);
-                Ok(TaskId(id))
+                s.count(kind);
+                let id = format!("injected-{}", s.next_injected);
+                s.next_injected += 1;
+                s.injected.insert(id.clone(), fate);
+                (TaskId(id), kind)
+            })
+        };
+        match doomed {
+            None => self.inner.task_start(token, ir),
+            Some((id, kind)) => {
+                self.export(kind);
+                Ok(id)
             }
         }
     }
 
     fn task_status(&self, task: &TaskId) -> Result<TaskStatus, QrmiError> {
-        if let Some(fate) = self.injected.lock().get(&task.0) {
+        if let Some(fate) = self.state.lock().injected.get(&task.0) {
             return Ok(match fate {
                 InjectedFate::FailOnPoll(m) => TaskStatus::Failed(m.clone()),
                 InjectedFate::StuckRunning => TaskStatus::Running,
@@ -303,28 +318,27 @@ impl QuantumResource for FaultInjector {
     }
 
     fn task_stop(&self, task: &TaskId) -> Result<(), QrmiError> {
-        let mut injected = self.injected.lock();
-        if let Some(fate) = injected.get_mut(&task.0) {
+        if let Some(fate) = self.state.lock().injected.get_mut(&task.0) {
             *fate = InjectedFate::Cancelled;
             return Ok(());
         }
-        drop(injected);
         self.inner.task_stop(task)
     }
 
     fn task_result(&self, task: &TaskId) -> Result<SampleResult, QrmiError> {
-        if let Some(fate) = self.injected.lock().get(&task.0) {
-            return Err(match fate {
-                InjectedFate::FailOnPoll(m) => QrmiError::Backend(m.clone()),
-                _ => QrmiError::InvalidState("task not completed".into()),
-            });
-        }
-        let in_burst = self.tick();
-        let p = self
-            .profile
-            .effective(self.profile.result_fetch_failure_rate, in_burst);
-        if p > 0.0 && self.rng.lock().gen::<f64>() < p {
-            self.record("result_fetch");
+        let kind = "result_fetch";
+        let fetch_failed = {
+            let mut s = self.state.lock();
+            if let Some(fate) = s.injected.get(&task.0) {
+                return Err(match fate {
+                    InjectedFate::FailOnPoll(m) => QrmiError::Backend(m.clone()),
+                    _ => QrmiError::InvalidState("task not completed".into()),
+                });
+            }
+            s.roll(&self.profile, self.profile.result_fetch_failure_rate, kind)
+        };
+        if fetch_failed {
+            self.export(kind);
             return Err(QrmiError::Backend(
                 "injected fault: result fetch failed".into(),
             ));

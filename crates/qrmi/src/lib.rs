@@ -10,7 +10,6 @@
 pub mod backends;
 pub mod config;
 pub mod fault;
-pub mod instrument;
 pub mod resource;
 
 pub use backends::{
@@ -18,7 +17,6 @@ pub use backends::{
 };
 pub use config::{ConfigError, QrmiConfig, ResourceConfig, ResourceFactory, ResourceRegistry};
 pub use fault::{FaultInjector, FaultProfile};
-pub use instrument::{InstrumentedResource, ProfileEntry, TimingModel};
 pub use resource::{
     run_to_completion, AcquisitionToken, QrmiError, QuantumResource, ResourceType, TaskId,
     TaskStatus,

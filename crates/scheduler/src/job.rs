@@ -118,11 +118,6 @@ pub struct JobSpec {
     pub hint: PatternHint,
     /// Expected QPU busy seconds (optional richer hint from §3.5).
     pub expected_qpu_secs: Option<f64>,
-    /// Predicted total runtime from the runtime layer (§4: two-way
-    /// scheduler-runtime communication). When present and the policy enables
-    /// predictive backfill, reservations use this instead of the (padded)
-    /// time limit, allowing more aggressive backfilling.
-    pub predicted_runtime_secs: Option<f64>,
 }
 
 impl JobSpec {
@@ -139,7 +134,6 @@ impl JobSpec {
             actual_runtime_secs: runtime,
             hint: PatternHint::None,
             expected_qpu_secs: None,
-            predicted_runtime_secs: None,
         }
     }
 
@@ -164,12 +158,6 @@ impl JobSpec {
     /// Set an explicit time limit.
     pub fn with_time_limit(mut self, secs: f64) -> Self {
         self.time_limit_secs = secs;
-        self
-    }
-
-    /// Attach a runtime-provided runtime prediction (§4).
-    pub fn with_prediction(mut self, secs: f64) -> Self {
-        self.predicted_runtime_secs = Some(secs);
         self
     }
 }

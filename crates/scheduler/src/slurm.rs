@@ -82,11 +82,6 @@ pub struct SchedPolicy {
     pub backfill: bool,
     /// Partition-priority preemption (requeue).
     pub preemption: bool,
-    /// Use runtime-provided predictions (`JobSpec::predicted_runtime_secs`)
-    /// instead of time limits when computing backfill reservations — the
-    /// §4 "richer two-way communication" experiment. Jobs without a
-    /// prediction fall back to their limit.
-    pub predictive_backfill: bool,
 }
 
 impl Default for SchedPolicy {
@@ -94,7 +89,6 @@ impl Default for SchedPolicy {
         SchedPolicy {
             backfill: true,
             preemption: true,
-            predictive_backfill: false,
         }
     }
 }
@@ -316,20 +310,8 @@ impl SlurmSim {
         self.pending.push(id);
     }
 
-    /// The horizon used for reservations: the runtime's prediction when
-    /// predictive backfill is on (falling back to the limit), else the limit.
-    fn planning_runtime(&self, spec: &JobSpec) -> f64 {
-        if self.policy.predictive_backfill {
-            spec.predicted_runtime_secs.unwrap_or(spec.time_limit_secs)
-        } else {
-            spec.time_limit_secs
-        }
-    }
-
     /// Earliest time the blocked `spec` could start, assuming running jobs
-    /// hold resources until their planning horizon (time limits, or runtime
-    /// predictions under predictive backfill), plus the hypothetical cluster
-    /// state then.
+    /// hold resources until their time limits, as Slurm's backfill plans.
     fn shadow_time(&self, spec: &JobSpec) -> f64 {
         let now = self.now();
         let mut releases: Vec<(f64, JobId)> = self
@@ -338,7 +320,7 @@ impl SlurmSim {
             .filter(|j| j.state == JobState::Running)
             .map(|j| {
                 let start = j.start_time.expect("running job started");
-                (start + self.planning_runtime(&j.spec), j.id)
+                (start + j.spec.time_limit_secs, j.id)
             })
             .collect();
         releases.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
@@ -403,7 +385,7 @@ impl SlurmSim {
                     }
                     let spec = self.jobs[&id].spec.clone();
                     if self.cluster.fits(&spec).is_ok()
-                        && now + self.planning_runtime(&spec) <= shadow + 1e-9
+                        && now + spec.time_limit_secs <= shadow + 1e-9
                     {
                         self.start_job(id);
                         started_any = true;
@@ -582,7 +564,6 @@ mod tests {
             SchedPolicy {
                 backfill: true,
                 preemption: false,
-                ..SchedPolicy::default()
             },
         );
         let dev = s.submit_at(spec("development", 2, 1000.0), 0.0).unwrap();
@@ -651,7 +632,6 @@ mod tests {
             SchedPolicy {
                 backfill: false,
                 preemption: true,
-                ..SchedPolicy::default()
             },
         );
         s.submit_at(spec("test", 3, 100.0).with_time_limit(100.0), 0.0)

@@ -60,7 +60,7 @@ proptest! {
         let mut sim = SlurmSim::new(
             cluster,
             standard_partitions(),
-            SchedPolicy { backfill, preemption, ..SchedPolicy::default() },
+            SchedPolicy { backfill, preemption },
         );
         let mut accepted = Vec::new();
         let mut sorted = jobs.clone();

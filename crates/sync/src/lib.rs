@@ -72,26 +72,12 @@ pub mod rank {
     pub const SHIP_LOG: u32 = 930;
     /// Server completion queue (event-loop handoff).
     pub const SERVER_COMPLETIONS: u32 = 940;
-    /// QRMI fault-injection burst state (locks its RNG while held).
-    pub const QRMI_WEATHER: u32 = 950;
-    /// QRMI deterministic RNGs (fault + latency draws).
-    pub const QRMI_RNG: u32 = 952;
-    /// QRMI injected-fate table (tasks doomed to fail/stick).
-    pub const QRMI_INJECTED: u32 = 954;
-    /// QRMI fault counters.
-    pub const QRMI_COUNTS: u32 = 956;
-    /// QRMI instrumentation profile (op → count/seconds).
-    pub const QRMI_PROFILE: u32 = 958;
-    /// QRMI per-task shot table (instrumented timing).
-    pub const QRMI_SHOTS: u32 = 959;
-    /// QRMI backend task tables.
-    pub const QRMI_TASKS: u32 = 960;
-    /// QRMI emulator lease-token set.
-    pub const QRMI_TOKENS: u32 = 962;
-    /// QRMI direct-QPU exclusive lease.
-    pub const QRMI_LEASE: u32 = 963;
-    /// QRMI emulator kernel wall-clock profile.
-    pub const QRMI_KERNEL: u32 = 964;
+    /// QRMI fault injector state: RNG, burst window, injected fates and
+    /// fault counts. Never held across a call into the wrapped resource.
+    pub const QRMI_FAULT: u32 = 950;
+    /// QRMI backend ledger: leases, tasks, id counter and kernel profile.
+    /// Never held across an emulator run or a QPU execution.
+    pub const QRMI_LEDGER: u32 = 960;
     /// QPU device state.
     pub const QPU_DEVICE: u32 = 970;
     /// Telemetry time-series store.

@@ -182,9 +182,6 @@ pub fn to_batch_spec(job: &HybridJob, gres_pool: u32) -> JobSpec {
         actual_runtime_secs: total,
         hint: job.hint,
         expected_qpu_secs: Some(job.qpu_secs()),
-        // the runtime layer knows the workload: a mildly padded prediction
-        // (§4 two-way communication; 10% safety margin)
-        predicted_runtime_secs: Some(total * 1.1),
     }
 }
 
