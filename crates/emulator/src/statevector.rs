@@ -711,9 +711,42 @@ unsafe fn stage_input_chunk_avx2(
     }
 }
 
-/// The pass is memory-bound, so it has no AVX-512 tier: one measured within
-/// 10 % of AVX2 at 2^12–2^14 amplitudes and tied at 2^16.
+/// Hand-written AVX-512F instantiation of [`stage_input_chunk_lanes`] —
+/// four complex elements per iteration, same IEEE ops in the same order.
 ///
+/// # Safety
+/// Same contract as [`stage_input_chunk_lanes`], plus `chunk.len() % 4 == 0`
+/// and AVX-512F availability.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn stage_input_chunk_avx512(
+    psi: &[Complex64],
+    k_chunk: &[Complex64],
+    c: Complex64,
+    base: usize,
+    chunk: &mut [Complex64],
+) {
+    use std::arch::x86_64::*;
+    debug_assert_eq!(chunk.len() % 4, 0);
+    debug_assert_eq!(chunk.len(), k_chunk.len());
+    debug_assert!(base + chunk.len() <= psi.len());
+    let c_re = _mm512_set1_pd(c.re);
+    #[rustfmt::skip]
+    let c_im = _mm512_setr_pd(-c.im, c.im, -c.im, c.im, -c.im, c.im, -c.im, c.im);
+    let psip = complex_as_f64(psi).as_ptr();
+    let kp = complex_as_f64(k_chunk).as_ptr();
+    let outp = complex_as_f64_mut(chunk).as_mut_ptr();
+    for j in 0..chunk.len() / 4 {
+        let p = _mm512_loadu_pd(psip.add(2 * base + 8 * j));
+        let kv = _mm512_loadu_pd(kp.add(8 * j));
+        let ck = _mm512_add_pd(
+            _mm512_mul_pd(kv, c_re),
+            _mm512_mul_pd(_mm512_permute_pd(kv, 0x55), c_im),
+        );
+        _mm512_storeu_pd(outp.add(8 * j), _mm512_add_pd(p, ck));
+    }
+}
+
 /// # Safety
 /// Same contract as [`stage_input_chunk_lanes`].
 #[inline]
@@ -726,6 +759,12 @@ unsafe fn stage_input_chunk_dispatch(
 ) {
     #[cfg(target_arch = "x86_64")]
     {
+        if chunk.len().is_multiple_of(4) && simd::avx512_available() {
+            // SAFETY: AVX-512F verified at runtime, length divisibility just
+            // checked; contract forwarded from the caller.
+            unsafe { stage_input_chunk_avx512(psi, k_chunk, c, base, chunk) };
+            return;
+        }
         if simd::avx2_available() {
             // SAFETY: AVX2 support was just verified at runtime; contract
             // forwarded from the caller.
@@ -830,8 +869,58 @@ unsafe fn combine_chunk_avx2(
     }
 }
 
-/// Memory-bound like the stage pass, so likewise no AVX-512 tier.
+/// Hand-written AVX-512F instantiation of [`combine_chunk_lanes`] — four
+/// complex elements per iteration, scalar association order, no FMA.
 ///
+/// # Safety
+/// Same contract as [`combine_chunk_lanes`], plus `chunk.len() % 4 == 0`
+/// and AVX-512F availability.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn combine_chunk_avx512(
+    k1: &[Complex64],
+    k2: &[Complex64],
+    k3: &[Complex64],
+    k4_chunk: &[Complex64],
+    c: Complex64,
+    base: usize,
+    chunk: &mut [Complex64],
+) {
+    use std::arch::x86_64::*;
+    debug_assert_eq!(chunk.len() % 4, 0);
+    debug_assert_eq!(chunk.len(), k4_chunk.len());
+    debug_assert!(base + chunk.len() <= k1.len().min(k2.len()).min(k3.len()));
+    let c_re = _mm512_set1_pd(c.re);
+    #[rustfmt::skip]
+    let c_im = _mm512_setr_pd(-c.im, c.im, -c.im, c.im, -c.im, c.im, -c.im, c.im);
+    let two = _mm512_set1_pd(2.0);
+    let k1p = complex_as_f64(k1).as_ptr();
+    let k2p = complex_as_f64(k2).as_ptr();
+    let k3p = complex_as_f64(k3).as_ptr();
+    let k4p = complex_as_f64(k4_chunk).as_ptr();
+    let outp = complex_as_f64_mut(chunk).as_mut_ptr();
+    for j in 0..chunk.len() / 4 {
+        let off = 2 * base + 8 * j;
+        let v1 = _mm512_loadu_pd(k1p.add(off));
+        let v2 = _mm512_loadu_pd(k2p.add(off));
+        let v3 = _mm512_loadu_pd(k3p.add(off));
+        let v4 = _mm512_loadu_pd(k4p.add(8 * j));
+        let o = outp.add(8 * j);
+        let cur = _mm512_loadu_pd(o);
+        // K1 + 2(K2 + K3) + K4, association order of the scalar loop
+        let sum = _mm512_add_pd(
+            _mm512_add_pd(v1, _mm512_mul_pd(_mm512_add_pd(v2, v3), two)),
+            v4,
+        );
+        let csum = _mm512_add_pd(
+            _mm512_mul_pd(sum, c_re),
+            _mm512_mul_pd(_mm512_permute_pd(sum, 0x55), c_im),
+        );
+        _mm512_storeu_pd(o, _mm512_add_pd(cur, csum));
+    }
+}
+
 /// # Safety
 /// Same contract as [`combine_chunk_lanes`].
 #[inline]
@@ -847,6 +936,12 @@ unsafe fn combine_chunk_dispatch(
 ) {
     #[cfg(target_arch = "x86_64")]
     {
+        if chunk.len().is_multiple_of(4) && simd::avx512_available() {
+            // SAFETY: AVX-512F verified at runtime, length divisibility just
+            // checked; contract forwarded from the caller.
+            unsafe { combine_chunk_avx512(k1, k2, k3, k4_chunk, c, base, chunk) };
+            return;
+        }
         if simd::avx2_available() {
             // SAFETY: AVX2 support was just verified at runtime; contract
             // forwarded from the caller.
@@ -1298,23 +1393,16 @@ mod tests {
         &mut [Complex64],
     );
 
-    /// A SIMD tier: its `apply_h` kernel and, where it has them, its stage
-    /// and combine kernels.
-    type Tier = (
-        &'static str,
-        ApplyHChunk,
-        Option<(StageChunk, CombineChunk)>,
-    );
-
     /// Every SIMD tier this CPU can execute. The dispatch picks one per
     /// host, so the parity tests above reach only that one; this lists them
     /// all so each can be called directly. A tier the CPU lacks is skipped.
-    fn host_tiers() -> Vec<Tier> {
+    fn host_tiers() -> Vec<(&'static str, ApplyHChunk, StageChunk, CombineChunk)> {
         #[allow(unused_mut)]
-        let mut tiers: Vec<Tier> = vec![(
+        let mut tiers: Vec<(&'static str, ApplyHChunk, StageChunk, CombineChunk)> = vec![(
             "lanes",
             apply_h_chunk_lanes,
-            Some((stage_input_chunk_lanes, combine_chunk_lanes)),
+            stage_input_chunk_lanes,
+            combine_chunk_lanes,
         )];
         #[cfg(target_arch = "x86_64")]
         {
@@ -1322,13 +1410,19 @@ mod tests {
                 tiers.push((
                     "avx2",
                     apply_h_chunk_avx2,
-                    Some((stage_input_chunk_avx2, combine_chunk_avx2)),
+                    stage_input_chunk_avx2,
+                    combine_chunk_avx2,
                 ));
             } else {
                 eprintln!("skipping avx2 tier: not supported by this CPU");
             }
             if is_x86_feature_detected!("avx512f") {
-                tiers.push(("avx512", apply_h_chunk_avx512, None));
+                tiers.push((
+                    "avx512",
+                    apply_h_chunk_avx512,
+                    stage_input_chunk_avx512,
+                    combine_chunk_avx512,
+                ));
             } else {
                 eprintln!("skipping avx512 tier: not supported by this CPU");
             }
@@ -1368,7 +1462,7 @@ mod tests {
             let c = Complex64::new(0.0, -1e-3 / 6.0);
             // One chunk, and two chunks so the second runs at `base != 0`.
             let splits: &[usize] = if dim >= 8 { &[dim, dim / 2] } else { &[dim] };
-            for &(name, apply_h, passes) in &tiers {
+            for &(name, apply_h, stage, combine) in &tiers {
                 for &chunk_len in splits {
                     let ctx = format!("tier={name} n={n} chunk={chunk_len}");
                     for &(o, d, p) in &[(3.2, -1.1, 0.7), (0.0, 2.5, 0.0), (1.0, 0.0, -2.2)] {
@@ -1384,9 +1478,6 @@ mod tests {
                         assert_eq!(bits(&got), bits(&want), "apply_h {ctx} drive=({o},{d},{p})");
                     }
 
-                    let Some((stage, combine)) = passes else {
-                        continue;
-                    };
                     let want: Vec<Complex64> = (0..dim).map(|b| psi[b] + c * k1[b]).collect();
                     let mut got = vec![ZERO; dim];
                     for (ci, chunk) in got.chunks_mut(chunk_len).enumerate() {

@@ -612,6 +612,11 @@ mod tests {
         let d = s
             .submit_at(spec("test", 1, 400.0).with_time_limit(500.0), 2.0)
             .unwrap();
+        // E would really fit the hole (runs 20 s) but its padded limit (500)
+        // crosses the shadow: reservations are planned by limit, not runtime
+        let e = s
+            .submit_at(spec("test", 1, 20.0).with_time_limit(500.0), 3.0)
+            .unwrap();
         s.run_to_completion();
         assert_eq!(
             s.job(b).unwrap().start_time,
@@ -621,6 +626,10 @@ mod tests {
         assert!(
             s.job(d).unwrap().start_time.unwrap() >= 100.0,
             "D not backfilled across the reservation"
+        );
+        assert!(
+            s.job(e).unwrap().start_time.unwrap() >= 100.0,
+            "E not backfilled on its runtime"
         );
     }
 
