@@ -423,8 +423,10 @@ fn figure2(report: &mut Report, args: &HarnessArgs) {
             dev_shot_cap: DEV_SHOT_CAP,
             ..DaemonConfig::default()
         };
-        let svc = MiddlewareService::new(resource, cfg).with_qpu_admin(qpu.clone());
-        let server = serve(Arc::new(svc)).expect("daemon binds localhost");
+        let svc = Arc::new(MiddlewareService::new(resource, cfg).with_qpu_admin(qpu.clone()));
+        // as `hpcqcd` runs it: the dispatcher drives the queue, clients poll
+        let _dispatcher = svc.spawn_dispatcher(std::time::Duration::from_millis(20));
+        let server = serve(svc).expect("daemon binds localhost");
         let done: Vec<(PriorityClass, u32)> = std::thread::scope(|s| {
             let users: Vec<_> = USERS
                 .iter()

@@ -79,8 +79,11 @@ pub struct BatchItem<'a> {
     pub idempotency_key: Option<&'a str>,
 }
 
-/// Sleep before status poll number `poll` (0-based) of a wait against a
-/// self-dispatching daemon: 250 µs, doubling per poll, capped at `interval`.
+/// Steady-state sleep between the status polls of a [`DaemonSession::wait`].
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
+/// Sleep before status poll number `poll` (0-based) of a wait: 250 µs,
+/// doubling per poll, capped at `interval`.
 fn poll_delay(poll: usize, interval: Duration) -> Duration {
     const FIRST: Duration = Duration::from_micros(250);
     // 2^20 × 250 µs is minutes, past any interval worth configuring
@@ -91,7 +94,8 @@ fn json<T: serde::Deserialize>(body: &[u8]) -> Result<T, ClientError> {
     serde_json::from_slice(body).map_err(|e| ClientError::Protocol(e.to_string()))
 }
 
-/// A connection to one middleware daemon.
+/// A connection to one middleware daemon, which runs its own dispatcher:
+/// the client submits and polls, it never drives the queue.
 ///
 /// Holds a keep-alive [`HttpClient`]: every call reuses one persistent
 /// connection to the daemon instead of paying a TCP connect per request
@@ -101,15 +105,10 @@ fn json<T: serde::Deserialize>(body: &[u8]) -> Result<T, ClientError> {
 pub struct DaemonClient {
     /// `host:port` of the daemon.
     pub addr: String,
-    /// Whether polling should ask the daemon to pump its queue (simulation
-    /// deployments; production daemons run their own dispatch thread).
+    /// Has no effect: the daemon dispatches on its own and the client only
+    /// submits and polls. Kept because the end-to-end benchmark still
+    /// assigns it; it leaves with that harness change (ROADMAP 11(h)).
     pub pump_on_poll: bool,
-    /// Steady-state sleep between status polls when the daemon dispatches
-    /// on its own (`pump_on_poll = false`); ignored otherwise. The first
-    /// polls of a [`DaemonSession::wait`] come sooner — 250 µs, doubling per
-    /// poll up to this interval — so a task the daemon finishes in a
-    /// millisecond is not waited on for a whole interval.
-    pub poll_interval: std::time::Duration,
     http: std::sync::Arc<HttpClient>,
     /// Binary-codec preference, shared by clones (including every session
     /// opened from this client): `true` while the daemon is believed to
@@ -131,8 +130,7 @@ impl DaemonClient {
         DaemonClient {
             http: std::sync::Arc::new(HttpClient::new(addr.clone())),
             addr,
-            pump_on_poll: true,
-            poll_interval: std::time::Duration::from_millis(20),
+            pump_on_poll: false,
             binary: std::sync::Arc::new(AtomicBool::new(false)),
         }
     }
@@ -397,20 +395,14 @@ impl DaemonSession {
             .map(drop)
     }
 
-    /// Poll until the task completes (optionally pumping the daemon's queue
-    /// each round), then fetch the result. `max_polls` is a count, not a
-    /// time: without pumping, poll `n` is preceded by a sleep of 250 µs × 2ⁿ
-    /// capped at [`DaemonClient::poll_interval`], so 10 000 polls at the
-    /// default 20 ms interval give up after ≈ 200 s (seven ramp-up polls
-    /// inside the first 32 ms, the rest 20 ms apart).
+    /// Poll until the task completes, then fetch the result; the daemon's
+    /// dispatcher runs it. `max_polls` is a count, not a time: poll `n` is
+    /// preceded by a sleep of 250 µs × 2ⁿ capped at 20 ms, so 10 000 polls
+    /// give up after ≈ 200 s (seven ramp-up polls inside the first 32 ms,
+    /// the rest 20 ms apart).
     pub fn wait(&self, task: u64, max_polls: usize) -> Result<SampleResult, ClientError> {
         for poll in 0..max_polls {
-            if self.client.pump_on_poll {
-                self.client
-                    .send("POST", "/v1/pump", Some(&self.token), false, |_| None)?;
-            } else {
-                std::thread::sleep(poll_delay(poll, self.client.poll_interval));
-            }
+            std::thread::sleep(poll_delay(poll, POLL_INTERVAL));
             match self.status(task)? {
                 DaemonTaskStatus::Completed => return self.result(task),
                 DaemonTaskStatus::Failed(m) => return Err(ClientError::TaskFailed(m)),
@@ -443,7 +435,7 @@ mod tests {
     use super::*;
     use hpcqc_emulator::SvBackend;
     use hpcqc_middleware::rest::serve;
-    use hpcqc_middleware::{DaemonConfig, MiddlewareService};
+    use hpcqc_middleware::{DaemonConfig, DispatcherHandle, HttpServer, MiddlewareService};
     use hpcqc_program::{Pulse, Register, SequenceBuilder};
     use hpcqc_qrmi::LocalEmulatorResource;
     use std::sync::Arc;
@@ -457,8 +449,17 @@ mod tests {
         Arc::new(MiddlewareService::new(res, DaemonConfig::default()))
     }
 
-    fn daemon() -> hpcqc_middleware::HttpServer {
+    /// A daemon with no dispatcher: nothing runs what is submitted.
+    fn daemon() -> HttpServer {
         serve(service()).unwrap()
+    }
+
+    /// A daemon with its dispatcher running beside the server, as `hpcqcd`
+    /// runs it.
+    fn dispatching_daemon() -> (HttpServer, DispatcherHandle) {
+        let svc = service();
+        let dispatcher = svc.spawn_dispatcher(Duration::from_millis(20));
+        (serve(svc).unwrap(), dispatcher)
     }
 
     fn ir(shots: u32) -> ProgramIr {
@@ -470,7 +471,7 @@ mod tests {
 
     #[test]
     fn end_to_end_session_over_sockets() {
-        let server = daemon();
+        let (server, _dispatcher) = dispatching_daemon();
         let client = DaemonClient::new(server.addr());
         let spec = client.target().unwrap();
         assert!(spec.max_qubits >= 20);
@@ -514,19 +515,15 @@ mod tests {
         assert_eq!(poll_delay(0, Duration::ZERO), Duration::ZERO);
     }
 
-    /// The shipped CLI's path (`pump_on_poll = false`, then `run`): neither
-    /// the dispatcher's idle interval nor the client's poll interval is a
-    /// floor under the time to result. Both are 5 s here, the task takes
+    /// The shipped CLI's path (`run`): the dispatcher's idle interval is no
+    /// floor under the time to result. It is 5 s here, the task takes
     /// milliseconds.
     #[test]
     fn run_against_a_self_dispatching_daemon_does_not_wait_out_an_interval() {
-        let interval = Duration::from_secs(5);
         let svc = service();
-        let _dispatcher = svc.spawn_dispatcher(interval);
+        let _dispatcher = svc.spawn_dispatcher(Duration::from_secs(5));
         let server = serve(Arc::clone(&svc)).unwrap();
-        let mut client = DaemonClient::new(server.addr());
-        client.pump_on_poll = false;
-        client.poll_interval = interval;
+        let client = DaemonClient::new(server.addr());
         let session = client.open_session("ada", PriorityClass::Test).unwrap();
         // time for the dispatcher to find the queue empty and park (the
         // case a sleeping one fails); the bound holds if it has not yet
@@ -616,6 +613,7 @@ mod tests {
             MiddlewareService::recover(&dir_a, res.clone() as _, DaemonConfig::default()).unwrap(),
         );
         svc_a.enable_shipping().unwrap();
+        let _dispatcher_a = svc_a.spawn_dispatcher(Duration::from_millis(20));
         let replica = FollowerReplica::open(&dir_b).unwrap();
         let shipper = svc_a.spawn_shipper(replica, "b", Duration::from_millis(2));
         let server_a = serve(Arc::clone(&svc_a)).unwrap();
@@ -682,6 +680,7 @@ mod tests {
             text.contains("replication_failover_seconds_count 1\n"),
             "{text}"
         );
+        let _dispatcher_b = svc_b.spawn_dispatcher(Duration::from_millis(20));
         let _server_b = serve_on(Arc::clone(&svc_b), follower_port).unwrap();
         gw.probe_once();
 
@@ -709,7 +708,7 @@ mod tests {
     /// errors stay per-frame; idempotency keys dedup across batches.
     #[test]
     fn binary_codec_submits_batches_and_reads_results() {
-        let server = daemon();
+        let (server, _dispatcher) = dispatching_daemon();
         let client = DaemonClient::new(server.addr()).prefer_binary();
         let session = client.open_session("ada", PriorityClass::Test).unwrap();
 
@@ -778,6 +777,7 @@ mod tests {
             1,
         ));
         let svc = Arc::new(MiddlewareService::new(res, DaemonConfig::default()));
+        let _dispatcher = svc.spawn_dispatcher(Duration::from_millis(20));
         // An "old" daemon: refuses the binary content type outright, serves
         // the JSON API otherwise.
         let server = hpcqc_middleware::HttpServer::spawn(Arc::new(move |req: Request| {

@@ -15,7 +15,7 @@
 //! the measured break-even on the 2-core reference runner (EXPERIMENTS EV).
 //! `shims/rayon` spawns scoped threads per pass, so below the cut-over the
 //! spawn costs more than the second core returns; a persistent pool
-//! (ROADMAP 3a) moves the break-even, and then these two constants are what
+//! (ROADMAP 4a) moves the break-even, and then these two constants are what
 //! is to be re-measured.
 
 use rayon::prelude::*;

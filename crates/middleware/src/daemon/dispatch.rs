@@ -120,6 +120,12 @@ impl MiddlewareService {
                     0 => last,
                     _ => self.tasks.lock().merged_result(id, last),
                 };
+                // cached before the task reads Completed, so a resubmit
+                // that saw it complete is a hit
+                if self.cfg.cache_dev_results && task.class == PriorityClass::Development {
+                    let key = task.ir.fingerprint();
+                    self.dev_cache.lock().insert(key, result.clone());
+                }
                 let at = self.now();
                 (JournalRecord::TaskCompleted { id, result, at }, None)
             }
@@ -142,14 +148,7 @@ impl MiddlewareService {
         let outcome = match &rec {
             JournalRecord::TaskFailed { .. } => Some(&catalog::DAEMON_TASKS_POISONED),
             JournalRecord::TaskAttemptFailed { .. } => Some(&catalog::DAEMON_TASK_REQUEUES),
-            JournalRecord::TaskCompleted { result, .. } => {
-                if self.cfg.cache_dev_results && task.class == PriorityClass::Development {
-                    self.dev_cache
-                        .lock()
-                        .insert(task.ir.fingerprint(), result.clone());
-                }
-                Some(&catalog::DAEMON_TASKS_COMPLETED)
-            }
+            JournalRecord::TaskCompleted { .. } => Some(&catalog::DAEMON_TASKS_COMPLETED),
             _ if preempted => Some(&catalog::DAEMON_PREEMPTIONS),
             _ => None,
         };
@@ -179,7 +178,8 @@ impl MiddlewareService {
     }
 
     /// Run `shots` shots of `task` through the QRMI resource `res`,
-    /// advancing the daemon clock by the execution time.
+    /// advancing the daemon clock by the execution time. A panicking
+    /// resource fails the attempt; its lease is still released.
     fn run_shots(
         &self,
         task: &QuantumTask,
@@ -191,8 +191,14 @@ impl MiddlewareService {
             ..(*task.ir).clone()
         };
         let lease = res.acquire().map_err(|e| e.to_string())?;
-        let out = hpcqc_qrmi::run_to_completion(res.as_ref(), &lease, &ir, 10_000)
-            .map_err(|e| e.to_string());
+        let run = || hpcqc_qrmi::run_to_completion(res.as_ref(), &lease, &ir, 10_000);
+        let out = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+            Ok(out) => out.map_err(|e| e.to_string()),
+            Err(_) => {
+                self.count(&catalog::DAEMON_DISPATCHER_PANICS, 1);
+                Err(format!("resource {} panicked", res.resource_id()))
+            }
+        };
         res.release(&lease).map_err(|e| e.to_string())?;
         if let Ok(r) = &out {
             self.advance_clock(r.execution_secs);
@@ -246,9 +252,9 @@ impl MiddlewareService {
                 if stop2.load(std::sync::atomic::Ordering::SeqCst) {
                     break;
                 }
-                // A panicking handler (bad task, injected fault, poisoned
-                // shim state) must not kill the dispatcher: the queue would
-                // silently stop draining while submissions kept succeeding.
+                // A panic outside `run_shots`' QRMI call must not kill the
+                // dispatcher: the queue would silently stop draining while
+                // submissions kept succeeding.
                 let pumped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     svc.pump_batch(PUMP_BATCH)
                 }));

@@ -719,17 +719,17 @@ mod requeue {
         assert_eq!(d.task_status(id).unwrap(), DaemonTaskStatus::Completed);
     }
 
-    /// Delegates to a real emulator, but the first `task_start` fires a
+    /// Delegates to a real backend, but the first `task_start` fires a
     /// one-shot hook *while the task is in flight* and then fails,
     /// forcing the daemon down the requeue path with whatever state the
     /// hook set up. `execute` holds no queue/session lock across the
     /// resource call, so the hook may call back into the daemon.
-    struct MidFlightHookResource {
-        inner: LocalEmulatorResource,
+    struct MidFlightHookResource<R = LocalEmulatorResource> {
+        inner: R,
         hook: std::sync::Mutex<Option<Box<dyn FnOnce() + Send>>>,
     }
 
-    impl hpcqc_qrmi::QuantumResource for MidFlightHookResource {
+    impl<R: QuantumResource> QuantumResource for MidFlightHookResource<R> {
         fn resource_id(&self) -> &str {
             self.inner.resource_id()
         }
@@ -901,16 +901,16 @@ mod requeue {
         assert_eq!(d.cancel(&tok, id), not_queued);
     }
 
-    /// A handler that panics mid-task (with the emulator lease held and
-    /// the dispatch lock poisoned) must not kill the dispatcher thread
-    /// or wedge the daemon: the panic is counted, and later tasks still
-    /// run to completion.
+    /// A handler that panics mid-task (with the device lease held) must
+    /// not kill the dispatcher thread, wedge the daemon, strand the task
+    /// `Running` or leak its lease: the panic is counted, the task is
+    /// retried to completion, and later tasks still run.
     #[test]
     fn dispatcher_survives_panicking_handler() {
         let res = Arc::new(MidFlightHookResource {
-            // capacity 2: the panic leaks one lease (unwinding skips the
-            // release), later tasks use the second slot
-            inner: LocalEmulatorResource::new("emu", Arc::new(SvBackend::default()), 2),
+            // a direct QPU grants one lease at a time: a leaked lease
+            // would starve every later task
+            inner: QpuDirectResource::new("fresnel-1", VirtualQpu::new("fresnel-1", 7), 1),
             hook: std::sync::Mutex::new(Some(Box::new(|| panic!("injected handler panic")))),
         });
         let d = Arc::new(MiddlewareService::new(
@@ -918,7 +918,7 @@ mod requeue {
             DaemonConfig::default(),
         ));
         let tok = d.open_session("frank", PriorityClass::Production).unwrap();
-        d.submit(&tok, ir(5), PatternHint::None).unwrap();
+        let first = d.submit(&tok, ir(5), PatternHint::None).unwrap();
         let dispatcher = d.spawn_dispatcher(std::time::Duration::from_millis(1));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while !d
@@ -931,15 +931,18 @@ mod requeue {
             );
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        // the daemon is still alive: a fresh task completes normally
+        // the daemon is still alive: a fresh task completes normally, and
+        // the panicked one is retried (the hook fires once) to completion
         let second = d.submit(&tok, ir(5), PatternHint::None).unwrap();
-        while d.task_status(second).unwrap() != DaemonTaskStatus::Completed {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "daemon wedged after handler panic; status {:?}",
-                d.task_status(second).unwrap()
-            );
-            std::thread::sleep(std::time::Duration::from_millis(2));
+        for id in [second, first] {
+            while d.task_status(id).unwrap() != DaemonTaskStatus::Completed {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "daemon wedged after handler panic; task {id} is {:?}",
+                    d.task_status(id).unwrap()
+                );
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
         }
         drop(dispatcher);
     }

@@ -14,7 +14,6 @@
 //! GET    /v1/tasks/{id}/warnings                          → {warnings: [str]}
 //! GET    /v1/tasks/{id}/result                            → result       (both codecs)
 //! DELETE /v1/tasks/{id}?token=T                           → {}
-//! POST   /v1/pump                    {}                   → {dispatched} (drives the queue)
 //! GET    /v1/healthz                                      → {status} (503 while draining)
 //! GET    /v1/readyz                                       → ReadinessReport (503 unless a serving leader)
 //! GET    /metrics                                         → Prometheus text
@@ -33,6 +32,8 @@
 //! (and clients probing a JSON-only deployment) can fall back
 //! deterministically. A query string (`?token=`) is placement metadata
 //! for the gateway and is ignored here.
+//!
+//! No route drives the queue: [`MiddlewareService::spawn_dispatcher`] does.
 
 use crate::daemon::{DaemonError, MiddlewareService, SubmitItem};
 use crate::http::{Handler, Request, Response};
@@ -225,10 +226,6 @@ pub fn route(svc: &MiddlewareService, req: &Request) -> Response {
                 Err(e) => err_response(&e),
             }
         }
-        ("POST", ["v1", "pump"]) => {
-            let n = svc.pump();
-            Response::json(200, serde_json::json!({ "dispatched": n }).to_string())
-        }
         ("GET", ["v1", "healthz"]) => {
             let health = svc.health();
             let body = serde_json::json!({ "status": health.as_str() }).to_string();
@@ -356,7 +353,8 @@ mod tests {
 
     #[test]
     fn full_rest_workflow_over_sockets() {
-        let server = serve(service()).unwrap();
+        let svc = service();
+        let server = serve(Arc::clone(&svc)).unwrap();
         let addr = server.addr();
         let client = HttpClient::new(&addr);
 
@@ -394,9 +392,8 @@ mod tests {
         assert_eq!(st, 200);
         assert!(body.contains("Queued"), "{body}");
 
-        // pump (simulation hook)
-        let (st, _) = client.request("POST", "/v1/pump", Some("{}")).unwrap();
-        assert_eq!(st, 200);
+        // drive the queue in process, so Queued → Completed is one step
+        assert_eq!(svc.pump(), 1);
 
         // completed + result
         let (_, body) = client
@@ -492,7 +489,8 @@ mod tests {
     /// TaskId frame out, Status and Result frames via `Accept`.
     #[test]
     fn binary_submit_status_result_round_trip() {
-        let server = serve(service()).unwrap();
+        let svc = service();
+        let server = serve(Arc::clone(&svc)).unwrap();
         let addr = server.addr();
         let token = open_token(&addr);
         let client = HttpClient::new(addr.clone());
@@ -544,8 +542,7 @@ mod tests {
             wire::WireStatus::Queued { .. }
         ));
 
-        let (st, _) = client.request("POST", "/v1/pump", Some("{}")).unwrap();
-        assert_eq!(st, 200);
+        assert_eq!(svc.pump(), 1);
 
         let raw = client
             .request_bytes_accept(
@@ -840,7 +837,8 @@ mod tests {
 
     #[test]
     fn cancel_of_completed_task_is_409() {
-        let server = serve(service()).unwrap();
+        let svc = service();
+        let server = serve(Arc::clone(&svc)).unwrap();
         let addr = server.addr();
         let client = HttpClient::new(&addr);
         let (_, body) = client
@@ -859,8 +857,7 @@ mod tests {
         let id = serde_json::from_str::<serde_json::Value>(&body).unwrap()["task_id"]
             .as_u64()
             .unwrap();
-        let (st, _) = client.request("POST", "/v1/pump", Some("{}")).unwrap();
-        assert_eq!(st, 200);
+        assert_eq!(svc.pump(), 1);
         let (st, body) = client
             .request("DELETE", &format!("/v1/tasks/{id}?token={token}"), None)
             .unwrap();

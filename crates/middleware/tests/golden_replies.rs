@@ -365,9 +365,13 @@ const STATE_ROWS: &[StateRow] = &[
                status: 200, reply: "{}" },
     StateRow { setup: Setup::Base, method: "POST", path: "/v1/admin/qpu/status", body: r#"{"status":"broken"}"#,
                status: 400, reply: r#"{"error":"status must be operational|calibrating|maintenance|down"}"# },
+    // ---- no route drives the queue: the daemon's dispatcher does ----
+    StateRow { setup: Setup::Base, method: "POST", path: "/v1/pump?token={T}", body: "{}",
+               status: 404, reply: r#"{"error":"not found"}"# },
 ];
 
-/// The session, cancel and admin routes. Every reply is JSON, and the
+/// The session, cancel and admin routes, and the queue-pump route that is
+/// gone. Every reply is JSON, and the
 /// daemon state behind it is built through the public API, so session
 /// tokens and clocks are deterministic.
 #[test]

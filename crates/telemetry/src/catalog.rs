@@ -160,7 +160,7 @@ catalog! {
     );
     pub const DAEMON_DISPATCHER_PANICS: Counter = Counter::new(
         "daemon_dispatcher_panics_total",
-        "Dispatcher pump panics survived (task skipped)",
+        "Dispatcher panics survived (a QRMI panic fails the attempt)",
     );
     pub const DAEMON_TASK_REQUEUES: Counter = Counter::new(
         "daemon_task_requeues_total",

@@ -16,6 +16,7 @@ use hpcqc::qpu::VirtualQpu;
 use hpcqc::qrmi::QpuDirectResource;
 use hpcqc::scheduler::PatternHint;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn job(shots: u32) -> ProgramIr {
     let reg = Register::linear(4, 6.0).expect("valid chain");
@@ -39,6 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .with_qpu_admin(qpu.clone()),
     );
+    // the daemon's own dispatcher drives the queue; clients submit and poll
+    let _dispatcher = service.spawn_dispatcher(Duration::from_millis(20));
     let server = serve(service)?;
     println!("middleware daemon listening on http://{}\n", server.addr());
 

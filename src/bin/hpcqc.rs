@@ -112,8 +112,7 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             .map(|h| PatternHint::parse(h).ok_or(format!("bad hint {h:?}")))
             .transpose()?
             .unwrap_or(PatternHint::None);
-        let mut client = DaemonClient::new(daemon_addr(args));
-        client.pump_on_poll = false; // hpcqcd runs its own dispatcher
+        let client = DaemonClient::new(daemon_addr(args));
         let session = client.open_session(&user, class)?;
         println!(
             "session {} ({user}/{}) on {}",

@@ -216,6 +216,7 @@ fn rest_workflow_completes_over_a_faulty_device() {
             ..DaemonConfig::default()
         },
     ));
+    let _dispatcher = svc.spawn_dispatcher(std::time::Duration::from_millis(20));
     let server = serve(svc).expect("daemon binds");
     let client = hpcqc::core::DaemonClient::new(server.addr());
     let session = client

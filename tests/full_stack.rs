@@ -5,18 +5,23 @@
 
 use hpcqc::core::{ClientError, DaemonClient};
 use hpcqc::middleware::rest::serve;
-use hpcqc::middleware::{DaemonConfig, HttpServer, MiddlewareService, PriorityClass};
+use hpcqc::middleware::{
+    DaemonConfig, DispatcherHandle, HttpServer, MiddlewareService, PriorityClass,
+};
 use hpcqc::program::{ProgramIr, Pulse, Register, SequenceBuilder};
 use hpcqc::qpu::{QpuStatus, VirtualQpu};
 use hpcqc::qrmi::QpuDirectResource;
 use hpcqc::scheduler::PatternHint;
 use std::sync::Arc;
+use std::time::Duration;
 
-fn stack(cfg: DaemonConfig) -> (HttpServer, VirtualQpu) {
+/// The daemon as `hpcqcd` runs it: its dispatcher beside the server.
+fn stack(cfg: DaemonConfig) -> (HttpServer, DispatcherHandle, VirtualQpu) {
     let qpu = VirtualQpu::new("fresnel-1", 99);
     let resource = Arc::new(QpuDirectResource::new("fresnel-1", qpu.clone(), 7));
     let svc = Arc::new(MiddlewareService::new(resource, cfg).with_qpu_admin(qpu.clone()));
-    (serve(svc).expect("daemon binds"), qpu)
+    let dispatcher = svc.spawn_dispatcher(Duration::from_millis(20));
+    (serve(svc).expect("daemon binds"), dispatcher, qpu)
 }
 
 fn program(shots: u32) -> ProgramIr {
@@ -28,7 +33,7 @@ fn program(shots: u32) -> ProgramIr {
 
 #[test]
 fn submit_run_fetch_through_every_layer() {
-    let (server, qpu) = stack(DaemonConfig::default());
+    let (server, _dispatcher, qpu) = stack(DaemonConfig::default());
     let client = DaemonClient::new(server.addr());
 
     // the device spec travels: QPU calibration → QRMI target → REST → client
@@ -51,7 +56,7 @@ fn submit_run_fetch_through_every_layer() {
 
 #[test]
 fn concurrent_multiclass_load_with_preemption() {
-    let (server, qpu) = stack(DaemonConfig {
+    let (server, _dispatcher, qpu) = stack(DaemonConfig {
         dev_shot_cap: 30,
         preempt_chunk_shots: 5,
         ..DaemonConfig::default()
@@ -96,13 +101,13 @@ fn concurrent_multiclass_load_with_preemption() {
 
 #[test]
 fn maintenance_mode_blocks_execution_but_not_queueing() {
-    let (server, qpu) = stack(DaemonConfig::default());
+    let (server, _dispatcher, qpu) = stack(DaemonConfig::default());
     let client = DaemonClient::new(server.addr());
     qpu.set_status(QpuStatus::Maintenance);
     let session = client.open_session("ops", PriorityClass::Test).unwrap();
     let id = session.submit(&program(5), PatternHint::None).unwrap();
-    // pumping dispatches and the device rejects → task fails loudly
-    match session.wait(id, 5) {
+    // the dispatcher runs it and the device rejects → task fails loudly
+    match session.wait(id, 500) {
         Err(ClientError::TaskFailed(m)) => assert!(m.contains("Maintenance"), "{m}"),
         other => panic!("expected maintenance failure, got {other:?}"),
     }
@@ -114,7 +119,7 @@ fn maintenance_mode_blocks_execution_but_not_queueing() {
 
 #[test]
 fn drift_between_validation_and_execution_is_caught_server_side() {
-    let (server, qpu) = stack(DaemonConfig::default());
+    let (server, _dispatcher, qpu) = stack(DaemonConfig::default());
     let client = DaemonClient::new(server.addr());
     let session = client.open_session("dev", PriorityClass::Test).unwrap();
 

@@ -190,6 +190,8 @@ fn daemon_scrape_carries_every_series_the_benchmark_reads() {
         ..DaemonConfig::default()
     };
     let svc = Arc::new(MiddlewareService::recover(&dir, resource, cfg).unwrap());
+    let idle = std::time::Duration::from_millis(20);
+    let dispatcher = svc.spawn_dispatcher(idle);
     let server = serve_on(Arc::clone(&svc), 0).unwrap();
     let client = DaemonClient::new(server.addr());
     let program = |shots| {
@@ -206,15 +208,19 @@ fn daemon_scrape_carries_every_series_the_benchmark_reads() {
         assert_eq!(dev.run(&program(10), PatternHint::None).unwrap().shots, 10);
     }
     // a test task aged to the head with a production task queued behind it
-    // is preempted at its first slice boundary
+    // is preempted at its first slice boundary; both are queued before a
+    // dispatcher sees either, or the test task could finish unpreempted
+    drop(dispatcher);
     let test = client.open_session("tess", PriorityClass::Test).unwrap();
     let sliced = test.submit(&program(20), PatternHint::None).unwrap();
     svc.advance_time(2.0 * 3600.0);
     let prod = client
         .open_session("pat", PriorityClass::Production)
         .unwrap();
-    assert_eq!(prod.run(&program(10), PatternHint::None).unwrap().shots, 10);
-    assert_eq!(test.wait(sliced, 100).unwrap().shots, 20);
+    let urgent = prod.submit(&program(10), PatternHint::None).unwrap();
+    let dispatcher = svc.spawn_dispatcher(idle);
+    assert_eq!(prod.wait(urgent, 500).unwrap().shots, 10);
+    assert_eq!(test.wait(sliced, 500).unwrap().shots, 20);
 
     let text = client.metrics().unwrap();
     let label_keys = |name: &str| -> Option<Vec<&str>> {
@@ -246,6 +252,6 @@ fn daemon_scrape_carries_every_series_the_benchmark_reads() {
     ] {
         assert_eq!(label_keys(name), Some(keys), "{name}");
     }
-    drop(server);
+    drop((dispatcher, server));
     let _ = std::fs::remove_dir_all(&dir);
 }
