@@ -5,11 +5,13 @@
 //! results to `BENCH_emulator.json`. The 16-qubit state-vector case is the
 //! headline single-program number.
 //!
+//! The `converge` cases are the integrator's error budget: per program, size
+//! and `stability_factor`, the TV distance to a converged reference (factor
+//! 0.01), steps and `evolve_ms`; also `MpsBackend`'s default TEBD. The run
+//! fails if the default factor is off by more than [`TV_BUDGET`] anywhere.
+//!
 //! Phase attribution comes from [`SvBackend::run_timed`]: both phases are
-//! measured inside one instrumented run, so `total_ms = evolve_ms +
-//! sample_ms` holds exactly. (An earlier revision min-timed a bare evolve
-//! and a full run *independently* and subtracted; machine noise could land
-//! the "total" below the "evolve", clamping the sample phase to 0.)
+//! timed inside one run, so `total_ms = evolve_ms + sample_ms` holds exactly.
 //!
 //! Run: `cargo run --release -p hpcqc-bench --bin emulator_perf [--quick]
 //!       [--out PATH]`
@@ -18,13 +20,17 @@
 //! non-zero if any timing comes back non-finite or non-positive, so a CI
 //! run doubles as a panic/NaN gate for the kernels. The quick set still
 //! includes the 20-qubit state-vector case — the one size in it whose
-//! passes fork — and a small sweep.
+//! passes fork — a small sweep, and every `converge` row.
 
-use hpcqc_bench::{HarnessArgs, Report, Sample};
+use hpcqc_bench::{Claim, HarnessArgs, Report, Sample};
 use hpcqc_core::Runtime;
 use hpcqc_emulator::mps::evolve_sequence_mps;
-use hpcqc_emulator::{Emulator, MpsBackend, MpsConfig, SvBackend, SweepPoint};
-use hpcqc_program::{ProgramIr, Pulse, Register, Sequence, SequenceBuilder};
+use hpcqc_emulator::{evolve_sequence, DiscretizedDrive, Emulator, MpsBackend, MpsConfig};
+use hpcqc_emulator::{RydbergHamiltonian, SvBackend, SvConfig, SweepPoint};
+use hpcqc_program::units::C6_COEFF;
+use hpcqc_program::{
+    ProgramError, ProgramIr, Pulse, Register, Sequence, SequenceBuilder, Waveform,
+};
 use hpcqc_qrmi::{QrmiConfig, ResourceFactory};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -149,6 +155,99 @@ fn sweep_timer(n: usize, point_count: usize, shots: u32) -> impl FnMut(usize) ->
     }
 }
 
+/// The most TV distance the default `stability_factor` may leave on a
+/// `converge` row: two orders below 10 000 shots' noise floor.
+const TV_BUDGET: f64 = 1e-4;
+
+/// `e2e_perf`'s program shape: four 0.1 µs constant layers, the first two at
+/// the schedule's peak drive. With `ramp`, each layer's Ω rises over its
+/// first half and holds (a two-part composite) while δ sweeps from −δ to δ.
+fn converge_sequence(ramp: bool, n: usize) -> Sequence {
+    let pulse = |o: f64, d: f64, p: f64| -> Result<Pulse, ProgramError> {
+        if !ramp {
+            return Pulse::constant(0.1, o, d, p);
+        }
+        let parts = vec![Waveform::ramp(0.05, 0.0, o)?, Waveform::constant(0.05, o)?];
+        Pulse::new(Waveform::composite(parts)?, Waveform::ramp(0.1, -d, d)?, p)
+    };
+    let mut b = SequenceBuilder::new(Register::linear(n, 10.0).expect("valid register"));
+    // `e2e_perf`'s fixed first driver/cost layers, then one draw of its second.
+    let second = [(4.0, 0.0, 0.6), (0.0, 3.0, 0.0)];
+    for (o, d, p) in [(5.0, 0.0, 0.0), (0.0, 4.0, 0.0)].into_iter().chain(second) {
+        b.add_global_pulse(pulse(o, d, p).expect("valid pulse"));
+    }
+    b.build().expect("valid sequence")
+}
+
+/// One `converge` run: TV distance to `reference`, steps, evolve time.
+fn converge_run(steps: f64, reference: &[f64], evolve: impl Fn() -> Vec<f64>) -> Vec<Sample> {
+    let t = Instant::now();
+    let probs = evolve();
+    let ms = t.elapsed().as_secs_f64() * 1e3;
+    let tv = probs
+        .iter()
+        .zip(reference)
+        .map(|(a, b)| (a - b).abs())
+        .sum::<f64>()
+        / 2.0;
+    let metrics = [
+        ("tv", "ratio", tv),
+        ("steps", "count", steps),
+        ("evolve_ms", "ms", ms),
+    ];
+    metrics.to_vec()
+}
+
+/// The `converge` rows: every factor (the default is one of them) on
+/// every program and size, then MPS's default TEBD on each; and the claim
+/// that the default stays within [`TV_BUDGET`] on every row.
+fn converge(report: &mut Report, sizes: &[usize]) {
+    let cfg = |stability_factor| SvConfig { stability_factor };
+    let default = SvConfig::default().stability_factor;
+    let factors = [0.3, 0.6, 1.2, 1.8, 2.4];
+    assert!(
+        factors.contains(&default),
+        "the default {default} is not a row"
+    );
+    let mut worst = 0.0f64;
+    for (program, ramp) in [("const", false), ("ramp", true)] {
+        for &n in sizes {
+            let seq = &converge_sequence(ramp, n);
+            let sv = |factor| move || evolve_sequence(seq, C6_COEFF, &cfg(factor)).probabilities();
+            let reference = sv(0.01)();
+            let h = RydbergHamiltonian::new(&seq.register, C6_COEFF);
+            for &factor in &factors {
+                let steps = cfg(factor).grid(seq, &h).steps.len() as f64;
+                let name = format!("converge {program} {n}q f{factor}");
+                let params = serde_json::json!({ "backend": "emu-sv", "program": program,
+                    "qubits": n, "stability_factor": factor, "default": factor == default });
+                report.case(&name, params, |_| {
+                    let run = converge_run(steps, &reference, sv(factor));
+                    if factor == default {
+                        worst = worst.max(run[0].2);
+                    }
+                    run
+                });
+            }
+            let mps = MpsConfig::default();
+            let steps = DiscretizedDrive::aligned(seq, mps.max_dt).steps.len() as f64;
+            let params = serde_json::json!({ "backend": "emu-mps", "program": program,
+                "qubits": n, "chi_max": mps.chi_max });
+            report.case(&format!("converge {program} {n}q mps"), params, |_| {
+                converge_run(steps, &reference, || {
+                    let amps = evolve_sequence_mps(seq, C6_COEFF, &mps).to_statevector();
+                    amps.iter().map(|a| a.norm_sqr()).collect()
+                })
+            });
+        }
+    }
+    report.claims.push(Claim::new(
+        &format!("converge: stability_factor {default} (the default) is within {TV_BUDGET} TV of the converged distribution on every row"),
+        worst <= TV_BUDGET,
+        format!("max TV {worst:.2e}"),
+    ));
+}
+
 fn main() {
     let args = HarnessArgs::from_env();
     let shots: u32 = if args.quick { 200 } else { 1000 };
@@ -179,5 +278,6 @@ fn main() {
         }),
         sweep_timer(sweep_qubits, sweep_points, shots),
     );
+    converge(&mut report, &[4, 8, 12]);
     report.finish(&args.out_path("emulator"));
 }

@@ -12,7 +12,7 @@
 //! index set to 1 denotes atom `i` in the Rydberg state.
 
 use hpcqc_program::sequence::GLOBAL_CHANNEL;
-use hpcqc_program::{Register, Sequence};
+use hpcqc_program::{Register, Sequence, Waveform};
 
 /// Precomputed time-independent structure of the Rydberg Hamiltonian.
 ///
@@ -90,58 +90,58 @@ impl RydbergHamiltonian {
     }
 }
 
-/// The drive values of a [`Sequence`] discretized on a fixed grid, ready for
-/// time stepping. Samples are taken at step midpoints (midpoint rule), which
-/// matches the 2nd-order accuracy of the Trotter/RK interiors.
-#[derive(Debug, Clone)]
+/// The global drive of a [`Sequence`] on a grid that follows the program:
+/// the schedule is cut at every [`drive_edges`] time and each segment gets
+/// equal steps of its own, so no step straddles a jump of the drive and the
+/// midpoint sample of each step keeps the integrator's order.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscretizedDrive {
-    /// Step size in µs.
-    pub dt: f64,
-    /// Per-step `(omega, delta, phase)` at the step midpoint.
-    pub steps: Vec<(f64, f64, f64)>,
+    /// Every step as `(dt, (omega, delta, phase))`, the drive sampled at the
+    /// step's midpoint, in time order.
+    pub steps: Vec<(f64, (f64, f64, f64))>,
+}
+
+/// Every time the global drive may jump, sorted: the schedule's start and
+/// end, each global pulse's start and end, and each `Composite` part
+/// boundary of its amplitude or detuning. Edges within 1e-9 µs are one, so
+/// part durations that sum differently in the last bits leave no sliver.
+pub fn drive_edges(seq: &Sequence) -> Vec<f64> {
+    fn part_boundaries(w: &Waveform, mut t: f64, out: &mut Vec<f64>) {
+        if let Waveform::Composite { parts } = w {
+            for part in parts {
+                out.push(t);
+                part_boundaries(part, t, out);
+                t += part.duration();
+            }
+        }
+    }
+    let mut edges = vec![0.0, seq.duration()];
+    for tp in seq.pulses.iter().filter(|tp| tp.channel == GLOBAL_CHANNEL) {
+        edges.push(tp.start);
+        part_boundaries(&tp.pulse.amplitude, tp.start, &mut edges);
+        part_boundaries(&tp.pulse.detuning, tp.start, &mut edges);
+        edges.push(tp.start + tp.pulse.duration());
+    }
+    edges.sort_by(f64::total_cmp);
+    edges.dedup_by(|later, kept| *later - *kept <= 1e-9);
+    edges
 }
 
 impl DiscretizedDrive {
-    /// Number of steps a grid capped at `max_dt` needs for `total` µs.
-    fn steps_for(total: f64, max_dt: f64) -> usize {
-        (total / max_dt).ceil().max(1.0) as usize
-    }
-
-    /// Discretize the global channel of `seq` into steps of at most `max_dt`.
-    pub fn from_sequence(seq: &Sequence, max_dt: f64) -> Self {
-        let total = seq.duration();
-        let nsteps = Self::steps_for(total, max_dt);
-        let dt = total / nsteps as f64;
-        let steps = (0..nsteps)
-            .map(|k| {
-                let t = (k as f64 + 0.5) * dt;
-                seq.drive_at(GLOBAL_CHANNEL, t)
-            })
-            .collect();
-        DiscretizedDrive { dt, steps }
-    }
-
-    /// Reuse this discretization if a `max_dt` cap of `dt_bound` would
-    /// produce the same grid, otherwise re-discretize `seq` on the finer
-    /// grid. The grid is fully determined by the step count, so the reuse
-    /// case is exact — callers avoid sampling the whole schedule twice.
-    pub fn refined(self, seq: &Sequence, dt_bound: f64) -> Self {
-        if Self::steps_for(seq.duration(), dt_bound) == self.steps.len() {
-            self
-        } else {
-            Self::from_sequence(seq, dt_bound)
+    /// Give each segment between two [`drive_edges`] `ceil(length /
+    /// dt_bound)` equal steps (a length a rounding error past a whole number
+    /// of steps gets no extra one).
+    pub fn aligned(seq: &Sequence, dt_bound: f64) -> Self {
+        let mut steps = Vec::new();
+        for w in drive_edges(seq).windows(2) {
+            let n = ((w[1] - w[0]) / dt_bound - 1e-9).ceil().max(1.0) as usize;
+            let dt = (w[1] - w[0]) / n as f64;
+            steps.extend((0..n).map(|k| {
+                let mid = w[0] + (k as f64 + 0.5) * dt;
+                (dt, seq.drive_at(GLOBAL_CHANNEL, mid))
+            }));
         }
-    }
-
-    /// The largest |Ω| and |δ| over the schedule — used for step control.
-    pub fn max_drive(&self) -> (f64, f64) {
-        let mut om = 0.0f64;
-        let mut de = 0.0f64;
-        for &(o, d, _) in &self.steps {
-            om = om.max(o.abs());
-            de = de.max(d.abs());
-        }
-        (om, de)
+        DiscretizedDrive { steps }
     }
 }
 
@@ -206,33 +206,65 @@ mod tests {
         b.add_global_pulse(Pulse::constant(1.0, 4.0, -1.0, 0.5).unwrap());
         b.add_global_pulse(Pulse::constant(1.0, 2.0, 1.0, 0.0).unwrap());
         let seq = b.build().unwrap();
-        let dd = DiscretizedDrive::from_sequence(&seq, 0.01);
-        assert!((dd.dt * dd.steps.len() as f64 - 2.0).abs() < 1e-9);
+        let steps = DiscretizedDrive::aligned(&seq, 0.01).steps;
+        let total: f64 = steps.iter().map(|(dt, _)| dt).sum();
+        assert!((total - 2.0).abs() < 1e-9);
+        assert_eq!(steps.len(), 200);
         // first half drives (4, -1, 0.5), second half (2, 1, 0)
-        let first = dd.steps[dd.steps.len() / 4];
-        assert_eq!(first, (4.0, -1.0, 0.5));
-        let second = dd.steps[3 * dd.steps.len() / 4];
-        assert_eq!(second, (2.0, 1.0, 0.0));
-        assert_eq!(dd.max_drive(), (4.0, 1.0));
+        assert!(steps[..100].iter().all(|s| s.1 == (4.0, -1.0, 0.5)));
+        assert!(steps[100..].iter().all(|s| s.1 == (2.0, 1.0, 0.0)));
     }
 
     #[test]
-    fn refined_reuses_or_rebuilds_grid() {
-        let reg = chain(2, 8.0);
-        let mut b = SequenceBuilder::new(reg);
-        b.add_global_pulse(Pulse::constant(1.0, 2.0, 0.0, 0.0).unwrap());
+    fn every_pulse_edge_and_composite_boundary_is_a_step_boundary() {
+        // Durations off any round grid; the amplitude and the detuning of
+        // the second pulse are composites with different part boundaries,
+        // one of them nested; a delay leaves a drive-free gap.
+        let mut b = SequenceBuilder::new(chain(3, 9.0));
+        b.add_global_pulse(Pulse::constant(0.1234, 5.0, 0.0, 0.0).unwrap());
+        let amp = Waveform::composite(vec![
+            Waveform::ramp(0.0517, 0.0, 4.0).unwrap(),
+            Waveform::composite(vec![
+                Waveform::constant(0.03, 4.0).unwrap(),
+                Waveform::constant(0.0213, 3.0).unwrap(),
+            ])
+            .unwrap(),
+        ])
+        .unwrap();
+        let det = Waveform::composite(vec![
+            Waveform::constant(0.07, -3.0).unwrap(),
+            Waveform::ramp(0.033, -3.0, 3.0).unwrap(),
+        ])
+        .unwrap();
+        b.add_global_pulse(Pulse::new(amp, det, 0.6).unwrap());
+        b.add_delay(GLOBAL_CHANNEL, 0.0411);
+        b.add_global_pulse(Pulse::constant(0.0777, 0.0, 2.0, 0.0).unwrap());
         let seq = b.build().unwrap();
-        let coarse = DiscretizedDrive::from_sequence(&seq, 1e-2);
-        // Same cap → same step count → the grid is reused as-is.
-        let same = coarse.clone().refined(&seq, 1e-2);
-        assert_eq!(same.steps.len(), coarse.steps.len());
-        assert_eq!(same.dt, coarse.dt);
-        // Tighter cap → re-discretized, exactly matching a direct build.
-        let finer = coarse.refined(&seq, 1e-3);
-        let direct = DiscretizedDrive::from_sequence(&seq, 1e-3);
-        assert_eq!(finer.steps.len(), 1000);
-        assert_eq!(finer.dt, direct.dt);
-        assert_eq!(finer.steps, direct.steps);
+
+        let (p1, p2) = (0.1234, 0.1234 + 0.103);
+        let (p3, end) = (p2 + 0.0411, p2 + 0.0411 + 0.0777);
+        let want = [0.0, p1, p1 + 0.0517, p1 + 0.07, p1 + 0.0817, p2, p3, end];
+        let edges = drive_edges(&seq);
+        assert_eq!(edges.len(), want.len(), "{edges:?}");
+        let dt_bound = 7e-3;
+        let steps = DiscretizedDrive::aligned(&seq, dt_bound).steps;
+        // Walk the steps: every wanted edge is where one step ends, no step
+        // is longer than the bound, and each samples the drive at its middle.
+        let mut t = 0.0;
+        let mut boundaries = vec![t];
+        for &(dt, drive) in &steps {
+            assert!(dt <= dt_bound);
+            let (o, d, p) = seq.drive_at(GLOBAL_CHANNEL, t + dt / 2.0);
+            let off = (drive.0 - o).abs() + (drive.1 - d).abs() + (drive.2 - p).abs();
+            assert!(off < 1e-9, "at {t}: {drive:?} vs {:?}", (o, d, p));
+            t += dt;
+            boundaries.push(t);
+        }
+        for (edge, w) in edges.iter().zip(want) {
+            assert!((edge - w).abs() < 1e-12, "edge {edge} vs {w}");
+            let hit = boundaries.iter().any(|b| (b - w).abs() < 1e-12);
+            assert!(hit, "no step boundary at {w}");
+        }
     }
 
     #[test]

@@ -56,7 +56,8 @@ pub struct MpsConfig {
     /// Relative Schmidt-value cutoff: singular values below
     /// `svd_cutoff * s_max` are discarded even when χ allows them.
     pub svd_cutoff: f64,
-    /// Trotter step cap in µs.
+    /// Trotter step cap in µs, within each segment of the drive grid
+    /// (`DiscretizedDrive::aligned`).
     pub max_dt: f64,
     /// Interactions between chain positions farther apart than this are
     /// dropped (their 1/r⁶ strength is negligible at typical spacings).
@@ -545,10 +546,10 @@ pub fn interaction_gate(u: f64, dt: f64) -> CMatrix {
 /// Single-site drive Hamiltonian `Ω/2 (cosφ σx − sinφ σy) − δ n` as a 2×2.
 pub fn drive_hamiltonian(omega: f64, delta: f64, phase: f64) -> CMatrix {
     let mut h = CMatrix::zeros(2, 2);
-    // |g⟩=0, |r⟩=1; ⟨r|H|g⟩ = Ω/2 e^{iφ} under the same convention as the
-    // state-vector kernel (creation carries e^{-iφ} as ⟨b|H|b'⟩ with b above).
-    h[(0, 1)] = Complex64::from_polar(omega / 2.0, -phase);
-    h[(1, 0)] = Complex64::from_polar(omega / 2.0, phase);
+    // |g⟩=0, |r⟩=1: cos φ σx − sin φ σy has ⟨r|H|g⟩ = Ω/2 e^{−iφ}, the
+    // state-vector kernel's creation coefficient.
+    h[(0, 1)] = Complex64::from_polar(omega / 2.0, phase);
+    h[(1, 0)] = Complex64::from_polar(omega / 2.0, -phase);
     h[(1, 1)] = Complex64::new(-delta, 0.0);
     h
 }
@@ -566,19 +567,23 @@ pub fn evolve_sequence_mps(seq: &Sequence, c6: f64, cfg: &MpsConfig) -> Mps {
         .map(|(i, j, r)| (i, j, c6 / r.powi(6)))
         .collect();
 
-    let drive = DiscretizedDrive::from_sequence(seq, cfg.max_dt);
-    let dt = drive.dt;
-    // dt is fixed across the sweep, so each pair's diagonal gate is too:
-    // build them once instead of once per (step, pair).
-    let gates: Vec<(usize, usize, CMatrix)> = pairs
-        .iter()
-        .map(|&(i, j, u)| (i, j, interaction_gate(u, dt)))
-        .collect();
+    // The grid `SvBackend` steps, with `max_dt` as the Trotter cap of each
+    // segment. Segments of one length share a step size, and so the gates.
+    let drive = DiscretizedDrive::aligned(seq, cfg.max_dt);
+    let mut gates: Vec<(usize, usize, CMatrix)> = Vec::new();
+    let mut gates_dt = f64::NAN;
     // Constant-drive plateaus repeat the same (Ω, δ, φ) for many steps:
     // cache the last single-site half-step unitary.
-    let mut cached: Option<((f64, f64, f64), CMatrix)> = None;
-    for &(omega, delta, phase) in &drive.steps {
-        let key = (omega, delta, phase);
+    let mut cached: Option<((f64, f64, f64, f64), CMatrix)> = None;
+    for (dt, (omega, delta, phase)) in drive.steps {
+        if dt != gates_dt {
+            gates = pairs
+                .iter()
+                .map(|&(i, j, u)| (i, j, interaction_gate(u, dt)))
+                .collect();
+            gates_dt = dt;
+        }
+        let key = (omega, delta, phase, dt);
         let u_half = match &cached {
             Some((k, u)) if *k == key => u.clone(),
             _ => {
@@ -714,6 +719,29 @@ mod tests {
             );
         }
         assert!((mps.norm_sqr() - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn mps_matches_statevector_distribution_across_pulse_phases() {
+        // A relative phase between pulses is physical: with the drive's
+        // phase sign flipped against the state-vector kernel, the third
+        // pulse rotates about the mirrored axis and this program's
+        // distribution lands 0.13 TV away.
+        let mut b = SequenceBuilder::new(Register::linear(4, 10.0).unwrap());
+        for (omega, delta, phase) in [(5.0, 0.0, 0.0), (0.0, 4.0, 0.0), (4.0, 0.0, 0.6)] {
+            b.add_global_pulse(Pulse::constant(0.1, omega, delta, phase).unwrap());
+        }
+        let seq = b.build().unwrap();
+        let sv = evolve_sequence(&seq, C6_COEFF, &SvConfig::default()).probabilities();
+        let mps = evolve_sequence_mps(&seq, C6_COEFF, &MpsConfig::default());
+        let tv: f64 = 0.5
+            * mps
+                .to_statevector()
+                .iter()
+                .zip(&sv)
+                .map(|(a, p)| (a.norm_sqr() - p).abs())
+                .sum::<f64>();
+        assert!(tv < 1e-4, "TV {tv:.3e}");
     }
 
     #[test]
