@@ -160,23 +160,24 @@ fn sweep_timer(n: usize, point_count: usize, shots: u32) -> impl FnMut(usize) ->
 const TV_BUDGET: f64 = 1e-4;
 
 /// `e2e_perf`'s program shape: four 0.1 µs constant layers, the first two at
-/// the schedule's peak drive. With `ramp`, each layer's Ω rises over its
-/// first half and holds (a two-part composite) while δ sweeps from −δ to δ.
-fn converge_sequence(ramp: bool, n: usize) -> Sequence {
-    let pulse = |o: f64, d: f64, p: f64| -> Result<Pulse, ProgramError> {
-        if !ramp {
-            return Pulse::constant(0.1, o, d, p);
+/// the schedule's peak drive; or, with `ramp`, an adiabatic sweep of the
+/// same peaks whose Ω and δ are composites with different part boundaries.
+fn converge_sequence(ramp: bool, n: usize) -> Result<Sequence, ProgramError> {
+    let mut b = SequenceBuilder::new(Register::linear(n, 10.0)?);
+    let (line, flat) = (Waveform::ramp, Waveform::constant);
+    if ramp {
+        let rise = Waveform::composite(vec![line(0.1, 0.0, 5.0)?, flat(0.1, 5.0)?])?;
+        let ease = Waveform::composite(vec![flat(0.05, 4.0)?, line(0.15, 4.0, 3.0)?])?;
+        b.add_global_pulse(Pulse::new(rise, line(0.2, -4.0, 4.0)?, 0.0)?);
+        b.add_global_pulse(Pulse::new(line(0.2, 4.0, 0.0)?, ease, 0.6)?);
+    } else {
+        // The fixed first driver/cost layers, then one draw of the second.
+        let second = [(4.0, 0.0, 0.6), (0.0, 3.0, 0.0)];
+        for (o, d, p) in [(5.0, 0.0, 0.0), (0.0, 4.0, 0.0)].into_iter().chain(second) {
+            b.add_global_pulse(Pulse::constant(0.1, o, d, p)?);
         }
-        let parts = vec![Waveform::ramp(0.05, 0.0, o)?, Waveform::constant(0.05, o)?];
-        Pulse::new(Waveform::composite(parts)?, Waveform::ramp(0.1, -d, d)?, p)
-    };
-    let mut b = SequenceBuilder::new(Register::linear(n, 10.0).expect("valid register"));
-    // `e2e_perf`'s fixed first driver/cost layers, then one draw of its second.
-    let second = [(4.0, 0.0, 0.6), (0.0, 3.0, 0.0)];
-    for (o, d, p) in [(5.0, 0.0, 0.0), (0.0, 4.0, 0.0)].into_iter().chain(second) {
-        b.add_global_pulse(pulse(o, d, p).expect("valid pulse"));
     }
-    b.build().expect("valid sequence")
+    b.build()
 }
 
 /// One `converge` run: TV distance to `reference`, steps, evolve time.
@@ -184,12 +185,8 @@ fn converge_run(steps: f64, reference: &[f64], evolve: impl Fn() -> Vec<f64>) ->
     let t = Instant::now();
     let probs = evolve();
     let ms = t.elapsed().as_secs_f64() * 1e3;
-    let tv = probs
-        .iter()
-        .zip(reference)
-        .map(|(a, b)| (a - b).abs())
-        .sum::<f64>()
-        / 2.0;
+    let gaps = probs.iter().zip(reference).map(|(a, b)| (a - b).abs());
+    let tv = gaps.sum::<f64>() / 2.0;
     let metrics = [
         ("tv", "ratio", tv),
         ("steps", "count", steps),
@@ -205,14 +202,11 @@ fn converge(report: &mut Report, sizes: &[usize]) {
     let cfg = |stability_factor| SvConfig { stability_factor };
     let default = SvConfig::default().stability_factor;
     let factors = [0.3, 0.6, 1.2, 1.8, 2.4];
-    assert!(
-        factors.contains(&default),
-        "the default {default} is not a row"
-    );
+    assert!(factors.contains(&default), "default {default} not a row");
     let mut worst = 0.0f64;
     for (program, ramp) in [("const", false), ("ramp", true)] {
         for &n in sizes {
-            let seq = &converge_sequence(ramp, n);
+            let seq = &converge_sequence(ramp, n).expect("valid program");
             let sv = |factor| move || evolve_sequence(seq, C6_COEFF, &cfg(factor)).probabilities();
             let reference = sv(0.01)();
             let h = RydbergHamiltonian::new(&seq.register, C6_COEFF);
