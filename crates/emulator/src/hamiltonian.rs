@@ -91,9 +91,10 @@ impl RydbergHamiltonian {
 }
 
 /// The global drive of a [`Sequence`] on a grid that follows the program:
-/// the schedule is cut at every [`drive_edges`] time and each segment gets
-/// equal steps of its own, so no step straddles a jump of the drive and the
-/// midpoint sample of each step keeps the integrator's order.
+/// the schedule is cut wherever the drive may jump (every pulse start and
+/// end, every `Composite` part boundary) and each segment gets equal steps
+/// of its own, so no step straddles a jump and the midpoint sample of each
+/// step keeps the integrator's order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiscretizedDrive {
     /// Every step as `(dt, (omega, delta, phase))`, the drive sampled at the
@@ -105,7 +106,7 @@ pub struct DiscretizedDrive {
 /// end, each global pulse's start and end, and each `Composite` part
 /// boundary of its amplitude or detuning. Edges within 1e-9 µs are one, so
 /// part durations that sum differently in the last bits leave no sliver.
-pub fn drive_edges(seq: &Sequence) -> Vec<f64> {
+fn drive_edges(seq: &Sequence) -> Vec<f64> {
     fn part_boundaries(w: &Waveform, mut t: f64, out: &mut Vec<f64>) {
         if let Waveform::Composite { parts } = w {
             for part in parts {
@@ -128,9 +129,9 @@ pub fn drive_edges(seq: &Sequence) -> Vec<f64> {
 }
 
 impl DiscretizedDrive {
-    /// Give each segment between two [`drive_edges`] `ceil(length /
-    /// dt_bound)` equal steps (a length a rounding error past a whole number
-    /// of steps gets no extra one).
+    /// Give each segment between two drive edges `ceil(length / dt_bound)`
+    /// equal steps (a length a rounding error past a whole number of steps
+    /// gets no extra one).
     pub fn aligned(seq: &Sequence, dt_bound: f64) -> Self {
         let mut steps = Vec::new();
         for w in drive_edges(seq).windows(2) {

@@ -1068,11 +1068,11 @@ pub fn rk4_step(
 /// Integrator configuration for the state-vector backend.
 #[derive(Debug, Clone)]
 pub struct SvConfig {
-    /// Steps are at most `stability_factor / energy_scale` µs
-    /// (dimensionless). RK4 is stable up to 2√2 on the imaginary axis and
-    /// `energy_scale` bounds the spectral radius; the default is the largest
-    /// factor whose distribution stays within the TV budget of
-    /// `emulator_perf`'s `converge` case on every row.
+    /// Steps are at most `stability_factor / energy_scale` µs. RK4 is
+    /// stable up to 2√2 on the imaginary axis and `energy_scale` bounds the
+    /// spectral radius; the default is the largest factor whose distribution
+    /// stays within the TV budget of `emulator_perf`'s `converge` case on
+    /// every row.
     pub stability_factor: f64,
 }
 
@@ -1085,7 +1085,7 @@ impl Default for SvConfig {
 }
 
 /// The most one step may turn a single atom under the drive alone, in
-/// radians: `dt · (|Ω|/2 + |δ|) ≤ ATOM_STEP`. On a lone atom `energy_scale`
+/// radians: `dt · (Ω/2 + |δ|) ≤ ATOM_STEP`. On a lone atom `energy_scale`
 /// is tight, so a factor measured on many-atom programs is too coarse there;
 /// at 0.1 a half-π pulse lands within 1e-6 of its analytic population.
 const ATOM_STEP: f64 = 0.1;
