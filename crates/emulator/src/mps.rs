@@ -723,10 +723,9 @@ mod tests {
 
     #[test]
     fn mps_matches_statevector_distribution_across_pulse_phases() {
-        // A relative phase between pulses is physical: with the drive's
-        // phase sign flipped against the state-vector kernel, the third
-        // pulse rotates about the mirrored axis and this program's
-        // distribution lands 0.13 TV away.
+        // A relative phase between pulses is physical: a drive term whose
+        // phase sign differs from the state-vector kernel's turns the third
+        // pulse about the mirrored axis, 0.13 TV away on this program.
         let mut b = SequenceBuilder::new(Register::linear(4, 10.0).unwrap());
         for (omega, delta, phase) in [(5.0, 0.0, 0.0), (0.0, 4.0, 0.0), (4.0, 0.0, 0.6)] {
             b.add_global_pulse(Pulse::constant(0.1, omega, delta, phase).unwrap());
