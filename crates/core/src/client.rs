@@ -2,9 +2,9 @@
 //!
 //! The runtime side of the session protocol (paper §3.3): connect, receive a
 //! session token, submit programs, poll, fetch results. In multi-user HPC
-//! deployments application code talks to the daemon through this client
-//! instead of holding the QPU resource directly — the daemon owns
-//! prioritization and preemption.
+//! deployments programs reach the daemon, which owns prioritization and
+//! preemption, as the QRMI resource [`DaemonResource`]: through the runtime's
+//! `--qpu` switch and its one retry loop, like any other backend.
 //!
 //! Every call goes through one private send path, and every codec-aware
 //! message is encoded and decoded by [`hpcqc_middleware::protocol`], the
@@ -23,15 +23,20 @@
 //! [`DaemonSession::submit_batch`] sends N programs in one request/one
 //! daemon lock acquisition, with per-program outcomes.
 
-use crate::retry::{AttemptBudget, RetryPolicy};
 use hpcqc_emulator::SampleResult;
 use hpcqc_middleware::http::{HttpClient, HttpError};
 use hpcqc_middleware::protocol::{Codec, Message, OpenSessionReq};
 use hpcqc_middleware::{DaemonTaskStatus, PriorityClass};
 use hpcqc_program::{DeviceSpec, ProgramIr};
+use hpcqc_qrmi::{
+    AcquisitionToken, ConfigError, QrmiError, QuantumResource, ResourceConfig, ResourceType,
+    TaskId, TaskStatus,
+};
 use hpcqc_scheduler::PatternHint;
 use hpcqc_wire::{BatchSlot, SubmitFrame};
-use std::sync::atomic::{AtomicBool, Ordering};
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Client-side errors.
@@ -143,12 +148,6 @@ impl DaemonClient {
         self
     }
 
-    /// Whether the binary codec is currently in use (false after a 415
-    /// downgrade or when never opted in).
-    pub fn binary_active(&self) -> bool {
-        self.binary.load(Ordering::Relaxed)
-    }
-
     /// The one request path. `token` goes into `?token=`. With `binary`
     /// (a codec-aware call) the body is encoded, and the reply asked for,
     /// in the binary codec while it is active; a 415 to such a request
@@ -168,7 +167,7 @@ impl DaemonClient {
             None => path.to_string(),
         };
         loop {
-            let codec = if binary && self.binary_active() {
+            let codec = if binary && self.binary.load(Ordering::Relaxed) {
                 Codec::Binary
             } else {
                 Codec::Json
@@ -213,10 +212,13 @@ impl DaemonClient {
             .as_str()
             .ok_or_else(|| ClientError::Protocol("missing token".into()))?
             .to_string();
-        Ok(DaemonSession {
-            client: self.clone(),
-            token,
-        })
+        Ok(self.session(token))
+    }
+
+    /// The session `token` names, on this client's connection.
+    pub(crate) fn session(&self, token: impl Into<String>) -> DaemonSession {
+        let (client, token) = (self.clone(), token.into());
+        DaemonSession { client, token }
     }
 
     /// Fetch the daemon's current target device spec.
@@ -312,71 +314,6 @@ impl DaemonSession {
             .collect())
     }
 
-    /// Submit with `key`, retrying transient failures up to `max_attempts`
-    /// times with decorrelated-jitter backoff. Safe against the classic
-    /// at-most-once/at-least-once dilemma: the key makes every retry
-    /// idempotent, so a submit whose response was lost is deduplicated
-    /// server-side instead of enqueued twice.
-    ///
-    /// Transient means retryable-by-contract: transport failures (connection
-    /// refused/reset — e.g. a leader dying mid-request) and HTTP 503 (a
-    /// draining leader, an unpromoted follower, or a gateway shard between
-    /// failovers). Anything else — 4xx validation, quota, auth — fails
-    /// immediately. This is exactly the window a shard failover opens: the
-    /// client rides through drain → promote → reroute without help.
-    pub fn submit_reliable(
-        &self,
-        ir: &ProgramIr,
-        hint: PatternHint,
-        key: &str,
-        max_attempts: usize,
-    ) -> Result<u64, ClientError> {
-        // Client-side pauses, not queue-side: short base, tight cap, and a
-        // five-second wall-clock budget so callers are never parked behind
-        // a shard that is not coming back.
-        let policy = RetryPolicy {
-            base_delay_secs: 0.01,
-            max_delay_secs: 0.25,
-            ..RetryPolicy::default()
-        }
-        .with_budget(
-            PriorityClass::Test,
-            AttemptBudget {
-                max_attempts: max_attempts.max(1) as u32,
-                max_backoff_secs: 5.0,
-            },
-        );
-        self.submit_with_policy(ir, hint, key, &policy, PriorityClass::Test)
-    }
-
-    /// [`Self::submit_reliable`] with an explicit [`RetryPolicy`]: attempts
-    /// and cumulative sleep are bounded by the policy's budget for `class`
-    /// (the wall-clock ceiling is `max_backoff_secs` plus the requests
-    /// themselves). The first non-transient error aborts the loop; when the
-    /// budget runs out, the last transient error is returned.
-    pub fn submit_with_policy(
-        &self,
-        ir: &ProgramIr,
-        hint: PatternHint,
-        key: &str,
-        policy: &RetryPolicy,
-        class: PriorityClass,
-    ) -> Result<u64, ClientError> {
-        let mut backoff = policy.backoff(class);
-        loop {
-            let last = match self.submit_keyed(ir, hint, Some(key)) {
-                Ok(id) => return Ok(id),
-                Err(e @ ClientError::Transport(_)) => e,
-                Err(e @ ClientError::Api { status: 503, .. }) => e,
-                Err(e) => return Err(e),
-            };
-            match backoff.next_delay() {
-                Some(delay) => std::thread::sleep(Duration::from_secs_f64(delay)),
-                None => return Err(last),
-            }
-        }
-    }
-
     /// Current status of a task.
     pub fn status(&self, task: u64) -> Result<DaemonTaskStatus, ClientError> {
         self.call("GET", &format!("/v1/tasks/{task}"), |_| None)
@@ -430,9 +367,140 @@ impl DaemonSession {
     }
 }
 
+/// A daemon as a QRMI resource (`QRMI_RESOURCE_<ID>_TYPE=daemon`): a lease
+/// is a session, a task id carries its session token (reads keep a gateway's
+/// sticky placement). A retried start runs once: a start whose outcome is
+/// unknown (a transport error or a 5xx) leaves its idempotency key for its
+/// program, and the next start of that program re-sends it. A start that
+/// succeeds leaves nothing, so a deliberate second run takes a fresh key.
+pub struct DaemonResource {
+    id: String,
+    client: DaemonClient,
+    user: String,
+    class: PriorityClass,
+    /// Program fingerprint → key of a start whose outcome is unknown.
+    unacked: Mutex<HashMap<u64, String>>,
+    /// Polls since the last start (one task at a time): the ramp's index.
+    polls: AtomicUsize,
+    nonce: AtomicU64,
+}
+
+impl DaemonResource {
+    /// From a `daemon` entry: `_ADDR`, then `_USER` (default `$USER`) and
+    /// `_CLASS` (default `development`).
+    pub fn from_config(rc: &ResourceConfig) -> Result<Self, ConfigError> {
+        let param = |name: &str| rc.params.get(name).cloned();
+        let addr = param("addr").ok_or(ConfigError::MissingKey(rc.key("addr")))?;
+        let user = param("user").or_else(|| std::env::var("USER").ok());
+        let class = param("class").unwrap_or_else(|| "development".into());
+        Ok(DaemonResource {
+            id: rc.id.clone(),
+            client: DaemonClient::new(addr),
+            user: user.unwrap_or_else(|| "anonymous".into()),
+            class: PriorityClass::parse(&class).ok_or(ConfigError::BadValue {
+                key: rc.key("class"),
+                value: class.clone(),
+                expected: "production | test | development",
+            })?,
+            unacked: Mutex::default(),
+            polls: AtomicUsize::default(),
+            nonce: AtomicU64::default(),
+        })
+    }
+
+    /// The session and the daemon task id a [`TaskId`] names.
+    fn task(&self, task: &TaskId) -> Result<(DaemonSession, u64), QrmiError> {
+        let (token, id) = task.0.rsplit_once('/').ok_or(QrmiError::UnknownTask)?;
+        let id = id.parse().map_err(|_| QrmiError::UnknownTask)?;
+        Ok((self.client.session(token), id))
+    }
+}
+
+/// Transport errors and 503s become `Backend`, which the runtime retries; a
+/// bad token or task id does not.
+fn qrmi_error(e: ClientError) -> QrmiError {
+    match e {
+        ClientError::Api { status: 401, .. } => QrmiError::InvalidToken,
+        ClientError::Api { status: 404, .. } => QrmiError::UnknownTask,
+        e => QrmiError::Backend(e.to_string()),
+    }
+}
+
+impl QuantumResource for DaemonResource {
+    fn resource_id(&self) -> &str {
+        &self.id
+    }
+
+    fn resource_type(&self) -> ResourceType {
+        ResourceType::Daemon
+    }
+
+    fn acquire(&self) -> Result<AcquisitionToken, QrmiError> {
+        let opened = self.client.open_session(&self.user, self.class);
+        let session = opened.map_err(|e| QrmiError::AcquisitionDenied(e.to_string()))?;
+        Ok(AcquisitionToken(session.token))
+    }
+
+    /// Best effort: failing a run whose result is in hand over a close lost
+    /// to a drain or a failover would make the runtime run it again.
+    fn release(&self, token: &AcquisitionToken) -> Result<(), QrmiError> {
+        let _ = self.client.session(&token.0).close();
+        Ok(())
+    }
+
+    fn target(&self) -> Result<DeviceSpec, QrmiError> {
+        self.client.target().map_err(qrmi_error)
+    }
+
+    fn task_start(&self, token: &AcquisitionToken, ir: &ProgramIr) -> Result<TaskId, QrmiError> {
+        let fingerprint = ir.fingerprint();
+        let key = self.unacked.lock().remove(&fingerprint).unwrap_or_else(|| {
+            format!("{}:{}", token.0, self.nonce.fetch_add(1, Ordering::Relaxed))
+        });
+        self.polls.store(0, Ordering::Relaxed);
+        let session = self.client.session(&token.0);
+        let started = session.submit_keyed(ir, PatternHint::None, Some(&key));
+        if let Err(ClientError::Transport(_) | ClientError::Api { status: 500.., .. }) = started {
+            self.unacked.lock().insert(fingerprint, key);
+        }
+        let id = started.map_err(qrmi_error)?;
+        Ok(TaskId(format!("{}/{id}", token.0)))
+    }
+
+    fn task_status(&self, task: &TaskId) -> Result<TaskStatus, QrmiError> {
+        let (session, id) = self.task(task)?;
+        let poll = self.polls.fetch_add(1, Ordering::Relaxed);
+        std::thread::sleep(poll_delay(poll, POLL_INTERVAL));
+        Ok(match session.status(id).map_err(qrmi_error)? {
+            DaemonTaskStatus::Queued { .. } => TaskStatus::Queued,
+            DaemonTaskStatus::Running => TaskStatus::Running,
+            DaemonTaskStatus::Completed => TaskStatus::Completed,
+            DaemonTaskStatus::Failed(m) => TaskStatus::Failed(m),
+            DaemonTaskStatus::Cancelled => TaskStatus::Cancelled,
+        })
+    }
+
+    fn task_stop(&self, task: &TaskId) -> Result<(), QrmiError> {
+        let (session, id) = self.task(task)?;
+        session.cancel(id).map_err(qrmi_error)
+    }
+
+    fn task_result(&self, task: &TaskId) -> Result<SampleResult, QrmiError> {
+        let (session, id) = self.task(task)?;
+        session.result(id).map_err(qrmi_error)
+    }
+
+    fn metadata(&self) -> BTreeMap<String, String> {
+        let health = self.client.healthz().unwrap_or_else(|e| e.to_string());
+        let addr = self.client.addr.clone();
+        BTreeMap::from([("addr".into(), addr), ("health".into(), health)])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retry::{AttemptBudget, RetryPolicy};
     use hpcqc_emulator::SvBackend;
     use hpcqc_middleware::rest::serve;
     use hpcqc_middleware::{DaemonConfig, DispatcherHandle, HttpServer, MiddlewareService};
@@ -515,23 +583,22 @@ mod tests {
         assert_eq!(poll_delay(0, Duration::ZERO), Duration::ZERO);
     }
 
-    /// The shipped CLI's path (`run`): the dispatcher's idle interval is no
-    /// floor under the time to result. It is 5 s here, the task takes
-    /// milliseconds.
+    /// The shipped CLI's path (`Runtime::run` over a `DaemonResource`): the
+    /// dispatcher's idle interval is no floor under the time to result. It
+    /// is 5 s here, the task takes milliseconds.
     #[test]
     fn run_against_a_self_dispatching_daemon_does_not_wait_out_an_interval() {
         let svc = service();
         let _dispatcher = svc.spawn_dispatcher(Duration::from_secs(5));
         let server = serve(Arc::clone(&svc)).unwrap();
-        let client = DaemonClient::new(server.addr());
-        let session = client.open_session("ada", PriorityClass::Test).unwrap();
+        let rt = site_runtime(&server.addr().to_string());
         // time for the dispatcher to find the queue empty and park (the
         // case a sleeping one fails); the bound holds if it has not yet
         std::thread::sleep(Duration::from_millis(50));
         let t0 = std::time::Instant::now();
-        let result = session.run(&ir(42), PatternHint::None).unwrap();
+        let report = rt.run(&ir(42)).unwrap();
         let took = t0.elapsed();
-        assert_eq!(result.shots, 42);
+        assert_eq!(report.result.shots, 42);
         assert!(took < Duration::from_secs(2), "run took {took:?}");
     }
 
@@ -539,10 +606,7 @@ mod tests {
     fn api_errors_carry_status() {
         let server = daemon();
         let client = DaemonClient::new(server.addr());
-        let bogus = DaemonSession {
-            client: client.clone(),
-            token: "nope".into(),
-        };
+        let bogus = client.session("nope");
         match bogus.submit(&ir(5), PatternHint::None) {
             Err(ClientError::Api { status: 401, .. }) => {}
             other => panic!("expected 401, got {other:?}"),
@@ -571,10 +635,6 @@ mod tests {
             .submit_keyed(&ir(7), PatternHint::None, Some("job-1"))
             .unwrap();
         assert_eq!(first, second);
-        let reliable = session
-            .submit_reliable(&ir(7), PatternHint::None, "job-1", 3)
-            .unwrap();
-        assert_eq!(first, reliable);
         // a fresh key gets a fresh task
         let third = session
             .submit_keyed(&ir(7), PatternHint::None, Some("job-2"))
@@ -582,18 +642,61 @@ mod tests {
         assert_ne!(first, third);
     }
 
-    /// The satellite regression for the replicated control plane: a keyed
-    /// submit issued while its shard drains, dies, and fails over to a
-    /// promoted follower must come back `Ok` — and must not enqueue twice.
-    /// The old `submit_reliable` failed this two ways: it hot-looped without
-    /// sleeping (burning its attempts before promotion finished) and it
-    /// treated the drain's 503 as fatal.
+    /// The daemon (or gateway) at `addr` as the QRMI resource `site`, in the
+    /// test class.
+    fn site(addr: &str) -> DaemonResource {
+        let params = [("addr", addr), ("class", "test")];
+        let params = params.map(|(k, v)| (k.to_string(), v.to_string())).into();
+        let (id, rtype) = ("site".to_string(), ResourceType::Daemon);
+        DaemonResource::from_config(&ResourceConfig { id, rtype, params }).unwrap()
+    }
+
+    /// A runtime on [`site`], with a client-side retry budget.
+    fn site_runtime(addr: &str) -> crate::Runtime {
+        let mut registry = hpcqc_qrmi::ResourceRegistry::new();
+        registry.register(Arc::new(site(addr)));
+        let budget = AttemptBudget {
+            max_attempts: 40,
+            max_backoff_secs: 5.0,
+        };
+        let policy = RetryPolicy {
+            base_delay_secs: 0.01,
+            max_delay_secs: 0.25,
+            ..RetryPolicy::default()
+        };
+        crate::Runtime::new(registry)
+            .with_qpu("site")
+            .with_retry_policy(policy.with_budget(PriorityClass::Test, budget))
+            .with_priority_class(PriorityClass::Test)
+    }
+
+    /// The QRMI calls map onto one session: a task id carries the lease's
+    /// token, `task_stop` cancels, `metadata` reads `healthz`.
     #[test]
-    fn submit_reliable_rides_through_drain_and_promotion() {
+    fn daemon_resource_maps_qrmi_calls_onto_a_session() {
+        let server = daemon(); // no dispatcher: the task stays queued
+        let res = site(&server.addr().to_string());
+        let lease = res.acquire().unwrap();
+        let task = res.task_start(&lease, &ir(5)).unwrap();
+        assert!(task.0.starts_with(&format!("{}/", lease.0)), "{task:?}");
+        assert_eq!(res.task_status(&task).unwrap(), TaskStatus::Queued);
+        res.task_stop(&task).unwrap();
+        assert_eq!(res.task_status(&task).unwrap(), TaskStatus::Cancelled);
+        assert_eq!(res.metadata()["health"], "ok");
+        res.release(&lease).unwrap();
+    }
+
+    /// The replicated control plane from the client's side: a run started
+    /// while its shard drains, dies and fails over to a promoted follower
+    /// comes back `Ok` from `Runtime::run_recovered` over a `DaemonResource`
+    /// behind the gateway, and the promoted daemon holds each run's task
+    /// once. A retry loop that does not sleep burns its attempts before the
+    /// promotion finishes; one that treats the drain's 503 as fatal fails.
+    #[test]
+    fn run_recovered_rides_through_drain_and_promotion() {
         use hpcqc_middleware::journal::FollowerReplica;
         use hpcqc_middleware::rest::{serve, serve_on};
         use hpcqc_middleware::{Gateway, GatewayConfig, ShardConfig};
-        use std::time::Duration;
 
         fn repl_dir(name: &str) -> std::path::PathBuf {
             let dir = std::env::temp_dir().join(format!(
@@ -631,13 +734,11 @@ mod tests {
             }],
         }));
         let gw_server = gw.serve(0).unwrap();
-
-        let client = DaemonClient::new(gw_server.addr());
-        let session = client.open_session("ada", PriorityClass::Test).unwrap();
-        let id1 = session
-            .submit_reliable(&ir(5), PatternHint::None, "job-1", 3)
-            .unwrap();
-        session.wait(id1, 100).unwrap();
+        let site = gw_server.addr().to_string();
+        assert_eq!(
+            site_runtime(&site).run_recovered(&ir(5)).unwrap().attempts,
+            1
+        );
 
         // Kill the leader: drain (503s), final ship, then the socket dies.
         svc_a.shutdown(Duration::from_millis(100));
@@ -657,15 +758,9 @@ mod tests {
             assert!(text.contains(series), "{series:?} missing:\n{text}");
         }
 
-        // A second submit starts while the shard has no serving replica; it
-        // must retry-with-backoff through the whole failover window.
-        let retry_session = DaemonSession {
-            client: client.clone(),
-            token: session.token.clone(),
-        };
-        let submitter = std::thread::spawn(move || {
-            retry_session.submit_reliable(&ir(9), PatternHint::None, "job-2", 40)
-        });
+        // A second run starts while the shard has no serving replica; it
+        // must retry with backoff through the whole failover window.
+        let runner = std::thread::spawn(move || site_runtime(&site).run_recovered(&ir(9)));
         std::thread::sleep(Duration::from_millis(30)); // let it fail a few times
 
         // Promote the follower onto the reserved port and repoint traffic.
@@ -684,21 +779,15 @@ mod tests {
         let _server_b = serve_on(Arc::clone(&svc_b), follower_port).unwrap();
         gw.probe_once();
 
-        let id2 = submitter
+        let run = runner
             .join()
             .unwrap()
-            .expect("submit must survive failover");
-        session.wait(id2, 200).unwrap();
-        // No duplicate enqueue: both keys dedup to their original ids on the
-        // promoted follower, across the failover.
-        let again1 = session
-            .submit_reliable(&ir(5), PatternHint::None, "job-1", 3)
-            .unwrap();
-        let again2 = session
-            .submit_reliable(&ir(9), PatternHint::None, "job-2", 3)
-            .unwrap();
-        assert_eq!(again1, id1, "idempotency map survives promotion");
-        assert_eq!(again2, id2, "retried submit did not double-enqueue");
+            .expect("the run must survive failover");
+        assert_eq!(run.report.result.shots, 9);
+        assert!(run.attempts > 1, "the run started inside the window");
+        // one task per run on the promoted daemon, both completed
+        let state = svc_b.snapshot_state();
+        assert_eq!((state.task_meta.len(), state.completed.len()), (2, 2));
         let _ = std::fs::remove_dir_all(&dir_a);
         let _ = std::fs::remove_dir_all(&dir_b);
     }
@@ -715,7 +804,10 @@ mod tests {
         // single submit + wait: binary Submit/TaskId/Status/Result frames
         let result = session.run(&ir(42), PatternHint::QcBalanced).unwrap();
         assert_eq!(result.shots, 42);
-        assert!(client.binary_active(), "no 415 — still binary");
+        assert!(
+            client.binary.load(Ordering::Relaxed),
+            "no 415 — still binary"
+        );
 
         // batch: a bad frame fails its own slot, the rest land
         let bad_ir = {
@@ -799,7 +891,7 @@ mod tests {
         let id = session
             .submit_keyed(&ir(5), PatternHint::None, Some("fallback-1"))
             .unwrap();
-        assert!(!client.binary_active(), "415 must downgrade the client");
+        assert!(!client.binary.load(Ordering::Relaxed), "415 must downgrade");
         // Later calls (including batches) go straight to JSON and work.
         let good = ir(5);
         let outcomes = session

@@ -2,17 +2,15 @@
 //!
 //! The paper's §3.4: configuration lives in environment variables set by the
 //! developer locally, by an IDE, or by the HPC scheduler prolog — never in
-//! program source. On top of the QRMI variables this adds:
-//!
-//! ```text
-//! HPCQC_QPU=<resource-id>      # the --qpu switch (overrides the default)
-//! HPCQC_SHOTS=<n>              # default shot count for helpers
-//! ```
+//! program source. On top of the QRMI variables this adds
+//! `HPCQC_QPU=<resource-id>`, the `--qpu` switch (overrides the default).
 
+use crate::client::DaemonResource;
 use crate::runtime::{Runtime, RuntimeError};
 use hpcqc_qpu::VirtualQpu;
-use hpcqc_qrmi::{QrmiConfig, ResourceFactory};
+use hpcqc_qrmi::{QrmiConfig, ResourceFactory, ResourceType};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Fully parsed runtime configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,8 +18,6 @@ pub struct RuntimeConfig {
     pub qrmi: QrmiConfig,
     /// `HPCQC_QPU` selection, if set.
     pub qpu_selection: Option<String>,
-    /// `HPCQC_SHOTS` default (fallback 100).
-    pub default_shots: u32,
 }
 
 impl RuntimeConfig {
@@ -32,14 +28,9 @@ impl RuntimeConfig {
         } else {
             QrmiConfig::development_default()
         };
-        let default_shots = env
-            .get("HPCQC_SHOTS")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(100);
         Ok(RuntimeConfig {
             qrmi,
             qpu_selection: env.get("HPCQC_QPU").cloned(),
-            default_shots,
         })
     }
 
@@ -47,12 +38,12 @@ impl RuntimeConfig {
     /// development default when no QRMI variables are present (§3.2's
     /// works-on-a-laptop experience).
     pub fn from_process_env() -> Result<Self, hpcqc_qrmi::ConfigError> {
-        let map: BTreeMap<String, String> = std::env::vars().collect();
-        Self::from_map(&map)
+        Self::from_map(&std::env::vars().collect())
     }
 
     /// Materialize into a [`Runtime`]. `qpus` supplies devices for any
-    /// `qpu:*` resources in the configuration.
+    /// `qpu:*` resources in the configuration; `daemon` entries become
+    /// [`DaemonResource`]s.
     pub fn build_runtime(
         &self,
         seed: u64,
@@ -62,7 +53,12 @@ impl RuntimeConfig {
         for (name, qpu) in qpus {
             factory = factory.with_qpu(name, qpu);
         }
-        let registry = factory.build_registry(&self.qrmi)?;
+        let mut registry = factory.build_registry(&self.qrmi)?;
+        for rc in &self.qrmi.resources {
+            if rc.rtype == ResourceType::Daemon {
+                registry.register(Arc::new(DaemonResource::from_config(rc)?));
+            }
+        }
         let rt = Runtime::new(registry);
         Ok(match &self.qpu_selection {
             Some(sel) => rt.with_qpu(sel.clone()),
@@ -86,7 +82,6 @@ mod tests {
     #[test]
     fn empty_env_falls_back_to_development_default() {
         let cfg = RuntimeConfig::from_map(&BTreeMap::new()).unwrap();
-        assert_eq!(cfg.default_shots, 100);
         assert!(cfg.qpu_selection.is_none());
         let rt = cfg.build_runtime(1, vec![]).unwrap();
         let report = rt.run(&ir()).unwrap();
@@ -97,9 +92,7 @@ mod tests {
     fn hpcqc_qpu_overrides_default() {
         let mut env = BTreeMap::new();
         env.insert("HPCQC_QPU".to_string(), "mock".to_string());
-        env.insert("HPCQC_SHOTS".to_string(), "555".to_string());
         let cfg = RuntimeConfig::from_map(&env).unwrap();
-        assert_eq!(cfg.default_shots, 555);
         let rt = cfg.build_runtime(1, vec![]).unwrap();
         let report = rt.run(&ir()).unwrap();
         assert_eq!(report.resource_id, "mock");

@@ -13,8 +13,9 @@
 //! * [`RetryPolicy`] — per-priority-class retry budgets with decorrelated
 //!   jitter backoff and graceful degradation to a local emulator, so
 //!   transient QRMI failures don't kill a workflow.
-//! * [`DaemonClient`] / [`DaemonSession`] — the REST session client for
-//!   multi-user deployments behind the middleware daemon (§3.3).
+//! * [`DaemonResource`] — the middleware daemon (§3.3) as a QRMI resource,
+//!   reached through the same `--qpu` switch; [`DaemonClient`] /
+//!   [`DaemonSession`] are the REST session client underneath.
 //! * [`hybrid`] — the generic variational loop.
 
 pub mod client;
@@ -23,7 +24,7 @@ pub mod hybrid;
 pub mod retry;
 pub mod runtime;
 
-pub use client::{BatchItem, ClientError, DaemonClient, DaemonSession};
+pub use client::{BatchItem, ClientError, DaemonClient, DaemonResource, DaemonSession};
 pub use config::RuntimeConfig;
 pub use hpcqc_emulator::SweepPoint;
 pub use hybrid::{iterate, IterationRecord, LoopResult};

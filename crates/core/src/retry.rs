@@ -11,10 +11,11 @@
 //! Delays follow the *decorrelated jitter* scheme
 //! (`delay = min(cap, uniform(base, prev · 3))`): the expected delay grows
 //! roughly exponentially, but independent clients desynchronise instead of
-//! retry-stampeding the resource in lockstep. Delays are simulated time —
-//! the runtime accounts them instead of sleeping, so tests with thousands of
-//! retries finish in milliseconds while telemetry still reports the backoff
-//! a real deployment would have paid.
+//! retry-stampeding the resource in lockstep. Against the simulated
+//! backends delays are simulated time — the runtime accounts them instead of
+//! sleeping, so tests with thousands of retries finish in milliseconds while
+//! telemetry still reports the backoff a real deployment would have paid.
+//! Against a middleware daemon, a live service, the runtime sleeps them.
 
 use hpcqc_middleware::PriorityClass;
 use rand::{Rng, SeedableRng};

@@ -57,6 +57,14 @@ impl From<QrmiError> for RuntimeError {
     }
 }
 
+/// `ir`'s hard violations of `spec`, as an error.
+fn check(ir: &ProgramIr, spec: &DeviceSpec) -> Result<(), RuntimeError> {
+    match hpcqc_program::validate(&ir.sequence, spec) {
+        v if v.is_empty() => Ok(()),
+        v => Err(RuntimeError::Validation(v)),
+    }
+}
+
 /// Metadata attached to every execution for reproducibility records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
@@ -77,7 +85,7 @@ pub struct RecoveredRun {
     pub report: RunReport,
     /// Attempts spent on the resource that finally produced the result.
     pub attempts: u32,
-    /// Simulated backoff seconds paid on that resource.
+    /// Backoff seconds paid on that resource (slept only against a daemon).
     pub backoff_secs: f64,
     /// `Some(id)` when graceful degradation moved the run off the primary.
     pub fallback_resource: Option<String>,
@@ -162,12 +170,6 @@ impl Runtime {
         self
     }
 
-    /// Clear the selection back to the configured default.
-    pub fn with_default_qpu(mut self) -> Self {
-        self.selection = None;
-        self
-    }
-
     /// The resource the next run would use.
     pub fn resource(&self) -> Result<Arc<dyn QuantumResource>, RuntimeError> {
         Ok(self.registry.resolve(self.selection.as_deref())?)
@@ -181,12 +183,8 @@ impl Runtime {
     /// Validate a program against the live target spec without running it.
     pub fn validate(&self, ir: &ProgramIr) -> Result<DeviceSpec, RuntimeError> {
         let spec = self.target()?;
-        let violations = hpcqc_program::validate(&ir.sequence, &spec);
-        if violations.is_empty() {
-            Ok(spec)
-        } else {
-            Err(RuntimeError::Validation(violations))
-        }
+        check(ir, &spec)?;
+        Ok(spec)
     }
 
     /// Run the full static-analysis pipeline against the live target spec
@@ -291,6 +289,10 @@ impl Runtime {
                 Ok(report) => return Ok((report, backoff.attempts(), backoff.total_backoff())),
                 Err(e) if Self::retryable(&e) => match backoff.next_delay() {
                     Some(delay) => {
+                        // a daemon is a live service: its backoff is real time
+                        if res.resource_type() == ResourceType::Daemon {
+                            std::thread::sleep(std::time::Duration::from_secs_f64(delay));
+                        }
                         if let Some(m) = &self.metrics {
                             let op = match &e {
                                 RuntimeError::Qrmi(QrmiError::AcquisitionDenied(_)) => "acquire",
@@ -320,17 +322,13 @@ impl Runtime {
         ir: &ProgramIr,
     ) -> Result<RunReport, RuntimeError> {
         let spec = res.target()?;
-        let violations = hpcqc_program::validate(&ir.sequence, &spec);
-        if !violations.is_empty() {
-            return Err(RuntimeError::Validation(violations));
-        }
+        check(ir, &spec)?;
         let stamped = ir.clone().with_validation_revision(spec.revision);
         let lease = res.acquire()?;
         let out = hpcqc_qrmi::run_to_completion(res.as_ref(), &lease, &stamped, self.max_polls);
         res.release(&lease)?;
-        let result = out?;
         Ok(RunReport {
-            result,
+            result: out?,
             resource_id: res.resource_id().to_string(),
             spec_revision: spec.revision,
             program_fingerprint: ir.fingerprint(),
@@ -366,10 +364,7 @@ impl Runtime {
                     return Err(RuntimeError::Validation(report.error_violations()));
                 }
             }
-            let violations = hpcqc_program::validate(&ir.sequence, &spec);
-            if !violations.is_empty() {
-                return Err(RuntimeError::Validation(violations));
-            }
+            check(&ir, &spec)?;
             programs.push(ir.with_validation_revision(spec.revision));
         }
         let lease = res.acquire()?;
@@ -400,26 +395,10 @@ impl Runtime {
         resources
             .iter()
             .map(|&id| {
-                let report = (|| {
-                    let res = self.registry.get(id).ok_or(RuntimeError::Config(
-                        ConfigError::UnknownResource(id.to_string()),
-                    ))?;
-                    let spec = res.target()?;
-                    let violations = hpcqc_program::validate(&ir.sequence, &spec);
-                    if !violations.is_empty() {
-                        return Err(RuntimeError::Validation(violations));
-                    }
-                    let lease = res.acquire()?;
-                    let out =
-                        hpcqc_qrmi::run_to_completion(res.as_ref(), &lease, ir, self.max_polls);
-                    res.release(&lease)?;
-                    Ok(RunReport {
-                        result: out?,
-                        resource_id: id.to_string(),
-                        spec_revision: spec.revision,
-                        program_fingerprint: ir.fingerprint(),
-                    })
-                })();
+                let report = match self.registry.get(id) {
+                    Some(res) => self.attempt_once(&res, ir),
+                    None => Err(ConfigError::UnknownResource(id.to_string()).into()),
+                };
                 (id.to_string(), report)
             })
             .collect()
@@ -486,9 +465,6 @@ mod tests {
             local.program_fingerprint, qpu.program_fingerprint,
             "identical program"
         );
-        // back to default
-        let rt = rt.with_default_qpu();
-        assert_eq!(rt.run(&program).unwrap().resource_id, "emu-local");
     }
 
     #[test]

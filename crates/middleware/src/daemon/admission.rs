@@ -285,7 +285,7 @@ impl MiddlewareService {
             hint,
             submitted_at: self.now(),
         };
-        let cached = if self.cfg.cache_dev_results && task.class == PriorityClass::Development {
+        let cached = if task.class == PriorityClass::Development {
             self.dev_cache.lock().get(&task.ir.fingerprint()).cloned()
         } else {
             None

@@ -122,7 +122,7 @@ impl MiddlewareService {
                 };
                 // cached before the task reads Completed, so a resubmit
                 // that saw it complete is a hit
-                if self.cfg.cache_dev_results && task.class == PriorityClass::Development {
+                if task.class == PriorityClass::Development {
                     let key = task.ir.fingerprint();
                     self.dev_cache.lock().insert(key, result.clone());
                 }
@@ -202,9 +202,8 @@ impl MiddlewareService {
         res.release(&lease).map_err(|e| e.to_string())?;
         if let Ok(r) = &out {
             self.advance_clock(r.execution_secs);
-            if let Some(f) = &self.fairshare {
-                f.charge(&task.user, r.execution_secs, self.now());
-            }
+            self.fairshare
+                .charge(&task.user, r.execution_secs, self.now());
             self.registry.inc(
                 &catalog::DAEMON_QPU_BUSY_SECONDS,
                 labels(&[("class", task.class.as_str())]),

@@ -52,12 +52,6 @@ pub struct DaemonConfig {
     /// Error-level diagnostics, record Warning-level ones in the job record,
     /// and cross-check the user's pattern hint against the inferred one.
     pub analyze_on_submit: bool,
-    /// Fair-share usage half-life in seconds (0 disables fair-share).
-    pub fairshare_half_life_secs: f64,
-    /// Serve repeated *development* programs from a fingerprint-keyed result
-    /// cache instead of re-running them on the device (dev results are for
-    /// debugging, not statistics — a cache hit saves scarce QPU seconds).
-    pub cache_dev_results: bool,
     /// Sessions idle longer than this are expired by the clock (0 = never).
     pub session_ttl_secs: f64,
     /// Requeues allowed after an execution failure before a task is declared
@@ -77,14 +71,15 @@ impl Default for DaemonConfig {
             preempt_chunk_shots: 10,
             validate_on_submit: true,
             analyze_on_submit: true,
-            fairshare_half_life_secs: 3600.0,
-            cache_dev_results: true,
             session_ttl_secs: 0.0,
             max_task_retries: 2,
             journal: JournalConfig::default(),
         }
     }
 }
+
+/// Half-life of the fair-share usage a user's completed tasks charge.
+const FAIRSHARE_HALF_LIFE_SECS: f64 = 3600.0;
 
 /// Readiness of the daemon, exposed via `GET /v1/healthz`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -219,8 +214,10 @@ pub struct MiddlewareService {
     /// Raised by `submit_batch`, waited on by the idle background
     /// dispatcher in place of a sleep.
     wake: dispatch::WakeSignal,
-    fairshare: Option<crate::fairshare::FairshareTracker>,
-    /// Development-result cache keyed by program fingerprint.
+    fairshare: crate::fairshare::FairshareTracker,
+    /// Repeated *development* programs are served from this cache, keyed by
+    /// program fingerprint, instead of re-running on the device: dev results
+    /// are for debugging, not statistics, and a hit saves scarce QPU seconds.
     dev_cache: Mutex<HashMap<u64, SampleResult>>,
     /// The static-analysis pipeline run at submission.
     analyzer: Analyzer,
@@ -240,17 +237,8 @@ pub struct MiddlewareService {
 
 impl MiddlewareService {
     pub fn new(resource: Arc<dyn QuantumResource>, cfg: DaemonConfig) -> Self {
-        let fairshare = if cfg.fairshare_half_life_secs > 0.0 {
-            Some(crate::fairshare::FairshareTracker::new(
-                cfg.fairshare_half_life_secs,
-            ))
-        } else {
-            None
-        };
-        let queue = match &fairshare {
-            Some(f) => TaskQueue::new(cfg.queue).with_fairshare(f.clone()),
-            None => TaskQueue::new(cfg.queue),
-        };
+        let fairshare = crate::fairshare::FairshareTracker::new(FAIRSHARE_HALF_LIFE_SECS);
+        let queue = TaskQueue::new(cfg.queue).with_fairshare(fairshare.clone());
         MiddlewareService {
             tasks: Mutex::new(
                 "middleware.daemon.tasks",

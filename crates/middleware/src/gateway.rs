@@ -439,7 +439,7 @@ impl Gateway {
             Err(e) => {
                 // Transport failure: quarantine the shard until the next
                 // probe and tell the client to retry (503, same contract as
-                // a draining daemon — `submit_reliable` rides through it).
+                // a draining daemon — `Runtime::run_recovered` retries it).
                 self.mark_unready(&shard);
                 Response::json(
                     503,

@@ -197,20 +197,27 @@ fn invalid_data(e: serde_json::Error) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
 }
 
-/// Durably make `bytes` the replay base of the journal in `dir` and return
-/// a fresh, empty WAL: the snapshot goes to a temp file, is fsynced, and is
-/// renamed over the old one; the directory is fsynced so the rename itself
-/// is on stable storage *before* the WAL is cut. Without that a power loss
-/// could leave the old snapshot beside an empty WAL.
-fn install_snapshot(dir: &Path, bytes: &[u8]) -> std::io::Result<File> {
-    let tmp = dir.join("snapshot.json.tmp");
+/// Durably replace `dir/name` with `bytes`: write a temp file, fsync it,
+/// rename it over the old one, and fsync the directory so the rename itself
+/// is on stable storage. A crash leaves the old file or the new one, never
+/// a torn one.
+fn replace_durably(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = dir.join(format!("{name}.tmp"));
     {
         let mut f = File::create(&tmp)?;
         f.write_all(bytes)?;
         f.sync_data()?;
     }
-    std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
-    File::open(dir)?.sync_all()?;
+    std::fs::rename(&tmp, dir.join(name))?;
+    File::open(dir)?.sync_all()
+}
+
+/// Durably make `bytes` the replay base of the journal in `dir` and return
+/// a fresh, empty WAL. The snapshot is on stable storage *before* the WAL
+/// is cut: without that a power loss could leave the old snapshot beside an
+/// empty WAL.
+fn install_snapshot(dir: &Path, bytes: &[u8]) -> std::io::Result<File> {
+    replace_durably(dir, SNAPSHOT_FILE, bytes)?;
     let wal = OpenOptions::new()
         .create(true)
         .write(true)
@@ -830,7 +837,9 @@ pub struct FollowerReplica {
 
 impl FollowerReplica {
     /// Open (creating if needed) a replica in `dir`, resuming its cursor
-    /// from the persisted metadata when present.
+    /// from the persisted metadata when present. A cursor that does not
+    /// parse is `InvalidData`: restarting at sequence 0 beside the WAL it
+    /// describes would re-apply the whole stream.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -839,10 +848,8 @@ impl FollowerReplica {
             .append(true)
             .open(dir.join(WAL_FILE))?;
         let wal_len = wal.metadata()?.len();
-        let next_seq = match std::fs::read_to_string(dir.join(REPLICA_META_FILE)) {
-            Ok(text) => serde_json::from_str::<ReplicaAck>(&text)
-                .map(|a| a.applied_seq)
-                .unwrap_or(0),
+        let next_seq = match Self::peek_ack(&dir) {
+            Ok(ack) => ack.applied_seq,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
             Err(e) => return Err(e),
         };
@@ -909,14 +916,12 @@ impl FollowerReplica {
         (applied, err)
     }
 
-    /// Make the round's writes durable and persist the cursor.
+    /// Make the round's writes durable, then the cursor: an ack never
+    /// names a cursor that is not on disk.
     fn finish_round(&mut self) -> Result<(), ShipError> {
         self.wal.sync_data()?;
-        let ack = self.ack();
-        std::fs::write(
-            self.dir.join(REPLICA_META_FILE),
-            serde_json::to_string(&ack).map_err(invalid_data)?,
-        )?;
+        let ack = serde_json::to_string(&self.ack()).map_err(invalid_data)?;
+        replace_durably(&self.dir, REPLICA_META_FILE, ack.as_bytes())?;
         Ok(())
     }
 
@@ -1528,6 +1533,22 @@ mod tests {
         pump(&j, &mut f, "f0");
         let replay = Journal::load(&fdir).unwrap();
         assert_eq!(replay.records, vec![rec(1), rec(2), rec(3)]);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&fdir);
+    }
+
+    /// A cursor that does not parse beside a non-empty WAL must not restart
+    /// the replica at sequence 0.
+    #[test]
+    fn follower_refuses_an_unparseable_cursor() {
+        let (dir, fdir) = (tmpdir("ship-garbage"), tmpdir("ship-garbage-follower"));
+        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
+        j.enable_shipping().unwrap();
+        j.append(&rec(1)).unwrap();
+        assert!(pump(&j, &mut FollowerReplica::open(&fdir).unwrap(), "f0") >= 1);
+        std::fs::write(fdir.join(REPLICA_META_FILE), b"{\"applied_se").unwrap();
+        let torn = FollowerReplica::open(&fdir).map(|_| ());
+        assert_eq!(torn.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&fdir);
     }

@@ -47,24 +47,15 @@ impl KernelProfile {
 
     /// Mean wall-clock seconds per run (0 before the first run).
     pub fn mean_secs(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.total_secs / self.runs as f64
-        }
+        self.total_secs / self.runs.max(1) as f64
     }
 
     /// Render into resource metadata under `kernel_*` keys.
     pub fn to_metadata(self, m: &mut BTreeMap<String, String>) {
         m.insert("kernel_runs".into(), self.runs.to_string());
-        m.insert(
-            "kernel_secs_total".into(),
-            format!("{:.6}", self.total_secs),
-        );
-        m.insert(
-            "kernel_secs_mean".into(),
-            format!("{:.6}", self.mean_secs()),
-        );
+        for (key, secs) in [("total", self.total_secs), ("mean", self.mean_secs())] {
+            m.insert(format!("kernel_secs_{key}"), format!("{secs:.6}"));
+        }
     }
 }
 

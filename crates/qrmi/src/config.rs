@@ -7,11 +7,12 @@
 //! ```text
 //! QRMI_RESOURCES=fresnel-1,emu-local,emu-cloud     # comma-separated ids
 //! QRMI_DEFAULT_RESOURCE=emu-local                  # used when -qpu is absent
-//! QRMI_RESOURCE_<ID>_TYPE=qpu:direct|qpu:cloud|emulator:cloud|emulator:local
+//! QRMI_RESOURCE_<ID>_TYPE=qpu:direct|qpu:cloud|emulator:cloud|emulator:local|daemon
 //! QRMI_RESOURCE_<ID>_BACKEND=emu-sv|emu-mps|emu-mps-mock   # emulators only
 //! QRMI_RESOURCE_<ID>_CHI=16                        # emu-mps bond dimension
 //! QRMI_RESOURCE_<ID>_QUEUE_POLLS=3                 # cloud resources only
 //! QRMI_RESOURCE_<ID>_DEVICE=fresnel-1              # qpu resources: device name
+//! QRMI_RESOURCE_<ID>_ADDR=host:7777                # daemon: address (+ _USER, _CLASS)
 //! ```
 //!
 //! `<ID>` is the resource id uppercased with `-` → `_`. Parsing works from
@@ -31,6 +32,14 @@ pub struct ResourceConfig {
     pub rtype: ResourceType,
     /// Extra parameters (backend, chi, queue_polls, device).
     pub params: BTreeMap<String, String>,
+}
+
+impl ResourceConfig {
+    /// The environment key of parameter `name` (`QRMI_RESOURCE_<ID>_<NAME>`).
+    pub fn key(&self, name: &str) -> String {
+        let id = env_fragment(&self.id);
+        format!("QRMI_RESOURCE_{id}_{}", name.to_uppercase())
+    }
 }
 
 /// The full QRMI configuration.
@@ -91,7 +100,7 @@ impl QrmiConfig {
             let rtype = ResourceType::parse(tval).ok_or_else(|| ConfigError::BadValue {
                 key: tkey,
                 value: tval.clone(),
-                expected: "qpu:direct | qpu:cloud | emulator:cloud | emulator:local",
+                expected: "qpu:direct | qpu:cloud | emulator:cloud | emulator:local | daemon",
             })?;
             let prefix = format!("QRMI_RESOURCE_{frag}_");
             let params: BTreeMap<String, String> = env
@@ -174,7 +183,7 @@ impl ResourceFactory {
                 let chi = match cfg.params.get("chi") {
                     None => 16,
                     Some(v) => v.parse::<usize>().map_err(|_| ConfigError::BadValue {
-                        key: format!("QRMI_RESOURCE_{}_CHI", env_fragment(&cfg.id)),
+                        key: cfg.key("chi"),
                         value: v.clone(),
                         expected: "positive integer",
                     })?,
@@ -189,7 +198,7 @@ impl ResourceFactory {
             }
             "emu-mps-mock" => Ok(Arc::new(MpsBackend::product_state_mock())),
             other => Err(ConfigError::BadValue {
-                key: format!("QRMI_RESOURCE_{}_BACKEND", env_fragment(&cfg.id)),
+                key: cfg.key("backend"),
                 value: other.to_string(),
                 expected: "emu-sv | emu-mps | emu-mps-mock",
             }),
@@ -229,6 +238,11 @@ impl ResourceFactory {
                     self.seed,
                 )))
             }
+            ResourceType::Daemon => Err(ConfigError::BadValue {
+                key: cfg.key("type"),
+                value: "daemon".into(),
+                expected: "a device type: hpcqc-core's RuntimeConfig builds daemon entries",
+            }),
         }
     }
 
@@ -244,11 +258,14 @@ impl ResourceFactory {
             .ok_or_else(|| ConfigError::UnknownResource(device.to_string()))
     }
 
-    /// Build every configured resource into a registry.
+    /// Build every configured resource but the `daemon` entries into a
+    /// registry (`hpcqc-core` holds the REST client those need).
     pub fn build_registry(&self, cfg: &QrmiConfig) -> Result<ResourceRegistry, ConfigError> {
         let mut reg = ResourceRegistry::new();
         for rc in &cfg.resources {
-            reg.register(self.build(rc)?);
+            if rc.rtype != ResourceType::Daemon {
+                reg.register(self.build(rc)?);
+            }
         }
         reg.default_resource = cfg.default_resource.clone();
         Ok(reg)
@@ -259,11 +276,7 @@ fn parse_u32(cfg: &ResourceConfig, key: &str, default: u32) -> Result<u32, Confi
     match cfg.params.get(key) {
         None => Ok(default),
         Some(v) => v.parse::<u32>().map_err(|_| ConfigError::BadValue {
-            key: format!(
-                "QRMI_RESOURCE_{}_{}",
-                env_fragment(&cfg.id),
-                key.to_uppercase()
-            ),
+            key: cfg.key(key),
             value: v.clone(),
             expected: "non-negative integer",
         }),

@@ -245,11 +245,8 @@ impl QuantumResource for FaultInjector {
     }
 
     fn acquire(&self) -> Result<AcquisitionToken, QrmiError> {
-        let kind = "acquire_denied";
-        let denied = self
-            .state
-            .lock()
-            .roll(&self.profile, self.profile.acquire_denial_rate, kind);
+        let (kind, p) = ("acquire_denied", &self.profile);
+        let denied = self.state.lock().roll(p, p.acquire_denial_rate, kind);
         if denied {
             self.export(kind);
             return Err(QrmiError::AcquisitionDenied(
@@ -270,13 +267,9 @@ impl QuantumResource for FaultInjector {
     fn task_start(&self, token: &AcquisitionToken, ir: &ProgramIr) -> Result<TaskId, QrmiError> {
         let doomed = {
             let mut s = self.state.lock();
-            let in_burst = s.tick(&self.profile);
-            let p_fail = self
-                .profile
-                .effective(self.profile.task_failure_rate, in_burst);
-            let p_stuck = self
-                .profile
-                .effective(self.profile.stuck_task_rate, in_burst);
+            let (p, in_burst) = (&self.profile, s.tick(&self.profile));
+            let p_fail = p.effective(p.task_failure_rate, in_burst);
+            let p_stuck = p.effective(p.stuck_task_rate, in_burst);
             let draw = s.rng.gen::<f64>();
             let fate = if draw < p_fail {
                 Some((

@@ -12,7 +12,8 @@ use hpcqc_program::{DeviceSpec, ProgramIr};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// The four resource flavors exposed to the scheduler (paper §3.2).
+/// The four resource flavors exposed to the scheduler (paper §3.2), and a
+/// middleware daemon fronting one of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum ResourceType {
     /// On-premises QPU reached directly from the quantum access node.
@@ -23,6 +24,8 @@ pub enum ResourceType {
     EmulatorCloud,
     /// Emulator running locally in the user's environment.
     EmulatorLocal,
+    /// A middleware daemon reached over REST (built by `hpcqc-core`).
+    Daemon,
 }
 
 impl ResourceType {
@@ -33,6 +36,7 @@ impl ResourceType {
             "qpu:cloud" => Some(ResourceType::QpuCloud),
             "emulator:cloud" => Some(ResourceType::EmulatorCloud),
             "emulator:local" => Some(ResourceType::EmulatorLocal),
+            "daemon" => Some(ResourceType::Daemon),
             _ => None,
         }
     }
@@ -44,6 +48,7 @@ impl ResourceType {
             ResourceType::QpuCloud => "qpu:cloud",
             ResourceType::EmulatorCloud => "emulator:cloud",
             ResourceType::EmulatorLocal => "emulator:local",
+            ResourceType::Daemon => "daemon",
         }
     }
 }
@@ -175,6 +180,7 @@ mod tests {
             ResourceType::QpuCloud,
             ResourceType::EmulatorCloud,
             ResourceType::EmulatorLocal,
+            ResourceType::Daemon,
         ] {
             assert_eq!(ResourceType::parse(t.as_str()), Some(t));
         }

@@ -1,27 +1,30 @@
 //! `hpcqc` — the user-facing command-line client.
 //!
 //! Programs are written in the text SDK format (see `hpcqc-sdk::text`) and
-//! run either locally through the runtime (`run --qpu <resource>`) or via a
-//! middleware daemon session (`run --daemon host:port`). The same file works
-//! in both modes — the CLI is the `--qpu=<resource>` switch of §3.2 in
-//! executable form.
+//! run through the runtime on the resource `--qpu` names (the configured
+//! default without it). A middleware daemon is such a resource too
+//! (`QRMI_RESOURCE_<ID>_TYPE=daemon` with `_ADDR`, and optional `_USER` and
+//! `_CLASS`), so one file and one command run on a laptop emulator, the QPU
+//! or a site daemon — the `--qpu=<resource>` switch of §3.2 in executable
+//! form.
 //!
 //! ```text
-//! hpcqc target  [--daemon ADDR]               show the live device spec
-//! hpcqc run FILE [--qpu RES | --daemon ADDR]  execute a program
-//!           [--user NAME] [--class production|test|development]
-//!           [--hint qc-heavy|cc-heavy|qc-balanced] [--shots N]
-//! hpcqc validate FILE [--qpu RES]             validate without running
-//! hpcqc metrics [--daemon ADDR]               scrape the daemon metrics
-//! hpcqc resources                             list configured resources
+//! hpcqc target [--qpu RES]                   show the live device spec
+//! hpcqc run FILE [--qpu RES] [--shots N]     execute a program
+//! hpcqc validate FILE [--qpu RES] [--shots N] validate without running
+//! hpcqc metrics [--qpu RES]                  scrape a daemon resource's metrics
+//! hpcqc resources                            list configured resources
 //! ```
+//!
+//! An option the command does not take exits 2 with the usage line.
 
 use hpcqc::core::{DaemonClient, Runtime, RuntimeConfig};
-use hpcqc::middleware::PriorityClass;
 use hpcqc::program::ProgramIr;
-use hpcqc::scheduler::PatternHint;
 use hpcqc::sdk::parse_program;
 use std::collections::BTreeMap;
+
+const USAGE: &str =
+    "usage: hpcqc <run|validate|target|metrics|resources> [FILE] [--qpu RES] [--shots N]";
 
 struct Args {
     command: String,
@@ -32,15 +35,13 @@ struct Args {
 fn parse_args() -> Args {
     let mut argv = std::env::args().skip(1);
     let command = argv.next().unwrap_or_else(|| "help".into());
-    let mut positional = Vec::new();
-    let mut options = BTreeMap::new();
-    let mut argv = argv.peekable();
+    let (mut positional, mut options) = (Vec::new(), BTreeMap::new());
     while let Some(a) = argv.next() {
-        if let Some(key) = a.strip_prefix("--") {
-            let value = argv.next().unwrap_or_default();
-            options.insert(key.to_string(), value);
-        } else {
-            positional.push(a);
+        match a.strip_prefix("--") {
+            Some(key) => {
+                options.insert(key.to_string(), argv.next().unwrap_or_default());
+            }
+            None => positional.push(a),
         }
     }
     Args {
@@ -50,12 +51,14 @@ fn parse_args() -> Args {
     }
 }
 
-fn daemon_addr(args: &Args) -> String {
-    args.options
-        .get("daemon")
-        .cloned()
-        .or_else(|| std::env::var("HPCQC_DAEMON").ok())
-        .unwrap_or_else(|| "127.0.0.1:7777".into())
+/// The options `command` takes; `None` for an unknown command.
+fn options_of(command: &str) -> Option<&'static [&'static str]> {
+    match command {
+        "run" | "validate" => Some(&["qpu", "shots"]),
+        "target" | "metrics" => Some(&["qpu"]),
+        "resources" => Some(&[]),
+        _ => None,
+    }
 }
 
 fn load_program(args: &Args) -> Result<ProgramIr, Box<dyn std::error::Error>> {
@@ -72,9 +75,7 @@ fn load_program(args: &Args) -> Result<ProgramIr, Box<dyn std::error::Error>> {
 }
 
 fn local_runtime(args: &Args) -> Result<Runtime, Box<dyn std::error::Error>> {
-    let env: BTreeMap<String, String> = std::env::vars().collect();
-    let config = RuntimeConfig::from_map(&env)?;
-    let rt = config.build_runtime(0x5eed, vec![])?;
+    let rt = RuntimeConfig::from_process_env()?.build_runtime(0x5eed, vec![])?;
     Ok(match args.options.get("qpu") {
         Some(sel) => rt.with_qpu(sel.clone()),
         None => rt,
@@ -98,95 +99,54 @@ fn print_result(result: &hpcqc::emulator::SampleResult) {
 
 fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let ir = load_program(args)?;
-    if args.options.contains_key("daemon") || std::env::var("HPCQC_DAEMON").is_ok() {
-        let user = args.options.get("user").cloned().unwrap_or_else(whoami);
-        let class = args
-            .options
-            .get("class")
-            .map(|c| PriorityClass::parse(c).ok_or(format!("bad class {c:?}")))
-            .transpose()?
-            .unwrap_or(PriorityClass::Development);
-        let hint = args
-            .options
-            .get("hint")
-            .map(|h| PatternHint::parse(h).ok_or(format!("bad hint {h:?}")))
-            .transpose()?
-            .unwrap_or(PatternHint::None);
-        let client = DaemonClient::new(daemon_addr(args));
-        let session = client.open_session(&user, class)?;
-        println!(
-            "session {} ({user}/{}) on {}",
-            session.token,
-            class.as_str(),
-            daemon_addr(args)
-        );
-        let result = session.run(&ir, hint)?;
-        print_result(&result);
-        session.close()?;
-    } else {
-        let rt = local_runtime(args)?;
-        let report = rt.run(&ir)?;
-        println!(
-            "resource {} (spec rev {}), fingerprint {:#018x}",
-            report.resource_id, report.spec_revision, report.program_fingerprint
-        );
-        print_result(&report.result);
-    }
+    let report = local_runtime(args)?.run(&ir)?;
+    println!(
+        "resource {} (spec rev {}), fingerprint {:#018x}",
+        report.resource_id, report.spec_revision, report.program_fingerprint
+    );
+    print_result(&report.result);
     Ok(())
-}
-
-fn whoami() -> String {
-    std::env::var("USER").unwrap_or_else(|_| "anonymous".into())
 }
 
 fn main() {
     let args = parse_args();
+    let known = options_of(&args.command);
+    if known.is_none_or(|known| args.options.keys().any(|k| !known.contains(&k.as_str()))) {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    }
     let outcome: Result<(), Box<dyn std::error::Error>> = match args.command.as_str() {
         "run" => run(&args),
         "validate" => (|| {
             let ir = load_program(&args)?;
-            let rt = local_runtime(&args)?;
-            match rt.validate(&ir) {
-                Ok(spec) => {
-                    println!(
-                        "OK: fits {} (spec rev {}), {} qubits, {:.2} µs",
-                        spec.name,
-                        spec.revision,
-                        ir.sequence.num_qubits(),
-                        ir.sequence.duration()
-                    );
-                    Ok(())
-                }
-                Err(e) => Err(e.into()),
-            }
+            let spec = local_runtime(&args)?.validate(&ir)?;
+            println!(
+                "OK: fits {} (spec rev {}), {} qubits, {:.2} µs",
+                spec.name,
+                spec.revision,
+                ir.sequence.num_qubits(),
+                ir.sequence.duration()
+            );
+            Ok(())
         })(),
         "target" => (|| {
-            if args.options.contains_key("daemon") || std::env::var("HPCQC_DAEMON").is_ok() {
-                let spec = DaemonClient::new(daemon_addr(&args)).target()?;
-                println!("{}", serde_json::to_string_pretty(&spec)?);
-            } else {
-                let spec = local_runtime(&args)?.target()?;
-                println!("{}", serde_json::to_string_pretty(&spec)?);
-            }
+            let spec = local_runtime(&args)?.target()?;
+            println!("{}", serde_json::to_string_pretty(&spec)?);
             Ok(())
         })(),
         "metrics" => (|| {
-            print!("{}", DaemonClient::new(daemon_addr(&args)).metrics()?);
+            let res = local_runtime(&args)?.resource()?;
+            let addr = res.metadata().remove("addr");
+            let addr = addr.ok_or_else(|| format!("{} is not a daemon", res.resource_id()))?;
+            print!("{}", DaemonClient::new(addr).metrics()?);
             Ok(())
         })(),
-        "resources" => (|| {
+        _ => (|| {
             for id in local_runtime(&args)?.available_resources() {
                 println!("{id}");
             }
             Ok(())
         })(),
-        _ => {
-            eprintln!(
-                "usage: hpcqc <run|validate|target|metrics|resources> [FILE] \
-                 [--qpu RES] [--daemon ADDR] [--user U] [--class C] [--hint H] [--shots N]"
-            );
-            std::process::exit(2);
-        }
     };
     if let Err(e) = outcome {
         eprintln!("hpcqc: {e}");

@@ -15,8 +15,11 @@
 //! ```
 //!
 //! With no QRMI variables set it fronts a virtual QPU named `fresnel-1` —
-//! the zero-setup way to try the multi-user stack:
-//! `cargo run --bin hpcqcd` then `cargo run --bin hpcqc -- target`.
+//! the zero-setup way to try the multi-user stack: `cargo run --bin hpcqcd`,
+//! then reach it from `hpcqc` as a `daemon` resource:
+//! `QRMI_RESOURCES=site QRMI_RESOURCE_SITE_TYPE=daemon
+//! QRMI_RESOURCE_SITE_ADDR=127.0.0.1:7777 cargo run --bin hpcqc -- target --qpu site`.
+//! A `daemon` entry cannot be the resource `hpcqcd` itself fronts.
 
 use hpcqc::middleware::rest::serve_on;
 use hpcqc::middleware::{DaemonConfig, MiddlewareService};
@@ -67,11 +70,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             factory = factory.with_qpu(device, qpu);
         }
     }
-    let registry = factory.build_registry(&cfg)?;
     let front = cfg
         .default_resource
         .clone()
         .ok_or("QRMI_DEFAULT_RESOURCE must name the resource the daemon fronts")?;
+    let fronted = cfg.resources.iter().find(|r| r.id == front);
+    if fronted.is_some_and(|r| r.rtype == ResourceType::Daemon) {
+        return Err(format!("{front:?} is a daemon resource: hpcqcd fronts a device").into());
+    }
+    // `daemon` entries are built by the runtime, not the factory, so other
+    // ones in the list are left out here
+    let registry = factory.build_registry(&cfg)?;
     let resource = registry
         .get(&front)
         .ok_or_else(|| format!("default resource {front:?} not configured"))?;

@@ -2,6 +2,7 @@
 //! `HPCQCD_JOURNAL`, so a task acknowledged before the process is killed is
 //! known to the next process on the same directory, and resubmitting its
 //! idempotency key returns the same task id instead of enqueuing a new one.
+//! And the shipped CLI reaches it as a QRMI resource, through `--qpu`.
 
 use hpcqc::core::DaemonClient;
 use hpcqc::middleware::PriorityClass;
@@ -20,13 +21,14 @@ struct Daemon {
 }
 
 impl Daemon {
-    /// Start `hpcqcd` over `journal` on a free port and read the address it
-    /// prints.
-    fn start(journal: &Path) -> Daemon {
+    /// Start `hpcqcd` over `journal` on a free port, with `env` on top of
+    /// no QRMI configuration, and read the address it prints.
+    fn start(journal: &Path, env: &[(&str, &str)]) -> Daemon {
         let mut child = Command::new(env!("CARGO_BIN_EXE_hpcqcd"))
             .env("HPCQCD_JOURNAL", journal)
             .env("HPCQCD_PORT", "0")
             .env_remove("QRMI_RESOURCES")
+            .envs(env.iter().copied())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
@@ -69,7 +71,7 @@ fn acked_task_and_its_idempotency_key_survive_a_kill() {
     let journal = std::env::temp_dir().join(format!("hpcqcd-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&journal);
 
-    let first = Daemon::start(&journal);
+    let first = Daemon::start(&journal, &[]);
     let session = DaemonClient::new(first.addr.clone())
         .open_session("ada", PriorityClass::Production)
         .expect("session opens");
@@ -83,7 +85,7 @@ fn acked_task_and_its_idempotency_key_survive_a_kill() {
         .expect("keyed submit acked");
     drop(first); // SIGKILL: no drain, no final snapshot
 
-    let second = Daemon::start(&journal);
+    let second = Daemon::start(&journal, &[]);
     let session = DaemonClient::new(second.addr.clone())
         .open_session("ada", PriorityClass::Production)
         .expect("session opens after restart");
@@ -100,4 +102,54 @@ fn acked_task_and_its_idempotency_key_survive_a_kill() {
 
     drop(second);
     let _ = std::fs::remove_dir_all(&journal);
+}
+
+/// `hpcqc run|target --qpu site` reach the shipped daemon through the same
+/// runtime call as every other backend; the option it replaced is gone.
+/// `hpcqcd` boots beside a `daemon` entry in its QRMI list and refuses to
+/// front one.
+#[test]
+fn cli_reaches_the_daemon_through_the_qpu_switch() {
+    let journal = std::env::temp_dir().join(format!("hpcqcd-cli-{}", std::process::id()));
+    let file = journal.with_extension("hqc");
+    let _ = std::fs::remove_dir_all(&journal);
+    let text = "register ring 4 6.0\npulse duration=1.5 omega=5 delta=-2\nshots 40\n";
+    std::fs::write(&file, text).expect("program written");
+    let qrmi = [
+        ("QRMI_RESOURCES", "fresnel-1,site"),
+        ("QRMI_DEFAULT_RESOURCE", "fresnel-1"),
+        ("QRMI_RESOURCE_FRESNEL_1_TYPE", "qpu:direct"),
+        ("QRMI_RESOURCE_SITE_TYPE", "daemon"),
+        ("QRMI_RESOURCE_SITE_ADDR", "127.0.0.1:1"),
+    ];
+    let daemon = Daemon::start(&journal, &qrmi);
+    let hpcqc = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_hpcqc"))
+            .args(args)
+            .env("QRMI_RESOURCES", "site")
+            .env("QRMI_RESOURCE_SITE_TYPE", "daemon")
+            .env("QRMI_RESOURCE_SITE_ADDR", &daemon.addr)
+            .output()
+            .expect("hpcqc runs")
+    };
+    let file = file.to_str().expect("utf-8 path");
+    let run = hpcqc(&["run", file, "--qpu", "site"]);
+    assert!(run.status.success(), "{run:?}");
+    assert!(String::from_utf8_lossy(&run.stdout).contains("40 shots on"));
+    let target = hpcqc(&["target", "--qpu", "site"]);
+    assert!(target.status.success(), "{target:?}");
+    let gone = hpcqc(&["run", file, "--daemon", &daemon.addr]);
+    assert_eq!(gone.status.code(), Some(2), "{gone:?}");
+
+    let refused = Command::new(env!("CARGO_BIN_EXE_hpcqcd"))
+        .env("HPCQCD_JOURNAL", &journal)
+        .envs(qrmi)
+        .env("QRMI_DEFAULT_RESOURCE", "site")
+        .output()
+        .expect("hpcqcd runs");
+    assert!(!refused.status.success(), "{refused:?}");
+    assert!(String::from_utf8_lossy(&refused.stderr).contains("is a daemon resource"));
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&journal);
+    let _ = std::fs::remove_file(file);
 }

@@ -3,15 +3,23 @@
 //! One program, many execution environments; multiple SDKs, one IR; the
 //! mock backend as a drift-safe validation target.
 
-use hpcqc::core::{Runtime, RuntimeError};
+use hpcqc::core::{Runtime, RuntimeConfig, RuntimeError};
 use hpcqc::emulator::{Emulator, SvBackend};
+use hpcqc::middleware::{rest::serve, DaemonConfig, MiddlewareService};
 use hpcqc::program::{ProgramIr, Register};
 use hpcqc::qpu::VirtualQpu;
-use hpcqc::qrmi::{QrmiConfig, ResourceConfig, ResourceFactory, ResourceType};
+use hpcqc::qrmi::{LocalEmulatorResource, QrmiConfig, ResourceConfig, ResourceType};
 use hpcqc::sdk::{parse_program, AnalogProgram, Circuit, Gate};
+use std::sync::Arc;
 
 fn full_registry() -> Runtime {
-    let resources = vec![
+    runtime_over(Vec::new())
+}
+
+/// Every local resource plus `extra`, built from configuration as `hpcqc`
+/// builds them.
+fn runtime_over(extra: Vec<ResourceConfig>) -> Runtime {
+    let mut resources = vec![
         ResourceConfig {
             id: "emu-sv".into(),
             rtype: ResourceType::EmulatorLocal,
@@ -46,15 +54,17 @@ fn full_registry() -> Runtime {
             .into(),
         },
     ];
-    let cfg = QrmiConfig {
+    resources.extend(extra);
+    let qrmi = QrmiConfig {
         resources,
         default_resource: Some("emu-sv".into()),
     };
-    let registry = ResourceFactory::new(31)
-        .with_qpu("fresnel-1", VirtualQpu::new("fresnel-1", 8))
-        .build_registry(&cfg)
-        .unwrap();
-    Runtime::new(registry)
+    let qpus = vec![("fresnel-1".into(), VirtualQpu::new("fresnel-1", 8))];
+    let config = RuntimeConfig {
+        qrmi,
+        qpu_selection: None,
+    };
+    config.build_runtime(31, qpus).unwrap()
 }
 
 fn blockade_program(shots: u32) -> ProgramIr {
@@ -65,14 +75,38 @@ fn blockade_program(shots: u32) -> ProgramIr {
         .unwrap()
 }
 
+/// One program, one `Runtime::run` call, every backend: the `--qpu` switch
+/// alone picks an emulator, the QPU, or a live daemon.
 #[test]
 fn same_program_statistically_consistent_across_backends() {
-    let rt = full_registry();
+    // the daemon fronts a state-vector emulator and runs its dispatcher; a
+    // production session, so no development shot cap applies
+    let emu = LocalEmulatorResource::new("emu", Arc::new(SvBackend::default()), 3);
+    let svc = Arc::new(MiddlewareService::new(
+        Arc::new(emu),
+        DaemonConfig::default(),
+    ));
+    let _dispatcher = svc.spawn_dispatcher(std::time::Duration::from_millis(20));
+    let server = serve(svc).unwrap();
+    let params = [
+        ("addr", server.addr().to_string()),
+        ("class", "production".into()),
+    ];
+    let daemon = ResourceConfig {
+        id: "daemon".into(),
+        rtype: ResourceType::Daemon,
+        params: params.map(|(k, v)| (k.to_string(), v)).into(),
+    };
     let program = blockade_program(1500);
-    let runs = rt.run_everywhere(&program, &["emu-sv", "emu-mps", "qpu", "cloud"]);
-    let reference = runs[0].1.as_ref().unwrap().result.clone();
-    for (id, run) in &runs[1..] {
-        let res = &run.as_ref().unwrap_or_else(|e| panic!("{id}: {e}")).result;
+    let run = |id: &str| {
+        runtime_over(vec![daemon.clone()])
+            .with_qpu(id)
+            .run(&program)
+    };
+    let reference = run("emu-sv").unwrap().result;
+    for id in ["emu-mps", "qpu", "cloud", "daemon"] {
+        let res = &run(id).unwrap_or_else(|e| panic!("{id}: {e}")).result;
+        assert_eq!(res.shots, 1500, "{id}");
         let tv = reference.total_variation_distance(res);
         // emulators agree to shot noise; the QPU adds SPAM + calibration error
         let bound = if id == "qpu" { 0.25 } else { 0.1 };
