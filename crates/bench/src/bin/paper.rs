@@ -14,8 +14,7 @@
 
 use hpcqc_bench::{Claim, HarnessArgs, Report, Sample, Stat};
 use hpcqc_core::{DaemonClient, RunReport, Runtime};
-use hpcqc_middleware::rest::serve;
-use hpcqc_middleware::{DaemonConfig, MiddlewareService, PriorityClass};
+use hpcqc_middleware::{DaemonConfig, MiddlewareService, PriorityClass, Site};
 use hpcqc_program::{ProgramIr, Pulse, Register, SequenceBuilder};
 use hpcqc_qpu::{run_qa, VirtualQpu};
 use hpcqc_qrmi::{QpuDirectResource, QrmiConfig, ResourceConfig, ResourceFactory, ResourceType};
@@ -423,15 +422,14 @@ fn figure2(report: &mut Report, args: &HarnessArgs) {
             dev_shot_cap: DEV_SHOT_CAP,
             ..DaemonConfig::default()
         };
-        let svc = Arc::new(MiddlewareService::new(resource, cfg).with_qpu_admin(qpu.clone()));
         // as `hpcqcd` runs it: the dispatcher drives the queue, clients poll
-        let _dispatcher = svc.spawn_dispatcher(std::time::Duration::from_millis(20));
-        let server = serve(svc).expect("daemon binds localhost");
+        let svc = MiddlewareService::new(resource, cfg).with_qpu_admin(qpu.clone());
+        let site = Site::spawn(svc, 0).expect("daemon binds localhost");
         let done: Vec<(PriorityClass, u32)> = std::thread::scope(|s| {
             let users: Vec<_> = USERS
                 .iter()
                 .map(|&(user, class, shots)| {
-                    let client = DaemonClient::new(server.addr());
+                    let client = DaemonClient::new(site.addr());
                     s.spawn(move || {
                         let session = client.open_session(user, class).expect("session opens");
                         (0..n_tasks)

@@ -267,8 +267,9 @@ pub struct FleetRun {
 
 /// `sessions` concurrent production sessions each submit `per_session`
 /// [`bench_program`]s while one busy `pump_batch` loop races them (the
-/// saturated case: unlike `spawn_dispatcher`, it never parks); returns once
-/// the queue is drained. Panics unless every task was dispatched once.
+/// saturated case: unlike the daemon's dispatcher thread, it never parks);
+/// returns once the queue is drained. Panics unless every task was
+/// dispatched once.
 pub fn drive_fleet(svc: &MiddlewareService, sessions: usize, per_session: usize) -> FleetRun {
     let tokens: Vec<String> = (0..sessions)
         .map(|u| {

@@ -502,32 +502,29 @@ mod tests {
     use super::*;
     use crate::retry::{AttemptBudget, RetryPolicy};
     use hpcqc_emulator::SvBackend;
-    use hpcqc_middleware::rest::serve;
-    use hpcqc_middleware::{DaemonConfig, DispatcherHandle, HttpServer, MiddlewareService};
+    use hpcqc_middleware::rest::serve_on;
+    use hpcqc_middleware::{DaemonConfig, HttpServer, MiddlewareService, Site};
     use hpcqc_program::{Pulse, Register, SequenceBuilder};
     use hpcqc_qrmi::LocalEmulatorResource;
     use std::sync::Arc;
 
-    fn service() -> Arc<MiddlewareService> {
+    fn service() -> MiddlewareService {
         let res = Arc::new(LocalEmulatorResource::new(
             "emu",
             Arc::new(SvBackend::default()),
             1,
         ));
-        Arc::new(MiddlewareService::new(res, DaemonConfig::default()))
+        MiddlewareService::new(res, DaemonConfig::default())
     }
 
     /// A daemon with no dispatcher: nothing runs what is submitted.
     fn daemon() -> HttpServer {
-        serve(service()).unwrap()
+        serve_on(Arc::new(service()), 0).unwrap()
     }
 
-    /// A daemon with its dispatcher running beside the server, as `hpcqcd`
-    /// runs it.
-    fn dispatching_daemon() -> (HttpServer, DispatcherHandle) {
-        let svc = service();
-        let dispatcher = svc.spawn_dispatcher(Duration::from_millis(20));
-        (serve(svc).unwrap(), dispatcher)
+    /// A daemon as `hpcqcd` runs it, with its dispatcher.
+    fn dispatching_daemon() -> Site {
+        Site::spawn(service(), 0).unwrap()
     }
 
     fn ir(shots: u32) -> ProgramIr {
@@ -539,8 +536,8 @@ mod tests {
 
     #[test]
     fn end_to_end_session_over_sockets() {
-        let (server, _dispatcher) = dispatching_daemon();
-        let client = DaemonClient::new(server.addr());
+        let site = dispatching_daemon();
+        let client = DaemonClient::new(site.addr());
         let spec = client.target().unwrap();
         assert!(spec.max_qubits >= 20);
         let session = client.open_session("ada", PriorityClass::Test).unwrap();
@@ -588,9 +585,9 @@ mod tests {
     /// is 5 s here, the task takes milliseconds.
     #[test]
     fn run_against_a_self_dispatching_daemon_does_not_wait_out_an_interval() {
-        let svc = service();
+        let svc = Arc::new(service());
         let _dispatcher = svc.spawn_dispatcher(Duration::from_secs(5));
-        let server = serve(Arc::clone(&svc)).unwrap();
+        let server = serve_on(Arc::clone(&svc), 0).unwrap();
         let rt = site_runtime(&server.addr().to_string());
         // time for the dispatcher to find the queue empty and park (the
         // case a sleeping one fails); the bound holds if it has not yet
@@ -695,7 +692,6 @@ mod tests {
     #[test]
     fn run_recovered_rides_through_drain_and_promotion() {
         use hpcqc_middleware::journal::FollowerReplica;
-        use hpcqc_middleware::rest::{serve, serve_on};
         use hpcqc_middleware::{Gateway, GatewayConfig, ShardConfig};
 
         fn repl_dir(name: &str) -> std::path::PathBuf {
@@ -712,14 +708,14 @@ mod tests {
             1,
         ));
         let (dir_a, dir_b) = (repl_dir("a"), repl_dir("b"));
-        let svc_a = Arc::new(
-            MiddlewareService::recover(&dir_a, res.clone() as _, DaemonConfig::default()).unwrap(),
-        );
-        svc_a.enable_shipping().unwrap();
-        let _dispatcher_a = svc_a.spawn_dispatcher(Duration::from_millis(20));
+        let leader =
+            MiddlewareService::recover(&dir_a, res.clone() as _, DaemonConfig::default()).unwrap();
+        leader.enable_shipping().unwrap();
+        let site_a = Site::spawn(leader, 0).unwrap();
         let replica = FollowerReplica::open(&dir_b).unwrap();
-        let shipper = svc_a.spawn_shipper(replica, "b", Duration::from_millis(2));
-        let server_a = serve(Arc::clone(&svc_a)).unwrap();
+        let shipper = site_a
+            .service()
+            .spawn_shipper(replica, "b", Duration::from_millis(2));
 
         // Reserve the follower's port up front so the gateway can be
         // configured before the follower exists.
@@ -729,7 +725,7 @@ mod tests {
         let gw = Arc::new(Gateway::new(GatewayConfig {
             shards: vec![ShardConfig {
                 name: "s0".into(),
-                primary: server_a.addr().to_string(),
+                primary: site_a.addr(),
                 follower: Some(follower_addr),
             }],
         }));
@@ -741,12 +737,12 @@ mod tests {
         );
 
         // Kill the leader: drain (503s), final ship, then the socket dies.
-        svc_a.shutdown(Duration::from_millis(100));
+        site_a.service().shutdown(Duration::from_millis(100));
         shipper.stop();
-        let last_acked = svc_a.last_acked();
-        drop(server_a);
+        let last_acked = site_a.service().last_acked();
         // everything shipped was acked by the final pump: no lag left
-        let text = svc_a.metrics_text();
+        let text = site_a.service().metrics_text();
+        drop(site_a);
         for series in [
             "replication_shipped_records_total ",
             "replication_shipped_bytes_total ",
@@ -765,18 +761,16 @@ mod tests {
 
         // Promote the follower onto the reserved port and repoint traffic.
         drop(reserved);
-        let svc_b = Arc::new(
+        let promoted =
             MiddlewareService::promote(&dir_b, res as _, DaemonConfig::default(), last_acked)
-                .unwrap(),
-        );
-        let text = svc_b.metrics_text();
+                .unwrap();
+        let text = promoted.metrics_text();
         assert!(text.contains("replication_promotions_total 1\n"), "{text}");
         assert!(
             text.contains("replication_failover_seconds_count 1\n"),
             "{text}"
         );
-        let _dispatcher_b = svc_b.spawn_dispatcher(Duration::from_millis(20));
-        let _server_b = serve_on(Arc::clone(&svc_b), follower_port).unwrap();
+        let site_b = Site::spawn(promoted, follower_port).unwrap();
         gw.probe_once();
 
         let run = runner
@@ -786,7 +780,7 @@ mod tests {
         assert_eq!(run.report.result.shots, 9);
         assert!(run.attempts > 1, "the run started inside the window");
         // one task per run on the promoted daemon, both completed
-        let state = svc_b.snapshot_state();
+        let state = site_b.service().snapshot_state();
         assert_eq!((state.task_meta.len(), state.completed.len()), (2, 2));
         let _ = std::fs::remove_dir_all(&dir_a);
         let _ = std::fs::remove_dir_all(&dir_b);
@@ -797,8 +791,8 @@ mod tests {
     /// errors stay per-frame; idempotency keys dedup across batches.
     #[test]
     fn binary_codec_submits_batches_and_reads_results() {
-        let (server, _dispatcher) = dispatching_daemon();
-        let client = DaemonClient::new(server.addr()).prefer_binary();
+        let site = dispatching_daemon();
+        let client = DaemonClient::new(site.addr()).prefer_binary();
         let session = client.open_session("ada", PriorityClass::Test).unwrap();
 
         // single submit + wait: binary Submit/TaskId/Status/Result frames

@@ -550,7 +550,7 @@ impl ProberHandle {
 mod tests {
     use super::*;
     use crate::daemon::{DaemonConfig, MiddlewareService, ReplicaRole};
-    use crate::rest::serve;
+    use crate::rest::serve_on;
     use hpcqc_emulator::SvBackend;
     use hpcqc_qrmi::LocalEmulatorResource;
 
@@ -564,7 +564,7 @@ mod tests {
 
     fn shard_daemon() -> (Arc<MiddlewareService>, HttpServer) {
         let svc = Arc::new(MiddlewareService::new(resource(), DaemonConfig::default()));
-        let server = serve(Arc::clone(&svc)).unwrap();
+        let server = serve_on(Arc::clone(&svc), 0).unwrap();
         (svc, server)
     }
 

@@ -20,6 +20,7 @@
 //! * [`protocol`] — the REST messages in both codecs (JSON and the binary
 //!   wire frames) and the negotiation between them, shared by the routes,
 //!   the SDK client and the gateway,
+//! * [`Site`] — the deployable daemon: the REST API and its dispatcher,
 //! * [`gateway`] — consistent-hash front door over N replicated shards:
 //!   readiness-probed routing, follower failover, aggregated views.
 
@@ -32,6 +33,7 @@ pub mod protocol;
 pub mod rest;
 pub mod server;
 pub mod session;
+mod site;
 pub mod taskqueue;
 mod tasks;
 
@@ -48,4 +50,5 @@ pub use journal::{
 };
 pub use server::{HttpServer, ServerConfig};
 pub use session::{PriorityClass, Session, SessionError};
+pub use site::Site;
 pub use taskqueue::{QuantumTask, QueueConfig, QueueError, TaskQueue};

@@ -33,7 +33,7 @@
 //! deterministically. A query string (`?token=`) is placement metadata
 //! for the gateway and is ignored here.
 //!
-//! No route drives the queue: [`MiddlewareService::spawn_dispatcher`] does.
+//! No route drives the queue: the dispatcher [`crate::Site`] starts does.
 
 use crate::daemon::{DaemonError, MiddlewareService, SubmitItem};
 use crate::http::{Handler, Request, Response};
@@ -296,11 +296,6 @@ pub fn route(svc: &MiddlewareService, req: &Request) -> Response {
     }
 }
 
-/// Serve the daemon over HTTP on an ephemeral localhost port.
-pub fn serve(svc: Arc<MiddlewareService>) -> std::io::Result<HttpServer> {
-    serve_on(svc, 0)
-}
-
 /// Serve the daemon over HTTP on a specific localhost port (0 = ephemeral).
 pub fn serve_on(svc: Arc<MiddlewareService>, port: u16) -> std::io::Result<HttpServer> {
     serve_with(svc, port, ServerConfig::default())
@@ -354,7 +349,7 @@ mod tests {
     #[test]
     fn full_rest_workflow_over_sockets() {
         let svc = service();
-        let server = serve(Arc::clone(&svc)).unwrap();
+        let server = serve_on(Arc::clone(&svc), 0).unwrap();
         let addr = server.addr();
         let client = HttpClient::new(&addr);
 
@@ -421,7 +416,7 @@ mod tests {
 
     #[test]
     fn warnings_route_exposes_analyzer_findings() {
-        let server = serve(service()).unwrap();
+        let server = serve_on(service(), 0).unwrap();
         let addr = server.addr();
         let client = HttpClient::new(&addr);
         let (_, body) = client
@@ -490,7 +485,7 @@ mod tests {
     #[test]
     fn binary_submit_status_result_round_trip() {
         let svc = service();
-        let server = serve(Arc::clone(&svc)).unwrap();
+        let server = serve_on(Arc::clone(&svc), 0).unwrap();
         let addr = server.addr();
         let token = open_token(&addr);
         let client = HttpClient::new(addr.clone());
@@ -576,7 +571,7 @@ mod tests {
     /// bad frame does not poison its neighbours.
     #[test]
     fn batch_submit_binary_and_json() {
-        let server = serve(service()).unwrap();
+        let server = serve_on(service(), 0).unwrap();
         let addr = server.addr();
         let token = open_token(&addr);
         let client = HttpClient::new(addr.clone());
@@ -656,7 +651,7 @@ mod tests {
     /// signal the SDK keys its JSON fallback on.
     #[test]
     fn unknown_submit_content_type_is_415() {
-        let server = serve(service()).unwrap();
+        let server = serve_on(service(), 0).unwrap();
         let client = HttpClient::new(server.addr());
         for path in ["/v1/tasks", "/v1/tasks:batch"] {
             let raw = client
@@ -686,7 +681,7 @@ mod tests {
 
     #[test]
     fn auth_errors_map_to_http_codes() {
-        let server = serve(service()).unwrap();
+        let server = serve_on(service(), 0).unwrap();
         let addr = server.addr();
         let client = HttpClient::new(&addr);
         // submit with a bogus token → 401
@@ -713,7 +708,7 @@ mod tests {
     #[test]
     fn validation_errors_are_422() {
         let svc = service();
-        let server = serve(svc).unwrap();
+        let server = serve_on(svc, 0).unwrap();
         let addr = server.addr();
         let client = HttpClient::new(&addr);
         let (_, body) = client
@@ -742,7 +737,7 @@ mod tests {
 
     #[test]
     fn cancel_via_rest_requires_token() {
-        let server = serve(service()).unwrap();
+        let server = serve_on(service(), 0).unwrap();
         let addr = server.addr();
         let client = HttpClient::new(&addr);
         let (_, body) = client
@@ -807,7 +802,7 @@ mod tests {
 
     #[test]
     fn admin_routes_404_without_device() {
-        let server = serve(service()).unwrap();
+        let server = serve_on(service(), 0).unwrap();
         let client = HttpClient::new(server.addr());
         let (st, _) = client.request("GET", "/v1/admin/qpu/status", None).unwrap();
         assert_eq!(st, 404);
@@ -815,7 +810,7 @@ mod tests {
 
     #[test]
     fn malformed_submit_json_is_400() {
-        let server = serve(service()).unwrap();
+        let server = serve_on(service(), 0).unwrap();
         let client = HttpClient::new(server.addr());
         let (st, body) = client
             .request("POST", "/v1/tasks", Some("{not json"))
@@ -828,7 +823,7 @@ mod tests {
 
     #[test]
     fn unknown_session_token_is_401() {
-        let server = serve(service()).unwrap();
+        let server = serve_on(service(), 0).unwrap();
         let client = HttpClient::new(server.addr());
         let submit = format!(r#"{{"token":"sess-0-doesnotexist","ir":{}}}"#, ir_json(5));
         let (st, body) = client.request("POST", "/v1/tasks", Some(&submit)).unwrap();
@@ -838,7 +833,7 @@ mod tests {
     #[test]
     fn cancel_of_completed_task_is_409() {
         let svc = service();
-        let server = serve(Arc::clone(&svc)).unwrap();
+        let server = serve_on(Arc::clone(&svc), 0).unwrap();
         let addr = server.addr();
         let client = HttpClient::new(&addr);
         let (_, body) = client
@@ -867,7 +862,7 @@ mod tests {
     #[test]
     fn healthz_is_200_serving_503_draining() {
         let svc = service();
-        let server = serve(Arc::clone(&svc)).unwrap();
+        let server = serve_on(Arc::clone(&svc), 0).unwrap();
         let addr = server.addr().to_string();
         let client = HttpClient::new(&addr);
         let (st, body) = client.request("GET", "/v1/healthz", None).unwrap();
@@ -902,7 +897,7 @@ mod tests {
     fn follower_is_live_but_not_ready() {
         let svc = service();
         svc.set_role(crate::daemon::ReplicaRole::Follower);
-        let server = serve(Arc::clone(&svc)).unwrap();
+        let server = serve_on(Arc::clone(&svc), 0).unwrap();
         let addr = server.addr().to_string();
         let client = HttpClient::new(&addr);
         let (st, body) = client.request("GET", "/v1/healthz", None).unwrap();
@@ -932,7 +927,7 @@ mod tests {
         use std::io::{BufRead, BufReader, Write};
         use std::net::TcpStream;
         let svc = service();
-        let server = serve(Arc::clone(&svc)).unwrap();
+        let server = serve_on(Arc::clone(&svc), 0).unwrap();
         svc.shutdown(std::time::Duration::from_millis(10));
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream
@@ -953,7 +948,7 @@ mod tests {
     /// subsystem.
     #[test]
     fn transport_counters_show_up_on_metrics_route() {
-        let server = serve(service()).unwrap();
+        let server = serve_on(service(), 0).unwrap();
         let addr = server.addr();
         let client = HttpClient::new(&addr);
         let (st, _) = client.request("GET", "/v1/healthz", None).unwrap();
@@ -980,7 +975,7 @@ mod tests {
         svc.submit(&tok, ir, hpcqc_scheduler::PatternHint::None)
             .unwrap();
         svc.pump();
-        let server = serve(svc).unwrap();
+        let server = serve_on(svc, 0).unwrap();
         let client = HttpClient::new(server.addr());
         let (st, body) = client.request("GET", "/metrics", None).unwrap();
         assert_eq!(st, 200);

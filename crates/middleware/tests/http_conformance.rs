@@ -466,7 +466,7 @@ fn unknown_task_id_is_404_on_every_task_route() {
         1,
     ));
     let svc = hpcqc_middleware::MiddlewareService::new(resource, Default::default());
-    let server = hpcqc_middleware::rest::serve(Arc::new(svc)).unwrap();
+    let server = hpcqc_middleware::rest::serve_on(Arc::new(svc), 0).unwrap();
     let mut stream = connect(&server);
     for route in ["", "/warnings", "/result"] {
         let raw = format!("GET /v1/tasks/424242{route} HTTP/1.1\r\nhost: t\r\n\r\n");

@@ -9,14 +9,12 @@
 //! Run: `cargo run --release --example multi_user_site`
 
 use hpcqc::core::DaemonClient;
-use hpcqc::middleware::rest::serve;
-use hpcqc::middleware::{DaemonConfig, MiddlewareService, PriorityClass};
+use hpcqc::middleware::{DaemonConfig, MiddlewareService, PriorityClass, Site};
 use hpcqc::program::{ProgramIr, Pulse, Register, SequenceBuilder};
 use hpcqc::qpu::VirtualQpu;
 use hpcqc::qrmi::QpuDirectResource;
 use hpcqc::scheduler::PatternHint;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn job(shots: u32) -> ProgramIr {
     let reg = Register::linear(4, 6.0).expect("valid chain");
@@ -29,21 +27,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- the quantum access node: device + daemon + REST -----------------
     let qpu = VirtualQpu::new("fresnel-1", 1234);
     let resource = Arc::new(QpuDirectResource::new("fresnel-1", qpu.clone(), 7));
-    let service = Arc::new(
-        MiddlewareService::new(
-            resource,
-            DaemonConfig {
-                dev_shot_cap: 50,        // §3.3: development runs are shot-capped
-                preempt_chunk_shots: 10, // and unbatched → preemptible
-                ..DaemonConfig::default()
-            },
-        )
-        .with_qpu_admin(qpu.clone()),
-    );
+    let cfg = DaemonConfig {
+        dev_shot_cap: 50,        // §3.3: development runs are shot-capped
+        preempt_chunk_shots: 10, // and unbatched → preemptible
+        ..DaemonConfig::default()
+    };
     // the daemon's own dispatcher drives the queue; clients submit and poll
-    let _dispatcher = service.spawn_dispatcher(Duration::from_millis(20));
-    let server = serve(service)?;
-    println!("middleware daemon listening on http://{}\n", server.addr());
+    let site = Site::spawn(
+        MiddlewareService::new(resource, cfg).with_qpu_admin(qpu.clone()),
+        0,
+    )?;
+    println!("middleware daemon listening on http://{}\n", site.addr());
 
     // --- three users, three classes, concurrent sessions -----------------
     let mut workers = Vec::new();
@@ -52,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("qa-team", PriorityClass::Test, 60, 2),
         ("student", PriorityClass::Development, 500, 2), // capped to 50
     ] {
-        let addr = server.addr();
+        let addr = site.addr();
         workers.push(std::thread::spawn(move || {
             let session = DaemonClient::new(addr)
                 .open_session(user, class)
@@ -76,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- the operator's view ---------------------------------------------
-    let client = DaemonClient::new(server.addr());
+    let client = DaemonClient::new(site.addr());
     let metrics = client.metrics()?;
     println!("\n--- operator: /metrics excerpt ---");
     for line in metrics.lines().filter(|l| {

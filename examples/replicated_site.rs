@@ -9,7 +9,7 @@
 use hpcqc::emulator::SvBackend;
 use hpcqc::middleware::{
     DaemonConfig, FollowerReplica, Gateway, GatewayConfig, HttpClient, MiddlewareService,
-    ShardConfig,
+    ShardConfig, Site,
 };
 use hpcqc::qrmi::LocalEmulatorResource;
 use std::sync::Arc;
@@ -42,24 +42,18 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir_l);
     let _ = std::fs::remove_dir_all(&dir_f);
 
-    let svc_a = Arc::new(
-        MiddlewareService::recover(&dir_l, resource(), DaemonConfig::default())
-            .expect("leader recovers"),
-    );
-    svc_a.enable_shipping().expect("shipping enables");
-    let pump = svc_a.spawn_shipper(
+    // Each shard runs the dispatcher `hpcqcd` would run.
+    let leader = MiddlewareService::recover(&dir_l, resource(), DaemonConfig::default())
+        .expect("leader recovers");
+    leader.enable_shipping().expect("shipping enables");
+    let site_a = Site::spawn(leader, 0).expect("shard 0 serves");
+    let pump = site_a.service().spawn_shipper(
         FollowerReplica::open(&dir_f).expect("replica opens"),
         "standby",
         Duration::from_millis(2),
     );
-    let server_a = hpcqc::middleware::rest::serve(Arc::clone(&svc_a)).expect("shard 0 serves");
-
-    let (svc_b, server_b) = {
-        let svc = Arc::new(MiddlewareService::new(resource(), DaemonConfig::default()));
-        let server = hpcqc::middleware::rest::serve(Arc::clone(&svc)).expect("shard 1 serves");
-        (svc, server)
-    };
-    let _ = svc_b;
+    let plain = MiddlewareService::new(resource(), DaemonConfig::default());
+    let site_b = Site::spawn(plain, 0).expect("shard 1 serves");
 
     // Reserve the port the promoted follower will come up on.
     let reserved = std::net::TcpListener::bind("127.0.0.1:0").expect("reserve port");
@@ -69,12 +63,12 @@ fn main() {
         shards: vec![
             ShardConfig {
                 name: "s0".into(),
-                primary: server_a.addr(),
+                primary: site_a.addr(),
                 follower: Some(follower_addr.clone()),
             },
             ShardConfig {
                 name: "s1".into(),
-                primary: server_b.addr(),
+                primary: site_b.addr(),
                 follower: None,
             },
         ],
@@ -83,8 +77,8 @@ fn main() {
     let gw_addr = gw_server.addr();
     println!(
         "gateway on {gw_addr}, shards s0={} s1={}",
-        server_a.addr(),
-        server_b.addr()
+        site_a.addr(),
+        site_b.addr()
     );
 
     // A real workload through the gateway: open sessions, submit, wait.
@@ -121,7 +115,7 @@ fn main() {
 
     // Pick a token the ring placed on shard 0 — that's the one whose route
     // must flip to the promoted follower.
-    let (_, s0_sessions) = get(&server_a.addr(), "/v1/sessions");
+    let (_, s0_sessions) = get(&site_a.addr(), "/v1/sessions");
     let s0_token = tokens
         .iter()
         .find(|t| s0_sessions.contains(t.as_str()))
@@ -129,28 +123,29 @@ fn main() {
         .clone();
 
     // Kill shard 0's leader abruptly; its sessions dangle until failover.
-    let report = svc_a.shutdown(Duration::from_millis(200));
+    let report = site_a.service().shutdown(Duration::from_millis(200));
     println!(
         "shard 0 leader down (dispatched {} on the way out)",
         report.dispatched
     );
     drop(pump.stop());
-    let last_acked = svc_a.last_acked();
-    drop(server_a);
+    let last_acked = site_a.service().last_acked();
+    drop(site_a);
 
+    // Free the reserved port first: the prober would wait out its 30 s read
+    // timeout on a bound socket that never accepts.
+    drop(reserved);
     let probes = gw.probe_once();
     let (status, _) = get(&gw_addr, "/v1/readyz");
     println!("after kill: {probes}/2 shards ready, gateway readyz {status}");
     assert_eq!(probes, 1);
 
     // Promote the shipped follower onto the reserved address and reprobe.
-    drop(reserved);
     let port = follower_addr.rsplit(':').next().unwrap().parse().unwrap();
     let promoted =
         MiddlewareService::promote(&dir_f, resource(), DaemonConfig::default(), last_acked)
             .expect("promotion succeeds");
-    let _server_f =
-        hpcqc::middleware::rest::serve_on(Arc::new(promoted), port).expect("promoted serves");
+    let _site_f = Site::spawn(promoted, port).expect("promoted serves");
     assert_eq!(gw.probe_once(), 2);
     println!("PASS: follower promoted, prober flipped s0 to {follower_addr}");
 

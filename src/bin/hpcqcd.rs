@@ -5,8 +5,8 @@
 //! (creating virtual QPUs for `qpu:*` resources), journals every state
 //! transition under `HPCQCD_JOURNAL` (default `hpcqcd-journal` in the
 //! working directory) and recovers from it on boot, serves the REST API on
-//! `HPCQCD_PORT` (default 7777; 0 picks a free port) and runs a background
-//! dispatcher.
+//! `HPCQCD_PORT` (default 7777; 0 picks a free port) with the dispatcher
+//! that drains its queue running behind it (a [`Site`]).
 //!
 //! ```text
 //! QRMI_RESOURCES=fresnel-1 QRMI_DEFAULT_RESOURCE=fresnel-1 \
@@ -21,13 +21,10 @@
 //! QRMI_RESOURCE_SITE_ADDR=127.0.0.1:7777 cargo run --bin hpcqc -- target --qpu site`.
 //! A `daemon` entry cannot be the resource `hpcqcd` itself fronts.
 
-use hpcqc::middleware::rest::serve_on;
-use hpcqc::middleware::{DaemonConfig, MiddlewareService};
+use hpcqc::middleware::{DaemonConfig, MiddlewareService, Site};
 use hpcqc::qpu::VirtualQpu;
 use hpcqc::qrmi::{QrmiConfig, ResourceConfig, ResourceFactory, ResourceType};
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::time::Duration;
 
 fn default_config() -> QrmiConfig {
     QrmiConfig {
@@ -92,19 +89,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(qpu) = admin_qpu {
         service = service.with_qpu_admin(qpu);
     }
-    let service = Arc::new(service);
-    // The interval is idle housekeeping (journal sync, session expiry), not
-    // a latency floor: submits wake the dispatcher.
-    let _dispatcher = service.spawn_dispatcher(Duration::from_millis(20));
-
     let port: u16 = env
         .get("HPCQCD_PORT")
         .and_then(|s| s.parse().ok())
         .unwrap_or(7777);
-    let server = serve_on(Arc::clone(&service), port)?;
+    let site = Site::spawn(service, port)?;
     println!(
         "hpcqcd: fronting {front:?}, journal {journal:?}, REST on http://{}",
-        server.addr()
+        site.addr()
     );
     println!("hpcqcd: dispatcher running; Ctrl-C to stop");
     loop {

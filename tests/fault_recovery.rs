@@ -7,8 +7,7 @@
 
 use hpcqc::core::{AttemptBudget, RetryPolicy, Runtime, RuntimeConfig};
 use hpcqc::emulator::SvBackend;
-use hpcqc::middleware::rest::serve;
-use hpcqc::middleware::{DaemonConfig, DaemonTaskStatus, MiddlewareService, PriorityClass};
+use hpcqc::middleware::{DaemonConfig, DaemonTaskStatus, MiddlewareService, PriorityClass, Site};
 use hpcqc::program::{ProgramIr, Pulse, Register, SequenceBuilder};
 use hpcqc::qrmi::{
     CloudEngine, CloudResource, FaultInjector, FaultProfile, LocalEmulatorResource,
@@ -209,16 +208,12 @@ fn rest_workflow_completes_over_a_faulty_device() {
         },
         37,
     ));
-    let svc = Arc::new(MiddlewareService::new(
-        flaky,
-        DaemonConfig {
-            max_task_retries: 30,
-            ..DaemonConfig::default()
-        },
-    ));
-    let _dispatcher = svc.spawn_dispatcher(std::time::Duration::from_millis(20));
-    let server = serve(svc).expect("daemon binds");
-    let client = hpcqc::core::DaemonClient::new(server.addr());
+    let cfg = DaemonConfig {
+        max_task_retries: 30,
+        ..DaemonConfig::default()
+    };
+    let site = Site::spawn(MiddlewareService::new(flaky, cfg), 0).expect("daemon binds");
+    let client = hpcqc::core::DaemonClient::new(site.addr());
     let session = client
         .open_session("carol", PriorityClass::Production)
         .unwrap();

@@ -4,24 +4,19 @@
 //! virtual QPU → emulation → telemetry, end to end, across crates.
 
 use hpcqc::core::{ClientError, DaemonClient};
-use hpcqc::middleware::rest::serve;
-use hpcqc::middleware::{
-    DaemonConfig, DispatcherHandle, HttpServer, MiddlewareService, PriorityClass,
-};
+use hpcqc::middleware::{DaemonConfig, MiddlewareService, PriorityClass, Site};
 use hpcqc::program::{ProgramIr, Pulse, Register, SequenceBuilder};
 use hpcqc::qpu::{QpuStatus, VirtualQpu};
 use hpcqc::qrmi::QpuDirectResource;
 use hpcqc::scheduler::PatternHint;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// The daemon as `hpcqcd` runs it: its dispatcher beside the server.
-fn stack(cfg: DaemonConfig) -> (HttpServer, DispatcherHandle, VirtualQpu) {
+/// The daemon as `hpcqcd` runs it, over a virtual QPU.
+fn stack(cfg: DaemonConfig) -> (Site, VirtualQpu) {
     let qpu = VirtualQpu::new("fresnel-1", 99);
     let resource = Arc::new(QpuDirectResource::new("fresnel-1", qpu.clone(), 7));
-    let svc = Arc::new(MiddlewareService::new(resource, cfg).with_qpu_admin(qpu.clone()));
-    let dispatcher = svc.spawn_dispatcher(Duration::from_millis(20));
-    (serve(svc).expect("daemon binds"), dispatcher, qpu)
+    let svc = MiddlewareService::new(resource, cfg).with_qpu_admin(qpu.clone());
+    (Site::spawn(svc, 0).expect("daemon binds"), qpu)
 }
 
 fn program(shots: u32) -> ProgramIr {
@@ -33,8 +28,8 @@ fn program(shots: u32) -> ProgramIr {
 
 #[test]
 fn submit_run_fetch_through_every_layer() {
-    let (server, _dispatcher, qpu) = stack(DaemonConfig::default());
-    let client = DaemonClient::new(server.addr());
+    let (site, qpu) = stack(DaemonConfig::default());
+    let client = DaemonClient::new(site.addr());
 
     // the device spec travels: QPU calibration → QRMI target → REST → client
     let spec = client.target().unwrap();
@@ -56,12 +51,12 @@ fn submit_run_fetch_through_every_layer() {
 
 #[test]
 fn concurrent_multiclass_load_with_preemption() {
-    let (server, _dispatcher, qpu) = stack(DaemonConfig {
+    let (site, qpu) = stack(DaemonConfig {
         dev_shot_cap: 30,
         preempt_chunk_shots: 5,
         ..DaemonConfig::default()
     });
-    let addr = server.addr();
+    let addr = site.addr();
     let mut handles = Vec::new();
     for (user, class, shots) in [
         ("prod", PriorityClass::Production, 40u32),
@@ -93,7 +88,7 @@ fn concurrent_multiclass_load_with_preemption() {
         "all shots accounted across slices and batches"
     );
     // metrics reflect the activity
-    let metrics = DaemonClient::new(server.addr()).metrics().unwrap();
+    let metrics = DaemonClient::new(site.addr()).metrics().unwrap();
     assert!(metrics.contains("daemon_tasks_completed_total{class=\"production\"} 1"));
     assert!(metrics.contains("daemon_tasks_completed_total{class=\"development\"} 1"));
     assert!(metrics.contains("qpu_shots_total{device=\"fresnel-1\"} 90"));
@@ -101,8 +96,8 @@ fn concurrent_multiclass_load_with_preemption() {
 
 #[test]
 fn maintenance_mode_blocks_execution_but_not_queueing() {
-    let (server, _dispatcher, qpu) = stack(DaemonConfig::default());
-    let client = DaemonClient::new(server.addr());
+    let (site, qpu) = stack(DaemonConfig::default());
+    let client = DaemonClient::new(site.addr());
     qpu.set_status(QpuStatus::Maintenance);
     let session = client.open_session("ops", PriorityClass::Test).unwrap();
     let id = session.submit(&program(5), PatternHint::None).unwrap();
@@ -119,8 +114,8 @@ fn maintenance_mode_blocks_execution_but_not_queueing() {
 
 #[test]
 fn drift_between_validation_and_execution_is_caught_server_side() {
-    let (server, _dispatcher, qpu) = stack(DaemonConfig::default());
-    let client = DaemonClient::new(server.addr());
+    let (site, qpu) = stack(DaemonConfig::default());
+    let client = DaemonClient::new(site.addr());
     let session = client.open_session("dev", PriorityClass::Test).unwrap();
 
     // a program near the calibrated amplitude ceiling
@@ -153,16 +148,11 @@ fn drift_between_validation_and_execution_is_caught_server_side() {
 
 #[test]
 fn telemetry_history_is_queryable_through_the_daemon() {
-    let qpu = VirtualQpu::new("fresnel-1", 5);
-    let resource = Arc::new(QpuDirectResource::new("fresnel-1", qpu.clone(), 7));
-    let svc = Arc::new(
-        MiddlewareService::new(resource, DaemonConfig::default()).with_qpu_admin(qpu.clone()),
-    );
+    let (site, _qpu) = stack(DaemonConfig::default());
     for _ in 0..5 {
-        svc.advance_time(100.0);
+        site.service().advance_time(100.0);
     }
-    let server = serve(svc).expect("binds");
-    let (status, body) = hpcqc::middleware::HttpClient::new(server.addr())
+    let (status, body) = hpcqc::middleware::HttpClient::new(site.addr())
         .request("GET", "/v1/telemetry/qpu_rabi_scale?from=0&to=1000", None)
         .unwrap();
     assert_eq!(status, 200);

@@ -5,7 +5,7 @@
 
 use hpcqc::core::{Runtime, RuntimeConfig, RuntimeError};
 use hpcqc::emulator::{Emulator, SvBackend};
-use hpcqc::middleware::{rest::serve, DaemonConfig, MiddlewareService};
+use hpcqc::middleware::{DaemonConfig, MiddlewareService, Site};
 use hpcqc::program::{ProgramIr, Register};
 use hpcqc::qpu::VirtualQpu;
 use hpcqc::qrmi::{LocalEmulatorResource, QrmiConfig, ResourceConfig, ResourceType};
@@ -82,16 +82,9 @@ fn same_program_statistically_consistent_across_backends() {
     // the daemon fronts a state-vector emulator and runs its dispatcher; a
     // production session, so no development shot cap applies
     let emu = LocalEmulatorResource::new("emu", Arc::new(SvBackend::default()), 3);
-    let svc = Arc::new(MiddlewareService::new(
-        Arc::new(emu),
-        DaemonConfig::default(),
-    ));
-    let _dispatcher = svc.spawn_dispatcher(std::time::Duration::from_millis(20));
-    let server = serve(svc).unwrap();
-    let params = [
-        ("addr", server.addr().to_string()),
-        ("class", "production".into()),
-    ];
+    let svc = MiddlewareService::new(Arc::new(emu), DaemonConfig::default());
+    let site = Site::spawn(svc, 0).unwrap();
+    let params = [("addr", site.addr()), ("class", "production".into())];
     let daemon = ResourceConfig {
         id: "daemon".into(),
         rtype: ResourceType::Daemon,
