@@ -369,17 +369,19 @@ impl DaemonSession {
 
 /// A daemon as a QRMI resource (`QRMI_RESOURCE_<ID>_TYPE=daemon`): a lease
 /// is a session, a task id carries its session token (reads keep a gateway's
-/// sticky placement). A retried start runs once: a start whose outcome is
-/// unknown (a transport error or a 5xx) leaves its idempotency key for its
-/// program, and the next start of that program re-sends it. A start that
-/// succeeds leaves nothing, so a deliberate second run takes a fresh key.
+/// sticky placement). A retried start runs once: a lease holds its start's
+/// idempotency key until the outcome (result, failure, cancel) is read, and a
+/// release before that leaves it for the program's next start. A read outcome
+/// leaves nothing: a second run, or a retry after a failure, runs anew.
 pub struct DaemonResource {
     id: String,
     client: DaemonClient,
     user: String,
     class: PriorityClass,
-    /// Program fingerprint → key of a start whose outcome is unknown.
+    /// Program fingerprint → key of a start released before its outcome.
     unacked: Mutex<HashMap<u64, String>>,
+    /// Lease token → its start's program fingerprint and key.
+    held: Mutex<HashMap<String, (u64, String)>>,
     /// Polls since the last start (one task at a time): the ramp's index.
     polls: AtomicUsize,
     nonce: AtomicU64,
@@ -403,6 +405,7 @@ impl DaemonResource {
                 expected: "production | test | development",
             })?,
             unacked: Mutex::default(),
+            held: Mutex::default(),
             polls: AtomicUsize::default(),
             nonce: AtomicU64::default(),
         })
@@ -444,6 +447,9 @@ impl QuantumResource for DaemonResource {
     /// Best effort: failing a run whose result is in hand over a close lost
     /// to a drain or a failover would make the runtime run it again.
     fn release(&self, token: &AcquisitionToken) -> Result<(), QrmiError> {
+        if let Some((fingerprint, key)) = self.held.lock().remove(&token.0) {
+            self.unacked.lock().insert(fingerprint, key);
+        }
         let _ = self.client.session(&token.0).close();
         Ok(())
     }
@@ -459,25 +465,27 @@ impl QuantumResource for DaemonResource {
         });
         self.polls.store(0, Ordering::Relaxed);
         let session = self.client.session(&token.0);
-        let started = session.submit_keyed(ir, PatternHint::None, Some(&key));
-        if let Err(ClientError::Transport(_) | ClientError::Api { status: 500.., .. }) = started {
-            self.unacked.lock().insert(fingerprint, key);
-        }
-        let id = started.map_err(qrmi_error)?;
-        Ok(TaskId(format!("{}/{id}", token.0)))
+        let id = session.submit_keyed(ir, PatternHint::None, Some(&key));
+        // whatever the reply: a refused start admitted nothing under its key
+        self.held.lock().insert(token.0.clone(), (fingerprint, key));
+        Ok(TaskId(format!("{}/{}", token.0, id.map_err(qrmi_error)?)))
     }
 
     fn task_status(&self, task: &TaskId) -> Result<TaskStatus, QrmiError> {
         let (session, id) = self.task(task)?;
         let poll = self.polls.fetch_add(1, Ordering::Relaxed);
         std::thread::sleep(poll_delay(poll, POLL_INTERVAL));
-        Ok(match session.status(id).map_err(qrmi_error)? {
+        let status = match session.status(id).map_err(qrmi_error)? {
             DaemonTaskStatus::Queued { .. } => TaskStatus::Queued,
             DaemonTaskStatus::Running => TaskStatus::Running,
             DaemonTaskStatus::Completed => TaskStatus::Completed,
             DaemonTaskStatus::Failed(m) => TaskStatus::Failed(m),
             DaemonTaskStatus::Cancelled => TaskStatus::Cancelled,
-        })
+        };
+        if matches!(status, TaskStatus::Failed(_) | TaskStatus::Cancelled) {
+            self.held.lock().remove(&session.token);
+        }
+        Ok(status)
     }
 
     fn task_stop(&self, task: &TaskId) -> Result<(), QrmiError> {
@@ -487,7 +495,9 @@ impl QuantumResource for DaemonResource {
 
     fn task_result(&self, task: &TaskId) -> Result<SampleResult, QrmiError> {
         let (session, id) = self.task(task)?;
-        session.result(id).map_err(qrmi_error)
+        let result = session.result(id).map_err(qrmi_error)?;
+        self.held.lock().remove(&session.token);
+        Ok(result)
     }
 
     fn metadata(&self) -> BTreeMap<String, String> {
@@ -522,11 +532,6 @@ mod tests {
         serve_on(Arc::new(service()), 0).unwrap()
     }
 
-    /// A daemon as `hpcqcd` runs it, with its dispatcher.
-    fn dispatching_daemon() -> Site {
-        Site::spawn(service(), 0).unwrap()
-    }
-
     fn ir(shots: u32) -> ProgramIr {
         let reg = Register::linear(2, 6.0).unwrap();
         let mut b = SequenceBuilder::new(reg);
@@ -536,7 +541,7 @@ mod tests {
 
     #[test]
     fn end_to_end_session_over_sockets() {
-        let site = dispatching_daemon();
+        let site = Site::spawn(service(), 0).unwrap();
         let client = DaemonClient::new(site.addr());
         let spec = client.target().unwrap();
         assert!(spec.max_qubits >= 20);
@@ -791,7 +796,7 @@ mod tests {
     /// errors stay per-frame; idempotency keys dedup across batches.
     #[test]
     fn binary_codec_submits_batches_and_reads_results() {
-        let site = dispatching_daemon();
+        let site = Site::spawn(service(), 0).unwrap();
         let client = DaemonClient::new(site.addr()).prefer_binary();
         let session = client.open_session("ada", PriorityClass::Test).unwrap();
 

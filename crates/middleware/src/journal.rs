@@ -838,8 +838,9 @@ pub struct FollowerReplica {
 impl FollowerReplica {
     /// Open (creating if needed) a replica in `dir`, resuming its cursor
     /// from the persisted metadata when present. A cursor that does not
-    /// parse is `InvalidData`: restarting at sequence 0 beside the WAL it
-    /// describes would re-apply the whole stream.
+    /// parse, or names more WAL than there is, is `InvalidData`: restarting
+    /// at sequence 0 would re-apply the whole stream. WAL past the cursor
+    /// is a round never acked (a crash beat its cursor): it is cut off.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -847,12 +848,15 @@ impl FollowerReplica {
             .create(true)
             .append(true)
             .open(dir.join(WAL_FILE))?;
-        let wal_len = wal.metadata()?.len();
-        let next_seq = match Self::peek_ack(&dir) {
-            Ok(ack) => ack.applied_seq,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
+        let on_disk = wal.metadata()?.len();
+        let (next_seq, wal_len) = match Self::peek_ack(&dir) {
+            Ok(ack) if ack.wal_len <= on_disk => (ack.applied_seq, ack.wal_len),
+            Ok(_) => return Err(std::io::ErrorKind::InvalidData.into()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (0, on_disk),
             Err(e) => return Err(e),
         };
+        wal.set_len(wal_len)?;
+        wal.sync_data()?;
         Ok(FollowerReplica {
             dir,
             wal,
@@ -1549,6 +1553,28 @@ mod tests {
         std::fs::write(fdir.join(REPLICA_META_FILE), b"{\"applied_se").unwrap();
         let torn = FollowerReplica::open(&fdir).map(|_| ());
         assert_eq!(torn.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&fdir);
+    }
+
+    /// A crash between a round's WAL fsync and its cursor replace leaves
+    /// the WAL a round ahead of the cursor: the re-shipped round applies.
+    #[test]
+    fn follower_takes_a_round_again_after_losing_its_cursor() {
+        let (dir, fdir) = (tmpdir("ship-rewind"), tmpdir("ship-rewind-follower"));
+        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
+        j.enable_shipping().unwrap();
+        j.append(&rec(1)).unwrap();
+        let mut f = FollowerReplica::open(&fdir).unwrap();
+        pump(&j, &mut f, "f0");
+        let cursor = std::fs::read(fdir.join(REPLICA_META_FILE)).unwrap();
+        j.append(&rec(2)).unwrap();
+        let round = j.ship_fetch(f.ack().applied_seq);
+        assert!(f.apply_all(&round).1.is_none());
+        std::fs::write(fdir.join(REPLICA_META_FILE), cursor).unwrap();
+        let mut f = FollowerReplica::open(&fdir).unwrap();
+        assert!(f.apply_all(&round).1.is_none());
+        assert_eq!(Journal::load(&fdir).unwrap().records, vec![rec(1), rec(2)]);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&fdir);
     }

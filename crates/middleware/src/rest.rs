@@ -33,7 +33,7 @@
 //! deterministically. A query string (`?token=`) is placement metadata
 //! for the gateway and is ignored here.
 //!
-//! No route drives the queue: the dispatcher [`crate::Site`] starts does.
+//! No route drives the queue: the dispatcher does, started by [`crate::Site`].
 
 use crate::daemon::{DaemonError, MiddlewareService, SubmitItem};
 use crate::http::{Handler, Request, Response};

@@ -48,8 +48,7 @@ impl Site {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::daemon::DaemonConfig;
-    use crate::http::HttpClient;
+    use crate::{DaemonConfig, HttpClient, PriorityClass};
     use hpcqc_emulator::SvBackend;
     use hpcqc_program::{ProgramIr, Pulse, Register, SequenceBuilder};
     use hpcqc_qrmi::LocalEmulatorResource;
@@ -62,16 +61,12 @@ mod tests {
         let svc = MiddlewareService::new(Arc::new(emu), DaemonConfig::default());
         let site = Site::spawn(svc, 0).unwrap();
         let client = HttpClient::new(site.addr());
-        let open = r#"{"user":"ada","class":"production"}"#;
-        let (_, body) = client.request("POST", "/v1/sessions", Some(open)).unwrap();
-        let token = serde_json::from_str::<serde_json::Value>(&body).unwrap()["token"].clone();
+        let token = site.service().open_session("ada", PriorityClass::Test);
         let mut b = SequenceBuilder::new(Register::linear(2, 6.0).unwrap());
         b.add_global_pulse(Pulse::constant(0.5, 4.0, 0.0, 0.0).unwrap());
         let ir = ProgramIr::new(b.build().unwrap(), 25, "site-test");
-        let submit = serde_json::json!({ "token": token, "ir": ir });
-        let (st, body) = client
-            .request("POST", "/v1/tasks", Some(&submit.to_string()))
-            .unwrap();
+        let submit = serde_json::json!({ "token": token.unwrap(), "ir": ir }).to_string();
+        let (st, body) = client.request("POST", "/v1/tasks", Some(&submit)).unwrap();
         assert_eq!(st, 201, "{body}");
         let id = serde_json::from_str::<serde_json::Value>(&body).unwrap()["task_id"].clone();
         let status = format!("/v1/tasks/{id}");
@@ -81,7 +76,6 @@ mod tests {
             body.contains("Completed")
         });
         assert!(done, "the dispatcher never ran task {id}");
-
         let svc = Arc::clone(site.service());
         drop(site);
         assert_eq!(Arc::strong_count(&svc), 1);

@@ -6,7 +6,8 @@
 //! transition under `HPCQCD_JOURNAL` (default `hpcqcd-journal` in the
 //! working directory) and recovers from it on boot, serves the REST API on
 //! `HPCQCD_PORT` (default 7777; 0 picks a free port) with the dispatcher
-//! that drains its queue running behind it (a [`Site`]).
+//! that drains its queue running behind it (a [`Site`]). A value of it or
+//! of `HPCQCD_SEED` (the virtual devices' seed) that does not parse is refused.
 //!
 //! ```text
 //! QRMI_RESOURCES=fresnel-1 QRMI_DEFAULT_RESOURCE=fresnel-1 \
@@ -25,6 +26,7 @@ use hpcqc::middleware::{DaemonConfig, MiddlewareService, Site};
 use hpcqc::qpu::VirtualQpu;
 use hpcqc::qrmi::{QrmiConfig, ResourceConfig, ResourceFactory, ResourceType};
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 fn default_config() -> QrmiConfig {
     QrmiConfig {
@@ -37,8 +39,17 @@ fn default_config() -> QrmiConfig {
     }
 }
 
+/// The variable `name` parsed, `or` when it is unset.
+fn parsed<T: FromStr>(env: &BTreeMap<String, String>, name: &str, or: T) -> Result<T, String> {
+    let refuse = |v| format!("{name}={v} does not parse");
+    env.get(name)
+        .map_or(Ok(or), |v| v.parse().map_err(|_| refuse(v)))
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env: BTreeMap<String, String> = std::env::vars().collect();
+    let port: u16 = parsed(&env, "HPCQCD_PORT", 7777)?;
+    let seed: u64 = parsed(&env, "HPCQCD_SEED", 0xda3)?;
     let cfg = if env.contains_key("QRMI_RESOURCES") {
         QrmiConfig::from_map(&env)?
     } else {
@@ -47,10 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // create a virtual device for every qpu-typed resource
-    let seed: u64 = env
-        .get("HPCQCD_SEED")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xda3);
     let mut factory = ResourceFactory::new(seed);
     let mut admin_qpu: Option<VirtualQpu> = None;
     for rc in &cfg.resources {
@@ -89,10 +96,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(qpu) = admin_qpu {
         service = service.with_qpu_admin(qpu);
     }
-    let port: u16 = env
-        .get("HPCQCD_PORT")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7777);
     let site = Site::spawn(service, port)?;
     println!(
         "hpcqcd: fronting {front:?}, journal {journal:?}, REST on http://{}",

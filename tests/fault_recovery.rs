@@ -226,50 +226,50 @@ fn rest_workflow_completes_over_a_faulty_device() {
     session.close().unwrap();
 }
 
-/// A submit whose reply is lost (the daemon admitted it, the client saw a
-/// 503) is retried by `Runtime::run_recovered` with the same idempotency
-/// key: the run succeeds on its second attempt and the daemon holds and
-/// runs one task.
+/// A reply lost after the daemon acted on it (a submit's, or the first
+/// status read's: the client sees a 503) is retried by `run_recovered` with
+/// the same idempotency key: the run succeeds on its second attempt and the
+/// daemon holds and runs one task.
 #[test]
 fn lost_submit_ack_is_retried_and_runs_once() {
     use hpcqc::middleware::http::{Request, Response};
     use hpcqc::middleware::{rest::route, HttpServer};
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    let emu = LocalEmulatorResource::new("emu", Arc::new(SvBackend::default()), 5);
-    let svc = Arc::new(MiddlewareService::new(
-        Arc::new(emu),
-        DaemonConfig::default(),
-    ));
-    let _dispatcher = svc.spawn_dispatcher(std::time::Duration::from_millis(20));
-    let (daemon, lost) = (Arc::clone(&svc), AtomicBool::new(false));
-    let server = HttpServer::spawn(Arc::new(move |req: Request| {
-        let reply = route(&daemon, &req);
-        let submit = req.method == "POST" && req.path == "/v1/tasks";
-        match submit && !lost.swap(true, Ordering::Relaxed) {
-            true => Response::json(503, r#"{"error":"reply lost"}"#),
-            false => reply,
-        }
-    }))
-    .unwrap();
-    let addr = server.addr().to_string();
-    let env = [
-        ("QRMI_RESOURCES", "site"),
-        ("QRMI_DEFAULT_RESOURCE", "site"),
-        ("QRMI_RESOURCE_SITE_TYPE", "daemon"),
-        ("QRMI_RESOURCE_SITE_ADDR", &addr),
-    ];
-    let env = env.map(|(k, v)| (k.to_string(), v.to_string())).into();
-    let rt = RuntimeConfig::from_map(&env)
-        .unwrap()
-        .build_runtime(1, vec![]);
-    let rt = rt.unwrap().with_retry_policy(RetryPolicy {
-        base_delay_secs: 0.001,
-        max_delay_secs: 0.01,
-        ..RetryPolicy::default()
-    });
-    let run = rt.run_recovered(&program(40)).unwrap();
-    assert_eq!((run.attempts, run.report.result.shots), (2, 40));
-    let state = svc.snapshot_state();
-    assert_eq!((state.task_meta.len(), state.completed.len()), (1, 1));
+    for lose in ["POST /v1/tasks", "GET /v1/tasks/"] {
+        let emu = LocalEmulatorResource::new("emu", Arc::new(SvBackend::default()), 5);
+        let svc = Arc::new(MiddlewareService::new(Arc::new(emu), Default::default()));
+        let _dispatcher = svc.spawn_dispatcher(std::time::Duration::from_millis(20));
+        let (daemon, lost) = (Arc::clone(&svc), AtomicBool::new(false));
+        let server = HttpServer::spawn(Arc::new(move |req: Request| {
+            let reply = route(&daemon, &req);
+            let hit = format!("{} {}", req.method, req.path).starts_with(lose);
+            match hit && !lost.swap(true, Ordering::Relaxed) {
+                true => Response::json(503, r#"{"error":"reply lost"}"#),
+                false => reply,
+            }
+        }))
+        .unwrap();
+        let addr = server.addr().to_string();
+        let env = [
+            ("QRMI_RESOURCES", "site"),
+            ("QRMI_DEFAULT_RESOURCE", "site"),
+            ("QRMI_RESOURCE_SITE_TYPE", "daemon"),
+            ("QRMI_RESOURCE_SITE_ADDR", &addr),
+        ];
+        let env = env.map(|(k, v)| (k.to_string(), v.to_string())).into();
+        let rt = RuntimeConfig::from_map(&env)
+            .unwrap()
+            .build_runtime(1, vec![]);
+        let rt = rt.unwrap().with_retry_policy(RetryPolicy {
+            base_delay_secs: 0.001,
+            max_delay_secs: 0.01,
+            ..RetryPolicy::default()
+        });
+        let run = rt.run_recovered(&program(40)).unwrap();
+        assert_eq!((run.attempts, run.report.result.shots), (2, 40), "{lose}");
+        let state = svc.snapshot_state();
+        let held = (state.task_meta.len(), state.completed.len());
+        assert_eq!(held, (1, 1), "{lose}");
+    }
 }

@@ -11,6 +11,7 @@ use hpcqc::scheduler::PatternHint;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// A running `hpcqcd`, killed on drop. Its stdout stays open for the
 /// daemon's lifetime: a closed pipe would fail the daemon's next print.
@@ -152,4 +153,34 @@ fn cli_reaches_the_daemon_through_the_qpu_switch() {
     drop(daemon);
     let _ = std::fs::remove_dir_all(&journal);
     let _ = std::fs::remove_file(file);
+}
+
+/// `hpcqcd` refuses an environment value that does not parse, naming it; one
+/// that took the default would serve until killed, so a deadline bounds the wait.
+#[test]
+fn hpcqcd_refuses_an_unparseable_environment_value() {
+    for var in ["HPCQCD_PORT", "HPCQCD_SEED"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_hpcqcd"))
+            .env(
+                "HPCQCD_JOURNAL",
+                std::env::temp_dir().join("hpcqcd-refused"),
+            )
+            .envs([("HPCQCD_PORT", "0"), (var, "x")])
+            .env_remove("QRMI_RESOURCES")
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("hpcqcd starts");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while child.try_wait().expect("hpcqcd polled").is_none() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let _ = child.kill(); // nothing to do for one that exited
+        let out = child.wait_with_output().expect("hpcqcd reaped");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success() && stderr.contains(var),
+            "{var}: {stderr}"
+        );
+    }
 }
