@@ -212,12 +212,9 @@ fn replace_durably(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> 
     File::open(dir)?.sync_all()
 }
 
-/// Durably make `bytes` the replay base of the journal in `dir` and return
-/// a fresh, empty WAL. The snapshot is on stable storage *before* the WAL
-/// is cut: without that a power loss could leave the old snapshot beside an
-/// empty WAL.
-fn install_snapshot(dir: &Path, bytes: &[u8]) -> std::io::Result<File> {
-    replace_durably(dir, SNAPSHOT_FILE, bytes)?;
+/// Cut the WAL in `dir` to empty, durably. Callers replace the snapshot
+/// first: a power loss must not leave the old snapshot beside an empty WAL.
+fn empty_wal(dir: &Path) -> std::io::Result<File> {
     let wal = OpenOptions::new()
         .create(true)
         .write(true)
@@ -493,7 +490,7 @@ impl SharedJournal {
     }
 
     /// Compact: atomically persist `snap` as the new replay base and truncate
-    /// the WAL (crash-safe, see `install_snapshot`). Safe against
+    /// the WAL (crash-safe, see `empty_wal`). Safe against
     /// concurrent appends: the buffer is cleared under the buffer lock, and
     /// the file lock taken next is granted only after every batch that ever
     /// left the buffer has finished its write (see `commit`)
@@ -516,7 +513,8 @@ impl SharedJournal {
         b.appends_since_fsync = 0;
         b.records_since_compact = 0;
         let mut f = self.file.lock();
-        f.wal = install_snapshot(&self.dir, &body)?;
+        replace_durably(&self.dir, SNAPSHOT_FILE, &body)?;
+        f.wal = empty_wal(&self.dir)?;
         // Ship the compaction as a snapshot event, still under the file
         // lock, so no batch event can interleave between the WAL cut and
         // this event. Earlier events are superseded (the snapshot carries
@@ -548,7 +546,7 @@ impl SharedJournal {
         if s.is_some() {
             return Ok(());
         }
-        let mut log = ShippingLog::new();
+        let mut log = ShippingLog::default();
         if let Some(snap) = snap {
             log.push_snapshot(&snap);
         }
@@ -725,6 +723,7 @@ impl ReplicaAck {
 }
 
 /// Leader-side shipping state: the retained event window plus follower acks.
+#[derive(Default)]
 struct ShippingLog {
     events: std::collections::VecDeque<ShipEvent>,
     next_seq: u64,
@@ -734,15 +733,6 @@ struct ShippingLog {
 }
 
 impl ShippingLog {
-    fn new() -> Self {
-        ShippingLog {
-            events: std::collections::VecDeque::new(),
-            next_seq: 0,
-            wal_offset: 0,
-            followers: std::collections::BTreeMap::new(),
-        }
-    }
-
     fn push_batch(&mut self, records: u64, bytes: &[u8]) {
         let ev = ShippedBatch {
             seq: self.next_seq,
@@ -865,12 +855,6 @@ impl FollowerReplica {
         })
     }
 
-    /// The replica's journal directory (a promotion candidate's `recover`
-    /// path).
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Current durable cursor — what this follower would ack.
     pub fn ack(&self) -> ReplicaAck {
         ReplicaAck {
@@ -924,9 +908,12 @@ impl FollowerReplica {
     /// names a cursor that is not on disk.
     fn finish_round(&mut self) -> Result<(), ShipError> {
         self.wal.sync_data()?;
-        let ack = serde_json::to_string(&self.ack()).map_err(invalid_data)?;
-        replace_durably(&self.dir, REPLICA_META_FILE, ack.as_bytes())?;
-        Ok(())
+        Ok(self.write_cursor(self.ack())?)
+    }
+
+    fn write_cursor(&self, ack: ReplicaAck) -> std::io::Result<()> {
+        let ack = serde_json::to_string(&ack).map_err(invalid_data)?;
+        replace_durably(&self.dir, REPLICA_META_FILE, ack.as_bytes())
     }
 
     /// Validate and write one event without the round-closing fsync.
@@ -965,9 +952,16 @@ impl FollowerReplica {
                         got: s.seq,
                     });
                 }
-                self.wal = install_snapshot(&self.dir, &s.bytes)?;
-                self.wal_len = 0;
-                self.next_seq = s.seq + 1;
+                // Snapshot, its cursor, then the WAL cut: a crash between
+                // any two leaves a WAL no shorter than the cursor on disk.
+                replace_durably(&self.dir, SNAPSHOT_FILE, &s.bytes)?;
+                let ack = ReplicaAck {
+                    applied_seq: s.seq + 1,
+                    wal_len: 0,
+                };
+                self.write_cursor(ack)?;
+                self.wal = empty_wal(&self.dir)?;
+                (self.next_seq, self.wal_len) = (ack.applied_seq, 0);
             }
         }
         Ok(())
@@ -978,12 +972,34 @@ impl FollowerReplica {
 mod tests {
     use super::*;
 
-    fn tmpdir(tag: &str) -> PathBuf {
+    /// A fresh scratch directory, removed again when dropped.
+    struct TmpDir(PathBuf);
+
+    impl std::ops::Deref for TmpDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TmpDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmpdir(tag: &str) -> TmpDir {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../target/journal-tests")
             .join(format!("{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        TmpDir(dir)
     }
 
     fn rec(id: u64) -> JournalRecord {
@@ -1007,7 +1023,6 @@ mod tests {
         assert_eq!(replay.records.len(), 6);
         assert_eq!(replay.records[2], rec(2));
         assert_eq!(replay.truncated_bytes, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1024,7 +1039,6 @@ mod tests {
         let replay = Journal::load(&dir).unwrap();
         assert_eq!(replay.records.len(), 3, "last record torn away");
         assert!(replay.truncated_bytes > 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1043,7 +1057,6 @@ mod tests {
         let replay = Journal::load(&dir).unwrap();
         assert!(replay.records.len() < 3);
         assert!(replay.truncated_bytes > 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1075,7 +1088,6 @@ mod tests {
         let replay = Journal::load(&dir).unwrap();
         assert_eq!(replay.snapshot.as_ref().unwrap().next_task, 42);
         assert_eq!(replay.records, vec![rec(99)]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1102,7 +1114,6 @@ mod tests {
         let replay = Journal::load(&dir).unwrap();
         assert_eq!(replay.records.len(), 4);
         assert_eq!(replay.truncated_bytes, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1118,7 +1129,6 @@ mod tests {
         let out = j.append(&rec(1)).unwrap();
         assert!(out.flushed, "fsync_every bounds the batch at 2");
         assert!(out.fsynced);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1136,7 +1146,6 @@ mod tests {
         j.sync().unwrap();
         assert_eq!(j.pending_records(), 0);
         assert_eq!(Journal::load(&dir).unwrap().records.len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1161,7 +1170,6 @@ mod tests {
             "only the flushed prefix survives a crash"
         );
         assert_eq!(replay.truncated_bytes, 0, "no torn frame, a clean prefix");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1188,7 +1196,6 @@ mod tests {
             "snapshot supersedes the buffered records; they must not \
              resurface in the fresh WAL"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1198,7 +1205,6 @@ mod tests {
         let replay = Journal::load(&dir).unwrap();
         assert!(replay.snapshot.is_none());
         assert!(replay.records.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1224,7 +1230,6 @@ mod tests {
         j.sync().unwrap();
         assert_eq!(j.unsynced_appends(), 0);
         assert_eq!(Journal::load(&dir).unwrap().records.len(), 5);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1276,7 +1281,6 @@ mod tests {
                 .collect();
             assert_eq!(mine, (0..50).collect::<Vec<_>>(), "thread {t} order");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1318,7 +1322,6 @@ mod tests {
         let shipped = j.ship_fetch(0);
         assert_eq!(shipped.len(), 1, "one write, one fsync, one batch event");
         assert_eq!(shipped[0].records(), 7);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1341,7 +1344,6 @@ mod tests {
             Journal::load(&dir).unwrap().records,
             vec![rec(0), rec(1), rec(2)]
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1354,7 +1356,6 @@ mod tests {
         assert!(out.flushed && out.fsynced);
         assert_eq!(j.pending_records(), 0);
         assert_eq!(Journal::load(&dir).unwrap().records, vec![rec(0)]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1385,7 +1386,6 @@ mod tests {
         j.append(&rec(2)).unwrap();
         j.sync().unwrap();
         assert_eq!(Journal::load(&dir).unwrap().records, vec![rec(2)]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1402,28 +1402,31 @@ mod tests {
             j.append(&rec(1)).unwrap().wants_compaction,
             "outcome carries the policy bit so callers skip a second buffer lock"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // -- shipping ----------------------------------------------------------
 
     /// Ship every pending event from `j` into `f`, acking as `name`.
     fn pump(j: &SharedJournal, f: &mut FollowerReplica, name: &str) -> usize {
-        let mut n = 0;
-        for ev in j.ship_fetch(f.ack().applied_seq) {
-            let ack = f.apply(&ev).unwrap();
-            j.ship_ack(name, ack);
-            n += 1;
+        let events = j.ship_fetch(f.ack().applied_seq);
+        for ev in &events {
+            j.ship_ack(name, f.apply(ev).unwrap());
         }
-        n
+        events.len()
+    }
+
+    /// A shipping leader journal in a fresh `tag` directory, and a fresh
+    /// follower directory for it.
+    fn shipping_pair(tag: &str) -> (TmpDir, TmpDir, SharedJournal) {
+        let (dir, fdir) = (tmpdir(tag), tmpdir(&format!("{tag}-follower")));
+        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
+        j.enable_shipping().unwrap();
+        (dir, fdir, j)
     }
 
     #[test]
     fn shipped_batches_replicate_the_wal_byte_for_byte() {
-        let dir = tmpdir("ship-batches");
-        let fdir = tmpdir("ship-batches-follower");
-        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
-        j.enable_shipping().unwrap();
+        let (dir, fdir, j) = shipping_pair("ship-batches");
         let mut f = FollowerReplica::open(&fdir).unwrap();
         for i in 0..5 {
             j.append(&rec(i)).unwrap();
@@ -1439,16 +1442,11 @@ mod tests {
         assert_eq!(replay.records[3], rec(3));
         assert_eq!(j.ship_last_acked().unwrap(), f.ack());
         assert_eq!(j.ship_lag(), (0, 0));
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&fdir);
     }
 
     #[test]
     fn compaction_ships_the_snapshot_and_follower_resyncs() {
-        let dir = tmpdir("ship-snap");
-        let fdir = tmpdir("ship-snap-follower");
-        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
-        j.enable_shipping().unwrap();
+        let (_dir, fdir, j) = shipping_pair("ship-snap");
         let mut f = FollowerReplica::open(&fdir).unwrap();
         j.append(&rec(1)).unwrap();
         let snap = DaemonSnapshot {
@@ -1463,16 +1461,11 @@ mod tests {
         let replay = Journal::load(&fdir).unwrap();
         assert_eq!(replay.snapshot.unwrap().next_task, 42);
         assert_eq!(replay.records, vec![rec(2)]);
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&fdir);
     }
 
     #[test]
     fn follower_rejects_torn_reordered_and_misplaced_batches() {
-        let dir = tmpdir("ship-reject");
-        let fdir = tmpdir("ship-reject-follower");
-        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
-        j.enable_shipping().unwrap();
+        let (_dir, fdir, j) = shipping_pair("ship-reject");
         let mut f = FollowerReplica::open(&fdir).unwrap();
         j.append(&rec(1)).unwrap();
         j.append(&rec(2)).unwrap();
@@ -1513,16 +1506,11 @@ mod tests {
 
         let ack = f.apply(&events[1]).unwrap();
         assert_eq!(ack.applied_seq, 2, "clean retransmissions catch back up");
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&fdir);
     }
 
     #[test]
     fn follower_resumes_from_its_ack_after_disconnect() {
-        let dir = tmpdir("ship-resume");
-        let fdir = tmpdir("ship-resume-follower");
-        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
-        j.enable_shipping().unwrap();
+        let (_dir, fdir, j) = shipping_pair("ship-resume");
         {
             let mut f = FollowerReplica::open(&fdir).unwrap();
             j.append(&rec(1)).unwrap();
@@ -1537,33 +1525,28 @@ mod tests {
         pump(&j, &mut f, "f0");
         let replay = Journal::load(&fdir).unwrap();
         assert_eq!(replay.records, vec![rec(1), rec(2), rec(3)]);
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&fdir);
     }
 
     /// A cursor that does not parse beside a non-empty WAL must not restart
-    /// the replica at sequence 0.
+    /// the replica at sequence 0; one naming more WAL than there is is
+    /// refused too.
     #[test]
     fn follower_refuses_an_unparseable_cursor() {
-        let (dir, fdir) = (tmpdir("ship-garbage"), tmpdir("ship-garbage-follower"));
-        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
-        j.enable_shipping().unwrap();
+        let (_dir, fdir, j) = shipping_pair("ship-garbage");
         j.append(&rec(1)).unwrap();
         assert!(pump(&j, &mut FollowerReplica::open(&fdir).unwrap(), "f0") >= 1);
-        std::fs::write(fdir.join(REPLICA_META_FILE), b"{\"applied_se").unwrap();
-        let torn = FollowerReplica::open(&fdir).map(|_| ());
-        assert_eq!(torn.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&fdir);
+        for cursor in [r#"{"applied_se"#, r#"{"applied_seq":1,"wal_len":999}"#] {
+            std::fs::write(fdir.join(REPLICA_META_FILE), cursor).unwrap();
+            let refused = FollowerReplica::open(&fdir).map(|_| ());
+            assert_eq!(refused.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+        }
     }
 
     /// A crash between a round's WAL fsync and its cursor replace leaves
     /// the WAL a round ahead of the cursor: the re-shipped round applies.
     #[test]
     fn follower_takes_a_round_again_after_losing_its_cursor() {
-        let (dir, fdir) = (tmpdir("ship-rewind"), tmpdir("ship-rewind-follower"));
-        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
-        j.enable_shipping().unwrap();
+        let (_dir, fdir, j) = shipping_pair("ship-rewind");
         j.append(&rec(1)).unwrap();
         let mut f = FollowerReplica::open(&fdir).unwrap();
         pump(&j, &mut f, "f0");
@@ -1575,8 +1558,29 @@ mod tests {
         let mut f = FollowerReplica::open(&fdir).unwrap();
         assert!(f.apply_all(&round).1.is_none());
         assert_eq!(Journal::load(&fdir).unwrap().records, vec![rec(1), rec(2)]);
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&fdir);
+    }
+
+    /// A cursor write that fails inside a snapshot round (a crash before
+    /// the cursor lands) leaves a replica that reopens and re-bases.
+    #[test]
+    fn follower_reopens_after_a_crash_inside_a_snapshot_round() {
+        let (_dir, fdir, j) = shipping_pair("ship-resnap");
+        j.append(&rec(1)).unwrap();
+        j.append(&rec(2)).unwrap();
+        let mut f = FollowerReplica::open(&fdir).unwrap();
+        pump(&j, &mut f, "f0");
+        j.compact(&DaemonSnapshot::default()).unwrap();
+        j.append(&rec(3)).unwrap();
+        let round = j.ship_fetch(f.ack().applied_seq);
+        let blocker = fdir.join(format!("{REPLICA_META_FILE}.tmp"));
+        std::fs::create_dir(&blocker).unwrap();
+        assert_eq!(f.apply_all(&round).1.unwrap().reason(), "io");
+        std::fs::remove_dir(&blocker).unwrap();
+        let mut f = FollowerReplica::open(&fdir).unwrap();
+        assert!(f.apply_all(&j.ship_fetch(f.ack().applied_seq)).1.is_none());
+        let replay = Journal::load(&fdir).unwrap();
+        assert!(replay.snapshot.is_some(), "re-based on the snapshot");
+        assert_eq!(replay.records, vec![rec(3)]);
     }
 
     #[test]
@@ -1609,17 +1613,12 @@ mod tests {
         let replay = Journal::load(&fdir).unwrap();
         assert_eq!(replay.snapshot.unwrap().next_task, 7);
         assert_eq!(replay.records, vec![rec(9)]);
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&fdir);
     }
 
     #[test]
     fn ship_lag_tracks_the_most_behind_follower() {
-        let dir = tmpdir("ship-lag");
-        let fa = tmpdir("ship-lag-a");
+        let (_dir, fa, j) = shipping_pair("ship-lag");
         let fb = tmpdir("ship-lag-b");
-        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
-        j.enable_shipping().unwrap();
         let mut a = FollowerReplica::open(&fa).unwrap();
         let mut b = FollowerReplica::open(&fb).unwrap();
         // register both retention slots up front: a's acks must not trim
@@ -1636,8 +1635,5 @@ mod tests {
         assert_eq!(records, 1, "one batch not yet applied by the slowest");
         assert!(bytes > 0);
         assert_eq!(j.ship_last_acked().unwrap(), a.ack(), "bar is the best ack");
-        for d in [&dir, &fa, &fb] {
-            let _ = std::fs::remove_dir_all(d);
-        }
     }
 }
