@@ -30,8 +30,9 @@ enum Prepared {
         task: QuantumTask,
         warnings: Vec<String>,
         idempotency_key: Option<String>,
-        /// A development-cache hit: the task is admitted already completed.
-        cached: Option<SampleResult>,
+        /// A development program's fingerprint: admission serves it from
+        /// the dev cache, already completed, on a hit.
+        fingerprint: Option<u64>,
     },
 }
 
@@ -133,20 +134,21 @@ impl MiddlewareService {
         prepared: Prepared,
         journal: &mut Vec<JournalRecord>,
     ) -> Result<u64, DaemonError> {
-        let (task, warnings, idempotency_key, cached) = match prepared {
+        let (task, warnings, idempotency_key, fingerprint) = match prepared {
             Prepared::Done(id) => return Ok(id),
             Prepared::Admit {
                 task,
                 warnings,
                 idempotency_key,
-                cached,
-            } => (task, warnings, idempotency_key, cached),
+                fingerprint,
+            } => (task, warnings, idempotency_key, fingerprint),
         };
         // a retry racing the original may have been admitted since prepare
         // looked the key up
         if let Some(original) = idempotency_key.as_deref().and_then(|k| tasks.idempotent(k)) {
             return Ok(original);
         }
+        let cached = fingerprint.and_then(|f| tasks.dev_cached(f).cloned());
         if cached.is_none() {
             tasks.queue().check_quota(&task.session)?;
         }
@@ -168,8 +170,7 @@ impl MiddlewareService {
 
     /// Everything submit does *before* admission: the session and
     /// idempotency checks (one table hold), dev shot capping,
-    /// validation/analysis, task construction, and the dev result cache
-    /// lookup.
+    /// validation/analysis, task construction, and the dev cache key.
     fn prepare_submit(&self, item: SubmitItem) -> Result<Prepared, DaemonError> {
         let SubmitItem {
             token,
@@ -285,16 +286,12 @@ impl MiddlewareService {
             hint,
             submitted_at: self.now(),
         };
-        let cached = if task.class == PriorityClass::Development {
-            self.dev_cache.lock().get(&task.ir.fingerprint()).cloned()
-        } else {
-            None
-        };
+        let fingerprint = (task.class == PriorityClass::Development).then(|| task.ir.fingerprint());
         Ok(Prepared::Admit {
             task,
             warnings: pending_warnings,
             idempotency_key,
-            cached,
+            fingerprint,
         })
     }
 

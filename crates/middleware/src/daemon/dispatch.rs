@@ -99,7 +99,16 @@ impl MiddlewareService {
             (task.ir.shots - done).min(self.cfg.preempt_chunk_shots)
         };
 
-        let (rec, slice) = match self.run_shots(&task, shots, &res) {
+        let run = self.run_shots(&task, shots, &res);
+        let dev_key = (task.class == PriorityClass::Development).then(|| task.ir.fingerprint());
+        // One hold charges the run's device time, builds the outcome and
+        // applies it, so the dispatch order, the dev cache and the task's
+        // state move together.
+        let mut tasks = self.tasks.lock();
+        if let Ok(r) = &run {
+            tasks.charge(&task.user, r.execution_secs, self.now());
+        }
+        let (rec, slice) = match run {
             // poison cap: stop burning device time on this task
             Err(error) if attempts >= self.cfg.max_task_retries => {
                 (JournalRecord::TaskFailed { id, error }, None)
@@ -115,16 +124,9 @@ impl MiddlewareService {
                 (rec, None)
             }
             Ok(last) if done + last.shots >= task.ir.shots => {
-                // only a sliced task has earlier slices to merge with
-                let result = match done {
-                    0 => last,
-                    _ => self.tasks.lock().merged_result(id, last),
-                };
-                // cached before the task reads Completed, so a resubmit
-                // that saw it complete is a hit
-                if task.class == PriorityClass::Development {
-                    let key = task.ir.fingerprint();
-                    self.dev_cache.lock().insert(key, result.clone());
+                let result = tasks.merged_result(id, last);
+                if let Some(key) = dev_key {
+                    tasks.cache_dev_result(key, result.clone());
                 }
                 let at = self.now();
                 (JournalRecord::TaskCompleted { id, result, at }, None)
@@ -135,15 +137,12 @@ impl MiddlewareService {
             // whole task (at-least-once per shot, exactly-once per task).
             Ok(slice) => (JournalRecord::TaskRequeued { id }, Some(slice)),
         };
-        let (applied, preempted) = {
-            let mut tasks = self.tasks.lock();
-            let preempted = slice.is_some() && tasks.queue().should_preempt(task.class, now);
-            let applied = match slice {
-                Some(slice) => tasks.apply_slice(id, slice),
-                None => tasks.apply(&rec),
-            };
-            (applied, preempted)
+        let preempted = slice.is_some() && tasks.queue().should_preempt(task.class, now);
+        let applied = match slice {
+            Some(slice) => tasks.apply_slice(id, slice),
+            None => tasks.apply(&rec),
         };
+        drop(tasks);
         applied.expect("a running task accepts its outcome");
         let outcome = match &rec {
             JournalRecord::TaskFailed { .. } => Some(&catalog::DAEMON_TASKS_POISONED),
@@ -178,8 +177,9 @@ impl MiddlewareService {
     }
 
     /// Run `shots` shots of `task` through the QRMI resource `res`,
-    /// advancing the daemon clock by the execution time. A panicking
-    /// resource fails the attempt; its lease is still released.
+    /// advancing the daemon clock by the execution time (its fair-share
+    /// charge lands with the outcome). A panicking resource fails the
+    /// attempt; its lease is still released.
     fn run_shots(
         &self,
         task: &QuantumTask,
@@ -202,8 +202,6 @@ impl MiddlewareService {
         res.release(&lease).map_err(|e| e.to_string())?;
         if let Ok(r) = &out {
             self.advance_clock(r.execution_secs);
-            self.fairshare
-                .charge(&task.user, r.execution_secs, self.now());
             self.registry.inc(
                 &catalog::DAEMON_QPU_BUSY_SECONDS,
                 labels(&[("class", task.class.as_str())]),

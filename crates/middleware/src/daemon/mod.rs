@@ -21,15 +21,13 @@ use crate::session::{mint_token, PriorityClass, Session, SessionError};
 use crate::taskqueue::{QueueConfig, QueueError, TaskQueue};
 use crate::tasks::{Applied, IllegalTransition, TaskTable};
 use hpcqc_analysis::Analyzer;
-use hpcqc_emulator::SampleResult;
 use hpcqc_program::DeviceSpec;
 use hpcqc_qpu::{QpuStatus, VirtualQpu};
 use hpcqc_qrmi::QuantumResource;
 use hpcqc_sync::{rank, TrackedMutex as Mutex, TrackedRwLock};
 use hpcqc_telemetry::{catalog, labels, Labels, Registry};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Daemon configuration (the site-tunable `slurm.conf` analogue of §3.4).
@@ -78,9 +76,6 @@ impl Default for DaemonConfig {
     }
 }
 
-/// Half-life of the fair-share usage a user's completed tasks charge.
-const FAIRSHARE_HALF_LIFE_SECS: f64 = 3600.0;
-
 /// Readiness of the daemon, exposed via `GET /v1/healthz`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DaemonHealth {
@@ -93,6 +88,13 @@ pub enum DaemonHealth {
 }
 
 impl DaemonHealth {
+    /// Every state, indexed by its [`MiddlewareService::lifecycle`] word.
+    const ALL: [DaemonHealth; 3] = [
+        DaemonHealth::Ok,
+        DaemonHealth::Draining,
+        DaemonHealth::Stopped,
+    ];
+
     pub fn as_str(&self) -> &'static str {
         match self {
             DaemonHealth::Ok => "ok",
@@ -109,14 +111,6 @@ pub struct DrainReport {
     pub dispatched: usize,
     /// Tasks left queued — safely journaled for the next start.
     pub pending: usize,
-}
-
-/// Role + shipping lag, guarded together under [`rank::REPLICATION`].
-#[derive(Debug, Clone, Copy)]
-struct ReplicationState {
-    role: ReplicaRole,
-    lag_records: u64,
-    lag_bytes: u64,
 }
 
 /// Daemon-side task state.
@@ -188,11 +182,12 @@ impl From<QueueError> for DaemonError {
 
 /// The middleware daemon.
 pub struct MiddlewareService {
-    /// The daemon's replicated state: every task's lifecycle, the dispatch
-    /// queue, the idempotency map, the open sessions, the admin-set device
-    /// status and the replay floors — one table behind one lock, changed
-    /// only by `TaskTable::apply`. Never held across a journal write, an
-    /// fsync, analysis or a QRMI call.
+    /// The daemon's state: every task's lifecycle, the dispatch queue, the
+    /// idempotency map, the open sessions, the admin-set device status and
+    /// the replay floors — changed only by `TaskTable::apply` — plus the
+    /// volatile fair-share usage and development-result cache, all behind
+    /// one lock. Never held across a journal write, an fsync, analysis or a
+    /// QRMI call.
     tasks: Mutex<TaskTable>,
     resource: Arc<dyn QuantumResource>,
     /// Direct handle to the device for the admin surface (None when the
@@ -214,11 +209,6 @@ pub struct MiddlewareService {
     /// Raised by `submit_batch`, waited on by the idle background
     /// dispatcher in place of a sleep.
     wake: dispatch::WakeSignal,
-    fairshare: crate::fairshare::FairshareTracker,
-    /// Repeated *development* programs are served from this cache, keyed by
-    /// program fingerprint, instead of re-running on the device: dev results
-    /// are for debugging, not statistics, and a hit saves scarce QPU seconds.
-    dev_cache: Mutex<HashMap<u64, SampleResult>>,
     /// The static-analysis pipeline run at submission.
     analyzer: Analyzer,
     /// Write-ahead journal; `None` for a purely in-memory daemon.
@@ -229,21 +219,20 @@ pub struct MiddlewareService {
     /// and the WAL cut — journaled but absent from the snapshot, so gone
     /// after recovery.
     compact_gate: TrackedRwLock<()>,
-    /// Serving → Draining → Stopped.
-    lifecycle: Mutex<DaemonHealth>,
-    /// Replication role and shipping lag (readiness reporting).
-    replication: Mutex<ReplicationState>,
+    /// Serving → Draining → Stopped: the index of a [`DaemonHealth::ALL`]
+    /// entry.
+    lifecycle: AtomicU8,
+    /// Whether this daemon is an unpromoted follower ([`ReplicaRole`]).
+    follower: AtomicBool,
 }
 
 impl MiddlewareService {
     pub fn new(resource: Arc<dyn QuantumResource>, cfg: DaemonConfig) -> Self {
-        let fairshare = crate::fairshare::FairshareTracker::new(FAIRSHARE_HALF_LIFE_SECS);
-        let queue = TaskQueue::new(cfg.queue).with_fairshare(fairshare.clone());
         MiddlewareService {
             tasks: Mutex::new(
                 "middleware.daemon.tasks",
                 rank::TASKS,
-                TaskTable::new(queue),
+                TaskTable::new(TaskQueue::new(cfg.queue)),
             ),
             resource,
             qpu_admin: None,
@@ -254,12 +243,6 @@ impl MiddlewareService {
             cfg,
             dispatch_lock: Mutex::new("middleware.daemon.dispatch", rank::DISPATCH, ()),
             wake: dispatch::WakeSignal::default(),
-            fairshare,
-            dev_cache: Mutex::new(
-                "middleware.daemon.dev_cache",
-                rank::DEV_CACHE,
-                HashMap::new(),
-            ),
             analyzer: Analyzer::standard(),
             journal: None,
             compact_gate: TrackedRwLock::new(
@@ -267,20 +250,8 @@ impl MiddlewareService {
                 rank::COMPACT_GATE,
                 (),
             ),
-            lifecycle: Mutex::new(
-                "middleware.daemon.lifecycle",
-                rank::LIFECYCLE,
-                DaemonHealth::Ok,
-            ),
-            replication: Mutex::new(
-                "middleware.daemon.replication",
-                rank::REPLICATION,
-                ReplicationState {
-                    role: ReplicaRole::Leader,
-                    lag_records: 0,
-                    lag_bytes: 0,
-                },
-            ),
+            lifecycle: AtomicU8::new(0),
+            follower: AtomicBool::new(false),
         }
     }
 
@@ -409,7 +380,11 @@ impl MiddlewareService {
 
     /// Current liveness (the `GET /v1/healthz` answer).
     pub fn health(&self) -> DaemonHealth {
-        *self.lifecycle.lock()
+        DaemonHealth::ALL[self.lifecycle.load(Ordering::Acquire) as usize]
+    }
+
+    fn set_health(&self, h: DaemonHealth) {
+        self.lifecycle.store(h as u8, Ordering::Release);
     }
 
     /// The daemon's metrics registry.
@@ -590,6 +565,14 @@ impl MiddlewareService {
     pub fn metrics_text(&self) -> String {
         // refresh per-lock contention/hold-time gauges on every scrape
         hpcqc_telemetry::export_lock_metrics(&self.registry);
+        if let Some((records, bytes)) = self.journal.as_ref().and_then(|j| j.ship_lag()) {
+            for (gauge, v) in [
+                (&catalog::REPLICATION_LAG_RECORDS, records),
+                (&catalog::REPLICATION_LAG_BYTES, bytes),
+            ] {
+                self.registry.set(gauge, Labels::new(), v as f64);
+            }
+        }
         let mut out = self.registry.expose();
         if let Some(q) = &self.qpu_admin {
             out.push_str(&q.registry().expose());

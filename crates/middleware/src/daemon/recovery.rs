@@ -108,7 +108,7 @@ impl MiddlewareService {
     /// is durable and will be restored by the next
     /// [`MiddlewareService::recover`].
     pub fn shutdown(&self, drain_timeout: std::time::Duration) -> DrainReport {
-        *self.lifecycle.lock() = DaemonHealth::Draining;
+        self.set_health(DaemonHealth::Draining);
         let deadline = std::time::Instant::now() + drain_timeout;
         let mut dispatched = 0;
         while std::time::Instant::now() < deadline {
@@ -132,7 +132,7 @@ impl MiddlewareService {
         }
         self.count(&catalog::DAEMON_DRAIN_DISPATCHED, dispatched);
         self.count(&catalog::DAEMON_DRAIN_PENDING, pending);
-        *self.lifecycle.lock() = DaemonHealth::Stopped;
+        self.set_health(DaemonHealth::Stopped);
         DrainReport {
             dispatched,
             pending,

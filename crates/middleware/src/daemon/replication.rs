@@ -64,25 +64,31 @@ impl ShipperHandle {
 impl MiddlewareService {
     /// This daemon's replication role.
     pub fn role(&self) -> ReplicaRole {
-        self.replication.lock().role
+        match self.follower.load(Ordering::Acquire) {
+            true => ReplicaRole::Follower,
+            false => ReplicaRole::Leader,
+        }
     }
 
     /// Set the replication role. A daemon demoted to [`ReplicaRole::Follower`]
     /// stops admitting client work immediately (existing queue state is kept —
     /// it is the promoted leader's job now, via the shipped journal).
     pub fn set_role(&self, role: ReplicaRole) {
-        self.replication.lock().role = role;
+        let follower = role == ReplicaRole::Follower;
+        self.follower.store(follower, Ordering::Release);
     }
 
     /// Readiness for traffic (the `GET /v1/readyz` answer): leader role
     /// *and* serving lifecycle. Liveness can be green while this is not —
     /// a healthy follower is alive but must not receive client traffic.
+    /// The lag is the journal's as of this call.
     pub fn readiness(&self) -> ReadinessReport {
-        let (role, lag_records, lag_bytes) = {
-            let r = self.replication.lock();
-            (r.role, r.lag_records, r.lag_bytes)
-        };
-        let health = self.health();
+        let (lag_records, lag_bytes) = self
+            .journal
+            .as_ref()
+            .and_then(|j| j.ship_lag())
+            .unwrap_or_default();
+        let (role, health) = (self.role(), self.health());
         let role_str = match (role, health) {
             (ReplicaRole::Leader, DaemonHealth::Ok) => "leader",
             (ReplicaRole::Follower, _) => "follower",
@@ -152,7 +158,6 @@ impl MiddlewareService {
             self.count(&catalog::REPLICATION_ACKED_BYTES, ev.payload_len());
         }
         journal.ship_ack(name, replica.ack());
-        self.update_replication_lag();
         match rejection {
             Some(e) => {
                 let l = labels(&[("reason", e.reason())]);
@@ -176,30 +181,10 @@ impl MiddlewareService {
     }
 
     /// Record a follower acknowledgement (normally done by
-    /// [`ship_pending`](Self::ship_pending)) and refresh the lag view.
+    /// [`ship_pending`](Self::ship_pending)).
     pub fn record_ack(&self, follower: &str, ack: ReplicaAck) {
         if let Some(j) = &self.journal {
             j.ship_ack(follower, ack);
-        }
-        self.update_replication_lag();
-    }
-
-    /// Refresh the cached lag (readiness report + gauges) from the journal.
-    fn update_replication_lag(&self) {
-        let Some(journal) = &self.journal else {
-            return;
-        };
-        let (records, bytes) = journal.ship_lag();
-        {
-            let mut r = self.replication.lock();
-            r.lag_records = records;
-            r.lag_bytes = bytes;
-        }
-        for (gauge, v) in [
-            (&catalog::REPLICATION_LAG_RECORDS, records),
-            (&catalog::REPLICATION_LAG_BYTES, bytes),
-        ] {
-            self.registry.set(gauge, Labels::new(), v as f64);
         }
     }
 

@@ -1,7 +1,7 @@
 use super::*;
 use crate::journal::{DaemonSnapshot, Journal};
 use crate::taskqueue::QuantumTask;
-use hpcqc_emulator::SvBackend;
+use hpcqc_emulator::{SampleResult, SvBackend};
 use hpcqc_program::{ProgramIr, Pulse, Register, SequenceBuilder};
 use hpcqc_qrmi::{LocalEmulatorResource, QpuDirectResource};
 use hpcqc_scheduler::PatternHint;
@@ -1253,6 +1253,22 @@ fn ship_pending_counts_a_rejected_follower() {
         text.contains("replication_rejected_events_total{reason=\"offset\"} 1"),
         "{text}"
     );
+}
+
+/// `readyz` reports the lag the ship log holds now, not the lag of the
+/// last shipping round.
+#[test]
+fn readiness_reports_the_live_shipping_lag() {
+    let dir = journal_dir("ship-lag-live");
+    let d = MiddlewareService::recover(&dir, emu_resource(), DaemonConfig::default()).unwrap();
+    d.enable_shipping().unwrap();
+    let tok = d.open_session("alice", PriorityClass::Test).unwrap();
+    d.submit(&tok, ir(10), PatternHint::None).unwrap();
+    assert_eq!(d.readiness().lag_records, 2);
+    let fdir = journal_dir("ship-lag-live-follower");
+    let mut f = crate::journal::FollowerReplica::open(&fdir).unwrap();
+    d.ship_pending(&mut f, "f").unwrap();
+    assert_eq!(d.readiness().lag_records, 0);
 }
 
 #[test]

@@ -607,24 +607,21 @@ impl SharedJournal {
     }
 
     /// Shipped-but-unacked gap `(records, bytes)` relative to the most
-    /// *behind* follower (every event counts while no follower has acked).
-    pub fn ship_lag(&self) -> (u64, u64) {
+    /// *behind* follower (every event counts while no follower has acked);
+    /// `None` while shipping is off.
+    pub fn ship_lag(&self) -> Option<(u64, u64)> {
         let s = self.shipping.lock();
-        let Some(log) = s.as_ref() else {
-            return (0, 0);
-        };
+        let log = s.as_ref()?;
         let floor = log
             .followers
             .values()
             .map(|a| a.applied_seq)
             .min()
             .unwrap_or(0);
-        log.events
-            .iter()
-            .filter(|ev| ev.seq() >= floor)
-            .fold((0, 0), |(r, b), ev| {
-                (r + ev.records(), b + ev.payload_len() as u64)
-            })
+        let unacked = log.events.iter().filter(|ev| ev.seq() >= floor);
+        Some(unacked.fold((0, 0), |(r, b), ev| {
+            (r + ev.records(), b + ev.payload_len() as u64)
+        }))
     }
 }
 
@@ -1441,7 +1438,7 @@ mod tests {
         assert_eq!(replay.records.len(), 5);
         assert_eq!(replay.records[3], rec(3));
         assert_eq!(j.ship_last_acked().unwrap(), f.ack());
-        assert_eq!(j.ship_lag(), (0, 0));
+        assert_eq!(j.ship_lag(), Some((0, 0)));
     }
 
     #[test]
@@ -1631,7 +1628,7 @@ mod tests {
         // b applies only the first event
         let events = j.ship_fetch(0);
         j.ship_ack("b", b.apply(&events[0]).unwrap());
-        let (records, bytes) = j.ship_lag();
+        let (records, bytes) = j.ship_lag().unwrap();
         assert_eq!(records, 1, "one batch not yet applied by the slowest");
         assert!(bytes > 0);
         assert_eq!(j.ship_last_acked().unwrap(), a.ack(), "bar is the best ack");

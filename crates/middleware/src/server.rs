@@ -24,8 +24,10 @@
 //!   slower than `request_deadline` (slowloris defense) or idle past
 //!   `idle_timeout` between requests;
 //! * **handler offload** — requests run on a small worker pool so a slow
-//!   handler cannot stall the wire; completions return through a
-//!   [`mio::Waker`]. With `workers = 0` (the default on a single-core
+//!   handler cannot stall the wire. Jobs go out and completions come back
+//!   over `std::sync::mpsc` channels; a worker rings the shard's
+//!   [`mio::Waker`] after each send and the event loop drains the channel
+//!   without blocking. With `workers = 0` (the default on a single-core
 //!   node) handlers run inline on the event thread;
 //! * **wakeup shutdown** — `Drop` stops the loop through the waker, not
 //!   the old connect-to-self trick that raced the accept loop;
@@ -46,7 +48,6 @@
 use crate::http::{
     error_response, extract_request, Handler, HttpError, ParsedHead, Request, Response,
 };
-use hpcqc_sync::{rank, TrackedMutex};
 use hpcqc_telemetry::{catalog, labels, Labels, Registry};
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::VecDeque;
@@ -180,11 +181,7 @@ impl HttpServer {
                 .register(&listener, LISTENER, Interest::READABLE)?;
             let waker = Arc::new(Waker::new(poll.registry(), WAKER)?);
             wakers.push(waker.clone());
-            let completions: Arc<TrackedMutex<Vec<Completion>>> = Arc::new(TrackedMutex::new(
-                "middleware.server.completions",
-                rank::SERVER_COMPLETIONS,
-                Vec::new(),
-            ));
+            let (done_tx, completions) = std::sync::mpsc::channel::<Completion>();
 
             let handler = handler.clone();
             let jobs_tx = if worker_count == 0 {
@@ -195,12 +192,12 @@ impl HttpServer {
                 for i in 0..worker_count {
                     let rx = rx.clone();
                     let handler = handler.clone();
-                    let completions = completions.clone();
+                    let done_tx = done_tx.clone();
                     let waker = waker.clone();
                     worker_threads.push(
                         std::thread::Builder::new()
                             .name(format!("http-worker-{shard}-{i}"))
-                            .spawn(move || worker_loop(&rx, &handler, &completions, &waker))
+                            .spawn(move || worker_loop(&rx, &handler, &done_tx, &waker))
                             .expect("spawn http worker"),
                     );
                 }
@@ -288,7 +285,7 @@ impl Drop for HttpServer {
 fn worker_loop(
     rx: &Mutex<Receiver<Job>>,
     handler: &Handler,
-    completions: &TrackedMutex<Vec<Completion>>,
+    done: &Sender<Completion>,
     waker: &Waker,
 ) {
     loop {
@@ -298,7 +295,9 @@ fn worker_loop(
         };
         let Ok((idx, gen, req)) = job else { break };
         let resp = run_handler(handler, req);
-        completions.lock().push((idx, gen, resp));
+        if done.send((idx, gen, resp)).is_err() {
+            break; // the event loop has exited
+        }
         let _ = waker.wake();
     }
 }
@@ -391,7 +390,8 @@ struct EventLoop {
     next_gen: u64,
     /// `None` ⇒ handlers run inline on the event thread.
     jobs_tx: Option<Sender<Job>>,
-    completions: Arc<TrackedMutex<Vec<Completion>>>,
+    /// Handler results from the worker pool.
+    completions: Receiver<Completion>,
     stop: Arc<AtomicBool>,
     scratch: Vec<u8>,
 }
@@ -842,10 +842,8 @@ impl EventLoop {
     // ---- deferred work ----
 
     fn drain_completions(&mut self) {
-        let done = {
-            let mut guard = self.completions.lock();
-            std::mem::take(&mut *guard)
-        };
+        // what has arrived by now; later completions wait for the next turn
+        let done: Vec<Completion> = self.completions.try_iter().collect();
         for (idx, gen, resp) in done {
             if self.finish(idx, gen, resp) {
                 self.advance(idx); // pipelined requests may be waiting

@@ -157,8 +157,8 @@ impl Ord for ArrivalKey {
 }
 
 /// Memoized dispatch order for [`TaskQueue::position`]: valid for one
-/// (mutation epoch, `now`) pair, so a burst of status polls between
-/// mutations costs one sort total instead of one sort each.
+/// (epoch, `now`) pair, so a burst of status polls between mutations and
+/// charges costs one sort total instead of one sort each.
 #[derive(Debug, Default)]
 struct OrderCache {
     epoch: u64,
@@ -166,23 +166,8 @@ struct OrderCache {
     position: HashMap<u64, usize>,
 }
 
-/// Memoized fair-share penalties: valid for one (tracker generation, `now`)
-/// pair. `best_id` compares every bucket head, and each comparison used to
-/// take the tracker lock twice — ~100 cross-thread lock acquisitions per
-/// pop, all *while holding the queue lock* (the lock audit measured 3.7M
-/// tracker acquisitions for 34k pops, inflating queue hold times). One
-/// bulk [`FairshareTracker::normalized_snapshot`] per dispatch decision
-/// replaces them, and is also *more* consistent: a charge landing mid-`pop`
-/// can no longer give the comparator two different penalties for one user.
-#[derive(Debug, Default)]
-struct FairCache {
-    generation: u64,
-    now_bits: u64,
-    norm: HashMap<String, f64>,
-}
-
-/// Priority queue with aging and optional fair-share, indexed by task id,
-/// session, and `(class, user)` arrival bucket.
+/// Priority queue with aging and fair-share, indexed by task id, session,
+/// and `(class, user)` arrival bucket.
 #[derive(Default)]
 pub struct TaskQueue {
     /// Task bodies by id.
@@ -193,16 +178,16 @@ pub struct TaskQueue {
     session_counts: HashMap<String, usize>,
     /// Queued production tasks (preemption checks are O(1)).
     production_count: usize,
-    /// Bumped on every mutation; invalidates `order_cache`.
+    /// Bumped on every mutation and every fair-share charge; invalidates
+    /// `order_cache`.
     epoch: u64,
-    /// Interior mutability (here and in `fair_cache`) because read-only
-    /// paths — `position`, `peek`/`best_id` — fill the memo; the queue lives
-    /// under the daemon's task-table mutex, so there is no concurrent borrow
-    /// to conflict with.
+    /// Interior mutability because the read-only `position` fills the memo;
+    /// the queue lives under the daemon's task-table mutex, so there is no
+    /// concurrent borrow to conflict with.
     order_cache: std::cell::RefCell<OrderCache>,
-    fair_cache: std::cell::RefCell<Option<FairCache>>,
     cfg: QueueConfig,
-    fairshare: Option<FairshareTracker>,
+    /// Recent device usage per user, read by every rank comparison.
+    fairshare: FairshareTracker,
 }
 
 impl TaskQueue {
@@ -213,11 +198,18 @@ impl TaskQueue {
         }
     }
 
-    /// Attach a fair-share tracker (shared with the component that charges
-    /// usage — the daemon's execution path).
+    /// Start from `tracker`'s usage instead of an empty tracker at
+    /// [`FAIRSHARE_HALF_LIFE_SECS`](crate::fairshare::FAIRSHARE_HALF_LIFE_SECS).
     pub fn with_fairshare(mut self, tracker: FairshareTracker) -> Self {
-        self.fairshare = Some(tracker);
+        self.fairshare = tracker;
         self
+    }
+
+    /// Charge `secs` of device usage to `user` at `now`. The dispatch order
+    /// moves with it, so the memoized order is invalidated.
+    pub fn charge(&mut self, user: &str, secs: f64, now: f64) {
+        self.fairshare.charge(user, secs, now);
+        self.epoch += 1;
     }
 
     /// Number of queued tasks.
@@ -301,38 +293,12 @@ impl TaskQueue {
             let aged = (now - t.submitted_at) / self.cfg.aging_secs;
             rank = (rank - aged).max(0.0);
         }
-        if let Some(f) = &self.fairshare {
-            if self.cfg.fairshare_weight > 0.0 {
-                rank += self.cfg.fairshare_weight * self.fair_penalty(f, &t.user, now);
-            }
+        if self.cfg.fairshare_weight > 0.0 {
+            let scale = self.cfg.fairshare_scale_secs;
+            rank +=
+                self.cfg.fairshare_weight * self.fairshare.normalized_usage(&t.user, scale, now);
         }
         rank
-    }
-
-    /// Normalized fair-share usage of `user`, via the memoized snapshot —
-    /// identical values to `f.normalized_usage(user, ..)` (see
-    /// [`FairshareTracker::normalized_snapshot`]), without taking the
-    /// tracker lock on every comparison.
-    fn fair_penalty(&self, f: &FairshareTracker, user: &str, now: f64) -> f64 {
-        let generation = f.generation();
-        let mut cache = self.fair_cache.borrow_mut();
-        let valid = cache
-            .as_ref()
-            .is_some_and(|c| c.generation == generation && c.now_bits == now.to_bits());
-        if !valid {
-            *cache = Some(FairCache {
-                generation,
-                now_bits: now.to_bits(),
-                norm: f.normalized_snapshot(self.cfg.fairshare_scale_secs, now),
-            });
-        }
-        cache
-            .as_ref()
-            .expect("cache filled above")
-            .norm
-            .get(user)
-            .copied()
-            .unwrap_or(0.0)
     }
 
     /// The full dispatch comparator: effective rank, then submission time,
@@ -409,8 +375,8 @@ impl TaskQueue {
     }
 
     /// Dispatch-order position of task `id` at `now`, or `None` when it is
-    /// not queued. The order is memoized per (mutation, `now`) pair, so a
-    /// burst of status polls costs one O(n log n) sort, not one each.
+    /// not queued. The order is memoized per (epoch, `now`) pair, so a burst
+    /// of status polls costs one O(n log n) sort, not one each.
     pub fn position(&self, id: u64, now: f64) -> Option<usize> {
         if !self.tasks.contains_key(&id) {
             return None;
@@ -680,6 +646,26 @@ mod tests {
         assert_eq!(q.position(3, 1.0), Some(0));
         assert_eq!(q.position(1, 1.0), Some(1));
         assert_eq!(q.position(2, 1.0), None);
+    }
+
+    #[test]
+    fn position_follows_a_fairshare_charge() {
+        let mut q = TaskQueue::new(QueueConfig {
+            fairshare_weight: 0.9,
+            ..QueueConfig::default()
+        });
+        let (mut a, mut b) = (
+            task(1, PriorityClass::Test, 0.0),
+            task(2, PriorityClass::Test, 1.0),
+        );
+        a.user = "a".into();
+        b.user = "b".into();
+        q.push(a).unwrap();
+        q.push(b).unwrap();
+        assert_eq!(q.position(1, 5.0), Some(0));
+        q.charge("a", 1000.0, 5.0);
+        assert_eq!(q.peek(5.0).unwrap().id, 2, "the charge demotes a");
+        assert_eq!(q.position(1, 5.0), Some(1), "and position agrees with peek");
     }
 
     #[test]

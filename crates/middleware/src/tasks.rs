@@ -32,11 +32,14 @@
 //!   to queued, so the outcome of a run that straddled a compaction finds
 //!   its task `Queued`.
 //!
-//! Two writes bypass `apply`, and neither is journaled: a preempted task's
-//! slice progress ([`TaskTable::apply_slice`]) and a session's `last_active`
-//! ([`TaskTable::touch`]). The live-only checks — the session cap, idle
-//! expiry and token minting — stay with the daemon, which builds the record
-//! they decide on and applies it in the same hold.
+//! Four writes bypass `apply`, and none is journaled: a preempted task's
+//! slice progress ([`TaskTable::apply_slice`]), a session's `last_active`
+//! ([`TaskTable::touch`]), a run's fair-share charge ([`TaskTable::charge`])
+//! and the development-result cache ([`TaskTable::cache_dev_result`]). Like
+//! slice progress, the charge and the cache are volatile: never in a
+//! snapshot, empty after recovery. The live-only checks — the session cap,
+//! idle expiry and token minting — stay with the daemon, which builds the
+//! record they decide on and applies it in the same hold.
 //!
 //! Everything else is an [`IllegalTransition`], which replay counts and
 //! skips and which the live paths cannot produce.
@@ -141,6 +144,9 @@ pub(crate) struct TaskTable {
     /// Last admin-set device status, in `QpuStatus::as_str` form.
     qpu_status: Option<String>,
     floors: Floors,
+    /// Development results by program fingerprint: a repeated development
+    /// program is served from here instead of re-running on the device.
+    dev_cache: HashMap<u64, SampleResult>,
 }
 
 impl TaskTable {
@@ -393,7 +399,7 @@ impl TaskTable {
         }
     }
 
-    // ---- reads, and the one untracked session write ----------------------
+    // ---- reads, and the writes that bypass `apply` ----------------------
 
     pub(crate) fn entry(&self, id: u64) -> Option<&TaskEntry> {
         self.entries.get(&id)
@@ -443,6 +449,22 @@ impl TaskTable {
         let s = self.sessions.get_mut(token)?;
         s.last_active = s.last_active.max(now);
         Some(s.clone())
+    }
+
+    /// Record a run's device time against `user`'s fair share (volatile).
+    pub(crate) fn charge(&mut self, user: &str, secs: f64, now: f64) {
+        self.queue.charge(user, secs, now);
+    }
+
+    /// The cached result of the development program with `fingerprint`.
+    pub(crate) fn dev_cached(&self, fingerprint: u64) -> Option<&SampleResult> {
+        self.dev_cache.get(&fingerprint)
+    }
+
+    /// Serve later submits of the development program with `fingerprint`
+    /// from `result` (volatile).
+    pub(crate) fn cache_dev_result(&mut self, fingerprint: u64, result: SampleResult) {
+        self.dev_cache.insert(fingerprint, result);
     }
 
     pub(crate) fn qpu_status(&self) -> Option<&str> {

@@ -28,6 +28,13 @@ impl ReferenceTaskQueue {
         self
     }
 
+    /// Charge `user`'s fair share, as `TaskQueue::charge` does.
+    pub fn charge(&mut self, user: &str, secs: f64, now: f64) {
+        if let Some(f) = &mut self.fairshare {
+            f.charge(user, secs, now);
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.tasks.len()
     }

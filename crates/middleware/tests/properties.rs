@@ -290,10 +290,9 @@ proptest! {
             fairshare_weight: weight,
             fairshare_scale_secs: 10.0,
         };
-        // one shared tracker: both queues see the exact same usage state
-        let tracker = FairshareTracker::new(100.0);
-        let mut indexed = TaskQueue::new(cfg).with_fairshare(tracker.clone());
-        let mut oracle = ReferenceTaskQueue::new(cfg).with_fairshare(tracker.clone());
+        // each queue owns a tracker; `Charge` moves both in lockstep
+        let mut indexed = TaskQueue::new(cfg).with_fairshare(FairshareTracker::new(100.0));
+        let mut oracle = ReferenceTaskQueue::new(cfg).with_fairshare(FairshareTracker::new(100.0));
         let ir = dummy_ir();
         let mut live: Vec<u64> = Vec::new();
         let mut next_id = 0u64;
@@ -336,10 +335,15 @@ proptest! {
                     live.retain(|&x| x != id);
                 }
                 QueueOp::Charge { user, secs, now } => {
-                    tracker.charge(&format!("u{user}"), secs, now);
+                    indexed.charge(&format!("u{user}"), secs, now);
+                    oracle.charge(&format!("u{user}"), secs, now);
                 }
             }
             prop_assert_eq!(indexed.len(), oracle.len());
+            let order: Vec<u64> = oracle.snapshot(check_now).iter().map(|t| t.id).collect();
+            for (at, &id) in order.iter().enumerate() {
+                prop_assert_eq!(indexed.position(id, check_now), Some(at), "position parity");
+            }
             prop_assert_eq!(
                 indexed.peek(check_now).map(|t| t.id),
                 oracle.peek(check_now).map(|t| t.id),

@@ -1,6 +1,6 @@
 //! # hpcqc-sync — tracked locks for the control plane
 //!
-//! Every long-lived lock in the daemon, server, journal, telemetry and QRMI
+//! Every long-lived lock in the daemon, gateway, journal, telemetry and QRMI
 //! layers is wrapped in a [`TrackedMutex`] / [`TrackedRwLock`]. The wrappers
 //! add two things to a plain `parking_lot` lock:
 //!
@@ -48,19 +48,13 @@ pub mod rank {
     /// dispatcher journals mid-pump, and below every state lock the snapshot
     /// reads.
     pub const COMPACT_GATE: u32 = 150;
-    /// The daemon's replicated state: every task's lifecycle state, the
-    /// dispatch queue, the idempotency map, the open sessions, the device
-    /// status and the replay floors. Held for one short section per
-    /// transition — never across a journal write, analysis or a QRMI call.
+    /// The daemon's state: every task's lifecycle state, the dispatch
+    /// queue with its fair-share usage, the idempotency map, the open
+    /// sessions, the device status, the replay floors and the
+    /// development-result cache. Held for one short section per transition
+    /// — never across a journal write, analysis or a QRMI call. The
+    /// daemon's role and lifecycle are atomic words, not locks.
     pub const TASKS: u32 = 300;
-    /// Fairshare usage tracker (read under the task-table lock for ranking).
-    pub const FAIRSHARE: u32 = 480;
-    /// Development-result cache.
-    pub const DEV_CACHE: u32 = 750;
-    /// Replication role + lag (leader/follower flag, shipped-vs-acked gap).
-    pub const REPLICATION: u32 = 860;
-    /// Daemon lifecycle flags.
-    pub const LIFECYCLE: u32 = 870;
     /// Journal group-commit buffer.
     pub const JOURNAL_BUF: u32 = 900;
     /// Journal WAL file + fsync state (acquired while the buffer lock is
@@ -70,8 +64,6 @@ pub mod rank {
     /// appended right after a WAL write or snapshot, so it nests inside
     /// JOURNAL_BUF/JOURNAL_FILE.
     pub const SHIP_LOG: u32 = 930;
-    /// Server completion queue (event-loop handoff).
-    pub const SERVER_COMPLETIONS: u32 = 940;
     /// QRMI fault injector state: RNG, burst window, injected fates and
     /// fault counts. Never held across a call into the wrapped resource.
     pub const QRMI_FAULT: u32 = 950;
