@@ -88,7 +88,7 @@ pub enum DaemonHealth {
 }
 
 impl DaemonHealth {
-    /// Every state, indexed by its [`MiddlewareService::lifecycle`] word.
+    /// Every state, indexed by the daemon's `lifecycle` word.
     const ALL: [DaemonHealth; 3] = [
         DaemonHealth::Ok,
         DaemonHealth::Draining,
@@ -219,8 +219,7 @@ pub struct MiddlewareService {
     /// and the WAL cut — journaled but absent from the snapshot, so gone
     /// after recovery.
     compact_gate: TrackedRwLock<()>,
-    /// Serving → Draining → Stopped: the index of a [`DaemonHealth::ALL`]
-    /// entry.
+    /// Serving → Draining → Stopped, as an index into `DaemonHealth::ALL`.
     lifecycle: AtomicU8,
     /// Whether this daemon is an unpromoted follower ([`ReplicaRole`]).
     follower: AtomicBool,
@@ -250,7 +249,7 @@ impl MiddlewareService {
                 rank::COMPACT_GATE,
                 (),
             ),
-            lifecycle: AtomicU8::new(0),
+            lifecycle: AtomicU8::new(DaemonHealth::Ok as u8),
             follower: AtomicBool::new(false),
         }
     }
@@ -380,11 +379,11 @@ impl MiddlewareService {
 
     /// Current liveness (the `GET /v1/healthz` answer).
     pub fn health(&self) -> DaemonHealth {
-        DaemonHealth::ALL[self.lifecycle.load(Ordering::Acquire) as usize]
+        DaemonHealth::ALL[self.lifecycle.load(Ordering::SeqCst) as usize]
     }
 
     fn set_health(&self, h: DaemonHealth) {
-        self.lifecycle.store(h as u8, Ordering::Release);
+        self.lifecycle.store(h as u8, Ordering::SeqCst);
     }
 
     /// The daemon's metrics registry.

@@ -64,9 +64,10 @@ impl ShipperHandle {
 impl MiddlewareService {
     /// This daemon's replication role.
     pub fn role(&self) -> ReplicaRole {
-        match self.follower.load(Ordering::Acquire) {
-            true => ReplicaRole::Follower,
-            false => ReplicaRole::Leader,
+        if self.follower.load(Ordering::SeqCst) {
+            ReplicaRole::Follower
+        } else {
+            ReplicaRole::Leader
         }
     }
 
@@ -75,7 +76,7 @@ impl MiddlewareService {
     /// it is the promoted leader's job now, via the shipped journal).
     pub fn set_role(&self, role: ReplicaRole) {
         let follower = role == ReplicaRole::Follower;
-        self.follower.store(follower, Ordering::Release);
+        self.follower.store(follower, Ordering::SeqCst);
     }
 
     /// Readiness for traffic (the `GET /v1/readyz` answer): leader role

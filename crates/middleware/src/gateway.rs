@@ -523,14 +523,16 @@ fn static_content_type(ct: &str) -> &'static str {
     }
 }
 
+/// How long a readiness probe waits to connect, and then for the answer.
+const PROBE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(1);
+
 /// One-shot readiness probe (a fresh client has no pooled connection: a
 /// probe must never be fooled by — or wedge on — a stale socket to a dead
-/// process).
+/// process; a socket that is bound but never answers costs it
+/// [`PROBE_TIMEOUT`]).
 fn probe_ready(addr: &str) -> bool {
-    matches!(
-        HttpClient::new(addr).request("GET", "/v1/readyz", None),
-        Ok((200, _))
-    )
+    let client = HttpClient::with_timeout(addr, PROBE_TIMEOUT);
+    matches!(client.request("GET", "/v1/readyz", None), Ok((200, _)))
 }
 
 /// Handle to a background probe loop ([`Gateway::spawn_prober`]).
@@ -726,6 +728,28 @@ mod tests {
         let text = gw.registry().expose();
         assert!(text.contains(r#"gateway_shard_failovers_total{shard="s0"} 1"#));
         assert!(text.contains(r#"gateway_probes_total{ready="no",shard="s0"} 2"#));
+    }
+
+    /// A primary whose socket is bound but never answers costs the probe
+    /// its timeout, not the SDK client's 30 s, before it fails over.
+    #[test]
+    fn probe_fails_over_from_a_primary_that_never_answers() {
+        let mute = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let (_svc, follower) = shard_daemon();
+        let gw = Gateway::new(GatewayConfig {
+            shards: vec![ShardConfig {
+                name: "s0".into(),
+                primary: mute.local_addr().unwrap().to_string(),
+                follower: Some(follower.addr().to_string()),
+            }],
+        });
+        let t0 = std::time::Instant::now();
+        assert_eq!(gw.probe_once(), 1, "failed over to the follower");
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(5),
+            "{:?}",
+            t0.elapsed()
+        );
     }
 
     /// One request with arbitrary headers and a raw byte body (query split

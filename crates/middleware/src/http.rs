@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -582,22 +582,41 @@ fn serialize_request_head(
 #[derive(Debug)]
 pub struct HttpClient {
     addr: String,
+    /// Bounds each connect and each read.
+    timeout: Duration,
     conn: Mutex<Option<Connection>>,
 }
 
 impl Clone for HttpClient {
     /// Clones share the address but open their own connection lazily.
     fn clone(&self) -> Self {
-        HttpClient::new(self.addr.clone())
+        HttpClient::with_timeout(self.addr.clone(), self.timeout)
     }
 }
 
 impl HttpClient {
     pub fn new(addr: impl Into<String>) -> Self {
+        Self::with_timeout(addr, Duration::from_secs(30))
+    }
+
+    pub(crate) fn with_timeout(addr: impl Into<String>, timeout: Duration) -> Self {
         HttpClient {
             addr: addr.into(),
+            timeout,
             conn: Mutex::new(None),
         }
+    }
+
+    /// Connect to the first of the address's resolutions that answers.
+    fn connect(&self) -> std::io::Result<TcpStream> {
+        let mut last = std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address");
+        for addr in self.addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&addr, self.timeout) {
+                Ok(stream) => return Ok(stream),
+                Err(e) => last = e,
+            }
+        }
+        Err(last)
     }
 
     pub fn addr(&self) -> &str {
@@ -640,9 +659,9 @@ impl HttpClient {
         for attempt in 0..2 {
             let reused = guard.is_some();
             if guard.is_none() {
-                let stream = TcpStream::connect(&self.addr).map_err(io_err)?;
+                let stream = self.connect().map_err(io_err)?;
                 stream
-                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .set_read_timeout(Some(self.timeout))
                     .map_err(io_err)?;
                 let _ = stream.set_nodelay(true);
                 *guard = Some(Connection::new(stream));
