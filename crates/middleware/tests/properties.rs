@@ -65,10 +65,12 @@ enum QueueOp {
     Cancel {
         pick: u8,
     },
+    /// Device time charged `before` seconds ahead of the clock the parity
+    /// checks read, so the charge has not decayed away when they look.
     Charge {
         user: u8,
         secs: f64,
-        now: f64,
+        before: f64,
     },
 }
 
@@ -124,11 +126,8 @@ fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
         arb_now().prop_map(|now| QueueOp::Pop { now }),
         arb_now().prop_map(|now| QueueOp::Pop { now }),
         any::<u8>().prop_map(|pick| QueueOp::Cancel { pick }),
-        (0u8..3, 0.1f64..100.0, 0.0f64..1e6).prop_map(|(user, secs, now)| QueueOp::Charge {
-            user,
-            secs,
-            now
-        }),
+        (0u8..3, 0.1f64..100.0, 0.0f64..300.0)
+            .prop_map(|(user, secs, before)| { QueueOp::Charge { user, secs, before } }),
     ]
 }
 
@@ -334,7 +333,8 @@ proptest! {
                     prop_assert_eq!(a, b, "cancel parity");
                     live.retain(|&x| x != id);
                 }
-                QueueOp::Charge { user, secs, now } => {
+                QueueOp::Charge { user, secs, before } => {
+                    let now = check_now - before;
                     indexed.charge(&format!("u{user}"), secs, now);
                     oracle.charge(&format!("u{user}"), secs, now);
                 }
