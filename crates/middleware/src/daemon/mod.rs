@@ -324,19 +324,26 @@ impl MiddlewareService {
             }
         };
         if wants_compaction {
-            // Exclusive gate across snapshot + compact: no append can land
-            // after the snapshot is taken and before the WAL is cut, so a
-            // record is never dropped from the log while missing from the
-            // snapshot (the lost-record window the lock audit surfaced).
-            let _gate = self.compact_gate.write();
-            if journal.wants_compaction() {
-                let snap = self.snapshot_state();
-                match journal.compact(&snap) {
-                    Ok(()) => self.count(&catalog::JOURNAL_SNAPSHOTS, 1),
-                    Err(e) => self.journal_error("compact", &e),
-                }
-            }
+            let _ = self.compact_journal(false);
         }
+    }
+
+    /// The one compaction (append path, `recover`, `shutdown`): when forced
+    /// or the policy still asks, snapshot and compact under the exclusive
+    /// gate, so no append lands between the snapshot and the WAL cut (the
+    /// lost-record window the lock audit surfaced); counts the outcome.
+    fn compact_journal(&self, force: bool) -> std::io::Result<()> {
+        let _gate = self.compact_gate.write();
+        let journal = self.journal.as_ref();
+        let Some(journal) = journal.filter(|j| force || j.wants_compaction()) else {
+            return Ok(());
+        };
+        let res = journal.compact(&self.snapshot_state());
+        match &res {
+            Ok(()) => self.count(&catalog::JOURNAL_SNAPSHOTS, 1),
+            Err(e) => self.journal_error("compact", e),
+        }
+        res
     }
 
     /// Flush and fsync any buffered group-commit batch. Called by the

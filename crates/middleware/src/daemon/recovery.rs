@@ -89,16 +89,14 @@ impl MiddlewareService {
 
         let journal = SharedJournal::open(path, journal_cfg)
             .map_err(|e| DaemonError::Internal(format!("journal open: {e}")))?;
+        svc.journal = Some(journal);
         // compact immediately: the fresh snapshot becomes the replay base,
         // so WAL growth — and therefore restart time — stays bounded no
         // matter how the previous process died.
         if n_records > 0 || had_snapshot {
-            journal
-                .compact(&svc.snapshot_state())
+            svc.compact_journal(true)
                 .map_err(|e| DaemonError::Internal(format!("journal compact: {e}")))?;
-            svc.count(&catalog::JOURNAL_SNAPSHOTS, 1);
         }
-        svc.journal = Some(journal);
         Ok(svc)
     }
 
@@ -119,12 +117,7 @@ impl MiddlewareService {
         }
         let pending = self.queue_depth();
         if let Some(journal) = &self.journal {
-            let _gate = self.compact_gate.write();
-            let snap = self.snapshot_state();
-            match journal.compact(&snap) {
-                Ok(()) => self.count(&catalog::JOURNAL_SNAPSHOTS, 1),
-                Err(e) => self.journal_error("compact", &e),
-            }
+            let _ = self.compact_journal(true);
             match journal.sync() {
                 Ok(()) => self.count(&catalog::JOURNAL_FSYNCS, 1),
                 Err(e) => self.journal_error("fsync", &e),

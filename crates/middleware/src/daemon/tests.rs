@@ -946,6 +946,40 @@ mod requeue {
         }
         drop(dispatcher);
     }
+
+    /// A follower's snapshot install cut short after the rename (its cursor
+    /// write fails there) must not hand promotion the covered WAL too: its
+    /// `TaskAttemptFailed`, applied twice, would poison the task early.
+    #[test]
+    fn a_snapshot_install_cut_short_does_not_replay_the_covered_wal() {
+        let failing = || -> Arc<dyn QuantumResource> {
+            let dead = FaultProfile {
+                task_failure_rate: 1.0,
+                ..FaultProfile::none()
+            };
+            Arc::new(FaultInjector::new(emu_resource(), dead, 23))
+        };
+        let cfg = DaemonConfig {
+            max_task_retries: 2,
+            ..DaemonConfig::default()
+        };
+        let (dir, fdir) = (journal_dir("install-cut"), journal_dir("install-cut-f"));
+        let d = MiddlewareService::recover(dir, failing(), cfg.clone()).unwrap();
+        d.enable_shipping().unwrap();
+        let tok = d.open_session("alice", PriorityClass::Production).unwrap();
+        let id = d.submit(&tok, ir(5), PatternHint::None).unwrap();
+        d.pump_once();
+        let mut f = crate::journal::FollowerReplica::open(&fdir).unwrap();
+        d.ship_pending(&mut f, "f").unwrap();
+        d.shutdown(std::time::Duration::ZERO); // compacts: the snapshot ships
+        std::fs::create_dir(fdir.join("replica.json.tmp")).unwrap();
+        assert!(d.ship_pending(&mut f, "f").is_err());
+        std::fs::remove_dir(fdir.join("replica.json.tmp")).unwrap();
+        let p = MiddlewareService::promote(&fdir, failing(), cfg, d.last_acked()).unwrap();
+        p.pump_once();
+        let status = p.task_status(id).unwrap();
+        assert_eq!(status, DaemonTaskStatus::Queued { position: 0 });
+    }
 }
 
 #[test]
@@ -1395,6 +1429,24 @@ fn clean_workload_records_no_production_lock_order_violations() {
     );
 }
 
+/// Compacts back to back, from `start` (at least once) until `stop`.
+fn compact_until(
+    d: &Arc<MiddlewareService>,
+    start: &Arc<std::sync::Barrier>,
+    stop: &Arc<AtomicBool>,
+) -> std::thread::JoinHandle<()> {
+    let (d, start, stop) = (Arc::clone(d), Arc::clone(start), Arc::clone(stop));
+    std::thread::spawn(move || {
+        start.wait();
+        d.compact_journal(true).unwrap();
+        while !stop.load(Ordering::Relaxed) {
+            // a breath between exclusive holds, so appends are not starved
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            d.compact_journal(true).unwrap();
+        }
+    })
+}
+
 /// Submitters against a hot dispatcher, one of them on a session that is
 /// closed under it: every acked task finishes, nothing unacked exists,
 /// and the recovered daemon agrees — no task stuck, none run twice.
@@ -1411,7 +1463,8 @@ fn submitters_racing_the_dispatcher_leave_every_acked_task_finished_once() {
     };
     let d = Arc::new(MiddlewareService::recover(&dir, emu_resource(), cfg.clone()).unwrap());
     let doomed = d.open_session("doomed", PriorityClass::Test).unwrap();
-    let start = Arc::new(std::sync::Barrier::new(6));
+    let (start, stop) = (Arc::new(std::sync::Barrier::new(7)), Arc::default());
+    let compactor = compact_until(&d, &start, &stop);
     let submitters: Vec<_> = (0..4)
         .map(|i| {
             let (d, start, doomed) = (Arc::clone(&d), Arc::clone(&start), doomed.clone());
@@ -1447,6 +1500,8 @@ fn submitters_racing_the_dispatcher_leave_every_acked_task_finished_once() {
     while submitters.iter().any(|t| !t.is_finished()) {
         d.pump_batch(16);
     }
+    stop.store(true, Ordering::Relaxed);
+    compactor.join().unwrap();
     closer.join().unwrap();
     let mut acked: Vec<u64> = submitters
         .into_iter()
@@ -1487,8 +1542,8 @@ fn submitters_racing_the_dispatcher_leave_every_acked_task_finished_once() {
         .contains("daemon_recovery_requeued_total 1"));
 }
 
-/// Submitters that cancel what they submit, racing the dispatcher while
-/// every append compacts: a compaction that lands between a task's
+/// Submitters that cancel what they submit, racing the dispatcher and a
+/// thread that compacts back to back: a compaction that lands between a task's
 /// admission and its session's charge (or a cancel and its refund) would
 /// snapshot one without the other, and replay cannot repair that. The
 /// recovered sessions must equal the live ones, charges included.
@@ -1504,7 +1559,8 @@ fn submitters_and_cancellers_racing_compaction_recover_every_session_charge() {
         ..DaemonConfig::default()
     };
     let d = Arc::new(MiddlewareService::recover(&dir, emu_resource(), cfg.clone()).unwrap());
-    let start = Arc::new(std::sync::Barrier::new(5));
+    let (start, stop) = (Arc::new(std::sync::Barrier::new(6)), Arc::default());
+    let compactor = compact_until(&d, &start, &stop);
     let submitters: Vec<_> = (0..4)
         .map(|i| {
             let (d, start) = (Arc::clone(&d), Arc::clone(&start));
@@ -1525,6 +1581,8 @@ fn submitters_and_cancellers_racing_compaction_recover_every_session_charge() {
     while submitters.iter().any(|t| !t.is_finished()) {
         d.pump_batch(4);
     }
+    stop.store(true, Ordering::Relaxed);
+    compactor.join().unwrap();
     for t in submitters {
         t.join().unwrap();
     }

@@ -12,6 +12,7 @@
 //! ```text
 //! wal.log        length-prefixed, checksummed JSON records (append-only)
 //! snapshot.json  last compacted full-state snapshot (atomic rename)
+//! wal.covered    the WAL a snapshot install set aside (mid-install only)
 //! ```
 //!
 //! Each WAL record is framed as
@@ -29,7 +30,7 @@ use hpcqc_emulator::SampleResult;
 use hpcqc_wire as wire;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// One durable state transition. Appended *after* the in-memory transition
@@ -120,8 +121,9 @@ pub struct JournalConfig {
     /// buffers more records than `fsync_every`, so the durability window
     /// promised by this knob is preserved under group commit.
     pub fsync_every: usize,
-    /// Compact (snapshot + truncate the WAL) every N appended records
-    /// (0 = never compact automatically).
+    /// Compact (snapshot + truncate the WAL) once the WAL holds N records
+    /// *and* the last snapshot's size in bytes (0 = never): amortized O(1)
+    /// per byte, N keeping a tiny snapshot from compacting on every record.
     pub compact_every: usize,
     /// Group commit: buffer appends and flush them as one `write` + one
     /// `fsync` once this many records are batched. 1 (the default) is
@@ -170,6 +172,8 @@ pub struct Replay {
 
 const WAL_FILE: &str = "wal.log";
 const SNAPSHOT_FILE: &str = "snapshot.json";
+const SNAPSHOT_TMP: &str = "snapshot.json.tmp";
+const COVERED_WAL: &str = "wal.covered";
 
 /// The intact prefix of WAL `bytes`: the payload of every
 /// `[len][crc][payload]` frame up to the first torn header, short body or
@@ -203,25 +207,48 @@ fn invalid_data(e: serde_json::Error) -> std::io::Error {
 /// a torn one.
 fn replace_durably(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = dir.join(format!("{name}.tmp"));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
-    }
+    std::fs::write(&tmp, bytes)?;
+    File::open(&tmp)?.sync_data()?;
     std::fs::rename(&tmp, dir.join(name))?;
     File::open(dir)?.sync_all()
 }
 
-/// Cut the WAL in `dir` to empty, durably. Callers replace the snapshot
-/// first: a power loss must not leave the old snapshot beside an empty WAL.
-fn empty_wal(dir: &Path) -> std::io::Result<File> {
-    let wal = OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(true)
-        .open(dir.join(WAL_FILE))?;
-    wal.sync_data()?;
+/// Make `snap` the replay base and return a fresh WAL. The covered WAL is
+/// set aside as `wal.covered` before the snapshot is renamed in and removed
+/// after `then` (the follower's cursor write), so [`settle_install`] knows
+/// at every crash point which snapshot it belongs to (DESIGN §9).
+fn install_snapshot(
+    dir: &Path,
+    snap: &[u8],
+    then: impl FnOnce() -> io::Result<()>,
+) -> io::Result<File> {
+    let (tmp, covered) = (dir.join(SNAPSHOT_TMP), dir.join(COVERED_WAL));
+    let sync_dir = || File::open(dir)?.sync_all();
+    std::fs::write(&tmp, snap)?;
+    File::open(&tmp)?.sync_data()?;
+    std::fs::rename(dir.join(WAL_FILE), &covered)?;
+    sync_dir()?;
+    std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
+    let wal = File::create(dir.join(WAL_FILE))?;
+    sync_dir()?;
+    then()?;
+    std::fs::remove_file(&covered)?;
+    sync_dir()?;
     Ok(wal)
+}
+
+/// Finish an install a crash cut short: `wal.covered` beside the temp file
+/// moves back to `wal.log`; without it, it is covered and dropped (`true`).
+fn settle_install(dir: &Path) -> io::Result<bool> {
+    let covered = dir.join(COVERED_WAL);
+    let installed = !dir.join(SNAPSHOT_TMP).exists();
+    match (covered.exists(), installed) {
+        (false, _) => return Ok(false),
+        (true, true) => std::fs::remove_file(&covered)?,
+        (true, false) => std::fs::rename(&covered, dir.join(WAL_FILE))?,
+    }
+    File::open(dir)?.sync_all()?;
+    Ok(installed)
 }
 
 /// Reader of a journal directory. The writer is [`SharedJournal`].
@@ -242,7 +269,10 @@ impl Journal {
             let body = std::fs::read(&snap_path)?;
             replay.snapshot = Some(serde_json::from_slice(&body).map_err(invalid_data)?);
         }
-        let wal_path = dir.join(WAL_FILE);
+        // a crash before an install's rename left the live WAL set aside
+        let covered = dir.join(COVERED_WAL);
+        let cut = covered.exists() && dir.join(SNAPSHOT_TMP).exists();
+        let wal_path = if cut { covered } else { dir.join(WAL_FILE) };
         if !wal_path.exists() {
             return Ok(replay);
         }
@@ -278,6 +308,18 @@ struct BufState {
     buf_records: usize,
     appends_since_fsync: usize,
     records_since_compact: usize,
+    /// Bytes in the WAL, buffered ones included.
+    wal_bytes: u64,
+    snapshot_bytes: u64,
+}
+
+impl BufState {
+    /// The compaction rule (see [`JournalConfig::compact_every`]).
+    fn wants_compaction(&self) -> bool {
+        self.cfg.compact_every > 0
+            && self.records_since_compact >= self.cfg.compact_every
+            && self.wal_bytes >= self.snapshot_bytes
+    }
 }
 
 /// WAL file state — only committers and compaction touch this.
@@ -332,10 +374,12 @@ impl SharedJournal {
     pub fn open(dir: impl AsRef<Path>, cfg: JournalConfig) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
+        settle_install(&dir)?;
         let wal = OpenOptions::new()
             .create(true)
             .append(true)
             .open(dir.join(WAL_FILE))?;
+        let snapshot_bytes = std::fs::metadata(dir.join(SNAPSHOT_FILE)).map_or(0, |m| m.len());
         Ok(SharedJournal {
             dir,
             buf: hpcqc_sync::TrackedMutex::new(
@@ -347,6 +391,8 @@ impl SharedJournal {
                     buf_records: 0,
                     appends_since_fsync: 0,
                     records_since_compact: 0,
+                    wal_bytes: wal.metadata()?.len(),
+                    snapshot_bytes,
                 },
             ),
             file: hpcqc_sync::TrackedMutex::new(
@@ -375,8 +421,7 @@ impl SharedJournal {
 
     /// Whether the compaction policy says it is time to snapshot.
     pub fn wants_compaction(&self) -> bool {
-        let b = self.buf.lock();
-        b.cfg.compact_every > 0 && b.records_since_compact >= b.cfg.compact_every
+        self.buf.lock().wants_compaction()
     }
 
     /// Effective batch size: `group_max_records`, capped by `fsync_every`
@@ -462,12 +507,12 @@ impl SharedJournal {
         b.buf_records += 1;
         b.appends_since_fsync += 1;
         b.records_since_compact += 1;
+        b.wal_bytes += frame_len as u64;
         let mut out = AppendOutcome {
             bytes: frame_len,
             flushed: false,
             fsynced: false,
-            wants_compaction: b.cfg.compact_every > 0
-                && b.records_since_compact >= b.cfg.compact_every,
+            wants_compaction: b.wants_compaction(),
         };
 
         // Write-through (batch limit 1) is an explicit request for
@@ -489,8 +534,8 @@ impl SharedJournal {
         self.commit(self.buf.lock(), true)
     }
 
-    /// Compact: atomically persist `snap` as the new replay base and truncate
-    /// the WAL (crash-safe, see `empty_wal`). Safe against
+    /// Compact: atomically persist `snap` as the new replay base and start
+    /// an empty WAL (crash-safe, see `install_snapshot`). Safe against
     /// concurrent appends: the buffer is cleared under the buffer lock, and
     /// the file lock taken next is granted only after every batch that ever
     /// left the buffer has finished its write (see `commit`)
@@ -512,9 +557,10 @@ impl SharedJournal {
         b.buf_records = 0;
         b.appends_since_fsync = 0;
         b.records_since_compact = 0;
+        b.wal_bytes = 0;
+        b.snapshot_bytes = body.len() as u64;
         let mut f = self.file.lock();
-        replace_durably(&self.dir, SNAPSHOT_FILE, &body)?;
-        f.wal = empty_wal(&self.dir)?;
+        f.wal = install_snapshot(&self.dir, &body, || Ok(()))?;
         // Ship the compaction as a snapshot event, still under the file
         // lock, so no batch event can interleave between the WAL cut and
         // this event. Earlier events are superseded (the snapshot carries
@@ -827,10 +873,13 @@ impl FollowerReplica {
     /// from the persisted metadata when present. A cursor that does not
     /// parse, or names more WAL than there is, is `InvalidData`: restarting
     /// at sequence 0 would re-apply the whole stream. WAL past the cursor
-    /// is a round never acked (a crash beat its cursor): it is cut off.
+    /// is a round never acked (a crash beat its cursor): it is cut off. An
+    /// old cursor beside a snapshot installed without it is re-based one
+    /// sequence on, at or below the snapshot's, and saved.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
+        let installed = settle_install(&dir)?;
         let wal = OpenOptions::new()
             .create(true)
             .append(true)
@@ -838,18 +887,23 @@ impl FollowerReplica {
         let on_disk = wal.metadata()?.len();
         let (next_seq, wal_len) = match Self::peek_ack(&dir) {
             Ok(ack) if ack.wal_len <= on_disk => (ack.applied_seq, ack.wal_len),
+            Ok(ack) if installed => (ack.applied_seq + 1, 0),
             Ok(_) => return Err(std::io::ErrorKind::InvalidData.into()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => (0, on_disk),
             Err(e) => return Err(e),
         };
         wal.set_len(wal_len)?;
         wal.sync_data()?;
-        Ok(FollowerReplica {
+        let replica = FollowerReplica {
             dir,
             wal,
             next_seq,
             wal_len,
-        })
+        };
+        if installed {
+            replica.write_cursor(replica.ack())?;
+        }
+        Ok(replica)
     }
 
     /// Current durable cursor — what this follower would ack.
@@ -949,15 +1003,13 @@ impl FollowerReplica {
                         got: s.seq,
                     });
                 }
-                // Snapshot, its cursor, then the WAL cut: a crash between
-                // any two leaves a WAL no shorter than the cursor on disk.
-                replace_durably(&self.dir, SNAPSHOT_FILE, &s.bytes)?;
+                // a crash inside leaves what `settle_install` and `open`
+                // put right (DESIGN §9, *Install order*)
                 let ack = ReplicaAck {
                     applied_seq: s.seq + 1,
                     wal_len: 0,
                 };
-                self.write_cursor(ack)?;
-                self.wal = empty_wal(&self.dir)?;
+                self.wal = install_snapshot(&self.dir, &s.bytes, || self.write_cursor(ack))?;
                 (self.next_seq, self.wal_len) = (ack.applied_seq, 0);
             }
         }
@@ -1399,6 +1451,67 @@ mod tests {
             j.append(&rec(1)).unwrap().wants_compaction,
             "outcome carries the policy bit so callers skip a second buffer lock"
         );
+    }
+
+    /// After a snapshot, the rule stays off past `compact_every` (2) until
+    /// the WAL holds the snapshot's size — also when `open` finds it.
+    #[test]
+    fn compaction_waits_for_a_snapshot_worth_of_wal() {
+        let dir = tmpdir("compact-bytes");
+        let cfg = JournalConfig {
+            compact_every: 2,
+            ..JournalConfig::default()
+        };
+        let mut j = SharedJournal::open(&dir, cfg).unwrap();
+        let snap = DaemonSnapshot {
+            cancelled: (0..100).collect(),
+            ..DaemonSnapshot::default()
+        };
+        for reopen in [false, true] {
+            j.compact(&snap).unwrap();
+            if reopen {
+                j = SharedJournal::open(&dir, cfg).unwrap();
+            }
+            let snap_bytes = std::fs::metadata(dir.join(SNAPSHOT_FILE)).unwrap().len();
+            let (mut wal, mut i) = (0, 0);
+            while wal < snap_bytes {
+                assert!(!j.wants_compaction(), "{i} records, {wal} B");
+                wal += j.append(&rec(i)).unwrap().bytes as u64;
+                i += 1;
+            }
+            assert!(i > 2 && j.wants_compaction());
+        }
+    }
+
+    /// A crash on either side of the snapshot's rename recovers the old
+    /// snapshot with its WAL or the new one without it — never the new
+    /// snapshot with the WAL it covers.
+    #[test]
+    fn an_install_cut_short_replays_the_wal_only_under_the_old_snapshot() {
+        let dir = tmpdir("install-cut");
+        let j = SharedJournal::open(&dir, JournalConfig::default()).unwrap();
+        j.append(&rec(1)).unwrap();
+        let new = DaemonSnapshot {
+            next_task: 5,
+            ..DaemonSnapshot::default()
+        };
+        let new = serde_json::to_string(&new).unwrap();
+        let state = || {
+            let replay = Journal::load(&dir).unwrap();
+            (replay.snapshot.map(|s| s.next_task), replay.records)
+        };
+        let settle = || drop(SharedJournal::open(&dir, JournalConfig::default()).unwrap());
+        // before the rename: the temp snapshot beside the set-aside WAL
+        std::fs::write(dir.join(SNAPSHOT_TMP), &new).unwrap();
+        std::fs::rename(dir.join(WAL_FILE), dir.join(COVERED_WAL)).unwrap();
+        assert_eq!(state(), (None, vec![rec(1)]));
+        settle();
+        // after it: the install itself, stopped where a crash would stop it
+        let crash = || Err(std::io::ErrorKind::Interrupted.into());
+        assert!(install_snapshot(&dir, new.as_bytes(), crash).is_err());
+        assert_eq!(state(), (Some(5), vec![]));
+        settle();
+        assert!(!dir.join(COVERED_WAL).exists());
     }
 
     // -- shipping ----------------------------------------------------------

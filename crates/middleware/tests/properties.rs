@@ -15,6 +15,7 @@ use hpcqc_program::{ProgramIr, Pulse, Register, SequenceBuilder};
 use hpcqc_scheduler::{
     AdmissionPolicy, Cosim, CosimConfig, HybridJob, PatternHint, Phase, QpuPolicy,
 };
+use hpcqc_telemetry::Labels;
 use proptest::prelude::*;
 use reference_queue::ReferenceTaskQueue;
 use std::sync::Arc;
@@ -506,6 +507,8 @@ proptest! {
             d.open_session("dev", PriorityClass::Development).unwrap(),
         ];
         let mut submitted: Vec<(usize, u64)> = Vec::new();
+        // compactions seen, WAL bytes appended up to the last one, its size
+        let (mut snapshots, mut compacted_at, mut snap_len) = (0.0, 0, 0);
         for op in ops {
             match op {
                 DaemonOp::Submit { session, shots, program, key } => {
@@ -528,6 +531,19 @@ proptest! {
                 DaemonOp::FailNext { n } => res.fail_next(n),
                 DaemonOp::Idle { secs } => d.advance_time(secs),
             }
+            // DESIGN §9's replay bound: compaction waits for a snapshot-sized
+            // WAL, and at rest the WAL is below the snapshot or the floor
+            let len = |f: &str| std::fs::metadata(dir.join(f)).map_or(0, |m| m.len());
+            let counter = |c: &str| d.registry().get_value(c, &Labels::new()).unwrap_or(0.0);
+            let before_wal = counter("journal_bytes_total") as u64 - len("wal.log");
+            if counter("journal_snapshots_total") > snapshots {
+                prop_assert!(before_wal - compacted_at >= snap_len, "compacted early");
+                snapshots = counter("journal_snapshots_total");
+                (compacted_at, snap_len) = (before_wal, len("snapshot.json"));
+            }
+            let records = hpcqc_middleware::journal::Journal::load(&dir).unwrap().records.len();
+            let bounded = compact_every == 0 || records < compact_every || len("wal.log") < snap_len;
+            prop_assert!(bounded, "{records} records past a {snap_len} B snapshot");
         }
         // what no journal record carries: the sessions' idle clocks
         let comparable = |d: &MiddlewareService| {
