@@ -237,18 +237,22 @@ fn install_snapshot(
     Ok(wal)
 }
 
-/// Finish an install a crash cut short: `wal.covered` beside the temp file
-/// moves back to `wal.log`; without it, it is covered and dropped (`true`).
-fn settle_install(dir: &Path) -> io::Result<bool> {
+/// Finish an install a crash or an error cut short — `wal.covered` beside
+/// the temp file moves back to `wal.log`; without it, it is covered and
+/// dropped (`true`) — and open the WAL for appending.
+fn settle_install(dir: &Path) -> io::Result<(File, bool)> {
     let covered = dir.join(COVERED_WAL);
-    let installed = !dir.join(SNAPSHOT_TMP).exists();
-    match (covered.exists(), installed) {
-        (false, _) => return Ok(false),
-        (true, true) => std::fs::remove_file(&covered)?,
-        (true, false) => std::fs::rename(&covered, dir.join(WAL_FILE))?,
+    let (set_aside, tmp) = (covered.exists(), dir.join(SNAPSHOT_TMP).exists());
+    if set_aside {
+        match tmp {
+            true => std::fs::rename(&covered, dir.join(WAL_FILE))?,
+            false => std::fs::remove_file(&covered)?,
+        }
+        File::open(dir)?.sync_all()?;
     }
-    File::open(dir)?.sync_all()?;
-    Ok(installed)
+    let mut wal = OpenOptions::new();
+    let wal = wal.create(true).append(true).open(dir.join(WAL_FILE))?;
+    Ok((wal, set_aside && !tmp))
 }
 
 /// Reader of a journal directory. The writer is [`SharedJournal`].
@@ -374,11 +378,7 @@ impl SharedJournal {
     pub fn open(dir: impl AsRef<Path>, cfg: JournalConfig) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        settle_install(&dir)?;
-        let wal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(WAL_FILE))?;
+        let (wal, _) = settle_install(&dir)?;
         let snapshot_bytes = std::fs::metadata(dir.join(SNAPSHOT_FILE)).map_or(0, |m| m.len());
         Ok(SharedJournal {
             dir,
@@ -560,7 +560,12 @@ impl SharedJournal {
         b.wal_bytes = 0;
         b.snapshot_bytes = body.len() as u64;
         let mut f = self.file.lock();
-        f.wal = install_snapshot(&self.dir, &body, || Ok(()))?;
+        let installed = install_snapshot(&self.dir, &body, || Ok(()));
+        if installed.is_err() {
+            // settled as recovery would, and appends go to the WAL it reads
+            f.wal = settle_install(&self.dir)?.0;
+        }
+        f.wal = installed?;
         // Ship the compaction as a snapshot event, still under the file
         // lock, so no batch event can interleave between the WAL cut and
         // this event. Earlier events are superseded (the snapshot carries
@@ -879,11 +884,7 @@ impl FollowerReplica {
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let installed = settle_install(&dir)?;
-        let wal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(WAL_FILE))?;
+        let (wal, installed) = settle_install(&dir)?;
         let on_disk = wal.metadata()?.len();
         let (next_seq, wal_len) = match Self::peek_ack(&dir) {
             Ok(ack) if ack.wal_len <= on_disk => (ack.applied_seq, ack.wal_len),

@@ -507,7 +507,6 @@ proptest! {
             d.open_session("dev", PriorityClass::Development).unwrap(),
         ];
         let mut submitted: Vec<(usize, u64)> = Vec::new();
-        // compactions seen, WAL bytes appended up to the last one, its size
         let (mut snapshots, mut compacted_at, mut snap_len) = (0.0, 0, 0);
         for op in ops {
             match op {
