@@ -5,13 +5,13 @@
 //! 1. **What does shipping cost?** The daemon_perf fleet (8 sessions, stub
 //!    QRMI, journaling on) runs twice in one process — once bare, once with
 //!    leader→follower journal shipping pumping continuously — and the report
-//!    carries the throughput ratio. The bare case is the per-shard number
-//!    comparable (within 10%) to BENCH_daemon.json; the shipping ratio is
-//!    reported unvarnished but overstates the cost on this harness, because
-//!    leader and standby are colocated in one process on one filesystem, so
-//!    every WAL byte and every fsync is paid twice through the same ext4
-//!    journal (and, on a single-core runner, the same CPU). A real standby
-//!    does that work on its own node.
+//!    carries the throughput ratio. Unlike daemon_perf's, this fleet
+//!    compacts at the default floor, as a deployed leader does. The
+//!    shipping ratio is reported unvarnished but overstates the cost on this
+//!    harness, because leader and standby are colocated in one process on
+//!    one filesystem, so every WAL byte and every fsync is paid twice
+//!    through the same ext4 journal (and, on a single-core runner, the same
+//!    CPU). A real standby does that work on its own node.
 //!
 //! 2. **How fast is failover, and does it lose anything?** A leader takes
 //!    the fleet mid-run and is killed abruptly — no drain, no final ship
@@ -30,15 +30,31 @@
 //! key, or a quick-mode failover slower than 500 ms.
 
 use hpcqc_bench::{
-    bench_daemon_config, bench_program, drive_fleet, instant_daemon, HarnessArgs, InstantResource,
-    Report, Sample, ScratchDir,
+    bench_daemon_config, bench_program, drive_fleet, HarnessArgs, InstantResource, Report, Sample,
+    ScratchDir,
 };
 use hpcqc_middleware::journal::FollowerReplica;
-use hpcqc_middleware::{DaemonTaskStatus, MiddlewareService, PriorityClass};
+use hpcqc_middleware::{DaemonConfig, DaemonTaskStatus, MiddlewareService, PriorityClass};
 use hpcqc_scheduler::PatternHint;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The bench config's 64-record group commit with the default compaction
+/// floor: the leader compacts under load, so the follower takes snapshot
+/// rounds and a promotion replays a compacted directory.
+fn leader_config() -> DaemonConfig {
+    let mut cfg = bench_daemon_config();
+    cfg.journal.compact_every = DaemonConfig::default().journal.compact_every;
+    cfg
+}
+
+/// A journaled daemon over an [`InstantResource`] in `dir`.
+fn leader(dir: &Path) -> MiddlewareService {
+    let resource = Arc::new(InstantResource::default());
+    MiddlewareService::recover(dir, resource, leader_config()).expect("daemon recovers")
+}
 
 /// A shipping pump with *no* final flush on stop — stopping it models the
 /// pump dying with the leader, so whatever was applied is all there is.
@@ -75,7 +91,7 @@ fn run_throughput(sessions: usize, per_session: usize, shipping: bool) -> f64 {
     let tag = if shipping { "ship" } else { "bare" };
     let dir = ScratchDir::new(&format!("failover-tp-{tag}-leader"));
     let follower_dir = shipping.then(|| ScratchDir::new("failover-tp-follower"));
-    let svc = Arc::new(instant_daemon(Some(dir.path())));
+    let svc = Arc::new(leader(dir.path()));
     let shipper = follower_dir.as_ref().map(|fdir| {
         svc.enable_shipping().expect("shipping enables");
         let replica = FollowerReplica::open(fdir.path()).expect("replica opens");
@@ -97,7 +113,7 @@ fn run_throughput(sessions: usize, per_session: usize, shipping: bool) -> f64 {
 fn run_failover(sessions: usize, per_session: usize, quick: bool) -> Vec<Sample> {
     let dir_l = ScratchDir::new("failover-fo-leader");
     let dir_f = ScratchDir::new("failover-fo-follower");
-    let svc = Arc::new(instant_daemon(Some(dir_l.path())));
+    let svc = Arc::new(leader(dir_l.path()));
     svc.enable_shipping().expect("shipping enables");
 
     let tokens: Vec<String> = (0..sessions)
@@ -172,7 +188,7 @@ fn run_failover(sessions: usize, per_session: usize, quick: bool) -> Vec<Sample>
         MiddlewareService::promote(
             dir_f.path(),
             Arc::new(InstantResource::default()),
-            bench_daemon_config(),
+            leader_config(),
             last_acked,
         )
         .expect("promotion succeeds"),

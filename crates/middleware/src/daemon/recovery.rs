@@ -92,8 +92,9 @@ impl MiddlewareService {
         svc.journal = Some(journal);
         // compact immediately: the fresh snapshot becomes the replay base,
         // so WAL growth — and therefore restart time — stays bounded no
-        // matter how the previous process died.
-        if n_records > 0 || had_snapshot {
+        // matter how the previous process died, and a torn tail is cut away
+        // before anything is appended behind it (a replay stops there).
+        if n_records > 0 || had_snapshot || truncated > 0 {
             svc.compact_journal(true)
                 .map_err(|e| DaemonError::Internal(format!("journal compact: {e}")))?;
         }

@@ -1121,6 +1121,31 @@ fn corrupt_snapshot_fails_recovery_instead_of_starting_empty() {
     ));
 }
 
+/// A daemon that crashes inside its first append leaves only a torn frame.
+/// Recovery must cut it away: records appended behind it are acknowledged,
+/// and a replay stops at the first torn frame.
+#[test]
+fn torn_first_frame_does_not_hide_later_records() {
+    let dir = journal_dir("torn-first-frame");
+    // a frame header promising 100 payload bytes, and two of them
+    std::fs::write(dir.join("wal.log"), [100, 0, 0, 0, 1, 2, 3, 4, 9, 9]).unwrap();
+    let d = MiddlewareService::recover(&dir, emu_resource(), DaemonConfig::default()).unwrap();
+    let tok = d.open_session("alice", PriorityClass::Production).unwrap();
+    let id = d.submit(&tok, ir(10), PatternHint::None).unwrap();
+    drop(d);
+    let replay = Journal::load(&dir).unwrap();
+    assert_eq!(
+        (replay.records.len(), replay.truncated_bytes),
+        (2, 0),
+        "session and submit records, no torn bytes"
+    );
+    let d2 = MiddlewareService::recover(&dir, emu_resource(), DaemonConfig::default()).unwrap();
+    assert!(matches!(
+        d2.task_status(id).unwrap(),
+        DaemonTaskStatus::Queued { .. }
+    ));
+}
+
 #[test]
 fn idempotency_keys_survive_restart() {
     let dir = journal_dir("idempotency");

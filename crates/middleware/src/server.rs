@@ -943,6 +943,34 @@ mod tests {
         assert_eq!(status, 200);
     }
 
+    /// A lock-order violation on a worker panics the handler: the request
+    /// gets its 500, and the log still names both call sites.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn lock_order_violation_on_a_worker_answers_500_and_is_logged() {
+        use hpcqc_sync::TrackedMutex;
+        let hi = Arc::new(TrackedMutex::new("server.test.inv.hi", 200, ()));
+        let lo = Arc::new(TrackedMutex::new("server.test.inv.lo", 100, ()));
+        let server = HttpServer::spawn(Arc::new(move |_: Request| {
+            let _hi = hi.lock();
+            let _lo = lo.lock();
+            Response::json(200, "{}")
+        }))
+        .unwrap();
+        let (status, _) = HttpClient::new(server.addr())
+            .request("GET", "/inverted", None)
+            .unwrap();
+        assert_eq!(status, 500);
+        let v: Vec<_> = hpcqc_sync::violations()
+            .into_iter()
+            .filter(|v| v.lock == "server.test.inv.lo" && v.held_lock == "server.test.inv.hi")
+            .collect();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].site.file().ends_with("server.rs"));
+        assert!(v[0].held_site.file().ends_with("server.rs"));
+        assert_eq!(v[0].held_site.line() + 1, v[0].site.line());
+    }
+
     #[test]
     fn connection_cap_rejects_with_503_and_resumes() {
         let metrics = Registry::new();

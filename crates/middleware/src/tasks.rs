@@ -27,7 +27,13 @@
 //!   its `TaskSubmitted` creates the finished entry, which the late submit
 //!   then only annotates (and charges). A `SessionOpened` for a known token
 //!   is a no-op for the same reason: the snapshot holds that session, charge
-//!   and all.
+//!   and all. One late record is not a no-op: a `TaskAttemptFailed` that
+//!   finds its task `Queued` counts the attempt again. `dispatch_next`
+//!   applies the outcome and drops the hold before it takes the compaction
+//!   gate to append, so a compaction in between snapshots the counted
+//!   attempt, and after a crash the task reaches its poison cap one attempt
+//!   early. Holding the gate from the `apply` through the append would
+//!   close that window.
 //! * **`Queued` accepts run outcomes.** A snapshot folds running tasks back
 //!   to queued, so the outcome of a run that straddled a compaction finds
 //!   its task `Queued`.

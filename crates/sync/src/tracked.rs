@@ -1,115 +1,71 @@
 //! Tracked lock wrappers: `parking_lot` locks plus stats and (in debug/test
 //! builds) lock-order checking against the declared rank hierarchy.
 
-use crate::order::{OrderTracker, Site, Violation};
+use crate::order::{rank_inversion, Held, Site, Violation};
 use crate::stats::LockStats;
 use std::cell::RefCell;
 use std::panic::Location;
-use std::sync::{Arc, Mutex as StdMutex, OnceLock};
+use std::sync::{Arc, Mutex as StdMutex};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
-// Global order-checking state (debug builds). The std mutex guarding the
-// tracker is internal bookkeeping, deliberately outside the tracked world.
+// Order checking (debug builds). The std mutex guarding the violation log is
+// internal bookkeeping, deliberately outside the tracked world.
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy)]
-struct HeldEntry {
-    name: &'static str,
-    rank: u32,
-    site: Site,
-    token: u64,
-}
-
 thread_local! {
-    static HELD: RefCell<Vec<HeldEntry>> = const { RefCell::new(Vec::new()) };
+    /// The tracked locks this thread holds, outermost first, each with its
+    /// stats block, whose address tells the lock apart on release.
+    static HELD: RefCell<Vec<(Held, *const LockStats)>> = const { RefCell::new(Vec::new()) };
 }
 
-fn global_tracker() -> &'static StdMutex<OrderTracker> {
-    static TRACKER: OnceLock<StdMutex<OrderTracker>> = OnceLock::new();
-    TRACKER.get_or_init(|| StdMutex::new(OrderTracker::new()))
-}
-
-fn global_violations() -> &'static StdMutex<Vec<Violation>> {
-    static VIOLATIONS: OnceLock<StdMutex<Vec<Violation>>> = OnceLock::new();
-    VIOLATIONS.get_or_init(|| StdMutex::new(Vec::new()))
-}
-
-fn panic_on_violation() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| {
-        std::env::var("HPCQC_LOCK_ORDER_PANIC")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-    })
-}
+static VIOLATIONS: StdMutex<Vec<Violation>> = StdMutex::new(Vec::new());
 
 /// Every ordering violation recorded so far in this process.
 pub fn violations() -> Vec<Violation> {
-    global_violations()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
-}
-
-/// Drop recorded violations (test isolation).
-pub fn clear_violations() {
-    global_violations()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clear();
+    VIOLATIONS.lock().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
 /// The locks the calling thread currently holds, outermost first.
 pub fn held_locks() -> Vec<(&'static str, u32)> {
-    HELD.with(|h| h.borrow().iter().map(|e| (e.name, e.rank)).collect())
+    HELD.with(|h| {
+        h.borrow()
+            .iter()
+            .map(|&((name, rank, _), _)| (name, rank))
+            .collect()
+    })
 }
 
-fn next_token() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Debug-build acquire hook: rank + cycle check, then push onto the held
-/// stack. Returns the token used to unwind the stack on release.
-fn order_enter(name: &'static str, rank: u32, site: Site) -> u64 {
-    let token = next_token();
-    if cfg!(debug_assertions) {
-        let held = HELD.with(|h| h.borrow().clone());
-        let held_view: Vec<(&'static str, u32, Site)> =
-            held.iter().map(|e| (e.name, e.rank, e.site)).collect();
-        let found = global_tracker()
+/// Debug-build acquire hook: the rank check against this thread's held
+/// stack, then the push. A violation is logged for [`violations`] and then
+/// panics the acquiring thread, so one whose panic is caught (an HTTP
+/// worker's 500, the dispatcher's `catch_unwind`) still shows in the log.
+fn order_enter(stats: &LockStats, site: Site) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    let new = (stats.name, stats.rank, site);
+    if let Some(v) = HELD.with(|h| rank_inversion(h.borrow().iter().map(|e| e.0), new)) {
+        VIOLATIONS
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .on_acquire(&held_view, (name, rank, site));
-        if !found.is_empty() {
-            let mut log = global_violations()
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            for v in &found {
-                log.push(v.clone());
-            }
-            drop(log);
-            if panic_on_violation() && !std::thread::panicking() {
-                panic!("lock-order violation: {}", found[0]);
-            }
+            .push(v.clone());
+        // a second panic while unwinding would abort the process
+        if !std::thread::panicking() {
+            panic!("lock-order violation: {v}");
         }
-        HELD.with(|h| {
-            h.borrow_mut().push(HeldEntry {
-                name,
-                rank,
-                site,
-                token,
-            })
-        });
     }
-    token
+    HELD.with(|h| h.borrow_mut().push((new, stats)));
 }
 
-fn order_exit(token: u64) {
+fn order_exit(stats: &LockStats) {
     if cfg!(debug_assertions) {
-        HELD.with(|h| h.borrow_mut().retain(|e| e.token != token));
+        HELD.with(|h| {
+            let mut held = h.borrow_mut();
+            if let Some(i) = held.iter().rposition(|e| std::ptr::eq(e.1, stats)) {
+                held.remove(i);
+            }
+        });
     }
 }
 
@@ -120,8 +76,7 @@ fn order_exit(token: u64) {
 /// A `parking_lot::Mutex` with a name, a rank in the repo-wide hierarchy
 /// (see [`crate::rank`]), always-on stats and debug-build order checking.
 pub struct TrackedMutex<T: ?Sized> {
-    name: &'static str,
-    rank: u32,
+    /// Also the lock's name and rank, and its identity on the held stack.
     stats: Arc<LockStats>,
     inner: parking_lot::Mutex<T>,
 }
@@ -132,14 +87,11 @@ pub struct TrackedMutexGuard<'a, T: ?Sized> {
     inner: parking_lot::MutexGuard<'a, T>,
     stats: &'a LockStats,
     acquired: Instant,
-    token: u64,
 }
 
 impl<T> TrackedMutex<T> {
     pub fn new(name: &'static str, rank: u32, value: T) -> Self {
         TrackedMutex {
-            name,
-            rank,
             stats: LockStats::register(name, rank),
             inner: parking_lot::Mutex::new(value),
         }
@@ -152,11 +104,11 @@ impl<T> TrackedMutex<T> {
 
 impl<T: ?Sized> TrackedMutex<T> {
     pub fn name(&self) -> &'static str {
-        self.name
+        self.stats.name
     }
 
     pub fn rank(&self) -> u32 {
-        self.rank
+        self.stats.rank
     }
 
     /// This lock's live stats handle (shared with the global registry).
@@ -176,12 +128,11 @@ impl<T: ?Sized> TrackedMutex<T> {
             }
         };
         self.stats.record_acquire(wait_ns, contended);
-        let token = order_enter(self.name, self.rank, site);
+        order_enter(&self.stats, site);
         TrackedMutexGuard {
             inner,
             stats: &self.stats,
             acquired: Instant::now(),
-            token,
         }
     }
 
@@ -190,12 +141,11 @@ impl<T: ?Sized> TrackedMutex<T> {
         let site = Location::caller();
         let inner = self.inner.try_lock()?;
         self.stats.record_acquire(0, false);
-        let token = order_enter(self.name, self.rank, site);
+        order_enter(&self.stats, site);
         Some(TrackedMutexGuard {
             inner,
             stats: &self.stats,
             acquired: Instant::now(),
-            token,
         })
     }
 
@@ -207,7 +157,7 @@ impl<T: ?Sized> TrackedMutex<T> {
 impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for TrackedMutex<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TrackedMutex")
-            .field("name", &self.name)
+            .field("name", &self.stats.name)
             .field("data", &&self.inner)
             .finish()
     }
@@ -230,7 +180,7 @@ impl<T: ?Sized> Drop for TrackedMutexGuard<'_, T> {
     fn drop(&mut self) {
         self.stats
             .record_hold(self.acquired.elapsed().as_nanos() as u64);
-        order_exit(self.token);
+        order_exit(self.stats);
     }
 }
 
@@ -241,8 +191,7 @@ impl<T: ?Sized> Drop for TrackedMutexGuard<'_, T> {
 /// A `parking_lot::RwLock` with the same tracking as [`TrackedMutex`].
 /// Read and write acquisitions share one rank and one stats stream.
 pub struct TrackedRwLock<T: ?Sized> {
-    name: &'static str,
-    rank: u32,
+    /// Also the lock's name and rank, and its identity on the held stack.
     stats: Arc<LockStats>,
     inner: parking_lot::RwLock<T>,
 }
@@ -251,21 +200,17 @@ pub struct TrackedRwLockReadGuard<'a, T: ?Sized> {
     inner: parking_lot::RwLockReadGuard<'a, T>,
     stats: &'a LockStats,
     acquired: Instant,
-    token: u64,
 }
 
 pub struct TrackedRwLockWriteGuard<'a, T: ?Sized> {
     inner: parking_lot::RwLockWriteGuard<'a, T>,
     stats: &'a LockStats,
     acquired: Instant,
-    token: u64,
 }
 
 impl<T> TrackedRwLock<T> {
     pub fn new(name: &'static str, rank: u32, value: T) -> Self {
         TrackedRwLock {
-            name,
-            rank,
             stats: LockStats::register(name, rank),
             inner: parking_lot::RwLock::new(value),
         }
@@ -278,7 +223,7 @@ impl<T> TrackedRwLock<T> {
 
 impl<T: ?Sized> TrackedRwLock<T> {
     pub fn name(&self) -> &'static str {
-        self.name
+        self.stats.name
     }
 
     pub fn stats(&self) -> &Arc<LockStats> {
@@ -301,12 +246,11 @@ impl<T: ?Sized> TrackedRwLock<T> {
             }
         };
         self.stats.record_acquire(wait, wait > 0);
-        let token = order_enter(self.name, self.rank, site);
+        order_enter(&self.stats, site);
         TrackedRwLockReadGuard {
             inner,
             stats: &self.stats,
             acquired: Instant::now(),
-            token,
         }
     }
 
@@ -322,12 +266,11 @@ impl<T: ?Sized> TrackedRwLock<T> {
             }
         };
         self.stats.record_acquire(wait, wait > 0);
-        let token = order_enter(self.name, self.rank, site);
+        order_enter(&self.stats, site);
         TrackedRwLockWriteGuard {
             inner,
             stats: &self.stats,
             acquired: Instant::now(),
-            token,
         }
     }
 }
@@ -343,7 +286,7 @@ impl<T: ?Sized> Drop for TrackedRwLockReadGuard<'_, T> {
     fn drop(&mut self) {
         self.stats
             .record_hold(self.acquired.elapsed().as_nanos() as u64);
-        order_exit(self.token);
+        order_exit(self.stats);
     }
 }
 
@@ -364,14 +307,13 @@ impl<T: ?Sized> Drop for TrackedRwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
         self.stats
             .record_hold(self.acquired.elapsed().as_nanos() as u64);
-        order_exit(self.token);
+        order_exit(self.stats);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::order::ViolationKind;
 
     #[test]
     fn tracked_mutex_round_trip_records_stats() {
@@ -413,17 +355,25 @@ mod tests {
     fn seeded_rank_inversion_is_reported_with_sites() {
         let hi = TrackedMutex::new("tracked.test.inv.hi", 200, ());
         let lo = TrackedMutex::new("tracked.test.inv.lo", 100, ());
-        let _g_hi = hi.lock();
-        let _g_lo = lo.lock(); // inversion: rank 100 under rank 200
-        drop((_g_lo, _g_hi));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _g_hi = hi.lock();
+            let _g_lo = lo.lock(); // inversion: rank 100 under rank 200
+        }));
+        let message = *caught
+            .expect_err("the inversion panics")
+            .downcast::<String>()
+            .expect("a formatted panic message");
+        assert!(held_locks().is_empty(), "unwinding released both entries");
         let v: Vec<_> = violations()
             .into_iter()
             .filter(|v| v.lock == "tracked.test.inv.lo" && v.held_lock == "tracked.test.inv.hi")
             .collect();
-        assert!(!v.is_empty(), "inversion not recorded");
-        assert_eq!(v[0].kind, ViolationKind::RankInversion);
-        assert!(v[0].site.file().ends_with("tracked.rs"));
-        assert!(v[0].held_site.file().ends_with("tracked.rs"));
+        assert_eq!(v.len(), 1, "inversion not recorded once");
+        for site in [v[0].site, v[0].held_site] {
+            assert!(site.file().ends_with("tracked.rs"));
+            assert!(message.contains(&site.to_string()), "{message}");
+        }
+        assert_ne!(v[0].site.line(), v[0].held_site.line());
     }
 
     #[cfg(debug_assertions)]
